@@ -16,7 +16,8 @@ from .exact import (QUBIT_SHIFT, RESONATOR_PULL, AmbiguousLabeling,
                     fit_g0, fit_residual_curve, label_dressed_states)
 from .lindblad import (BARE_PLUS_INTERACTION, DRESSED_ANALYTIC,
                        DegenerateNullSpace, LindbladGenerator, NegativeRate,
-                       StepUnderflow, Trajectory, TruncationTooSmall, assemble,
+                       NonPositiveState, StepBudgetExhausted, StepUnderflow,
+                       Trajectory, TruncationTooSmall, assemble,
                        dressed_hamiltonian, evolve, partial_trace_qubit,
                        partial_trace_resonator, realize_terms, steady_state, thermal_resonator_state,
                        verify_displacement_identity)
@@ -54,13 +55,15 @@ __all__ = [
     "FitResult", "InvalidSpec", "JC",
     "JumpDescriptor", "Labeling", "LindbladGenerator", "NegativeFrequency",
     "NegativePhotonNumber", "NegativeRate", "NoBracket", "NonPositiveSplitting",
+    "NonPositiveState",
     "OHMIC", "ONE_OVER_F", "PHOTON_ASSISTED", "PURCELL", "PrefactorRecord",
     "ProductSpace", "QUBIT_SHIFT",
     "QubitSpec", "RABI", "RESONANCE_WINDOW_FACTOR", "RESONATOR_PULL",
     "SECOND_ORDER",
     "RateRow", "RateTable", "ResonantDivergence",
     "ResonatorSpec", "ShiftReport", "ShiftRow",
-    "SpectralFunction", "Spectrum", "StepUnderflow", "SweepError",
+    "SpectralFunction", "Spectrum", "StepBudgetExhausted", "StepUnderflow",
+    "SweepError",
     "SweepRequest", "SystemConfig",
     "SystemSpec", "TEMPERATURE", "Trajectory", "TransmonSpec",
     "TruncationTooSmall",

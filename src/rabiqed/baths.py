@@ -59,6 +59,11 @@ class SpectralFunction:
     def __post_init__(self) -> None:
         if self.model not in _MODELS:
             raise ValueError(f"unknown bath model {self.model!r}; expected one of {_MODELS}")
+        for name in ("temperature", "eta", "cutoff", "amplitude", "ir_floor", "level"):
+            value = getattr(self, name)
+            # an infinite cutoff is the documented "no cutoff"
+            if math.isnan(value) or (math.isinf(value) and name != "cutoff"):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not self.temperature >= 0.0:
             raise ValueError(f"temperature must be >= 0, got {self.temperature}")
         if self.model == OHMIC:

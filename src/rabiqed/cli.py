@@ -27,9 +27,10 @@ from . import sweeps
 from .exact import (QUBIT_SHIFT, RESONATOR_PULL, AmbiguousLabeling,
                     ConvergenceFailure, DegenerateCurvature, DimensionOverflow,
                     NoBracket, exact_shifts, fit_g0, fit_residual_curve)
-from .lindblad import (DRESSED_ANALYTIC, DegenerateNullSpace, StepUnderflow,
-                       TruncationTooSmall, assemble, evolve, partial_trace_qubit,
-                       steady_state, thermal_resonator_state)
+from .lindblad import (DRESSED_ANALYTIC, DegenerateNullSpace, NonPositiveState,
+                       StepBudgetExhausted, StepUnderflow, TruncationTooSmall,
+                       assemble, evolve, partial_trace_qubit, steady_state,
+                       thermal_resonator_state)
 from .model import (JC, MODELS, RABI, ConfigError, InvalidSpec,
                     NonPositiveSplitting, load_config)
 from .operators import (ProductSpace, embed, number_operator, qubit_projector)
@@ -38,12 +39,13 @@ from .shifts import ResonantDivergence
 from .svgplot import LinePlot
 from .sweeps import (DETUNING, ExactRow, RateRow, ShiftRow, SweepError,
                      SweepRequest, all_rows_failed, apply_resonance_exclusion,
-                     columns, format_csv, parse_csv)
+                     columns, format_csv, format_table, parse_csv)
 
 _MATH_ERRORS = (ResonantDivergence, NonPositiveSplitting, AmbiguousLabeling,
                 DimensionOverflow, ConvergenceFailure, NoBracket,
-                DegenerateCurvature, StepUnderflow, DegenerateNullSpace,
-                TruncationTooSmall, NegativePhotonNumber)
+                DegenerateCurvature, StepUnderflow, StepBudgetExhausted,
+                DegenerateNullSpace, NonPositiveState, TruncationTooSmall,
+                NegativePhotonNumber)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -61,20 +63,6 @@ def _write_text(path: str | None, text: str) -> None:
         return
     with open(path, "w", newline="\n") as handle:
         handle.write(text)
-
-
-def _format_table(names: list[str], rows: list[dict]) -> str:
-    lines = [",".join(names)]
-    for row in rows:
-        cells = []
-        for name in names:
-            value = row[name]
-            if isinstance(value, str):
-                cells.append(value)
-            else:
-                cells.append(format(float(value), ".17g"))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
 
 
 def _load_config(args) -> "SystemConfig":
@@ -234,7 +222,7 @@ def _cmd_fit(args) -> int:
                              "stderr_ghz": result.stderr,
                              "residual_sum": result.residual_sum,
                              "n_points": float(result.n_points)})
-    _write_text(args.out, _format_table(names, out_rows))
+    _write_text(args.out, format_table(names, out_rows))
     if args.json:
         payload = []
         for row in out_rows:
@@ -263,7 +251,7 @@ def _cmd_fit(args) -> int:
             for name, values in curves.items():
                 row[name] = float(values[i])
             curve_rows.append(row)
-        _write_text(args.residuals, _format_table(curve_names, curve_rows))
+        _write_text(args.residuals, format_table(curve_names, curve_rows))
     return EXIT_MATH if failures == len(out_rows) else EXIT_OK
 
 
@@ -342,7 +330,7 @@ def _cmd_evolve(args) -> int:
         row.update(_state_summary(rho, space))
         row["trace"] = float(np.real(np.trace(rho)))
         rows.append(row)
-    _write_text(args.out, _format_table(names, rows))
+    _write_text(args.out, format_table(names, rows))
     return EXIT_OK
 
 
@@ -358,7 +346,7 @@ def _cmd_steady(args) -> int:
         number_operator(space.fock_dim) @ reduced)))
     names = ([f"pop_q{k}" for k in range(space.qubit_dim)]
              + ["nbar", "purity", "nbar_resonator"])
-    _write_text(args.out, _format_table(names, [row]))
+    _write_text(args.out, format_table(names, [row]))
     return EXIT_OK
 
 
@@ -480,8 +468,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "photons", 0.0) < 0:
-        _fail("--photons must be nonnegative")
+    if not 0.0 <= getattr(args, "photons", 0.0) < math.inf:
+        _fail("--photons must be finite and nonnegative")
         return EXIT_CONFIG
     if getattr(args, "nq", None) is not None and args.nq < 2:
         _fail("--nq must be at least 2")
@@ -489,11 +477,11 @@ def main(argv=None) -> int:
     if getattr(args, "nr", None) is not None and args.nr < 2:
         _fail("--nr must be at least 2")
         return EXIT_CONFIG
-    if getattr(args, "window", None) is not None and args.window < 0:
+    if getattr(args, "window", None) is not None and not args.window >= 0:
         _fail("--window must be nonnegative")
         return EXIT_CONFIG
-    if getattr(args, "tmax", 1.0) <= 0:
-        _fail("--tmax must be positive")
+    if not 0.0 < getattr(args, "tmax", 1.0) < math.inf:
+        _fail("--tmax must be finite and positive")
         return EXIT_CONFIG
     if getattr(args, "samples", 2) < 2:
         _fail("--samples must be at least 2")

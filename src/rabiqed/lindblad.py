@@ -38,10 +38,6 @@ DRESSED_ANALYTIC = "dressed_analytic"
 BARE_PLUS_INTERACTION = "bare_plus_interaction"
 MODES = (DRESSED_ANALYTIC, BARE_PLUS_INTERACTION)
 
-# dense superoperators below this squared dimension, sparse at or above
-DENSE_SUPEROP_LIMIT = 10_000
-
-
 class NegativeRate(ValueError):
     """A dissipator was handed a negative rate."""
 
@@ -50,20 +46,55 @@ class StepUnderflow(RuntimeError):
     """Adaptive step size collapsed below the resolution floor."""
 
 
+class StepBudgetExhausted(RuntimeError):
+    """The integrator used up its step budget before the last sample time."""
+
+
 class DegenerateNullSpace(RuntimeError):
     """The generator has more than one steady state."""
+
+
+class NonPositiveState(RuntimeError):
+    """The computed steady state has a negative eigenvalue."""
 
 
 class TruncationTooSmall(ValueError):
     """Fock truncation cannot hold the requested coherent amplitude."""
 
 
+def _build_liouvillian(h: np.ndarray, dissipators) -> sp.csr_matrix:
+    """The generator as a CSR matrix on row-major vectorized density matrices.
+
+    Effective-Hamiltonian form: with K = sum gamma L^dag L and
+    H_eff = 2 pi H - (i/2) K, row-major vec(A rho B) = (A (x) B^T) vec(rho)
+    gives L = -i (H_eff (x) I - I (x) conj(H_eff)) + sum gamma L (x) conj(L).
+    """
+    d = h.shape[0]
+    eye = sp.identity(d, dtype=complex, format="csr")
+    h_eff = sp.csr_matrix(TWO_PI * h, dtype=complex)
+    jumps = sp.csr_matrix((d * d, d * d), dtype=complex)
+    for op, rate in dissipators:
+        if rate == 0.0:
+            continue
+        gamma = _RATE_TO_INV_NS * rate
+        l_op = sp.csr_matrix(op)
+        h_eff = h_eff - 0.5j * gamma * (l_op.conj().T @ l_op)
+        jumps = jumps + gamma * sp.kron(l_op, l_op.conj(), format="csr")
+    return (jumps - 1j * (sp.kron(h_eff, eye, format="csr")
+                          - sp.kron(eye, h_eff.conj(), format="csr"))).tocsr()
+
+
 @dataclass(frozen=True)
 class LindbladGenerator:
-    """Hamiltonian (GHz) plus a list of (jump matrix, rate in MHz)."""
+    """Hamiltonian (GHz) plus a list of (jump matrix, rate in MHz).
+
+    The Liouvillian is built once, as a sparse matrix, when the generator
+    is made; applying the generator is one sparse matrix-vector product.
+    """
 
     hamiltonian: np.ndarray
     dissipators: tuple[tuple[np.ndarray, float], ...]
+    _liouvillian: sp.csr_matrix = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         h = np.asarray(self.hamiltonian)
@@ -83,6 +114,7 @@ class LindbladGenerator:
             pairs.append((op, float(rate)))
         object.__setattr__(self, "hamiltonian", h)
         object.__setattr__(self, "dissipators", tuple(pairs))
+        object.__setattr__(self, "_liouvillian", _build_liouvillian(h, pairs))
 
     @property
     def dim(self) -> int:
@@ -90,56 +122,14 @@ class LindbladGenerator:
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """Right-hand side d rho / dt in 1/ns."""
-        h = self.hamiltonian
-        out = -1j * TWO_PI * (h @ rho - rho @ h)
-        for op, rate in self.dissipators:
-            if rate == 0.0:
-                continue
-            gamma = _RATE_TO_INV_NS * rate
-            op_dag = op.conj().T
-            sandwich = op @ rho @ op_dag
-            norm_op = op_dag @ op
-            out += gamma * (sandwich - 0.5 * (norm_op @ rho + rho @ norm_op))
-        return out
+        return (self._liouvillian @ rho.reshape(-1)).reshape(rho.shape)
 
-    def superoperator(self, sparse: bool | None = None):
-        """Matrix of the generator on row-major vectorized density matrices.
+    def superoperator(self) -> sp.csr_matrix:
+        """The Liouvillian on row-major vectorized density matrices, in 1/ns.
 
-        Returns a dense ndarray or a scipy CSC matrix depending on size
-        (or on the explicit ``sparse`` flag); entries are in 1/ns.
+        The same CSR matrix is returned on every call; do not modify it.
         """
-        d = self.dim
-        if sparse is None:
-            sparse = d * d >= DENSE_SUPEROP_LIMIT
-        if sparse:
-            eye = sp.identity(d, format="csc")
-            h = sp.csc_matrix(self.hamiltonian)
-            liouville = -1j * TWO_PI * (sp.kron(h, eye, format="csc")
-                                        - sp.kron(eye, h.T, format="csc"))
-            for op, rate in self.dissipators:
-                if rate == 0.0:
-                    continue
-                gamma = _RATE_TO_INV_NS * rate
-                l_op = sp.csc_matrix(op)
-                norm_op = (l_op.conj().T @ l_op).tocsc()
-                liouville = liouville + gamma * (
-                    sp.kron(l_op, l_op.conj(), format="csc")
-                    - 0.5 * sp.kron(norm_op, eye, format="csc")
-                    - 0.5 * sp.kron(eye, norm_op.T, format="csc"))
-            return liouville.tocsc()
-        eye = np.eye(d)
-        h = self.hamiltonian
-        liouville = -1j * TWO_PI * (np.kron(h, eye) - np.kron(eye, h.T))
-        liouville = liouville.astype(complex)
-        for op, rate in self.dissipators:
-            if rate == 0.0:
-                continue
-            gamma = _RATE_TO_INV_NS * rate
-            norm_op = op.conj().T @ op
-            liouville += gamma * (np.kron(op, op.conj())
-                                  - 0.5 * np.kron(norm_op, eye)
-                                  - 0.5 * np.kron(eye, norm_op.T))
-        return liouville
+        return self._liouvillian
 
 
 def realize_terms(terms: Iterable[DissipatorTerm],
@@ -242,39 +232,32 @@ _DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 
 
 
 def evolve(gen: LindbladGenerator, rho0: np.ndarray, t_max: float,
-           rtol: float = 1e-8, atol: float = 1e-10,
-           sample_times: Sequence[float] | None = None,
+           sample_times: Sequence[float], rtol: float = 1e-8, atol: float = 1e-10,
            max_steps: int = 5_000_000) -> Trajectory:
-    """Integrate d rho/dt = L rho from 0 to t_max (ns).
+    """Integrate d rho/dt = L rho from 0 to t_max (ns), recording sample_times.
 
     Embedded Dormand-Prince 5(4) with proportional step control.  The
     state is re-symmetrized after every accepted step, which keeps the
-    trajectory Hermitian without touching its trace.  With sample_times
-    given, steps land exactly on each requested time and only those states
-    are recorded; otherwise every accepted step is recorded.
+    trajectory Hermitian without touching its trace.  Steps land exactly on
+    each requested time, and only those states are recorded, so memory
+    grows with the number of samples, not of steps.
     """
     rho = _check_density_matrix(rho0, gen.dim)
-    if t_max < 0.0:
-        raise ValueError(f"t_max must be >= 0, got {t_max}")
+    if not 0.0 <= t_max < math.inf:
+        raise ValueError(f"t_max must be finite and >= 0, got {t_max}")
+    targets = sorted(float(t) for t in sample_times)
+    if not targets or targets[0] < 0.0 or targets[-1] > t_max * (1 + 1e-12):
+        raise ValueError("sample_times must be nonempty and lie within [0, t_max]")
+    # a time within rounding above t_max is recorded at t_max
+    targets = [min(t, t_max) for t in targets]
 
-    targets: list[float] | None = None
-    if sample_times is not None:
-        targets = sorted(float(t) for t in sample_times)
-        if targets and (targets[0] < 0.0 or targets[-1] > t_max * (1 + 1e-12)):
-            raise ValueError("sample_times must lie within [0, t_max]")
-
-    times = [0.0]
-    states = [rho.copy()]
-    if targets is not None:
-        times, states = [], []
-        while targets and targets[0] <= 1e-15:
-            targets.pop(0)
-            times.append(0.0)
-            states.append(rho.copy())
-
-    if t_max == 0.0:
-        return Trajectory(times=np.array(times if times else [0.0]),
-                          states=states if states else [rho.copy()])
+    times, states = [], []
+    while targets and targets[0] <= 1e-15:
+        targets.pop(0)
+        times.append(0.0)
+        states.append(rho.copy())
+    if not targets:
+        return Trajectory(times=np.array(times), states=states)
 
     t = 0.0
     k1 = gen.apply(rho)
@@ -283,11 +266,9 @@ def evolve(gen: LindbladGenerator, rho0: np.ndarray, t_max: float,
     stages: list[np.ndarray] = [k1] * 7
 
     for _ in range(max_steps):
-        if t >= t_max * (1 - 1e-14):
+        if not targets:
             break
-        h = min(h, t_max - t)
-        if targets:
-            h = min(h, max(targets[0] - t, h_floor))
+        h = min(h, max(targets[0] - t, h_floor))
         stages[0] = k1
         for i in range(1, 7):
             acc = rho + h * sum(a * stages[j] for j, a in enumerate(_DP_A[i]) if a != 0.0)
@@ -304,23 +285,17 @@ def evolve(gen: LindbladGenerator, rho0: np.ndarray, t_max: float,
             t = t + h
             rho = rho_new
             k1 = stages[6]
-            if targets and abs(t - targets[0]) <= 1e-12 * max(1.0, t):
+            if abs(t - targets[0]) <= 1e-12 * max(1.0, t):
                 targets.pop(0)
-                times.append(t)
-                states.append(rho.copy())
-            elif targets is None:
                 times.append(t)
                 states.append(rho.copy())
         factor = 0.9 * err ** -0.2 if err > 0.0 else 5.0
         h = h * min(5.0, max(0.2, factor))
         if h < h_floor:
             raise StepUnderflow(f"step size {h:.3e} ns underflowed at t = {t:.6f} ns")
-    else:
-        raise RuntimeError(f"integration did not reach t_max within {max_steps} steps")
-
-    if targets is None and times[-1] < t_max * (1 - 1e-14):
-        times.append(t)
-        states.append(rho.copy())
+    if targets:
+        raise StepBudgetExhausted(f"integration did not reach t = {targets[0]} ns "
+                                  f"within {max_steps} steps")
     return Trajectory(times=np.array(times), states=states)
 
 
@@ -328,52 +303,44 @@ def steady_state(gen: LindbladGenerator, residual_tol: float = 1e-10,
                  positivity_tol: float = 1e-9) -> np.ndarray:
     """Unique steady state of the generator.
 
-    Solves L rho = 0 with the first row of the vectorized generator
-    replaced by the trace constraint.  Uniqueness is verified through the
-    singular spectrum when the superoperator is small enough to afford a
-    dense SVD; a second vanishing singular value raises
-    DegenerateNullSpace.
+    Solves L rho = 0 by sparse LU, with the first row of the vectorized
+    generator replaced by the trace constraint.  Uniqueness is verified
+    through the singular spectrum when the superoperator is small enough to
+    afford a dense SVD; a second vanishing singular value, a singular
+    factorization or a residual above tolerance raises DegenerateNullSpace.
     """
     d = gen.dim
     liouville = gen.superoperator()
-    dense = not sp.issparse(liouville)
-
-    if dense and d * d <= 1024:
-        singulars = np.linalg.svd(liouville, compute_uv=False)
+    if d * d <= 1024:
+        singulars = np.linalg.svd(liouville.toarray(), compute_uv=False)
         top = singulars[0] if singulars[0] > 0.0 else 1.0
         null_count = int(np.sum(singulars < 1e-12 * top))
         if null_count > 1:
             raise DegenerateNullSpace(f"{null_count} singular values vanish; "
                                       f"steady state is not unique")
 
-    trace_row = np.zeros(d * d, dtype=complex)
-    trace_row[::d + 1] = 1.0
+    # ones on the entries of vec(rho) that hold its diagonal
+    trace_row = sp.csr_matrix((np.ones(d), np.arange(0, d * d, d + 1), [0, d]),
+                              shape=(1, d * d))
     rhs = np.zeros(d * d, dtype=complex)
     rhs[0] = 1.0
-    if dense:
-        a = liouville.copy()
-        a[0, :] = trace_row
-        try:
-            vec = np.linalg.solve(a, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise DegenerateNullSpace(str(exc)) from exc
-    else:
-        a = liouville.tolil()
-        a[0, :] = trace_row
-        vec = spla.spsolve(a.tocsc(), rhs)
+    try:
+        vec = spla.splu(sp.vstack([trace_row, liouville[1:]], format="csc")).solve(rhs)
+    except RuntimeError as exc:  # SuperLU: exactly singular or failed to factorize
+        raise DegenerateNullSpace(f"sparse LU failed: {exc}".strip()) from exc
 
     rho = vec.reshape(d, d)
     rho = 0.5 * (rho + rho.conj().T)
     rho = rho / np.trace(rho).real
 
-    residual = liouville @ rho.reshape(-1)
-    norm_scale = float(np.abs(liouville).max()) if dense else float(abs(liouville).max())
-    if float(np.max(np.abs(residual))) > residual_tol * max(1.0, norm_scale):
-        raise DegenerateNullSpace(f"steady-state residual {np.max(np.abs(residual)):.3e} "
-                                  f"exceeds tolerance; null space is ill-conditioned")
+    residual = float(np.max(np.abs(liouville @ rho.reshape(-1))))
+    if not residual <= residual_tol * max(1.0, float(abs(liouville).max())):
+        raise DegenerateNullSpace(f"steady-state residual {residual:.3e} exceeds "
+                                  f"tolerance; null space is ill-conditioned")
     min_eig = float(np.linalg.eigvalsh(rho)[0])
     if min_eig < -positivity_tol:
-        raise RuntimeError(f"steady state has eigenvalue {min_eig:.3e} < -{positivity_tol}")
+        raise NonPositiveState(f"steady state has eigenvalue {min_eig:.3e} "
+                               f"< -{positivity_tol}")
     return rho
 
 

@@ -336,6 +336,14 @@ _REQUIRED_KEYS = ("omega_r_ghz", "omega_10_ghz", "g0_ghz",
                   "num_qubit_levels", "fock_truncation")
 
 
+def _finite(data: Mapping, key: str, default: float | None = None) -> float:
+    """data[key], or default when given and the key is absent, as a finite float."""
+    value = float(data[key] if default is None else data.get(key, default))
+    if not math.isfinite(value):
+        raise ConfigError(f"{key} must be finite, got {value}")
+    return value
+
+
 def parse_config(data: Mapping) -> SystemConfig:
     """Build a SystemConfig from a decoded JSON object."""
     if not isinstance(data, Mapping):
@@ -347,14 +355,14 @@ def parse_config(data: Mapping) -> SystemConfig:
     if missing:
         raise ConfigError(f"missing config keys: {missing}")
     try:
-        temperature = float(data.get("temperature_ghz", 0.0))
+        temperature = _finite(data, "temperature_ghz", 0.0)
         transmon = TransmonSpec(
-            omega_10=float(data["omega_10_ghz"]),
-            anharmonicity=float(data.get("anharmonicity_ghz", 0.0)),
-            g0=float(data["g0_ghz"]),
+            omega_10=_finite(data, "omega_10_ghz"),
+            anharmonicity=_finite(data, "anharmonicity_ghz", 0.0),
+            g0=_finite(data, "g0_ghz"),
             num_levels=int(data["num_qubit_levels"]))
         resonator = ResonatorSpec(
-            omega_r=float(data["omega_r_ghz"]),
+            omega_r=_finite(data, "omega_r_ghz"),
             fock_truncation=int(data["fock_truncation"]))
         model = check_model(str(data.get("model", RABI)))
         baths = silent_baths(temperature)
@@ -364,7 +372,7 @@ def parse_config(data: Mapping) -> SystemConfig:
                 baths[label] = bath_from_config(data[key], default_temperature=temperature)
     except ConfigError:
         raise
-    except (ValueError, TypeError, KeyError) as exc:
+    except (ValueError, TypeError, KeyError, OverflowError) as exc:
         raise ConfigError(str(exc)) from exc
     return SystemConfig(transmon=transmon, resonator=resonator,
                         interaction_model=model, baths=baths)

@@ -257,24 +257,26 @@ def all_rows_failed(rows) -> bool:
     return bool(rows) and all(row.error for row in rows)
 
 
-def format_csv(rows, row_type) -> str:
-    """Serialize rows deterministically: 17 significant digits, one header."""
-    names = columns(row_type)
+def format_table(names: list[str], rows) -> str:
+    """Serialize mappings deterministically: 17 significant digits, one header.
+
+    Each row maps every name to a string (written as is) or a number.
+    """
     lines = [",".join(names)]
     for row in rows:
-        cells = []
-        for name in names:
-            value = getattr(row, name)
-            if isinstance(value, str):
-                cells.append(value)
-            else:
-                cells.append(format(float(value), ".17g"))
-        lines.append(",".join(cells))
+        cells = (row[name] for name in names)
+        lines.append(",".join(v if isinstance(v, str) else format(float(v), ".17g")
+                              for v in cells))
     return "\n".join(lines) + "\n"
 
 
+def format_csv(rows, row_type) -> str:
+    """Serialize sweep rows of one row type with format_table."""
+    return format_table(columns(row_type), [vars(row) for row in rows])
+
+
 def parse_csv(text: str) -> tuple[list[str], list[dict[str, float | str]]]:
-    """Read a CSV produced by format_csv back into dict rows."""
+    """Read a CSV produced by format_table back into dict rows."""
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise ValueError("empty CSV")

@@ -163,6 +163,21 @@ def test_constructor_validation():
         SpectralFunction.flat(1.0, temperature_ghz=-0.1)
 
 
+def test_constructor_rejects_non_finite():
+    """NaN anywhere, and infinity anywhere but the cutoff, is rejected."""
+    nan, inf = float("nan"), float("inf")
+    for make in (lambda: SpectralFunction.flat(nan),
+                 lambda: SpectralFunction.flat(inf),
+                 lambda: SpectralFunction.flat(0.1, temperature_ghz=inf),
+                 lambda: SpectralFunction.ohmic(nan),
+                 lambda: SpectralFunction.ohmic(1.0, cutoff_ghz=nan),
+                 lambda: SpectralFunction.one_over_f(inf, ir_floor_ghz=0.01),
+                 lambda: SpectralFunction.one_over_f(1e-6, ir_floor_ghz=inf)):
+        with pytest.raises(ValueError, match="finite"):
+            make()
+    assert SpectralFunction.ohmic(1.0, cutoff_ghz=inf).spectral_density(2.0) == 2.0
+
+
 def test_bath_from_config_round_trip():
     """Config dictionaries rebuild each bath family with its parameters."""
     ohmic = bath_from_config({"model": "ohmic", "eta": 2.0, "cutoff_ghz": 50.0, "temperature_ghz": 0.1})

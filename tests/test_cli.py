@@ -126,8 +126,12 @@ def test_config_errors_exit_2(config_path, tmp_path, capsys):
     assert main(["shifts", "--config", config_path, "--sweep", "detuning:0:1:1"]) == 2
     assert main(["shifts", "--config", config_path, "--nq", "1"]) == 2
     assert main(["shifts", "--config", config_path, "--window", "-0.1"]) == 2
+    assert main(["shifts", "--config", config_path, "--window", "nan"]) == 2
     assert main(["evolve", "--config", config_path, "--init", "squeezed:2"]) == 2
     assert main(["evolve", "--config", config_path, "--init", "fock:7:0"]) == 2
+    assert main(["evolve", "--config", config_path, "--tmax", "nan"]) == 2
+    assert main(["evolve", "--config", config_path, "--tmax", "inf"]) == 2
+    assert main(["steady", "--config", config_path, "--photons", "nan"]) == 2
     # A window wider than the sweep leaves nothing to compute.
     assert main(["shifts", "--config", config_path,
                  "--sweep", "detuning:-0.1:0.1:3"]) == 2
@@ -281,3 +285,22 @@ def test_plot_renders_svg(config_path, tmp_path):
     assert body.startswith("<svg")
     assert "polyline" in body
     assert main(["plot", str(csv_path), "--y", "nonexistent"]) == 2
+
+
+@pytest.mark.parametrize("command,patch", [
+    ("rates", {"bath_R": {"model": "flat", "level": math.nan}}),
+    ("rates", {"omega_10_ghz": math.inf}),
+    ("shifts", {"omega_10_ghz": math.inf}),
+    ("shifts", {"g0_ghz": math.nan}),
+    ("rates", {"bath_X": {"model": "ohmic", "eta": -math.inf}}),
+    ("steady", {"fock_truncation": math.inf}),
+])
+def test_non_finite_config_exits_2(config_path, tmp_path, capsys, command, patch):
+    """NaN or Infinity in a config is a one-line configuration error."""
+    bad = tmp_path / "bad.json"
+    with open(config_path) as handle:
+        # json writes NaN and Infinity literally, and reads them back
+        bad.write_text(json.dumps({**json.load(handle), **patch}))
+    assert main([command, "--config", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1

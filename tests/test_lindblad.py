@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from rabiqed import (
     BARE_PLUS_INTERACTION,
@@ -16,8 +17,10 @@ from rabiqed import (
     JumpDescriptor,
     LindbladGenerator,
     NegativeRate,
+    NonPositiveState,
     ProductSpace,
     SpectralFunction,
+    StepBudgetExhausted,
     TruncationTooSmall,
     annihilator,
     assemble,
@@ -36,6 +39,8 @@ from rabiqed import (
     thermal_resonator_state,
     verify_displacement_identity,
 )
+from rabiqed.cli import _MATH_ERRORS
+from rabiqed.lindblad import _dissipator
 
 from conftest import build_system
 
@@ -65,7 +70,7 @@ def test_generator_validation():
 
 
 def test_apply_matches_superoperator():
-    """The right-hand side equals the vectorized superoperator, dense and sparse."""
+    """apply and the cached sparse Liouvillian both equal the direct formula."""
     system = build_system(
         detuning=1.0, num_levels=3, fock=4,
         baths={
@@ -74,14 +79,19 @@ def test_apply_matches_superoperator():
             "R": SpectralFunction.flat(0.05, temperature_ghz=0.1),
         },
     )
-    gen = assemble(system, mode=DRESSED_ANALYTIC)
-    rho = random_density_matrix(gen.dim, seed=5)
-    direct = gen.apply(rho).reshape(-1)
-    dense = gen.superoperator(sparse=False) @ rho.reshape(-1)
-    sparse = gen.superoperator(sparse=True) @ rho.reshape(-1)
-    scale = np.linalg.norm(direct)
-    assert np.linalg.norm(dense - direct) / scale < 1e-12
-    assert np.linalg.norm(sparse - direct) / scale < 1e-12
+    for mode in (DRESSED_ANALYTIC, BARE_PLUS_INTERACTION):
+        gen = assemble(system, mode=mode)
+        rho = random_density_matrix(gen.dim, seed=5)
+        h = gen.hamiltonian
+        direct = -1j * TWO_PI * (h @ rho - rho @ h)
+        for op, rate in gen.dissipators:
+            direct = direct + RATE * rate * _dissipator(op, rho)
+        liouville = gen.superoperator()
+        assert sp.issparse(liouville) and liouville.format == "csr"
+        assert gen.superoperator() is liouville
+        scale = np.linalg.norm(direct)
+        assert np.linalg.norm(gen.apply(rho) - direct) / scale < 1e-12
+        assert np.linalg.norm(liouville @ rho.reshape(-1) - direct.reshape(-1)) / scale < 1e-12
 
 
 def test_damped_cavity_decays_exponentially():
@@ -140,6 +150,26 @@ def test_steady_state_rejects_degenerate_generators():
         steady_state(gen)
 
 
+@pytest.mark.parametrize("dim", [40, 100])
+def test_steady_state_degenerate_beyond_svd_check(dim):
+    """Above the SVD-check size a singular factorization is DegenerateNullSpace too."""
+    gen = LindbladGenerator(np.diag(0.37 * np.arange(dim)), ())
+    with pytest.raises(DegenerateNullSpace):
+        steady_state(gen)
+
+
+def test_steady_state_positivity_check():
+    """A steady eigenvalue below -positivity_tol raises NonPositiveState."""
+    lower = np.array([[0.0, 1.0], [0.0, 0.0]])
+    gen = LindbladGenerator(np.diag([0.0, 1.0]), ((lower, 3.0), (lower.T, 1.0)))
+    # populations settle at (3/4, 1/4); a negative tolerance demands more
+    np.testing.assert_allclose(np.diag(steady_state(gen, positivity_tol=-0.2)).real,
+                               [0.75, 0.25], rtol=1e-10)
+    with pytest.raises(NonPositiveState):
+        steady_state(gen, positivity_tol=-0.3)
+    assert NonPositiveState in _MATH_ERRORS
+
+
 def test_evolve_lands_on_sample_times():
     """Requested sample times are hit exactly and are the only records."""
     system = build_system(baths={"R": SpectralFunction.flat(0.05)})
@@ -157,17 +187,28 @@ def test_evolve_input_validation():
     gen = LindbladGenerator(np.diag([0.0, 1.0]), ())
     good = np.diag([1.0, 0.0]).astype(complex)
     with pytest.raises(ValueError):
-        evolve(gen, good, -1.0)
+        evolve(gen, good, -1.0, sample_times=[0.0])
+    with pytest.raises(ValueError):
+        evolve(gen, good, math.nan, sample_times=[0.0])
     with pytest.raises(ValueError):
         evolve(gen, good, 1.0, sample_times=[2.0])
     with pytest.raises(ValueError):
         evolve(gen, good, 1.0, sample_times=[-0.5])
     with pytest.raises(DimensionMismatch):
-        evolve(gen, np.eye(3) / 3.0, 1.0)
+        evolve(gen, np.eye(3) / 3.0, 1.0, sample_times=[1.0])
     with pytest.raises(ValueError):
-        evolve(gen, np.array([[0.5, 1.0], [0.0, 0.5]]), 1.0)
+        evolve(gen, np.array([[0.5, 1.0], [0.0, 0.5]]), 1.0, sample_times=[1.0])
     with pytest.raises(ValueError):
-        evolve(gen, 2.0 * good, 1.0)
+        evolve(gen, 2.0 * good, 1.0, sample_times=[1.0])
+
+
+def test_evolve_step_budget():
+    """Running out of steps before the last sample raises StepBudgetExhausted."""
+    gen = LindbladGenerator(np.diag([0.0, 1.0]), ())
+    good = np.diag([1.0, 0.0]).astype(complex)
+    with pytest.raises(StepBudgetExhausted):
+        evolve(gen, good, 1.0, sample_times=[1.0], max_steps=1)
+    assert StepBudgetExhausted in _MATH_ERRORS
 
 
 def test_evolution_preserves_trace_and_positivity():

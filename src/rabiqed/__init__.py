@@ -10,8 +10,8 @@ rates are reported in MHz; time evolution runs in nanoseconds, with the
 from .baths import (FLAT, OHMIC, ONE_OVER_F, NegativeFrequency,
                     SpectralFunction, bath_from_config)
 from .exact import (QUBIT_SHIFT, RESONATOR_PULL, AmbiguousLabeling,
-                    ConvergenceFailure, DegenerateCurvature, DimensionOverflow,
-                    ExactShifts, FitResult, Labeling, NoBracket, Spectrum,
+                    ConvergenceFailure, DimensionOverflow, ExactShifts,
+                    FitResult, Labeling, NoPhysicalCoupling, Spectrum,
                     analytic_shift, build_hamiltonian, diagonalize, exact_shifts,
                     fit_g0, fit_residual_curve, label_dressed_states)
 from .lindblad import (BARE_PLUS_INTERACTION, DRESSED_ANALYTIC,
@@ -48,13 +48,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AmbiguousLabeling", "BARE_PLUS_INTERACTION", "COUPLING", "ConfigError",
-    "ConvergenceFailure", "DETUNING", "DRESSED_ANALYTIC", "DegenerateCurvature",
+    "ConvergenceFailure", "DETUNING", "DRESSED_ANALYTIC",
     "DegenerateNullSpace", "DimensionMismatch", "DimensionOverflow",
     "DRESSED_DEPHASING", "DRIVEN_EFFECTIVE",
     "DissipatorTerm", "ExactRow", "ExactShifts", "FIT_WINDOW_FACTOR", "FLAT",
     "FitResult", "InvalidSpec", "JC",
     "JumpDescriptor", "Labeling", "LindbladGenerator", "NegativeFrequency",
-    "NegativePhotonNumber", "NegativeRate", "NoBracket", "NonPositiveSplitting",
+    "NegativePhotonNumber", "NegativeRate", "NoPhysicalCoupling", "NonPositiveSplitting",
     "NonPositiveState",
     "OHMIC", "ONE_OVER_F", "PHOTON_ASSISTED", "PURCELL", "PrefactorRecord",
     "ProductSpace", "QUBIT_SHIFT",

@@ -25,14 +25,14 @@ import numpy as np
 
 from . import sweeps
 from .exact import (QUBIT_SHIFT, RESONATOR_PULL, AmbiguousLabeling,
-                    ConvergenceFailure, DegenerateCurvature, DimensionOverflow,
-                    NoBracket, exact_shifts, fit_g0, fit_residual_curve)
+                    ConvergenceFailure, DimensionOverflow, NoPhysicalCoupling,
+                    exact_shifts, fit_g0, fit_residual_curve)
 from .lindblad import (DRESSED_ANALYTIC, DegenerateNullSpace, NonPositiveState,
                        StepBudgetExhausted, StepUnderflow, TruncationTooSmall,
                        assemble, evolve, partial_trace_qubit, steady_state,
                        thermal_resonator_state)
 from .model import (JC, MODELS, RABI, ConfigError, InvalidSpec,
-                    NonPositiveSplitting, load_config)
+                    NonPositiveSplitting, load_config, require_valid)
 from .operators import (ProductSpace, embed, number_operator, qubit_projector)
 from .rates import NegativePhotonNumber, build_rate_table, driven_effective_rates
 from .shifts import ResonantDivergence
@@ -42,8 +42,8 @@ from .sweeps import (DETUNING, ExactRow, RateRow, ShiftRow, SweepError,
                      columns, format_csv, format_table, parse_csv)
 
 _MATH_ERRORS = (ResonantDivergence, NonPositiveSplitting, AmbiguousLabeling,
-                DimensionOverflow, ConvergenceFailure, NoBracket,
-                DegenerateCurvature, StepUnderflow, StepBudgetExhausted,
+                DimensionOverflow, ConvergenceFailure, NoPhysicalCoupling,
+                StepUnderflow, StepBudgetExhausted,
                 DegenerateNullSpace, NonPositiveState, TruncationTooSmall,
                 NegativePhotonNumber)
 
@@ -81,6 +81,13 @@ def _load_config(args) -> "SystemConfig":
         config = dataclasses.replace(
             config, resonator=dataclasses.replace(config.resonator,
                                                   fock_truncation=args.nr))
+    try:
+        system = config.build()
+    except NonPositiveSplitting:
+        # The base ladder collapses, but sweep points may not; each sweep
+        # row reports its own collapse, and evolve/steady fail on rebuild.
+        return config
+    require_valid(system)
     return config
 
 

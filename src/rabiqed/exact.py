@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -52,12 +52,8 @@ class AmbiguousLabeling(RuntimeError):
                          f"{overlap:.4f} <= 0.5; dressed labeling breaks down here")
 
 
-class NoBracket(RuntimeError):
-    """The residual scan found no interior minimum to bracket."""
-
-
-class DegenerateCurvature(RuntimeError):
-    """Residual curvature at the fit minimum is not positive."""
+class NoPhysicalCoupling(RuntimeError):
+    """The least-squares g0^2 is not positive and finite: no physical coupling fits."""
 
 
 def build_hamiltonian(system: SystemSpec, model: str | None = None,
@@ -203,58 +199,25 @@ class FitResult:
     observable: str
 
 
-def _golden_section(f: Callable[[float], float], a: float, b: float, c: float,
-                    tol: float) -> float:
-    """Minimize a unimodal f over the bracket a < b < c."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = c - invphi * (c - a)
-    x2 = a + invphi * (c - a)
-    f1, f2 = f(x1), f(x2)
-    while c - a > tol:
-        if f1 < f2:
-            c, x2, f2 = x2, x1, f1
-            x1 = c - invphi * (c - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (c - a)
-            f2 = f(x2)
-    return 0.5 * (a + c)
+def _shift_basis(data, model: str, observable: str, *, omega_r: float,
+                 anharmonicity: float, num_levels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Unit-coupling predictions s_i and observations y_i of the usable points.
 
-
-def _usable_pairs(data, model: str, observable: str, *, omega_r: float,
-                  anharmonicity: float, num_levels: int,
-                  probe_g0: float) -> list[tuple[float, float]]:
-    """Drop data points where the analytic prediction diverges.
-
-    The resonant denominators depend only on the frequencies, so the set of
-    detunings where the prediction diverges is the same for every trial g0
-    (and for both models); one probe evaluation per point settles it.
+    Every second-order shift is g_k^2 times a function of the frequencies,
+    and g_k = sqrt(k+1) g0, so the prediction at coupling g0 is g0^2 s_i.
+    The resonant denominators depend only on the frequencies, so a point
+    that diverges here diverges for every g0 (and both models); it is dropped.
     """
-    pairs = []
+    basis, observed = [], []
     for d, y in data:
-        detuning, observed = float(d), float(y)
         try:
-            analytic_shift(detuning, probe_g0, model, observable, omega_r=omega_r,
-                           anharmonicity=anharmonicity, num_levels=num_levels)
+            s = analytic_shift(float(d), 1.0, model, observable, omega_r=omega_r,
+                               anharmonicity=anharmonicity, num_levels=num_levels)
         except ResonantDivergence:
             continue
-        pairs.append((detuning, observed))
-    return pairs
-
-
-def _residual_function(pairs, model: str, observable: str, *, omega_r: float,
-                       anharmonicity: float, num_levels: int) -> Callable[[float], float]:
-    def residual_sum(g0: float) -> float:
-        total = 0.0
-        for detuning, observed in pairs:
-            predicted = analytic_shift(detuning, g0, model, observable,
-                                       omega_r=omega_r, anharmonicity=anharmonicity,
-                                       num_levels=num_levels)
-            total += (predicted - observed) ** 2
-        return total
-
-    return residual_sum
+        basis.append(s)
+        observed.append(float(y))
+    return np.array(basis), np.array(observed)
 
 
 def fit_residual_curve(data: Sequence[tuple[float, float]], model: str,
@@ -262,53 +225,37 @@ def fit_residual_curve(data: Sequence[tuple[float, float]], model: str,
                        num_levels: int, grid: Sequence[float]) -> np.ndarray:
     """Residual sum of the g0 fit evaluated on an explicit g0 grid."""
     check_model(model)
-    pairs = _usable_pairs(data, model, observable, omega_r=omega_r,
-                          anharmonicity=anharmonicity, num_levels=num_levels,
-                          probe_g0=1e-4)
-    if not pairs:
+    s, y = _shift_basis(data, model, observable, omega_r=omega_r,
+                        anharmonicity=anharmonicity, num_levels=num_levels)
+    if not len(s):
         raise ValueError("no usable data points")
-    residual_sum = _residual_function(pairs, model, observable, omega_r=omega_r,
-                                      anharmonicity=anharmonicity,
-                                      num_levels=num_levels)
-    return np.array([residual_sum(float(g)) for g in grid])
+    g2 = np.asarray(grid, dtype=float) ** 2
+    return ((g2[:, None] * s - y) ** 2).sum(axis=1)
 
 
 def fit_g0(data: Sequence[tuple[float, float]], model: str, observable: str, *,
-           omega_r: float, anharmonicity: float, num_levels: int,
-           g_lo: float = 1e-4, g_hi: float = 2.0, scan_points: int = 61,
-           tol: float = 1e-10) -> FitResult:
+           omega_r: float, anharmonicity: float, num_levels: int) -> FitResult:
     """Least-squares fit of the ladder coupling g0 to observed shifts.
 
-    ``data`` holds (detuning, observed shift) pairs in GHz.  The residual
-    sum is scanned over a geometric g0 grid to bracket the minimum, the
-    bracket is refined by golden section, and the quoted standard error
-    comes from the curvature of the residual sum at the minimum scaled by
-    the residual variance.
+    ``data`` holds (detuning, observed shift) pairs in GHz.  The predictions
+    are g0^2 s_i, so the residual sum S is minimized in closed form by
+    u = g0^2 = sum s_i y_i / sum s_i^2.  The quoted standard error is
+    sqrt(2 var / S''), with var = S_min / (n - 1) and the exact curvature
+    S'' = 8 u sum s_i^2 at the minimum.  Raises NoPhysicalCoupling when u
+    is not positive and finite.
     """
     check_model(model)
-    pairs = _usable_pairs(data, model, observable, omega_r=omega_r,
-                          anharmonicity=anharmonicity, num_levels=num_levels,
-                          probe_g0=g_lo)
-    if len(pairs) < 3:
-        raise ValueError(f"need at least 3 usable data points, got {len(pairs)}")
-    residual_sum = _residual_function(pairs, model, observable, omega_r=omega_r,
-                                      anharmonicity=anharmonicity,
-                                      num_levels=num_levels)
-
-    grid = np.geomspace(g_lo, g_hi, scan_points)
-    values = [residual_sum(g) for g in grid]
-    j = int(np.argmin(values))
-    if j == 0 or j == len(grid) - 1:
-        raise NoBracket(f"residual minimum sits at the scan boundary g0 = {grid[j]:.3e}")
-    g_hat = _golden_section(residual_sum, grid[j - 1], grid[j], grid[j + 1], tol)
-    s_min = residual_sum(g_hat)
-
-    h = max(1e-7, 1e-4 * g_hat)
-    curvature = (residual_sum(g_hat + h) - 2.0 * s_min + residual_sum(g_hat - h)) / h ** 2
-    if not (math.isfinite(curvature) and curvature > 0.0):
-        raise DegenerateCurvature(f"residual curvature {curvature} at g0 = {g_hat:.6f}")
-    variance = s_min / (len(pairs) - 1)
-    stderr = math.sqrt(2.0 * variance / curvature)
-    return FitResult(g0_hat=float(g_hat), stderr=float(stderr),
-                     residual_sum=float(s_min), n_points=len(pairs),
-                     model=model, observable=observable)
+    s, y = _shift_basis(data, model, observable, omega_r=omega_r,
+                        anharmonicity=anharmonicity, num_levels=num_levels)
+    if len(s) < 3:
+        raise ValueError(f"need at least 3 usable data points, got {len(s)}")
+    norm = float(s @ s)
+    u = float(s @ y) / norm
+    if not (math.isfinite(u) and u > 0.0):
+        raise NoPhysicalCoupling(f"least-squares g0^2 = {u:.6g} GHz^2 is not "
+                                 f"positive and finite")
+    s_min = float(np.sum((u * s - y) ** 2))
+    curvature = 8.0 * u * norm
+    stderr = math.sqrt(2.0 * s_min / (len(s) - 1) / curvature)
+    return FitResult(g0_hat=math.sqrt(u), stderr=stderr, residual_sum=s_min,
+                     n_points=len(s), model=model, observable=observable)

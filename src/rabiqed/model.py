@@ -47,6 +47,12 @@ class InvalidSpec(ValueError):
         super().__init__("; ".join(errors))
 
 
+def _require_finite(owner: str, name: str, values) -> None:
+    for value in values:
+        if not math.isfinite(value):
+            raise ValueError(f"{owner}.{name} must be finite, got {value}")
+
+
 def check_model(model: str) -> str:
     if model not in MODELS:
         raise ValueError(f"interaction model must be one of {MODELS}, got {model!r}")
@@ -83,6 +89,9 @@ class QubitSpec:
                            tuple(float(x) for x in self.transverse_bath_couplings))
         object.__setattr__(self, "dephasing_sensitivities",
                            tuple(float(x) for x in self.dephasing_sensitivities))
+        for name in ("level_energies", "coupling_ladder", "transverse_bath_couplings",
+                     "dephasing_sensitivities"):
+            _require_finite("QubitSpec", name, getattr(self, name))
         n = len(self.level_energies)
         if n < 2:
             raise ValueError(f"qubit needs at least 2 levels, got {n}")
@@ -138,6 +147,8 @@ class TransmonSpec:
     num_levels: int
 
     def __post_init__(self) -> None:
+        for name in ("omega_10", "anharmonicity", "g0"):
+            _require_finite("TransmonSpec", name, (getattr(self, name),))
         if self.num_levels < 2:
             raise ValueError(f"num_levels must be >= 2, got {self.num_levels}")
 
@@ -183,6 +194,7 @@ class ResonatorSpec:
     fock_truncation: int
 
     def __post_init__(self) -> None:
+        _require_finite("ResonatorSpec", "omega_r", (self.omega_r,))
         if int(self.fock_truncation) != self.fock_truncation:
             raise ValueError(f"fock_truncation must be an integer, got {self.fock_truncation}")
         object.__setattr__(self, "fock_truncation", int(self.fock_truncation))
@@ -252,9 +264,6 @@ def validate(system: SystemSpec) -> ValidationReport:
     for k, g in enumerate(q.coupling_ladder):
         if g < 0.0:
             errors.append(f"qubit.coupling_ladder[{k}]: coupling must be >= 0, got {g}")
-    for k, b in enumerate(q.transverse_bath_couplings):
-        if not math.isfinite(b):
-            errors.append(f"qubit.transverse_bath_couplings[{k}]: not finite")
     if not system.resonator.omega_r > 0.0:
         errors.append(f"resonator.omega_r: must be > 0, got {system.resonator.omega_r}")
     if system.resonator.fock_truncation < 2:

@@ -79,22 +79,31 @@ def chi_tilde(k: int, system: SystemSpec, tol_res: float = DEFAULT_TOL_RES) -> f
     return 2.0 * g * g * w / (d * s)
 
 
+def _h2_table(model: str, chis: tuple[float, ...], xis: tuple[float, ...],
+              tildes: tuple[float, ...]) -> tuple[tuple[float, float], ...]:
+    """Per-level (photon-number coefficient, static offset) from per-transition shifts."""
+
+    def at(values: tuple[float, ...], k: int) -> float:
+        return values[k] if 0 <= k < len(values) else 0.0
+
+    out = []
+    for k in range(len(chis) + 1):
+        if model == RABI:
+            n_coeff = at(tildes, k - 1) - at(tildes, k)
+            static = at(chis, k - 1) - at(xis, k)
+        else:
+            n_coeff = at(chis, k - 1) - at(chis, k)
+            static = at(chis, k - 1)
+        out.append((n_coeff, static))
+    return tuple(out)
+
+
 def h2_coefficients(system: SystemSpec, model: str,
                     tol_res: float = DEFAULT_TOL_RES) -> tuple[tuple[float, float], ...]:
     """Per-level (photon-number coefficient, static offset) of the diagonal
     second-order Hamiltonian, for qubit levels k = 0..N-1."""
     check_model(model)
-    n = system.qubit.num_levels
-    out = []
-    for k in range(n):
-        if model == RABI:
-            n_coeff = chi_tilde(k - 1, system, tol_res) - chi_tilde(k, system, tol_res)
-            static = chi(k - 1, system, tol_res) - xi(k, system, tol_res)
-        else:
-            n_coeff = chi(k - 1, system, tol_res) - chi(k, system, tol_res)
-            static = chi(k - 1, system, tol_res)
-        out.append((n_coeff, static))
-    return tuple(out)
+    return shift_report(system, tol_res).h2(model)
 
 
 @dataclass(frozen=True)
@@ -133,8 +142,8 @@ def shift_report(system: SystemSpec, tol_res: float = DEFAULT_TOL_RES) -> ShiftR
     chis = tuple(chi(k, system, tol_res) for k in range(n - 1))
     xis = tuple(xi(k, system, tol_res) for k in range(n - 1))
     tildes = tuple(chi_tilde(k, system, tol_res) for k in range(n - 1))
-    h2r = h2_coefficients(system, RABI, tol_res)
-    h2j = h2_coefficients(system, JC, tol_res)
+    h2r = _h2_table(RABI, chis, xis, tildes)
+    h2j = _h2_table(JC, chis, xis, tildes)
     # Level differences of the diagonal corrections: the pull is the photon
     # coefficient at k = 0, the qubit shift the static difference 1 - 0.
     return ShiftReport(

@@ -56,6 +56,8 @@ class SweepRequest:
                              f"got {self.variable!r}")
         if self.count < 2:
             raise SweepError(f"sweep count must be >= 2, got {self.count}")
+        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
+            raise SweepError(f"sweep bounds must be finite, got {self.start}, {self.stop}")
 
     def grid(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.count)

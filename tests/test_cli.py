@@ -132,6 +132,20 @@ def test_config_errors_exit_2(config_path, tmp_path, capsys):
     assert main(["evolve", "--config", config_path, "--tmax", "nan"]) == 2
     assert main(["evolve", "--config", config_path, "--tmax", "inf"]) == 2
     assert main(["steady", "--config", config_path, "--photons", "nan"]) == 2
+    assert main(["shifts", "--config", config_path, "--sweep", "coupling:inf:1:3"]) == 2
+    assert main(["shifts", "--config", config_path, "--sweep", "temperature:nan:1:3"]) == 2
+    # Parsed configs that validate() rejects: a negative resonator frequency
+    # and a negative coupling.
+    with open(config_path) as handle:
+        base = json.load(handle)
+    for command, key, value in (("rates", "omega_r_ghz", -5.0),
+                                ("shifts", "g0_ghz", -0.1)):
+        invalid = tmp_path / f"invalid_{key}.json"
+        invalid.write_text(json.dumps(dict(base, **{key: value})))
+        capsys.readouterr()
+        assert main([command, "--config", str(invalid)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
     # A window wider than the sweep leaves nothing to compute.
     assert main(["shifts", "--config", config_path,
                  "--sweep", "detuning:-0.1:0.1:3"]) == 2

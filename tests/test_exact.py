@@ -12,7 +12,7 @@ from rabiqed import (
     RESONATOR_PULL,
     AmbiguousLabeling,
     DimensionOverflow,
-    NoBracket,
+    NoPhysicalCoupling,
     analytic_shift,
     build_hamiltonian,
     diagonalize,
@@ -191,12 +191,45 @@ def test_fit_requires_enough_points():
         fit_g0(data, RABI, RESONATOR_PULL, **kwargs)
 
 
-def test_fit_with_zero_signal_has_no_bracket():
-    """All-zero observations push the optimum to the boundary of the scan."""
+def test_fit_without_physical_coupling_raises():
+    """Zero or sign-flipped observations admit no positive g0^2."""
     kwargs = dict(omega_r=5.0, anharmonicity=0.0, num_levels=2)
-    data = [(d, 0.0) for d in (-2.0, -1.0, 1.0, 2.0)]
-    with pytest.raises(NoBracket):
-        fit_g0(data, RABI, RESONATOR_PULL, **kwargs)
+    grid = (-2.0, -1.0, 1.0, 2.0)
+    zero = [(d, 0.0) for d in grid]
+    flipped = [(d, -analytic_shift(d, 0.1, RABI, RESONATOR_PULL, **kwargs)) for d in grid]
+    for data in (zero, flipped):
+        with pytest.raises(NoPhysicalCoupling):
+            fit_g0(data, RABI, RESONATOR_PULL, **kwargs)
+
+
+def test_closed_form_fit_matches_direct_residual():
+    """The closed-form minimum, residual and stderr agree with a point-by-point
+    residual sum of analytic_shift, the iterative path the closed form replaced."""
+    kwargs = dict(omega_r=5.0, anharmonicity=0.25, num_levels=4)
+    rng = np.random.default_rng(11)
+    # 40 points miss the ladder resonances at 0.25 and 0.5 GHz
+    grid = np.linspace(-2.5, 2.5, 40)
+    grid = grid[np.abs(grid) > 0.3]
+    for model, observable in ((RABI, RESONATOR_PULL), (JC, QUBIT_SHIFT)):
+        clean = np.array([analytic_shift(d, 0.1, model, observable, **kwargs)
+                          for d in grid])
+        noisy = clean * (1.0 + 0.05 * rng.standard_normal(clean.size))
+        data = list(zip(grid, noisy))
+
+        def direct(g):
+            return sum((analytic_shift(d, g, model, observable, **kwargs) - y) ** 2
+                       for d, y in data)
+
+        result = fit_g0(data, model, observable, **kwargs)
+        g = result.g0_hat
+        s_min = direct(g)
+        np.testing.assert_allclose(result.residual_sum, s_min, rtol=1e-12)
+        assert result.residual_sum < direct(g * (1.0 + 1e-4))
+        assert result.residual_sum < direct(g * (1.0 - 1e-4))
+        h = 1e-4 * g
+        curvature = (direct(g + h) - 2.0 * s_min + direct(g - h)) / h ** 2
+        stderr = math.sqrt(2.0 * s_min / (result.n_points - 1) / curvature)
+        np.testing.assert_allclose(result.stderr, stderr, rtol=1e-4)
 
 
 def test_fit_residual_curve_shape_and_minimum():

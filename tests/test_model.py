@@ -49,6 +49,19 @@ def test_expand_transmon_custom_noise_weights():
     assert qubit.dephasing_sensitivities == (0.0, 1.0, 3.0)
 
 
+def test_spec_constructors_reject_non_finite_values():
+    """NaN or infinite frequencies and couplings fail at construction."""
+    with pytest.raises(ValueError):
+        TransmonSpec(omega_10=math.nan, anharmonicity=0.25, g0=0.1, num_levels=3)
+    with pytest.raises(ValueError):
+        TransmonSpec(omega_10=6.0, anharmonicity=0.25, g0=math.inf, num_levels=3)
+    with pytest.raises(ValueError):
+        ResonatorSpec(omega_r=-math.inf, fock_truncation=5)
+    with pytest.raises(ValueError):
+        QubitSpec(level_energies=(0.0, math.nan), coupling_ladder=(0.1,),
+                  transverse_bath_couplings=(1.0,), dephasing_sensitivities=(0.0, 1.0))
+
+
 def test_expand_transmon_rejects_collapsed_ladder():
     """Too much anharmonicity makes a splitting non-positive."""
     spec = TransmonSpec(omega_10=0.4, anharmonicity=0.25, g0=0.01, num_levels=4)

@@ -16,8 +16,8 @@ from .exact import (QUBIT_SHIFT, RESONATOR_PULL, AmbiguousLabeling,
                     fit_g0, fit_residual_curve, label_dressed_states)
 from .lindblad import (BARE_PLUS_INTERACTION, DRESSED_ANALYTIC,
                        DegenerateNullSpace, LindbladGenerator, NegativeRate,
-                       NonPositiveState, StepBudgetExhausted, StepUnderflow,
-                       Trajectory, TruncationTooSmall, assemble,
+                       NonPositiveState, PropagationFailure, Trajectory,
+                       TruncationTooSmall, assemble,
                        dressed_hamiltonian, evolve, partial_trace_qubit,
                        partial_trace_resonator, realize_terms, steady_state, thermal_resonator_state,
                        verify_displacement_identity)
@@ -57,12 +57,12 @@ __all__ = [
     "NegativePhotonNumber", "NegativeRate", "NoPhysicalCoupling", "NonPositiveSplitting",
     "NonPositiveState",
     "OHMIC", "ONE_OVER_F", "PHOTON_ASSISTED", "PURCELL", "PrefactorRecord",
-    "ProductSpace", "QUBIT_SHIFT",
+    "ProductSpace", "PropagationFailure", "QUBIT_SHIFT",
     "QubitSpec", "RABI", "RESONANCE_WINDOW_FACTOR", "RESONATOR_PULL",
     "SECOND_ORDER",
     "RateRow", "RateTable", "ResonantDivergence",
     "ResonatorSpec", "ShiftReport", "ShiftRow",
-    "SpectralFunction", "Spectrum", "StepBudgetExhausted", "StepUnderflow",
+    "SpectralFunction", "Spectrum",
     "SweepError",
     "SweepRequest", "SystemConfig",
     "SystemSpec", "TEMPERATURE", "Trajectory", "TransmonSpec",

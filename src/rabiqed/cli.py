@@ -5,7 +5,7 @@ Subcommands:
   rates   second-order rates and fourth-order prefactors over a sweep
   exact   exact-diagonalization shifts over a sweep
   fit     recover the base coupling from exact shift data
-  evolve  integrate the master equation, write sampled expectations
+  evolve  propagate the master equation, write sampled expectations
   steady  solve for the steady state, write its summary
   plot    render a CSV produced by the commands above to SVG
 
@@ -28,8 +28,8 @@ from .exact import (QUBIT_SHIFT, RESONATOR_PULL, AmbiguousLabeling,
                     ConvergenceFailure, DimensionOverflow, NoPhysicalCoupling,
                     exact_shifts, fit_g0, fit_residual_curve)
 from .lindblad import (DRESSED_ANALYTIC, DegenerateNullSpace, NonPositiveState,
-                       StepBudgetExhausted, StepUnderflow, TruncationTooSmall,
-                       assemble, evolve, partial_trace_qubit, steady_state,
+                       PropagationFailure, TruncationTooSmall, assemble,
+                       evolve, partial_trace_qubit, steady_state,
                        thermal_resonator_state)
 from .model import (JC, MODELS, RABI, ConfigError, InvalidSpec,
                     NonPositiveSplitting, load_config, require_valid)
@@ -43,9 +43,8 @@ from .sweeps import (DETUNING, ExactRow, RateRow, ShiftRow, SweepError,
 
 _MATH_ERRORS = (ResonantDivergence, NonPositiveSplitting, AmbiguousLabeling,
                 DimensionOverflow, ConvergenceFailure, NoPhysicalCoupling,
-                StepUnderflow, StepBudgetExhausted,
-                DegenerateNullSpace, NonPositiveState, TruncationTooSmall,
-                NegativePhotonNumber)
+                PropagationFailure, DegenerateNullSpace, NonPositiveState,
+                TruncationTooSmall, NegativePhotonNumber)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -307,8 +306,8 @@ def _initial_state(text: str, system, space: ProductSpace) -> np.ndarray:
             temperature = float(parts[1])
         except ValueError as exc:
             raise ConfigError(f"bad --init {text!r}: {exc}") from exc
-        if temperature < 0.0:
-            raise ConfigError(f"--init thermal temperature must be >= 0, "
+        if not 0.0 <= temperature < math.inf:
+            raise ConfigError(f"--init thermal temperature must be finite and >= 0, "
                               f"got {temperature}")
         if temperature == 0.0:
             return _initial_state("ground", system, space)
@@ -441,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="also write residual-sum curves over g0 here")
         p.set_defaults(fn=fn)
 
-    p = sub.add_parser("evolve", help="integrate the master equation")
+    p = sub.add_parser("evolve", help="propagate the master equation")
     add_common(p)
     p.add_argument("--tmax", type=float, default=100.0, help="final time in ns")
     p.add_argument("--samples", type=int, default=201, help="sample count")

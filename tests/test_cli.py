@@ -131,6 +131,8 @@ def test_config_errors_exit_2(config_path, tmp_path, capsys):
     assert main(["evolve", "--config", config_path, "--init", "fock:7:0"]) == 2
     assert main(["evolve", "--config", config_path, "--tmax", "nan"]) == 2
     assert main(["evolve", "--config", config_path, "--tmax", "inf"]) == 2
+    assert main(["evolve", "--config", config_path, "--init", "thermal:nan"]) == 2
+    assert main(["evolve", "--config", config_path, "--init", "thermal:inf"]) == 2
     assert main(["steady", "--config", config_path, "--photons", "nan"]) == 2
     assert main(["shifts", "--config", config_path, "--sweep", "coupling:inf:1:3"]) == 2
     assert main(["shifts", "--config", config_path, "--sweep", "temperature:nan:1:3"]) == 2
@@ -171,6 +173,16 @@ def test_all_rows_failed_exit_3(config_path, tmp_path, capsys):
                  "--nq", "2", "--sweep", "detuning:0:0:2",
                  "--out", str(tmp_path / "y.csv")]) == 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("photons", ["1e200", "1e308"])
+def test_huge_drive_photon_numbers_exit_3(config_path, capsys, photons):
+    """Drive rates too fast to propagate end in PropagationFailure, exit 3."""
+    capsys.readouterr()
+    assert main(["evolve", "--config", config_path, "--photons", photons,
+                 "--nq", "3", "--nr", "5", "--tmax", "1", "--samples", "3"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: PropagationFailure: ") and err.count("\n") == 1
 
 
 def test_evolve_ground_state(config_path, tmp_path):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg import expm
 
 from rabiqed import (
     BARE_PLUS_INTERACTION,
@@ -19,8 +20,8 @@ from rabiqed import (
     NegativeRate,
     NonPositiveState,
     ProductSpace,
+    PropagationFailure,
     SpectralFunction,
-    StepBudgetExhausted,
     TruncationTooSmall,
     annihilator,
     assemble,
@@ -46,6 +47,18 @@ from conftest import build_system
 
 TWO_PI = 2.0 * math.pi
 RATE = TWO_PI * 1e-3  # MHz -> angular rate in 1/ns
+
+
+def noisy_system():
+    """Three levels, five photons, every bath active at 0.1 GHz."""
+    return build_system(
+        detuning=1.0, num_levels=3, fock=5,
+        baths={
+            "X": SpectralFunction.flat(0.002, temperature_ghz=0.1),
+            "Z": SpectralFunction.flat(0.01, temperature_ghz=0.1),
+            "R": SpectralFunction.flat(0.05, temperature_ghz=0.1),
+        },
+    )
 
 
 def random_density_matrix(dim, seed):
@@ -182,6 +195,54 @@ def test_evolve_lands_on_sample_times():
     assert len(traj.states) == len(ts)
 
 
+@pytest.mark.parametrize("mode, amplitudes", [
+    (DRESSED_ANALYTIC, {(1, 2): 1.0}),
+    (DRESSED_ANALYTIC, {(0, 0): 1.0, (1, 0): 1.0}),
+    (BARE_PLUS_INTERACTION, {(0, 0): 1.0, (0, 1): 1.0}),
+], ids=["dressed-fock", "dressed-coherence", "bare-coherence"])
+def test_evolve_matches_dense_propagator(mode, amplitudes):
+    """Every sample equals expm(L t) vec(rho0) from the dense Liouvillian."""
+    gen = assemble(noisy_system(), mode=mode)
+    space = ProductSpace(3, 5)
+    psi = np.zeros(15, dtype=complex)
+    for (k, n), amplitude in amplitudes.items():
+        psi[space.index(k, n)] = amplitude
+    psi /= np.linalg.norm(psi)
+    rho0 = np.outer(psi, psi.conj())
+    ts = [0.0, 0.7, 1.31, 4.0]
+    traj = evolve(gen, rho0, 4.0, sample_times=ts)
+    dense = gen.superoperator().toarray()
+    for t, rho in zip(ts, traj.states):
+        reference = (expm(dense * t) @ rho0.reshape(-1)).reshape(15, 15)
+        assert float(np.max(np.abs(rho - reference))) < 1e-12
+
+
+def test_diagonal_state_stays_diagonal():
+    """Under the dressed generator a diagonal state never gains a coherence."""
+    gen = assemble(noisy_system(), mode=DRESSED_ANALYTIC)
+    rho0 = np.kron(np.diag([0.2, 0.5, 0.3]), thermal_resonator_state(5, 0.7))
+    traj = evolve(gen, rho0, 4.0, sample_times=[0.0, 0.7, 1.31, 4.0])
+    for rho in traj.states:
+        assert np.count_nonzero(rho - np.diag(np.diag(rho))) == 0
+
+
+def test_evolve_rejects_unpropagatable_generators():
+    """Non-finite or far too fast generators raise PropagationFailure."""
+    lower = np.array([[0.0, 1.0], [0.0, 0.0]])
+    excited = np.diag([0.0, 1.0]).astype(complex)
+    undefined = LindbladGenerator(np.diag([0.0, math.nan]), ((lower, 1.0),))
+    with pytest.raises(PropagationFailure):
+        evolve(undefined, excited, 1.0, sample_times=[1.0])
+    fast = LindbladGenerator(np.diag([0.0, 1.0]), ((lower, 1e12),))
+    with pytest.raises(PropagationFailure):
+        evolve(fast, excited, 1.0, sample_times=[1.0])
+    # the same rates over a short enough time are fine
+    traj = evolve(fast, excited, 1e-9, sample_times=[1e-9])
+    np.testing.assert_allclose(np.diag(traj.final()).real,
+                               [1.0 - math.exp(-TWO_PI), math.exp(-TWO_PI)], rtol=1e-12)
+    assert PropagationFailure in _MATH_ERRORS
+
+
 def test_evolve_input_validation():
     """Bad initial states, times, and sample windows raise immediately."""
     gen = LindbladGenerator(np.diag([0.0, 1.0]), ())
@@ -202,26 +263,9 @@ def test_evolve_input_validation():
         evolve(gen, 2.0 * good, 1.0, sample_times=[1.0])
 
 
-def test_evolve_step_budget():
-    """Running out of steps before the last sample raises StepBudgetExhausted."""
-    gen = LindbladGenerator(np.diag([0.0, 1.0]), ())
-    good = np.diag([1.0, 0.0]).astype(complex)
-    with pytest.raises(StepBudgetExhausted):
-        evolve(gen, good, 1.0, sample_times=[1.0], max_steps=1)
-    assert StepBudgetExhausted in _MATH_ERRORS
-
-
 def test_evolution_preserves_trace_and_positivity():
     """A noisy evolution keeps unit trace and non-negative spectrum."""
-    system = build_system(
-        detuning=1.0, num_levels=3, fock=5,
-        baths={
-            "X": SpectralFunction.flat(0.002, temperature_ghz=0.1),
-            "Z": SpectralFunction.flat(0.01, temperature_ghz=0.1),
-            "R": SpectralFunction.flat(0.05, temperature_ghz=0.1),
-        },
-    )
-    gen = assemble(system)
+    gen = assemble(noisy_system())
     space = ProductSpace(3, 5)
     psi = np.zeros(15, dtype=complex)
     psi[space.index(0, 0)] = 1.0 / math.sqrt(2.0)

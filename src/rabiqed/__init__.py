@@ -21,8 +21,8 @@ from .lindblad import (BARE_PLUS_INTERACTION, DRESSED_ANALYTIC,
                        dressed_hamiltonian, evolve, partial_trace_qubit,
                        partial_trace_resonator, realize_terms, steady_state, thermal_resonator_state,
                        verify_displacement_identity)
-from .model import (JC, RABI, ConfigError, InvalidSpec, NonPositiveSplitting,
-                    QubitSpec, ResonatorSpec, SystemConfig, SystemSpec,
+from .model import (JC, RABI, ConfigError, InvalidSpec, LadderOverflow,
+                    NonPositiveSplitting, QubitSpec, ResonatorSpec, SystemConfig, SystemSpec,
                     TransmonSpec, ValidationReport, expand_transmon, load_config,
                     parse_config, require_valid, silent_baths, validate)
 from .operators import (DimensionMismatch, ProductSpace, annihilator, embed,
@@ -30,7 +30,7 @@ from .operators import (DimensionMismatch, ProductSpace, annihilator, embed,
                         qubit_projector)
 from .rates import (DRESSED_DEPHASING, DRIVEN_EFFECTIVE, PHOTON_ASSISTED,
                     PURCELL, SECOND_ORDER, DissipatorTerm, JumpDescriptor,
-                    NegativePhotonNumber, PrefactorRecord, RateTable,
+                    NegativePhotonNumber, RateOverflow, RateTable,
                     build_rate_table, dressed_dephasing_prefactors,
                     dressed_dephasing_terms, driven_effective_rates,
                     photon_assisted_prefactor, photon_assisted_terms,
@@ -52,15 +52,15 @@ __all__ = [
     "DegenerateNullSpace", "DimensionMismatch", "DimensionOverflow",
     "DRESSED_DEPHASING", "DRIVEN_EFFECTIVE",
     "DissipatorTerm", "ExactRow", "ExactShifts", "FIT_WINDOW_FACTOR", "FLAT",
-    "FitResult", "InvalidSpec", "JC",
+    "FitResult", "InvalidSpec", "JC", "LadderOverflow",
     "JumpDescriptor", "Labeling", "LindbladGenerator", "NegativeFrequency",
     "NegativePhotonNumber", "NegativeRate", "NoPhysicalCoupling", "NonPositiveSplitting",
     "NonPositiveState",
-    "OHMIC", "ONE_OVER_F", "PHOTON_ASSISTED", "PURCELL", "PrefactorRecord",
+    "OHMIC", "ONE_OVER_F", "PHOTON_ASSISTED", "PURCELL",
     "ProductSpace", "PropagationFailure", "QUBIT_SHIFT",
     "QubitSpec", "RABI", "RESONANCE_WINDOW_FACTOR", "RESONATOR_PULL",
     "SECOND_ORDER",
-    "RateRow", "RateTable", "ResonantDivergence",
+    "RateOverflow", "RateRow", "RateTable", "ResonantDivergence",
     "ResonatorSpec", "ShiftReport", "ShiftRow",
     "SpectralFunction", "Spectrum",
     "SweepError",

@@ -18,7 +18,9 @@ conversion to MHz happens only where rates are reported.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+
+import numpy as np
 
 OHMIC = "ohmic"
 ONE_OVER_F = "one_over_f"
@@ -100,10 +102,7 @@ class SpectralFunction:
         return cls(model=FLAT, level=0.0, temperature=temperature_ghz)
 
     def with_temperature(self, temperature_ghz: float) -> "SpectralFunction":
-        return SpectralFunction(model=self.model, temperature=temperature_ghz,
-                                eta=self.eta, cutoff=self.cutoff,
-                                amplitude=self.amplitude, ir_floor=self.ir_floor,
-                                level=self.level)
+        return replace(self, temperature=temperature_ghz)
 
     def spectral_density(self, omega: float) -> float:
         """J(omega) for omega >= 0.  Raises NegativeFrequency otherwise."""
@@ -129,7 +128,9 @@ class SpectralFunction:
         if self.model == OHMIC:
             return self.eta * self.temperature
         if self.model == ONE_OVER_F:
-            return self.amplitude * self.temperature / self.ir_floor ** 2
+            with np.errstate(all="ignore"):  # an ir_floor**2 out of range: inf or 0
+                return float(np.float64(self.amplitude * self.temperature)
+                             / np.float_power(self.ir_floor, 2.0))
         return self.level
 
     def evaluate(self, omega: float) -> float:

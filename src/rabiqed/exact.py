@@ -17,15 +17,15 @@ energy, and the dispersive observables are read off the labeled energies:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .model import (RABI, ResonatorSpec, SystemSpec, TransmonSpec, check_model,
-                    expand_transmon, silent_baths)
+from .model import RABI, SystemSpec, check_model, transmon_ladder
 from .operators import ProductSpace, annihilator, number_operator, qubit_lower
-from .shifts import DEFAULT_TOL_RES, ResonantDivergence, shift_report
+from .shifts import (CO_ROTATING, COUNTER_ROTATING, DEFAULT_TOL_RES, ShiftArrays,
+                     guard_resonance, pull_and_qubit_shift)
 
 DIM_CAP = 4096
 
@@ -67,7 +67,6 @@ def build_hamiltonian(system: SystemSpec, model: str | None = None,
     m = system.resonator.fock_truncation
     if n_levels * m > dim_cap:
         raise DimensionOverflow(f"product dimension {n_levels * m} exceeds cap {dim_cap}")
-    space = ProductSpace(n_levels, m)
     a = annihilator(m)
     h = np.kron(np.diag(q.level_energies), np.eye(m))
     h += np.kron(np.eye(n_levels), system.omega_r * number_operator(m))
@@ -78,7 +77,6 @@ def build_hamiltonian(system: SystemSpec, model: str | None = None,
     else:
         coupl = np.kron(lower, a.T)
         h += coupl + coupl.T
-    space.check_operator(h)
     return h
 
 
@@ -172,21 +170,31 @@ def exact_shifts(system: SystemSpec, model: str | None = None) -> ExactShifts:
         qubit_shift=float(e10 - e00 - system.qubit.splitting(0)))
 
 
+def _transmon_shifts(detunings, g0: float, model: str, observable: str, *,
+                     omega_r: float, anharmonicity: float,
+                     num_levels: int) -> tuple[np.ndarray, ShiftArrays]:
+    """Second-order predictions at every detuning, one expression over
+    points x transitions, with the shift arrays whose denominators decide
+    which points diverge."""
+    if observable not in OBSERVABLES:
+        raise ValueError(f"observable must be one of {OBSERVABLES}, got {observable!r}")
+    check_model(model)
+    energies, couplings = transmon_ladder(omega_r + np.asarray(detunings, dtype=float),
+                                          anharmonicity, g0, num_levels)
+    arrays = ShiftArrays.of(couplings, np.diff(energies, axis=-1), omega_r)
+    pull, qubit_shift = pull_and_qubit_shift(*arrays.h2_tables()[model])
+    return (pull if observable == RESONATOR_PULL else qubit_shift), arrays
+
+
 def analytic_shift(detuning: float, g0: float, model: str, observable: str, *,
                    omega_r: float, anharmonicity: float, num_levels: int,
                    tol_res: float = DEFAULT_TOL_RES) -> float:
     """Second-order shift prediction for a transmon ladder at one detuning."""
-    if observable not in OBSERVABLES:
-        raise ValueError(f"observable must be one of {OBSERVABLES}, got {observable!r}")
-    t = TransmonSpec(omega_10=omega_r + detuning, anharmonicity=anharmonicity,
-                     g0=g0, num_levels=num_levels)
-    system = SystemSpec(qubit=expand_transmon(t),
-                        resonator=ResonatorSpec(omega_r=omega_r, fock_truncation=2),
-                        interaction_model=check_model(model), baths=silent_baths())
-    report = shift_report(system, tol_res=tol_res)
-    if observable == RESONATOR_PULL:
-        return report.resonator_pull(model)
-    return report.qubit_shift(model)
+    shift, arrays = _transmon_shifts(detuning, g0, model, observable, omega_r=omega_r,
+                                     anharmonicity=anharmonicity, num_levels=num_levels)
+    guard_resonance(CO_ROTATING, arrays.co[0], tol_res, range(num_levels - 1))
+    guard_resonance(COUNTER_ROTATING, arrays.counter[0], tol_res, range(num_levels - 1))
+    return float(shift[0])
 
 
 @dataclass(frozen=True)
@@ -208,23 +216,18 @@ def _shift_basis(data, model: str, observable: str, *, omega_r: float,
     The resonant denominators depend only on the frequencies, so a point
     that diverges here diverges for every g0 (and both models); it is dropped.
     """
-    basis, observed = [], []
-    for d, y in data:
-        try:
-            s = analytic_shift(float(d), 1.0, model, observable, omega_r=omega_r,
-                               anharmonicity=anharmonicity, num_levels=num_levels)
-        except ResonantDivergence:
-            continue
-        basis.append(s)
-        observed.append(float(y))
-    return np.array(basis), np.array(observed)
+    pairs = np.asarray(data, dtype=float).reshape(-1, 2)
+    s, arrays = _transmon_shifts(pairs[:, 0], 1.0, model, observable, omega_r=omega_r,
+                                 anharmonicity=anharmonicity, num_levels=num_levels)
+    usable = ~np.any((np.abs(arrays.co) < DEFAULT_TOL_RES)
+                     | (np.abs(arrays.counter) < DEFAULT_TOL_RES), axis=-1)
+    return s[usable], pairs[usable, 1]
 
 
 def fit_residual_curve(data: Sequence[tuple[float, float]], model: str,
                        observable: str, *, omega_r: float, anharmonicity: float,
                        num_levels: int, grid: Sequence[float]) -> np.ndarray:
     """Residual sum of the g0 fit evaluated on an explicit g0 grid."""
-    check_model(model)
     s, y = _shift_basis(data, model, observable, omega_r=omega_r,
                         anharmonicity=anharmonicity, num_levels=num_levels)
     if not len(s):
@@ -244,13 +247,12 @@ def fit_g0(data: Sequence[tuple[float, float]], model: str, observable: str, *,
     S'' = 8 u sum s_i^2 at the minimum.  Raises NoPhysicalCoupling when u
     is not positive and finite.
     """
-    check_model(model)
     s, y = _shift_basis(data, model, observable, omega_r=omega_r,
                         anharmonicity=anharmonicity, num_levels=num_levels)
     if len(s) < 3:
         raise ValueError(f"need at least 3 usable data points, got {len(s)}")
     norm = float(s @ s)
-    u = float(s @ y) / norm
+    u = float(s @ y) / norm if norm > 0.0 else math.nan
     if not (math.isfinite(u) and u > 0.0):
         raise NoPhysicalCoupling(f"least-squares g0^2 = {u:.6g} GHz^2 is not "
                                  f"positive and finite")

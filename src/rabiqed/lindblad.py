@@ -87,6 +87,7 @@ class LindbladGenerator:
 
     The Liouvillian is built once, as a sparse matrix, when the generator
     is made; applying the generator is one sparse matrix-vector product.
+    A Liouvillian with an infinite or NaN entry raises PropagationFailure.
     """
 
     hamiltonian: np.ndarray
@@ -111,7 +112,11 @@ class LindbladGenerator:
             pairs.append((op, float(rate)))
         object.__setattr__(self, "hamiltonian", h)
         object.__setattr__(self, "dissipators", tuple(pairs))
-        object.__setattr__(self, "_liouvillian", _build_liouvillian(h, pairs))
+        with np.errstate(all="ignore"):
+            liouvillian = _build_liouvillian(h, pairs)
+        if not np.all(np.isfinite(liouvillian.data)):
+            raise PropagationFailure("the generator has non-finite entries")
+        object.__setattr__(self, "_liouvillian", liouvillian)
 
     @property
     def dim(self) -> int:
@@ -145,19 +150,15 @@ def realize_terms(terms: Iterable[DissipatorTerm],
 
 def dressed_hamiltonian(system: SystemSpec, model: str,
                         report: ShiftReport | None = None) -> np.ndarray:
-    """Diagonal bare-plus-second-order Hamiltonian on the product space."""
+    """Diagonal bare-plus-second-order Hamiltonian on the product space:
+    omega_k + n omega_r + n (photon-number coefficient) + (static offset)."""
     if report is None:
         report = shift_report(system)
-    h2 = report.h2(model)
-    q = system.qubit
-    m = system.resonator.fock_truncation
-    space = ProductSpace(q.num_levels, m)
-    energies = np.empty(space.dimension)
-    for k, n in space.pairs():
-        n_coeff, static = h2[k]
-        energies[space.index(k, n)] = (q.level_energies[k] + n * system.omega_r
-                                       + n * n_coeff + static)
-    return np.diag(energies)
+    h2 = np.array(report.h2(model))
+    n = np.arange(float(system.resonator.fock_truncation))
+    energies = (np.array(system.qubit.level_energies)[:, None] + n * system.omega_r
+                + n * h2[:, :1] + h2[:, 1:])
+    return np.diag(energies.ravel())
 
 
 def assemble(system: SystemSpec, mode: str = DRESSED_ANALYTIC,
@@ -254,8 +255,6 @@ def evolve(gen: LindbladGenerator, rho0: np.ndarray, t_max: float,
     targets = [min(t, t_max) for t in targets]
 
     liouville = gen.superoperator()
-    if not np.all(np.isfinite(liouville.data)):
-        raise PropagationFailure("the generator has non-finite entries")
     d = gen.dim
     reach = _reachable(liouville, rho.reshape(-1))
     block = liouville[reach][:, reach]
@@ -329,42 +328,32 @@ def steady_state(gen: LindbladGenerator, residual_tol: float = 1e-10,
     return rho
 
 
-def partial_trace_resonator(rho: np.ndarray, space: ProductSpace) -> np.ndarray:
-    """Reduce a product-space density matrix to the qubit factor."""
+def _blocks(rho: np.ndarray, space: ProductSpace) -> np.ndarray:
+    """rho with axes (qubit, photon, qubit, photon), after a shape check."""
     d = space.dimension
     rho = np.asarray(rho)
     if rho.shape != (d, d):
         raise DimensionMismatch(f"state shape {rho.shape} does not match space "
                                 f"dimension {d}")
-    reshaped = rho.reshape(space.qubit_dim, space.fock_dim,
-                           space.qubit_dim, space.fock_dim)
-    return np.einsum("injn->ij", reshaped)
+    return rho.reshape(space.qubit_dim, space.fock_dim, space.qubit_dim, space.fock_dim)
+
+
+def partial_trace_resonator(rho: np.ndarray, space: ProductSpace) -> np.ndarray:
+    """Reduce a product-space density matrix to the qubit factor."""
+    return np.einsum("injn->ij", _blocks(rho, space))
 
 
 def partial_trace_qubit(rho: np.ndarray, space: ProductSpace) -> np.ndarray:
     """Reduce a product-space density matrix to the resonator factor."""
-    d = space.dimension
-    rho = np.asarray(rho)
-    if rho.shape != (d, d):
-        raise DimensionMismatch(f"state shape {rho.shape} does not match space "
-                                f"dimension {d}")
-    reshaped = rho.reshape(space.qubit_dim, space.fock_dim,
-                           space.qubit_dim, space.fock_dim)
-    return np.einsum("inim->nm", reshaped)
+    return np.einsum("inim->nm", _blocks(rho, space))
 
 
 def thermal_resonator_state(m: int, nbar: float) -> np.ndarray:
     """Truncated thermal state with Bose ratio r = nbar / (1 + nbar)."""
     if nbar < 0.0:
         raise ValueError(f"nbar must be >= 0, got {nbar}")
-    if nbar == 0.0:
-        p = np.zeros(m)
-        p[0] = 1.0
-    else:
-        r = nbar / (1.0 + nbar)
-        p = r ** np.arange(m)
-        p = p / p.sum()
-    return np.diag(p).astype(complex)
+    p = (nbar / (1.0 + nbar)) ** np.arange(m)
+    return np.diag(p / p.sum()).astype(complex)
 
 
 def _dissipator(op: np.ndarray, rho: np.ndarray) -> np.ndarray:

@@ -22,6 +22,8 @@ import math
 from dataclasses import dataclass, replace
 from typing import Mapping
 
+import numpy as np
+
 from .baths import SpectralFunction, bath_from_config
 
 RABI = "rabi"
@@ -33,6 +35,10 @@ BATH_LABELS = ("X", "Z", "R")
 
 class NonPositiveSplitting(ValueError):
     """A qubit transition frequency came out <= 0."""
+
+
+class LadderOverflow(ValueError):
+    """Finite ladder parameters gave a level energy or coupling beyond float64."""
 
 
 class ConfigError(ValueError):
@@ -83,27 +89,17 @@ class QubitSpec:
     dephasing_sensitivities: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "level_energies", tuple(float(x) for x in self.level_energies))
-        object.__setattr__(self, "coupling_ladder", tuple(float(x) for x in self.coupling_ladder))
-        object.__setattr__(self, "transverse_bath_couplings",
-                           tuple(float(x) for x in self.transverse_bath_couplings))
-        object.__setattr__(self, "dephasing_sensitivities",
-                           tuple(float(x) for x in self.dephasing_sensitivities))
-        for name in ("level_energies", "coupling_ladder", "transverse_bath_couplings",
-                     "dephasing_sensitivities"):
-            _require_finite("QubitSpec", name, getattr(self, name))
         n = len(self.level_energies)
         if n < 2:
             raise ValueError(f"qubit needs at least 2 levels, got {n}")
-        if len(self.coupling_ladder) != n - 1:
-            raise ValueError(f"coupling_ladder must have length {n - 1}, "
-                             f"got {len(self.coupling_ladder)}")
-        if len(self.transverse_bath_couplings) != n - 1:
-            raise ValueError(f"transverse_bath_couplings must have length {n - 1}, "
-                             f"got {len(self.transverse_bath_couplings)}")
-        if len(self.dephasing_sensitivities) != n:
-            raise ValueError(f"dephasing_sensitivities must have length {n}, "
-                             f"got {len(self.dephasing_sensitivities)}")
+        for name, length in (("level_energies", n), ("coupling_ladder", n - 1),
+                             ("transverse_bath_couplings", n - 1),
+                             ("dephasing_sensitivities", n)):
+            values = tuple(float(x) for x in getattr(self, name))
+            _require_finite("QubitSpec", name, values)
+            if len(values) != length:
+                raise ValueError(f"{name} must have length {length}, got {len(values)}")
+            object.__setattr__(self, name, values)
 
     @property
     def num_levels(self) -> int:
@@ -119,19 +115,17 @@ class QubitSpec:
     # boundary terms (k = 0 and k = N-1) drop out of sums automatically.
 
     def g(self, k: int) -> float:
-        if 0 <= k <= self.num_levels - 2:
-            return self.coupling_ladder[k]
-        return 0.0
+        return _at(self.coupling_ladder, k)
 
     def beta(self, k: int) -> float:
-        if 0 <= k <= self.num_levels - 2:
-            return self.transverse_bath_couplings[k]
-        return 0.0
+        return _at(self.transverse_bath_couplings, k)
 
     def dw(self, k: int) -> float:
-        if 0 <= k <= self.num_levels - 1:
-            return self.dephasing_sensitivities[k]
-        return 0.0
+        return _at(self.dephasing_sensitivities, k)
+
+
+def _at(values: tuple[float, ...], k: int) -> float:
+    return values[k] if 0 <= k < len(values) else 0.0
 
 
 @dataclass(frozen=True)
@@ -153,35 +147,53 @@ class TransmonSpec:
             raise ValueError(f"num_levels must be >= 2, got {self.num_levels}")
 
 
+def transmon_ladder(omega_10, anharmonicity: float, g0: float,
+                    num_levels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Level energies (one row of N per omega_10 value) and couplings (N-1)
+    of transmon ladders: omega_k = k * omega_10 - anharmonicity * k (k - 1) / 2
+    and g_k = sqrt(k+1) * g0.
+
+    Raises NonPositiveSplitting if any omega_{k+1,k} <= 0 and LadderOverflow
+    if an energy or coupling is not finite.
+    """
+    if num_levels < 2:
+        raise ValueError(f"num_levels must be >= 2, got {num_levels}")
+    omega_10 = np.asarray(omega_10, dtype=float).reshape(-1, 1)
+    k = np.arange(num_levels)
+    with np.errstate(all="ignore"):
+        splittings = omega_10 - k[:-1] * anharmonicity
+        energies = k * omega_10 - anharmonicity * k * (k - 1) / 2.0
+        couplings = np.sqrt(k[:-1] + 1) * g0
+    if (splittings <= 0.0).any():
+        i, j = np.argwhere(splittings <= 0.0)[0]
+        raise NonPositiveSplitting(
+            f"transition {j + 1},{j} has frequency {splittings[i, j]} GHz <= 0 "
+            f"(omega_10={omega_10[i, 0]}, anharmonicity={anharmonicity})")
+    finite = np.isfinite(energies).all(axis=1) & np.isfinite(couplings).all()
+    if not finite.all():
+        raise LadderOverflow(f"the {num_levels}-level ladder overflows float64 "
+                             f"(omega_10={omega_10[np.argmin(finite), 0]}, "
+                             f"anharmonicity={anharmonicity}, g0={g0})")
+    return energies, couplings
+
+
 def expand_transmon(spec: TransmonSpec,
                     bath_couplings: tuple[float, ...] | None = None,
                     dephasing_sensitivities: tuple[float, ...] | None = None) -> QubitSpec:
-    """Expand a transmon ladder into an explicit QubitSpec.
+    """Expand a transmon ladder (see transmon_ladder) into an explicit QubitSpec.
 
-    Level energies follow from summing the splittings,
-    omega_k = k * omega_10 - anharmonicity * k (k - 1) / 2.  Defaults:
-    beta_k = sqrt(k+1) (matrix-element scaling of charge-like transverse
-    noise) and delta-omega_k = k (level k rides k times the 0-1 frequency
-    fluctuation).  Both can be overridden.
-
-    Raises NonPositiveSplitting if any omega_{k+1,k} <= 0.
+    Defaults: beta_k = sqrt(k+1) (matrix-element scaling of charge-like
+    transverse noise) and delta-omega_k = k (level k rides k times the 0-1
+    frequency fluctuation).  Both can be overridden.
     """
     n = spec.num_levels
-    for k in range(n - 1):
-        w = spec.omega_10 - k * spec.anharmonicity
-        if w <= 0.0:
-            raise NonPositiveSplitting(
-                f"transition {k + 1},{k} has frequency {w} GHz <= 0 "
-                f"(omega_10={spec.omega_10}, anharmonicity={spec.anharmonicity})")
-    energies = tuple(k * spec.omega_10 - spec.anharmonicity * k * (k - 1) / 2.0
-                     for k in range(n))
-    couplings = tuple(math.sqrt(k + 1) * spec.g0 for k in range(n - 1))
+    energies, couplings = transmon_ladder(spec.omega_10, spec.anharmonicity, spec.g0, n)
     if bath_couplings is None:
         bath_couplings = tuple(math.sqrt(k + 1) for k in range(n - 1))
     if dephasing_sensitivities is None:
         dephasing_sensitivities = tuple(float(k) for k in range(n))
-    return QubitSpec(level_energies=energies,
-                     coupling_ladder=couplings,
+    return QubitSpec(level_energies=tuple(energies[0].tolist()),
+                     coupling_ladder=tuple(couplings.tolist()),
                      transverse_bath_couplings=bath_couplings,
                      dephasing_sensitivities=dephasing_sensitivities)
 
@@ -198,6 +210,8 @@ class ResonatorSpec:
         if int(self.fock_truncation) != self.fock_truncation:
             raise ValueError(f"fock_truncation must be an integer, got {self.fock_truncation}")
         object.__setattr__(self, "fock_truncation", int(self.fock_truncation))
+        if self.fock_truncation < 2:
+            raise ValueError(f"fock_truncation must be >= 2, got {self.fock_truncation}")
 
 
 @dataclass(frozen=True)
@@ -266,9 +280,6 @@ def validate(system: SystemSpec) -> ValidationReport:
             errors.append(f"qubit.coupling_ladder[{k}]: coupling must be >= 0, got {g}")
     if not system.resonator.omega_r > 0.0:
         errors.append(f"resonator.omega_r: must be > 0, got {system.resonator.omega_r}")
-    if system.resonator.fock_truncation < 2:
-        errors.append(f"resonator.fock_truncation: must be >= 2, "
-                      f"got {system.resonator.fock_truncation}")
     if system.interaction_model not in MODELS:
         errors.append(f"interaction_model: must be one of {MODELS}, "
                       f"got {system.interaction_model!r}")
@@ -328,7 +339,10 @@ class SystemConfig:
         """
         t = self.transmon
         if detuning is not None:
-            t = replace(t, omega_10=self.resonator.omega_r + detuning)
+            omega_10 = self.resonator.omega_r + detuning
+            if not math.isfinite(omega_10):
+                raise LadderOverflow(f"omega_r + detuning = {omega_10} GHz is not finite")
+            t = replace(t, omega_10=omega_10)
         if coupling is not None:
             t = replace(t, g0=coupling)
         baths = self.baths

@@ -17,16 +17,29 @@ Fourth order, with model-dependent dimensionless prefactors:
                                                     D[sigma_{k,k+1} a], D[sigma_{k+1,k} a+]
     photon-assisted    a_k   C_X(+-omega_r)         D[sigma_{k,k} a], D[sigma_{k,k} a+]
 
+Full dipole:   p_k = 8 g_k^2 omega_r^2 / (omega_r^2 - omega_{k+1,k}^2)^2
+rotating wave: p_k = 2 g_k^2 / (omega_r - omega_{k+1,k})^2
+
+d_k = 2 g_k^2 (dw_k - dw_{k+1})^2 / (omega_r - omega_{k+1,k})^2 for both
+models; c_k replaces the denominator by (omega_r + omega_{k+1,k})^2 and
+vanishes for the rotating-wave model.  a_k is built from the two
+transitions adjacent to level k; out-of-range neighbours contribute zero,
+and the cross term is negative (the two paths interfere destructively).
+
 Rates are reported in MHz (spectral weights come out in GHz and are scaled
 by 1e3 here); prefactors are dimensionless.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .model import JC, RABI, SystemSpec, check_model
-from .shifts import DEFAULT_TOL_RES, ResonantDivergence
+import numpy as np
+
+from .model import JC, RABI, QubitSpec, SystemSpec, check_model
+from .shifts import DEFAULT_TOL_RES, guard_resonance, padded
 
 SECOND_ORDER = "second_order"
 PURCELL = "purcell"
@@ -37,6 +50,11 @@ DRIVEN_EFFECTIVE = "driven_effective"
 _PRODUCT_ORIGINS = (DRESSED_DEPHASING, PHOTON_ASSISTED)
 
 _GHZ_TO_MHZ = 1e3
+
+
+class RateOverflow(OverflowError):
+    """A prefactor or rate came out infinite or NaN from finite parameters:
+    the couplings, frequencies or noise powers are too large for float64."""
 
 
 class NegativePhotonNumber(ValueError):
@@ -101,7 +119,9 @@ class DissipatorTerm:
     origin: str
 
     def __post_init__(self) -> None:
-        if not self.rate_mhz >= 0.0:
+        if not math.isfinite(self.rate_mhz):
+            raise RateOverflow(f"rate of {self.jump.label} is {self.rate_mhz}")
+        if self.rate_mhz < 0.0:
             raise ValueError(f"rate must be >= 0, got {self.rate_mhz} ({self.jump.label})")
         if self.jump.qubit is not None and self.jump.photon is not None \
                 and self.origin not in _PRODUCT_ORIGINS:
@@ -135,33 +155,83 @@ def second_order_rates(system: SystemSpec) -> list[DissipatorTerm]:
     return terms
 
 
-def _transition(system: SystemSpec, k: int) -> tuple[float, float, float]:
-    """(g_k, beta_k, omega_{k+1,k}); raises IndexError out of range."""
-    q = system.qubit
-    if not 0 <= k <= q.num_levels - 2:
-        raise IndexError(f"transition index {k} out of range for {q.num_levels} levels")
-    return q.coupling_ladder[k], q.beta(k), q.splitting(k)
+def _square(x):
+    """x ** 2 through libm pow, which rounds as Python's float ** 2 does;
+    NumPy's own x ** 2 is x * x and can differ in the last bit."""
+    return np.float_power(x, 2.0)
 
 
-def _guard_resonance(k: int, w: float, omega_r: float, tol_res: float) -> None:
-    if abs(omega_r - w) < tol_res:
-        raise ResonantDivergence(k, "omega_r - omega_{k+1,k}", omega_r - w)
+@lru_cache(maxsize=64)
+def _prefactors(q: QubitSpec, wr: float, model: str) -> dict[str, np.ndarray]:
+    """Fourth-order prefactors of one model as read-only arrays over the
+    ladder index: "p", "d" and "c" per transition k = 0..N-2, "a" per level
+    k = 0..N-1, and the "detuning" omega_r - omega_{k+1,k} that the
+    resonance guard reads.
+
+    No entry is checked: a resonant or overflowing denominator leaves inf
+    or NaN in its own entries only.  Cached, so that the per-index lookups
+    below evaluate the arrays once per ladder and model.
+    """
+    g = np.array(q.coupling_ladder)
+    beta = np.array(q.transverse_bath_couplings)
+    w = np.diff(q.level_energies)
+    dw = np.array(q.dephasing_sensitivities)
+    with np.errstate(all="ignore"):
+        detuning = wr - w
+        spread = _square(dw[:-1] - dw[1:])
+        d = 2.0 * g * g * spread / _square(detuning)
+        if model == RABI:
+            den = wr * wr - w * w
+            p = 8.0 * g * g * wr * wr / _square(den)
+            c = 2.0 * g * g * spread / _square(wr + w)
+            # a_k: one path through each adjacent transition, and the cross
+            # term of levels 1..N-2, which have two
+            path = 8.0 * _square(g) * _square(beta) * _square(w) / _square(den)
+            numerator = 16.0 * g[1:] * g[:-1] * beta[1:] * beta[:-1] * w[1:] * w[:-1]
+        else:
+            den = detuning
+            p = 2.0 * g * g / _square(den)
+            c = np.zeros_like(d)
+            path = 2.0 * _square(g) * _square(beta) / _square(den)
+            numerator = 4.0 * g[1:] * g[:-1] * beta[1:] * beta[:-1]
+        paths = padded(np.where(g != 0.0, path, 0.0))
+        both = (g[1:] != 0.0) & (g[:-1] != 0.0)
+        a = paths[1:] + paths[:-1] - padded(np.where(both, numerator / (den[:-1] * den[1:]),
+                                                     0.0))
+    arrays = {"p": p, "d": d, "c": c, "a": a, "detuning": detuning}
+    for array in arrays.values():
+        array.flags.writeable = False
+    return arrays
+
+
+def _lookup(system: SystemSpec, model: str, names: tuple[str, ...], k: int,
+            tol_res: float, level: bool = False) -> tuple[float, ...]:
+    """Entries k of the named prefactor arrays, once the transitions they
+    divide by pass the resonance guard: transition k, or for a level the
+    adjacent transitions with nonzero coupling.  Raises RateOverflow if an
+    entry read is not finite."""
+    arrays = _prefactors(system.qubit, system.omega_r, check_model(model))
+    n = system.qubit.num_levels
+    if level:
+        if not 0 <= k <= n - 1:
+            raise IndexError(f"level index {k} out of range for {n} levels")
+        guarded = [j for j in (k, k - 1) if system.qubit.g(j) != 0.0]
+    else:
+        if not 0 <= k <= n - 2:
+            raise IndexError(f"transition index {k} out of range for {n} levels")
+        guarded = (k,)
+    guard_resonance("omega_r - omega_{k+1,k}", arrays["detuning"], tol_res, guarded)
+    values = tuple(float(arrays[name][k]) for name in names)
+    for name, value in zip(names, values):
+        if not math.isfinite(value):
+            raise RateOverflow(f"{name}_{k} = {value} is not finite")
+    return values
 
 
 def purcell_prefactor(k: int, system: SystemSpec, model: str,
                       tol_res: float = DEFAULT_TOL_RES) -> float:
-    """Dimensionless p_k multiplying C_R(+-omega_{k+1,k}).
-
-    Full dipole: 8 g_k^2 omega_r^2 / (omega_r^2 - omega_{k+1,k}^2)^2;
-    rotating wave: 2 g_k^2 / (omega_r - omega_{k+1,k})^2.
-    """
-    check_model(model)
-    g, _, w = _transition(system, k)
-    omega_r = system.omega_r
-    _guard_resonance(k, w, omega_r, tol_res)
-    if model == RABI:
-        return 8.0 * g * g * omega_r * omega_r / (omega_r * omega_r - w * w) ** 2
-    return 2.0 * g * g / (omega_r - w) ** 2
+    """Dimensionless p_k multiplying C_R(+-omega_{k+1,k})."""
+    return _lookup(system, model, ("p",), k, tol_res)[0]
 
 
 def purcell_rates(k: int, system: SystemSpec, model: str) -> tuple[float, float]:
@@ -174,24 +244,8 @@ def purcell_rates(k: int, system: SystemSpec, model: str) -> tuple[float, float]
 
 def dressed_dephasing_prefactors(k: int, system: SystemSpec, model: str,
                                  tol_res: float = DEFAULT_TOL_RES) -> tuple[float, float]:
-    """(d_k, c_k) for transition k.
-
-    d_k = 2 g_k^2 (dw_k - dw_{k+1})^2 / (omega_r - omega_{k+1,k})^2 for both
-    models; c_k carries the counter-rotating denominator and vanishes for
-    the rotating-wave model.
-    """
-    check_model(model)
-    g, _, w = _transition(system, k)
-    q = system.qubit
-    omega_r = system.omega_r
-    _guard_resonance(k, w, omega_r, tol_res)
-    spread = (q.dw(k) - q.dw(k + 1)) ** 2
-    d = 2.0 * g * g * spread / (omega_r - w) ** 2
-    if model == RABI:
-        c = 2.0 * g * g * spread / (omega_r + w) ** 2
-    else:
-        c = 0.0
-    return d, c
+    """(d_k, c_k) for transition k; c_k vanishes for the rotating-wave model."""
+    return _lookup(system, model, ("d", "c"), k, tol_res)
 
 
 def dressed_dephasing_terms(k: int, system: SystemSpec, model: str) -> list[DissipatorTerm]:
@@ -227,46 +281,8 @@ def dressed_dephasing_terms(k: int, system: SystemSpec, model: str) -> list[Diss
 
 def photon_assisted_prefactor(k: int, system: SystemSpec, model: str,
                               tol_res: float = DEFAULT_TOL_RES) -> float:
-    """Dimensionless a_k multiplying C_X(+-omega_r), for qubit level k.
-
-    Built from the two transitions adjacent to level k; out-of-range
-    neighbours contribute zero, so k runs over all levels 0..N-1.  The
-    cross term is negative (the two paths interfere destructively).
-    """
-    check_model(model)
-    q = system.qubit
-    if not 0 <= k <= q.num_levels - 1:
-        raise IndexError(f"level index {k} out of range for {q.num_levels} levels")
-    omega_r = system.omega_r
-    g_up, b_up = q.g(k), q.beta(k)
-    g_dn, b_dn = q.g(k - 1), q.beta(k - 1)
-    w_up = q.splitting(k) if k <= q.num_levels - 2 else 0.0
-    w_dn = q.splitting(k - 1) if k >= 1 else 0.0
-    if g_up != 0.0:
-        _guard_resonance(k, w_up, omega_r, tol_res)
-    if g_dn != 0.0:
-        _guard_resonance(k - 1, w_dn, omega_r, tol_res)
-    if model == RABI:
-        den_up = (omega_r * omega_r - w_up * w_up)
-        den_dn = (omega_r * omega_r - w_dn * w_dn)
-        total = 0.0
-        if g_up != 0.0:
-            total += 8.0 * g_up ** 2 * b_up ** 2 * w_up ** 2 / den_up ** 2
-        if g_dn != 0.0:
-            total += 8.0 * g_dn ** 2 * b_dn ** 2 * w_dn ** 2 / den_dn ** 2
-        if g_up != 0.0 and g_dn != 0.0:
-            total -= 16.0 * g_up * g_dn * b_up * b_dn * w_up * w_dn / (den_dn * den_up)
-        return total
-    den_up = omega_r - w_up
-    den_dn = omega_r - w_dn
-    total = 0.0
-    if g_up != 0.0:
-        total += 2.0 * g_up ** 2 * b_up ** 2 / den_up ** 2
-    if g_dn != 0.0:
-        total += 2.0 * g_dn ** 2 * b_dn ** 2 / den_dn ** 2
-    if g_up != 0.0 and g_dn != 0.0:
-        total -= 4.0 * g_up * g_dn * b_up * b_dn / (den_dn * den_up)
-    return total
+    """Dimensionless a_k multiplying C_X(+-omega_r), for qubit level k = 0..N-1."""
+    return _lookup(system, model, ("a",), k, tol_res, level=True)[0]
 
 
 def photon_assisted_terms(k: int, system: SystemSpec, model: str) -> list[DissipatorTerm]:
@@ -287,62 +303,44 @@ def photon_assisted_terms(k: int, system: SystemSpec, model: str) -> list[Dissip
 
 
 @dataclass(frozen=True)
-class PrefactorRecord:
-    """Fourth-order prefactors touching ladder index k for one model.
-
-    p, d, c belong to transition k (absent for k = N-1); a belongs to
-    level k and is always present.
-    """
-
-    k: int
-    p: float | None
-    d: float | None
-    c: float | None
-    a: float
-
-
-@dataclass(frozen=True)
 class RateTable:
     """Eagerly evaluated dissipator lists for one system, both models.
 
     second_order does not depend on the interaction model; fourth_order
-    and prefactors are keyed by "rabi" / "jc".
+    and prefactors (the read-only arrays p, d, c and a over the ladder
+    index) are keyed by "rabi" / "jc".
     """
 
     second_order: tuple[DissipatorTerm, ...]
     fourth_order: dict[str, tuple[DissipatorTerm, ...]]
-    prefactors: dict[str, tuple[PrefactorRecord, ...]]
+    prefactors: dict[str, dict[str, np.ndarray]]
 
     def fourth(self, model: str) -> tuple[DissipatorTerm, ...]:
         return self.fourth_order[check_model(model)]
 
 
 def build_rate_table(system: SystemSpec) -> RateTable:
-    """Evaluate every rate for all ladder indices and both models."""
+    """Evaluate every rate for all ladder indices and both models.
+
+    Each model's prefactor arrays are evaluated once; every entry is read
+    once, by the term that carries it.
+    """
     second = tuple(second_order_rates(system))
     fourth: dict[str, tuple[DissipatorTerm, ...]] = {}
-    prefs: dict[str, tuple[PrefactorRecord, ...]] = {}
     n = system.qubit.num_levels
     for model in (RABI, JC):
         terms: list[DissipatorTerm] = []
-        records: list[PrefactorRecord] = []
         for k in range(n):
             if k <= n - 2:
-                p = purcell_prefactor(k, system, model)
-                d, c = dressed_dephasing_prefactors(k, system, model)
                 down, up = purcell_rates(k, system, model)
                 terms.append(DissipatorTerm(sigma_lower(k), down, PURCELL))
                 terms.append(DissipatorTerm(sigma_raise(k), up, PURCELL))
                 terms.extend(dressed_dephasing_terms(k, system, model))
-            else:
-                p = d = c = None
             terms.extend(photon_assisted_terms(k, system, model))
-            records.append(PrefactorRecord(
-                k=k, p=p, d=d, c=c,
-                a=photon_assisted_prefactor(k, system, model)))
         fourth[model] = tuple(terms)
-        prefs[model] = tuple(records)
-    return RateTable(second_order=second, fourth_order=fourth, prefactors=prefs)
+    prefactors = {model: _prefactors(system.qubit, system.omega_r, model)
+                  for model in (RABI, JC)}
+    return RateTable(second_order=second, fourth_order=fourth, prefactors=prefactors)
 
 
 def driven_effective_rates(table: RateTable, n_photons: float,
@@ -367,24 +365,12 @@ def driven_effective_rates(table: RateTable, n_photons: float,
         raise NegativePhotonNumber(f"photon number must be >= 0, got {n_photons}")
     if n_photons == 0.0:
         return []
-    down: dict[int, float] = {}
-    up: dict[int, float] = {}
-    phi: dict[int, float] = {}
-    for term in table.fourth_order[check_model(model)]:
-        if term.jump.photon is None or term.jump.qubit is None:
-            continue
-        kind, k = term.jump.qubit
-        if kind == "lower":
-            down[k] = down.get(k, 0.0) + term.rate_mhz
-        elif kind == "raise":
-            up[k] = up.get(k, 0.0) + term.rate_mhz
-        else:
-            phi[k] = phi.get(k, 0.0) + term.rate_mhz
-    out = []
-    for k in sorted(down):
-        out.append(DissipatorTerm(sigma_lower(k), n_photons * down[k], DRIVEN_EFFECTIVE))
-    for k in sorted(up):
-        out.append(DissipatorTerm(sigma_raise(k), n_photons * up[k], DRIVEN_EFFECTIVE))
-    for k in sorted(phi):
-        out.append(DissipatorTerm(sigma_diag(k), n_photons * phi[k], DRIVEN_EFFECTIVE))
-    return out
+    totals: dict[tuple[str, int], float] = {}
+    for term in table.fourth_order[model]:
+        if term.jump.photon is not None and term.jump.qubit is not None:
+            totals[term.jump.qubit] = totals.get(term.jump.qubit, 0.0) + term.rate_mhz
+    # decay channels first, then excitation, then dephasing, each by k
+    order = ("lower", "raise", "diag")
+    return [DissipatorTerm(JumpDescriptor(qubit=qubit), n_photons * rate, DRIVEN_EFFECTIVE)
+            for qubit, rate in sorted(totals.items(),
+                                      key=lambda item: (order.index(item[0][0]), item[0][1]))]

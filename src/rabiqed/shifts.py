@@ -14,16 +14,27 @@ The diagonal second-order Hamiltonian is, per qubit level k,
 
 with the convention that out-of-range ladder indices contribute zero.
 All inputs and outputs are in GHz.
+
+Every formula is evaluated as a NumPy array over k (the last axis), with
+no check and no warning; a resonant denominator gives inf or NaN in its
+own entry only.  Whoever reads an entry guards its denominators first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
-from .model import JC, RABI, SystemSpec, check_model
+import numpy as np
+
+from .model import JC, RABI, QubitSpec, SystemSpec, check_model
 
 # Denominators smaller than this (GHz) are treated as resonant.
 DEFAULT_TOL_RES = 1e-6
+
+CO_ROTATING = "omega_{k+1,k} - omega_r"
+COUNTER_ROTATING = "omega_{k+1,k} + omega_r"
 
 
 class ResonantDivergence(ArithmeticError):
@@ -37,72 +48,94 @@ class ResonantDivergence(ArithmeticError):
                          f"inside the resonance tolerance")
 
 
-def _ladder(system: SystemSpec, k: int) -> tuple[float, float]:
-    """(g_k, omega_{k+1,k}) with the zero-outside-range convention."""
-    q = system.qubit
-    if 0 <= k <= q.num_levels - 2:
-        return q.coupling_ladder[k], q.splitting(k)
-    return 0.0, 0.0
+def padded(values: np.ndarray) -> np.ndarray:
+    """values with a zero at each end of the last (ladder) axis.
+
+    Index k + 1 holds entry k, so the neighbours k = -1 and k = len(values)
+    just past either end read zero and drop out of sums over adjacent entries.
+    """
+    zero = np.zeros(values.shape[:-1] + (1,))
+    return np.concatenate([zero, values, zero], axis=-1)
+
+
+def guard_resonance(which: str, denominators: np.ndarray, tol_res: float, ks) -> None:
+    """Raise ResonantDivergence at the first k in ks whose denominator is resonant."""
+    for k in ks:
+        if abs(denominators[k]) < tol_res:
+            raise ResonantDivergence(k, which, float(denominators[k]))
+
+
+class ShiftArrays(NamedTuple):
+    """chi, xi, chi~ and their co- and counter-rotating denominators as arrays
+    over the transition index k (the last axis; leading axes broadcast)."""
+
+    chi: np.ndarray
+    xi: np.ndarray
+    chi_tilde: np.ndarray
+    co: np.ndarray
+    counter: np.ndarray
+
+    @classmethod
+    def of(cls, g, w, omega_r: float) -> "ShiftArrays":
+        """From the couplings g_k and splittings w = omega_{k+1,k}."""
+        with np.errstate(all="ignore"):
+            co = w - omega_r
+            counter = w + omega_r
+            return cls(g * g / co, g * g / counter, 2.0 * g * g * w / (co * counter),
+                       co, counter)
+
+    def h2_tables(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+        """Per model, the per-level photon-number coefficients and static
+        offsets, each of shape (..., N)."""
+        c, x, t = padded(self.chi), padded(self.xi), padded(self.chi_tilde)
+        with np.errstate(all="ignore"):
+            return {RABI: (t[..., :-1] - t[..., 1:], c[..., :-1] - x[..., 1:]),
+                    JC: (c[..., :-1] - c[..., 1:], c[..., :-1])}
+
+
+def pull_and_qubit_shift(n_coeff: np.ndarray, static: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Level differences of the diagonal corrections: the pull is the photon
+    coefficient at k = 0, the qubit shift the static difference 1 - 0."""
+    return n_coeff[..., 0], static[..., 1] - static[..., 0]
+
+
+@lru_cache(maxsize=64)
+def _ladder_shifts(q: QubitSpec, omega_r: float) -> ShiftArrays:
+    """Cached, so that the per-index lookups evaluate the arrays once."""
+    return ShiftArrays.of(np.array(q.coupling_ladder), np.diff(q.level_energies), omega_r)
+
+
+def _lookup(name: str, k: int, system: SystemSpec, tol_res: float, co: bool = True,
+            counter: bool = True) -> float:
+    """Entry k of one shift array, zero outside the ladder, once the
+    denominators it divides by pass the resonance guard."""
+    if not 0 <= k <= system.qubit.num_levels - 2:
+        return 0.0
+    arrays = _ladder_shifts(system.qubit, system.omega_r)
+    guard_resonance(CO_ROTATING, arrays.co, tol_res, (k,) if co else ())
+    guard_resonance(COUNTER_ROTATING, arrays.counter, tol_res, (k,) if counter else ())
+    return float(getattr(arrays, name)[k])
 
 
 def chi(k: int, system: SystemSpec, tol_res: float = DEFAULT_TOL_RES) -> float:
     """Co-rotating dispersive shift chi_k; zero for out-of-range k."""
-    g, w = _ladder(system, k)
-    if g == 0.0 and w == 0.0:
-        return 0.0
-    d = w - system.omega_r
-    if abs(d) < tol_res:
-        raise ResonantDivergence(k, "omega_{k+1,k} - omega_r", d)
-    return g * g / d
+    return _lookup("chi", k, system, tol_res, counter=False)
+
 
 def xi(k: int, system: SystemSpec, tol_res: float = DEFAULT_TOL_RES) -> float:
     """Counter-rotating (Bloch-Siegert) shift xi_k; zero for out-of-range k."""
-    g, w = _ladder(system, k)
-    if g == 0.0 and w == 0.0:
-        return 0.0
-    s = w + system.omega_r
-    if abs(s) < tol_res:
-        raise ResonantDivergence(k, "omega_{k+1,k} + omega_r", s)
-    return g * g / s
+    return _lookup("xi", k, system, tol_res, co=False)
+
 
 def chi_tilde(k: int, system: SystemSpec, tol_res: float = DEFAULT_TOL_RES) -> float:
     """Total dispersive shift chi~_k = chi_k + xi_k (evaluated in closed form)."""
-    g, w = _ladder(system, k)
-    if g == 0.0 and w == 0.0:
-        return 0.0
-    d = w - system.omega_r
-    s = w + system.omega_r
-    if abs(d) < tol_res:
-        raise ResonantDivergence(k, "omega_{k+1,k} - omega_r", d)
-    if abs(s) < tol_res:
-        raise ResonantDivergence(k, "omega_{k+1,k} + omega_r", s)
-    return 2.0 * g * g * w / (d * s)
-
-
-def _h2_table(model: str, chis: tuple[float, ...], xis: tuple[float, ...],
-              tildes: tuple[float, ...]) -> tuple[tuple[float, float], ...]:
-    """Per-level (photon-number coefficient, static offset) from per-transition shifts."""
-
-    def at(values: tuple[float, ...], k: int) -> float:
-        return values[k] if 0 <= k < len(values) else 0.0
-
-    out = []
-    for k in range(len(chis) + 1):
-        if model == RABI:
-            n_coeff = at(tildes, k - 1) - at(tildes, k)
-            static = at(chis, k - 1) - at(xis, k)
-        else:
-            n_coeff = at(chis, k - 1) - at(chis, k)
-            static = at(chis, k - 1)
-        out.append((n_coeff, static))
-    return tuple(out)
+    return _lookup("chi_tilde", k, system, tol_res)
 
 
 def h2_coefficients(system: SystemSpec, model: str,
                     tol_res: float = DEFAULT_TOL_RES) -> tuple[tuple[float, float], ...]:
     """Per-level (photon-number coefficient, static offset) of the diagonal
     second-order Hamiltonian, for qubit levels k = 0..N-1."""
-    check_model(model)
     return shift_report(system, tol_res).h2(model)
 
 
@@ -137,19 +170,21 @@ class ShiftReport:
 
 
 def shift_report(system: SystemSpec, tol_res: float = DEFAULT_TOL_RES) -> ShiftReport:
-    """Evaluate every second-order shift observable for a system."""
-    n = system.qubit.num_levels
-    chis = tuple(chi(k, system, tol_res) for k in range(n - 1))
-    xis = tuple(xi(k, system, tol_res) for k in range(n - 1))
-    tildes = tuple(chi_tilde(k, system, tol_res) for k in range(n - 1))
-    h2r = _h2_table(RABI, chis, xis, tildes)
-    h2j = _h2_table(JC, chis, xis, tildes)
-    # Level differences of the diagonal corrections: the pull is the photon
-    # coefficient at k = 0, the qubit shift the static difference 1 - 0.
+    """Evaluate every second-order shift observable for a system.
+
+    Every transition is read, so every transition is guarded: the first
+    co-rotating resonance raises, then the first counter-rotating one.
+    """
+    arrays = _ladder_shifts(system.qubit, system.omega_r)
+    guard_resonance(CO_ROTATING, arrays.co, tol_res, range(len(arrays.co)))
+    guard_resonance(COUNTER_ROTATING, arrays.counter, tol_res, range(len(arrays.counter)))
+    h2 = arrays.h2_tables()
+    pull_r, shift_r = pull_and_qubit_shift(*h2[RABI])
+    pull_j, shift_j = pull_and_qubit_shift(*h2[JC])
     return ShiftReport(
-        chi=chis, xi=xis, chi_tilde=tildes,
-        resonator_pull_rabi=h2r[0][0],
-        resonator_pull_jc=h2j[0][0],
-        qubit_shift_rabi=h2r[1][1] - h2r[0][1],
-        qubit_shift_jc=h2j[1][1] - h2j[0][1],
-        h2_rabi=h2r, h2_jc=h2j)
+        chi=tuple(arrays.chi.tolist()), xi=tuple(arrays.xi.tolist()),
+        chi_tilde=tuple(arrays.chi_tilde.tolist()),
+        resonator_pull_rabi=float(pull_r), resonator_pull_jc=float(pull_j),
+        qubit_shift_rabi=float(shift_r), qubit_shift_jc=float(shift_j),
+        h2_rabi=tuple(zip(*(v.tolist() for v in h2[RABI]))),
+        h2_jc=tuple(zip(*(v.tolist() for v in h2[JC]))))

@@ -330,3 +330,74 @@ def test_non_finite_config_exits_2(config_path, tmp_path, capsys, command, patch
     assert main([command, "--config", str(bad)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _patched_config(config_path, tmp_path, patch):
+    path = tmp_path / "patched.json"
+    with open(config_path) as handle:
+        path.write_text(json.dumps({**json.load(handle), **patch}))
+    return str(path)
+
+
+def _one_error_line(capsys, prefix="error: "):
+    err = capsys.readouterr().err
+    return err.startswith(prefix) and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["shifts", "rates", "exact", "fit", "evolve", "steady"])
+@pytest.mark.parametrize("patch", [{"omega_10_ghz": 1e308, "omega_r_ghz": 1e308},
+                                   {"anharmonicity_ghz": -1e308}])
+def test_overflowing_ladder_config_exits_2(config_path, tmp_path, capsys, command, patch):
+    """Finite frequencies whose level energies overflow are a configuration error."""
+    bad = _patched_config(config_path, tmp_path, patch)
+    capsys.readouterr()
+    assert main([command, "--config", bad, "--nq", "3", "--nr", "5"]) == 2
+    assert _one_error_line(capsys, "error: the 3-level ladder overflows float64")
+
+
+@pytest.mark.parametrize("command", ["shifts", "rates", "exact"])
+def test_overflowing_sweep_points_are_error_rows(config_path, capsys, command):
+    """Sweep points whose ladder overflows become LadderOverflow rows, exit 3."""
+    capsys.readouterr()
+    assert main([command, "--config", config_path,
+                 "--sweep", "detuning:1e308:1e308:2"]) == 3
+    captured = capsys.readouterr()
+    _, rows = parse_csv(captured.out)
+    assert [row["error"] for row in rows] == ["LadderOverflow"] * 2
+    assert captured.err.startswith("error: every sweep point failed")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("args", [["rates"], ["steady"],
+                                  ["evolve", "--tmax", "1", "--samples", "3"]])
+def test_overflowing_prefactors_exit_3(config_path, tmp_path, capsys, args):
+    """A coupling whose fourth-order prefactors overflow is a math failure."""
+    bad = _patched_config(config_path, tmp_path, {"g0_ghz": 1e155})
+    capsys.readouterr()
+    assert main([*args, "--config", bad]) == 3
+    prefix = "error: every sweep point" if args == ["rates"] else "error: RateOverflow: "
+    assert _one_error_line(capsys, prefix)
+
+
+def test_overflowing_coupling_sweep_rows(config_path, capsys):
+    """Sweep points whose prefactors overflow become RateOverflow rows, exit 3."""
+    capsys.readouterr()
+    assert main(["rates", "--config", config_path,
+                 "--sweep", "coupling:1e200:1e200:2"]) == 3
+    captured = capsys.readouterr()
+    assert [row["error"] for row in parse_csv(captured.out)[1]] == ["RateOverflow"] * 2
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("detuning", [0.0, 1e200])
+def test_fit_on_unusable_data_exits_3(config_path, tmp_path, capsys, detuning):
+    """Points that all sit on the resonance, or whose predictions underflow,
+    fail every fit with one error line each, residual curves included."""
+    data = tmp_path / "data.csv"
+    data.write_text("delta0_ghz,exact_pull,exact_qshift,error\n"
+                    + "".join(f"{detuning * k},0.01,0.01,\n" for k in (1, 2, 3)))
+    capsys.readouterr()
+    assert main(["fit", "--config", config_path, "--data", str(data),
+                 "--residuals", str(tmp_path / "residuals.csv")]) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 4 and all(line.startswith("error: fit ") for line in lines)

@@ -230,9 +230,11 @@ def test_evolve_rejects_unpropagatable_generators():
     """Non-finite or far too fast generators raise PropagationFailure."""
     lower = np.array([[0.0, 1.0], [0.0, 0.0]])
     excited = np.diag([0.0, 1.0]).astype(complex)
-    undefined = LindbladGenerator(np.diag([0.0, math.nan]), ((lower, 1.0),))
+    # a non-finite Liouvillian is refused when the generator is built
     with pytest.raises(PropagationFailure):
-        evolve(undefined, excited, 1.0, sample_times=[1.0])
+        LindbladGenerator(np.diag([0.0, math.nan]), ((lower, 1.0),))
+    with pytest.raises(PropagationFailure):
+        LindbladGenerator(np.diag([0.0, 1.0]), ((lower, math.inf),))
     fast = LindbladGenerator(np.diag([0.0, 1.0]), ((lower, 1e12),))
     with pytest.raises(PropagationFailure):
         evolve(fast, excited, 1.0, sample_times=[1.0])

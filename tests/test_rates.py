@@ -249,7 +249,7 @@ def test_resonance_guard():
 
 
 def test_build_rate_table_layout():
-    """The table carries both models' terms and per-index prefactor records."""
+    """The table carries both models' terms and their prefactor arrays."""
     system = build_system(
         detuning=1.0, num_levels=3,
         baths={
@@ -264,14 +264,14 @@ def test_build_rate_table_layout():
     assert len(table.fourth(RABI)) == 2 * (2 + 4) + 3 * 2
     assert len(table.fourth(JC)) == len(table.fourth(RABI))
     for model in (RABI, JC):
-        records = table.prefactors[model]
-        assert [record.k for record in records] == [0, 1, 2]
-        assert records[-1].p is None and records[-1].d is None and records[-1].c is None
+        prefactors = table.prefactors[model]
+        # p, d, c per transition; a per level
+        assert [len(prefactors[name]) for name in "pdca"] == [2, 2, 2, 3]
         np.testing.assert_allclose(
-            records[0].p, purcell_prefactor(0, system, model), rtol=0
+            prefactors["p"][0], purcell_prefactor(0, system, model), rtol=0
         )
         np.testing.assert_allclose(
-            records[1].a, photon_assisted_prefactor(1, system, model), rtol=0
+            prefactors["a"][1], photon_assisted_prefactor(1, system, model), rtol=0
         )
     jc_origins = {term.origin for term in table.fourth(JC)}
     assert jc_origins == {PURCELL, DRESSED_DEPHASING, PHOTON_ASSISTED}
@@ -315,7 +315,6 @@ def test_fourth_order_rates_need_finite_photon_coupling():
     system = build_system(g0=0.0, num_levels=3)
     table = build_rate_table(system)
     for model in (RABI, JC):
-        for record in table.prefactors[model]:
-            assert record.a == 0.0
-            if record.p is not None:
-                assert record.p == 0.0 and record.d == 0.0 and record.c == 0.0
+        prefactors = table.prefactors[model]
+        for name in "pdca":
+            assert np.all(prefactors[name] == 0.0)

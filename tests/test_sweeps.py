@@ -1,5 +1,9 @@
 """Tests for sweep grids, row builders, and CSV serialization."""
 
+import dataclasses
+import hashlib
+import math
+
 import numpy as np
 import pytest
 
@@ -26,6 +30,7 @@ from rabiqed import (
     default_detuning_grid,
     exact_rows,
     format_csv,
+    parse_config,
     parse_csv,
     purcell_prefactor,
     rate_rows,
@@ -234,3 +239,47 @@ def test_parse_csv_rejects_ragged_rows():
         parse_csv("a,b\n1.0\n")
     with pytest.raises(ValueError):
         parse_csv("")
+
+
+# The README's example system.
+README_CONFIG = {
+    "omega_r_ghz": 5.0, "omega_10_ghz": 6.0, "anharmonicity_ghz": 0.25, "g0_ghz": 0.1,
+    "num_qubit_levels": 5, "fock_truncation": 8, "model": "rabi", "temperature_ghz": 0.1,
+    "bath_X": {"model": "ohmic", "eta": 0.002, "cutoff_ghz": 50.0},
+    "bath_Z": {"model": "one_over_f", "amplitude": 1e-6, "ir_floor_ghz": 0.01},
+    "bath_R": {"model": "flat", "level": 0.001},
+}
+
+
+def _all_finite(row):
+    return not row.error and all(math.isfinite(v) for v in vars(row).values()
+                                 if isinstance(v, float))
+
+
+def test_readme_sweep_bytes_are_pinned():
+    """The README system's shift and rate sweeps keep their recorded bytes.
+
+    At delta = 0.75 GHz transition 3 sits exactly on the resonator
+    (omega_r - omega_{4,3} = 0.0): the shift row, which reads every
+    transition, diverges, while the rate row reads only transition 0 and
+    level 0 and stays finite.  With 10 levels transition 4 sits on the
+    resonator at the configured detuning, and a coupling sweep of rate rows
+    stays finite throughout.
+    """
+    config = parse_config(README_CONFIG)
+    grid = np.linspace(-3.0, 3.0, 161)
+    shifts = shift_rows(config, DETUNING, grid)
+    rates = rate_rows(config, DETUNING, grid)
+    assert hashlib.sha256(format_csv(shifts, ShiftRow).encode()).hexdigest() == \
+        "ad12484d85bc6a6188e60334cd15205cd14891482eb508cebc9be6692f7ad48c"
+    assert hashlib.sha256(format_csv(rates, RateRow).encode()).hexdigest() == \
+        "a62f32425d7750ad5b6e7005f5b2009a05dba4147f0794a2afeca2ce4a7aa2f1"
+    assert grid[100] == 0.75
+    assert shifts[100].error == "ResonantDivergence"
+    assert _all_finite(rates[100])
+    ten = dataclasses.replace(
+        config, transmon=dataclasses.replace(config.transmon, num_levels=10))
+    system = ten.build()
+    assert system.omega_r - system.qubit.splitting(4) == 0.0
+    assert all(_all_finite(row) for row in rate_rows(ten, COUPLING,
+                                                     np.linspace(0.01, 0.3, 59)))

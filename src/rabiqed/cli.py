@@ -26,7 +26,7 @@ import numpy as np
 from . import sweeps
 from .exact import (QUBIT_SHIFT, RESONATOR_PULL, AmbiguousLabeling,
                     ConvergenceFailure, DimensionOverflow, NoPhysicalCoupling,
-                    fit_g0, fit_residual_curve)
+                    exact_shifts, fit_g0, fit_residual_curve)
 from .lindblad import (DRESSED_ANALYTIC, DegenerateNullSpace, NonPositiveState,
                        PropagationFailure, TruncationTooSmall, assemble,
                        evolve, partial_trace_qubit, steady_state,
@@ -40,7 +40,7 @@ from .shifts import ResonantDivergence
 from .svgplot import LinePlot
 from .sweeps import (DETUNING, ExactRow, RateRow, ShiftRow, SweepError,
                      SweepRequest, all_rows_failed, apply_resonance_exclusion,
-                     format_csv, format_table, parse_csv)
+                     columns, format_csv, format_table, parse_csv)
 
 _MATH_ERRORS = (ResonantDivergence, NonPositiveSplitting, AmbiguousLabeling,
                 DimensionOverflow, ConvergenceFailure, NoPhysicalCoupling,
@@ -115,22 +115,9 @@ def _sweep_values(args, config, exclude_resonance: bool):
     return DETUNING, np.array([delta0])
 
 
-def _read_csv(path: str) -> tuple[list[str], list[dict]]:
-    """parse_csv of a file: an unreadable file is an I/O failure, a malformed
-    one a configuration error."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        raise _IOFailure(f"cannot read {path!r}: {exc}") from exc
-    try:
-        return parse_csv(text)
-    except ValueError as exc:
-        raise ConfigError(f"bad CSV {path!r}: {exc}") from exc
-
-
 def _emit_rows(rows, row_type, out: str | None) -> int:
-    _write_text(out, format_csv(rows, row_type))
+    text = format_csv(rows, row_type)
+    _write_text(out, text)
     if all_rows_failed(rows):
         _fail("every sweep point failed; see the error column")
         return EXIT_MATH
@@ -162,11 +149,16 @@ _OBSERVABLE_COLUMNS = {RESONATOR_PULL: "exact_pull", QUBIT_SHIFT: "exact_qshift"
 
 
 def _fit_data_from_dicts(rows: list[dict], column: str) -> list[tuple[float, float]]:
-    """(detuning, value) of every row without an error whose two cells are
-    finite numbers; parse_csv gives every row every column."""
-    pairs = ((row["delta0_ghz"], row[column]) for row in rows if not row.get("error"))
-    return [(d, y) for d, y in pairs
-            if all(isinstance(v, float) and math.isfinite(v) for v in (d, y))]
+    data = []
+    for row in rows:
+        if row.get("error"):
+            continue
+        d, y = row.get("delta0_ghz"), row.get(column)
+        if isinstance(d, str) or isinstance(y, str) or d is None or y is None:
+            continue
+        if math.isfinite(d) and math.isfinite(y):
+            data.append((float(d), float(y)))
+    return data
 
 
 def _cmd_fit(args) -> int:
@@ -175,7 +167,15 @@ def _cmd_fit(args) -> int:
                                                               QUBIT_SHIFT)
     models = (args.model,) if args.model else (RABI, JC)
     if args.data:
-        names, raw_rows = _read_csv(args.data)
+        try:
+            with open(args.data, "r", encoding="utf-8") as handle:
+                text = handle.read()
+        except OSError as exc:
+            raise _IOFailure(f"cannot read data {args.data!r}: {exc}") from exc
+        try:
+            names, raw_rows = parse_csv(text)
+        except ValueError as exc:
+            raise ConfigError(f"bad CSV {args.data!r}: {exc}") from exc
         missing = [c for c in ["delta0_ghz",
                                *(_OBSERVABLE_COLUMNS[o] for o in observables)]
                    if c not in names]
@@ -217,32 +217,53 @@ def _cmd_fit(args) -> int:
                                 omega_r=config.resonator.omega_r,
                                 anharmonicity=transmon.anharmonicity,
                                 num_levels=transmon.num_levels)
-                values = (result.g0_hat, result.stderr, result.residual_sum,
-                          float(result.n_points))
             except (*_MATH_ERRORS, ValueError) as exc:
                 failures += 1
-                values = (math.nan, math.nan, math.nan, float(len(data)))
+                out_rows.append({"model": model, "observable": observable,
+                                 "g0_hat_ghz": float("nan"),
+                                 "stderr_ghz": float("nan"),
+                                 "residual_sum": float("nan"),
+                                 "n_points": float(len(data)),
+                                 })
                 _fail(f"fit {model}/{observable}: {type(exc).__name__}: {exc}")
-            out_rows.append(dict(zip(names, (model, observable, *values))))
+                continue
+            out_rows.append({"model": model, "observable": observable,
+                             "g0_hat_ghz": result.g0_hat,
+                             "stderr_ghz": result.stderr,
+                             "residual_sum": result.residual_sum,
+                             "n_points": float(result.n_points)})
     _write_text(args.out, format_table(names, out_rows))
     if args.json:
-        payload = [dict(row, n_points=int(row["n_points"])) for row in out_rows]
+        payload = []
+        for row in out_rows:
+            entry = dict(row)
+            entry["n_points"] = int(row["n_points"])
+            payload.append(entry)
         _write_text(args.json, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     if args.residuals:
         grid = np.geomspace(1e-4, 2.0, 61)
+        curve_names = ["g0_ghz"]
         curves = {}
         for observable in observables:
+            if not datasets[observable]:
+                continue
             for model in models:
+                name = f"residual_{model}_{observable}"
                 try:
-                    curves[f"residual_{model}_{observable}"] = fit_residual_curve(
+                    curves[name] = fit_residual_curve(
                         datasets[observable], model, observable,
                         omega_r=config.resonator.omega_r,
                         anharmonicity=transmon.anharmonicity,
                         num_levels=transmon.num_levels, grid=grid)
                 except (*_MATH_ERRORS, ValueError):
                     continue  # no usable point: the fit above reported why
-        curve_names = ["g0_ghz", *curves]
-        curve_rows = [dict(zip(curve_names, row)) for row in zip(grid, *curves.values())]
+                curve_names.append(name)
+        curve_rows = []
+        for i, g in enumerate(grid):
+            row = {"g0_ghz": float(g)}
+            for name, values in curves.items():
+                row[name] = float(values[i])
+            curve_rows.append(row)
         _write_text(args.residuals, format_table(curve_names, curve_rows))
     return EXIT_MATH if failures == len(out_rows) else EXIT_OK
 
@@ -343,7 +364,15 @@ def _cmd_steady(args) -> int:
 
 
 def _cmd_plot(args) -> int:
-    names, rows = _read_csv(args.csv)
+    try:
+        with open(args.csv) as handle:
+            text = handle.read()
+    except OSError as exc:
+        raise _IOFailure(f"cannot read {args.csv!r}: {exc}") from exc
+    try:
+        names, rows = parse_csv(text)
+    except ValueError as exc:
+        raise ConfigError(f"bad CSV {args.csv!r}: {exc}") from exc
     x_name = args.x or names[0]
     if args.y:
         y_names = args.y.split(",")

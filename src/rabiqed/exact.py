@@ -24,8 +24,7 @@ import numpy as np
 
 from .model import RABI, SystemSpec, check_model, transmon_ladder
 from .operators import ProductSpace, annihilator, number_operator, qubit_lower
-from .shifts import (CO_ROTATING, COUNTER_ROTATING, DEFAULT_TOL_RES, ShiftArrays,
-                     guard_resonance, pull_and_qubit_shift)
+from .shifts import DEFAULT_TOL_RES, ShiftArrays, resonant
 
 DIM_CAP = 4096
 
@@ -67,6 +66,7 @@ def build_hamiltonian(system: SystemSpec, model: str | None = None,
     m = system.resonator.fock_truncation
     if n_levels * m > dim_cap:
         raise DimensionOverflow(f"product dimension {n_levels * m} exceeds cap {dim_cap}")
+    space = ProductSpace(n_levels, m)
     a = annihilator(m)
     h = np.kron(np.diag(q.level_energies), np.eye(m))
     h += np.kron(np.eye(n_levels), system.omega_r * number_operator(m))
@@ -77,6 +77,7 @@ def build_hamiltonian(system: SystemSpec, model: str | None = None,
     else:
         coupl = np.kron(lower, a.T)
         h += coupl + coupl.T
+    space.check_operator(h)
     return h
 
 
@@ -182,7 +183,7 @@ def _transmon_shifts(detunings, g0: float, model: str, observable: str, *,
     energies, couplings = transmon_ladder(omega_r + np.asarray(detunings, dtype=float),
                                           anharmonicity, g0, num_levels)
     arrays = ShiftArrays.of(couplings, np.diff(energies, axis=-1), omega_r)
-    pull, qubit_shift = pull_and_qubit_shift(*arrays.h2_tables()[model])
+    pull, qubit_shift = arrays.observables(model)
     return (pull if observable == RESONATOR_PULL else qubit_shift), arrays
 
 
@@ -192,8 +193,7 @@ def analytic_shift(detuning: float, g0: float, model: str, observable: str, *,
     """Second-order shift prediction for a transmon ladder at one detuning."""
     shift, arrays = _transmon_shifts(detuning, g0, model, observable, omega_r=omega_r,
                                      anharmonicity=anharmonicity, num_levels=num_levels)
-    guard_resonance(CO_ROTATING, arrays.co[0], tol_res, range(num_levels - 1))
-    guard_resonance(COUNTER_ROTATING, arrays.counter[0], tol_res, range(num_levels - 1))
+    ShiftArrays._make(values[0] for values in arrays).guard(tol_res)
     return float(shift[0])
 
 
@@ -219,8 +219,8 @@ def _shift_basis(data, model: str, observable: str, *, omega_r: float,
     pairs = np.asarray(data, dtype=float).reshape(-1, 2)
     s, arrays = _transmon_shifts(pairs[:, 0], 1.0, model, observable, omega_r=omega_r,
                                  anharmonicity=anharmonicity, num_levels=num_levels)
-    usable = ~np.any((np.abs(arrays.co) < DEFAULT_TOL_RES)
-                     | (np.abs(arrays.counter) < DEFAULT_TOL_RES), axis=-1)
+    usable = ~np.any(resonant(arrays.co, DEFAULT_TOL_RES)
+                     | resonant(arrays.counter, DEFAULT_TOL_RES), axis=-1)
     return s[usable], pairs[usable, 1]
 
 

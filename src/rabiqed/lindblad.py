@@ -150,15 +150,19 @@ def realize_terms(terms: Iterable[DissipatorTerm],
 
 def dressed_hamiltonian(system: SystemSpec, model: str,
                         report: ShiftReport | None = None) -> np.ndarray:
-    """Diagonal bare-plus-second-order Hamiltonian on the product space:
-    omega_k + n omega_r + n (photon-number coefficient) + (static offset)."""
+    """Diagonal bare-plus-second-order Hamiltonian on the product space."""
     if report is None:
         report = shift_report(system)
-    h2 = np.array(report.h2(model))
-    n = np.arange(float(system.resonator.fock_truncation))
-    energies = (np.array(system.qubit.level_energies)[:, None] + n * system.omega_r
-                + n * h2[:, :1] + h2[:, 1:])
-    return np.diag(energies.ravel())
+    h2 = report.h2(model)
+    q = system.qubit
+    m = system.resonator.fock_truncation
+    space = ProductSpace(q.num_levels, m)
+    energies = np.empty(space.dimension)
+    for k, n in space.pairs():
+        n_coeff, static = h2[k]
+        energies[space.index(k, n)] = (q.level_energies[k] + n * system.omega_r
+                                       + n * n_coeff + static)
+    return np.diag(energies)
 
 
 def assemble(system: SystemSpec, mode: str = DRESSED_ANALYTIC,
@@ -328,32 +332,42 @@ def steady_state(gen: LindbladGenerator, residual_tol: float = 1e-10,
     return rho
 
 
-def _blocks(rho: np.ndarray, space: ProductSpace) -> np.ndarray:
-    """rho with axes (qubit, photon, qubit, photon), after a shape check."""
+def partial_trace_resonator(rho: np.ndarray, space: ProductSpace) -> np.ndarray:
+    """Reduce a product-space density matrix to the qubit factor."""
     d = space.dimension
     rho = np.asarray(rho)
     if rho.shape != (d, d):
         raise DimensionMismatch(f"state shape {rho.shape} does not match space "
                                 f"dimension {d}")
-    return rho.reshape(space.qubit_dim, space.fock_dim, space.qubit_dim, space.fock_dim)
-
-
-def partial_trace_resonator(rho: np.ndarray, space: ProductSpace) -> np.ndarray:
-    """Reduce a product-space density matrix to the qubit factor."""
-    return np.einsum("injn->ij", _blocks(rho, space))
+    reshaped = rho.reshape(space.qubit_dim, space.fock_dim,
+                           space.qubit_dim, space.fock_dim)
+    return np.einsum("injn->ij", reshaped)
 
 
 def partial_trace_qubit(rho: np.ndarray, space: ProductSpace) -> np.ndarray:
     """Reduce a product-space density matrix to the resonator factor."""
-    return np.einsum("inim->nm", _blocks(rho, space))
+    d = space.dimension
+    rho = np.asarray(rho)
+    if rho.shape != (d, d):
+        raise DimensionMismatch(f"state shape {rho.shape} does not match space "
+                                f"dimension {d}")
+    reshaped = rho.reshape(space.qubit_dim, space.fock_dim,
+                           space.qubit_dim, space.fock_dim)
+    return np.einsum("inim->nm", reshaped)
 
 
 def thermal_resonator_state(m: int, nbar: float) -> np.ndarray:
     """Truncated thermal state with Bose ratio r = nbar / (1 + nbar)."""
     if nbar < 0.0:
         raise ValueError(f"nbar must be >= 0, got {nbar}")
-    p = (nbar / (1.0 + nbar)) ** np.arange(m)
-    return np.diag(p / p.sum()).astype(complex)
+    if nbar == 0.0:
+        p = np.zeros(m)
+        p[0] = 1.0
+    else:
+        r = nbar / (1.0 + nbar)
+        p = r ** np.arange(m)
+        p = p / p.sum()
+    return np.diag(p).astype(complex)
 
 
 def _dissipator(op: np.ndarray, rho: np.ndarray) -> np.ndarray:

@@ -17,6 +17,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 from dataclasses import dataclass, replace
@@ -89,17 +90,27 @@ class QubitSpec:
     dephasing_sensitivities: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "level_energies", tuple(float(x) for x in self.level_energies))
+        object.__setattr__(self, "coupling_ladder", tuple(float(x) for x in self.coupling_ladder))
+        object.__setattr__(self, "transverse_bath_couplings",
+                           tuple(float(x) for x in self.transverse_bath_couplings))
+        object.__setattr__(self, "dephasing_sensitivities",
+                           tuple(float(x) for x in self.dephasing_sensitivities))
+        for name in ("level_energies", "coupling_ladder", "transverse_bath_couplings",
+                     "dephasing_sensitivities"):
+            _require_finite("QubitSpec", name, getattr(self, name))
         n = len(self.level_energies)
         if n < 2:
             raise ValueError(f"qubit needs at least 2 levels, got {n}")
-        for name, length in (("level_energies", n), ("coupling_ladder", n - 1),
-                             ("transverse_bath_couplings", n - 1),
-                             ("dephasing_sensitivities", n)):
-            values = tuple(float(x) for x in getattr(self, name))
-            _require_finite("QubitSpec", name, values)
-            if len(values) != length:
-                raise ValueError(f"{name} must have length {length}, got {len(values)}")
-            object.__setattr__(self, name, values)
+        if len(self.coupling_ladder) != n - 1:
+            raise ValueError(f"coupling_ladder must have length {n - 1}, "
+                             f"got {len(self.coupling_ladder)}")
+        if len(self.transverse_bath_couplings) != n - 1:
+            raise ValueError(f"transverse_bath_couplings must have length {n - 1}, "
+                             f"got {len(self.transverse_bath_couplings)}")
+        if len(self.dephasing_sensitivities) != n:
+            raise ValueError(f"dephasing_sensitivities must have length {n}, "
+                             f"got {len(self.dephasing_sensitivities)}")
 
     @property
     def num_levels(self) -> int:
@@ -115,17 +126,19 @@ class QubitSpec:
     # boundary terms (k = 0 and k = N-1) drop out of sums automatically.
 
     def g(self, k: int) -> float:
-        return _at(self.coupling_ladder, k)
+        if 0 <= k <= self.num_levels - 2:
+            return self.coupling_ladder[k]
+        return 0.0
 
     def beta(self, k: int) -> float:
-        return _at(self.transverse_bath_couplings, k)
+        if 0 <= k <= self.num_levels - 2:
+            return self.transverse_bath_couplings[k]
+        return 0.0
 
     def dw(self, k: int) -> float:
-        return _at(self.dephasing_sensitivities, k)
-
-
-def _at(values: tuple[float, ...], k: int) -> float:
-    return values[k] if 0 <= k < len(values) else 0.0
+        if 0 <= k <= self.num_levels - 1:
+            return self.dephasing_sensitivities[k]
+        return 0.0
 
 
 @dataclass(frozen=True)
@@ -153,22 +166,27 @@ def transmon_ladder(omega_10, anharmonicity: float, g0: float,
     of transmon ladders: omega_k = k * omega_10 - anharmonicity * k (k - 1) / 2
     and g_k = sqrt(k+1) * g0.
 
-    Raises NonPositiveSplitting if any omega_{k+1,k} <= 0 and LadderOverflow
-    if an energy or coupling is not finite.
+    Raises NonPositiveSplitting at the first omega_{k+1,k} = omega_10 -
+    k * anharmonicity that is <= 0, before any array of length N is made,
+    and LadderOverflow if an energy or coupling is not finite.
     """
     if num_levels < 2:
         raise ValueError(f"num_levels must be >= 2, got {num_levels}")
     omega_10 = np.asarray(omega_10, dtype=float).reshape(-1, 1)
+    # The splittings are monotonic in k: the first or the last is the smallest.
+    collapsed = np.flatnonzero((omega_10[:, 0] <= 0.0)
+                               | (omega_10[:, 0] - (num_levels - 2) * anharmonicity <= 0.0))
+    if collapsed.size:
+        w10 = float(omega_10[collapsed[0], 0])
+        k = 0 if w10 <= 0.0 else bisect.bisect_left(
+            range(num_levels - 1), True, key=lambda k: w10 - k * anharmonicity <= 0.0)
+        raise NonPositiveSplitting(
+            f"transition {k + 1},{k} has frequency {w10 - k * anharmonicity} GHz <= 0 "
+            f"(omega_10={w10}, anharmonicity={anharmonicity})")
     k = np.arange(num_levels)
     with np.errstate(all="ignore"):
-        splittings = omega_10 - k[:-1] * anharmonicity
         energies = k * omega_10 - anharmonicity * k * (k - 1) / 2.0
         couplings = np.sqrt(k[:-1] + 1) * g0
-    if (splittings <= 0.0).any():
-        i, j = np.argwhere(splittings <= 0.0)[0]
-        raise NonPositiveSplitting(
-            f"transition {j + 1},{j} has frequency {splittings[i, j]} GHz <= 0 "
-            f"(omega_10={omega_10[i, 0]}, anharmonicity={anharmonicity})")
     finite = np.isfinite(energies).all(axis=1) & np.isfinite(couplings).all()
     if not finite.all():
         raise LadderOverflow(f"the {num_levels}-level ladder overflows float64 "

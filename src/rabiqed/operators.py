@@ -44,6 +44,12 @@ class ProductSpace:
             for n in range(self.fock_dim):
                 yield k, n
 
+    def check_operator(self, op: np.ndarray) -> None:
+        d = self.dimension
+        if op.shape != (d, d):
+            raise DimensionMismatch(f"operator shape {op.shape} does not match "
+                                    f"space dimension {d}")
+
 
 def annihilator(m: int) -> np.ndarray:
     """Photon annihilation operator on an M-level Fock space."""

@@ -161,16 +161,23 @@ def _square(x):
     return np.float_power(x, 2.0)
 
 
+def _level_prefactor(path, cross, g, den):
+    """a_k: the path through each adjacent transition with nonzero coupling,
+    minus the cross term of the levels 1..N-2 that have two such paths."""
+    paths = padded(np.where(g != 0.0, path, 0.0))
+    both = (g[1:] != 0.0) & (g[:-1] != 0.0)
+    return paths[1:] + paths[:-1] - padded(np.where(both, cross / (den[:-1] * den[1:]), 0.0))
+
+
 @lru_cache(maxsize=64)
-def _prefactors(q: QubitSpec, wr: float, model: str) -> dict[str, np.ndarray]:
-    """Fourth-order prefactors of one model as read-only arrays over the
-    ladder index: "p", "d" and "c" per transition k = 0..N-2, "a" per level
-    k = 0..N-1, and the "detuning" omega_r - omega_{k+1,k} that the
-    resonance guard reads.
+def _prefactors(q: QubitSpec, wr: float) -> tuple[np.ndarray, dict[str, dict[str, np.ndarray]]]:
+    """The detunings omega_r - omega_{k+1,k} that the resonance guard reads,
+    and per model the fourth-order prefactors as read-only arrays over the
+    ladder index: "p", "d" and "c" per transition k = 0..N-2, "a" per level.
 
     No entry is checked: a resonant or overflowing denominator leaves inf
     or NaN in its own entries only.  Cached, so that the per-index lookups
-    below evaluate the arrays once per ladder and model.
+    below evaluate the arrays of a ladder once.
     """
     g = np.array(q.coupling_ladder)
     beta = np.array(q.transverse_bath_couplings)
@@ -178,50 +185,39 @@ def _prefactors(q: QubitSpec, wr: float, model: str) -> dict[str, np.ndarray]:
     dw = np.array(q.dephasing_sensitivities)
     with np.errstate(all="ignore"):
         detuning = wr - w
+        den = wr * wr - w * w
+        # each square is taken once and shared by the prefactors it appears in
+        det2, den2, g2, beta2 = _square(detuning), _square(den), _square(g), _square(beta)
         spread = _square(dw[:-1] - dw[1:])
-        d = 2.0 * g * g * spread / _square(detuning)
-        if model == RABI:
-            den = wr * wr - w * w
-            p = 8.0 * g * g * wr * wr / _square(den)
-            c = 2.0 * g * g * spread / _square(wr + w)
-            # a_k: one path through each adjacent transition, and the cross
-            # term of levels 1..N-2, which have two
-            path = 8.0 * _square(g) * _square(beta) * _square(w) / _square(den)
-            numerator = 16.0 * g[1:] * g[:-1] * beta[1:] * beta[:-1] * w[1:] * w[:-1]
-        else:
-            den = detuning
-            p = 2.0 * g * g / _square(den)
-            c = np.zeros_like(d)
-            path = 2.0 * _square(g) * _square(beta) / _square(den)
-            numerator = 4.0 * g[1:] * g[:-1] * beta[1:] * beta[:-1]
-        paths = padded(np.where(g != 0.0, path, 0.0))
-        both = (g[1:] != 0.0) & (g[:-1] != 0.0)
-        a = paths[1:] + paths[:-1] - padded(np.where(both, numerator / (den[:-1] * den[1:]),
-                                                     0.0))
-    arrays = {"p": p, "d": d, "c": c, "a": a, "detuning": detuning}
-    for array in arrays.values():
+        d = 2.0 * g * g * spread / det2
+        rabi = {"p": 8.0 * g * g * wr * wr / den2, "d": d,
+                "c": 2.0 * g * g * spread / _square(wr + w),
+                "a": _level_prefactor(8.0 * g2 * beta2 * _square(w) / den2,
+                                      16.0 * g[1:] * g[:-1] * beta[1:] * beta[:-1]
+                                      * w[1:] * w[:-1], g, den)}
+        jc = {"p": 2.0 * g * g / det2, "d": d, "c": np.zeros(len(d)),
+              "a": _level_prefactor(2.0 * g2 * beta2 / det2,
+                                    4.0 * g[1:] * g[:-1] * beta[1:] * beta[:-1], g, detuning)}
+    for array in (detuning, *rabi.values(), *jc.values()):
         array.flags.writeable = False
-    return arrays
+    return detuning, {RABI: rabi, JC: jc}
 
 
-def _lookup(system: SystemSpec, model: str, names: tuple[str, ...], k: int,
+def _lookup(k: int, system: SystemSpec, model: str, names: tuple[str, ...],
             tol_res: float, level: bool = False) -> tuple[float, ...]:
-    """Entries k of the named prefactor arrays, once the transitions they
-    divide by pass the resonance guard: transition k, or for a level the
-    adjacent transitions with nonzero coupling.  Raises RateOverflow if an
-    entry read is not finite."""
-    arrays = _prefactors(system.qubit, system.omega_r, check_model(model))
-    n = system.qubit.num_levels
-    if level:
-        if not 0 <= k <= n - 1:
-            raise IndexError(f"level index {k} out of range for {n} levels")
-        guarded = [j for j in (k, k - 1) if system.qubit.g(j) != 0.0]
-    else:
-        if not 0 <= k <= n - 2:
-            raise IndexError(f"transition index {k} out of range for {n} levels")
-        guarded = (k,)
-    guard_resonance("omega_r - omega_{k+1,k}", arrays["detuning"], tol_res, guarded)
-    values = tuple(float(arrays[name][k]) for name in names)
+    """Entries k of one model's named prefactor arrays, once the transitions
+    they divide by pass the resonance guard: transition k, or for a level
+    the adjacent transitions with nonzero coupling.  Raises RateOverflow if
+    an entry read is not finite."""
+    check_model(model)
+    q = system.qubit
+    if not 0 <= k <= q.num_levels - (1 if level else 2):
+        raise IndexError(f"{'level' if level else 'transition'} index {k} out of range "
+                         f"for {q.num_levels} levels")
+    detuning, prefactors = _prefactors(q, system.omega_r)
+    guard_resonance("omega_r - omega_{k+1,k}", detuning, tol_res,
+                    [j for j in (k, k - 1) if q.g(j) != 0.0] if level else (k,))
+    values = tuple(float(prefactors[model][name][k]) for name in names)
     for name, value in zip(names, values):
         if not math.isfinite(value):
             raise RateOverflow(f"{name}_{k} = {value} is not finite")
@@ -231,7 +227,7 @@ def _lookup(system: SystemSpec, model: str, names: tuple[str, ...], k: int,
 def purcell_prefactor(k: int, system: SystemSpec, model: str,
                       tol_res: float = DEFAULT_TOL_RES) -> float:
     """Dimensionless p_k multiplying C_R(+-omega_{k+1,k})."""
-    return _lookup(system, model, ("p",), k, tol_res)[0]
+    return _lookup(k, system, model, ("p",), tol_res)[0]
 
 
 def purcell_rates(k: int, system: SystemSpec, model: str) -> tuple[float, float]:
@@ -245,7 +241,7 @@ def purcell_rates(k: int, system: SystemSpec, model: str) -> tuple[float, float]
 def dressed_dephasing_prefactors(k: int, system: SystemSpec, model: str,
                                  tol_res: float = DEFAULT_TOL_RES) -> tuple[float, float]:
     """(d_k, c_k) for transition k; c_k vanishes for the rotating-wave model."""
-    return _lookup(system, model, ("d", "c"), k, tol_res)
+    return _lookup(k, system, model, ("d", "c"), tol_res)
 
 
 def dressed_dephasing_terms(k: int, system: SystemSpec, model: str) -> list[DissipatorTerm]:
@@ -282,7 +278,7 @@ def dressed_dephasing_terms(k: int, system: SystemSpec, model: str) -> list[Diss
 def photon_assisted_prefactor(k: int, system: SystemSpec, model: str,
                               tol_res: float = DEFAULT_TOL_RES) -> float:
     """Dimensionless a_k multiplying C_X(+-omega_r), for qubit level k = 0..N-1."""
-    return _lookup(system, model, ("a",), k, tol_res, level=True)[0]
+    return _lookup(k, system, model, ("a",), tol_res, level=True)[0]
 
 
 def photon_assisted_terms(k: int, system: SystemSpec, model: str) -> list[DissipatorTerm]:
@@ -322,8 +318,8 @@ class RateTable:
 def build_rate_table(system: SystemSpec) -> RateTable:
     """Evaluate every rate for all ladder indices and both models.
 
-    Each model's prefactor arrays are evaluated once; every entry is read
-    once, by the term that carries it.
+    The prefactor arrays are evaluated once; every entry is read once, by
+    the term that carries it.
     """
     second = tuple(second_order_rates(system))
     fourth: dict[str, tuple[DissipatorTerm, ...]] = {}
@@ -338,9 +334,9 @@ def build_rate_table(system: SystemSpec) -> RateTable:
                 terms.extend(dressed_dephasing_terms(k, system, model))
             terms.extend(photon_assisted_terms(k, system, model))
         fourth[model] = tuple(terms)
-    prefactors = {model: _prefactors(system.qubit, system.omega_r, model)
-                  for model in (RABI, JC)}
-    return RateTable(second_order=second, fourth_order=fourth, prefactors=prefactors)
+    _, prefactors = _prefactors(system.qubit, system.omega_r)
+    return RateTable(second_order=second, fourth_order=fourth,
+                     prefactors={model: dict(prefactors[model]) for model in (RABI, JC)})
 
 
 def driven_effective_rates(table: RateTable, n_photons: float,
@@ -365,12 +361,24 @@ def driven_effective_rates(table: RateTable, n_photons: float,
         raise NegativePhotonNumber(f"photon number must be >= 0, got {n_photons}")
     if n_photons == 0.0:
         return []
-    totals: dict[tuple[str, int], float] = {}
-    for term in table.fourth_order[model]:
-        if term.jump.photon is not None and term.jump.qubit is not None:
-            totals[term.jump.qubit] = totals.get(term.jump.qubit, 0.0) + term.rate_mhz
-    # decay channels first, then excitation, then dephasing, each by k
-    order = ("lower", "raise", "diag")
-    return [DissipatorTerm(JumpDescriptor(qubit=qubit), n_photons * rate, DRIVEN_EFFECTIVE)
-            for qubit, rate in sorted(totals.items(),
-                                      key=lambda item: (order.index(item[0][0]), item[0][1]))]
+    down: dict[int, float] = {}
+    up: dict[int, float] = {}
+    phi: dict[int, float] = {}
+    for term in table.fourth_order[check_model(model)]:
+        if term.jump.photon is None or term.jump.qubit is None:
+            continue
+        kind, k = term.jump.qubit
+        if kind == "lower":
+            down[k] = down.get(k, 0.0) + term.rate_mhz
+        elif kind == "raise":
+            up[k] = up.get(k, 0.0) + term.rate_mhz
+        else:
+            phi[k] = phi.get(k, 0.0) + term.rate_mhz
+    out = []
+    for k in sorted(down):
+        out.append(DissipatorTerm(sigma_lower(k), n_photons * down[k], DRIVEN_EFFECTIVE))
+    for k in sorted(up):
+        out.append(DissipatorTerm(sigma_raise(k), n_photons * up[k], DRIVEN_EFFECTIVE))
+    for k in sorted(phi):
+        out.append(DissipatorTerm(sigma_diag(k), n_photons * phi[k], DRIVEN_EFFECTIVE))
+    return out

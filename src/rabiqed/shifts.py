@@ -23,12 +23,11 @@ own entry only.  Whoever reads an entry guards its denominators first.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .model import JC, RABI, QubitSpec, SystemSpec, check_model
+from .model import JC, RABI, SystemSpec, check_model
 
 # Denominators smaller than this (GHz) are treated as resonant.
 DEFAULT_TOL_RES = 1e-6
@@ -58,11 +57,19 @@ def padded(values: np.ndarray) -> np.ndarray:
     return np.concatenate([zero, values, zero], axis=-1)
 
 
-def guard_resonance(which: str, denominators: np.ndarray, tol_res: float, ks) -> None:
-    """Raise ResonantDivergence at the first k in ks whose denominator is resonant."""
-    for k in ks:
-        if abs(denominators[k]) < tol_res:
-            raise ResonantDivergence(k, which, float(denominators[k]))
+def resonant(denominators, tol_res: float):
+    """True where a denominator falls inside the resonance tolerance."""
+    return np.abs(denominators) < tol_res
+
+
+def guard_resonance(which: str, denominators: np.ndarray, tol_res: float,
+                    ks=None) -> None:
+    """Raise ResonantDivergence at the first k in ks (by default every k)
+    whose denominator is resonant."""
+    mask = resonant(denominators, tol_res)
+    hits = np.flatnonzero(mask) if ks is None else [k for k in ks if mask[k]]
+    if len(hits):
+        raise ResonantDivergence(int(hits[0]), which, float(denominators[hits[0]]))
 
 
 class ShiftArrays(NamedTuple):
@@ -84,52 +91,61 @@ class ShiftArrays(NamedTuple):
             return cls(g * g / co, g * g / counter, 2.0 * g * g * w / (co * counter),
                        co, counter)
 
-    def h2_tables(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-        """Per model, the per-level photon-number coefficients and static
-        offsets, each of shape (..., N)."""
+    @classmethod
+    def of_system(cls, system: SystemSpec) -> "ShiftArrays":
+        q = system.qubit
+        return cls.of(np.array(q.coupling_ladder), np.diff(q.level_energies), system.omega_r)
+
+    def guard(self, tol_res: float, ks=None, co: bool = True,
+              counter: bool = True) -> "ShiftArrays":
+        """self, once the co-rotating and then the counter-rotating
+        denominators of the transitions ks (every one by default) pass
+        guard_resonance."""
+        if co:
+            guard_resonance(CO_ROTATING, self.co, tol_res, ks)
+        if counter:
+            guard_resonance(COUNTER_ROTATING, self.counter, tol_res, ks)
+        return self
+
+    def h2(self, model: str) -> tuple[np.ndarray, np.ndarray]:
+        """Per-level photon-number coefficients and static offsets of one
+        model, each of shape (..., N)."""
         c, x, t = padded(self.chi), padded(self.xi), padded(self.chi_tilde)
         with np.errstate(all="ignore"):
-            return {RABI: (t[..., :-1] - t[..., 1:], c[..., :-1] - x[..., 1:]),
-                    JC: (c[..., :-1] - c[..., 1:], c[..., :-1])}
+            if model == RABI:
+                return t[..., :-1] - t[..., 1:], c[..., :-1] - x[..., 1:]
+            return c[..., :-1] - c[..., 1:], c[..., :-1]
+
+    def observables(self, model: str) -> tuple[np.ndarray, np.ndarray]:
+        """Level differences of the diagonal corrections: the pull is the
+        photon coefficient at k = 0, the qubit shift the static difference
+        1 - 0."""
+        n_coeff, static = self.h2(model)
+        return n_coeff[..., 0], static[..., 1] - static[..., 0]
 
 
-def pull_and_qubit_shift(n_coeff: np.ndarray, static: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Level differences of the diagonal corrections: the pull is the photon
-    coefficient at k = 0, the qubit shift the static difference 1 - 0."""
-    return n_coeff[..., 0], static[..., 1] - static[..., 0]
-
-
-@lru_cache(maxsize=64)
-def _ladder_shifts(q: QubitSpec, omega_r: float) -> ShiftArrays:
-    """Cached, so that the per-index lookups evaluate the arrays once."""
-    return ShiftArrays.of(np.array(q.coupling_ladder), np.diff(q.level_energies), omega_r)
-
-
-def _lookup(name: str, k: int, system: SystemSpec, tol_res: float, co: bool = True,
-            counter: bool = True) -> float:
-    """Entry k of one shift array, zero outside the ladder, once the
-    denominators it divides by pass the resonance guard."""
+def _transition(k: int, system: SystemSpec, tol_res: float, **guards) -> ShiftArrays:
+    """The entries of transition k, once its denominators pass the
+    resonance guard (see ShiftArrays.guard); zero outside the ladder."""
     if not 0 <= k <= system.qubit.num_levels - 2:
-        return 0.0
-    arrays = _ladder_shifts(system.qubit, system.omega_r)
-    guard_resonance(CO_ROTATING, arrays.co, tol_res, (k,) if co else ())
-    guard_resonance(COUNTER_ROTATING, arrays.counter, tol_res, (k,) if counter else ())
-    return float(getattr(arrays, name)[k])
+        return ShiftArrays(0.0, 0.0, 0.0, 0.0, 0.0)
+    arrays = ShiftArrays.of_system(system).guard(tol_res, (k,), **guards)
+    return ShiftArrays._make(float(values[k]) for values in arrays)
 
 
 def chi(k: int, system: SystemSpec, tol_res: float = DEFAULT_TOL_RES) -> float:
     """Co-rotating dispersive shift chi_k; zero for out-of-range k."""
-    return _lookup("chi", k, system, tol_res, counter=False)
+    return _transition(k, system, tol_res, counter=False).chi
 
 
 def xi(k: int, system: SystemSpec, tol_res: float = DEFAULT_TOL_RES) -> float:
     """Counter-rotating (Bloch-Siegert) shift xi_k; zero for out-of-range k."""
-    return _lookup("xi", k, system, tol_res, co=False)
+    return _transition(k, system, tol_res, co=False).xi
 
 
 def chi_tilde(k: int, system: SystemSpec, tol_res: float = DEFAULT_TOL_RES) -> float:
     """Total dispersive shift chi~_k = chi_k + xi_k (evaluated in closed form)."""
-    return _lookup("chi_tilde", k, system, tol_res)
+    return _transition(k, system, tol_res).chi_tilde
 
 
 def h2_coefficients(system: SystemSpec, model: str,
@@ -175,16 +191,12 @@ def shift_report(system: SystemSpec, tol_res: float = DEFAULT_TOL_RES) -> ShiftR
     Every transition is read, so every transition is guarded: the first
     co-rotating resonance raises, then the first counter-rotating one.
     """
-    arrays = _ladder_shifts(system.qubit, system.omega_r)
-    guard_resonance(CO_ROTATING, arrays.co, tol_res, range(len(arrays.co)))
-    guard_resonance(COUNTER_ROTATING, arrays.counter, tol_res, range(len(arrays.counter)))
-    h2 = arrays.h2_tables()
-    pull_r, shift_r = pull_and_qubit_shift(*h2[RABI])
-    pull_j, shift_j = pull_and_qubit_shift(*h2[JC])
+    arrays = ShiftArrays.of_system(system).guard(tol_res)
+    (pull_r, shift_r), (pull_j, shift_j) = arrays.observables(RABI), arrays.observables(JC)
     return ShiftReport(
         chi=tuple(arrays.chi.tolist()), xi=tuple(arrays.xi.tolist()),
         chi_tilde=tuple(arrays.chi_tilde.tolist()),
         resonator_pull_rabi=float(pull_r), resonator_pull_jc=float(pull_j),
         qubit_shift_rabi=float(shift_r), qubit_shift_jc=float(shift_j),
-        h2_rabi=tuple(zip(*(v.tolist() for v in h2[RABI]))),
-        h2_jc=tuple(zip(*(v.tolist() for v in h2[JC]))))
+        h2_rabi=tuple(zip(*(v.tolist() for v in arrays.h2(RABI)))),
+        h2_jc=tuple(zip(*(v.tolist() for v in arrays.h2(JC)))))

@@ -106,8 +106,11 @@ def apply_resonance_exclusion(request: SweepRequest, config: SystemConfig,
 
 
 def _build(config: SystemConfig, variable: str, value: float):
-    # the sweep variables are the names of SystemConfig.build's overrides
-    return config.build(**{variable: value})
+    if variable == DETUNING:
+        return config.build(detuning=value)
+    if variable == COUPLING:
+        return config.build(coupling=value)
+    return config.build(temperature=value)
 
 
 _NAN = float("nan")
@@ -178,74 +181,79 @@ def _frac_err(analytic: float, exact: float) -> float:
     return 0.0 if analytic == 0.0 else math.inf
 
 
-def _rows(row_type, config: SystemConfig, variable: str, values, columns_of) -> list:
-    """One row per point: the columns that columns_of computes from the
-    point's system, or the name of the error that stopped it."""
+def shift_rows(config: SystemConfig, variable: str, values,
+               include_exact: bool = True) -> list[ShiftRow]:
     rows = []
     for value in values:
         delta0 = _detuning_of(config, variable, float(value))
         try:
-            columns = columns_of(_build(config, variable, float(value)))
+            system = _build(config, variable, float(value))
+            report = shift_report(system)
+            row = dict(
+                delta0_ghz=delta0,
+                chi0=report.chi[0], xi0=report.xi[0], chi_tilde0=report.chi_tilde[0],
+                pull_rabi=report.resonator_pull_rabi, pull_jc=report.resonator_pull_jc,
+                qshift_rabi=report.qubit_shift_rabi, qshift_jc=report.qubit_shift_jc)
+            if include_exact:
+                exact = exact_shifts(system, RABI)
+                row["exact_pull"] = exact.resonator_pull
+                row["exact_qshift"] = exact.qubit_shift
+                row["err_frac_rabi"] = _frac_err(report.resonator_pull_rabi,
+                                                 exact.resonator_pull)
+                row["err_frac_jc"] = _frac_err(report.resonator_pull_jc,
+                                               exact.resonator_pull)
+            rows.append(ShiftRow(**row))
         except _ROW_ERRORS as exc:
-            columns = {"error": type(exc).__name__}
-        rows.append(row_type(delta0_ghz=delta0, **columns))
+            rows.append(ShiftRow(delta0_ghz=delta0, error=type(exc).__name__))
     return rows
 
 
-def shift_rows(config: SystemConfig, variable: str, values,
-               include_exact: bool = True) -> list[ShiftRow]:
-    def columns_of(system):
-        report = shift_report(system)
-        row = dict(
-            chi0=report.chi[0], xi0=report.xi[0], chi_tilde0=report.chi_tilde[0],
-            pull_rabi=report.resonator_pull_rabi, pull_jc=report.resonator_pull_jc,
-            qshift_rabi=report.qubit_shift_rabi, qshift_jc=report.qubit_shift_jc)
-        if include_exact:
-            exact = exact_shifts(system, RABI)
-            row["exact_pull"] = exact.resonator_pull
-            row["exact_qshift"] = exact.qubit_shift
-            row["err_frac_rabi"] = _frac_err(report.resonator_pull_rabi,
-                                             exact.resonator_pull)
-            row["err_frac_jc"] = _frac_err(report.resonator_pull_jc,
-                                           exact.resonator_pull)
-        return row
-
-    return _rows(ShiftRow, config, variable, values, columns_of)
-
-
 def rate_rows(config: SystemConfig, variable: str, values) -> list[RateRow]:
-    def columns_of(system):
-        by_label = {t.jump.label: t.rate_mhz for t in second_order_rates(system)}
-        # each model's prefactor arrays are evaluated once, at the first
-        # lookup; the row reads only transition 0 and level 0
-        d0, c0_rabi = dressed_dephasing_prefactors(0, system, RABI)
-        return dict(
-            p0_rabi=purcell_prefactor(0, system, RABI),
-            p0_jc=purcell_prefactor(0, system, JC),
-            d0=d0,
-            c0_rabi=c0_rabi,
-            a0_rabi=photon_assisted_prefactor(0, system, RABI),
-            a0_jc=photon_assisted_prefactor(0, system, JC),
-            gamma_down0_mhz=by_label["sigma(0,1)"],
-            gamma_up0_mhz=by_label["sigma(1,0)"],
-            gamma_phi0_mhz=by_label["sigma(0,0)"],
-            kappa_minus_mhz=by_label["a"],
-            kappa_plus_mhz=by_label["adag"],
-            purcell_down0_rabi_mhz=purcell_rates(0, system, RABI)[0],
-            purcell_down0_jc_mhz=purcell_rates(0, system, JC)[0])
-
-    return _rows(RateRow, config, variable, values, columns_of)
+    rows = []
+    for value in values:
+        delta0 = _detuning_of(config, variable, float(value))
+        try:
+            system = _build(config, variable, float(value))
+            second = second_order_rates(system)
+            by_label = {(t.jump.label): t.rate_mhz for t in second}
+            d0, c0_rabi = dressed_dephasing_prefactors(0, system, RABI)
+            purcell_rabi = purcell_rates(0, system, RABI)
+            purcell_jc = purcell_rates(0, system, JC)
+            rows.append(RateRow(
+                delta0_ghz=delta0,
+                p0_rabi=purcell_prefactor(0, system, RABI),
+                p0_jc=purcell_prefactor(0, system, JC),
+                d0=d0,
+                c0_rabi=c0_rabi,
+                a0_rabi=photon_assisted_prefactor(0, system, RABI),
+                a0_jc=photon_assisted_prefactor(0, system, JC),
+                gamma_down0_mhz=by_label["sigma(0,1)"],
+                gamma_up0_mhz=by_label["sigma(1,0)"],
+                gamma_phi0_mhz=by_label["sigma(0,0)"],
+                kappa_minus_mhz=by_label["a"],
+                kappa_plus_mhz=by_label["adag"],
+                purcell_down0_rabi_mhz=purcell_rabi[0],
+                purcell_down0_jc_mhz=purcell_jc[0]))
+        except _ROW_ERRORS as exc:
+            rows.append(RateRow(delta0_ghz=delta0, error=type(exc).__name__))
+    return rows
 
 
 def exact_rows(config: SystemConfig, variable: str, values,
                model: str | None = None) -> list[ExactRow]:
-    model = config.interaction_model if model is None else model
-
-    def columns_of(system):
-        exact = exact_shifts(system, model)
-        return dict(exact_pull=exact.resonator_pull, exact_qshift=exact.qubit_shift)
-
-    return _rows(ExactRow, config, variable, values, columns_of)
+    if model is None:
+        model = config.interaction_model
+    rows = []
+    for value in values:
+        delta0 = _detuning_of(config, variable, float(value))
+        try:
+            system = _build(config, variable, float(value))
+            exact = exact_shifts(system, model)
+            rows.append(ExactRow(delta0_ghz=delta0, exact_pull=exact.resonator_pull,
+                                 exact_qshift=exact.qubit_shift))
+        except _ROW_ERRORS as exc:
+            rows.append(ExactRow(delta0_ghz=delta0, error=type(exc).__name__))
+    return rows
 
 
 def all_rows_failed(rows) -> bool:

@@ -401,3 +401,15 @@ def test_fit_on_unusable_data_exits_3(config_path, tmp_path, capsys, detuning):
                  "--residuals", str(tmp_path / "residuals.csv")]) == 3
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 4 and all(line.startswith("error: fit ") for line in lines)
+
+
+@pytest.mark.parametrize("levels", ["1000000000", "1000000000000000000"])
+def test_huge_collapsing_ladder_exits_3(config_path, capsys, levels):
+    """The configured ladder collapses at transition 25,24 whatever its length:
+    one NonPositiveSplitting row and exit 3, without building N levels."""
+    capsys.readouterr()
+    assert main(["shifts", "--config", config_path, "--nq", levels]) == 3
+    captured = capsys.readouterr()
+    assert [row["error"] for row in parse_csv(captured.out)[1]] == ["NonPositiveSplitting"]
+    assert captured.err.startswith("error: every sweep point failed")
+    assert captured.err.count("\n") == 1

@@ -26,6 +26,8 @@ from rabiqed import (
     validate,
 )
 
+from rabiqed.model import transmon_ladder
+
 from conftest import build_system
 
 
@@ -70,6 +72,20 @@ def test_expand_transmon_rejects_collapsed_ladder():
     # Three levels still fit: splittings are 0.4 and 0.15.
     qubit = expand_transmon(TransmonSpec(omega_10=0.4, anharmonicity=0.25, g0=0.01, num_levels=3))
     np.testing.assert_allclose(qubit.splitting(1), 0.15, rtol=1e-15)
+
+
+@pytest.mark.parametrize("omega_10, anharmonicity",
+                         [(6.0, 0.25), (0.4, 0.25), (6.0, 6.0 / 7.0), (0.0, 0.0), (-1.0, -0.5)])
+def test_transmon_ladder_reports_the_first_collapse(omega_10, anharmonicity):
+    """The first non-positive splitting is the one a scan over k finds, and it
+    is found before anything of length N is made (N = 1e18 would not fit)."""
+    for num_levels in (40, 10**18):
+        first = next(k for k in range(num_levels - 1) if omega_10 - k * anharmonicity <= 0.0)
+        with pytest.raises(NonPositiveSplitting, match=f"^transition {first + 1},{first} "):
+            transmon_ladder(omega_10, anharmonicity, 0.1, num_levels)
+    # over several omega_10 values, the first ladder that collapses is reported
+    with pytest.raises(NonPositiveSplitting, match="^transition 3,2 .*omega_10=0.4,"):
+        transmon_ladder([7.0, 6.0, 0.4, 0.2], 0.25, 0.1, 10)
 
 
 def test_qubit_spec_accessors():

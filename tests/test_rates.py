@@ -277,6 +277,20 @@ def test_build_rate_table_layout():
     assert jc_origins == {PURCELL, DRESSED_DEPHASING, PHOTON_ASSISTED}
 
 
+def test_rate_table_prefactors_are_isolated():
+    """Each table owns its prefactor dicts and the arrays are read-only, so
+    a caller cannot change what later lookups on an equal system return."""
+    system = build_system(detuning=1.0, num_levels=3)
+    p0 = purcell_prefactor(0, system, RABI)
+    table = build_rate_table(system)
+    table.prefactors[RABI]["p"] = np.zeros(2)
+    with pytest.raises(ValueError):
+        table.prefactors[JC]["a"][0] = 1.0
+    again = build_system(detuning=1.0, num_levels=3)
+    assert purcell_prefactor(0, again, RABI) == p0
+    assert build_rate_table(again).prefactors[RABI]["p"][0] == p0
+
+
 def test_driven_effective_rates_scaling():
     """Driving with n photons yields qubit-only dissipators linear in n."""
     system = build_system(

@@ -24,7 +24,7 @@ import numpy as np
 
 from .model import RABI, SystemSpec, check_model, transmon_ladder
 from .operators import ProductSpace, annihilator, number_operator, qubit_lower
-from .shifts import DEFAULT_TOL_RES, ShiftArrays, resonant
+from .shifts import DEFAULT_TOL_RES, ShiftArrays, pull_and_qubit_shift, resonant
 
 DIM_CAP = 4096
 
@@ -183,7 +183,7 @@ def _transmon_shifts(detunings, g0: float, model: str, observable: str, *,
     energies, couplings = transmon_ladder(omega_r + np.asarray(detunings, dtype=float),
                                           anharmonicity, g0, num_levels)
     arrays = ShiftArrays.of(couplings, np.diff(energies, axis=-1), omega_r)
-    pull, qubit_shift = arrays.observables(model)
+    pull, qubit_shift = pull_and_qubit_shift(*arrays.h2(model))
     return (pull if observable == RESONATOR_PULL else qubit_shift), arrays
 
 

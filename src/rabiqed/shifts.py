@@ -116,12 +116,11 @@ class ShiftArrays(NamedTuple):
                 return t[..., :-1] - t[..., 1:], c[..., :-1] - x[..., 1:]
             return c[..., :-1] - c[..., 1:], c[..., :-1]
 
-    def observables(self, model: str) -> tuple[np.ndarray, np.ndarray]:
-        """Level differences of the diagonal corrections: the pull is the
-        photon coefficient at k = 0, the qubit shift the static difference
-        1 - 0."""
-        n_coeff, static = self.h2(model)
-        return n_coeff[..., 0], static[..., 1] - static[..., 0]
+
+def pull_and_qubit_shift(n_coeff: np.ndarray, static: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Level differences of the diagonal corrections: the pull is the photon
+    coefficient at k = 0, the qubit shift the static difference 1 - 0."""
+    return n_coeff[..., 0], static[..., 1] - static[..., 0]
 
 
 def _transition(k: int, system: SystemSpec, tol_res: float, **guards) -> ShiftArrays:
@@ -152,6 +151,7 @@ def h2_coefficients(system: SystemSpec, model: str,
                     tol_res: float = DEFAULT_TOL_RES) -> tuple[tuple[float, float], ...]:
     """Per-level (photon-number coefficient, static offset) of the diagonal
     second-order Hamiltonian, for qubit levels k = 0..N-1."""
+    check_model(model)
     return shift_report(system, tol_res).h2(model)
 
 
@@ -192,11 +192,13 @@ def shift_report(system: SystemSpec, tol_res: float = DEFAULT_TOL_RES) -> ShiftR
     co-rotating resonance raises, then the first counter-rotating one.
     """
     arrays = ShiftArrays.of_system(system).guard(tol_res)
-    (pull_r, shift_r), (pull_j, shift_j) = arrays.observables(RABI), arrays.observables(JC)
+    h2r, h2j = arrays.h2(RABI), arrays.h2(JC)
+    pull_r, shift_r = pull_and_qubit_shift(*h2r)
+    pull_j, shift_j = pull_and_qubit_shift(*h2j)
     return ShiftReport(
         chi=tuple(arrays.chi.tolist()), xi=tuple(arrays.xi.tolist()),
         chi_tilde=tuple(arrays.chi_tilde.tolist()),
         resonator_pull_rabi=float(pull_r), resonator_pull_jc=float(pull_j),
         qubit_shift_rabi=float(shift_r), qubit_shift_jc=float(shift_j),
-        h2_rabi=tuple(zip(*(v.tolist() for v in arrays.h2(RABI)))),
-        h2_jc=tuple(zip(*(v.tolist() for v in arrays.h2(JC)))))
+        h2_rabi=tuple(zip(*(v.tolist() for v in h2r))),
+        h2_jc=tuple(zip(*(v.tolist() for v in h2j))))

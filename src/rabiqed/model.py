@@ -20,6 +20,7 @@ from __future__ import annotations
 import bisect
 import json
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Mapping
 
@@ -174,12 +175,14 @@ def transmon_ladder(omega_10, anharmonicity: float, g0: float,
         raise ValueError(f"num_levels must be >= 2, got {num_levels}")
     omega_10 = np.asarray(omega_10, dtype=float).reshape(-1, 1)
     # The splittings are monotonic in k: the first or the last is the smallest.
+    # No array is longer than sys.maxsize, so no index past it is searched.
+    top = min(num_levels - 2, sys.maxsize)
     collapsed = np.flatnonzero((omega_10[:, 0] <= 0.0)
-                               | (omega_10[:, 0] - (num_levels - 2) * anharmonicity <= 0.0))
+                               | (omega_10[:, 0] - top * anharmonicity <= 0.0))
     if collapsed.size:
         w10 = float(omega_10[collapsed[0], 0])
         k = 0 if w10 <= 0.0 else bisect.bisect_left(
-            range(num_levels - 1), True, key=lambda k: w10 - k * anharmonicity <= 0.0)
+            range(top), True, key=lambda j: w10 - j * anharmonicity <= 0.0)
         raise NonPositiveSplitting(
             f"transition {k + 1},{k} has frequency {w10 - k * anharmonicity} GHz <= 0 "
             f"(omega_10={w10}, anharmonicity={anharmonicity})")

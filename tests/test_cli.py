@@ -403,7 +403,8 @@ def test_fit_on_unusable_data_exits_3(config_path, tmp_path, capsys, detuning):
     assert len(lines) == 4 and all(line.startswith("error: fit ") for line in lines)
 
 
-@pytest.mark.parametrize("levels", ["1000000000", "1000000000000000000"])
+@pytest.mark.parametrize("levels", ["1" + "0" * 9, "1" + "0" * 18, "1" + "0" * 400],
+                         ids=["1e9", "1e18", "1e400"])
 def test_huge_collapsing_ladder_exits_3(config_path, capsys, levels):
     """The configured ladder collapses at transition 25,24 whatever its length:
     one NonPositiveSplitting row and exit 3, without building N levels."""

@@ -32,8 +32,8 @@ from .lindblad import (DRESSED_ANALYTIC, DegenerateNullSpace, NonPositiveState,
                        evolve, partial_trace_qubit, steady_state,
                        thermal_resonator_state)
 from .model import (JC, MODELS, RABI, ConfigError, InvalidSpec, LadderOverflow,
-                    NonPositiveSplitting, load_config, require_valid)
-from .operators import (ProductSpace, embed, number_operator, qubit_projector)
+                    NonPositiveSplitting, load_config, require_valid_config)
+from .operators import ProductSpace, number_operator
 from .rates import (NegativePhotonNumber, RateOverflow, build_rate_table,
                     driven_effective_rates)
 from .shifts import ResonantDivergence
@@ -83,15 +83,9 @@ def _load_config(args) -> "SystemConfig":
             config, resonator=dataclasses.replace(config.resonator,
                                                   fock_truncation=args.nr))
     try:
-        system = config.build()
-    except NonPositiveSplitting:
-        # The base ladder collapses, but sweep points may not; each sweep
-        # row reports its own collapse, and evolve/steady fail on rebuild.
-        return config
+        return require_valid_config(config)
     except LadderOverflow as exc:
         raise ConfigError(str(exc)) from exc
-    require_valid(system)
-    return config
 
 
 class _IOFailure(OSError):
@@ -279,13 +273,10 @@ def _generator(config, photons: float):
 
 
 def _state_summary(rho: np.ndarray, space: ProductSpace) -> dict:
-    num_q = space.qubit_dim
-    summary = {}
-    for k in range(num_q):
-        proj = embed(qubit_projector(k, num_q), None, space)
-        summary[f"pop_q{k}"] = float(np.real(np.trace(proj @ rho)))
-    nop = embed(None, number_operator(space.fock_dim), space)
-    summary["nbar"] = float(np.real(np.trace(nop @ rho)))
+    """Qubit-level populations and photon number, read off the diagonal of rho."""
+    diagonal = np.real(np.diagonal(rho)).reshape(space.qubit_dim, space.fock_dim)
+    summary = {f"pop_q{k}": float(p) for k, p in enumerate(diagonal.sum(axis=1))}
+    summary["nbar"] = float(diagonal.sum(axis=0) @ np.arange(space.fock_dim))
     return summary
 
 
@@ -353,7 +344,7 @@ def _cmd_steady(args) -> int:
     space = ProductSpace(system.qubit.num_levels, system.resonator.fock_truncation)
     rho = steady_state(gen)
     row = _state_summary(rho, space)
-    row["purity"] = float(np.real(np.trace(rho @ rho)))
+    row["purity"] = float(np.vdot(rho, rho).real)
     reduced = partial_trace_qubit(rho, space)
     row["nbar_resonator"] = float(np.real(np.trace(
         number_operator(space.fock_dim) @ reduced)))

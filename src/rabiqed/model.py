@@ -276,6 +276,24 @@ class ValidationReport:
         return not self.errors
 
 
+def _field_errors(couplings, omega_r: float, model: str,
+                  baths: Mapping[str, SpectralFunction]) -> list[str]:
+    """validate's errors outside the level energies: couplings, resonator,
+    interaction model and baths."""
+    errors = [f"qubit.coupling_ladder[{k}]: coupling must be >= 0, got {g}"
+              for k, g in enumerate(couplings) if g < 0.0]
+    if not omega_r > 0.0:
+        errors.append(f"resonator.omega_r: must be > 0, got {omega_r}")
+    if model not in MODELS:
+        errors.append(f"interaction_model: must be one of {MODELS}, got {model!r}")
+    for label in BATH_LABELS:
+        if label not in baths:
+            errors.append(f"baths[{label!r}]: missing")
+        elif not isinstance(baths[label], SpectralFunction):
+            errors.append(f"baths[{label!r}]: not a SpectralFunction")
+    return errors
+
+
 def validate(system: SystemSpec) -> ValidationReport:
     """Check a SystemSpec for hard errors and dispersive-regime warnings.
 
@@ -296,19 +314,8 @@ def validate(system: SystemSpec) -> ValidationReport:
         if not q.level_energies[k + 1] > q.level_energies[k]:
             errors.append(f"qubit.level_energies[{k + 1}]: energies must increase "
                           f"strictly ({q.level_energies[k + 1]} <= {q.level_energies[k]})")
-    for k, g in enumerate(q.coupling_ladder):
-        if g < 0.0:
-            errors.append(f"qubit.coupling_ladder[{k}]: coupling must be >= 0, got {g}")
-    if not system.resonator.omega_r > 0.0:
-        errors.append(f"resonator.omega_r: must be > 0, got {system.resonator.omega_r}")
-    if system.interaction_model not in MODELS:
-        errors.append(f"interaction_model: must be one of {MODELS}, "
-                      f"got {system.interaction_model!r}")
-    for label in BATH_LABELS:
-        if label not in system.baths:
-            errors.append(f"baths[{label!r}]: missing")
-        elif not isinstance(system.baths[label], SpectralFunction):
-            errors.append(f"baths[{label!r}]: not a SpectralFunction")
+    errors += _field_errors(q.coupling_ladder, system.resonator.omega_r,
+                            system.interaction_model, system.baths)
 
     if not errors:
         omega_r = system.resonator.omega_r
@@ -371,6 +378,25 @@ class SystemConfig:
             baths = {label: sf.with_temperature(temperature) for label, sf in baths.items()}
         return SystemSpec(qubit=expand_transmon(t), resonator=self.resonator,
                           interaction_model=self.interaction_model, baths=dict(baths))
+
+
+def require_valid_config(config: SystemConfig) -> SystemConfig:
+    """require_valid on the system a config builds.
+
+    A base ladder that collapses (NonPositiveSplitting) passes, because
+    sweep points may not collapse: each sweep row reports its own collapse,
+    and evolve/steady fail on rebuild.  Every field outside the ladder is
+    checked either way; a config with g_0 = g0 < 0, omega_r <= 0, an unknown
+    model or a missing bath raises InvalidSpec.
+    """
+    try:
+        require_valid(config.build())
+    except NonPositiveSplitting:
+        errors = _field_errors((config.transmon.g0,), config.resonator.omega_r,
+                               config.interaction_model, config.baths)
+        if errors:
+            raise InvalidSpec(tuple(errors)) from None
+    return config
 
 
 _CONFIG_KEYS = {"omega_r_ghz", "omega_10_ghz", "anharmonicity_ghz", "g0_ghz",

@@ -136,16 +136,21 @@ def test_config_errors_exit_2(config_path, tmp_path, capsys):
     assert main(["steady", "--config", config_path, "--photons", "nan"]) == 2
     assert main(["shifts", "--config", config_path, "--sweep", "coupling:inf:1:3"]) == 2
     assert main(["shifts", "--config", config_path, "--sweep", "temperature:nan:1:3"]) == 2
-    # Parsed configs that validate() rejects: a negative resonator frequency
-    # and a negative coupling.
+    # Parsed configs that validate() rejects: a negative resonator frequency,
+    # a negative coupling, and a negative resonator frequency in a config
+    # whose base ladder collapses (omega_21 = 6 - 10 GHz).
     with open(config_path) as handle:
         base = json.load(handle)
-    for command, key, value in (("rates", "omega_r_ghz", -5.0),
-                                ("shifts", "g0_ghz", -0.1)):
-        invalid = tmp_path / f"invalid_{key}.json"
-        invalid.write_text(json.dumps(dict(base, **{key: value})))
+    for name, command, patch in (
+            ("omega_r", ["rates"], {"omega_r_ghz": -5.0}),
+            ("g0", ["shifts"], {"g0_ghz": -0.1}),
+            ("collapsed", ["shifts", "--nq", "3", "--nr", "5",
+                           "--sweep", "detuning:20:25:3"],
+             {"omega_r_ghz": -5.0, "anharmonicity_ghz": 10.0})):
+        invalid = tmp_path / f"invalid_{name}.json"
+        invalid.write_text(json.dumps(dict(base, **patch)))
         capsys.readouterr()
-        assert main([command, "--config", str(invalid)]) == 2
+        assert main([command[0], "--config", str(invalid), *command[1:]]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
     # A window wider than the sweep leaves nothing to compute.

@@ -1,11 +1,20 @@
 """Tests for the master-equation generator, integrator, and steady state."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from scipy.linalg import expm
+
+import rabiqed
+from rabiqed import lindblad
 
 from rabiqed import (
     BARE_PLUS_INTERACTION,
@@ -215,6 +224,130 @@ def test_evolve_matches_dense_propagator(mode, amplitudes):
     for t, rho in zip(ts, traj.states):
         reference = (expm(dense * t) @ rho0.reshape(-1)).reshape(15, 15)
         assert float(np.max(np.abs(rho - reference))) < 1e-12
+
+
+STATES = {
+    "dressed-fock": (DRESSED_ANALYTIC, {(1, 2): 1.0}),
+    "dressed-coherent": (DRESSED_ANALYTIC, {(0, 0): 1.0, (1, 0): 1.0}),
+    "bare-coherence": (BARE_PLUS_INTERACTION, {(0, 0): 1.0, (0, 1): 1.0}),
+}
+
+
+def pure_state(amplitudes, space):
+    psi = np.zeros(space.dimension, dtype=complex)
+    for (k, n), amplitude in amplitudes.items():
+        psi[space.index(k, n)] = amplitude
+    psi /= np.linalg.norm(psi)
+    return np.outer(psi, psi.conj())
+
+
+def evolve_by_path(monkeypatch, path, gen, rho0, t_max, times):
+    """evolve with its uniform-grid choice forced to one path."""
+    with monkeypatch.context() as patch:
+        if path == "interval-loop":
+            patch.setattr(lindblad, "_uniform_step", lambda targets: None)
+        else:
+            patch.setattr(lindblad, "_MAX_PROPAGATOR_BLOCK",
+                          10 ** 6 if path == "propagator" else -1)
+        return evolve(gen, rho0, t_max, sample_times=times)
+
+
+@pytest.mark.parametrize("times", [np.linspace(0.0, 4.0, 9), np.linspace(0.7, 4.0, 12)],
+                         ids=["from-0", "from-0.7"])
+@pytest.mark.parametrize("state", sorted(STATES))
+def test_uniform_grid_paths_match_slow_path(monkeypatch, state, times):
+    """The propagator and interval-mode paths equal the per-interval loop and
+    the dense expm(L t) to 1e-12 on evenly spaced grids."""
+    mode, amplitudes = STATES[state]
+    gen = assemble(noisy_system(), mode=mode)
+    rho0 = pure_state(amplitudes, ProductSpace(3, 5))
+    dense = gen.superoperator().toarray()
+    reference = [(expm(dense * t) @ rho0.reshape(-1)).reshape(15, 15) for t in times]
+    loop = evolve_by_path(monkeypatch, "interval-loop", gen, rho0, 4.0, times)
+    for path in ("propagator", "interval"):
+        fast = evolve_by_path(monkeypatch, path, gen, rho0, 4.0, times)
+        np.testing.assert_array_equal(fast.times, times)
+        for rho, slow, exact in zip(fast.states, loop.states, reference):
+            assert float(np.max(np.abs(rho - slow))) < 1e-12, path
+            assert float(np.max(np.abs(rho - exact))) < 1e-12, path
+
+
+def test_grid_shape_picks_the_propagation_path(monkeypatch):
+    """A non-uniform grid is advanced one interval at a time; a uniform one
+    forms one propagator, or takes the interval mode above the crossover."""
+    gen = assemble(noisy_system())
+    rho0 = pure_state(STATES["dressed-coherent"][1], ProductSpace(3, 5))
+    calls = []
+    real_expm, real_multiply = scipy.linalg.expm, spla.expm_multiply
+
+    def spy_expm(a):
+        calls.append("expm")
+        return real_expm(a)
+
+    def spy_multiply(a, b, **kwargs):
+        calls.append("interval" if "start" in kwargs else "step")
+        return real_multiply(a, b, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "expm", spy_expm)
+    monkeypatch.setattr(spla, "expm_multiply", spy_multiply)
+    assert lindblad._uniform_step(np.array([0.0, 0.7, 1.31, 4.0])) is None
+    evolve(gen, rho0, 4.0, sample_times=[0.0, 0.7, 1.31, 4.0])
+    assert calls == ["step"] * 3
+    calls.clear()
+    evolve(gen, rho0, 4.0, sample_times=np.linspace(1.0, 4.0, 7))
+    assert calls == ["step", "expm"]
+    calls.clear()
+    monkeypatch.setattr(lindblad, "_MAX_PROPAGATOR_BLOCK", -1)
+    evolve(gen, rho0, 4.0, sample_times=np.linspace(0.0, 4.0, 7))
+    assert calls == ["interval"]
+
+
+def test_lazy_states_match_dense_reconstruction():
+    """Trajectory.states rebuilds (F + F^dag) / 2 from the reached entries
+    under len, indexing, slicing and iteration."""
+    gen = assemble(noisy_system())
+    rho0 = pure_state(STATES["dressed-coherent"][1], ProductSpace(3, 5))
+    traj = evolve(gen, rho0, 4.0, sample_times=np.linspace(0.0, 4.0, 6))
+    assert traj.entries.shape == (6, len(traj.reach)) and len(traj.reach) < 15 * 15
+    dense = []
+    for values in traj.entries:
+        full = np.zeros((15, 15), dtype=complex)
+        full.flat[traj.reach] = values
+        dense.append(0.5 * (full + full.conj().T))
+    states = traj.states
+    assert len(states) == 6
+    for i in (0, 3, -1, -6):
+        np.testing.assert_array_equal(states[i], dense[i])
+    np.testing.assert_array_equal(traj.final(), dense[-1])
+    for picked, expected in ((states[1:4], dense[1:4]), (states[::-2], dense[::-2])):
+        assert len(picked) == len(expected)
+        for rho, ref in zip(picked, expected):
+            np.testing.assert_array_equal(rho, ref)
+    for rho, ref in zip(states, dense, strict=True):
+        np.testing.assert_array_equal(rho, ref)
+    with pytest.raises(IndexError):
+        states[6]
+    with pytest.raises(TypeError):
+        states[0] = dense[0]
+    op = embed(None, annihilator(5), ProductSpace(3, 5))
+    np.testing.assert_allclose(traj.expectation(op),
+                               [np.trace(op @ rho) for rho in dense], rtol=0, atol=1e-15)
+
+
+def test_import_loads_no_scipy():
+    """Importing the package and its CLI loads no SciPy module, and every
+    exported name still resolves."""
+    code = ("import sys, rabiqed, rabiqed.cli\n"
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "assert not loaded, loaded\n"
+            "missing = [n for n in rabiqed.__all__ if not hasattr(rabiqed, n)]\n"
+            "assert not missing, missing\n")
+    src = str(Path(rabiqed.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
 
 
 def test_diagonal_state_stays_diagonal():

@@ -264,17 +264,19 @@ class Trajectory:
 # products per unit of it, so this bounds one run near 6e7 products.
 _MAX_NORM_TIME = 1e7
 
-# Largest reached block |R| that a uniform grid steps through with one dense
-# propagator; larger blocks use expm_multiply's interval mode.  The dense
-# expm costs O(|R|^3) whatever the time span; interval mode costs about
-# ||B|| * span sparse products.  Measured with one BLAS thread, propagator
-# against interval mode: population blocks over 500 ns (251 samples) take
-# 0.06 s against 1.9 s at |R| = 200 and 1.0 s against 7.1 s at |R| = 600,
-# and over 100 ns (201 samples) 3.3 s against 4.7 s at |R| = 1000; bare
-# coherence blocks over 2 ns (101 samples) take 0.02 s against 0.08 s at
-# |R| = 225, 0.27 s against 0.14 s at |R| = 576 and 1.6 s against 0.16 s
-# at |R| = 1024.  600 keeps every population block of the CLI up to d = 600
-# on the propagator, and each dense copy of the block under 6 MB.
+# When an evenly spaced grid is stepped with one dense propagator instead of
+# one expm_multiply call per interval.  The propagator's expm costs about
+# |R|^3 operations, the loop's sparse products about ||B||_1 * span * nnz(B);
+# the propagator is taken when the first is at most _PROPAGATOR_COST_RATIO
+# times the second.  Measured with one BLAS thread, 101 samples, propagator
+# against loop: the two break even near a ratio of 10-16, e.g. |R| = 225
+# over 2 ns (ratio 18) 0.12 s against 0.13 s and |R| = 400 over 10 ns
+# (ratio 15) 0.29 s against 0.32 s; |R| = 600 takes 0.96 s against 0.59 s
+# over 10 ns (ratio 23) and 1.26 s against 2.70 s over 100 ns (ratio 2.3).
+# Blocks above _MAX_PROPAGATOR_BLOCK always take the loop, for memory: the
+# expm of a 576-entry block raised the peak RSS by 49 MB over the loop,
+# that of a 1024-entry block by 148 MB.
+_PROPAGATOR_COST_RATIO = 16.0
 _MAX_PROPAGATOR_BLOCK = 600
 
 
@@ -318,11 +320,11 @@ def evolve(gen: LindbladGenerator, rho0: np.ndarray, t_max: float,
     generator a diagonal rho0 reaches only the d populations.  The reached
     block B is advanced with scipy.sparse.linalg.expm_multiply (Al-Mohy &
     Higham, SIAM J. Sci. Comput. 33, 488 (2011)) to the first sorted sample
-    time.  On an evenly spaced grid of three or more times, a small block
-    then steps x <- P x with P = expm(B dt) formed once by scipy.linalg.expm
+    time.  On an evenly spaced grid of three or more times, a block small
+    enough for its dense expm to cost less than the sparse products then
+    steps x <- P x with P = expm(B dt) formed once by scipy.linalg.expm
     (scaling and squaring; Higham, SIAM J. Matrix Anal. Appl. 26, 1179
-    (2005)), and a larger one takes expm_multiply's interval mode.  Any
-    other grid is advanced one interval at a time.
+    (2005)).  Otherwise expm_multiply advances it one interval at a time.
     """
     import scipy.linalg
     import scipy.sparse.linalg as spla
@@ -339,7 +341,8 @@ def evolve(gen: LindbladGenerator, rho0: np.ndarray, t_max: float,
     liouville = gen.superoperator()
     reach = _reachable(liouville, rho.reshape(-1))
     block = liouville[reach][:, reach]
-    work = float(abs(block).sum(axis=0).max()) * t_max
+    norm = float(abs(block).sum(axis=0).max())
+    work = norm * t_max
     if not work <= _MAX_NORM_TIME:
         raise PropagationFailure(f"||L||_1 * t_max = {work:.3e} exceeds "
                                  f"{_MAX_NORM_TIME:.0e}: the generator is too fast "
@@ -351,34 +354,22 @@ def evolve(gen: LindbladGenerator, rho0: np.ndarray, t_max: float,
 
     x = rho.reshape(-1)[reach]
     step = _uniform_step(targets)
+    loop_cost = norm * (targets[-1] - targets[0]) * block.nnz
     try:
-        if step is None:
-            entries = np.empty((len(targets), len(reach)), dtype=complex)
+        entries = np.empty((len(targets), len(reach)), dtype=complex)
+        if (step is not None and len(reach) <= _MAX_PROPAGATOR_BLOCK
+                and len(reach) ** 3 <= _PROPAGATOR_COST_RATIO * loop_cost):
+            entries[0] = advance(x, targets[0])
+            propagator = scipy.linalg.expm(block.toarray() * step)
+            for i in range(1, len(targets)):
+                entries[i] = propagator @ entries[i - 1]
+        else:
             t = 0.0
             for i, target in enumerate(targets):
                 entries[i] = x = advance(x, target - t)
                 if not np.all(np.isfinite(x)):
                     raise PropagationFailure(f"the state is not finite at t = {target} ns")
                 t = target
-        else:
-            x = advance(x, targets[0])
-            if len(reach) <= _MAX_PROPAGATOR_BLOCK:
-                dense = block.toarray() * step
-                if not dense.imag.any():  # a population block: half the cost
-                    dense = dense.real
-                propagator = scipy.linalg.expm(dense)
-                entries = np.empty((len(targets), len(reach)), dtype=complex)
-                entries[0] = x
-                # a real propagator steps (re, im) column pairs without casting
-                columns = (entries if np.iscomplexobj(propagator)
-                           else entries.view(float).reshape(len(targets), -1, 2))
-                for i in range(1, len(targets)):
-                    columns[i] = propagator @ columns[i - 1]
-            else:
-                entries = spla.expm_multiply(block, x, start=0.0,
-                                             stop=targets[-1] - targets[0],
-                                             num=len(targets), endpoint=True,
-                                             traceA=trace)
     except (ValueError, OverflowError, np.linalg.LinAlgError) as exc:
         raise PropagationFailure(f"propagation over [0, {t_max}] ns failed: {exc}") from exc
     finite = np.isfinite(entries).all(axis=1)

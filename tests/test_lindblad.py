@@ -247,8 +247,7 @@ def evolve_by_path(monkeypatch, path, gen, rho0, t_max, times):
         if path == "interval-loop":
             patch.setattr(lindblad, "_uniform_step", lambda targets: None)
         else:
-            patch.setattr(lindblad, "_MAX_PROPAGATOR_BLOCK",
-                          10 ** 6 if path == "propagator" else -1)
+            patch.setattr(lindblad, "_PROPAGATOR_COST_RATIO", math.inf)
         return evolve(gen, rho0, t_max, sample_times=times)
 
 
@@ -256,25 +255,25 @@ def evolve_by_path(monkeypatch, path, gen, rho0, t_max, times):
                          ids=["from-0", "from-0.7"])
 @pytest.mark.parametrize("state", sorted(STATES))
 def test_uniform_grid_paths_match_slow_path(monkeypatch, state, times):
-    """The propagator and interval-mode paths equal the per-interval loop and
-    the dense expm(L t) to 1e-12 on evenly spaced grids."""
+    """The propagator path equals the per-interval loop and the dense
+    expm(L t) to 1e-12 on evenly spaced grids."""
     mode, amplitudes = STATES[state]
     gen = assemble(noisy_system(), mode=mode)
     rho0 = pure_state(amplitudes, ProductSpace(3, 5))
     dense = gen.superoperator().toarray()
     reference = [(expm(dense * t) @ rho0.reshape(-1)).reshape(15, 15) for t in times]
     loop = evolve_by_path(monkeypatch, "interval-loop", gen, rho0, 4.0, times)
-    for path in ("propagator", "interval"):
-        fast = evolve_by_path(monkeypatch, path, gen, rho0, 4.0, times)
-        np.testing.assert_array_equal(fast.times, times)
-        for rho, slow, exact in zip(fast.states, loop.states, reference):
-            assert float(np.max(np.abs(rho - slow))) < 1e-12, path
-            assert float(np.max(np.abs(rho - exact))) < 1e-12, path
+    fast = evolve_by_path(monkeypatch, "propagator", gen, rho0, 4.0, times)
+    np.testing.assert_array_equal(fast.times, times)
+    for rho, slow, exact in zip(fast.states, loop.states, reference, strict=True):
+        assert float(np.max(np.abs(rho - slow))) < 1e-12
+        assert float(np.max(np.abs(rho - exact))) < 1e-12
 
 
 def test_grid_shape_picks_the_propagation_path(monkeypatch):
     """A non-uniform grid is advanced one interval at a time; a uniform one
-    forms one propagator, or takes the interval mode above the crossover."""
+    forms one propagator unless its block is too large or its dense expm
+    would cost more than the per-interval products."""
     gen = assemble(noisy_system())
     rho0 = pure_state(STATES["dressed-coherent"][1], ProductSpace(3, 5))
     calls = []
@@ -285,21 +284,26 @@ def test_grid_shape_picks_the_propagation_path(monkeypatch):
         return real_expm(a)
 
     def spy_multiply(a, b, **kwargs):
-        calls.append("interval" if "start" in kwargs else "step")
+        calls.append("step")
         return real_multiply(a, b, **kwargs)
+
+    def paths(times):
+        calls.clear()
+        evolve(gen, rho0, 4.0, sample_times=times)
+        return calls
 
     monkeypatch.setattr(scipy.linalg, "expm", spy_expm)
     monkeypatch.setattr(spla, "expm_multiply", spy_multiply)
     assert lindblad._uniform_step(np.array([0.0, 0.7, 1.31, 4.0])) is None
-    evolve(gen, rho0, 4.0, sample_times=[0.0, 0.7, 1.31, 4.0])
-    assert calls == ["step"] * 3
-    calls.clear()
-    evolve(gen, rho0, 4.0, sample_times=np.linspace(1.0, 4.0, 7))
-    assert calls == ["step", "expm"]
-    calls.clear()
-    monkeypatch.setattr(lindblad, "_MAX_PROPAGATOR_BLOCK", -1)
-    evolve(gen, rho0, 4.0, sample_times=np.linspace(0.0, 4.0, 7))
-    assert calls == ["interval"]
+    assert paths([0.0, 0.7, 1.31, 4.0]) == ["step"] * 3
+    assert paths(np.linspace(1.0, 4.0, 7)) == ["step", "expm"]
+    assert paths(np.linspace(0.0, 4.0, 7)) == ["expm"]
+    with monkeypatch.context() as patch:
+        patch.setattr(lindblad, "_PROPAGATOR_COST_RATIO", 0.0)
+        assert paths(np.linspace(0.0, 4.0, 7)) == ["step"] * 6
+    with monkeypatch.context() as patch:
+        patch.setattr(lindblad, "_MAX_PROPAGATOR_BLOCK", 1)
+        assert paths(np.linspace(0.0, 4.0, 7)) == ["step"] * 6
 
 
 def test_lazy_states_match_dense_reconstruction():

@@ -50,6 +50,9 @@ class AmbiguousLabeling(RuntimeError):
         super().__init__(f"bare state {pair} has best available overlap "
                          f"{overlap:.4f} <= 0.5; dressed labeling breaks down here")
 
+    def __reduce__(self):
+        return type(self), (self.pair, self.overlap)
+
 
 class NoPhysicalCoupling(RuntimeError):
     """The least-squares g0^2 is not positive and finite: no physical coupling fits."""

@@ -34,6 +34,14 @@ MODELS = (RABI, JC)
 
 BATH_LABELS = ("X", "Z", "R")
 
+# Memory budget for arrays over the ladder index.  A `rates` command peaks
+# about 1.6 kB per level above its import footprint (190 MB at 1e5 levels,
+# 1.66 GB at 1e6), the largest per-level cost measured; the fit's arrays of
+# detunings x levels take about 0.1 kB per entry.  So one ladder, or a batch
+# of ladders, holds at most budget / 1.6 kB entries.
+LADDER_BUDGET_BYTES = 256 * 2**20
+MAX_LADDER_ENTRIES = LADDER_BUDGET_BYTES // 1600
+
 
 class NonPositiveSplitting(ValueError):
     """A qubit transition frequency came out <= 0."""
@@ -53,6 +61,9 @@ class InvalidSpec(ValueError):
     def __init__(self, errors: tuple[str, ...]):
         self.errors = tuple(errors)
         super().__init__("; ".join(errors))
+
+    def __reduce__(self):
+        return type(self), (self.errors,)
 
 
 def _require_finite(owner: str, name: str, values) -> None:
@@ -169,7 +180,9 @@ def transmon_ladder(omega_10, anharmonicity: float, g0: float,
 
     Raises NonPositiveSplitting at the first omega_{k+1,k} = omega_10 -
     k * anharmonicity that is <= 0, before any array of length N is made,
-    and LadderOverflow if an energy or coupling is not finite.
+    then LadderOverflow if the ladders hold more than MAX_LADDER_ENTRIES
+    levels in all (also before any such array) or if an energy or coupling
+    is not finite.
     """
     if num_levels < 2:
         raise ValueError(f"num_levels must be >= 2, got {num_levels}")
@@ -186,6 +199,10 @@ def transmon_ladder(omega_10, anharmonicity: float, g0: float,
         raise NonPositiveSplitting(
             f"transition {k + 1},{k} has frequency {w10 - k * anharmonicity} GHz <= 0 "
             f"(omega_10={w10}, anharmonicity={anharmonicity})")
+    if omega_10.shape[0] * num_levels > MAX_LADDER_ENTRIES:
+        raise LadderOverflow(
+            f"{omega_10.shape[0]} x {num_levels} ladder levels exceed the cap of "
+            f"{MAX_LADDER_ENTRIES} ({LADDER_BUDGET_BYTES >> 20} MB memory budget)")
     k = np.arange(num_levels)
     with np.errstate(all="ignore"):
         energies = k * omega_10 - anharmonicity * k * (k - 1) / 2.0

@@ -46,6 +46,9 @@ class ResonantDivergence(ArithmeticError):
         super().__init__(f"transition {k}: |{which}| = {abs(value):.3e} GHz is "
                          f"inside the resonance tolerance")
 
+    def __reduce__(self):
+        return type(self), (self.k, self.which, self.value)
+
 
 def padded(values: np.ndarray) -> np.ndarray:
     """values with a zero at each end of the last (ladder) axis.

@@ -14,11 +14,14 @@ exact-only sweeps keep the full grid.
 from __future__ import annotations
 
 import math
+import os
+import sys
 from dataclasses import dataclass, fields
+from functools import partial
 
 import numpy as np
 
-from .exact import AmbiguousLabeling, DimensionOverflow, exact_shifts
+from .exact import DIM_CAP, AmbiguousLabeling, DimensionOverflow, exact_shifts
 from .model import JC, RABI, LadderOverflow, NonPositiveSplitting, SystemConfig
 from .rates import (RateOverflow, dressed_dephasing_prefactors,
                     photon_assisted_prefactor, purcell_prefactor, purcell_rates,
@@ -181,79 +184,129 @@ def _frac_err(analytic: float, exact: float) -> float:
     return 0.0 if analytic == 0.0 else math.inf
 
 
+def _shift_fields(include_exact: bool, system) -> dict:
+    report = shift_report(system)
+    row = dict(chi0=report.chi[0], xi0=report.xi[0], chi_tilde0=report.chi_tilde[0],
+               pull_rabi=report.resonator_pull_rabi, pull_jc=report.resonator_pull_jc,
+               qshift_rabi=report.qubit_shift_rabi, qshift_jc=report.qubit_shift_jc)
+    if include_exact:
+        exact = exact_shifts(system, RABI)
+        row["exact_pull"] = exact.resonator_pull
+        row["exact_qshift"] = exact.qubit_shift
+        row["err_frac_rabi"] = _frac_err(report.resonator_pull_rabi, exact.resonator_pull)
+        row["err_frac_jc"] = _frac_err(report.resonator_pull_jc, exact.resonator_pull)
+    return row
+
+
+def _rate_fields(system) -> dict:
+    by_label = {t.jump.label: t.rate_mhz for t in second_order_rates(system)}
+    d0, c0_rabi = dressed_dephasing_prefactors(0, system, RABI)
+    purcell_rabi = purcell_rates(0, system, RABI)
+    purcell_jc = purcell_rates(0, system, JC)
+    return dict(
+        p0_rabi=purcell_prefactor(0, system, RABI),
+        p0_jc=purcell_prefactor(0, system, JC),
+        d0=d0,
+        c0_rabi=c0_rabi,
+        a0_rabi=photon_assisted_prefactor(0, system, RABI),
+        a0_jc=photon_assisted_prefactor(0, system, JC),
+        gamma_down0_mhz=by_label["sigma(0,1)"],
+        gamma_up0_mhz=by_label["sigma(1,0)"],
+        gamma_phi0_mhz=by_label["sigma(0,0)"],
+        kappa_minus_mhz=by_label["a"],
+        kappa_plus_mhz=by_label["adag"],
+        purcell_down0_rabi_mhz=purcell_rabi[0],
+        purcell_down0_jc_mhz=purcell_jc[0])
+
+
+def _exact_fields(model: str, system) -> dict:
+    exact = exact_shifts(system, model)
+    return dict(exact_pull=exact.resonator_pull, exact_qshift=exact.qubit_shift)
+
+
+def _row(row_type, fields_of, config: SystemConfig, variable: str, value: float):
+    """The row of one sweep point, or a row naming the error that ended it.
+
+    Module-level, so that functools.partial binds it to a sweep and a worker
+    process can unpickle it.
+    """
+    value = float(value)
+    delta0 = _detuning_of(config, variable, value)
+    try:
+        return row_type(delta0_ghz=delta0, **fields_of(_build(config, variable, value)))
+    except _ROW_ERRORS as exc:
+        return row_type(delta0_ghz=delta0, error=type(exc).__name__)
+
+
+# A sweep that diagonalizes goes to a process pool when its estimated work,
+# points x d^3, reaches this.  Measured with one BLAS thread on a 2-vCPU
+# 2.1 GHz Xeon: one exact point (build + eigh + labeling) costs 0.6 ms at
+# d = 40, 1.4-1.8 ms at d = 80 and 51-60 ms at d = 600, which is 2.4-2.8e-10 s
+# per d^3 at d = 600 and more at smaller d; a fork pool of two workers costs
+# 12-26 ms to start, run and reap, plus 19-22 ms to import on first use.  Two
+# workers halve the serial time, so the pool pays from about 2 x 48 ms of
+# work, 3.4e8 d^3 at the d = 600 rate.  As smaller d costs more per d^3, no
+# sweep goes to a pool at a loss: the README's d = 40 sweeps (161 x 6.4e4)
+# stay serial, and 81 points at d = 600 (81 x 2.2e8) go parallel.
+_PARALLEL_BREAK_EVEN = 3.4e8
+
+
+def _workers(points: int, dim: int) -> int:
+    """Processes to spread `points` exact points of dimension `dim` over.
+
+    1 (serial) when the work is below the break-even or d exceeds DIM_CAP
+    (such points only raise DimensionOverflow); otherwise the CPUs in this
+    process's affinity mask, at most one per point.
+    """
+    if dim > DIM_CAP or points * dim ** 3 < _PARALLEL_BREAK_EVEN:
+        return 1
+    if not hasattr(os, "sched_getaffinity"):  # not on macOS or Windows: serial
+        return 1
+    return min(len(os.sched_getaffinity(0)), points)
+
+
+def _map_points(point, values, dim: int) -> list:
+    """[point(v) for v in values], in order, over worker processes when the
+    cost test and the platform allow it (fork start method, several CPUs)."""
+    values = list(values)
+    workers = _workers(len(values), dim)
+    if workers > 1:
+        import multiprocessing
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures import ProcessPoolExecutor
+            # A forked worker flushes the standard streams it inherited when
+            # it exits, so output still buffered here would appear twice.
+            sys.stdout.flush()
+            sys.stderr.flush()
+            pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+            try:
+                return list(pool.map(point, values))
+            finally:
+                pool.shutdown(wait=True, cancel_futures=True)
+    return [point(value) for value in values]
+
+
+def _dimension(config: SystemConfig) -> int:
+    return config.transmon.num_levels * config.resonator.fock_truncation
+
+
 def shift_rows(config: SystemConfig, variable: str, values,
                include_exact: bool = True) -> list[ShiftRow]:
-    rows = []
-    for value in values:
-        delta0 = _detuning_of(config, variable, float(value))
-        try:
-            system = _build(config, variable, float(value))
-            report = shift_report(system)
-            row = dict(
-                delta0_ghz=delta0,
-                chi0=report.chi[0], xi0=report.xi[0], chi_tilde0=report.chi_tilde[0],
-                pull_rabi=report.resonator_pull_rabi, pull_jc=report.resonator_pull_jc,
-                qshift_rabi=report.qubit_shift_rabi, qshift_jc=report.qubit_shift_jc)
-            if include_exact:
-                exact = exact_shifts(system, RABI)
-                row["exact_pull"] = exact.resonator_pull
-                row["exact_qshift"] = exact.qubit_shift
-                row["err_frac_rabi"] = _frac_err(report.resonator_pull_rabi,
-                                                 exact.resonator_pull)
-                row["err_frac_jc"] = _frac_err(report.resonator_pull_jc,
-                                               exact.resonator_pull)
-            rows.append(ShiftRow(**row))
-        except _ROW_ERRORS as exc:
-            rows.append(ShiftRow(delta0_ghz=delta0, error=type(exc).__name__))
-    return rows
+    point = partial(_row, ShiftRow, partial(_shift_fields, include_exact), config, variable)
+    return _map_points(point, values, _dimension(config) if include_exact else 0)
 
 
 def rate_rows(config: SystemConfig, variable: str, values) -> list[RateRow]:
-    rows = []
-    for value in values:
-        delta0 = _detuning_of(config, variable, float(value))
-        try:
-            system = _build(config, variable, float(value))
-            second = second_order_rates(system)
-            by_label = {(t.jump.label): t.rate_mhz for t in second}
-            d0, c0_rabi = dressed_dephasing_prefactors(0, system, RABI)
-            purcell_rabi = purcell_rates(0, system, RABI)
-            purcell_jc = purcell_rates(0, system, JC)
-            rows.append(RateRow(
-                delta0_ghz=delta0,
-                p0_rabi=purcell_prefactor(0, system, RABI),
-                p0_jc=purcell_prefactor(0, system, JC),
-                d0=d0,
-                c0_rabi=c0_rabi,
-                a0_rabi=photon_assisted_prefactor(0, system, RABI),
-                a0_jc=photon_assisted_prefactor(0, system, JC),
-                gamma_down0_mhz=by_label["sigma(0,1)"],
-                gamma_up0_mhz=by_label["sigma(1,0)"],
-                gamma_phi0_mhz=by_label["sigma(0,0)"],
-                kappa_minus_mhz=by_label["a"],
-                kappa_plus_mhz=by_label["adag"],
-                purcell_down0_rabi_mhz=purcell_rabi[0],
-                purcell_down0_jc_mhz=purcell_jc[0]))
-        except _ROW_ERRORS as exc:
-            rows.append(RateRow(delta0_ghz=delta0, error=type(exc).__name__))
-    return rows
+    point = partial(_row, RateRow, _rate_fields, config, variable)
+    return [point(value) for value in values]
 
 
 def exact_rows(config: SystemConfig, variable: str, values,
                model: str | None = None) -> list[ExactRow]:
     if model is None:
         model = config.interaction_model
-    rows = []
-    for value in values:
-        delta0 = _detuning_of(config, variable, float(value))
-        try:
-            system = _build(config, variable, float(value))
-            exact = exact_shifts(system, model)
-            rows.append(ExactRow(delta0_ghz=delta0, exact_pull=exact.resonator_pull,
-                                 exact_qshift=exact.qubit_shift))
-        except _ROW_ERRORS as exc:
-            rows.append(ExactRow(delta0_ghz=delta0, error=type(exc).__name__))
-    return rows
+    point = partial(_row, ExactRow, partial(_exact_fields, model), config, variable)
+    return _map_points(point, values, _dimension(config))
 
 
 def all_rows_failed(rows) -> bool:

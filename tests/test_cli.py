@@ -419,3 +419,23 @@ def test_huge_collapsing_ladder_exits_3(config_path, capsys, levels):
     assert [row["error"] for row in parse_csv(captured.out)[1]] == ["NonPositiveSplitting"]
     assert captured.err.startswith("error: every sweep point failed")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("levels", ["1" + "0" * 12, "1" + "0" * 400], ids=["1e12", "1e400"])
+def test_huge_ladder_exits_2(tmp_path, capsys, levels):
+    """A ladder that never collapses (negative anharmonicity) is refused
+    against the level cap before any array of its length is made."""
+    path = tmp_path / "readme.json"
+    path.write_text(json.dumps({
+        "omega_r_ghz": 5.0, "omega_10_ghz": 6.0, "anharmonicity_ghz": -0.25,
+        "g0_ghz": 0.1, "num_qubit_levels": 5, "fock_truncation": 8, "model": "rabi",
+        "temperature_ghz": 0.1,
+        "bath_X": {"model": "ohmic", "eta": 0.002, "cutoff_ghz": 50.0},
+        "bath_Z": {"model": "one_over_f", "amplitude": 1e-6, "ir_floor_ghz": 0.01},
+        "bath_R": {"model": "flat", "level": 0.001}}))
+    capsys.readouterr()
+    assert main(["shifts", "--config", str(path), "--nq", levels]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "ladder levels exceed the cap" in captured.err

@@ -6,14 +6,17 @@ run must end in one of the documented exit codes (0, 2, 3, 4), never in an
 uncaught exception (which would fail the test) or a traceback on stderr.
 Ladder and Fock sizes are drawn only from small values and from values
 above DIM_CAP, and evolve/steady run at --nq 3 --nr 5: both build dense
-d x d jump matrices, so a large d would need gigabytes.
+d x d jump matrices, so a large d would need gigabytes.  No run may start a
+process pool.
 """
 
+import concurrent.futures
 import contextlib
 import copy
 import io
 import json
 import math
+from unittest import mock
 
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
@@ -84,7 +87,11 @@ def test_mutated_readme_config_keeps_the_exit_contract(tmp_path_factory, command
     path = tmp_path_factory.getbasetemp() / "mutated.json"
     path.write_text(json.dumps(config))
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    # README-sized sweeps and points beyond DIM_CAP are too little work for
+    # a process pool
+    no_pool = mock.patch.object(concurrent.futures, "ProcessPoolExecutor",
+                                side_effect=AssertionError("a process pool was started"))
+    with no_pool, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main([*command, "--config", str(path)])
     event(f"{command[0]} exit {code}")
     assert code in (0, 2, 3, 4)

@@ -339,10 +339,11 @@ def test_lazy_states_match_dense_reconstruction():
 
 
 def test_import_loads_no_scipy():
-    """Importing the package and its CLI loads no SciPy module, and every
-    exported name still resolves."""
+    """Importing the package and its CLI loads no SciPy, multiprocessing or
+    concurrent.futures module, and every exported name still resolves."""
     code = ("import sys, rabiqed, rabiqed.cli\n"
-            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] in "
+            "('scipy', 'multiprocessing', 'concurrent'))\n"
             "assert not loaded, loaded\n"
             "missing = [n for n in rabiqed.__all__ if not hasattr(rabiqed, n)]\n"
             "assert not missing, missing\n")

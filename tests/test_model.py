@@ -11,6 +11,7 @@ from rabiqed import (
     RABI,
     ConfigError,
     InvalidSpec,
+    LadderOverflow,
     NonPositiveSplitting,
     QubitSpec,
     ResonatorSpec,
@@ -26,7 +27,7 @@ from rabiqed import (
     validate,
 )
 
-from rabiqed.model import transmon_ladder
+from rabiqed.model import MAX_LADDER_ENTRIES, transmon_ladder
 
 from conftest import build_system
 
@@ -86,6 +87,18 @@ def test_transmon_ladder_reports_the_first_collapse(omega_10, anharmonicity):
     # over several omega_10 values, the first ladder that collapses is reported
     with pytest.raises(NonPositiveSplitting, match="^transition 3,2 .*omega_10=0.4,"):
         transmon_ladder([7.0, 6.0, 0.4, 0.2], 0.25, 0.1, 10)
+
+
+def test_transmon_ladder_caps_the_levels_it_holds():
+    """Ladders that never collapse hold at most MAX_LADDER_ENTRIES levels in
+    all, counted over every omega_10, and a longer one is refused before any
+    array of its length is made (N = 1e18 would not fit)."""
+    energies, _ = transmon_ladder(6.0, -0.25, 0.1, MAX_LADDER_ENTRIES)
+    assert energies.shape == (1, MAX_LADDER_ENTRIES)
+    for omega_10, num_levels in ((6.0, MAX_LADDER_ENTRIES + 1), (6.0, 10**18),
+                                 ([6.0, 7.0], MAX_LADDER_ENTRIES // 2 + 1)):
+        with pytest.raises(LadderOverflow, match="ladder levels exceed the cap"):
+            transmon_ladder(omega_10, -0.25, 0.1, num_levels)
 
 
 def test_qubit_spec_accessors():

@@ -1,8 +1,13 @@
 """Tests for sweep grids, row builders, and CSV serialization."""
 
+import concurrent.futures
 import dataclasses
 import hashlib
+import json
 import math
+import multiprocessing
+import os
+import pickle
 
 import numpy as np
 import pytest
@@ -14,8 +19,12 @@ from rabiqed import (
     JC,
     RABI,
     RESONANCE_WINDOW_FACTOR,
+    AmbiguousLabeling,
+    ConvergenceFailure,
     ExactRow,
+    InvalidSpec,
     RateRow,
+    ResonantDivergence,
     ResonatorSpec,
     ShiftRow,
     SpectralFunction,
@@ -35,7 +44,11 @@ from rabiqed import (
     purcell_prefactor,
     rate_rows,
     shift_rows,
+    sweeps,
 )
+import rabiqed.exact
+from rabiqed.cli import main
+from rabiqed.exact import DIM_CAP
 
 from conftest import build_system
 
@@ -251,6 +264,16 @@ README_CONFIG = {
 }
 
 
+# sha256 of format_csv for the README system's shift_rows and exact_rows on
+# np.linspace(-3, 3, 161), recorded from the serial row loops.
+README_SHIFTS_SHA256 = "ad12484d85bc6a6188e60334cd15205cd14891482eb508cebc9be6692f7ad48c"
+README_EXACT_SHA256 = "8dc89d6410be1028f19d122da91fe108ed46b7d1cade7b594850308ba2b5b848"
+
+
+def _sha256(rows, row_type):
+    return hashlib.sha256(format_csv(rows, row_type).encode()).hexdigest()
+
+
 def _all_finite(row):
     return not row.error and all(math.isfinite(v) for v in vars(row).values()
                                  if isinstance(v, float))
@@ -270,9 +293,8 @@ def test_readme_sweep_bytes_are_pinned():
     grid = np.linspace(-3.0, 3.0, 161)
     shifts = shift_rows(config, DETUNING, grid)
     rates = rate_rows(config, DETUNING, grid)
-    assert hashlib.sha256(format_csv(shifts, ShiftRow).encode()).hexdigest() == \
-        "ad12484d85bc6a6188e60334cd15205cd14891482eb508cebc9be6692f7ad48c"
-    assert hashlib.sha256(format_csv(rates, RateRow).encode()).hexdigest() == \
+    assert _sha256(shifts, ShiftRow) == README_SHIFTS_SHA256
+    assert _sha256(rates, RateRow) == \
         "a62f32425d7750ad5b6e7005f5b2009a05dba4147f0794a2afeca2ce4a7aa2f1"
     assert grid[100] == 0.75
     assert shifts[100].error == "ResonantDivergence"
@@ -283,3 +305,113 @@ def test_readme_sweep_bytes_are_pinned():
     assert system.omega_r - system.qubit.splitting(4) == 0.0
     assert all(_all_finite(row) for row in rate_rows(ten, COUPLING,
                                                      np.linspace(0.01, 0.3, 59)))
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Send every diagonalizing sweep to a pool of two fork workers.
+
+    Yields the list of pools created.  Afterwards each worker has been
+    reaped by the sweep itself and no child process is left.
+    """
+    made = []
+    workers = []
+
+    class Recorder(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+        def map(self, *args, **kwargs):
+            results = super().map(*args, **kwargs)
+            workers.extend(self._processes)
+            return results
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
+    monkeypatch.setattr(sweeps, "_PARALLEL_BREAK_EVEN", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    yield made
+    assert len(workers) == sum(pool._max_workers for pool in made)
+    for pid in workers:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+    assert multiprocessing.active_children() == []
+
+
+def test_parallel_sweeps_keep_the_pinned_bytes(pools):
+    """The README sweeps give the same bytes from two worker processes."""
+    config = parse_config(README_CONFIG)
+    grid = np.linspace(-3.0, 3.0, 161)
+    assert _sha256(shift_rows(config, DETUNING, grid), ShiftRow) == README_SHIFTS_SHA256
+    assert _sha256(exact_rows(config, DETUNING, grid), ExactRow) == README_EXACT_SHA256
+    assert len(pools) == 2
+    assert all(pool._max_workers == 2 for pool in pools)
+
+
+def test_parallel_sweep_keeps_error_rows_in_order(pools, monkeypatch):
+    """Collapsed, resonant and ambiguous points keep their places on a grid
+    through resonance, as in the serial loop."""
+    config = parse_config(README_CONFIG)
+    grid = np.linspace(-5.5, 1.0, 27)
+    parallel = (shift_rows(config, DETUNING, grid), exact_rows(config, DETUNING, grid, JC))
+    assert len(pools) == 2
+    monkeypatch.setattr(sweeps, "_PARALLEL_BREAK_EVEN", math.inf)
+    serial = (shift_rows(config, DETUNING, grid), exact_rows(config, DETUNING, grid, JC))
+    assert len(pools) == 2
+    assert format_csv(parallel[0], ShiftRow) == format_csv(serial[0], ShiftRow)
+    assert format_csv(parallel[1], ExactRow) == format_csv(serial[1], ExactRow)
+    collapsed = ["NonPositiveSplitting"] * 6
+    assert [row.error for row in parallel[0] if row.error] == \
+        collapsed + ["ResonantDivergence"] * 4
+    assert [i for i, row in enumerate(parallel[0]) if row.error] == [*range(6), *range(22, 26)]
+    assert [(i, row.error) for i, row in enumerate(parallel[1]) if row.error] == \
+        [*enumerate(collapsed), (22, "AmbiguousLabeling")]
+
+
+def test_worker_failure_exits_3(pools, monkeypatch, tmp_path, capsys):
+    """An eigensolver failure inside a worker ends the command as it would
+    in-process: exit 3 and one error line."""
+    def fail(h):
+        raise ConvergenceFailure("eigh did not converge")
+
+    monkeypatch.setattr(rabiqed.exact, "diagonalize", fail)
+    path = tmp_path / "readme.json"
+    path.write_text(json.dumps(README_CONFIG))
+    capsys.readouterr()
+    assert main(["exact", "--config", str(path), "--sweep", "detuning:-3:3:9"]) == 3
+    assert capsys.readouterr().err == "error: ConvergenceFailure: eigh did not converge\n"
+    assert len(pools) == 1
+
+
+def test_one_cpu_creates_no_pool(pools, monkeypatch):
+    """With one CPU in the affinity mask the sweep runs in-process."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    config = parse_config(README_CONFIG)
+    rows = exact_rows(config, DETUNING, np.linspace(-3.0, 3.0, 161))
+    assert _sha256(rows, ExactRow) == README_EXACT_SHA256
+    assert pools == []
+
+
+def test_cost_test_picks_serial_or_parallel(monkeypatch):
+    """README sizes stay serial, d = 600 sweeps use every CPU (at most one
+    per point), and points beyond DIM_CAP count as no work."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    assert sweeps._workers(161, 40) == 1
+    assert sweeps._workers(161, 80) == 1
+    assert sweeps._workers(81, 600) == 3
+    assert sweeps._workers(2, 600) == 2
+    assert sweeps._workers(1, 600) == 1
+    assert sweeps._workers(10 ** 9, DIM_CAP + 1) == 1
+
+
+@pytest.mark.parametrize("error, fields", [
+    (AmbiguousLabeling((0, 1), 0.4), {"pair": (0, 1), "overlap": 0.4}),
+    (ResonantDivergence(0, "co", 1e-9), {"k": 0, "which": "co", "value": 1e-9}),
+    (InvalidSpec(("a", "b")), {"errors": ("a", "b")}),
+], ids=["AmbiguousLabeling", "ResonantDivergence", "InvalidSpec"])
+def test_errors_survive_pickling(error, fields):
+    """Errors with their own constructors cross a process boundary intact."""
+    copy = pickle.loads(pickle.dumps(error))
+    assert type(copy) is type(error)
+    assert {name: getattr(copy, name) for name in fields} == fields
+    assert str(copy) == str(error)

@@ -74,6 +74,12 @@ COMMANDS = st.sampled_from([
 ])
 
 
+def _no_pool(*args, **kwargs):
+    """README-sized sweeps and points beyond DIM_CAP are too little work for
+    a process pool."""
+    raise AssertionError("a process pool was started")
+
+
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(command=COMMANDS, changes=mutations())
 def test_mutated_readme_config_keeps_the_exit_contract(tmp_path_factory, command, changes):
@@ -87,10 +93,7 @@ def test_mutated_readme_config_keeps_the_exit_contract(tmp_path_factory, command
     path = tmp_path_factory.getbasetemp() / "mutated.json"
     path.write_text(json.dumps(config))
     out, err = io.StringIO(), io.StringIO()
-    # README-sized sweeps and points beyond DIM_CAP are too little work for
-    # a process pool
-    no_pool = mock.patch.object(concurrent.futures, "ProcessPoolExecutor",
-                                side_effect=AssertionError("a process pool was started"))
+    no_pool = mock.patch.object(concurrent.futures, "ProcessPoolExecutor", _no_pool)
     with no_pool, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main([*command, "--config", str(path)])
     event(f"{command[0]} exit {code}")

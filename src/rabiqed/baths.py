@@ -18,7 +18,7 @@ conversion to MHz happens only where rates are reported.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -102,10 +102,7 @@ class SpectralFunction:
         return cls(model=FLAT, level=0.0, temperature=temperature_ghz)
 
     def with_temperature(self, temperature_ghz: float) -> "SpectralFunction":
-        return SpectralFunction(model=self.model, temperature=temperature_ghz,
-                                eta=self.eta, cutoff=self.cutoff,
-                                amplitude=self.amplitude, ir_floor=self.ir_floor,
-                                level=self.level)
+        return replace(self, temperature=temperature_ghz)
 
     def spectral_density(self, omega: float) -> float:
         """J(omega) for omega >= 0.  Raises NegativeFrequency otherwise."""

@@ -26,7 +26,7 @@ import numpy as np
 from . import sweeps
 from .exact import (QUBIT_SHIFT, RESONATOR_PULL, AmbiguousLabeling,
                     ConvergenceFailure, DimensionOverflow, NoPhysicalCoupling,
-                    exact_shifts, fit_g0, fit_residual_curve)
+                    FitResult, fit_g0, fit_residual_curve)
 from .lindblad import (DRESSED_ANALYTIC, DegenerateNullSpace, NonPositiveState,
                        PropagationFailure, TruncationTooSmall, assemble,
                        evolve, partial_trace_qubit, steady_state,
@@ -40,7 +40,7 @@ from .shifts import ResonantDivergence
 from .svgplot import LinePlot
 from .sweeps import (DETUNING, ExactRow, RateRow, ShiftRow, SweepError,
                      SweepRequest, all_rows_failed, apply_resonance_exclusion,
-                     columns, format_csv, format_table, parse_csv)
+                     format_csv, format_table, parse_csv)
 
 _MATH_ERRORS = (ResonantDivergence, NonPositiveSplitting, AmbiguousLabeling,
                 DimensionOverflow, ConvergenceFailure, NoPhysicalCoupling,
@@ -68,11 +68,9 @@ def _write_text(path: str | None, text: str) -> None:
 
 def _load_config(args) -> "SystemConfig":
     try:
-        with open(args.config, "r", encoding="utf-8") as handle:
-            handle.read(1)
+        config = load_config(args.config)
     except OSError as exc:
         raise _IOFailure(f"cannot read config {args.config!r}: {exc}") from exc
-    config = load_config(args.config)
     if getattr(args, "model", None):
         config = dataclasses.replace(config, interaction_model=args.model)
     if getattr(args, "nq", None):
@@ -92,51 +90,48 @@ class _IOFailure(OSError):
     pass
 
 
-def _sweep_values(args, config, exclude_resonance: bool):
-    """Resolve (variable, values) from --sweep or fall back to a single point."""
-    if args.sweep:
+def _read_csv(path: str) -> tuple[list[str], list[dict]]:
+    """The header and rows of a CSV file written by format_table."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return parse_csv(handle.read())
+    except OSError as exc:
+        raise _IOFailure(f"cannot read {path!r}: {exc}") from exc
+    except ValueError as exc:  # a malformed table, or bytes that are not UTF-8
+        raise ConfigError(f"bad CSV {path!r}: {exc}") from exc
+
+
+def _some_left(values: np.ndarray) -> np.ndarray:
+    if len(values) == 0:
+        raise SweepError("the resonance exclusion window removed every sweep point")
+    return values
+
+
+# Per sweep command: the row type, the row builder, and whether detuning
+# grids lose the resonance window.
+_SWEEPS = {"shifts": (ShiftRow, sweeps.shift_rows, True),
+           "rates": (RateRow, sweeps.rate_rows, False),
+           "exact": (ExactRow, sweeps.exact_rows, False)}
+
+
+def _cmd_sweep(args) -> int:
+    """shifts, rates or exact over --sweep, or at the config's own point."""
+    row_type, rows_of, exclude_resonance = _SWEEPS[args.command]
+    config = _load_config(args)
+    if not args.sweep:
+        variable = DETUNING
+        values = np.array([config.transmon.omega_10 - config.resonator.omega_r])
+    else:
         request = SweepRequest.parse(args.sweep)
+        variable, values = request.variable, request.grid()
         if exclude_resonance:
-            values = apply_resonance_exclusion(request, config,
-                                               window=getattr(args, "window", None))
-            if len(values) == 0:
-                raise SweepError("the resonance exclusion window removed every "
-                                 "sweep point")
-        else:
-            values = request.grid()
-        return request.variable, values
-    delta0 = config.transmon.omega_10 - config.resonator.omega_r
-    return DETUNING, np.array([delta0])
-
-
-def _emit_rows(rows, row_type, out: str | None) -> int:
-    text = format_csv(rows, row_type)
-    _write_text(out, text)
+            values = _some_left(apply_resonance_exclusion(request, config, args.window))
+    rows = rows_of(config, variable, values)
+    _write_text(args.out, format_csv(rows, row_type))
     if all_rows_failed(rows):
         _fail("every sweep point failed; see the error column")
         return EXIT_MATH
     return EXIT_OK
-
-
-def _cmd_shifts(args) -> int:
-    config = _load_config(args)
-    variable, values = _sweep_values(args, config, exclude_resonance=True)
-    rows = sweeps.shift_rows(config, variable, values, include_exact=True)
-    return _emit_rows(rows, ShiftRow, args.out)
-
-
-def _cmd_rates(args) -> int:
-    config = _load_config(args)
-    variable, values = _sweep_values(args, config, exclude_resonance=False)
-    rows = sweeps.rate_rows(config, variable, values)
-    return _emit_rows(rows, RateRow, args.out)
-
-
-def _cmd_exact(args) -> int:
-    config = _load_config(args)
-    variable, values = _sweep_values(args, config, exclude_resonance=False)
-    rows = sweeps.exact_rows(config, variable, values)
-    return _emit_rows(rows, ExactRow, args.out)
 
 
 _OBSERVABLE_COLUMNS = {RESONATOR_PULL: "exact_pull", QUBIT_SHIFT: "exact_qshift"}
@@ -161,15 +156,7 @@ def _cmd_fit(args) -> int:
                                                               QUBIT_SHIFT)
     models = (args.model,) if args.model else (RABI, JC)
     if args.data:
-        try:
-            with open(args.data, "r", encoding="utf-8") as handle:
-                text = handle.read()
-        except OSError as exc:
-            raise _IOFailure(f"cannot read data {args.data!r}: {exc}") from exc
-        try:
-            names, raw_rows = parse_csv(text)
-        except ValueError as exc:
-            raise ConfigError(f"bad CSV {args.data!r}: {exc}") from exc
+        names, raw_rows = _read_csv(args.data)
         missing = [c for c in ["delta0_ghz",
                                *(_OBSERVABLE_COLUMNS[o] for o in observables)]
                    if c not in names]
@@ -188,10 +175,7 @@ def _cmd_fit(args) -> int:
             values = apply_resonance_exclusion(request, config, window=window)
         else:
             values = sweeps.default_detuning_grid(config.transmon.g0, window=window)
-        if len(values) == 0:
-            raise SweepError("the resonance exclusion window removed every "
-                             "sweep point")
-        exact = sweeps.exact_rows(config, DETUNING, values, model=RABI)
+        exact = sweeps.exact_rows(config, DETUNING, _some_left(values), model=RABI)
         if all_rows_failed(exact):
             _fail("no exact data points survived")
             return EXIT_MATH
@@ -199,8 +183,6 @@ def _cmd_fit(args) -> int:
                           for row in exact if not row.error]
                     for obs in observables}
     transmon = config.transmon
-    names = ["model", "observable", "g0_hat_ghz", "stderr_ghz", "residual_sum",
-             "n_points"]
     out_rows = []
     failures = 0
     for observable in observables:
@@ -213,27 +195,17 @@ def _cmd_fit(args) -> int:
                                 num_levels=transmon.num_levels)
             except (*_MATH_ERRORS, ValueError) as exc:
                 failures += 1
-                out_rows.append({"model": model, "observable": observable,
-                                 "g0_hat_ghz": float("nan"),
-                                 "stderr_ghz": float("nan"),
-                                 "residual_sum": float("nan"),
-                                 "n_points": float(len(data)),
-                                 })
                 _fail(f"fit {model}/{observable}: {type(exc).__name__}: {exc}")
-                continue
+                nan = float("nan")
+                result = FitResult(nan, nan, nan, len(data), model, observable)
             out_rows.append({"model": model, "observable": observable,
                              "g0_hat_ghz": result.g0_hat,
                              "stderr_ghz": result.stderr,
                              "residual_sum": result.residual_sum,
-                             "n_points": float(result.n_points)})
-    _write_text(args.out, format_table(names, out_rows))
+                             "n_points": result.n_points})
+    _write_text(args.out, format_table(list(out_rows[0]), out_rows))
     if args.json:
-        payload = []
-        for row in out_rows:
-            entry = dict(row)
-            entry["n_points"] = int(row["n_points"])
-            payload.append(entry)
-        _write_text(args.json, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        _write_text(args.json, json.dumps(out_rows, indent=2, sort_keys=True) + "\n")
     if args.residuals:
         grid = np.geomspace(1e-4, 2.0, 61)
         curve_names = ["g0_ghz"]
@@ -355,15 +327,7 @@ def _cmd_steady(args) -> int:
 
 
 def _cmd_plot(args) -> int:
-    try:
-        with open(args.csv) as handle:
-            text = handle.read()
-    except OSError as exc:
-        raise _IOFailure(f"cannot read {args.csv!r}: {exc}") from exc
-    try:
-        names, rows = parse_csv(text)
-    except ValueError as exc:
-        raise ConfigError(f"bad CSV {args.csv!r}: {exc}") from exc
+    names, rows = _read_csv(args.csv)
     x_name = args.x or names[0]
     if args.y:
         y_names = args.y.split(",")
@@ -398,22 +362,21 @@ def build_parser() -> argparse.ArgumentParser:
                     "resonator.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, exact_opts=True):
+    def add_common(p):
         p.add_argument("--config", required=True, help="JSON system description")
         p.add_argument("--model", choices=MODELS, default=None,
                        help="override the interaction model")
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        if exact_opts:
-            p.add_argument("--nq", type=int, default=None,
-                           help="override the number of qubit levels")
-            p.add_argument("--nr", type=int, default=None,
-                           help="override the resonator truncation")
+        p.add_argument("--nq", type=int, default=None,
+                       help="override the number of qubit levels")
+        p.add_argument("--nr", type=int, default=None,
+                       help="override the resonator truncation")
 
-    for name, fn, doc in (("shifts", _cmd_shifts,
+    for name, fn, doc in (("shifts", _cmd_sweep,
                            "analytic shift observables with exact reference"),
-                          ("rates", _cmd_rates,
+                          ("rates", _cmd_sweep,
                            "second-order rates and fourth-order prefactors"),
-                          ("exact", _cmd_exact, "exact-diagonalization shifts"),
+                          ("exact", _cmd_sweep, "exact-diagonalization shifts"),
                           ("fit", _cmd_fit, "recover the base coupling")):
         p = sub.add_parser(name, help=doc)
         add_common(p)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .model import RABI, SystemSpec, check_model, transmon_ladder
 from .operators import ProductSpace, annihilator, number_operator, qubit_lower
-from .shifts import DEFAULT_TOL_RES, ShiftArrays, pull_and_qubit_shift, resonant
+from .shifts import ShiftArrays, pull_and_qubit_shift, resonant
 
 DIM_CAP = 4096
 
@@ -69,7 +69,6 @@ def build_hamiltonian(system: SystemSpec, model: str | None = None,
     m = system.resonator.fock_truncation
     if n_levels * m > dim_cap:
         raise DimensionOverflow(f"product dimension {n_levels * m} exceeds cap {dim_cap}")
-    space = ProductSpace(n_levels, m)
     a = annihilator(m)
     h = np.kron(np.diag(q.level_energies), np.eye(m))
     h += np.kron(np.eye(n_levels), system.omega_r * number_operator(m))
@@ -80,7 +79,6 @@ def build_hamiltonian(system: SystemSpec, model: str | None = None,
     else:
         coupl = np.kron(lower, a.T)
         h += coupl + coupl.T
-    space.check_operator(h)
     return h
 
 
@@ -114,14 +112,13 @@ class Labeling:
 
 
 def label_dressed_states(spectrum: Spectrum, system: SystemSpec,
-                         required: Iterable[tuple[int, int]] | None = None,
-                         threshold: float = 0.5) -> Labeling:
+                         required: Iterable[tuple[int, int]] | None = None) -> Labeling:
     """Greedy maximum-overlap assignment of bare product labels.
 
     Bare states are processed in order of increasing bare energy (ties by
     lexicographic (k, n)), each claiming its best-overlap eigenvector among
     those still unclaimed.  A claim needs squared overlap strictly above
-    ``threshold``; anything at or below stays unlabeled.  If a pair listed
+    1/2; anything at or below stays unlabeled.  If a pair listed
     in ``required`` ends up unlabeled, AmbiguousLabeling is raised.
     """
     q = system.qubit
@@ -141,7 +138,7 @@ def label_dressed_states(spectrum: Spectrum, system: SystemSpec,
         overlaps[(k, n)] = overlap
         # a strictly-greater-than-half claim; exact 50/50 hybridization is
         # ambiguous, and floating point puts it at 0.5 +- a few ulp
-        if overlap > threshold + 1e-12:
+        if overlap > 0.5 + 1e-12:
             labels[(k, n)] = int(best)
             unclaimed[best] = False
     if required is not None:
@@ -191,12 +188,11 @@ def _transmon_shifts(detunings, g0: float, model: str, observable: str, *,
 
 
 def analytic_shift(detuning: float, g0: float, model: str, observable: str, *,
-                   omega_r: float, anharmonicity: float, num_levels: int,
-                   tol_res: float = DEFAULT_TOL_RES) -> float:
+                   omega_r: float, anharmonicity: float, num_levels: int) -> float:
     """Second-order shift prediction for a transmon ladder at one detuning."""
     shift, arrays = _transmon_shifts(detuning, g0, model, observable, omega_r=omega_r,
                                      anharmonicity=anharmonicity, num_levels=num_levels)
-    ShiftArrays._make(values[0] for values in arrays).guard(tol_res)
+    ShiftArrays._make(values[0] for values in arrays).guard()
     return float(shift[0])
 
 
@@ -222,8 +218,7 @@ def _shift_basis(data, model: str, observable: str, *, omega_r: float,
     pairs = np.asarray(data, dtype=float).reshape(-1, 2)
     s, arrays = _transmon_shifts(pairs[:, 0], 1.0, model, observable, omega_r=omega_r,
                                  anharmonicity=anharmonicity, num_levels=num_levels)
-    usable = ~np.any(resonant(arrays.co, DEFAULT_TOL_RES)
-                     | resonant(arrays.counter, DEFAULT_TOL_RES), axis=-1)
+    usable = ~np.any(resonant(arrays.co) | resonant(arrays.counter), axis=-1)
     return s[usable], pairs[usable, 1]
 
 

@@ -1,8 +1,8 @@
 """Lindblad generators, time evolution, steady states, and the drive identity.
 
 A generator built here acts on density matrices in units of 1/ns: stored
-frequencies are ordinary (/2pi) GHz and stored rates are MHz, so the
-application routine multiplies the Hamiltonian by 2 pi and each rate by
+frequencies are ordinary (/2pi) GHz and stored rates are MHz, so
+_build_liouvillian multiplies the Hamiltonian by 2 pi and each rate by
 2 pi * 1e-3.  Time arguments are in ns throughout.
 
 Two assembly modes are supported:
@@ -172,8 +172,8 @@ def dressed_hamiltonian(system: SystemSpec, model: str,
 
 
 def assemble(system: SystemSpec, mode: str = DRESSED_ANALYTIC,
-             model: str | None = None, report: ShiftReport | None = None,
-             table: RateTable | None = None, include_fourth_order: bool = True,
+             model: str | None = None, table: RateTable | None = None,
+             include_fourth_order: bool = True,
              extra_terms: Sequence[DissipatorTerm] = ()) -> LindbladGenerator:
     """Build a LindbladGenerator for a system in one of the two modes."""
     if mode not in MODES:
@@ -187,7 +187,7 @@ def assemble(system: SystemSpec, mode: str = DRESSED_ANALYTIC,
         table = build_rate_table(system)
     terms = list(table.second_order)
     if mode == DRESSED_ANALYTIC:
-        h = dressed_hamiltonian(system, model, report)
+        h = dressed_hamiltonian(system, model)
         if include_fourth_order:
             terms.extend(table.fourth(model))
     else:
@@ -283,16 +283,18 @@ _MAX_PROPAGATOR_BLOCK = 600
 def _reachable(liouville: sp.csr_matrix, vec: np.ndarray) -> np.ndarray:
     """Indices of vec(rho) that the generator can carry the support of vec into.
 
-    Grows the support through the sparsity pattern, adding i whenever
-    L[i, j] != 0 for a j already reached, until nothing new is added.
+    A breadth-first search through the sparsity pattern: i is reached when
+    L[i, j] != 0 for a reached j.  Each pass reads only the columns of the
+    entries reached in the pass before, so every column is read once.
     """
-    pattern = (liouville != 0).astype(float)
+    pattern = (liouville != 0).tocsc()
     reached = vec != 0
-    while True:
-        grown = reached | (pattern @ reached.astype(float) > 0)
-        if np.array_equal(grown, reached):
-            return np.flatnonzero(reached)
-        reached = grown
+    frontier = np.flatnonzero(reached)
+    while frontier.size:
+        rows = pattern[:, frontier].indices
+        frontier = np.unique(rows[~reached[rows]])
+        reached[frontier] = True
+    return np.flatnonzero(reached)
 
 
 def _uniform_step(targets: np.ndarray) -> float | None:
@@ -379,15 +381,15 @@ def evolve(gen: LindbladGenerator, rho0: np.ndarray, t_max: float,
     return Trajectory(times=targets, reach=reach, entries=entries, dim=gen.dim)
 
 
-def steady_state(gen: LindbladGenerator, residual_tol: float = 1e-10,
-                 positivity_tol: float = 1e-9) -> np.ndarray:
+def steady_state(gen: LindbladGenerator, positivity_tol: float = 1e-9) -> np.ndarray:
     """Unique steady state of the generator.
 
     Solves L rho = 0 by sparse LU, with the first row of the vectorized
     generator replaced by the trace constraint.  Uniqueness is verified
     through the singular spectrum when the superoperator is small enough to
     afford a dense SVD; a second vanishing singular value, a singular
-    factorization or a residual above tolerance raises DegenerateNullSpace.
+    factorization or a residual above 1e-10 of the largest generator entry
+    raises DegenerateNullSpace.
     """
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
@@ -417,7 +419,7 @@ def steady_state(gen: LindbladGenerator, residual_tol: float = 1e-10,
     rho = rho / np.trace(rho).real
 
     residual = float(np.max(np.abs(liouville @ rho.reshape(-1))))
-    if not residual <= residual_tol * max(1.0, float(abs(liouville).max())):
+    if not residual <= 1e-10 * max(1.0, float(abs(liouville).max())):
         raise DegenerateNullSpace(f"steady-state residual {residual:.3e} exceeds "
                                   f"tolerance; null space is ill-conditioned")
     min_eig = float(np.linalg.eigvalsh(rho)[0])
@@ -455,14 +457,9 @@ def thermal_resonator_state(m: int, nbar: float) -> np.ndarray:
     """Truncated thermal state with Bose ratio r = nbar / (1 + nbar)."""
     if nbar < 0.0:
         raise ValueError(f"nbar must be >= 0, got {nbar}")
-    if nbar == 0.0:
-        p = np.zeros(m)
-        p[0] = 1.0
-    else:
-        r = nbar / (1.0 + nbar)
-        p = r ** np.arange(m)
-        p = p / p.sum()
-    return np.diag(p).astype(complex)
+    # at nbar = 0, r = 0 and 0.0 ** 0 == 1 give the vacuum exactly
+    p = (nbar / (1.0 + nbar)) ** np.arange(m)
+    return np.diag(p / p.sum()).astype(complex)
 
 
 def _dissipator(op: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -471,9 +468,7 @@ def _dissipator(op: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return op @ rho @ op_dag - 0.5 * (norm_op @ rho + rho @ norm_op)
 
 
-def verify_displacement_identity(alpha: complex, k: int, dims: tuple[int, int],
-                                 thermal_occupations: Sequence[float] = (0.0, 0.5, 1.0)
-                                 ) -> float:
+def verify_displacement_identity(alpha: complex, k: int, dims: tuple[int, int]) -> float:
     """Check the displaced-frame dissipator reduction on the qubit.
 
     Displacing a drive of amplitude alpha maps D[sigma_{k,k+1} a+] onto
@@ -482,8 +477,9 @@ def verify_displacement_identity(alpha: complex, k: int, dims: tuple[int, int],
     linear in a single photon operator and therefore trace to zero against
     any resonator state that is diagonal in the Fock basis.  This routine
     builds all three dissipators on an (N, M) product space, applies them
-    to a basis of qubit operators tensored with truncated thermal states,
-    and returns the largest entry of the qubit-reduced discrepancy.
+    to a basis of qubit operators tensored with truncated thermal states of
+    0, 0.5 and 1 photons, and returns the largest entry of the qubit-reduced
+    discrepancy.
     """
     n_levels, m = dims
     if abs(alpha) ** 2 > m / 4.0:
@@ -501,7 +497,7 @@ def verify_displacement_identity(alpha: complex, k: int, dims: tuple[int, int],
         for j in range(n_levels):
             qubit_basis = np.zeros((n_levels, n_levels), dtype=complex)
             qubit_basis[i, j] = 1.0
-            for nbar in thermal_occupations:
+            for nbar in (0.0, 0.5, 1.0):
                 rho = np.kron(qubit_basis, thermal_resonator_state(m, nbar))
                 delta = (_dissipator(j_op, rho) - _dissipator(a_op, rho)
                          - weight * _dissipator(b_op, rho))

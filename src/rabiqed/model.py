@@ -21,7 +21,7 @@ import bisect
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Mapping
 
 import numpy as np
@@ -102,27 +102,19 @@ class QubitSpec:
     dephasing_sensitivities: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "level_energies", tuple(float(x) for x in self.level_energies))
-        object.__setattr__(self, "coupling_ladder", tuple(float(x) for x in self.coupling_ladder))
-        object.__setattr__(self, "transverse_bath_couplings",
-                           tuple(float(x) for x in self.transverse_bath_couplings))
-        object.__setattr__(self, "dephasing_sensitivities",
-                           tuple(float(x) for x in self.dephasing_sensitivities))
-        for name in ("level_energies", "coupling_ladder", "transverse_bath_couplings",
-                     "dephasing_sensitivities"):
+        names = [f.name for f in fields(self)]
+        for name in names:
+            object.__setattr__(self, name, tuple(float(x) for x in getattr(self, name)))
+        for name in names:
             _require_finite("QubitSpec", name, getattr(self, name))
         n = len(self.level_energies)
         if n < 2:
             raise ValueError(f"qubit needs at least 2 levels, got {n}")
-        if len(self.coupling_ladder) != n - 1:
-            raise ValueError(f"coupling_ladder must have length {n - 1}, "
-                             f"got {len(self.coupling_ladder)}")
-        if len(self.transverse_bath_couplings) != n - 1:
-            raise ValueError(f"transverse_bath_couplings must have length {n - 1}, "
-                             f"got {len(self.transverse_bath_couplings)}")
-        if len(self.dephasing_sensitivities) != n:
-            raise ValueError(f"dephasing_sensitivities must have length {n}, "
-                             f"got {len(self.dephasing_sensitivities)}")
+        # per field, the length it must have: N - 1 per transition, N per level
+        for name, length in zip(names[1:], (n - 1, n - 1, n)):
+            if len(getattr(self, name)) != length:
+                raise ValueError(f"{name} must have length {length}, "
+                                 f"got {len(getattr(self, name))}")
 
     @property
     def num_levels(self) -> int:
@@ -472,4 +464,6 @@ def load_config(path: str) -> SystemConfig:
             data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc})") from exc
     return parse_config(data)

@@ -2,8 +2,9 @@
 
 Basis ordering: the product state |k, n> (qubit level k, n photons) sits
 at flat index k * M + n, i.e. the qubit is the slow index.  All matrices
-are dense numpy arrays; at the truncations this package targets (a few
-hundred states) dense storage is the fast option.
+are dense numpy arrays: at the truncations this package targets (a few
+hundred states) dense operators are cheap to build and multiply.  The
+Liouvillian, of dimension d^2, is sparse (see lindblad).
 """
 
 from __future__ import annotations
@@ -43,12 +44,6 @@ class ProductSpace:
         for k in range(self.qubit_dim):
             for n in range(self.fock_dim):
                 yield k, n
-
-    def check_operator(self, op: np.ndarray) -> None:
-        d = self.dimension
-        if op.shape != (d, d):
-            raise DimensionMismatch(f"operator shape {op.shape} does not match "
-                                    f"space dimension {d}")
 
 
 def annihilator(m: int) -> np.ndarray:

@@ -39,7 +39,7 @@ from functools import lru_cache
 import numpy as np
 
 from .model import JC, RABI, QubitSpec, SystemSpec, check_model
-from .shifts import DEFAULT_TOL_RES, guard_resonance, padded
+from .shifts import guard_resonance, padded
 
 SECOND_ORDER = "second_order"
 PURCELL = "purcell"
@@ -204,7 +204,7 @@ def _prefactors(q: QubitSpec, wr: float) -> tuple[np.ndarray, dict[str, dict[str
 
 
 def _lookup(k: int, system: SystemSpec, model: str, names: tuple[str, ...],
-            tol_res: float, level: bool = False) -> tuple[float, ...]:
+            level: bool = False) -> tuple[float, ...]:
     """Entries k of one model's named prefactor arrays, once the transitions
     they divide by pass the resonance guard: transition k, or for a level
     the adjacent transitions with nonzero coupling.  Raises RateOverflow if
@@ -215,7 +215,7 @@ def _lookup(k: int, system: SystemSpec, model: str, names: tuple[str, ...],
         raise IndexError(f"{'level' if level else 'transition'} index {k} out of range "
                          f"for {q.num_levels} levels")
     detuning, prefactors = _prefactors(q, system.omega_r)
-    guard_resonance("omega_r - omega_{k+1,k}", detuning, tol_res,
+    guard_resonance("omega_r - omega_{k+1,k}", detuning,
                     [j for j in (k, k - 1) if q.g(j) != 0.0] if level else (k,))
     values = tuple(float(prefactors[model][name][k]) for name in names)
     for name, value in zip(names, values):
@@ -224,10 +224,9 @@ def _lookup(k: int, system: SystemSpec, model: str, names: tuple[str, ...],
     return values
 
 
-def purcell_prefactor(k: int, system: SystemSpec, model: str,
-                      tol_res: float = DEFAULT_TOL_RES) -> float:
+def purcell_prefactor(k: int, system: SystemSpec, model: str) -> float:
     """Dimensionless p_k multiplying C_R(+-omega_{k+1,k})."""
-    return _lookup(k, system, model, ("p",), tol_res)[0]
+    return _lookup(k, system, model, ("p",))[0]
 
 
 def purcell_rates(k: int, system: SystemSpec, model: str) -> tuple[float, float]:
@@ -238,10 +237,10 @@ def purcell_rates(k: int, system: SystemSpec, model: str) -> tuple[float, float]
     return (_GHZ_TO_MHZ * p * cr.evaluate(w), _GHZ_TO_MHZ * p * cr.evaluate(-w))
 
 
-def dressed_dephasing_prefactors(k: int, system: SystemSpec, model: str,
-                                 tol_res: float = DEFAULT_TOL_RES) -> tuple[float, float]:
+def dressed_dephasing_prefactors(k: int, system: SystemSpec,
+                                 model: str) -> tuple[float, float]:
     """(d_k, c_k) for transition k; c_k vanishes for the rotating-wave model."""
-    return _lookup(k, system, model, ("d", "c"), tol_res)
+    return _lookup(k, system, model, ("d", "c"))
 
 
 def dressed_dephasing_terms(k: int, system: SystemSpec, model: str) -> list[DissipatorTerm]:
@@ -275,10 +274,9 @@ def dressed_dephasing_terms(k: int, system: SystemSpec, model: str) -> list[Diss
     ]
 
 
-def photon_assisted_prefactor(k: int, system: SystemSpec, model: str,
-                              tol_res: float = DEFAULT_TOL_RES) -> float:
+def photon_assisted_prefactor(k: int, system: SystemSpec, model: str) -> float:
     """Dimensionless a_k multiplying C_X(+-omega_r), for qubit level k = 0..N-1."""
-    return _lookup(k, system, model, ("a",), tol_res, level=True)[0]
+    return _lookup(k, system, model, ("a",), level=True)[0]
 
 
 def photon_assisted_terms(k: int, system: SystemSpec, model: str) -> list[DissipatorTerm]:
@@ -361,24 +359,12 @@ def driven_effective_rates(table: RateTable, n_photons: float,
         raise NegativePhotonNumber(f"photon number must be >= 0, got {n_photons}")
     if n_photons == 0.0:
         return []
-    down: dict[int, float] = {}
-    up: dict[int, float] = {}
-    phi: dict[int, float] = {}
-    for term in table.fourth_order[check_model(model)]:
-        if term.jump.photon is None or term.jump.qubit is None:
-            continue
-        kind, k = term.jump.qubit
-        if kind == "lower":
-            down[k] = down.get(k, 0.0) + term.rate_mhz
-        elif kind == "raise":
-            up[k] = up.get(k, 0.0) + term.rate_mhz
-        else:
-            phi[k] = phi.get(k, 0.0) + term.rate_mhz
-    out = []
-    for k in sorted(down):
-        out.append(DissipatorTerm(sigma_lower(k), n_photons * down[k], DRIVEN_EFFECTIVE))
-    for k in sorted(up):
-        out.append(DissipatorTerm(sigma_raise(k), n_photons * up[k], DRIVEN_EFFECTIVE))
-    for k in sorted(phi):
-        out.append(DissipatorTerm(sigma_diag(k), n_photons * phi[k], DRIVEN_EFFECTIVE))
-    return out
+    totals: dict[tuple[str, int], float] = {}
+    for term in table.fourth_order[model]:
+        if term.jump.photon is not None and term.jump.qubit is not None:
+            totals[term.jump.qubit] = totals.get(term.jump.qubit, 0.0) + term.rate_mhz
+    # decay, then excitation, then dephasing, each with k ascending
+    kinds = ("lower", "raise", "diag")
+    return [DissipatorTerm(JumpDescriptor(qubit=qubit), n_photons * totals[qubit],
+                           DRIVEN_EFFECTIVE)
+            for qubit in sorted(totals, key=lambda q: (kinds.index(q[0]), q[1]))]

@@ -30,7 +30,7 @@ import numpy as np
 from .model import JC, RABI, SystemSpec, check_model
 
 # Denominators smaller than this (GHz) are treated as resonant.
-DEFAULT_TOL_RES = 1e-6
+TOL_RES = 1e-6
 
 CO_ROTATING = "omega_{k+1,k} - omega_r"
 COUNTER_ROTATING = "omega_{k+1,k} + omega_r"
@@ -60,16 +60,15 @@ def padded(values: np.ndarray) -> np.ndarray:
     return np.concatenate([zero, values, zero], axis=-1)
 
 
-def resonant(denominators, tol_res: float):
+def resonant(denominators):
     """True where a denominator falls inside the resonance tolerance."""
-    return np.abs(denominators) < tol_res
+    return np.abs(denominators) < TOL_RES
 
 
-def guard_resonance(which: str, denominators: np.ndarray, tol_res: float,
-                    ks=None) -> None:
+def guard_resonance(which: str, denominators: np.ndarray, ks=None) -> None:
     """Raise ResonantDivergence at the first k in ks (by default every k)
     whose denominator is resonant."""
-    mask = resonant(denominators, tol_res)
+    mask = resonant(denominators)
     hits = np.flatnonzero(mask) if ks is None else [k for k in ks if mask[k]]
     if len(hits):
         raise ResonantDivergence(int(hits[0]), which, float(denominators[hits[0]]))
@@ -99,15 +98,14 @@ class ShiftArrays(NamedTuple):
         q = system.qubit
         return cls.of(np.array(q.coupling_ladder), np.diff(q.level_energies), system.omega_r)
 
-    def guard(self, tol_res: float, ks=None, co: bool = True,
-              counter: bool = True) -> "ShiftArrays":
+    def guard(self, ks=None, co: bool = True, counter: bool = True) -> "ShiftArrays":
         """self, once the co-rotating and then the counter-rotating
         denominators of the transitions ks (every one by default) pass
         guard_resonance."""
         if co:
-            guard_resonance(CO_ROTATING, self.co, tol_res, ks)
+            guard_resonance(CO_ROTATING, self.co, ks)
         if counter:
-            guard_resonance(COUNTER_ROTATING, self.counter, tol_res, ks)
+            guard_resonance(COUNTER_ROTATING, self.counter, ks)
         return self
 
     def h2(self, model: str) -> tuple[np.ndarray, np.ndarray]:
@@ -126,36 +124,35 @@ def pull_and_qubit_shift(n_coeff: np.ndarray, static: np.ndarray) -> tuple[np.nd
     return n_coeff[..., 0], static[..., 1] - static[..., 0]
 
 
-def _transition(k: int, system: SystemSpec, tol_res: float, **guards) -> ShiftArrays:
+def _transition(k: int, system: SystemSpec, **guards) -> ShiftArrays:
     """The entries of transition k, once its denominators pass the
     resonance guard (see ShiftArrays.guard); zero outside the ladder."""
     if not 0 <= k <= system.qubit.num_levels - 2:
         return ShiftArrays(0.0, 0.0, 0.0, 0.0, 0.0)
-    arrays = ShiftArrays.of_system(system).guard(tol_res, (k,), **guards)
+    arrays = ShiftArrays.of_system(system).guard((k,), **guards)
     return ShiftArrays._make(float(values[k]) for values in arrays)
 
 
-def chi(k: int, system: SystemSpec, tol_res: float = DEFAULT_TOL_RES) -> float:
+def chi(k: int, system: SystemSpec) -> float:
     """Co-rotating dispersive shift chi_k; zero for out-of-range k."""
-    return _transition(k, system, tol_res, counter=False).chi
+    return _transition(k, system, counter=False).chi
 
 
-def xi(k: int, system: SystemSpec, tol_res: float = DEFAULT_TOL_RES) -> float:
+def xi(k: int, system: SystemSpec) -> float:
     """Counter-rotating (Bloch-Siegert) shift xi_k; zero for out-of-range k."""
-    return _transition(k, system, tol_res, co=False).xi
+    return _transition(k, system, co=False).xi
 
 
-def chi_tilde(k: int, system: SystemSpec, tol_res: float = DEFAULT_TOL_RES) -> float:
+def chi_tilde(k: int, system: SystemSpec) -> float:
     """Total dispersive shift chi~_k = chi_k + xi_k (evaluated in closed form)."""
-    return _transition(k, system, tol_res).chi_tilde
+    return _transition(k, system).chi_tilde
 
 
-def h2_coefficients(system: SystemSpec, model: str,
-                    tol_res: float = DEFAULT_TOL_RES) -> tuple[tuple[float, float], ...]:
+def h2_coefficients(system: SystemSpec, model: str) -> tuple[tuple[float, float], ...]:
     """Per-level (photon-number coefficient, static offset) of the diagonal
     second-order Hamiltonian, for qubit levels k = 0..N-1."""
     check_model(model)
-    return shift_report(system, tol_res).h2(model)
+    return shift_report(system).h2(model)
 
 
 @dataclass(frozen=True)
@@ -188,13 +185,13 @@ class ShiftReport:
         return self.h2_rabi if check_model(model) == RABI else self.h2_jc
 
 
-def shift_report(system: SystemSpec, tol_res: float = DEFAULT_TOL_RES) -> ShiftReport:
+def shift_report(system: SystemSpec) -> ShiftReport:
     """Evaluate every second-order shift observable for a system.
 
     Every transition is read, so every transition is guarded: the first
     co-rotating resonance raises, then the first counter-rotating one.
     """
-    arrays = ShiftArrays.of_system(system).guard(tol_res)
+    arrays = ShiftArrays.of_system(system).guard()
     h2r, h2j = arrays.h2(RABI), arrays.h2(JC)
     pull_r, shift_r = pull_and_qubit_shift(*h2r)
     pull_j, shift_j = pull_and_qubit_shift(*h2j)

@@ -26,7 +26,6 @@ class Series:
     label: str
     x: list[float]
     y: list[float]
-    color: str = ""
 
 
 @dataclass
@@ -105,6 +104,13 @@ def _fmt(value: float) -> str:
     return text
 
 
+def _escape(text: str) -> str:
+    """Caller text (title, axis and series labels) as SVG character data:
+    &, < and > become entity references.  Tick labels are formatted numbers
+    and need none."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _coord(value: float) -> str:
     return f"{value:.2f}"
 
@@ -126,7 +132,7 @@ def _render(plot: LinePlot) -> str:
                f'height="{_HEIGHT:.0f}" viewBox="0 0 {_WIDTH:.0f} {_HEIGHT:.0f}">')
     out.append('<rect width="100%" height="100%" fill="white"/>')
     out.append(f'<text x="{_WIDTH / 2:.0f}" y="18" text-anchor="middle" '
-               f'font-family="sans-serif" font-size="14">{plot.title}</text>')
+               f'font-family="sans-serif" font-size="14">{_escape(plot.title)}</text>')
 
     frame = (f'M {_coord(_MARGIN_L)} {_coord(_MARGIN_T)} '
              f'H {_coord(_WIDTH - _MARGIN_R)} V {_coord(_HEIGHT - _MARGIN_B)} '
@@ -151,13 +157,13 @@ def _render(plot: LinePlot) -> str:
                    f'{label}</text>')
 
     out.append(f'<text x="{_WIDTH / 2:.0f}" y="{_HEIGHT - 10:.0f}" text-anchor="middle" '
-               f'font-family="sans-serif" font-size="12">{plot.xlabel}</text>')
+               f'font-family="sans-serif" font-size="12">{_escape(plot.xlabel)}</text>')
     out.append(f'<text x="16" y="{_HEIGHT / 2:.0f}" text-anchor="middle" '
                f'font-family="sans-serif" font-size="12" '
-               f'transform="rotate(-90 16 {_HEIGHT / 2:.0f})">{plot.ylabel}</text>')
+               f'transform="rotate(-90 16 {_HEIGHT / 2:.0f})">{_escape(plot.ylabel)}</text>')
 
     for idx, series in enumerate(plot.series):
-        color = series.color or _PALETTE[idx % len(_PALETTE)]
+        color = _PALETTE[idx % len(_PALETTE)]
         segments: list[list[tuple[float, float]]] = [[]]
         for pair in _finite_pairs(series, plot.logy):
             if pair is None:
@@ -176,7 +182,7 @@ def _render(plot: LinePlot) -> str:
         out.append(f'<line x1="{_coord(lx)}" y1="{_coord(ly - 4)}" x2="{_coord(lx + 24)}" '
                    f'y2="{_coord(ly - 4)}" stroke="{color}" stroke-width="1.5"/>')
         out.append(f'<text x="{_coord(lx + 30)}" y="{_coord(ly)}" '
-                   f'font-family="sans-serif" font-size="11">{series.label}</text>')
+                   f'font-family="sans-serif" font-size="11">{_escape(series.label)}</text>')
 
     out.append('</svg>')
     return "\n".join(out) + "\n"

@@ -80,15 +80,15 @@ class SweepRequest:
             raise SweepError(f"bad sweep {text!r}: {exc}") from exc
 
 
-def default_detuning_grid(g0: float, start: float = -3.0, stop: float = 3.0,
-                          count: int = 161, window: float | None = None) -> np.ndarray:
-    """The standard fit grid: uniform points minus the resonance window.
+def default_detuning_grid(g0: float, window: float | None = None) -> np.ndarray:
+    """The standard fit grid: 161 uniform points over -3..3 GHz minus the
+    resonance window.
 
     window is the excluded half-width in GHz; None means 3 * g0.
     """
     if window is None:
         window = RESONANCE_WINDOW_FACTOR * g0
-    grid = np.linspace(start, stop, count)
+    grid = np.linspace(-3.0, 3.0, 161)
     return grid[np.abs(grid) >= window]
 
 
@@ -106,14 +106,6 @@ def apply_resonance_exclusion(request: SweepRequest, config: SystemConfig,
         if window > 0.0:
             grid = grid[np.abs(grid) >= window]
     return grid
-
-
-def _build(config: SystemConfig, variable: str, value: float):
-    if variable == DETUNING:
-        return config.build(detuning=value)
-    if variable == COUPLING:
-        return config.build(coupling=value)
-    return config.build(temperature=value)
 
 
 _NAN = float("nan")
@@ -233,7 +225,7 @@ def _row(row_type, fields_of, config: SystemConfig, variable: str, value: float)
     value = float(value)
     delta0 = _detuning_of(config, variable, value)
     try:
-        return row_type(delta0_ghz=delta0, **fields_of(_build(config, variable, value)))
+        return row_type(delta0_ghz=delta0, **fields_of(config.build(**{variable: value})))
     except _ROW_ERRORS as exc:
         return row_type(delta0_ghz=delta0, error=type(exc).__name__)
 

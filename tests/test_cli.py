@@ -1,7 +1,9 @@
 """End-to-end tests for the command-line interface."""
 
+import hashlib
 import json
 import math
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -439,3 +441,73 @@ def test_huge_ladder_exits_2(tmp_path, capsys, levels):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "ladder levels exceed the cap" in captured.err
+
+
+SHIFTS_CSV = "delta0_ghz,exact_pull,exact_qshift,error\n0.5,0.01,0.02,\n"
+
+
+@pytest.mark.parametrize("encode", [
+    lambda text: text.replace(",", ",\xff", 1).encode("latin-1"),
+    lambda text: text.encode("utf-16"),
+], ids=["byte-0xff", "utf-16"])
+@pytest.mark.parametrize("target", ["config", "fit-data", "plot"])
+def test_non_utf8_input_exits_2(config_path, tmp_path, capsys, target, encode):
+    """A config or CSV that is not UTF-8 text is a bad input: exit 2 with one
+    error line, not a UnicodeDecodeError traceback."""
+    path = tmp_path / "input"
+    if target == "config":
+        with open(config_path) as handle:
+            path.write_bytes(encode(handle.read()))
+        argv = ["shifts", "--config", str(path)]
+    else:
+        path.write_bytes(encode(SHIFTS_CSV))
+        argv = (["fit", "--config", config_path, "--data", str(path)]
+                if target == "fit-data" else ["plot", str(path)])
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
+def test_svg_text_is_escaped(tmp_path):
+    """&, < and > in a title or a CSV header reach the SVG as entity
+    references, so the file parses and the title reads back as given."""
+    data = tmp_path / "odd.csv"
+    data.write_text("x&<>,y & <z>\n0,1\n1,2\n2,4\n")
+    out = tmp_path / "odd.svg"
+    title = "T1 & <decay>"
+    assert main(["plot", str(data), "--title", title, "--out", str(out)]) == 0
+    texts = [node.text for node in ET.parse(out).getroot().iter()
+             if node.tag.endswith("text")]
+    assert texts[0] == title
+    assert "x&<>" in texts and "y & <z>" in texts
+
+
+# sha256 of the README's two plots of the README's 161-point sweeps.
+README_PLOTS = {
+    "shifts": ("err_frac_rabi,err_frac_jc",
+               "31c0004f9389ca8ac34d817e6664943d1862c5ab665f4026e94130a8ef790ca6"),
+    "rates": ("p0_rabi,p0_jc,a0_rabi,a0_jc",
+              "68ad4cf1fe2782796407e5504ebddf67a60f560508a247a99b770ebd72cc0c1a"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(README_PLOTS))
+def test_readme_plots_keep_their_bytes(tmp_path, command):
+    """Escaping leaves plots without &, < or > byte for byte as they were."""
+    config = tmp_path / "system.json"
+    config.write_text(json.dumps({
+        "omega_r_ghz": 5.0, "omega_10_ghz": 6.0, "anharmonicity_ghz": 0.25,
+        "g0_ghz": 0.1, "num_qubit_levels": 5, "fock_truncation": 8, "model": "rabi",
+        "temperature_ghz": 0.1,
+        "bath_X": {"model": "ohmic", "eta": 0.002, "cutoff_ghz": 50.0},
+        "bath_Z": {"model": "one_over_f", "amplitude": 1e-6, "ir_floor_ghz": 0.01},
+        "bath_R": {"model": "flat", "level": 0.001}}))
+    columns_, digest = README_PLOTS[command]
+    table, svg = tmp_path / f"{command}.csv", tmp_path / f"{command}.svg"
+    assert main([command, "--config", str(config), "--sweep", "detuning:-3:3:161",
+                 "--out", str(table)]) == 0
+    assert main(["plot", str(table), "--y", columns_, "--abs", "--logy",
+                 "--out", str(svg)]) == 0
+    assert hashlib.sha256(svg.read_bytes()).hexdigest() == digest

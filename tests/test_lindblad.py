@@ -517,3 +517,39 @@ def test_displacement_identity_reduction():
         verify_displacement_identity(2.0, 0, (2, 8))
     with pytest.raises(IndexError):
         verify_displacement_identity(0.5, 1, (2, 12))
+
+
+def _reachable_by_fixed_point(liouville, vec):
+    """The reached set by closure: one matrix-vector product over all of
+    vec(rho) per reach level, until nothing new is added."""
+    pattern = (liouville != 0).astype(float)
+    reached = vec != 0
+    while True:
+        grown = reached | (pattern @ reached.astype(float) > 0)
+        if np.array_equal(grown, reached):
+            return np.flatnonzero(reached)
+        reached = grown
+
+
+@pytest.mark.parametrize("levels, photons, omega_r, mode, amplitudes, size", [
+    (5, 8, 5.0, DRESSED_ANALYTIC, {(1, 0): 1.0}, 40),
+    (5, 120, 5.1, DRESSED_ANALYTIC, {(1, 0): 1.0}, 600),
+    (3, 5, 5.0, DRESSED_ANALYTIC, {(0, 0): 1.0, (1, 0): 1.0}, 25),
+    (4, 6, 5.0, BARE_PLUS_INTERACTION, {(0, 0): 1.0, (1, 0): 1.0}, 576),
+], ids=["dressed-fock-40", "dressed-fock-600", "dressed-coherent-15", "bare-coherence-24"])
+def test_reachable_search_matches_fixed_point(levels, photons, omega_r, mode,
+                                              amplitudes, size):
+    """The frontier search reaches the same entries as the fixed-point closure
+    on the README system (omega_r as given)."""
+    config = rabiqed.parse_config({
+        "omega_r_ghz": omega_r, "omega_10_ghz": 6.0, "anharmonicity_ghz": 0.25,
+        "g0_ghz": 0.1, "num_qubit_levels": levels, "fock_truncation": photons,
+        "temperature_ghz": 0.1,
+        "bath_X": {"model": "ohmic", "eta": 0.002, "cutoff_ghz": 50.0},
+        "bath_Z": {"model": "one_over_f", "amplitude": 1e-6, "ir_floor_ghz": 0.01},
+        "bath_R": {"model": "flat", "level": 0.001}})
+    liouville = assemble(config.build(), mode=mode).superoperator()
+    vec = pure_state(amplitudes, ProductSpace(levels, photons)).reshape(-1)
+    reach = lindblad._reachable(liouville, vec)
+    assert len(reach) == size
+    np.testing.assert_array_equal(reach, _reachable_by_fixed_point(liouville, vec))

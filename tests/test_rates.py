@@ -332,3 +332,29 @@ def test_fourth_order_rates_need_finite_photon_coupling():
         prefactors = table.prefactors[model]
         for name in "pdca":
             assert np.all(prefactors[name] == 0.0)
+
+
+@pytest.mark.parametrize("model", [RABI, JC])
+def test_driven_effective_rates_keep_their_order(model):
+    """The generator sums its dissipators in list order, so the drive-induced
+    terms keep one order: decay, excitation, then dephasing, each with k
+    ascending; each rate is n times the sum of its photon-exchange terms."""
+    system = build_system(
+        detuning=1.0, num_levels=3,
+        baths={
+            "X": SpectralFunction.flat(0.002, temperature_ghz=0.1),
+            "Z": SpectralFunction.flat(0.01, temperature_ghz=0.1),
+            "R": SpectralFunction.flat(0.001, temperature_ghz=0.1),
+        },
+    )
+    table = build_rate_table(system)
+    terms = driven_effective_rates(table, 2.0, model)
+    assert [term.jump.label for term in terms] == [
+        "sigma(0,1)", "sigma(1,2)", "sigma(1,0)", "sigma(2,1)",
+        "sigma(0,0)", "sigma(1,1)", "sigma(2,2)"]
+    for term in terms:
+        total = 0.0
+        for source in table.fourth(model):
+            if source.jump.photon is not None and source.jump.qubit == term.jump.qubit:
+                total += source.rate_mhz
+        assert term.rate_mhz == 2.0 * total

@@ -14,6 +14,15 @@ from rabiqed import (
     silent_baths,
 )
 
+# The README's example system, as a config mapping.
+README_CONFIG = {
+    "omega_r_ghz": 5.0, "omega_10_ghz": 6.0, "anharmonicity_ghz": 0.25, "g0_ghz": 0.1,
+    "num_qubit_levels": 5, "fock_truncation": 8, "model": "rabi", "temperature_ghz": 0.1,
+    "bath_X": {"model": "ohmic", "eta": 0.002, "cutoff_ghz": 50.0},
+    "bath_Z": {"model": "one_over_f", "amplitude": 1e-6, "ir_floor_ghz": 0.01},
+    "bath_R": {"model": "flat", "level": 0.001},
+}
+
 
 def build_system(
     detuning=1.0,

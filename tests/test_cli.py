@@ -11,6 +11,8 @@ import pytest
 from rabiqed import ExactRow, RateRow, ShiftRow, columns, parse_csv
 from rabiqed.cli import main
 
+from conftest import README_CONFIG
+
 
 @pytest.fixture
 def config_path(tmp_path):
@@ -443,7 +445,7 @@ def test_huge_ladder_exits_2(tmp_path, capsys, levels):
     assert "ladder levels exceed the cap" in captured.err
 
 
-SHIFTS_CSV = "delta0_ghz,exact_pull,exact_qshift,error\n0.5,0.01,0.02,\n"
+EXACT_CSV = "delta0_ghz,exact_pull,exact_qshift,error\n0.5,0.01,0.02,\n"
 
 
 @pytest.mark.parametrize("encode", [
@@ -460,7 +462,7 @@ def test_non_utf8_input_exits_2(config_path, tmp_path, capsys, target, encode):
             path.write_bytes(encode(handle.read()))
         argv = ["shifts", "--config", str(path)]
     else:
-        path.write_bytes(encode(SHIFTS_CSV))
+        path.write_bytes(encode(EXACT_CSV))
         argv = (["fit", "--config", config_path, "--data", str(path)]
                 if target == "fit-data" else ["plot", str(path)])
     capsys.readouterr()
@@ -497,17 +499,11 @@ README_PLOTS = {
 def test_readme_plots_keep_their_bytes(tmp_path, command):
     """Escaping leaves plots without &, < or > byte for byte as they were."""
     config = tmp_path / "system.json"
-    config.write_text(json.dumps({
-        "omega_r_ghz": 5.0, "omega_10_ghz": 6.0, "anharmonicity_ghz": 0.25,
-        "g0_ghz": 0.1, "num_qubit_levels": 5, "fock_truncation": 8, "model": "rabi",
-        "temperature_ghz": 0.1,
-        "bath_X": {"model": "ohmic", "eta": 0.002, "cutoff_ghz": 50.0},
-        "bath_Z": {"model": "one_over_f", "amplitude": 1e-6, "ir_floor_ghz": 0.01},
-        "bath_R": {"model": "flat", "level": 0.001}}))
-    columns_, digest = README_PLOTS[command]
+    config.write_text(json.dumps(README_CONFIG))
+    y_columns, digest = README_PLOTS[command]
     table, svg = tmp_path / f"{command}.csv", tmp_path / f"{command}.svg"
     assert main([command, "--config", str(config), "--sweep", "detuning:-3:3:161",
                  "--out", str(table)]) == 0
-    assert main(["plot", str(table), "--y", columns_, "--abs", "--logy",
+    assert main(["plot", str(table), "--y", y_columns, "--abs", "--logy",
                  "--out", str(svg)]) == 0
     assert hashlib.sha256(svg.read_bytes()).hexdigest() == digest

@@ -52,7 +52,7 @@ from rabiqed import (
 from rabiqed.cli import _MATH_ERRORS
 from rabiqed.lindblad import _dissipator
 
-from conftest import build_system
+from conftest import README_CONFIG, build_system
 
 TWO_PI = 2.0 * math.pi
 RATE = TWO_PI * 1e-3  # MHz -> angular rate in 1/ns
@@ -541,13 +541,8 @@ def test_reachable_search_matches_fixed_point(levels, photons, omega_r, mode,
                                               amplitudes, size):
     """The frontier search reaches the same entries as the fixed-point closure
     on the README system (omega_r as given)."""
-    config = rabiqed.parse_config({
-        "omega_r_ghz": omega_r, "omega_10_ghz": 6.0, "anharmonicity_ghz": 0.25,
-        "g0_ghz": 0.1, "num_qubit_levels": levels, "fock_truncation": photons,
-        "temperature_ghz": 0.1,
-        "bath_X": {"model": "ohmic", "eta": 0.002, "cutoff_ghz": 50.0},
-        "bath_Z": {"model": "one_over_f", "amplitude": 1e-6, "ir_floor_ghz": 0.01},
-        "bath_R": {"model": "flat", "level": 0.001}})
+    config = rabiqed.parse_config(dict(README_CONFIG, omega_r_ghz=omega_r,
+                                       num_qubit_levels=levels, fock_truncation=photons))
     liouville = assemble(config.build(), mode=mode).superoperator()
     vec = pure_state(amplitudes, ProductSpace(levels, photons)).reshape(-1)
     reach = lindblad._reachable(liouville, vec)

@@ -156,6 +156,9 @@ def _cmd_fit(args) -> int:
                                                               QUBIT_SHIFT)
     models = (args.model,) if args.model else (RABI, JC)
     if args.data:
+        if args.sweep or args.window is not None:
+            raise ConfigError("--sweep and --window select points to compute; "
+                              "they do not apply to --data")
         names, raw_rows = _read_csv(args.data)
         missing = [c for c in ["delta0_ghz",
                                *(_OBSERVABLE_COLUMNS[o] for o in observables)]
@@ -391,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "fit":
             p.add_argument("--data", default=None,
                            help="fit a CSV of exact shifts instead of "
-                                "recomputing them")
+                                "recomputing them (not with --sweep or --window)")
             p.add_argument("--observable", default=None,
                            choices=(RESONATOR_PULL, QUBIT_SHIFT),
                            help="fit only this observable (default both)")

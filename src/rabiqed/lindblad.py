@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 import numpy as np
 
@@ -67,38 +67,142 @@ def _build_liouvillian(h: np.ndarray, dissipators) -> sp.csr_matrix:
     Effective-Hamiltonian form: with K = sum gamma L^dag L and
     H_eff = 2 pi H - (i/2) K, row-major vec(A rho B) = (A (x) B^T) vec(rho)
     gives L = -i (H_eff (x) I - I (x) conj(H_eff)) + sum gamma L (x) conj(L).
-    SciPy is imported here, not at module load, so that only the commands
-    that build a generator pay for it.
+    K is one sparse product of the stacked jumps, [gamma_m L_m]^dag [L_m];
+    the entries of every term go into one coordinate list, and one
+    conversion to CSR sums those that coincide.  SciPy is imported here,
+    not at module load, so that only the commands that propagate or solve
+    by sparse LU pay for it.
     """
     import scipy.sparse as sp
 
     d = h.shape[0]
-    eye = sp.identity(d, dtype=complex, format="csr")
-    h_eff = sp.csr_matrix(TWO_PI * h, dtype=complex)
-    jumps = sp.csr_matrix((d * d, d * d), dtype=complex)
+    rows, cols, values = [], [], []
+    stacked_rows, stacked_cols, stacked, weighted = [], [], [], []
     for op, rate in dissipators:
         if rate == 0.0:
             continue
         gamma = _RATE_TO_INV_NS * rate
-        l_op = sp.csr_matrix(op)
-        h_eff = h_eff - 0.5j * gamma * (l_op.conj().T @ l_op)
-        jumps = jumps + gamma * sp.kron(l_op, l_op.conj(), format="csr")
-    return (jumps - 1j * (sp.kron(h_eff, eye, format="csr")
-                          - sp.kron(eye, h_eff.conj(), format="csr"))).tocsr()
+        r, c = np.nonzero(op)
+        v = op[r, c]
+        rows.append(np.add.outer(r * d, r).ravel())
+        cols.append(np.add.outer(c * d, c).ravel())
+        values.append(gamma * np.multiply.outer(v, v.conj()).ravel())
+        stacked_rows.append(len(stacked) * d + r)
+        stacked_cols.append(c)
+        stacked.append(v)
+        weighted.append(gamma * v)
+    h_eff = sp.csr_array(TWO_PI * h, dtype=complex)
+    if stacked:
+        # K = [gamma_m L_m]^dag [L_m], the jumps stacked one above the other
+        shape = (len(stacked) * d, d)
+        where = (np.concatenate(stacked_rows), np.concatenate(stacked_cols))
+        jumps = sp.csr_array((np.concatenate(stacked), where), shape=shape)
+        scaled = sp.csr_array((np.concatenate(weighted), where), shape=shape)
+        h_eff = h_eff - 0.5j * (scaled.conj().T @ jumps)
+    h_eff = h_eff.tocoo()
+    eye = np.arange(d)
+    a, b, v = h_eff.row, h_eff.col, h_eff.data
+    rows += [np.add.outer(a * d, eye).ravel(), np.add.outer(eye * d, a).ravel()]
+    cols += [np.add.outer(b * d, eye).ravel(), np.add.outer(eye * d, b).ravel()]
+    values += [np.repeat(-1j * v, d), np.tile(1j * v.conj(), d)]
+    liouville = sp.csr_matrix((np.concatenate(values),
+                               (np.concatenate(rows), np.concatenate(cols))),
+                              shape=(d * d, d * d))
+    liouville.eliminate_zeros()
+    return liouville
+
+
+class _JumpMaps(NamedTuple):
+    """A generator in population-sector form (see _jump_maps).
+
+    Jump m carries |j> to magnitudes[m, j] |targets[m, j]>; targets[m, j]
+    is -1 and magnitudes[m, j] is 0 where it annihilates |j>.  Only jumps
+    with a nonzero rate are kept.
+    """
+
+    energies: np.ndarray    # (d,) the diagonal of H, GHz
+    targets: np.ndarray     # (M, d) int
+    magnitudes: np.ndarray  # (M, d) > 0 where targets >= 0
+    gammas: np.ndarray      # (M,) angular rates, 1/ns
+
+
+def _jump_maps(h: np.ndarray, dissipators) -> _JumpMaps | None:
+    """The population-sector form of a generator, or None if it has none.
+
+    It has one when H is diagonal and real, and every jump with a nonzero
+    rate has real nonnegative entries with at most one nonzero per row and
+    per column: every jump_matrix does, so every dressed_analytic generator
+    has one.  Such a jump maps |i><j| to a multiple of |t(i)><t(j)| with t
+    one-to-one, so populations stay populations and coherences stay
+    coherences.
+    """
+    d = h.shape[0]
+    energies = np.diagonal(h)
+    if np.count_nonzero(h) != np.count_nonzero(energies):
+        return None
+    if np.iscomplexobj(h):
+        if energies.imag.any():
+            return None
+        energies = energies.real
+    live = [(op, rate) for op, rate in dissipators if rate != 0.0]
+    targets = np.full((len(live), d), -1)
+    magnitudes = np.zeros((len(live), d))
+    for m, (op, _) in enumerate(live):
+        if np.iscomplexobj(op):
+            if op.imag.any():
+                return None
+            op = op.real
+        r, c = np.nonzero(op)
+        v = op[r, c]
+        if (np.any(v < 0.0) or np.bincount(r, minlength=d).max() > 1
+                or np.bincount(c, minlength=d).max() > 1):
+            return None
+        targets[m, c] = r
+        magnitudes[m, c] = v
+    gammas = _RATE_TO_INV_NS * np.array([rate for _, rate in live], dtype=float)
+    return _JumpMaps(energies.astype(float), targets, magnitudes, gammas)
+
+
+def _entry_bound(h: np.ndarray, dissipators, maps: _JumpMaps | None) -> float:
+    """An upper bound on the modulus of every entry of the Liouvillian.
+
+    4 pi max|H| + max_j kappa_j + sum_m gamma_m max|L_m|^2, with
+    kappa_j = sum_m gamma_m sum_i |L_m[i, j]|^2: by Cauchy-Schwarz no entry
+    of K exceeds max_j kappa_j, and each Liouvillian entry is two entries
+    of H_eff plus the jump products.  Computed without building anything
+    of size d^2 x d^2; NaN or infinite when an input is.
+    """
+    if maps is not None:
+        squares = maps.magnitudes ** 2
+        kappa = maps.gammas @ squares
+        peak = maps.gammas @ squares.max(axis=1, initial=0.0)
+    else:
+        kappa, peak = np.zeros(h.shape[0]), 0.0
+        for op, rate in dissipators:
+            if rate != 0.0:
+                squares = np.abs(op) ** 2
+                kappa = kappa + _RATE_TO_INV_NS * rate * squares.sum(axis=0)
+                peak += _RATE_TO_INV_NS * rate * squares.max()
+    return float(2.0 * TWO_PI * np.max(np.abs(h)) + np.max(kappa) + peak)
 
 
 @dataclass(frozen=True)
 class LindbladGenerator:
     """Hamiltonian (GHz) plus a list of (jump matrix, rate in MHz).
 
-    The Liouvillian is built once, as a sparse matrix, when the generator
-    is made; applying the generator is one sparse matrix-vector product.
-    A Liouvillian with an infinite or NaN entry raises PropagationFailure.
+    The sparse Liouvillian is built on first use, by superoperator() or
+    apply(), and kept; applying the generator is one sparse matrix-vector
+    product.  steady_state never builds it when the generator has a
+    population sector (see _jump_maps).  A generator whose Liouvillian
+    would have an infinite or NaN entry raises PropagationFailure when it
+    is made.
     """
 
     hamiltonian: np.ndarray
     dissipators: tuple[tuple[np.ndarray, float], ...]
-    _liouvillian: sp.csr_matrix = field(init=False, repr=False, compare=False)
+    _maps: _JumpMaps | None = field(init=False, default=None, repr=False, compare=False)
+    _liouvillian: sp.csr_matrix | None = field(init=False, default=None, repr=False,
+                                               compare=False)
 
     def __post_init__(self) -> None:
         h = np.asarray(self.hamiltonian)
@@ -116,13 +220,14 @@ class LindbladGenerator:
             if not rate >= 0.0:
                 raise NegativeRate(f"dissipator rate must be >= 0, got {rate}")
             pairs.append((op, float(rate)))
+        maps = _jump_maps(h, pairs)
+        with np.errstate(all="ignore"):
+            bound = _entry_bound(h, pairs, maps)
+        if not math.isfinite(bound):
+            raise PropagationFailure("the generator has non-finite entries")
         object.__setattr__(self, "hamiltonian", h)
         object.__setattr__(self, "dissipators", tuple(pairs))
-        with np.errstate(all="ignore"):
-            liouvillian = _build_liouvillian(h, pairs)
-        if not np.all(np.isfinite(liouvillian.data)):
-            raise PropagationFailure("the generator has non-finite entries")
-        object.__setattr__(self, "_liouvillian", liouvillian)
+        object.__setattr__(self, "_maps", maps)
 
     @property
     def dim(self) -> int:
@@ -130,13 +235,17 @@ class LindbladGenerator:
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """Right-hand side d rho / dt in 1/ns."""
-        return (self._liouvillian @ rho.reshape(-1)).reshape(rho.shape)
+        return (self.superoperator() @ rho.reshape(-1)).reshape(rho.shape)
 
     def superoperator(self) -> sp.csr_matrix:
         """The Liouvillian on row-major vectorized density matrices, in 1/ns.
 
-        The same CSR matrix is returned on every call; do not modify it.
+        Built on the first call; the same CSR matrix is returned on every
+        call, so do not modify it.
         """
+        if self._liouvillian is None:
+            object.__setattr__(self, "_liouvillian",
+                               _build_liouvillian(self.hamiltonian, self.dissipators))
         return self._liouvillian
 
 
@@ -381,16 +490,138 @@ def evolve(gen: LindbladGenerator, rho0: np.ndarray, t_max: float,
     return Trajectory(times=targets, reach=reach, entries=entries, dim=gen.dim)
 
 
-def steady_state(gen: LindbladGenerator, positivity_tol: float = 1e-9) -> np.ndarray:
-    """Unique steady state of the generator.
+def _mark_sources(edges: np.ndarray, state: int, seen: np.ndarray) -> np.ndarray:
+    """Mark in seen every state that leads to state through unseen states.
 
-    Solves L rho = 0 by sparse LU, with the first row of the vectorized
-    generator replaced by the trace constraint.  Uniqueness is verified
-    through the singular spectrum when the superoperator is small enough to
-    afford a dense SVD; a second vanishing singular value, a singular
-    factorization or a residual above 1e-10 of the largest generator entry
-    raises DegenerateNullSpace.
+    edges[a, j] is True when population flows from |j> to |a>.
     """
+    seen[state] = True
+    frontier = np.array([state])
+    while frontier.size:
+        found = edges[frontier].any(axis=0) & ~seen
+        seen |= found
+        frontier = np.flatnonzero(found)
+    return seen
+
+
+def _one_closed_class(edges: np.ndarray) -> bool:
+    """Whether the rate graph edges (see _mark_sources) has one closed class.
+
+    A closed class is a communicating class that no flow leaves (Norris,
+    Markov Chains, CUP 1997, section 1.2).  Every state leads into one, so
+    there is exactly one when some state is led to from every state.  To
+    find a candidate, search backwards from each unseen state in turn: the
+    last root r lies in a closed class.  Were there a path r = p_0 -> ... ->
+    p_k = u with u not leading back to r, the first search to mark any p_i
+    would mark p_0, ..., p_i (all unseen, all leading to p_i), so r would
+    be its root, and as no root follows r, r's own search marks u: u leads
+    to r after all.
+    """
+    d = len(edges)
+    seen = np.zeros(d, dtype=bool)
+    root = 0
+    while not seen.all():
+        root = int(np.argmin(seen))
+        _mark_sources(edges, root, seen)
+    return bool(_mark_sources(edges, root, np.zeros(d, dtype=bool)).all())
+
+
+def _closed_coherences(maps: _JumpMaps) -> int:
+    """The size of the largest set of tight coherences closed under the jumps.
+
+    A coherence |p><q| (p != q) is tight when E_p == E_q and every jump
+    has equal magnitudes in columns p and q; both are compared exactly, as
+    one row of signatures per state.  Jump m maps it to |t_m(p)><t_m(q)|
+    when both columns hold an entry.  Starting from all tight coherences,
+    those with an image that is not tight are discarded, and then, back
+    along the maps, every one with a discarded image.  0 means the
+    coherence block is nonsingular (see steady_state).
+    """
+    d = len(maps.energies)
+    signatures = np.column_stack([maps.energies, maps.magnitudes.T]) + 0.0  # -0.0 -> 0.0
+    group = np.unique(signatures, axis=0, return_inverse=True)[1].ravel()
+    alive = np.equal.outer(group, group).ravel()
+    alive[::d + 1] = False
+    pairs = np.flatnonzero(alive)
+
+    def images(mapping: np.ndarray, flat: np.ndarray):
+        p, q = mapping[flat // d], mapping[flat % d]
+        both = (p >= 0) & (q >= 0)
+        return p[both] * d + q[both], both
+
+    escaped = np.zeros(pairs.size, dtype=bool)
+    for targets in maps.targets:
+        image, mapped = images(targets, pairs)
+        escaped[mapped] |= ~alive[image]
+    dead = pairs[escaped]
+    alive[dead] = False
+    sources = np.full_like(maps.targets, -1)
+    m, j = np.nonzero(maps.targets >= 0)
+    sources[m, maps.targets[m, j]] = j
+    while dead.size:
+        found = np.concatenate([images(mapping, dead)[0] for mapping in sources])
+        dead = np.unique(found[alive[found]])
+        alive[dead] = False
+    return int(np.count_nonzero(alive))
+
+
+def _checked(rho: np.ndarray, residual: float, scale: float, min_eig: float,
+             positivity_tol: float) -> np.ndarray:
+    """rho, once its residual max|L rho| is at most 1e-10 of the largest
+    Liouvillian entry (scale) and its least eigenvalue is >= -positivity_tol."""
+    if not residual <= 1e-10 * max(1.0, scale):
+        raise DegenerateNullSpace(f"steady-state residual {residual:.3e} exceeds "
+                                  f"tolerance; null space is ill-conditioned")
+    if min_eig < -positivity_tol:
+        raise NonPositiveState(f"steady state has eigenvalue {min_eig:.3e} "
+                               f"< -{positivity_tol}")
+    return rho
+
+
+def _population_steady_state(maps: _JumpMaps, positivity_tol: float) -> np.ndarray:
+    """steady_state on a population sector."""
+    d = len(maps.energies)
+    m, j = np.nonzero(maps.targets >= 0)
+    a = maps.targets[m, j]
+    moves = a != j
+    squares = maps.magnitudes ** 2
+    # flows[a, j]: the rate from |j> to |a>; a jump that keeps |j> moves nothing
+    flows = np.bincount(a[moves] * d + j[moves], minlength=d * d,
+                        weights=maps.gammas[m[moves]] * squares[m[moves], j[moves]])
+    flows = flows.reshape(d, d)
+    rates = flows - np.diag(flows.sum(axis=0))
+    if not _one_closed_class(flows > 0.0):
+        raise DegenerateNullSpace("the populations have more than one closed class; "
+                                  "steady state is not unique")
+    closed = _closed_coherences(maps)
+    if closed:
+        raise DegenerateNullSpace(f"{closed} coherences between equal-energy states are "
+                                  f"closed under the jumps; steady state is not unique")
+    system = rates.copy()
+    system[0] = 1.0
+    rhs = np.zeros(d)
+    rhs[0] = 1.0
+    try:
+        p = np.linalg.solve(system, rhs)
+    except np.linalg.LinAlgError as exc:  # an exactly singular pivot
+        raise DegenerateNullSpace(f"population solve failed: {exc}") from exc
+    p = p / p.sum()
+    # The largest Liouvillian entry: the coherence block's off-diagonal
+    # entries never exceed its diagonal (see steady_state), so it is the
+    # largest of the flows and the diagonal of every |p><q|.
+    half_kappa = 0.5 * (maps.gammas @ squares)
+    stays = np.where(maps.targets == np.arange(d), maps.magnitudes, 0.0)
+    diagonal = (-1j * TWO_PI * np.subtract.outer(maps.energies, maps.energies)
+                - np.add.outer(half_kappa, half_kappa)
+                + (maps.gammas[:, None] * stays).T @ stays)
+    scale = max(float(np.max(np.abs(diagonal))), float(np.max(flows)))
+    residual = float(np.max(np.abs(rates @ p)))
+    return _checked(np.diag(p).astype(complex), residual, scale, float(np.min(p)),
+                    positivity_tol)
+
+
+def _sparse_lu_steady_state(gen: LindbladGenerator, positivity_tol: float) -> np.ndarray:
+    """steady_state by sparse LU on the Liouvillian."""
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
 
@@ -417,16 +648,59 @@ def steady_state(gen: LindbladGenerator, positivity_tol: float = 1e-9) -> np.nda
     rho = vec.reshape(d, d)
     rho = 0.5 * (rho + rho.conj().T)
     rho = rho / np.trace(rho).real
-
     residual = float(np.max(np.abs(liouville @ rho.reshape(-1))))
-    if not residual <= 1e-10 * max(1.0, float(abs(liouville).max())):
-        raise DegenerateNullSpace(f"steady-state residual {residual:.3e} exceeds "
-                                  f"tolerance; null space is ill-conditioned")
-    min_eig = float(np.linalg.eigvalsh(rho)[0])
-    if min_eig < -positivity_tol:
-        raise NonPositiveState(f"steady state has eigenvalue {min_eig:.3e} "
-                               f"< -{positivity_tol}")
-    return rho
+    return _checked(rho, residual, float(abs(liouville).max()),
+                    float(np.linalg.eigvalsh(rho)[0]), positivity_tol)
+
+
+def steady_state(gen: LindbladGenerator, positivity_tol: float = 1e-9) -> np.ndarray:
+    """Unique steady state of the generator.
+
+    A generator with a population sector (see _jump_maps; every
+    dressed_analytic generator has one) is solved on it with NumPy alone,
+    never building the d^2 x d^2 Liouvillian.  Write c_m(j) >= 0 for the
+    entry of jump m in column j (0 if none), t_m(j) for its row, gamma_m
+    for its angular rate and kappa_j = sum_m gamma_m c_m(j)^2.  The
+    Liouvillian splits into two blocks:
+
+    - the populations obey dp/dt = W p, the Pauli master equation (Breuer &
+      Petruccione, The Theory of Open Quantum Systems, OUP 2002), with
+      W = sum_m gamma_m |L_m|^2 (elementwise) less the diagonal of its
+      column sums.  W p = 0 is solved by np.linalg.solve with row 0
+      replaced by the trace constraint.  Its solution is unique exactly
+      when the rate graph has one closed class (_one_closed_class).
+    - the coherences rho_pq (p != q) obey d rho_pq/dt = B_pq,pq rho_pq +
+      sum of gamma_m c_m(p') c_m(q') rho_p'q' over (t_m(p'), t_m(q')) =
+      (p, q), with B_pq,pq = -2 pi i (E_p - E_q) - (kappa_p + kappa_q)/2
+      plus gamma_m c_m(p) c_m(q) for each jump that fixes p and q.  By
+      c_p c_q <= (c_p^2 + c_q^2)/2 the modulus of each diagonal entry of B
+      exceeds the sum of the moduli of the other entries in its column by
+      at least
+      sum_m gamma_m (c_m(p) - c_m(q))^2 / 2, and by more when E_p != E_q;
+      call a column tight when the two are equal.  If y^T B = 0 with
+      y != 0, every column where |y| is largest is tight and every image of
+      it under the jumps is another such column (the Levy-Desplanques
+      argument), so they form a nonempty set of tight coherences closed
+      under the jumps.  Conversely, on such a set S the columns of B have
+      no entry outside S and each sums to zero, so B restricted to S is
+      singular and a null vector on S, extended by zeros, is one of B.
+      So B is singular exactly when _closed_coherences finds such a set;
+      otherwise every coherence of the steady state is zero.
+
+    More than one closed class or a singular B raises DegenerateNullSpace.
+    Any other generator is solved by sparse LU on the Liouvillian, with
+    the first row replaced by the trace constraint; there uniqueness is
+    verified through the singular spectrum when the superoperator is small
+    enough to afford a dense SVD, and a second vanishing singular value or
+    a singular factorization raises DegenerateNullSpace.  On both paths a
+    residual above 1e-10 of the largest Liouvillian entry raises
+    DegenerateNullSpace, and an eigenvalue below -positivity_tol raises
+    NonPositiveState.
+    """
+    if gen._maps is None:
+        return _sparse_lu_steady_state(gen, positivity_tol)
+    with np.errstate(all="ignore"):
+        return _population_steady_state(gen._maps, positivity_tol)
 
 
 def partial_trace_resonator(rho: np.ndarray, space: ProductSpace) -> np.ndarray:

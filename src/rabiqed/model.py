@@ -164,6 +164,17 @@ class TransmonSpec:
             raise ValueError(f"num_levels must be >= 2, got {self.num_levels}")
 
 
+def ladder_collapses(omega_10, anharmonicity: float, num_levels: int) -> np.ndarray:
+    """Per omega_10 value, whether a num_levels ladder has a splitting
+    omega_{k+1,k} = omega_10 - k * anharmonicity <= 0 (transmon_ladder then
+    raises NonPositiveSplitting).  The splittings are monotonic in k, so
+    the first or the last is the smallest: O(1) per value for any N.
+    """
+    omega_10 = np.asarray(omega_10, dtype=float)
+    top = min(num_levels - 2, sys.maxsize)
+    return (omega_10 <= 0.0) | (omega_10 - top * anharmonicity <= 0.0)
+
+
 def transmon_ladder(omega_10, anharmonicity: float, g0: float,
                     num_levels: int) -> tuple[np.ndarray, np.ndarray]:
     """Level energies (one row of N per omega_10 value) and couplings (N-1)
@@ -179,11 +190,9 @@ def transmon_ladder(omega_10, anharmonicity: float, g0: float,
     if num_levels < 2:
         raise ValueError(f"num_levels must be >= 2, got {num_levels}")
     omega_10 = np.asarray(omega_10, dtype=float).reshape(-1, 1)
-    # The splittings are monotonic in k: the first or the last is the smallest.
     # No array is longer than sys.maxsize, so no index past it is searched.
     top = min(num_levels - 2, sys.maxsize)
-    collapsed = np.flatnonzero((omega_10[:, 0] <= 0.0)
-                               | (omega_10[:, 0] - top * anharmonicity <= 0.0))
+    collapsed = np.flatnonzero(ladder_collapses(omega_10[:, 0], anharmonicity, num_levels))
     if collapsed.size:
         w10 = float(omega_10[collapsed[0], 0])
         k = 0 if w10 <= 0.0 else bisect.bisect_left(

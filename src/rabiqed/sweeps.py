@@ -22,7 +22,8 @@ from functools import partial
 import numpy as np
 
 from .exact import DIM_CAP, AmbiguousLabeling, DimensionOverflow, exact_shifts
-from .model import JC, RABI, LadderOverflow, NonPositiveSplitting, SystemConfig
+from .model import (JC, RABI, LadderOverflow, NonPositiveSplitting, SystemConfig,
+                    ladder_collapses)
 from .rates import (RateOverflow, dressed_dephasing_prefactors,
                     photon_assisted_prefactor, purcell_prefactor, purcell_rates,
                     second_order_rates)
@@ -257,11 +258,12 @@ def _workers(points: int, dim: int) -> int:
     return min(len(os.sched_getaffinity(0)), points)
 
 
-def _map_points(point, values, dim: int) -> list:
+def _map_points(point, values, work: tuple[int, int]) -> list:
     """[point(v) for v in values], in order, over worker processes when the
-    cost test and the platform allow it (fork start method, several CPUs)."""
+    cost test on work, (points, dim) as _workers takes it, and the platform
+    allow it (fork start method, several CPUs)."""
     values = list(values)
-    workers = _workers(len(values), dim)
+    workers = _workers(*work)
     if workers > 1:
         import multiprocessing
         if "fork" in multiprocessing.get_all_start_methods():
@@ -278,14 +280,26 @@ def _map_points(point, values, dim: int) -> list:
     return [point(value) for value in values]
 
 
-def _dimension(config: SystemConfig) -> int:
-    return config.transmon.num_levels * config.resonator.fock_truncation
+def _exact_work(config: SystemConfig, variable: str, values) -> tuple[int, int]:
+    """The points of a sweep that diagonalize, and their dimension.
+
+    A point whose ladder collapses raises NonPositiveSplitting before any
+    Hamiltonian is built, so only the others count; ladder_collapses finds
+    them in closed form, whatever num_levels is.
+    """
+    t = config.transmon
+    omega_10 = np.full(len(values), t.omega_10)
+    if variable == DETUNING:
+        omega_10 = config.resonator.omega_r + np.asarray(values, dtype=float)
+    kept = ~ladder_collapses(omega_10, t.anharmonicity, t.num_levels)
+    return int(np.count_nonzero(kept)), t.num_levels * config.resonator.fock_truncation
 
 
 def shift_rows(config: SystemConfig, variable: str, values,
                include_exact: bool = True) -> list[ShiftRow]:
     point = partial(_row, ShiftRow, partial(_shift_fields, include_exact), config, variable)
-    return _map_points(point, values, _dimension(config) if include_exact else 0)
+    return _map_points(point, values,
+                       _exact_work(config, variable, values) if include_exact else (0, 0))
 
 
 def rate_rows(config: SystemConfig, variable: str, values) -> list[RateRow]:
@@ -298,7 +312,7 @@ def exact_rows(config: SystemConfig, variable: str, values,
     if model is None:
         model = config.interaction_model
     point = partial(_row, ExactRow, partial(_exact_fields, model), config, variable)
-    return _map_points(point, values, _dimension(config))
+    return _map_points(point, values, _exact_work(config, variable, values))
 
 
 def all_rows_failed(rows) -> bool:

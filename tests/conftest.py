@@ -24,6 +24,12 @@ README_CONFIG = {
 }
 
 
+def no_pool(*args, **kwargs):
+    """A ProcessPoolExecutor stand-in that fails: patched in where a sweep
+    is too little work for a process pool."""
+    raise AssertionError("a process pool was started")
+
+
 def build_system(
     detuning=1.0,
     g0=0.1,

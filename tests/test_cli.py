@@ -160,6 +160,13 @@ def test_config_errors_exit_2(config_path, tmp_path, capsys):
     # A window wider than the sweep leaves nothing to compute.
     assert main(["shifts", "--config", config_path,
                  "--sweep", "detuning:-0.1:0.1:3"]) == 2
+    # --sweep and --window choose the points fit computes, not those of --data.
+    data = tmp_path / "exact.csv"
+    data.write_text("delta0_ghz,exact_pull,exact_qshift,error\n1,0.01,0.01,\n")
+    for option in (["--sweep", "flux:0:1:3"], ["--window", "100"]):
+        capsys.readouterr()
+        assert main(["fit", "--config", config_path, "--data", str(data), *option]) == 2
+        assert _one_error_line(capsys)
     capsys.readouterr()
 
 
@@ -254,6 +261,24 @@ def test_steady_state_summary(config_path, tmp_path):
     np.testing.assert_allclose(total, 1.0, atol=1e-9)
     np.testing.assert_allclose(row["nbar"], row["nbar_resonator"], atol=1e-12)
     assert 0.0 < row["purity"] <= 1.0 + 1e-9
+
+
+def test_steady_under_a_huge_drive(tmp_path, capsys):
+    """At 1e200 drive photons the generator's rates span some 200 orders of
+    magnitude, and its slow photon sector is not a second steady state:
+    steady passes its residual and positivity checks and writes the table."""
+    path = tmp_path / "readme.json"
+    path.write_text(json.dumps(README_CONFIG))
+    out = tmp_path / "steady.csv"
+    capsys.readouterr()
+    assert main(["steady", "--config", str(path), "--nq", "3", "--nr", "5",
+                 "--photons", "1e200", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    names, rows = read_table(out)
+    populations = [rows[0][f"pop_q{k}"] for k in range(3)]
+    np.testing.assert_allclose(sum(populations), 1.0, rtol=0, atol=1e-12)
+    assert min(populations) >= -1e-9
+    assert 0.0 <= rows[0]["nbar"] <= 1e-100
 
 
 def test_fit_pipeline_from_data_file(config_path, tmp_path):

@@ -24,6 +24,8 @@ from hypothesis import strategies as st
 from rabiqed.cli import main
 from rabiqed.exact import DIM_CAP
 
+from conftest import no_pool
+
 README_CONFIG = {
     "omega_r_ghz": 5.0, "omega_10_ghz": 6.0, "anharmonicity_ghz": 0.25, "g0_ghz": 0.1,
     "num_qubit_levels": 5, "fock_truncation": 8, "model": "rabi", "temperature_ghz": 0.1,
@@ -74,12 +76,6 @@ COMMANDS = st.sampled_from([
 ])
 
 
-def _no_pool(*args, **kwargs):
-    """README-sized sweeps and points beyond DIM_CAP are too little work for
-    a process pool."""
-    raise AssertionError("a process pool was started")
-
-
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(command=COMMANDS, changes=mutations())
 def test_mutated_readme_config_keeps_the_exit_contract(tmp_path_factory, command, changes):
@@ -93,8 +89,9 @@ def test_mutated_readme_config_keeps_the_exit_contract(tmp_path_factory, command
     path = tmp_path_factory.getbasetemp() / "mutated.json"
     path.write_text(json.dumps(config))
     out, err = io.StringIO(), io.StringIO()
-    no_pool = mock.patch.object(concurrent.futures, "ProcessPoolExecutor", _no_pool)
-    with no_pool, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    # README-sized sweeps and points beyond DIM_CAP are too little work for a pool
+    pools = mock.patch.object(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    with pools, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main([*command, "--config", str(path)])
     event(f"{command[0]} exit {code}")
     assert code in (0, 2, 3, 4)

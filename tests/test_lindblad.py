@@ -1,5 +1,6 @@
 """Tests for the master-equation generator, integrator, and steady state."""
 
+import json
 import math
 import os
 import subprocess
@@ -180,6 +181,106 @@ def test_steady_state_degenerate_beyond_svd_check(dim):
         steady_state(gen)
 
 
+@pytest.mark.parametrize("dim", [2, 3, 40, 100])
+def test_steady_state_rejects_closed_coherences(dim):
+    """A cyclic shift without a Hamiltonian keeps every circulant density
+    matrix steady: its populations have one closed class, but the shift
+    carries every equal-energy coherence to another."""
+    shift = np.roll(np.eye(dim), 1, axis=0)
+    gen = LindbladGenerator(np.zeros((dim, dim)), ((shift, 1.0),))
+    circulant = sum(0.1 * (np.roll(np.eye(dim), k, axis=1) + np.roll(np.eye(dim), -k, axis=1))
+                    for k in range(1, dim)) + np.eye(dim)
+    assert float(np.max(np.abs(gen.apply(circulant)))) < 1e-14
+    with pytest.raises(DegenerateNullSpace, match="coherences"):
+        steady_state(gen)
+
+
+def _closed_class_count(edges):
+    """Closed classes by transitive closure: edges[a, j] is a flow j -> a."""
+    d = len(edges)
+    leads = np.eye(d, dtype=bool) | edges.T  # leads[i, k]: i leads to k
+    for k in range(d):  # Warshall
+        leads |= leads[:, [k]] & leads[[k], :]
+    closed = {frozenset(np.flatnonzero(leads[i] & leads[:, i])) for i in range(d)
+              if np.all(leads[np.flatnonzero(leads[i])][:, i])}
+    return len(closed)
+
+
+def test_one_closed_class_matches_transitive_closure():
+    """The search-forest test agrees with counting closed classes on random
+    rate graphs of 1 to 8 states."""
+    rng = np.random.default_rng(7)
+    counts = set()
+    for _ in range(400):
+        d = int(rng.integers(1, 9))
+        edges = rng.random((d, d)) < rng.uniform(0.0, 0.5)
+        np.fill_diagonal(edges, False)
+        count = _closed_class_count(edges)
+        counts.add(min(count, 2))
+        assert lindblad._one_closed_class(edges) == (count == 1)
+    assert counts == {1, 2}
+
+
+def test_steady_state_rejects_two_closed_classes():
+    """Two chains that never meet have a steady state each."""
+    lower = np.array([[0.0, 1.0], [0.0, 0.0]])
+    zero = np.zeros((2, 2))
+    gen = LindbladGenerator(np.diag([0.0, 1.0, 2.3, 3.7]),
+                            ((np.block([[lower, zero], [zero, 0.37 * lower]]), 0.3),
+                             (np.block([[lower.T, zero], [zero, 0.59 * lower.T]]), 0.7)))
+    with pytest.raises(DegenerateNullSpace, match="closed class"):
+        steady_state(gen)
+
+
+def test_open_coherence_chains_leave_one_steady_state():
+    """Equal-energy coherences that the jumps carry, step by step, to an
+    unequal pair do not survive: a shift |j> -> |j+1> without wrap-around
+    leaves the single steady state |d-1><d-1|, as sparse LU finds."""
+    dim = 6
+    gen = LindbladGenerator(np.zeros((dim, dim)), ((np.eye(dim, k=-1), 1.0),))
+    assert lindblad._closed_coherences(gen._maps) == 0
+    expected = np.zeros((dim, dim))
+    expected[-1, -1] = 1.0
+    np.testing.assert_allclose(steady_state(gen), expected, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(lindblad._sparse_lu_steady_state(gen, 1e-9), expected,
+                               rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("levels, photons", [(3, 5), (5, 8), (5, 20)],
+                         ids=["d15", "d40", "d100"])
+def test_population_path_matches_sparse_lu(levels, photons):
+    """On the README system driven at 4 photons the population solve equals
+    sparse LU on the Liouvillian to 1e-12, and builds no Liouvillian."""
+    config = rabiqed.parse_config(dict(README_CONFIG, num_qubit_levels=levels,
+                                       fock_truncation=photons))
+    system = config.build()
+    table = rabiqed.build_rate_table(system)
+    gen = assemble(system, table=table, extra_terms=rabiqed.driven_effective_rates(
+        table, 4.0, system.interaction_model))
+    fast = steady_state(gen)
+    assert gen._maps is not None and gen._liouvillian is None
+    slow = lindblad._sparse_lu_steady_state(gen, 1e-9)
+    assert float(np.max(np.abs(fast - slow))) < 1e-12
+
+
+def test_population_sector_needs_a_diagonal_real_monomial_generator():
+    """A non-diagonal Hamiltonian, or a complex, negative or non-monomial
+    jump, sends the generator to sparse LU, which still finds its state."""
+    lower = np.array([[0.0, 1.0], [0.0, 0.0]])
+    h = np.diag([0.0, 1.0])
+    assert lindblad._jump_maps(h, [(lower, 1.0), (lower.T, 0.5)]) is not None
+    for ham, op in ((np.array([[0.0, 0.1], [0.1, 1.0]]), lower),
+                    (h, 1j * lower), (h, -lower),
+                    (h, np.array([[0.0, 1.0], [0.0, 1.0]])),
+                    (h, np.array([[1.0, 1.0], [0.0, 0.0]]))):
+        gen = LindbladGenerator(ham, ((op, 1.0), (lower.T, 0.5)))
+        assert gen._maps is None
+        rho = steady_state(gen)
+        assert float(np.max(np.abs(gen.apply(rho)))) < 1e-12
+        np.testing.assert_allclose(np.trace(rho).real, 1.0, rtol=0, atol=1e-12)
+    assert assemble(noisy_system(), mode=BARE_PLUS_INTERACTION)._maps is None
+
+
 def test_steady_state_positivity_check():
     """A steady eigenvalue below -positivity_tol raises NonPositiveState."""
     lower = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -338,6 +439,15 @@ def test_lazy_states_match_dense_reconstruction():
                                [np.trace(op @ rho) for rho in dense], rtol=0, atol=1e-15)
 
 
+def _run_python(code: str) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter that imports this rabiqed."""
+    src = str(Path(rabiqed.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+
+
 def test_import_loads_no_scipy():
     """Importing the package and its CLI loads no SciPy, multiprocessing or
     concurrent.futures module, and every exported name still resolves."""
@@ -347,12 +457,32 @@ def test_import_loads_no_scipy():
             "assert not loaded, loaded\n"
             "missing = [n for n in rabiqed.__all__ if not hasattr(rabiqed, n)]\n"
             "assert not missing, missing\n")
-    src = str(Path(rabiqed.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    result = subprocess.run([sys.executable, "-c", code], env=env,
-                            capture_output=True, text=True)
+    result = _run_python(code)
     assert result.returncode == 0, result.stderr
+
+
+def test_steady_loads_no_scipy(tmp_path):
+    """steady on the README config, and the non-finite check of a generator,
+    load no SciPy module."""
+    config = tmp_path / "readme.json"
+    config.write_text(json.dumps(README_CONFIG))
+    out = tmp_path / "steady.csv"
+    code = ("import sys\n"
+            "import numpy as np\n"
+            "from rabiqed import LindbladGenerator, PropagationFailure\n"
+            "from rabiqed.cli import main\n"
+            f"assert main(['steady', '--config', {str(config)!r}, '--photons', '4',\n"
+            f"             '--out', {str(out)!r}]) == 0\n"
+            "try:\n"
+            "    LindbladGenerator(np.diag([0.0, np.nan]), ())\n"
+            "    raise AssertionError('a NaN Hamiltonian was accepted')\n"
+            "except PropagationFailure:\n"
+            "    pass\n"
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "assert not loaded, loaded\n")
+    result = _run_python(code)
+    assert result.returncode == 0, result.stderr
+    assert out.read_text().startswith("pop_q0,")
 
 
 def test_diagonal_state_stays_diagonal():

@@ -50,7 +50,7 @@ import rabiqed.exact
 from rabiqed.cli import main
 from rabiqed.exact import DIM_CAP
 
-from conftest import build_system
+from conftest import build_system, no_pool
 
 
 def make_config(g0=0.1, num_levels=3, fock=5, model=RABI, temperature=0.0):
@@ -402,6 +402,27 @@ def test_cost_test_picks_serial_or_parallel(monkeypatch):
     assert sweeps._workers(2, 600) == 2
     assert sweeps._workers(1, 600) == 1
     assert sweeps._workers(10 ** 9, DIM_CAP + 1) == 1
+
+
+def test_collapsing_ladders_start_no_pool(monkeypatch, tmp_path, capsys):
+    """A sweep whose every ladder collapses is no work, however large nq x nr:
+    at --nq 500 --nr 8 each point raises NonPositiveSplitting in-process."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    config = parse_config(dict(README_CONFIG, num_qubit_levels=500, fock_truncation=8))
+    grid = np.linspace(-3.0, 3.0, 81)
+    assert sweeps._exact_work(config, DETUNING, grid) == (0, 4000)
+    assert sweeps._exact_work(config, COUPLING, grid) == (0, 4000)
+    path = tmp_path / "readme.json"
+    path.write_text(json.dumps(README_CONFIG))
+    capsys.readouterr()
+    assert main(["shifts", "--config", str(path), "--nq", "500", "--nr", "8",
+                 "--sweep", "detuning:-3:3:81"]) == 3
+    _, rows = parse_csv(capsys.readouterr().out)
+    assert {row["error"] for row in rows} == {"NonPositiveSplitting"}
+    # the same sweep at --nq 5 keeps every ladder (some points are resonant)
+    five = parse_config(README_CONFIG)
+    assert sweeps._exact_work(five, DETUNING, grid) == (81, 40)
 
 
 @pytest.mark.parametrize("error, fields", [

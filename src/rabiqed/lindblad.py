@@ -163,7 +163,7 @@ def _jump_maps(h: np.ndarray, dissipators) -> _JumpMaps | None:
     return _JumpMaps(energies.astype(float), targets, magnitudes, gammas)
 
 
-def _entry_bound(h: np.ndarray, dissipators, maps: _JumpMaps | None) -> float:
+def _entry_bound(h: np.ndarray, dissipators) -> float:
     """An upper bound on the modulus of every entry of the Liouvillian.
 
     4 pi max|H| + max_j kappa_j + sum_m gamma_m max|L_m|^2, with
@@ -172,17 +172,12 @@ def _entry_bound(h: np.ndarray, dissipators, maps: _JumpMaps | None) -> float:
     of H_eff plus the jump products.  Computed without building anything
     of size d^2 x d^2; NaN or infinite when an input is.
     """
-    if maps is not None:
-        squares = maps.magnitudes ** 2
-        kappa = maps.gammas @ squares
-        peak = maps.gammas @ squares.max(axis=1, initial=0.0)
-    else:
-        kappa, peak = np.zeros(h.shape[0]), 0.0
-        for op, rate in dissipators:
-            if rate != 0.0:
-                squares = np.abs(op) ** 2
-                kappa = kappa + _RATE_TO_INV_NS * rate * squares.sum(axis=0)
-                peak += _RATE_TO_INV_NS * rate * squares.max()
+    kappa, peak = np.zeros(h.shape[0]), 0.0
+    for op, rate in dissipators:
+        if rate != 0.0:
+            squares = np.abs(op) ** 2
+            kappa = kappa + _RATE_TO_INV_NS * rate * squares.sum(axis=0)
+            peak += _RATE_TO_INV_NS * rate * squares.max()
     return float(2.0 * TWO_PI * np.max(np.abs(h)) + np.max(kappa) + peak)
 
 
@@ -220,14 +215,13 @@ class LindbladGenerator:
             if not rate >= 0.0:
                 raise NegativeRate(f"dissipator rate must be >= 0, got {rate}")
             pairs.append((op, float(rate)))
-        maps = _jump_maps(h, pairs)
         with np.errstate(all="ignore"):
-            bound = _entry_bound(h, pairs, maps)
+            bound = _entry_bound(h, pairs)
         if not math.isfinite(bound):
             raise PropagationFailure("the generator has non-finite entries")
         object.__setattr__(self, "hamiltonian", h)
         object.__setattr__(self, "dissipators", tuple(pairs))
-        object.__setattr__(self, "_maps", maps)
+        object.__setattr__(self, "_maps", _jump_maps(h, pairs))
 
     @property
     def dim(self) -> int:
@@ -504,14 +498,15 @@ def _mark_sources(edges: np.ndarray, state: int, seen: np.ndarray) -> np.ndarray
     return seen
 
 
-def _one_closed_class(edges: np.ndarray) -> bool:
-    """Whether the rate graph edges (see _mark_sources) has one closed class.
+def _closed_class_root(edges: np.ndarray) -> int | None:
+    """A state that every state of the rate graph edges (see _mark_sources)
+    leads to, or None when there is none.
 
-    A closed class is a communicating class that no flow leaves (Norris,
-    Markov Chains, CUP 1997, section 1.2).  Every state leads into one, so
-    there is exactly one when some state is led to from every state.  To
-    find a candidate, search backwards from each unseen state in turn: the
-    last root r lies in a closed class.  Were there a path r = p_0 -> ... ->
+    Such a state exists exactly when the graph has one closed class, a
+    communicating class that no flow leaves (Norris, Markov Chains, CUP
+    1997, section 1.2): every state leads into a closed class.  To find a
+    candidate, search backwards from each unseen state in turn: the last
+    root r lies in a closed class.  Were there a path r = p_0 -> ... ->
     p_k = u with u not leading back to r, the first search to mark any p_i
     would mark p_0, ..., p_i (all unseen, all leading to p_i), so r would
     be its root, and as no root follows r, r's own search marks u: u leads
@@ -523,7 +518,44 @@ def _one_closed_class(edges: np.ndarray) -> bool:
     while not seen.all():
         root = int(np.argmin(seen))
         _mark_sources(edges, root, seen)
-    return bool(_mark_sources(edges, root, np.zeros(d, dtype=bool)).all())
+    return root if _mark_sources(edges, root, np.zeros(d, dtype=bool)).all() else None
+
+
+def _stationary(flows: np.ndarray, root: int) -> np.ndarray:
+    """The probabilities p with sum_j flows[a, j] p_j = p_a sum_j flows[j, a]
+    for every a, given a root that every state leads to (_closed_class_root).
+
+    Grassmann-Taksar-Heyman elimination (Grassmann, Taksar & Heyman, Oper.
+    Res. 33, 1107 (1985)): the last state is folded into the others, which
+    leaves the chain watched only on them, and so on down to the root,
+    moved first; then each state's balance against the states before it
+    gives its probability.  Every state but the root still leads to one
+    before it, so no outflow is zero.  No step subtracts, so each
+    probability keeps a small relative error however widely the rates
+    spread, and transient states come out exactly zero.  Folding a state
+    links only states within the band of the others' rates to it (and the
+    root), so the work is d * band^2, not d^3.
+    """
+    d = len(flows)
+    order = np.r_[root, np.delete(np.arange(d), root)]
+    rates = flows.T[np.ix_(order, order)]  # rates[i, j]: from i to j
+    i, j = np.nonzero(rates[1:, 1:])
+    band = int(np.max(np.abs(i - j), initial=0))
+    outflow = np.empty(d)
+    for k in range(d - 1, 0, -1):
+        lo = max(1, k - band)
+        outflow[k] = rates[k, 0] + rates[k, lo:k].sum()
+        into, out = rates[lo:k, k], rates[k, lo:k] / outflow[k]
+        rates[lo:k, lo:k] += np.outer(into, out)
+        rates[0, lo:k] += rates[0, k] * out
+        rates[lo:k, 0] += into * (rates[k, 0] / outflow[k])
+    p = np.empty(d)
+    p[0] = 1.0
+    for k in range(1, d):
+        lo = max(1, k - band)
+        p[k] = (p[0] * rates[0, k] + p[lo:k] @ rates[lo:k, k]) / outflow[k]
+    p[order] = p / p.sum()
+    return p
 
 
 def _closed_coherences(maps: _JumpMaps) -> int:
@@ -589,23 +621,15 @@ def _population_steady_state(maps: _JumpMaps, positivity_tol: float) -> np.ndarr
     flows = np.bincount(a[moves] * d + j[moves], minlength=d * d,
                         weights=maps.gammas[m[moves]] * squares[m[moves], j[moves]])
     flows = flows.reshape(d, d)
-    rates = flows - np.diag(flows.sum(axis=0))
-    if not _one_closed_class(flows > 0.0):
+    root = _closed_class_root(flows > 0.0)
+    if root is None:
         raise DegenerateNullSpace("the populations have more than one closed class; "
                                   "steady state is not unique")
     closed = _closed_coherences(maps)
     if closed:
         raise DegenerateNullSpace(f"{closed} coherences between equal-energy states are "
                                   f"closed under the jumps; steady state is not unique")
-    system = rates.copy()
-    system[0] = 1.0
-    rhs = np.zeros(d)
-    rhs[0] = 1.0
-    try:
-        p = np.linalg.solve(system, rhs)
-    except np.linalg.LinAlgError as exc:  # an exactly singular pivot
-        raise DegenerateNullSpace(f"population solve failed: {exc}") from exc
-    p = p / p.sum()
+    p = _stationary(flows, root)
     # The largest Liouvillian entry: the coherence block's off-diagonal
     # entries never exceed its diagonal (see steady_state), so it is the
     # largest of the flows and the diagonal of every |p><q|.
@@ -615,7 +639,7 @@ def _population_steady_state(maps: _JumpMaps, positivity_tol: float) -> np.ndarr
                 - np.add.outer(half_kappa, half_kappa)
                 + (maps.gammas[:, None] * stays).T @ stays)
     scale = max(float(np.max(np.abs(diagonal))), float(np.max(flows)))
-    residual = float(np.max(np.abs(rates @ p)))
+    residual = float(np.max(np.abs(flows @ p - flows.sum(axis=0) * p)))
     return _checked(np.diag(p).astype(complex), residual, scale, float(np.min(p)),
                     positivity_tol)
 
@@ -666,9 +690,11 @@ def steady_state(gen: LindbladGenerator, positivity_tol: float = 1e-9) -> np.nda
     - the populations obey dp/dt = W p, the Pauli master equation (Breuer &
       Petruccione, The Theory of Open Quantum Systems, OUP 2002), with
       W = sum_m gamma_m |L_m|^2 (elementwise) less the diagonal of its
-      column sums.  W p = 0 is solved by np.linalg.solve with row 0
-      replaced by the trace constraint.  Its solution is unique exactly
-      when the rate graph has one closed class (_one_closed_class).
+      column sums.  Its solution of W p = 0 with trace one is unique
+      exactly when the rate graph has one closed class
+      (_closed_class_root), and is then found without subtraction
+      (_stationary), so rates that span hundreds of orders of magnitude
+      still give nonnegative populations.
     - the coherences rho_pq (p != q) obey d rho_pq/dt = B_pq,pq rho_pq +
       sum of gamma_m c_m(p') c_m(q') rho_p'q' over (t_m(p'), t_m(q')) =
       (p, q), with B_pq,pq = -2 pi i (E_p - E_q) - (kappa_p + kappa_q)/2

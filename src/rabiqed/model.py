@@ -164,6 +164,12 @@ class TransmonSpec:
             raise ValueError(f"num_levels must be >= 2, got {self.num_levels}")
 
 
+def _last_transition(num_levels: int) -> int:
+    """N - 2, the index of a ladder's top transition, capped at sys.maxsize:
+    no array is longer, so no index past it is searched."""
+    return min(num_levels - 2, sys.maxsize)
+
+
 def ladder_collapses(omega_10, anharmonicity: float, num_levels: int) -> np.ndarray:
     """Per omega_10 value, whether a num_levels ladder has a splitting
     omega_{k+1,k} = omega_10 - k * anharmonicity <= 0 (transmon_ladder then
@@ -171,7 +177,7 @@ def ladder_collapses(omega_10, anharmonicity: float, num_levels: int) -> np.ndar
     the first or the last is the smallest: O(1) per value for any N.
     """
     omega_10 = np.asarray(omega_10, dtype=float)
-    top = min(num_levels - 2, sys.maxsize)
+    top = _last_transition(num_levels)
     return (omega_10 <= 0.0) | (omega_10 - top * anharmonicity <= 0.0)
 
 
@@ -190,13 +196,12 @@ def transmon_ladder(omega_10, anharmonicity: float, g0: float,
     if num_levels < 2:
         raise ValueError(f"num_levels must be >= 2, got {num_levels}")
     omega_10 = np.asarray(omega_10, dtype=float).reshape(-1, 1)
-    # No array is longer than sys.maxsize, so no index past it is searched.
-    top = min(num_levels - 2, sys.maxsize)
     collapsed = np.flatnonzero(ladder_collapses(omega_10[:, 0], anharmonicity, num_levels))
     if collapsed.size:
         w10 = float(omega_10[collapsed[0], 0])
         k = 0 if w10 <= 0.0 else bisect.bisect_left(
-            range(top), True, key=lambda j: w10 - j * anharmonicity <= 0.0)
+            range(_last_transition(num_levels)), True,
+            key=lambda j: w10 - j * anharmonicity <= 0.0)
         raise NonPositiveSplitting(
             f"transition {k + 1},{k} has frequency {w10 - k * anharmonicity} GHz <= 0 "
             f"(omega_10={w10}, anharmonicity={anharmonicity})")
@@ -376,6 +381,13 @@ class SystemConfig:
     def omega_r(self) -> float:
         return self.resonator.omega_r
 
+    def omega_10_at(self, detuning=None):
+        """The omega_10 that build(detuning=...) expands, per detuning value:
+        omega_r + detuning, or the configured omega_10 when detuning is None."""
+        if detuning is None:
+            return self.transmon.omega_10
+        return self.resonator.omega_r + detuning
+
     def build(self, detuning: float | None = None, coupling: float | None = None,
               temperature: float | None = None) -> SystemSpec:
         """Expand into a SystemSpec, optionally overriding swept variables.
@@ -385,7 +397,7 @@ class SystemConfig:
         """
         t = self.transmon
         if detuning is not None:
-            omega_10 = self.resonator.omega_r + detuning
+            omega_10 = self.omega_10_at(detuning)
             if not math.isfinite(omega_10):
                 raise LadderOverflow(f"omega_r + detuning = {omega_10} GHz is not finite")
             t = replace(t, omega_10=omega_10)

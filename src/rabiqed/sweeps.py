@@ -285,14 +285,14 @@ def _exact_work(config: SystemConfig, variable: str, values) -> tuple[int, int]:
 
     A point whose ladder collapses raises NonPositiveSplitting before any
     Hamiltonian is built, so only the others count; ladder_collapses finds
-    them in closed form, whatever num_levels is.
+    them in closed form, whatever num_levels is.  Only the detuning moves
+    omega_10.
     """
     t = config.transmon
-    omega_10 = np.full(len(values), t.omega_10)
-    if variable == DETUNING:
-        omega_10 = config.resonator.omega_r + np.asarray(values, dtype=float)
-    kept = ~ladder_collapses(omega_10, t.anharmonicity, t.num_levels)
-    return int(np.count_nonzero(kept)), t.num_levels * config.resonator.fock_truncation
+    detuning = np.asarray(values, dtype=float) if variable == DETUNING else None
+    collapsed = ladder_collapses(config.omega_10_at(detuning), t.anharmonicity, t.num_levels)
+    kept = np.count_nonzero(~np.broadcast_to(collapsed, (len(values),)))
+    return int(kept), t.num_levels * config.resonator.fock_truncation
 
 
 def shift_rows(config: SystemConfig, variable: str, values,

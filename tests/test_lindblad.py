@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -181,6 +182,19 @@ def test_steady_state_degenerate_beyond_svd_check(dim):
         steady_state(gen)
 
 
+@pytest.mark.parametrize("dim", [3, 40, 100])
+def test_sparse_lu_rejects_degenerate_generators(dim):
+    """Without a population sector, pure hopping between the levels keeps
+    every function of the Hamiltonian steady: the SVD check rejects it at
+    d = 3, the singular factorization at d = 40 and 100."""
+    hop = 0.5 * (np.eye(dim, k=1) + np.eye(dim, k=-1))
+    gen = LindbladGenerator(hop, ())
+    assert gen._maps is None
+    message = "singular values vanish" if dim * dim <= 1024 else "sparse LU failed"
+    with pytest.raises(DegenerateNullSpace, match=message):
+        steady_state(gen)
+
+
 @pytest.mark.parametrize("dim", [2, 3, 40, 100])
 def test_steady_state_rejects_closed_coherences(dim):
     """A cyclic shift without a Hamiltonian keeps every circulant density
@@ -195,29 +209,35 @@ def test_steady_state_rejects_closed_coherences(dim):
         steady_state(gen)
 
 
-def _closed_class_count(edges):
-    """Closed classes by transitive closure: edges[a, j] is a flow j -> a."""
-    d = len(edges)
-    leads = np.eye(d, dtype=bool) | edges.T  # leads[i, k]: i leads to k
-    for k in range(d):  # Warshall
+def _leads(edges):
+    """Transitive closure: leads[i, k] when i leads to k; edges[a, j] is a flow j -> a."""
+    leads = np.eye(len(edges), dtype=bool) | edges.T
+    for k in range(len(edges)):  # Warshall
         leads |= leads[:, [k]] & leads[[k], :]
-    closed = {frozenset(np.flatnonzero(leads[i] & leads[:, i])) for i in range(d)
+    return leads
+
+
+def _closed_class_count(leads):
+    closed = {frozenset(np.flatnonzero(leads[i] & leads[:, i])) for i in range(len(leads))
               if np.all(leads[np.flatnonzero(leads[i])][:, i])}
     return len(closed)
 
 
-def test_one_closed_class_matches_transitive_closure():
+def test_closed_class_root_matches_transitive_closure():
     """The search-forest test agrees with counting closed classes on random
-    rate graphs of 1 to 8 states."""
+    rate graphs of 1 to 8 states, and its root is led to from every state."""
     rng = np.random.default_rng(7)
     counts = set()
     for _ in range(400):
         d = int(rng.integers(1, 9))
         edges = rng.random((d, d)) < rng.uniform(0.0, 0.5)
         np.fill_diagonal(edges, False)
-        count = _closed_class_count(edges)
+        leads = _leads(edges)
+        count = _closed_class_count(leads)
         counts.add(min(count, 2))
-        assert lindblad._one_closed_class(edges) == (count == 1)
+        root = lindblad._closed_class_root(edges)
+        assert (root is not None) == (count == 1)
+        assert root is None or leads[:, root].all()
     assert counts == {1, 2}
 
 
@@ -244,6 +264,44 @@ def test_open_coherence_chains_leave_one_steady_state():
     np.testing.assert_allclose(steady_state(gen), expected, rtol=0, atol=1e-15)
     np.testing.assert_allclose(lindblad._sparse_lu_steady_state(gen, 1e-9), expected,
                                rtol=0, atol=1e-12)
+
+
+def _exact_stationary(flows):
+    """W p = 0 with sum p = 1 by Gauss-Jordan elimination in rationals."""
+    d = len(flows)
+    w = [[Fraction(float(flows[r, c])) for c in range(d)] for r in range(d)]
+    for c in range(d):
+        w[c][c] = -sum(w[r][c] for r in range(d) if r != c)
+    w[0] = [Fraction(1)] * d
+    aug = [row + [Fraction(int(r == 0))] for r, row in enumerate(w)]
+    for c in range(d):
+        pivot = next(r for r in range(c, d) if aug[r][c] != 0)
+        aug[c], aug[pivot] = aug[pivot], aug[c]
+        for r in range(d):
+            if r != c and aug[r][c] != 0:
+                f = aug[r][c] / aug[c][c]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[c])]
+    return np.array([float(aug[r][d] / aug[r][r]) for r in range(d)])
+
+
+def test_stationary_keeps_relative_accuracy():
+    """On random rate graphs, banded or not, whose rates span 1e-150 to
+    1e150, every population, however small, matches exact rational
+    elimination to a few rounding errors."""
+    rng = np.random.default_rng(11)
+    for _ in range(60):
+        d = int(rng.integers(2, 9))
+        near = np.abs(np.subtract.outer(np.arange(d), np.arange(d))) <= rng.integers(1, d)
+        flows = np.where((rng.random((d, d)) < 0.7) & near,
+                         10.0 ** rng.uniform(-150, 150, (d, d)), 0.0)
+        np.fill_diagonal(flows, 0.0)
+        root = lindblad._closed_class_root(flows > 0.0)
+        if root is None:
+            continue
+        exact = _exact_stationary(flows)
+        p = lindblad._stationary(flows, root)
+        assert np.all(p >= 0.0)
+        np.testing.assert_allclose(p, exact, rtol=1e-13, atol=0.0)
 
 
 @pytest.mark.parametrize("levels, photons", [(3, 5), (5, 8), (5, 20)],

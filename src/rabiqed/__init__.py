@@ -15,7 +15,8 @@ from .exact import (QUBIT_SHIFT, RESONATOR_PULL, AmbiguousLabeling,
                     analytic_shift, build_hamiltonian, diagonalize, exact_shifts,
                     fit_g0, fit_residual_curve, label_dressed_states)
 from .lindblad import (BARE_PLUS_INTERACTION, DRESSED_ANALYTIC,
-                       DegenerateNullSpace, LindbladGenerator, NegativeRate,
+                       MEMORY_BUDGET_BYTES, DegenerateNullSpace, LindbladGenerator,
+                       MemoryBudgetExceeded, NegativeRate,
                        NonPositiveState, PropagationFailure, Trajectory,
                        TruncationTooSmall, assemble,
                        dressed_hamiltonian, evolve, partial_trace_qubit,
@@ -53,7 +54,8 @@ __all__ = [
     "DRESSED_DEPHASING", "DRIVEN_EFFECTIVE",
     "DissipatorTerm", "ExactRow", "ExactShifts", "FIT_WINDOW_FACTOR", "FLAT",
     "FitResult", "InvalidSpec", "JC", "LadderOverflow",
-    "JumpDescriptor", "Labeling", "LindbladGenerator", "NegativeFrequency",
+    "JumpDescriptor", "Labeling", "LindbladGenerator", "MEMORY_BUDGET_BYTES",
+    "MemoryBudgetExceeded", "NegativeFrequency",
     "NegativePhotonNumber", "NegativeRate", "NoPhysicalCoupling", "NonPositiveSplitting",
     "NonPositiveState",
     "OHMIC", "ONE_OVER_F", "PHOTON_ASSISTED", "PURCELL",

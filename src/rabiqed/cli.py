@@ -9,8 +9,9 @@ Subcommands:
   steady  solve for the steady state, write its summary
   plot    render a CSV produced by the commands above to SVG
 
-Exit codes: 0 success, 2 bad configuration or arguments, 3 every requested
-point failed mathematically, 4 I/O failure.
+Exit codes: 0 success, 2 bad configuration or arguments (a dynamics run
+above lindblad.MEMORY_BUDGET_BYTES included), 3 every requested point
+failed mathematically, 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -27,10 +28,10 @@ from . import sweeps
 from .exact import (QUBIT_SHIFT, RESONATOR_PULL, AmbiguousLabeling,
                     ConvergenceFailure, DimensionOverflow, NoPhysicalCoupling,
                     FitResult, fit_g0, fit_residual_curve)
-from .lindblad import (DRESSED_ANALYTIC, DegenerateNullSpace, NonPositiveState,
-                       PropagationFailure, TruncationTooSmall, assemble,
-                       evolve, partial_trace_qubit, steady_state,
-                       thermal_resonator_state)
+from .lindblad import (DRESSED_ANALYTIC, DegenerateNullSpace, MemoryBudgetExceeded,
+                       NonPositiveState, PropagationFailure, TruncationTooSmall,
+                       assemble, evolve, partial_trace_qubit, require_memory,
+                       steady_state, thermal_resonator_state)
 from .model import (JC, MODELS, RABI, ConfigError, InvalidSpec, LadderOverflow,
                     NonPositiveSplitting, load_config, require_valid_config)
 from .operators import ProductSpace, number_operator
@@ -299,6 +300,8 @@ def _cmd_evolve(args) -> int:
     system, gen = _generator(config, args.photons)
     space = ProductSpace(system.qubit.num_levels, system.resonator.fock_truncation)
     rho0 = _initial_state(args.init, system, space)
+    # every --init state is diagonal, so it reaches at most the d populations
+    require_memory(16 * args.samples * space.dimension, "the recorded states")
     times = np.linspace(0.0, args.tmax, args.samples)
     trajectory = evolve(gen, rho0, args.tmax, sample_times=times)
     names = ["t_ns"] + [f"pop_q{k}" for k in range(space.qubit_dim)] + ["nbar",
@@ -461,7 +464,8 @@ def main(argv=None) -> int:
     except _IOFailure as exc:
         _fail(str(exc))
         return EXIT_IO
-    except (ConfigError, InvalidSpec, SweepError, json.JSONDecodeError) as exc:
+    except (ConfigError, InvalidSpec, SweepError, MemoryBudgetExceeded,
+            json.JSONDecodeError) as exc:
         _fail(str(exc))
         return EXIT_CONFIG
     except _MATH_ERRORS as exc:

@@ -474,6 +474,22 @@ def test_huge_ladder_exits_2(tmp_path, capsys, levels):
     assert "ladder levels exceed the cap" in captured.err
 
 
+@pytest.mark.parametrize("args", [
+    ["evolve", "--nq", "3", "--nr", "5", "--samples", "100000000000"],
+    ["evolve", "--nq", "5", "--nr", "100000"],
+    ["steady", "--nq", "5", "--nr", "100000"],
+], ids=["evolve-1e11-samples", "evolve-d500000", "steady-d500000"])
+def test_dynamics_beyond_the_memory_budget_exit_2(config_path, capsys, args):
+    """A trajectory or dense jumps beyond MEMORY_BUDGET_BYTES exit 2 with one
+    error line, before anything of that size is allocated."""
+    capsys.readouterr()
+    assert main([*args, "--config", config_path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "MB budget" in captured.err
+
+
 EXACT_CSV = "delta0_ghz,exact_pull,exact_qshift,error\n0.5,0.01,0.02,\n"
 
 

@@ -436,7 +436,7 @@ def test_grid_shape_picks_the_propagation_path(monkeypatch):
     gen = assemble(noisy_system())
     rho0 = pure_state(STATES["dressed-coherent"][1], ProductSpace(3, 5))
     calls = []
-    real_expm, real_multiply = scipy.linalg.expm, spla.expm_multiply
+    real_expm, real_multiply = lindblad._expm, spla.expm_multiply
 
     def spy_expm(a):
         calls.append("expm")
@@ -451,7 +451,7 @@ def test_grid_shape_picks_the_propagation_path(monkeypatch):
         evolve(gen, rho0, 4.0, sample_times=times)
         return calls
 
-    monkeypatch.setattr(scipy.linalg, "expm", spy_expm)
+    monkeypatch.setattr(lindblad, "_expm", spy_expm)
     monkeypatch.setattr(spla, "expm_multiply", spy_multiply)
     assert lindblad._uniform_step(np.array([0.0, 0.7, 1.31, 4.0])) is None
     assert paths([0.0, 0.7, 1.31, 4.0]) == ["step"] * 3
@@ -736,3 +736,188 @@ def test_reachable_search_matches_fixed_point(levels, photons, omega_r, mode,
     reach = lindblad._reachable(liouville, vec)
     assert len(reach) == size
     np.testing.assert_array_equal(reach, _reachable_by_fixed_point(liouville, vec))
+
+
+def readme_generator(levels, photons, drive=0.0):
+    """The README system at levels x photons, driven at drive mean photons."""
+    config = rabiqed.parse_config(dict(README_CONFIG, num_qubit_levels=levels,
+                                       fock_truncation=photons))
+    system = config.build()
+    table = rabiqed.build_rate_table(system)
+    extra = rabiqed.driven_effective_rates(table, drive, system.interaction_model) if drive else ()
+    return assemble(system, table=table, extra_terms=extra)
+
+
+def readme_state(kind, levels, photons):
+    """A Fock, thermal or coherent initial state on levels x photons."""
+    space = ProductSpace(levels, photons)
+    if kind == "fock":
+        return pure_state({(1, 0): 1.0}, space)
+    if kind == "thermal":
+        qubit = np.exp(-np.arange(levels) * 6.0 / 0.3)
+        return np.kron(np.diag(qubit / qubit.sum()), thermal_resonator_state(photons, 0.4))
+    return pure_state({(0, 0): 1.0, (1, 0): 1.0, (0, 1): 0.5}, space)
+
+
+@pytest.mark.parametrize("levels, photons, drive, kind", [
+    (3, 5, 0.0, "fock"), (3, 5, 0.0, "thermal"), (3, 5, 0.0, "coherent"),
+    (5, 8, 0.0, "fock"), (5, 8, 0.0, "thermal"), (5, 8, 0.0, "coherent"),
+    (3, 5, 2.0, "thermal"), (3, 5, 2.0, "coherent"),
+], ids=["d15-fock", "d15-thermal", "d15-coherent", "d40-fock", "d40-thermal",
+        "d40-coherent", "d15-photons2-thermal", "d15-photons2-coherent"])
+def test_sector_block_matches_liouvillian(levels, photons, drive, kind):
+    """The reach and block built from the jump maps are _reachable and
+    superoperator()[reach][:, reach]: the same indices, and entries within
+    1e-15 of the largest; the block is real exactly when only populations
+    are reached."""
+    gen = readme_generator(levels, photons, drive)
+    vec = readme_state(kind, levels, photons).reshape(-1)
+    reach, rows, cols, values = lindblad._sector_block(gen._maps, vec)
+    assert gen._liouvillian is None
+    liouville = gen.superoperator()
+    np.testing.assert_array_equal(reach, lindblad._reachable(liouville, vec))
+    expected = liouville[reach][:, reach].toarray()
+    block = np.zeros(expected.shape, dtype=values.dtype)
+    np.add.at(block, (rows, cols), values)
+    scale = float(np.max(np.abs(expected)))
+    assert float(np.max(np.abs(block - expected))) <= 1e-15 * scale
+    populations_only = bool(np.all(reach // gen.dim == reach % gen.dim))
+    assert populations_only == (kind != "coherent")
+    assert np.isrealobj(values) == populations_only
+
+
+def _generator_like(n, norm, complex_, rng):
+    """A random n x n Markov rate matrix (columns summing to zero), plus -i H
+    for a random Hermitian H when complex_, scaled to 1-norm norm: its
+    exponential is bounded, so a large norm exercises the squarings, not
+    overflow."""
+    cycle = np.roll(np.eye(n), 1, axis=0) > 0  # keeps every column nonzero
+    rates = rng.exponential(size=(n, n)) * ((rng.random((n, n)) < 0.5) | cycle)
+    np.fill_diagonal(rates, 0.0)
+    a = rates - np.diag(rates.sum(axis=0))
+    if complex_:
+        h = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        a = a - 1j * (h + h.conj().T)
+    return a * (norm / np.abs(a).sum(axis=0).max())
+
+
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+def test_expm_matches_scipy(complex_):
+    """_expm agrees with scipy.linalg.expm to 1e-12 of ||exp(A)||_1 in the
+    1-norm, in A's own dtype, at 1-norms that pick every Pade degree and up
+    to 11 squarings.  The bound, fixed before the code was written: both
+    meet unit roundoff u in backward error on the scaled matrix, and s
+    squarings of a bounded exponential amplify rounding to about
+    2^s u = 2.3e-13 at s = 11, so the two differ by about twice that; the
+    bound leaves a further factor of two."""
+    thetas = [theta for _, theta in lindblad._PADE]
+    norms = [0.5 * thetas[0], *(0.5 * (lo + hi) for lo, hi in zip(thetas, thetas[1:])),
+             thetas[-1], 3.0 * thetas[-1], thetas[-1] * 2.0 ** 10.5]
+    degrees = {next((m for m, theta in lindblad._PADE if norm <= theta), 13) for norm in norms}
+    squarings = max(math.ceil(math.log2(norm / thetas[-1])) for norm in norms)
+    assert degrees == {3, 5, 7, 9, 13} and squarings >= 10
+    rng = np.random.default_rng(23)
+    for norm in norms:
+        for n in (2, 7, 30):
+            a = _generator_like(n, norm, complex_, rng)
+            x, expected = lindblad._expm(a), scipy.linalg.expm(a)
+            assert x.dtype == a.dtype
+            scale = np.abs(expected).sum(axis=0).max()
+            assert np.abs(x - expected).sum(axis=0).max() <= 1e-12 * scale
+
+
+def test_propagator_overflow_is_a_propagation_failure(monkeypatch):
+    """An exponential that overflows gives infinities without a warning
+    (warnings fail this suite), and evolve turns a non-finite propagator
+    into PropagationFailure."""
+    assert np.isinf(lindblad._expm(np.array([[800.0, 0.0], [1.0, 0.0]]))).any()
+    real_expm = lindblad._expm
+    monkeypatch.setattr(lindblad, "_expm", lambda a: real_expm(-1e6 * a))
+    gen = assemble(noisy_system())
+    rho0 = np.zeros((15, 15), dtype=complex)
+    rho0[5, 5] = 1.0
+    with pytest.raises(PropagationFailure, match="propagator"):
+        evolve(gen, rho0, 4.0, sample_times=np.linspace(0.0, 4.0, 9))
+
+
+def test_dressed_evolve_loads_no_scipy(tmp_path):
+    """README evolve, and a library evolve of a dressed superposition, load
+    no SciPy module."""
+    config = tmp_path / "readme.json"
+    config.write_text(json.dumps(README_CONFIG))
+    out = tmp_path / "traj.csv"
+    code = ("import sys\n"
+            "import numpy as np\n"
+            "import rabiqed as rq\n"
+            "from rabiqed.cli import main\n"
+            f"assert main(['evolve', '--config', {str(config)!r}, '--init', 'fock:1:0',\n"
+            f"             '--tmax', '500', '--samples', '251', '--out', {str(out)!r}]) == 0\n"
+            f"system = rq.load_config({str(config)!r}).build()\n"
+            "space = rq.ProductSpace(5, 8)\n"
+            "psi = np.zeros(40, dtype=complex)\n"
+            "psi[[space.index(0, 0), space.index(1, 0)]] = 2 ** -0.5\n"
+            "trajectory = rq.evolve(rq.assemble(system), np.outer(psi, psi.conj()), 2.0,\n"
+            "                       sample_times=np.linspace(0.0, 2.0, 101))\n"
+            "assert len(trajectory.reach) > 40\n"
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "assert not loaded, loaded\n")
+    result = _run_python(code)
+    assert result.returncode == 0, result.stderr
+    assert out.read_text().startswith("t_ns,")
+
+
+def _tridiagonal(dim, rng):
+    return np.diag(0.37 * np.arange(dim)) + 0.1 * (np.eye(dim, k=1) + np.eye(dim, k=-1))
+
+
+def _random_symmetric(dim, rng):
+    h = rng.normal(size=(dim, dim))
+    return h + h.T
+
+
+def _random_banded(dim, rng):
+    """Random symmetric with two bands each side: a dense one at d = 100
+    fills SuperLU's factor to over a gigabyte."""
+    h = np.diag(rng.normal(size=dim))
+    for k in (1, 2):
+        band = np.diag(rng.normal(size=dim - k), k)
+        h += band + band.T
+    return h
+
+
+@pytest.mark.parametrize("hamiltonian, dim", [
+    (_tridiagonal, 40), (_tridiagonal, 100), (_random_symmetric, 40), (_random_banded, 100),
+], ids=["tridiagonal-40", "tridiagonal-100", "random-symmetric-40", "random-banded-100"])
+def test_sparse_lu_pivots_reject_degenerate_generators(hamiltonian, dim):
+    """Above the SVD check, a Hamiltonian without dissipators (every function
+    of H is steady) factorizes, but with a vanishing pivot: DegenerateNullSpace."""
+    gen = LindbladGenerator(hamiltonian(dim, np.random.default_rng(dim)), ())
+    assert gen._maps is None
+    with pytest.raises(DegenerateNullSpace, match="pivot"):
+        steady_state(gen)
+
+
+def test_sparse_lu_pivots_pass_a_damped_generator():
+    """The README system in bare_plus_interaction mode at d = 40 keeps its
+    pivots above the threshold and has one steady state."""
+    config = rabiqed.parse_config(dict(README_CONFIG, num_qubit_levels=5, fock_truncation=8))
+    gen = assemble(config.build(), mode=BARE_PLUS_INTERACTION)
+    assert gen._maps is None and gen.dim ** 2 > 1024
+    rho = steady_state(gen)
+    assert float(np.max(np.abs(gen.apply(rho)))) < 1e-12
+    np.testing.assert_allclose(np.trace(rho).real, 1.0, rtol=0, atol=1e-12)
+
+
+def test_evolve_keeps_to_the_memory_budget(monkeypatch):
+    """Recorded entries beyond MEMORY_BUDGET_BYTES raise MemoryBudgetExceeded
+    before they are allocated; so do the dense jumps in assemble."""
+    gen = assemble(noisy_system())
+    rho0 = np.zeros((15, 15), dtype=complex)
+    rho0[5, 5] = 1.0
+    times = np.linspace(0.0, 4.0, 101)
+    monkeypatch.setattr(lindblad, "MEMORY_BUDGET_BYTES", 16 * 101 * 15)
+    assert len(evolve(gen, rho0, 4.0, sample_times=times).reach) == 15
+    with pytest.raises(rabiqed.MemoryBudgetExceeded, match="recorded states"):
+        evolve(gen, rho0, 4.0, sample_times=np.linspace(0.0, 4.0, 102))
+    with pytest.raises(rabiqed.MemoryBudgetExceeded, match="jumps"):
+        assemble(noisy_system())

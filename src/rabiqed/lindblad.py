@@ -820,13 +820,16 @@ def _population_steady_state(maps: _JumpMaps, positivity_tol: float) -> np.ndarr
 
 # Above the SVD check's size, sparse LU rejects a factorization whose least
 # pivot (|diagonal of U|) is below this share of the largest.  Measured:
-# 7.5e-21 to 5.1e-15 for Hamiltonians without dissipators, which keep every
+# 7.5e-21 to 5.6e-15 for Hamiltonians without dissipators, which keep every
 # function of H steady (tridiagonal, random banded and random dense
-# symmetric, d = 40 and 100), against 1.0e-5 to 7.0e-4 for the README
+# symmetric, d = 33 to 100), against 1.0e-5 to 7.0e-4 for the README
 # system's dressed and bare_plus_interaction generators at d = 15, 40 and
 # 100, undriven or at 4 photons.  Like the SVD check it is relative, so rates
 # spread widely enough fail it too: the d = 40 bare_plus_interaction
-# generator gives 5.6e-8 at 1e6 drive photons and 5.1e-10 at 1e8.
+# generator gives 5.1e-10 at 1e8 drive photons, 5.7e-11 at 1e9 and 2.1e-15 at
+# 1e14, inside the degenerate range, so no fixed ratio separates the two.
+# This one errs towards refusing (DegenerateNullSpace) over returning one
+# of many steady states without a word.
 _MIN_PIVOT_RATIO = 1e-10
 
 

@@ -16,7 +16,7 @@ from .exact import (QUBIT_SHIFT, RESONATOR_PULL, AmbiguousLabeling,
                     fit_g0, fit_residual_curve, label_dressed_states)
 from .lindblad import (BARE_PLUS_INTERACTION, DRESSED_ANALYTIC,
                        MEMORY_BUDGET_BYTES, DegenerateNullSpace, LindbladGenerator,
-                       MemoryBudgetExceeded, NegativeRate,
+                       MemoryBudgetExceeded, NegativeRate, NoPopulationSector,
                        NonPositiveState, PropagationFailure, Trajectory,
                        TruncationTooSmall, assemble,
                        dressed_hamiltonian, evolve, partial_trace_qubit,
@@ -56,8 +56,8 @@ __all__ = [
     "FitResult", "InvalidSpec", "JC", "LadderOverflow",
     "JumpDescriptor", "Labeling", "LindbladGenerator", "MEMORY_BUDGET_BYTES",
     "MemoryBudgetExceeded", "NegativeFrequency",
-    "NegativePhotonNumber", "NegativeRate", "NoPhysicalCoupling", "NonPositiveSplitting",
-    "NonPositiveState",
+    "NegativePhotonNumber", "NegativeRate", "NoPhysicalCoupling", "NoPopulationSector",
+    "NonPositiveSplitting", "NonPositiveState",
     "OHMIC", "ONE_OVER_F", "PHOTON_ASSISTED", "PURCELL",
     "ProductSpace", "PropagationFailure", "QUBIT_SHIFT",
     "QubitSpec", "RABI", "RESONANCE_WINDOW_FACTOR", "RESONATOR_PULL",

@@ -16,10 +16,10 @@ Two assembly modes are supported:
 
 A generator with a population sector (every dressed_analytic one; see
 _jump_maps) is evolved and solved for its steady state with NumPy alone,
-from its jump maps.  SciPy is imported only for the rest: the sparse
-Liouvillian of a generator without a population sector, sparse LU on it,
-and expm_multiply where evolve steps one interval at a time or reaches a
-first sample time after 0.
+from its jump maps; steady_state refuses any other generator
+(NoPopulationSector).  SciPy is imported only for the sparse Liouvillian
+of a generator without a population sector, and for expm_multiply where
+evolve steps one interval at a time or reaches a first sample time after 0.
 """
 
 from __future__ import annotations
@@ -61,6 +61,10 @@ class DegenerateNullSpace(RuntimeError):
     """The generator has more than one steady state."""
 
 
+class NoPopulationSector(ValueError):
+    """steady_state was handed a generator without a population sector."""
+
+
 class NonPositiveState(RuntimeError):
     """The computed steady state has a negative eigenvalue."""
 
@@ -95,8 +99,9 @@ def _build_liouvillian(h: np.ndarray, dissipators) -> sp.csr_matrix:
     K is one sparse product of the stacked jumps, [gamma_m L_m]^dag [L_m];
     the entries of every term go into one coordinate list, and one
     conversion to CSR sums those that coincide.  SciPy is imported here,
-    not at module load, so that only the generators that need this matrix
-    (those without a population sector, and apply()) pay for it.
+    not at module load, so that only the callers that need this matrix
+    (apply(), and evolve on a generator without a population sector) pay
+    for it.
     """
     import scipy.sparse as sp
 
@@ -777,19 +782,6 @@ def _closed_coherences(maps: _JumpMaps) -> int:
     return int(np.count_nonzero(alive))
 
 
-def _checked(rho: np.ndarray, residual: float, scale: float, min_eig: float,
-             positivity_tol: float) -> np.ndarray:
-    """rho, once its residual max|L rho| is at most 1e-10 of the largest
-    Liouvillian entry (scale) and its least eigenvalue is >= -positivity_tol."""
-    if not residual <= 1e-10 * max(1.0, scale):
-        raise DegenerateNullSpace(f"steady-state residual {residual:.3e} exceeds "
-                                  f"tolerance; null space is ill-conditioned")
-    if min_eig < -positivity_tol:
-        raise NonPositiveState(f"steady state has eigenvalue {min_eig:.3e} "
-                               f"< -{positivity_tol}")
-    return rho
-
-
 def _population_steady_state(maps: _JumpMaps, positivity_tol: float) -> np.ndarray:
     """steady_state on a population sector."""
     d = len(maps.energies)
@@ -814,73 +806,24 @@ def _population_steady_state(maps: _JumpMaps, positivity_tol: float) -> np.ndarr
     diagonal = _sector_diagonal(maps, states[:, None], states)
     scale = max(float(np.max(np.abs(diagonal))), float(np.max(flows)))
     residual = float(np.max(np.abs(flows @ p - flows.sum(axis=0) * p)))
-    return _checked(np.diag(p).astype(complex), residual, scale, float(np.min(p)),
-                    positivity_tol)
-
-
-# Above the SVD check's size, sparse LU rejects a factorization whose least
-# pivot (|diagonal of U|) is below this share of the largest.  Measured:
-# 7.5e-21 to 5.6e-15 for Hamiltonians without dissipators, which keep every
-# function of H steady (tridiagonal, random banded and random dense
-# symmetric, d = 33 to 100), against 1.0e-5 to 7.0e-4 for the README
-# system's dressed and bare_plus_interaction generators at d = 15, 40 and
-# 100, undriven or at 4 photons.  Like the SVD check it is relative, so rates
-# spread widely enough fail it too: the d = 40 bare_plus_interaction
-# generator gives 5.1e-10 at 1e8 drive photons, 5.7e-11 at 1e9 and 2.1e-15 at
-# 1e14, inside the degenerate range, so no fixed ratio separates the two.
-# This one errs towards refusing (DegenerateNullSpace) over returning one
-# of many steady states without a word.
-_MIN_PIVOT_RATIO = 1e-10
-
-
-def _sparse_lu_steady_state(gen: LindbladGenerator, positivity_tol: float) -> np.ndarray:
-    """steady_state by sparse LU on the Liouvillian."""
-    import scipy.sparse as sp
-    import scipy.sparse.linalg as spla
-
-    d = gen.dim
-    liouville = gen.superoperator()
-    if d * d <= 1024:
-        singulars = np.linalg.svd(liouville.toarray(), compute_uv=False)
-        top = singulars[0] if singulars[0] > 0.0 else 1.0
-        null_count = int(np.sum(singulars < 1e-12 * top))
-        if null_count > 1:
-            raise DegenerateNullSpace(f"{null_count} singular values vanish; "
-                                      f"steady state is not unique")
-
-    # ones on the entries of vec(rho) that hold its diagonal
-    trace_row = sp.csr_matrix((np.ones(d), np.arange(0, d * d, d + 1), [0, d]),
-                              shape=(1, d * d))
-    rhs = np.zeros(d * d, dtype=complex)
-    rhs[0] = 1.0
-    try:
-        factor = spla.splu(sp.vstack([trace_row, liouville[1:]], format="csc"))
-    except RuntimeError as exc:  # SuperLU: exactly singular or failed to factorize
-        raise DegenerateNullSpace(f"sparse LU failed: {exc}".strip()) from exc
-    if d * d > 1024:
-        pivots = np.abs(factor.U.diagonal())
-        if not pivots.min() >= _MIN_PIVOT_RATIO * pivots.max():
-            raise DegenerateNullSpace(f"the least LU pivot is {pivots.min() / pivots.max():.1e} "
-                                      f"of the largest; steady state is not unique")
-    vec = factor.solve(rhs)
-
-    rho = vec.reshape(d, d)
-    rho = 0.5 * (rho + rho.conj().T)
-    rho = rho / np.trace(rho).real
-    residual = float(np.max(np.abs(liouville @ rho.reshape(-1))))
-    return _checked(rho, residual, float(abs(liouville).max()),
-                    float(np.linalg.eigvalsh(rho)[0]), positivity_tol)
+    if not residual <= 1e-10 * max(1.0, scale):
+        raise DegenerateNullSpace(f"steady-state residual {residual:.3e} exceeds "
+                                  f"tolerance; null space is ill-conditioned")
+    least = float(np.min(p))
+    if least < -positivity_tol:
+        raise NonPositiveState(f"steady state has eigenvalue {least:.3e} < -{positivity_tol}")
+    return np.diag(p).astype(complex)
 
 
 def steady_state(gen: LindbladGenerator, positivity_tol: float = 1e-9) -> np.ndarray:
-    """Unique steady state of the generator.
+    """Unique steady state of a generator with a population sector.
 
-    A generator with a population sector (see _jump_maps; every
-    dressed_analytic generator has one) is solved on it with NumPy alone,
-    never building the d^2 x d^2 Liouvillian.  Write c_m(j) >= 0 for the
-    entry of jump m in column j (0 if none), t_m(j) for its row, gamma_m
-    for its angular rate and kappa_j = sum_m gamma_m c_m(j)^2.  The
-    Liouvillian splits into two blocks:
+    The population sector (see _jump_maps; every dressed_analytic
+    generator has one) is solved with NumPy alone, never building the
+    d^2 x d^2 Liouvillian.  Write c_m(j) >= 0 for the entry of jump m in
+    column j (0 if none), t_m(j) for its row, gamma_m for its angular rate
+    and kappa_j = sum_m gamma_m c_m(j)^2.  The Liouvillian splits into two
+    blocks:
 
     - the populations obey dp/dt = W p, the Pauli master equation (Breuer &
       Petruccione, The Theory of Open Quantum Systems, OUP 2002), with
@@ -908,20 +851,19 @@ def steady_state(gen: LindbladGenerator, positivity_tol: float = 1e-9) -> np.nda
       So B is singular exactly when _closed_coherences finds such a set;
       otherwise every coherence of the steady state is zero.
 
-    More than one closed class or a singular B raises DegenerateNullSpace.
-    Any other generator is solved by sparse LU on the Liouvillian, with
-    the first row replaced by the trace constraint; there uniqueness is
-    verified through the singular spectrum when the superoperator is small
-    enough to afford a dense SVD (d <= 32), and through the pivots of the
-    factorization above that.  A second vanishing singular value, a
-    singular factorization or a least pivot below _MIN_PIVOT_RATIO of the
-    largest raises DegenerateNullSpace.  On both paths a
-    residual above 1e-10 of the largest Liouvillian entry raises
-    DegenerateNullSpace, and an eigenvalue below -positivity_tol raises
-    NonPositiveState.
+    More than one closed class, a singular B, or a residual above 1e-10 of
+    the largest Liouvillian entry raises DegenerateNullSpace, and an
+    eigenvalue below -positivity_tol raises NonPositiveState.  A generator
+    without a population sector raises NoPopulationSector before anything
+    is built: a bare-basis master equation on the Rabi Hamiltonian does not
+    relax to the dressed thermal state (Beaudoin, Gambetta & Blais, Phys.
+    Rev. A 84, 043832 (2011)), so assemble it in dressed_analytic mode.
     """
     if gen._maps is None:
-        return _sparse_lu_steady_state(gen, positivity_tol)
+        raise NoPopulationSector("steady_state needs a generator with a population "
+                                 "sector: a diagonal real Hamiltonian and real "
+                                 "nonnegative jumps with at most one nonzero per row "
+                                 "and column, as every dressed_analytic generator has")
     with np.errstate(all="ignore"):
         return _population_steady_state(gen._maps, positivity_tol)
 

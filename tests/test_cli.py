@@ -8,8 +8,11 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from rabiqed import ExactRow, RateRow, ShiftRow, columns, parse_csv
+from rabiqed import (ExactRow, ProductSpace, RateRow, ShiftRow, columns, evolve,
+                     load_config, parse_csv)
+from rabiqed import cli
 from rabiqed.cli import main
+from rabiqed.sweeps import format_table
 
 from conftest import README_CONFIG
 
@@ -246,6 +249,45 @@ def test_evolve_with_drive_photons(config_path, tmp_path):
                  "--samples", "3", "--photons", "2", "--out", str(out)])
     assert code == 0
     assert main(["evolve", "--config", config_path, "--photons", "-1"]) == 2
+
+
+def _summary_from_states(config_path, init, tmax, samples, photons):
+    """The evolve table computed from every rebuilt d x d state: the diagonal
+    of Trajectory.states, and the trace of each state."""
+    config = load_config(config_path)
+    system, gen = cli._generator(config, photons)
+    space = ProductSpace(system.qubit.num_levels, system.resonator.fock_truncation)
+    rho0 = cli._initial_state(init, system, space)
+    trajectory = evolve(gen, rho0, tmax, sample_times=np.linspace(0.0, tmax, samples))
+    rows = []
+    for t, rho in zip(trajectory.times, trajectory.states):
+        diagonal = np.real(np.diagonal(rho)).reshape(space.qubit_dim, space.fock_dim)
+        row = {"t_ns": float(t)}
+        row.update({f"pop_q{k}": float(p) for k, p in enumerate(diagonal.sum(axis=1))})
+        row["nbar"] = float(diagonal.sum(axis=0) @ np.arange(space.fock_dim))
+        row["trace"] = float(np.real(np.trace(rho)))
+        rows.append(row)
+    names = (["t_ns"] + [f"pop_q{k}" for k in range(space.qubit_dim)]
+             + ["nbar", "trace"])
+    return format_table(names, rows)
+
+
+@pytest.mark.parametrize("init, tmax, samples, photons", [
+    ("fock:1:0", 500.0, 251, 0.0), ("thermal:0.3", 50.0, 101, 2.0),
+    ("fock:2:3", 50.0, 41, 0.0),
+], ids=["readme", "thermal-driven", "fock-2-3"])
+def test_evolve_summary_matches_the_state_rebuild(tmp_path, init, tmax, samples, photons):
+    """The evolve table, read from the reached populations, equals byte for
+    byte the one read off every rebuilt density matrix, on the README config.
+    The trace column keeps its last bits only when the populations are
+    summed in the order of np.trace: fock:2:3 tells the two apart."""
+    path = tmp_path / "readme.json"
+    path.write_text(json.dumps(README_CONFIG))
+    out = tmp_path / "evolve.csv"
+    assert main(["evolve", "--config", str(path), "--init", init, "--tmax", str(tmax),
+                 "--samples", str(samples), "--photons", str(photons),
+                 "--out", str(out)]) == 0
+    assert out.read_text() == _summary_from_states(str(path), init, tmax, samples, photons)
 
 
 def test_steady_state_summary(config_path, tmp_path):

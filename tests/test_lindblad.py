@@ -29,6 +29,7 @@ from rabiqed import (
     JumpDescriptor,
     LindbladGenerator,
     NegativeRate,
+    NoPopulationSector,
     NonPositiveState,
     ProductSpace,
     PropagationFailure,
@@ -176,23 +177,24 @@ def test_steady_state_rejects_degenerate_generators():
 
 @pytest.mark.parametrize("dim", [40, 100])
 def test_steady_state_degenerate_beyond_svd_check(dim):
-    """Above the SVD-check size a singular factorization is DegenerateNullSpace too."""
+    """Without dissipators every population is a closed class of its own, so
+    a diagonal Hamiltonian is DegenerateNullSpace at d = 40 and 100 too."""
     gen = LindbladGenerator(np.diag(0.37 * np.arange(dim)), ())
     with pytest.raises(DegenerateNullSpace):
         steady_state(gen)
 
 
 @pytest.mark.parametrize("dim", [3, 40, 100])
-def test_sparse_lu_rejects_degenerate_generators(dim):
-    """Without a population sector, pure hopping between the levels keeps
-    every function of the Hamiltonian steady: the SVD check rejects it at
-    d = 3, the singular factorization at d = 40 and 100."""
+def test_steady_state_refuses_generators_without_a_population_sector(dim):
+    """Pure hopping between the levels has no population sector (and keeps
+    every function of the Hamiltonian steady): steady_state raises
+    NoPopulationSector, a ValueError, and builds no Liouvillian."""
     hop = 0.5 * (np.eye(dim, k=1) + np.eye(dim, k=-1))
     gen = LindbladGenerator(hop, ())
     assert gen._maps is None
-    message = "singular values vanish" if dim * dim <= 1024 else "sparse LU failed"
-    with pytest.raises(DegenerateNullSpace, match=message):
+    with pytest.raises(NoPopulationSector):
         steady_state(gen)
+    assert issubclass(NoPopulationSector, ValueError) and gen._liouvillian is None
 
 
 @pytest.mark.parametrize("dim", [2, 3, 40, 100])
@@ -252,6 +254,23 @@ def test_steady_state_rejects_two_closed_classes():
         steady_state(gen)
 
 
+def _sparse_lu_steady_state(gen):
+    """The oracle for the population solve: SuperLU on the Liouvillian with
+    its first row replaced by the trace constraint, normalized and
+    symmetrized."""
+    d = gen.dim
+    liouville = gen.superoperator()
+    # ones on the entries of vec(rho) that hold its diagonal
+    trace_row = sp.csr_matrix((np.ones(d), np.arange(0, d * d, d + 1), [0, d]),
+                              shape=(1, d * d))
+    rhs = np.zeros(d * d, dtype=complex)
+    rhs[0] = 1.0
+    rho = spla.splu(sp.vstack([trace_row, liouville[1:]], format="csc")).solve(rhs)
+    rho = rho.reshape(d, d)
+    rho = 0.5 * (rho + rho.conj().T)
+    return rho / np.trace(rho).real
+
+
 def test_open_coherence_chains_leave_one_steady_state():
     """Equal-energy coherences that the jumps carry, step by step, to an
     unequal pair do not survive: a shift |j> -> |j+1> without wrap-around
@@ -262,8 +281,7 @@ def test_open_coherence_chains_leave_one_steady_state():
     expected = np.zeros((dim, dim))
     expected[-1, -1] = 1.0
     np.testing.assert_allclose(steady_state(gen), expected, rtol=0, atol=1e-15)
-    np.testing.assert_allclose(lindblad._sparse_lu_steady_state(gen, 1e-9), expected,
-                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(_sparse_lu_steady_state(gen), expected, rtol=0, atol=1e-12)
 
 
 def _exact_stationary(flows):
@@ -317,13 +335,14 @@ def test_population_path_matches_sparse_lu(levels, photons):
         table, 4.0, system.interaction_model))
     fast = steady_state(gen)
     assert gen._maps is not None and gen._liouvillian is None
-    slow = lindblad._sparse_lu_steady_state(gen, 1e-9)
+    slow = _sparse_lu_steady_state(gen)
     assert float(np.max(np.abs(fast - slow))) < 1e-12
 
 
 def test_population_sector_needs_a_diagonal_real_monomial_generator():
     """A non-diagonal Hamiltonian, or a complex, negative or non-monomial
-    jump, sends the generator to sparse LU, which still finds its state."""
+    jump, leaves the generator without a population sector, and
+    steady_state refuses it."""
     lower = np.array([[0.0, 1.0], [0.0, 0.0]])
     h = np.diag([0.0, 1.0])
     assert lindblad._jump_maps(h, [(lower, 1.0), (lower.T, 0.5)]) is not None
@@ -333,9 +352,8 @@ def test_population_sector_needs_a_diagonal_real_monomial_generator():
                     (h, np.array([[1.0, 1.0], [0.0, 0.0]]))):
         gen = LindbladGenerator(ham, ((op, 1.0), (lower.T, 0.5)))
         assert gen._maps is None
-        rho = steady_state(gen)
-        assert float(np.max(np.abs(gen.apply(rho)))) < 1e-12
-        np.testing.assert_allclose(np.trace(rho).real, 1.0, rtol=0, atol=1e-12)
+        with pytest.raises(NoPopulationSector):
+            steady_state(gen)
     assert assemble(noisy_system(), mode=BARE_PLUS_INTERACTION)._maps is None
 
 
@@ -520,14 +538,16 @@ def test_import_loads_no_scipy():
 
 
 def test_steady_loads_no_scipy(tmp_path):
-    """steady on the README config, and the non-finite check of a generator,
-    load no SciPy module."""
+    """steady on the README config, the non-finite check of a generator, and
+    steady_state refusing a bare_plus_interaction generator load no SciPy
+    module; the refusal builds no Liouvillian."""
     config = tmp_path / "readme.json"
     config.write_text(json.dumps(README_CONFIG))
     out = tmp_path / "steady.csv"
     code = ("import sys\n"
             "import numpy as np\n"
-            "from rabiqed import LindbladGenerator, PropagationFailure\n"
+            "from rabiqed import (BARE_PLUS_INTERACTION, LindbladGenerator, NoPopulationSector,\n"
+            "                     PropagationFailure, assemble, load_config, steady_state)\n"
             "from rabiqed.cli import main\n"
             f"assert main(['steady', '--config', {str(config)!r}, '--photons', '4',\n"
             f"             '--out', {str(out)!r}]) == 0\n"
@@ -536,6 +556,14 @@ def test_steady_loads_no_scipy(tmp_path):
             "    raise AssertionError('a NaN Hamiltonian was accepted')\n"
             "except PropagationFailure:\n"
             "    pass\n"
+            f"system = load_config({str(config)!r}).build()\n"
+            "gen = assemble(system, mode=BARE_PLUS_INTERACTION)\n"
+            "try:\n"
+            "    steady_state(gen)\n"
+            "    raise AssertionError('a generator without a population sector was solved')\n"
+            "except NoPopulationSector:\n"
+            "    pass\n"
+            "assert gen._liouvillian is None\n"
             "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
             "assert not loaded, loaded\n")
     result = _run_python(code)
@@ -864,48 +892,6 @@ def test_dressed_evolve_loads_no_scipy(tmp_path):
     result = _run_python(code)
     assert result.returncode == 0, result.stderr
     assert out.read_text().startswith("t_ns,")
-
-
-def _tridiagonal(dim, rng):
-    return np.diag(0.37 * np.arange(dim)) + 0.1 * (np.eye(dim, k=1) + np.eye(dim, k=-1))
-
-
-def _random_symmetric(dim, rng):
-    h = rng.normal(size=(dim, dim))
-    return h + h.T
-
-
-def _random_banded(dim, rng):
-    """Random symmetric with two bands each side: a dense one at d = 100
-    fills SuperLU's factor to over a gigabyte."""
-    h = np.diag(rng.normal(size=dim))
-    for k in (1, 2):
-        band = np.diag(rng.normal(size=dim - k), k)
-        h += band + band.T
-    return h
-
-
-@pytest.mark.parametrize("hamiltonian, dim", [
-    (_tridiagonal, 40), (_tridiagonal, 100), (_random_symmetric, 40), (_random_banded, 100),
-], ids=["tridiagonal-40", "tridiagonal-100", "random-symmetric-40", "random-banded-100"])
-def test_sparse_lu_pivots_reject_degenerate_generators(hamiltonian, dim):
-    """Above the SVD check, a Hamiltonian without dissipators (every function
-    of H is steady) factorizes, but with a vanishing pivot: DegenerateNullSpace."""
-    gen = LindbladGenerator(hamiltonian(dim, np.random.default_rng(dim)), ())
-    assert gen._maps is None
-    with pytest.raises(DegenerateNullSpace, match="pivot"):
-        steady_state(gen)
-
-
-def test_sparse_lu_pivots_pass_a_damped_generator():
-    """The README system in bare_plus_interaction mode at d = 40 keeps its
-    pivots above the threshold and has one steady state."""
-    config = rabiqed.parse_config(dict(README_CONFIG, num_qubit_levels=5, fock_truncation=8))
-    gen = assemble(config.build(), mode=BARE_PLUS_INTERACTION)
-    assert gen._maps is None and gen.dim ** 2 > 1024
-    rho = steady_state(gen)
-    assert float(np.max(np.abs(gen.apply(rho)))) < 1e-12
-    np.testing.assert_allclose(np.trace(rho).real, 1.0, rtol=0, atol=1e-12)
 
 
 def test_evolve_keeps_to_the_memory_budget(monkeypatch):

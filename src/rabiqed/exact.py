@@ -6,9 +6,13 @@ The Hamiltonian (GHz, ordinary frequencies) is
 
 with H_int = sum_k g_k (sigma_{k,k+1} + sigma_{k+1,k})(a+ + a) for the
 full-dipole model and sum_k g_k (sigma_{k,k+1} a+ + sigma_{k+1,k} a) for
-the rotating-wave model.  Dressed eigenstates are labeled by maximum
-overlap with the bare product basis, greedily in order of increasing bare
-energy, and the dispersive observables are read off the labeled energies:
+the rotating-wave model.  It is written by index into one d x d array.
+Dressed eigenstates are labeled by maximum overlap with the bare product
+basis, greedily in order of increasing bare energy.  A claim depends only
+on the bare states before it, so a labeling that needs only some pairs
+stops once it has processed them: exact_shifts needs (0,0), (0,1) and
+(1,0), usually the three lowest bare states.  The dispersive observables
+are read off the labeled energies:
 
     resonator pull = [E(0,1) - E(0,0)] - omega_r
     qubit shift    = [E(1,0) - E(0,0)] - omega_10
@@ -23,7 +27,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .model import RABI, SystemSpec, check_model, transmon_ladder
-from .operators import ProductSpace, annihilator, number_operator, qubit_lower
 from .shifts import ShiftArrays, pull_and_qubit_shift, resonant
 
 DIM_CAP = 4096
@@ -60,26 +63,44 @@ class NoPhysicalCoupling(RuntimeError):
 
 def build_hamiltonian(system: SystemSpec, model: str | None = None,
                       dim_cap: int = DIM_CAP) -> np.ndarray:
-    """Dense, exactly symmetric Hamiltonian on the product space."""
+    """Dense, exactly symmetric Hamiltonian on the product space.
+
+    One zeroed d x d array, written by index: the bare energy of (k, n) on
+    the diagonal, g_k sqrt(n) between (k, n) and (k+1, n-1) in both models,
+    and g_k sqrt(n+1) between (k, n) and (k+1, n+1) in the full-dipole model
+    only.  Each entry is the one product and sum that the Kronecker form
+    E (x) 1 + 1 (x) omega_r N + H_int gives it, so the matrix is the same to
+    the bit.
+    """
     if model is None:
         model = system.interaction_model
     check_model(model)
     q = system.qubit
     n_levels = q.num_levels
     m = system.resonator.fock_truncation
-    if n_levels * m > dim_cap:
-        raise DimensionOverflow(f"product dimension {n_levels * m} exceeds cap {dim_cap}")
-    a = annihilator(m)
-    h = np.kron(np.diag(q.level_energies), np.eye(m))
-    h += np.kron(np.eye(n_levels), system.omega_r * number_operator(m))
-    lower = sum(q.coupling_ladder[k] * qubit_lower(k, n_levels)
-                for k in range(n_levels - 1))
+    d = n_levels * m
+    if d > dim_cap:
+        raise DimensionOverflow(f"product dimension {d} exceeds cap {dim_cap}")
+    h = np.zeros((d, d))
+    np.fill_diagonal(h, _bare_energies(system))
+    flat = np.arange(d)
+    k, n = np.divmod(flat, m)
+    g = np.asarray(q.coupling_ladder)
+    # flat index k * m + n: (k+1, n-1) sits m - 1 further on, (k+1, n+1) m + 1
+    co = flat[(k < n_levels - 1) & (n > 0)]
+    h[co, co + m - 1] = h[co + m - 1, co] = g[k[co]] * np.sqrt(n[co])
     if model == RABI:
-        h += np.kron(lower + lower.T, a + a.T)
-    else:
-        coupl = np.kron(lower, a.T)
-        h += coupl + coupl.T
+        counter = flat[(k < n_levels - 1) & (n < m - 1)]
+        h[counter, counter + m + 1] = h[counter + m + 1, counter] = (
+            g[k[counter]] * np.sqrt(n[counter] + 1))
     return h
+
+
+def _bare_energies(system: SystemSpec) -> np.ndarray:
+    """E_k + omega_r n of every product state, in flat (k, n) order."""
+    m = system.resonator.fock_truncation
+    return (np.asarray(system.qubit.level_energies)[:, None]
+            + system.omega_r * np.arange(m)).ravel()
 
 
 @dataclass(frozen=True)
@@ -104,7 +125,9 @@ class Labeling:
     """Partial map from bare (k, n) pairs to eigenvector indices.
 
     Pairs whose best available overlap is <= 1/2 stay unassigned; their
-    best weight is still recorded in overlaps for diagnostics.
+    best weight is still recorded in overlaps for diagnostics.  A labeling
+    made for a ``required`` set covers the bare states up to the last
+    required one in bare-energy order, and no others.
     """
 
     labels: dict[tuple[int, int], int]
@@ -118,33 +141,46 @@ def label_dressed_states(spectrum: Spectrum, system: SystemSpec,
     Bare states are processed in order of increasing bare energy (ties by
     lexicographic (k, n)), each claiming its best-overlap eigenvector among
     those still unclaimed.  A claim needs squared overlap strictly above
-    1/2; anything at or below stays unlabeled.  If a pair listed
-    in ``required`` ends up unlabeled, AmbiguousLabeling is raised.
+    1/2; anything at or below stays unlabeled.  A claim depends only on
+    the states processed before it, so when ``required`` is given the pass
+    stops once every required pair has been processed: their labels are
+    those of the full pass.  A required pair outside the product space
+    raises ValueError before labeling starts; one that ends up unlabeled
+    raises AmbiguousLabeling.
     """
-    q = system.qubit
+    n_levels = system.qubit.num_levels
     m = system.resonator.fock_truncation
-    space = ProductSpace(q.num_levels, m)
-    weights = np.abs(spectrum.eigenvectors) ** 2
-    order = sorted(space.pairs(),
-                   key=lambda kn: (q.level_energies[kn[0]] + kn[1] * system.omega_r, kn))
-    unclaimed = np.ones(space.dimension, dtype=bool)
+    pending = None
+    if required is not None:
+        required = tuple(required)
+        for k, n in required:
+            if not (0 <= k < n_levels and 0 <= n < m):
+                raise ValueError(f"required pair {(k, n)} lies outside the "
+                                 f"{n_levels} x {m} product space")
+        pending = set(required)
+    vectors = spectrum.eigenvectors
+    unclaimed = np.ones(n_levels * m, dtype=bool)
     labels: dict[tuple[int, int], int] = {}
     overlaps: dict[tuple[int, int], float] = {}
-    for k, n in order:
-        row = weights[space.index(k, n)]
-        candidates = np.where(unclaimed)[0]
-        best = candidates[np.argmax(row[candidates])]
-        overlap = float(row[best])
-        overlaps[(k, n)] = overlap
+    for index in np.argsort(_bare_energies(system), kind="stable"):
+        if pending is not None and not pending:
+            break
+        pair = divmod(int(index), m)
+        candidates = np.flatnonzero(unclaimed)
+        weights = np.abs(vectors[index, candidates]) ** 2
+        best = int(np.argmax(weights))
+        overlap = float(weights[best])
+        overlaps[pair] = overlap
         # a strictly-greater-than-half claim; exact 50/50 hybridization is
         # ambiguous, and floating point puts it at 0.5 +- a few ulp
         if overlap > 0.5 + 1e-12:
-            labels[(k, n)] = int(best)
-            unclaimed[best] = False
-    if required is not None:
-        for pair in required:
-            if pair not in labels:
-                raise AmbiguousLabeling(pair, overlaps.get(pair, 0.0))
+            labels[pair] = int(candidates[best])
+            unclaimed[candidates[best]] = False
+        if pending is not None:
+            pending.discard(pair)
+    for pair in required or ():
+        if pair not in labels:
+            raise AmbiguousLabeling(pair, overlaps[pair])
     return Labeling(labels=labels, overlaps=overlaps)
 
 

@@ -1,9 +1,12 @@
 """Tests for exact diagonalization, state labeling, and the coupling fit."""
 
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rabiqed import (
     JC,
@@ -14,14 +17,18 @@ from rabiqed import (
     DimensionOverflow,
     NoPhysicalCoupling,
     analytic_shift,
+    annihilator,
     build_hamiltonian,
     diagonalize,
     exact_shifts,
     fit_g0,
     fit_residual_curve,
     label_dressed_states,
+    number_operator,
+    qubit_lower,
     shift_report,
 )
+from rabiqed.exact import _REQUIRED_PAIRS
 
 from conftest import build_system
 
@@ -49,6 +56,39 @@ def test_hamiltonian_diagonal_and_coupling_blocks():
     assert h[0 * 4 + 0, 1 * 4 + 1] == 0.0
     h_full = build_hamiltonian(system, model=RABI)
     np.testing.assert_allclose(h_full[0 * 4 + 0, 1 * 4 + 1], 0.1, rtol=0)
+
+
+def _kron_hamiltonian(system, model):
+    """The Kronecker-product construction that build_hamiltonian replaced,
+    kept as its oracle: E (x) 1 + 1 (x) omega_r N + H_int from dense factors."""
+    q = system.qubit
+    n_levels = q.num_levels
+    m = system.resonator.fock_truncation
+    a = annihilator(m)
+    h = np.kron(np.diag(q.level_energies), np.eye(m))
+    h += np.kron(np.eye(n_levels), system.omega_r * number_operator(m))
+    lower = sum(q.coupling_ladder[k] * qubit_lower(k, n_levels)
+                for k in range(n_levels - 1))
+    if model == RABI:
+        h += np.kron(lower + lower.T, a + a.T)
+    else:
+        coupl = np.kron(lower, a.T)
+        h += coupl + coupl.T
+    return h
+
+
+@pytest.mark.parametrize("model", [RABI, JC])
+@pytest.mark.parametrize("num_levels,fock", [(2, 2), (3, 5), (5, 8), (10, 8), (5, 20),
+                                             (10, 60)])
+def test_hamiltonian_matches_kronecker_oracle_bit_for_bit(model, num_levels, fock):
+    """The Hamiltonian written by index has the bytes of the Kronecker form,
+    so eigh, the labels and every exact column are unchanged by it."""
+    for g0 in (0.1, 0.6):
+        for detuning in (-2.0, -0.6, 0.9, 2.5):
+            system = build_system(detuning=detuning, g0=g0, num_levels=num_levels,
+                                  fock=fock, model=model)
+            h = build_hamiltonian(system)
+            assert h.tobytes() == _kron_hamiltonian(system, model).tobytes()
 
 
 def test_dimension_cap():
@@ -108,6 +148,55 @@ def test_labeling_ambiguous_on_resonance():
     spectrum = diagonalize(build_hamiltonian(system))
     with pytest.raises(AmbiguousLabeling):
         label_dressed_states(spectrum, system, required=((0, 0), (0, 1), (1, 0)))
+
+
+@pytest.mark.parametrize("pair", [(5, 0), (3, 0), (0, 4), (0, -1), (-1, 2)])
+def test_required_pair_outside_the_space_is_refused(pair):
+    """A required pair that is not a state of the nq x nr space is a caller's
+    error, named as such before labeling starts, not an AmbiguousLabeling."""
+    system = build_system(num_levels=3, fock=4)
+    spectrum = diagonalize(build_hamiltonian(system))
+    with pytest.raises(ValueError, match=re.escape(str(pair)) + " .*3 x 4") as info:
+        label_dressed_states(spectrum, system, required=((0, 0), pair))
+    assert not isinstance(info.value, AmbiguousLabeling)
+
+
+def test_required_labeling_stops_after_the_last_required_pair():
+    """With omega_r = 5 and omega_10 = 6, (0,0), (0,1) and (1,0) are the three
+    lowest bare states, so a labeling for them processes no other."""
+    system = build_system(detuning=1.0, g0=0.1, num_levels=5, fock=8)
+    spectrum = diagonalize(build_hamiltonian(system))
+    stopped = label_dressed_states(spectrum, system, required=_REQUIRED_PAIRS)
+    assert set(stopped.overlaps) == set(_REQUIRED_PAIRS)
+    full = label_dressed_states(spectrum, system)
+    assert len(full.overlaps) == 40
+    assert stopped.labels.items() <= full.labels.items()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(num_levels=st.integers(2, 6), fock=st.integers(2, 12),
+       detuning=st.floats(-3.0, 3.0), g0=st.floats(0.0, 0.8),
+       omega_r=st.floats(3.0, 8.0), model=st.sampled_from([RABI, JC]))
+def test_stopped_labeling_agrees_with_the_full_pass(num_levels, fock, detuning, g0,
+                                                     omega_r, model):
+    """A labeling stopped at the required pairs is the full labeling restricted
+    to the pairs it processed (labels and overlaps), and it raises for the
+    same pair, with the same overlap, when one of them cannot be claimed."""
+    system = build_system(detuning=detuning, g0=g0, num_levels=num_levels, fock=fock,
+                          omega_r=omega_r, model=model)
+    spectrum = diagonalize(build_hamiltonian(system))
+    full = label_dressed_states(spectrum, system)
+    missing = [pair for pair in _REQUIRED_PAIRS if pair not in full.labels]
+    try:
+        stopped = label_dressed_states(spectrum, system, required=_REQUIRED_PAIRS)
+    except AmbiguousLabeling as exc:
+        assert missing and exc.pair == missing[0]
+        assert exc.overlap == full.overlaps[exc.pair]
+        return
+    assert not missing
+    assert set(_REQUIRED_PAIRS) <= set(stopped.overlaps)
+    assert stopped.labels.items() <= full.labels.items()
+    assert stopped.overlaps.items() <= full.overlaps.items()
 
 
 def test_exact_agrees_with_analytic_when_dispersive():

@@ -176,7 +176,7 @@ def test_steady_state_rejects_degenerate_generators():
 
 
 @pytest.mark.parametrize("dim", [40, 100])
-def test_steady_state_degenerate_beyond_svd_check(dim):
+def test_undamped_diagonal_generator_is_degenerate(dim):
     """Without dissipators every population is a closed class of its own, so
     a diagonal Hamiltonian is DegenerateNullSpace at d = 40 and 100 too."""
     gen = LindbladGenerator(np.diag(0.37 * np.arange(dim)), ())

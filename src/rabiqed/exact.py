@@ -11,8 +11,8 @@ Dressed eigenstates are labeled by maximum overlap with the bare product
 basis, greedily in order of increasing bare energy.  A claim depends only
 on the bare states before it, so a labeling that needs only some pairs
 stops once it has processed them: exact_shifts needs (0,0), (0,1) and
-(1,0), usually the three lowest bare states.  The dispersive observables
-are read off the labeled energies:
+(1,0), so it stops at whichever of (0,1) and (1,0) lies higher.  The
+dispersive observables are read off the labeled energies:
 
     resonator pull = [E(0,1) - E(0,0)] - omega_r
     qubit shift    = [E(1,0) - E(0,0)] - omega_10

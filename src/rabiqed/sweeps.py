@@ -233,14 +233,16 @@ def _row(row_type, fields_of, config: SystemConfig, variable: str, value: float)
 
 # A sweep that diagonalizes goes to a process pool when its estimated work,
 # points x d^3, reaches this.  Measured with one BLAS thread on a 2-vCPU
-# 2.1 GHz Xeon: one exact point (build + eigh + labeling) costs 0.6 ms at
-# d = 40, 1.4-1.8 ms at d = 80 and 51-60 ms at d = 600, which is 2.4-2.8e-10 s
-# per d^3 at d = 600 and more at smaller d; a fork pool of two workers costs
-# 12-26 ms to start, run and reap, plus 19-22 ms to import on first use.  Two
-# workers halve the serial time, so the pool pays from about 2 x 48 ms of
-# work, 3.4e8 d^3 at the d = 600 rate.  As smaller d costs more per d^3, no
-# sweep goes to a pool at a loss: the README's d = 40 sweeps (161 x 6.4e4)
-# stay serial, and 81 points at d = 600 (81 x 2.2e8) go parallel.
+# 2.1 GHz Xeon: one exact point (build + eigh + labeling) costs 0.40-0.41 ms
+# at d = 40, 0.75-0.95 ms at d = 80 and 58 ms at d = 600, where all but
+# 0.3 ms is eigh; that is 2.7e-10 s per d^3 at d = 600 and more at smaller d.
+# A fork pool of two workers costs 31-52 ms to import, start, run and reap
+# on first use (10-19 ms later).  Two workers halve the serial time, so the
+# pool pays from 2 x (31-52) ms of work, 2.3e8-3.9e8 d^3 at the d = 600
+# rate, a range that holds 3.4e8.  As smaller d costs more per d^3, no sweep goes to a pool at a loss:
+# the README's d = 40 sweeps (161 x 6.4e4) and the d = 80 fit sweep
+# (161 x 5.1e5, 0.12-0.15 s serial) stay serial, and 81 points at d = 600
+# (81 x 2.2e8) go parallel.
 _PARALLEL_BREAK_EVEN = 3.4e8
 
 

@@ -17,11 +17,10 @@ from .exact import (QUBIT_SHIFT, RESONATOR_PULL, AmbiguousLabeling,
 from .lindblad import (BARE_PLUS_INTERACTION, DRESSED_ANALYTIC,
                        MEMORY_BUDGET_BYTES, DegenerateNullSpace, LindbladGenerator,
                        MemoryBudgetExceeded, NegativeRate, NoPopulationSector,
-                       NonPositiveState, PropagationFailure, Trajectory,
-                       TruncationTooSmall, assemble,
+                       PropagationFailure, Trajectory, TruncationTooSmall, assemble,
                        dressed_hamiltonian, evolve, partial_trace_qubit,
-                       partial_trace_resonator, realize_terms, steady_state, thermal_resonator_state,
-                       verify_displacement_identity)
+                       partial_trace_resonator, realize_terms, steady_state,
+                       thermal_resonator_state, verify_displacement_identity)
 from .model import (JC, RABI, ConfigError, InvalidSpec, LadderOverflow,
                     NonPositiveSplitting, QubitSpec, ResonatorSpec, SystemConfig, SystemSpec,
                     TransmonSpec, ValidationReport, expand_transmon, load_config,
@@ -57,7 +56,7 @@ __all__ = [
     "JumpDescriptor", "Labeling", "LindbladGenerator", "MEMORY_BUDGET_BYTES",
     "MemoryBudgetExceeded", "NegativeFrequency",
     "NegativePhotonNumber", "NegativeRate", "NoPhysicalCoupling", "NoPopulationSector",
-    "NonPositiveSplitting", "NonPositiveState",
+    "NonPositiveSplitting",
     "OHMIC", "ONE_OVER_F", "PHOTON_ASSISTED", "PURCELL",
     "ProductSpace", "PropagationFailure", "QUBIT_SHIFT",
     "QubitSpec", "RABI", "RESONANCE_WINDOW_FACTOR", "RESONATOR_PULL",

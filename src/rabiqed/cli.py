@@ -29,12 +29,11 @@ from .exact import (QUBIT_SHIFT, RESONATOR_PULL, AmbiguousLabeling,
                     ConvergenceFailure, DimensionOverflow, NoPhysicalCoupling,
                     FitResult, fit_g0, fit_residual_curve)
 from .lindblad import (DRESSED_ANALYTIC, DegenerateNullSpace, MemoryBudgetExceeded,
-                       NonPositiveState, PropagationFailure, TruncationTooSmall,
-                       assemble, evolve, partial_trace_qubit, require_memory,
-                       steady_state, thermal_resonator_state)
+                       PropagationFailure, TruncationTooSmall, assemble, evolve,
+                       require_memory, steady_state, thermal_resonator_state)
 from .model import (JC, MODELS, RABI, ConfigError, InvalidSpec, LadderOverflow,
                     NonPositiveSplitting, load_config, require_valid_config)
-from .operators import ProductSpace, number_operator
+from .operators import ProductSpace
 from .rates import (NegativePhotonNumber, RateOverflow, build_rate_table,
                     driven_effective_rates)
 from .shifts import ResonantDivergence
@@ -45,9 +44,8 @@ from .sweeps import (DETUNING, ExactRow, RateRow, ShiftRow, SweepError,
 
 _MATH_ERRORS = (ResonantDivergence, NonPositiveSplitting, AmbiguousLabeling,
                 DimensionOverflow, ConvergenceFailure, NoPhysicalCoupling,
-                PropagationFailure, DegenerateNullSpace, NonPositiveState,
-                TruncationTooSmall, NegativePhotonNumber, LadderOverflow,
-                RateOverflow)
+                PropagationFailure, DegenerateNullSpace, TruncationTooSmall,
+                NegativePhotonNumber, LadderOverflow, RateOverflow)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -166,26 +164,22 @@ def _cmd_fit(args) -> int:
                    if c not in names]
         if missing:
             raise ConfigError(f"data file lacks columns {missing}")
-        datasets = {obs: _fit_data_from_dicts(raw_rows, _OBSERVABLE_COLUMNS[obs])
-                    for obs in observables}
     else:
         window = args.window
         if window is None:
             window = sweeps.FIT_WINDOW_FACTOR * config.transmon.g0
-        if args.sweep:
-            request = SweepRequest.parse(args.sweep)
-            if request.variable != DETUNING:
-                raise SweepError("fit requires a detuning sweep")
-            values = apply_resonance_exclusion(request, config, window=window)
-        else:
-            values = sweeps.default_detuning_grid(config.transmon.g0, window=window)
+        request = (SweepRequest.parse(args.sweep) if args.sweep
+                   else SweepRequest(DETUNING, -3.0, 3.0, 161))
+        if request.variable != DETUNING:
+            raise SweepError("fit requires a detuning sweep")
+        values = apply_resonance_exclusion(request, config, window=window)
         exact = sweeps.exact_rows(config, DETUNING, _some_left(values), model=RABI)
         if all_rows_failed(exact):
             _fail("no exact data points survived")
             return EXIT_MATH
-        datasets = {obs: [(row.delta0_ghz, getattr(row, _OBSERVABLE_COLUMNS[obs]))
-                          for row in exact if not row.error]
-                    for obs in observables}
+        raw_rows = [vars(row) for row in exact]
+    datasets = {obs: _fit_data_from_dicts(raw_rows, _OBSERVABLE_COLUMNS[obs])
+                for obs in observables}
     transmon = config.transmon
     out_rows = []
     failures = 0
@@ -215,8 +209,6 @@ def _cmd_fit(args) -> int:
         curve_names = ["g0_ghz"]
         curves = {}
         for observable in observables:
-            if not datasets[observable]:
-                continue
             for model in models:
                 name = f"residual_{model}_{observable}"
                 try:
@@ -307,14 +299,9 @@ def _cmd_evolve(args) -> int:
     trajectory = evolve(gen, rho0, args.tmax, sample_times=times)
     names = ["t_ns"] + [f"pop_q{k}" for k in range(space.qubit_dim)] + ["nbar",
                                                                         "trace"]
-    # the reached populations, at row-major indices p (d + 1); the rest are 0.
-    # They stay complex, so that the trace sums them as np.trace sums a state.
-    d = space.dimension
-    populations = trajectory.reach % (d + 1) == 0
-    diagonals = np.zeros((len(trajectory.times), d), dtype=complex)
-    diagonals[:, trajectory.reach[populations] // (d + 1)] = trajectory.entries[:, populations]
     rows = []
-    for t, diagonal in zip(trajectory.times, diagonals):
+    # the diagonals stay complex, so that the trace sums them as np.trace does
+    for t, diagonal in zip(trajectory.times, trajectory.diagonals):
         row = {"t_ns": float(t)}
         row.update(_state_summary(diagonal.real, space))
         row["trace"] = float(diagonal.sum().real)
@@ -327,12 +314,12 @@ def _cmd_steady(args) -> int:
     config = _load_config(args)
     system, gen = _generator(config, args.photons)
     space = ProductSpace(system.qubit.num_levels, system.resonator.fock_truncation)
-    rho = steady_state(gen)
-    row = _state_summary(np.diagonal(rho).real, space)
-    row["purity"] = float(np.vdot(rho, rho).real)
-    reduced = partial_trace_qubit(rho, space)
-    row["nbar_resonator"] = float(np.real(np.trace(
-        number_operator(space.fock_dim) @ reduced)))
+    # the steady state is diagonal: its purity is sum p^2, and the photon
+    # number of its resonator factor, Tr[(1 (x) n) rho], is nbar
+    p = np.diagonal(steady_state(gen)).real
+    row = _state_summary(p, space)
+    row["purity"] = float(p @ p)
+    row["nbar_resonator"] = row["nbar"]
     names = ([f"pop_q{k}" for k in range(space.qubit_dim)]
              + ["nbar", "purity", "nbar_resonator"])
     _write_text(args.out, format_table(names, [row]))

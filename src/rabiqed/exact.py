@@ -61,8 +61,7 @@ class NoPhysicalCoupling(RuntimeError):
     """The least-squares g0^2 is not positive and finite: no physical coupling fits."""
 
 
-def build_hamiltonian(system: SystemSpec, model: str | None = None,
-                      dim_cap: int = DIM_CAP) -> np.ndarray:
+def build_hamiltonian(system: SystemSpec, model: str | None = None) -> np.ndarray:
     """Dense, exactly symmetric Hamiltonian on the product space.
 
     One zeroed d x d array, written by index: the bare energy of (k, n) on
@@ -70,7 +69,8 @@ def build_hamiltonian(system: SystemSpec, model: str | None = None,
     and g_k sqrt(n+1) between (k, n) and (k+1, n+1) in the full-dipole model
     only.  Each entry is the one product and sum that the Kronecker form
     E (x) 1 + 1 (x) omega_r N + H_int gives it, so the matrix is the same to
-    the bit.
+    the bit.  A product dimension above DIM_CAP, read at each call, raises
+    DimensionOverflow before anything is allocated.
     """
     if model is None:
         model = system.interaction_model
@@ -79,8 +79,8 @@ def build_hamiltonian(system: SystemSpec, model: str | None = None,
     n_levels = q.num_levels
     m = system.resonator.fock_truncation
     d = n_levels * m
-    if d > dim_cap:
-        raise DimensionOverflow(f"product dimension {d} exceeds cap {dim_cap}")
+    if d > DIM_CAP:
+        raise DimensionOverflow(f"product dimension {d} exceeds cap {DIM_CAP}")
     h = np.zeros((d, d))
     np.fill_diagonal(h, _bare_energies(system))
     flat = np.arange(d)

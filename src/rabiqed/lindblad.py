@@ -16,10 +16,14 @@ Two assembly modes are supported:
 
 A generator with a population sector (every dressed_analytic one; see
 _jump_maps) is evolved and solved for its steady state with NumPy alone,
-from its jump maps; steady_state refuses any other generator
-(NoPopulationSector).  SciPy is imported only for the sparse Liouvillian
-of a generator without a population sector, and for expm_multiply where
-evolve steps one interval at a time or reaches a first sample time after 0.
+from its jump maps; its steady state is nonnegative by construction, so
+only a residual check guards it.  steady_state refuses any other generator
+(NoPopulationSector).  A Trajectory keeps the reached entries of the
+row-major vec(rho) and is the one place that reads states or their
+diagonals back from them.  SciPy is imported only for the sparse
+Liouvillian of a generator without a population sector, and for
+expm_multiply where evolve steps one interval at a time or reaches a first
+sample time after 0.
 """
 
 from __future__ import annotations
@@ -31,11 +35,11 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 import numpy as np
 
-from .exact import build_hamiltonian
+from .exact import _bare_energies, build_hamiltonian
 from .model import SystemSpec, check_model
 from .operators import DimensionMismatch, ProductSpace, jump_matrix
 from .rates import DissipatorTerm, JumpDescriptor, RateTable, build_rate_table
-from .shifts import ShiftReport, shift_report
+from .shifts import shift_report
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -63,10 +67,6 @@ class DegenerateNullSpace(RuntimeError):
 
 class NoPopulationSector(ValueError):
     """steady_state was handed a generator without a population sector."""
-
-
-class NonPositiveState(RuntimeError):
-    """The computed steady state has a negative eigenvalue."""
 
 
 class TruncationTooSmall(ValueError):
@@ -109,8 +109,6 @@ def _build_liouvillian(h: np.ndarray, dissipators) -> sp.csr_matrix:
     rows, cols, values = [], [], []
     stacked_rows, stacked_cols, stacked, weighted = [], [], [], []
     for op, rate in dissipators:
-        if rate == 0.0:
-            continue
         gamma = _RATE_TO_INV_NS * rate
         r, c = np.nonzero(op)
         v = op[r, c]
@@ -146,8 +144,7 @@ class _JumpMaps(NamedTuple):
     """A generator in population-sector form (see _jump_maps).
 
     Jump m carries |j> to magnitudes[m, j] |targets[m, j]>; targets[m, j]
-    is -1 and magnitudes[m, j] is 0 where it annihilates |j>.  Only jumps
-    with a nonzero rate are kept.
+    is -1 and magnitudes[m, j] is 0 where it annihilates |j>.
     """
 
     energies: np.ndarray    # (d,) the diagonal of H, GHz
@@ -159,12 +156,12 @@ class _JumpMaps(NamedTuple):
 def _jump_maps(h: np.ndarray, dissipators) -> _JumpMaps | None:
     """The population-sector form of a generator, or None if it has none.
 
-    It has one when H is diagonal and real, and every jump with a nonzero
-    rate has real nonnegative entries with at most one nonzero per row and
-    per column: every jump_matrix does, so every dressed_analytic generator
-    has one.  Such a jump maps |i><j| to a multiple of |t(i)><t(j)| with t
-    one-to-one, so populations stay populations and coherences stay
-    coherences.
+    It has one when H is diagonal and real, and every jump (each has a
+    nonzero rate; see LindbladGenerator) has real nonnegative entries with
+    at most one nonzero per row and per column: every jump_matrix does, so
+    every dressed_analytic generator has one.  Such a jump maps |i><j| to a
+    multiple of |t(i)><t(j)| with t one-to-one, so populations stay
+    populations and coherences stay coherences.
     """
     d = h.shape[0]
     energies = np.diagonal(h)
@@ -174,10 +171,9 @@ def _jump_maps(h: np.ndarray, dissipators) -> _JumpMaps | None:
         if energies.imag.any():
             return None
         energies = energies.real
-    live = [(op, rate) for op, rate in dissipators if rate != 0.0]
-    targets = np.full((len(live), d), -1)
-    magnitudes = np.zeros((len(live), d))
-    for m, (op, _) in enumerate(live):
+    targets = np.full((len(dissipators), d), -1)
+    magnitudes = np.zeros((len(dissipators), d))
+    for m, (op, _) in enumerate(dissipators):
         if np.iscomplexobj(op):
             if op.imag.any():
                 return None
@@ -189,7 +185,7 @@ def _jump_maps(h: np.ndarray, dissipators) -> _JumpMaps | None:
             return None
         targets[m, c] = r
         magnitudes[m, c] = v
-    gammas = _RATE_TO_INV_NS * np.array([rate for _, rate in live], dtype=float)
+    gammas = _RATE_TO_INV_NS * np.array([rate for _, rate in dissipators], dtype=float)
     return _JumpMaps(energies.astype(float), targets, magnitudes, gammas)
 
 
@@ -238,10 +234,9 @@ def _entry_bound(h: np.ndarray, dissipators) -> float:
     """
     kappa, peak = np.zeros(h.shape[0]), 0.0
     for op, rate in dissipators:
-        if rate != 0.0:
-            squares = np.abs(op) ** 2
-            kappa = kappa + _RATE_TO_INV_NS * rate * squares.sum(axis=0)
-            peak += _RATE_TO_INV_NS * rate * squares.max()
+        squares = np.abs(op) ** 2
+        kappa = kappa + _RATE_TO_INV_NS * rate * squares.sum(axis=0)
+        peak += _RATE_TO_INV_NS * rate * squares.max()
     return float(2.0 * TWO_PI * np.max(np.abs(h)) + np.max(kappa) + peak)
 
 
@@ -249,6 +244,8 @@ def _entry_bound(h: np.ndarray, dissipators) -> float:
 class LindbladGenerator:
     """Hamiltonian (GHz) plus a list of (jump matrix, rate in MHz).
 
+    Pairs with a zero rate contribute nothing and are dropped when the
+    generator is made, so every pair in dissipators has a positive rate.
     The sparse Liouvillian is built on first use, by superoperator() or
     apply(), and kept; applying the generator is one sparse matrix-vector
     product.  evolve and steady_state never build it when the generator has
@@ -278,7 +275,8 @@ class LindbladGenerator:
                                         f"match hamiltonian {h.shape}")
             if not rate >= 0.0:
                 raise NegativeRate(f"dissipator rate must be >= 0, got {rate}")
-            pairs.append((op, float(rate)))
+            if rate != 0.0:
+                pairs.append((op, float(rate)))
         with np.errstate(all="ignore"):
             bound = _entry_bound(h, pairs)
         if not math.isfinite(bound):
@@ -321,33 +319,25 @@ def realize_terms(terms: Iterable[DissipatorTerm],
     return out
 
 
-def dressed_hamiltonian(system: SystemSpec, model: str,
-                        report: ShiftReport | None = None) -> np.ndarray:
-    """Diagonal bare-plus-second-order Hamiltonian on the product space."""
-    if report is None:
-        report = shift_report(system)
-    h2 = report.h2(model)
-    q = system.qubit
+def dressed_hamiltonian(system: SystemSpec, model: str) -> np.ndarray:
+    """Diagonal bare-plus-second-order Hamiltonian on the product space: the
+    entry of (k, n) is E_k + n omega_r + n n_coeff_k + static_k, added in
+    that order over the (N, M) grid of ladder and photon index."""
+    n_coeff, static = np.array(shift_report(system).h2(model)).T
     m = system.resonator.fock_truncation
-    space = ProductSpace(q.num_levels, m)
-    energies = np.empty(space.dimension)
-    for k, n in space.pairs():
-        n_coeff, static = h2[k]
-        energies[space.index(k, n)] = (q.level_energies[k] + n * system.omega_r
-                                       + n * n_coeff + static)
-    return np.diag(energies)
+    energies = (_bare_energies(system).reshape(-1, m) + np.arange(m) * n_coeff[:, None]
+                + static[:, None])
+    return np.diag(energies.ravel())
 
 
 def assemble(system: SystemSpec, mode: str = DRESSED_ANALYTIC,
-             model: str | None = None, table: RateTable | None = None,
-             include_fourth_order: bool = True,
+             table: RateTable | None = None, include_fourth_order: bool = True,
              extra_terms: Sequence[DissipatorTerm] = ()) -> LindbladGenerator:
-    """Build a LindbladGenerator for a system in one of the two modes."""
+    """Build a LindbladGenerator for a system, under its own interaction
+    model, in one of the two modes."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    if model is None:
-        model = system.interaction_model
-    check_model(model)
+    model = check_model(system.interaction_model)
     q = system.qubit
     space = ProductSpace(q.num_levels, system.resonator.fock_truncation)
     if table is None:
@@ -361,7 +351,7 @@ def assemble(system: SystemSpec, mode: str = DRESSED_ANALYTIC,
     if mode == DRESSED_ANALYTIC:
         h = dressed_hamiltonian(system, model)
     else:
-        h = build_hamiltonian(system, model)
+        h = build_hamiltonian(system)
     return LindbladGenerator(hamiltonian=h, dissipators=tuple(realize_terms(terms, space)))
 
 
@@ -410,7 +400,7 @@ class Trajectory:
     Only the reached entries of each row-major vec(rho) are kept:
     entries[i] holds the values at the indices reach at times[i], and every
     other entry of the state is exactly zero.  states gives them back as
-    dim x dim density matrices.
+    dim x dim density matrices, and diagonals gives their diagonals alone.
     """
 
     times: np.ndarray
@@ -421,6 +411,17 @@ class Trajectory:
     @property
     def states(self) -> Sequence[np.ndarray]:
         return _States(self.reach, self.entries, self.dim)
+
+    @property
+    def diagonals(self) -> np.ndarray:
+        """The diagonal of every state, complex, shaped (samples, dim): the
+        bits of np.diagonal(states[i]), without building the states.  The
+        diagonal of rho sits at the row-major indices p (dim + 1)."""
+        on_diagonal = self.reach % (self.dim + 1) == 0
+        half = 0.5 * self.entries[:, on_diagonal]
+        diagonals = np.zeros((len(self.times), self.dim), dtype=complex)
+        diagonals[:, self.reach[on_diagonal] // (self.dim + 1)] = half + half.conj()
+        return diagonals
 
     def expectation(self, op: np.ndarray) -> np.ndarray:
         return np.array([np.einsum("ij,ji->", op, rho) for rho in self.states])
@@ -585,16 +586,20 @@ def evolve(gen: LindbladGenerator, rho0: np.ndarray, t_max: float,
     a population sector gives the reached entries R and the block B of L on
     them straight from its jump maps (_sector_block), with NumPy alone; B is
     real when R holds only populations, as it does for every diagonal rho0.
-    Any other generator slices them from its sparse Liouvillian.  On an
-    evenly spaced grid of three or more times, a block small enough for its
-    dense exponential to cost less than the sparse products steps x <- P x
-    with P = exp(B dt) formed once by _expm.  Otherwise
+    Any other generator slices them from its sparse Liouvillian.
+
+    One loop records the samples.  The first sample, and every sample when
+    the loop steps one interval at a time, is reached with
     scipy.sparse.linalg.expm_multiply (Al-Mohy & Higham, SIAM J. Sci.
-    Comput. 33, 488 (2011)) advances x one interval at a time; it also
-    reaches a first sample time that is not 0.  Only expm_multiply and the
-    Liouvillian import SciPy.  ||B||_1 t_max above _MAX_NORM_TIME, a
-    non-finite state or a failed propagation raise PropagationFailure, and
-    recorded entries above MEMORY_BUDGET_BYTES raise MemoryBudgetExceeded.
+    Comput. 33, 488 (2011)); a first sample at 0 needs no call.  On an
+    evenly spaced grid of three or more times, a block small enough for its
+    dense exponential to cost less than the sparse products is instead
+    stepped x <- P x from the second sample on, with P = exp(B dt) formed
+    once by _expm on that step.  Only expm_multiply and the Liouvillian
+    import SciPy.  Each sample is checked to be finite once.  ||B||_1 t_max
+    above _MAX_NORM_TIME, a non-finite propagator or state, or a failed
+    propagation raise PropagationFailure, and recorded entries above
+    MEMORY_BUDGET_BYTES raise MemoryBudgetExceeded.
     """
     rho = _check_density_matrix(rho0, gen.dim)
     if not 0.0 <= t_max < math.inf:
@@ -641,31 +646,24 @@ def evolve(gen: LindbladGenerator, rho0: np.ndarray, t_max: float,
     x = vec[reach] if np.iscomplexobj(values) else vec[reach].real
     step = _uniform_step(targets)
     loop_cost = norm * (targets[-1] - targets[0]) * nnz
+    stepped = (step is not None and n <= _MAX_PROPAGATOR_BLOCK
+               and n ** 3 <= _PROPAGATOR_COST_RATIO * loop_cost)
+    entries = np.empty((len(targets), n), dtype=complex)
+    propagator, t = None, 0.0
     try:
-        entries = np.empty((len(targets), n), dtype=complex)
-        if (step is not None and n <= _MAX_PROPAGATOR_BLOCK
-                and n ** 3 <= _PROPAGATOR_COST_RATIO * loop_cost):
-            entries[0] = x = advance(x, targets[0])
-            dense = np.zeros((n, n), dtype=values.dtype)
-            np.add.at(dense, (rows, cols), values * step)
-            propagator = _expm(dense)
-            if not np.isfinite(propagator).all():
-                raise PropagationFailure(f"the propagator over {step} ns is not finite")
-            for i in range(1, len(targets)):
-                entries[i] = x = propagator @ x
-        else:
-            t = 0.0
-            for i, target in enumerate(targets):
-                entries[i] = x = advance(x, target - t)
-                if not np.all(np.isfinite(x)):
-                    raise PropagationFailure(f"the state is not finite at t = {target} ns")
-                t = target
+        for i, target in enumerate(targets):
+            if stepped and i == 1:
+                dense = np.zeros((n, n), dtype=values.dtype)
+                np.add.at(dense, (rows, cols), values * step)
+                propagator = _expm(dense)
+                if not np.isfinite(propagator).all():
+                    raise PropagationFailure(f"the propagator over {step} ns is not finite")
+            x = advance(x, target - t) if propagator is None else propagator @ x
+            if not np.isfinite(x).all():
+                raise PropagationFailure(f"the state is not finite at t = {target} ns")
+            entries[i], t = x, target
     except (ValueError, OverflowError, np.linalg.LinAlgError) as exc:
         raise PropagationFailure(f"propagation over [0, {t_max}] ns failed: {exc}") from exc
-    finite = np.isfinite(entries).all(axis=1)
-    if not finite.all():
-        raise PropagationFailure(f"the state is not finite at "
-                                 f"t = {targets[np.argmin(finite)]} ns")
     return Trajectory(times=targets, reach=reach, entries=entries, dim=gen.dim)
 
 
@@ -782,7 +780,7 @@ def _closed_coherences(maps: _JumpMaps) -> int:
     return int(np.count_nonzero(alive))
 
 
-def _population_steady_state(maps: _JumpMaps, positivity_tol: float) -> np.ndarray:
+def _population_steady_state(maps: _JumpMaps) -> np.ndarray:
     """steady_state on a population sector."""
     d = len(maps.energies)
     states = np.arange(d)
@@ -809,13 +807,10 @@ def _population_steady_state(maps: _JumpMaps, positivity_tol: float) -> np.ndarr
     if not residual <= 1e-10 * max(1.0, scale):
         raise DegenerateNullSpace(f"steady-state residual {residual:.3e} exceeds "
                                   f"tolerance; null space is ill-conditioned")
-    least = float(np.min(p))
-    if least < -positivity_tol:
-        raise NonPositiveState(f"steady state has eigenvalue {least:.3e} < -{positivity_tol}")
     return np.diag(p).astype(complex)
 
 
-def steady_state(gen: LindbladGenerator, positivity_tol: float = 1e-9) -> np.ndarray:
+def steady_state(gen: LindbladGenerator) -> np.ndarray:
     """Unique steady state of a generator with a population sector.
 
     The population sector (see _jump_maps; every dressed_analytic
@@ -851,13 +846,20 @@ def steady_state(gen: LindbladGenerator, positivity_tol: float = 1e-9) -> np.nda
       So B is singular exactly when _closed_coherences finds such a set;
       otherwise every coherence of the steady state is zero.
 
+    The state is diagonal, and its eigenvalues, the populations, are
+    nonnegative by construction: _stationary sets p_0 = 1 and gives every
+    later p_k as a sum of products of nonnegative rates divided by a
+    positive outflow, without a subtraction.  So p >= 0 exactly, or p is
+    NaN after an overflow, which the residual check refuses; no positivity
+    check is needed.
+
     More than one closed class, a singular B, or a residual above 1e-10 of
-    the largest Liouvillian entry raises DegenerateNullSpace, and an
-    eigenvalue below -positivity_tol raises NonPositiveState.  A generator
-    without a population sector raises NoPopulationSector before anything
-    is built: a bare-basis master equation on the Rabi Hamiltonian does not
-    relax to the dressed thermal state (Beaudoin, Gambetta & Blais, Phys.
-    Rev. A 84, 043832 (2011)), so assemble it in dressed_analytic mode.
+    the largest Liouvillian entry (NaN included) raises
+    DegenerateNullSpace.  A generator without a population sector raises
+    NoPopulationSector before anything is built: a bare-basis master
+    equation on the Rabi Hamiltonian does not relax to the dressed thermal
+    state (Beaudoin, Gambetta & Blais, Phys. Rev. A 84, 043832 (2011)), so
+    assemble it in dressed_analytic mode.
     """
     if gen._maps is None:
         raise NoPopulationSector("steady_state needs a generator with a population "
@@ -865,7 +867,7 @@ def steady_state(gen: LindbladGenerator, positivity_tol: float = 1e-9) -> np.nda
                                  "nonnegative jumps with at most one nonzero per row "
                                  "and column, as every dressed_analytic generator has")
     with np.errstate(all="ignore"):
-        return _population_steady_state(gen._maps, positivity_tol)
+        return _population_steady_state(gen._maps)
 
 
 def partial_trace_resonator(rho: np.ndarray, space: ProductSpace) -> np.ndarray:

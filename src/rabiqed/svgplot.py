@@ -78,11 +78,12 @@ def _limits(plot: LinePlot) -> tuple[float, float, float, float]:
     return x_lo - x_pad, x_hi + x_pad, y_lo - y_pad, y_hi + y_pad
 
 
-def _ticks(lo: float, hi: float, target: int = 6) -> list[float]:
+def _ticks(lo: float, hi: float) -> list[float]:
+    """About six round-numbered ticks over [lo, hi]."""
     span = hi - lo
     if span <= 0 or not math.isfinite(span):
         return [lo]
-    raw = span / target
+    raw = span / 6
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if raw <= mult * mag:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from rabiqed import (ExactRow, ProductSpace, RateRow, ShiftRow, columns, evolve,
-                     load_config, parse_csv)
+                     load_config, parse_csv, steady_state)
 from rabiqed import cli
 from rabiqed.cli import main
 from rabiqed.sweeps import format_table
@@ -291,7 +291,8 @@ def test_evolve_summary_matches_the_state_rebuild(tmp_path, init, tmax, samples,
 
 
 def test_steady_state_summary(config_path, tmp_path):
-    """The steady-state row is a normalized, physical summary."""
+    """The steady-state row is a normalized, physical summary of the steady
+    populations p: purity is p @ p and nbar_resonator is nbar, exactly."""
     out = tmp_path / "steady.csv"
     code = main(["steady", "--config", config_path, "--out", str(out)])
     assert code == 0
@@ -301,8 +302,11 @@ def test_steady_state_summary(config_path, tmp_path):
     row = rows[0]
     total = row["pop_q0"] + row["pop_q1"] + row["pop_q2"]
     np.testing.assert_allclose(total, 1.0, atol=1e-9)
-    np.testing.assert_allclose(row["nbar"], row["nbar_resonator"], atol=1e-12)
     assert 0.0 < row["purity"] <= 1.0 + 1e-9
+    _, gen = cli._generator(load_config(config_path), 0.0)
+    p = np.diagonal(steady_state(gen)).real
+    assert row["purity"] == float(p @ p)
+    assert row["nbar_resonator"] == row["nbar"]
 
 
 @pytest.mark.parametrize("nq, nr, nbar", [(2, 3, 7.46537901448845e-10),
@@ -310,7 +314,7 @@ def test_steady_state_summary(config_path, tmp_path):
 def test_steady_under_a_huge_drive(tmp_path, capsys, nq, nr, nbar):
     """At 1e200 drive photons the generator's rates span some 200 orders of
     magnitude, and its slow photon sector is not a second steady state:
-    steady passes its residual and positivity checks and writes the table.
+    steady passes its residual check and writes the table.
     The expected nbar is the exact solution of the same rate equations, by
     elimination in rational arithmetic."""
     path = tmp_path / "readme.json"

@@ -28,6 +28,7 @@ from rabiqed import (
     qubit_lower,
     shift_report,
 )
+from rabiqed import exact
 from rabiqed.exact import _REQUIRED_PAIRS
 
 from conftest import build_system
@@ -91,12 +92,14 @@ def test_hamiltonian_matches_kronecker_oracle_bit_for_bit(model, num_levels, foc
             assert h.tobytes() == _kron_hamiltonian(system, model).tobytes()
 
 
-def test_dimension_cap():
-    """Hilbert spaces beyond the cap are refused before allocation."""
+def test_dimension_cap(monkeypatch):
+    """Hilbert spaces beyond the cap are refused before allocation; the cap
+    is read when the Hamiltonian is built."""
     system = build_system(num_levels=10, fock=500)
     with pytest.raises(DimensionOverflow):
         build_hamiltonian(system)
-    assert build_hamiltonian(system, dim_cap=5000).shape == (5000, 5000)
+    monkeypatch.setattr(exact, "DIM_CAP", 5000)
+    assert build_hamiltonian(system).shape == (5000, 5000)
 
 
 def test_single_excitation_block_closed_form():

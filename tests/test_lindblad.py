@@ -26,11 +26,11 @@ from rabiqed import (
     DegenerateNullSpace,
     DimensionMismatch,
     DissipatorTerm,
+    JC,
     JumpDescriptor,
     LindbladGenerator,
     NegativeRate,
     NoPopulationSector,
-    NonPositiveState,
     ProductSpace,
     PropagationFailure,
     SpectralFunction,
@@ -357,16 +357,23 @@ def test_population_sector_needs_a_diagonal_real_monomial_generator():
     assert assemble(noisy_system(), mode=BARE_PLUS_INTERACTION)._maps is None
 
 
-def test_steady_state_positivity_check():
-    """A steady eigenvalue below -positivity_tol raises NonPositiveState."""
+def test_steady_state_two_level_populations():
+    """Decay at 3 and excitation at 1 settle the populations at (3/4, 1/4)."""
     lower = np.array([[0.0, 1.0], [0.0, 0.0]])
     gen = LindbladGenerator(np.diag([0.0, 1.0]), ((lower, 3.0), (lower.T, 1.0)))
-    # populations settle at (3/4, 1/4); a negative tolerance demands more
-    np.testing.assert_allclose(np.diag(steady_state(gen, positivity_tol=-0.2)).real,
-                               [0.75, 0.25], rtol=1e-10)
-    with pytest.raises(NonPositiveState):
-        steady_state(gen, positivity_tol=-0.3)
-    assert NonPositiveState in _MATH_ERRORS
+    np.testing.assert_allclose(np.diag(steady_state(gen)).real, [0.75, 0.25], rtol=1e-10)
+
+
+def test_generator_drops_zero_rate_pairs():
+    """A zero-rate pair is gone from the generator, its jump maps and its
+    Liouvillian, which equals that of the generator without it."""
+    lower = np.array([[0.0, 1.0], [0.0, 0.0]])
+    h = np.diag([0.0, 1.0])
+    gen = LindbladGenerator(h, ((lower, 3.0), (lower.T, 0.0)))
+    assert len(gen.dissipators) == 1 and gen.dissipators[0][1] == 3.0
+    np.testing.assert_array_equal(gen._maps.gammas, [RATE * 3.0])
+    without = LindbladGenerator(h, ((lower, 3.0),))
+    assert (gen.superoperator() != without.superoperator()).nnz == 0
 
 
 def test_evolve_lands_on_sample_times():
@@ -481,6 +488,21 @@ def test_grid_shape_picks_the_propagation_path(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(lindblad, "_MAX_PROPAGATOR_BLOCK", 1)
         assert paths(np.linspace(0.0, 4.0, 7)) == ["step"] * 6
+
+
+@pytest.mark.parametrize("path", ["interval-loop", "propagator"])
+@pytest.mark.parametrize("state", sorted(STATES))
+def test_diagonals_are_the_diagonals_of_the_states(monkeypatch, path, state):
+    """Trajectory.diagonals has the bits of np.diagonal of every rebuilt
+    state, for diagonal and coherent rho0 on both propagation paths."""
+    mode, amplitudes = STATES[state]
+    gen = assemble(noisy_system(), mode=mode)
+    rho0 = pure_state(amplitudes, ProductSpace(3, 5))
+    traj = evolve_by_path(monkeypatch, path, gen, rho0, 4.0, np.linspace(0.0, 4.0, 9))
+    diagonals = traj.diagonals
+    assert diagonals.shape == (9, 15) and diagonals.dtype == complex
+    for diagonal, rho in zip(diagonals, traj.states, strict=True):
+        assert diagonal.tobytes() == np.diagonal(rho).tobytes()
 
 
 def test_lazy_states_match_dense_reconstruction():
@@ -671,18 +693,21 @@ def test_thermal_resonator_state_geometry():
 
 
 def test_dressed_hamiltonian_diagonal_entries():
-    """Each (k, n) entry is E_k + n w_r + n * pull_k + static_k."""
-    system = build_system(detuning=1.0, g0=0.1, alpha=0.25, num_levels=3, fock=4)
-    report = shift_report(system)
-    h = dressed_hamiltonian(system, RABI, report)
-    assert np.count_nonzero(h - np.diag(np.diag(h))) == 0
-    space = ProductSpace(3, 4)
-    for k in range(3):
-        n_coeff, static = report.h2_rabi[k]
-        for n in range(4):
-            expected = system.qubit.level_energies[k] + n * 5.0 + n * n_coeff + static
-            np.testing.assert_allclose(h[space.index(k, n), space.index(k, n)],
-                                       expected, rtol=1e-14)
+    """Each (k, n) entry is E_k + n w_r + n * pull_k + static_k, summed in
+    that order, to the bit."""
+    for model in (RABI, JC):
+        for omega_r in (5.0, 5.1):
+            system = build_system(detuning=1.0, g0=0.1, alpha=0.25, num_levels=3, fock=4,
+                                  omega_r=omega_r, model=model)
+            h = dressed_hamiltonian(system, model)
+            assert np.count_nonzero(h - np.diag(np.diag(h))) == 0
+            space = ProductSpace(3, 4)
+            h2 = shift_report(system).h2(model)
+            for k, n in space.pairs():
+                n_coeff, static = h2[k]
+                expected = (system.qubit.level_energies[k] + n * omega_r + n * n_coeff
+                            + static)
+                assert h[space.index(k, n), space.index(k, n)] == expected
 
 
 def test_assemble_modes_and_terms():

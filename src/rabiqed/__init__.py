@@ -5,44 +5,54 @@ Conventions: hbar = k_B = 1.  Every stored frequency, coupling, and
 temperature is an ordinary (non-angular) frequency in GHz; dissipation
 rates are reported in MHz; time evolution runs in nanoseconds, with the
 2*pi bookkeeping confined to the Lindblad generator.
+
+Every name in __all__, and every submodule, is imported on first access
+(PEP 562): ``import rabiqed`` loads no submodule and no NumPy, and
+``rabiqed.evolve`` imports the Lindblad layer when it is first read.
+``from rabiqed import *`` binds every name in __all__.
 """
 
-from .baths import (FLAT, OHMIC, ONE_OVER_F, NegativeFrequency,
-                    SpectralFunction, bath_from_config)
-from .exact import (QUBIT_SHIFT, RESONATOR_PULL, AmbiguousLabeling,
-                    ConvergenceFailure, DimensionOverflow, ExactShifts,
-                    FitResult, Labeling, NoPhysicalCoupling, Spectrum,
-                    analytic_shift, build_hamiltonian, diagonalize, exact_shifts,
-                    fit_g0, fit_residual_curve, label_dressed_states)
-from .lindblad import (BARE_PLUS_INTERACTION, DRESSED_ANALYTIC,
-                       MEMORY_BUDGET_BYTES, DegenerateNullSpace, LindbladGenerator,
-                       MemoryBudgetExceeded, NegativeRate, NoPopulationSector,
-                       PropagationFailure, Trajectory, TruncationTooSmall, assemble,
-                       dressed_hamiltonian, evolve, partial_trace_qubit,
-                       partial_trace_resonator, realize_terms, steady_state,
-                       thermal_resonator_state, verify_displacement_identity)
-from .model import (JC, RABI, ConfigError, InvalidSpec, LadderOverflow,
-                    NonPositiveSplitting, QubitSpec, ResonatorSpec, SystemConfig, SystemSpec,
-                    TransmonSpec, ValidationReport, expand_transmon, load_config,
-                    parse_config, require_valid, silent_baths, validate)
-from .operators import (DimensionMismatch, ProductSpace, annihilator, embed,
-                        jump_matrix, number_operator, qubit_lower,
-                        qubit_projector)
-from .rates import (DRESSED_DEPHASING, DRIVEN_EFFECTIVE, PHOTON_ASSISTED,
-                    PURCELL, SECOND_ORDER, DissipatorTerm, JumpDescriptor,
-                    NegativePhotonNumber, RateOverflow, RateTable,
-                    build_rate_table, dressed_dephasing_prefactors,
-                    dressed_dephasing_terms, driven_effective_rates,
-                    photon_assisted_prefactor, photon_assisted_terms,
-                    purcell_prefactor, purcell_rates, second_order_rates,
-                    sigma_diag, sigma_lower, sigma_raise)
-from .shifts import (ResonantDivergence, ShiftReport, chi, chi_tilde,
-                     h2_coefficients, shift_report, xi)
-from .sweeps import (COUPLING, DETUNING, FIT_WINDOW_FACTOR,
-                     RESONANCE_WINDOW_FACTOR, TEMPERATURE, ExactRow, RateRow,
-                     ShiftRow, SweepError, SweepRequest, all_rows_failed,
-                     apply_resonance_exclusion, columns, default_detuning_grid,
-                     exact_rows, format_csv, parse_csv, rate_rows, shift_rows)
+import importlib
+
+# Each exported name, by the submodule that defines it.  The names in
+# contract need no NumPy.
+_EXPORTS = {
+    "baths": ("FLAT", "OHMIC", "ONE_OVER_F", "NegativeFrequency", "SpectralFunction",
+              "bath_from_config"),
+    "contract": ("JC", "QUBIT_SHIFT", "RABI", "RESONATOR_PULL", "AmbiguousLabeling",
+                 "ConfigError", "ConvergenceFailure", "DegenerateNullSpace",
+                 "DimensionOverflow", "InvalidSpec", "LadderOverflow",
+                 "MemoryBudgetExceeded", "NegativePhotonNumber", "NoPhysicalCoupling",
+                 "NonPositiveSplitting", "PropagationFailure", "RateOverflow",
+                 "ResonantDivergence", "SweepError", "TruncationTooSmall", "parse_csv"),
+    "exact": ("ExactShifts", "FitResult", "Labeling", "Spectrum", "analytic_shift",
+              "build_hamiltonian", "diagonalize", "exact_shifts", "fit_g0",
+              "fit_residual_curve", "label_dressed_states"),
+    "lindblad": ("BARE_PLUS_INTERACTION", "DRESSED_ANALYTIC", "MEMORY_BUDGET_BYTES",
+                 "LindbladGenerator", "NegativeRate", "NoPopulationSector", "Trajectory",
+                 "assemble", "dressed_hamiltonian", "evolve", "partial_trace_qubit",
+                 "partial_trace_resonator", "realize_terms", "steady_state",
+                 "thermal_resonator_state", "verify_displacement_identity"),
+    "model": ("QubitSpec", "ResonatorSpec", "SystemConfig", "SystemSpec", "TransmonSpec",
+              "ValidationReport", "expand_transmon", "load_config", "parse_config",
+              "require_valid", "silent_baths", "validate"),
+    "operators": ("DimensionMismatch", "ProductSpace", "annihilator", "embed",
+                  "jump_matrix", "number_operator", "qubit_lower", "qubit_projector"),
+    "rates": ("DRESSED_DEPHASING", "DRIVEN_EFFECTIVE", "PHOTON_ASSISTED", "PURCELL",
+              "SECOND_ORDER", "DissipatorTerm", "JumpDescriptor", "RateTable",
+              "build_rate_table", "dressed_dephasing_prefactors", "dressed_dephasing_terms",
+              "driven_effective_rates", "photon_assisted_prefactor",
+              "photon_assisted_terms", "purcell_prefactor", "purcell_rates",
+              "second_order_rates", "sigma_diag", "sigma_lower", "sigma_raise"),
+    "shifts": ("ShiftReport", "chi", "chi_tilde", "h2_coefficients", "shift_report", "xi"),
+    "sweeps": ("COUPLING", "DETUNING", "FIT_WINDOW_FACTOR", "RESONANCE_WINDOW_FACTOR",
+               "TEMPERATURE", "ExactRow", "RateRow", "ShiftRow", "SweepRequest",
+               "all_rows_failed", "apply_resonance_exclusion", "columns",
+               "default_detuning_grid", "exact_rows", "format_csv", "rate_rows",
+               "shift_rows"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = frozenset(_EXPORTS) | {"cli", "svgplot"}
 
 __version__ = "0.1.0"
 
@@ -87,3 +97,18 @@ __all__ = [
     "steady_state", "thermal_resonator_state", "validate",
     "verify_displacement_identity", "xi",
 ]
+
+
+def __getattr__(name: str):
+    """Import the submodule that defines name, or is name, on first access."""
+    if name in _HOME:
+        value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+        globals()[name] = value
+        return value
+    if name in _SUBMODULES:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

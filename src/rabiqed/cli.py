@@ -12,6 +12,10 @@ Subcommands:
 Exit codes: 0 success, 2 bad configuration or arguments (a dynamics run
 above lindblad.MEMORY_BUDGET_BYTES included), 3 every requested point
 failed mathematically, 4 I/O failure.
+
+At module level this imports only the standard library and contract,
+which holds every exception main maps to an exit code.  Each command
+imports the layers it runs when it starts, so plot runs without NumPy.
 """
 
 from __future__ import annotations
@@ -21,26 +25,21 @@ import dataclasses
 import json
 import math
 import sys
+from typing import TYPE_CHECKING
 
-import numpy as np
+from .contract import (JC, MODELS, OBSERVABLES, QUBIT_SHIFT, RABI, RESONATOR_PULL,
+                       AmbiguousLabeling, ConfigError, ConvergenceFailure,
+                       DegenerateNullSpace, DimensionOverflow, InvalidSpec,
+                       LadderOverflow, MemoryBudgetExceeded, NegativePhotonNumber,
+                       NoPhysicalCoupling, NonPositiveSplitting, PropagationFailure,
+                       RateOverflow, ResonantDivergence, SweepError, TruncationTooSmall,
+                       format_table, parse_csv)
 
-from . import sweeps
-from .exact import (QUBIT_SHIFT, RESONATOR_PULL, AmbiguousLabeling,
-                    ConvergenceFailure, DimensionOverflow, NoPhysicalCoupling,
-                    FitResult, fit_g0, fit_residual_curve)
-from .lindblad import (DRESSED_ANALYTIC, DegenerateNullSpace, MemoryBudgetExceeded,
-                       PropagationFailure, TruncationTooSmall, assemble, evolve,
-                       require_memory, steady_state, thermal_resonator_state)
-from .model import (JC, MODELS, RABI, ConfigError, InvalidSpec, LadderOverflow,
-                    NonPositiveSplitting, load_config, require_valid_config)
-from .operators import ProductSpace
-from .rates import (NegativePhotonNumber, RateOverflow, build_rate_table,
-                    driven_effective_rates)
-from .shifts import ResonantDivergence
-from .svgplot import LinePlot
-from .sweeps import (DETUNING, ExactRow, RateRow, ShiftRow, SweepError,
-                     SweepRequest, all_rows_failed, apply_resonance_exclusion,
-                     format_csv, format_table, parse_csv)
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .model import SystemConfig
+    from .operators import ProductSpace
 
 _MATH_ERRORS = (ResonantDivergence, NonPositiveSplitting, AmbiguousLabeling,
                 DimensionOverflow, ConvergenceFailure, NoPhysicalCoupling,
@@ -65,7 +64,9 @@ def _write_text(path: str | None, text: str) -> None:
         handle.write(text)
 
 
-def _load_config(args) -> "SystemConfig":
+def _load_config(args) -> SystemConfig:
+    from .model import load_config, require_valid_config
+
     try:
         config = load_config(args.config)
     except OSError as exc:
@@ -106,16 +107,20 @@ def _some_left(values: np.ndarray) -> np.ndarray:
     return values
 
 
-# Per sweep command: the row type, the row builder, and whether detuning
-# grids lose the resonance window.
-_SWEEPS = {"shifts": (ShiftRow, sweeps.shift_rows, True),
-           "rates": (RateRow, sweeps.rate_rows, False),
-           "exact": (ExactRow, sweeps.exact_rows, False)}
-
-
 def _cmd_sweep(args) -> int:
     """shifts, rates or exact over --sweep, or at the config's own point."""
-    row_type, rows_of, exclude_resonance = _SWEEPS[args.command]
+    import numpy as np
+
+    from .sweeps import (DETUNING, ExactRow, RateRow, ShiftRow, SweepRequest,
+                         all_rows_failed, apply_resonance_exclusion, exact_rows,
+                         format_csv, rate_rows, shift_rows)
+
+    # Per sweep command: the row type, the row builder, and whether detuning
+    # grids lose the resonance window.
+    row_type, rows_of, exclude_resonance = {
+        "shifts": (ShiftRow, shift_rows, True),
+        "rates": (RateRow, rate_rows, False),
+        "exact": (ExactRow, exact_rows, False)}[args.command]
     config = _load_config(args)
     if not args.sweep:
         variable = DETUNING
@@ -150,6 +155,12 @@ def _fit_data_from_dicts(rows: list[dict], column: str) -> list[tuple[float, flo
 
 
 def _cmd_fit(args) -> int:
+    import numpy as np
+
+    from .exact import FitResult, fit_g0, fit_residual_curve
+    from .sweeps import (DETUNING, FIT_WINDOW_FACTOR, SweepRequest, all_rows_failed,
+                         apply_resonance_exclusion, exact_rows)
+
     config = _load_config(args)
     observables = (args.observable,) if args.observable else (RESONATOR_PULL,
                                                               QUBIT_SHIFT)
@@ -167,13 +178,13 @@ def _cmd_fit(args) -> int:
     else:
         window = args.window
         if window is None:
-            window = sweeps.FIT_WINDOW_FACTOR * config.transmon.g0
+            window = FIT_WINDOW_FACTOR * config.transmon.g0
         request = (SweepRequest.parse(args.sweep) if args.sweep
                    else SweepRequest(DETUNING, -3.0, 3.0, 161))
         if request.variable != DETUNING:
             raise SweepError("fit requires a detuning sweep")
         values = apply_resonance_exclusion(request, config, window=window)
-        exact = sweeps.exact_rows(config, DETUNING, _some_left(values), model=RABI)
+        exact = exact_rows(config, DETUNING, _some_left(values), model=RABI)
         if all_rows_failed(exact):
             _fail("no exact data points survived")
             return EXIT_MATH
@@ -231,6 +242,9 @@ def _cmd_fit(args) -> int:
 
 
 def _generator(config, photons: float):
+    from .lindblad import DRESSED_ANALYTIC, assemble
+    from .rates import build_rate_table, driven_effective_rates
+
     system = config.build()
     table = build_rate_table(system)
     extra = ()
@@ -243,6 +257,8 @@ def _generator(config, photons: float):
 def _state_summary(diagonal: np.ndarray, space: ProductSpace) -> dict:
     """Qubit-level populations and photon number, read off the real diagonal
     of a density matrix."""
+    import numpy as np
+
     diagonal = diagonal.reshape(space.qubit_dim, space.fock_dim)
     summary = {f"pop_q{k}": float(p) for k, p in enumerate(diagonal.sum(axis=1))}
     summary["nbar"] = float(diagonal.sum(axis=0) @ np.arange(space.fock_dim))
@@ -251,6 +267,10 @@ def _state_summary(diagonal: np.ndarray, space: ProductSpace) -> dict:
 
 def _initial_state(text: str, system, space: ProductSpace) -> np.ndarray:
     """Parse an --init spec: ground, fock:K:N, or thermal:T (GHz)."""
+    import numpy as np
+
+    from .lindblad import thermal_resonator_state
+
     parts = text.split(":")
     kind = parts[0]
     if kind == "ground" and len(parts) == 1:
@@ -289,6 +309,11 @@ def _initial_state(text: str, system, space: ProductSpace) -> np.ndarray:
 
 
 def _cmd_evolve(args) -> int:
+    import numpy as np
+
+    from .lindblad import evolve, require_memory
+    from .operators import ProductSpace
+
     config = _load_config(args)
     system, gen = _generator(config, args.photons)
     space = ProductSpace(system.qubit.num_levels, system.resonator.fock_truncation)
@@ -311,6 +336,11 @@ def _cmd_evolve(args) -> int:
 
 
 def _cmd_steady(args) -> int:
+    import numpy as np
+
+    from .lindblad import steady_state
+    from .operators import ProductSpace
+
     config = _load_config(args)
     system, gen = _generator(config, args.photons)
     space = ProductSpace(system.qubit.num_levels, system.resonator.fock_truncation)
@@ -327,6 +357,8 @@ def _cmd_steady(args) -> int:
 
 
 def _cmd_plot(args) -> int:
+    from .svgplot import LinePlot
+
     names, rows = _read_csv(args.csv)
     x_name = args.x or names[0]
     if args.y:
@@ -350,7 +382,11 @@ def _cmd_plot(args) -> int:
             xs.append(float(xv))
             ys.append(abs(float(yv)) if args.absolute else float(yv))
         plot.add(y_name, xs, ys)
-    _write_text(args.out, plot.render())
+    try:
+        svg = plot.render()
+    except ValueError as exc:
+        raise ConfigError(f"cannot plot {args.csv!r}: {exc}") from exc
+    _write_text(args.out, svg)
     return EXIT_OK
 
 
@@ -393,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="fit a CSV of exact shifts instead of "
                                 "recomputing them (not with --sweep or --window)")
             p.add_argument("--observable", default=None,
-                           choices=(RESONATOR_PULL, QUBIT_SHIFT),
+                           choices=OBSERVABLES,
                            help="fit only this observable (default both)")
             p.add_argument("--json", default=None,
                            help="also write the fit report as JSON here")

@@ -26,39 +26,12 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .contract import (OBSERVABLES, QUBIT_SHIFT, RESONATOR_PULL, AmbiguousLabeling,
+                       ConvergenceFailure, DimensionOverflow, NoPhysicalCoupling)
 from .model import RABI, SystemSpec, check_model, transmon_ladder
 from .shifts import ShiftArrays, pull_and_qubit_shift, resonant
 
 DIM_CAP = 4096
-
-RESONATOR_PULL = "resonator_pull"
-QUBIT_SHIFT = "qubit_shift"
-OBSERVABLES = (RESONATOR_PULL, QUBIT_SHIFT)
-
-
-class DimensionOverflow(ValueError):
-    """Requested product space exceeds the dense-solver cap."""
-
-
-class ConvergenceFailure(RuntimeError):
-    """The eigensolver failed to converge."""
-
-
-class AmbiguousLabeling(RuntimeError):
-    """No eigenvector overlaps the requested bare state by more than 1/2."""
-
-    def __init__(self, pair: tuple[int, int], overlap: float):
-        self.pair = pair
-        self.overlap = overlap
-        super().__init__(f"bare state {pair} has best available overlap "
-                         f"{overlap:.4f} <= 0.5; dressed labeling breaks down here")
-
-    def __reduce__(self):
-        return type(self), (self.pair, self.overlap)
-
-
-class NoPhysicalCoupling(RuntimeError):
-    """The least-squares g0^2 is not positive and finite: no physical coupling fits."""
 
 
 def build_hamiltonian(system: SystemSpec, model: str | None = None) -> np.ndarray:

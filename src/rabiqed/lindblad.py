@@ -35,6 +35,8 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 import numpy as np
 
+from .contract import (DegenerateNullSpace, MemoryBudgetExceeded, PropagationFailure,
+                       TruncationTooSmall)
 from .exact import _bare_energies, build_hamiltonian
 from .model import SystemSpec, check_model
 from .operators import DimensionMismatch, ProductSpace, jump_matrix
@@ -55,26 +57,8 @@ class NegativeRate(ValueError):
     """A dissipator was handed a negative rate."""
 
 
-class PropagationFailure(RuntimeError):
-    """The generator or a propagated state is not finite, the generator is too
-    fast to propagate over the requested time, or the propagation (the
-    NumPy propagator or SciPy's expm_multiply) failed."""
-
-
-class DegenerateNullSpace(RuntimeError):
-    """The generator has more than one steady state."""
-
-
 class NoPopulationSector(ValueError):
     """steady_state was handed a generator without a population sector."""
-
-
-class TruncationTooSmall(ValueError):
-    """Fock truncation cannot hold the requested coherent amplitude."""
-
-
-class MemoryBudgetExceeded(ValueError):
-    """A dynamics run would allocate more than MEMORY_BUDGET_BYTES at once."""
 
 
 # The most bytes that the dense Hamiltonian and jumps of an assembled
@@ -363,7 +347,12 @@ def _check_density_matrix(rho: np.ndarray, dim: int) -> np.ndarray:
         raise ValueError("initial state is not Hermitian")
     if abs(np.trace(rho).real - 1.0) > 1e-10 or abs(np.trace(rho).imag) > 1e-10:
         raise ValueError(f"initial state trace is {np.trace(rho)}, expected 1")
-    if float(np.linalg.eigvalsh(rho)[0]) < -1e-10:
+    diagonal = np.diagonal(rho)
+    if np.count_nonzero(rho) == np.count_nonzero(diagonal):
+        least = float(diagonal.real.min())  # a diagonal state's eigenvalues
+    else:
+        least = float(np.linalg.eigvalsh(rho)[0])
+    if least < -1e-10:
         raise ValueError("initial state has a negative eigenvalue")
     return 0.5 * (rho + rho.conj().T)
 

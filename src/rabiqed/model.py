@@ -27,10 +27,8 @@ from typing import Mapping
 import numpy as np
 
 from .baths import SpectralFunction, bath_from_config
-
-RABI = "rabi"
-JC = "jc"
-MODELS = (RABI, JC)
+from .contract import (JC, MODELS, RABI, ConfigError, InvalidSpec, LadderOverflow,
+                       NonPositiveSplitting)
 
 BATH_LABELS = ("X", "Z", "R")
 
@@ -41,29 +39,6 @@ BATH_LABELS = ("X", "Z", "R")
 # of ladders, holds at most budget / 1.6 kB entries.
 LADDER_BUDGET_BYTES = 256 * 2**20
 MAX_LADDER_ENTRIES = LADDER_BUDGET_BYTES // 1600
-
-
-class NonPositiveSplitting(ValueError):
-    """A qubit transition frequency came out <= 0."""
-
-
-class LadderOverflow(ValueError):
-    """Finite ladder parameters gave a level energy or coupling beyond float64."""
-
-
-class ConfigError(ValueError):
-    """A configuration file could not be interpreted."""
-
-
-class InvalidSpec(ValueError):
-    """Validation found hard errors; carries the full list."""
-
-    def __init__(self, errors: tuple[str, ...]):
-        self.errors = tuple(errors)
-        super().__init__("; ".join(errors))
-
-    def __reduce__(self):
-        return type(self), (self.errors,)
 
 
 def _require_finite(owner: str, name: str, values) -> None:

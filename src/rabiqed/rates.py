@@ -38,6 +38,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .contract import NegativePhotonNumber, RateOverflow
 from .model import JC, RABI, QubitSpec, SystemSpec, check_model
 from .shifts import guard_resonance, padded
 
@@ -50,15 +51,6 @@ DRIVEN_EFFECTIVE = "driven_effective"
 _PRODUCT_ORIGINS = (DRESSED_DEPHASING, PHOTON_ASSISTED)
 
 _GHZ_TO_MHZ = 1e3
-
-
-class RateOverflow(OverflowError):
-    """A prefactor or rate came out infinite or NaN from finite parameters:
-    the couplings, frequencies or noise powers are too large for float64."""
-
-
-class NegativePhotonNumber(ValueError):
-    """Driven-frame photon number must be >= 0."""
 
 
 @dataclass(frozen=True)

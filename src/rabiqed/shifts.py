@@ -27,6 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .contract import ResonantDivergence
 from .model import JC, RABI, SystemSpec, check_model
 
 # Denominators smaller than this (GHz) are treated as resonant.
@@ -34,20 +35,6 @@ TOL_RES = 1e-6
 
 CO_ROTATING = "omega_{k+1,k} - omega_r"
 COUNTER_ROTATING = "omega_{k+1,k} + omega_r"
-
-
-class ResonantDivergence(ArithmeticError):
-    """A shift denominator fell inside the resonance tolerance."""
-
-    def __init__(self, k: int, which: str, value: float):
-        self.k = k
-        self.which = which
-        self.value = value
-        super().__init__(f"transition {k}: |{which}| = {abs(value):.3e} GHz is "
-                         f"inside the resonance tolerance")
-
-    def __reduce__(self):
-        return type(self), (self.k, self.which, self.value)
 
 
 def padded(values: np.ndarray) -> np.ndarray:

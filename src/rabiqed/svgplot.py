@@ -3,7 +3,8 @@
 Writes self-contained SVG with fixed geometry and %.17g-free rounded
 coordinates so identical inputs yield byte-identical files.  Supports
 several named series, optional log-scale y, and NaN gaps (a NaN splits
-a series into separate polylines).
+a series into separate polylines).  Any finite values plot, from 5e-324
+to 1e308, unless an axis would span more than a float can hold.
 """
 
 from __future__ import annotations
@@ -55,6 +56,27 @@ def _finite_pairs(series: Series, logy: bool):
             yield (xv, yv)
 
 
+def _axis(name: str, lo: float, hi: float, pad: float) -> tuple[float, float]:
+    """Limits of an axis whose values run from lo to hi, padded on each side
+    by pad times its width.
+
+    Values closer together than 64 units in the last place (a single value,
+    say) are widened about themselves, by 0.5 on each side or, where that
+    would be lost to rounding, by 1e-6 of their magnitude: ticks then step
+    by more than the values' resolution.  ValueError if the padded axis is
+    wider than a float can hold.
+    """
+    magnitude = max(abs(lo), abs(hi))
+    if hi - lo < 64 * math.ulp(magnitude):
+        half = max(0.5, 1e-6 * magnitude)
+        lo, hi = lo - half, hi + half
+    margin = pad * (hi - lo)
+    lo, hi = lo - margin, hi + margin
+    if not math.isfinite(hi - lo):
+        raise ValueError(f"the {name} values span more than a float can hold")
+    return lo, hi
+
+
 def _limits(plot: LinePlot) -> tuple[float, float, float, float]:
     xs, ys = [], []
     for series in plot.series:
@@ -64,18 +86,11 @@ def _limits(plot: LinePlot) -> tuple[float, float, float, float]:
                 ys.append(pair[1])
     if not xs:
         return 0.0, 1.0, 0.0, 1.0
-    x_lo, x_hi = min(xs), max(xs)
     if plot.logy:
         y_lo, y_hi = math.log10(min(ys)), math.log10(max(ys))
     else:
         y_lo, y_hi = min(ys), max(ys)
-    if x_hi == x_lo:
-        x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
-    if y_hi == y_lo:
-        y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
-    x_pad = 0.02 * (x_hi - x_lo)
-    y_pad = 0.05 * (y_hi - y_lo)
-    return x_lo - x_pad, x_hi + x_pad, y_lo - y_pad, y_hi + y_pad
+    return (*_axis("x", min(xs), max(xs), 0.02), *_axis("y", y_lo, y_hi, 0.05))
 
 
 def _ticks(lo: float, hi: float) -> list[float]:
@@ -94,7 +109,7 @@ def _ticks(lo: float, hi: float) -> list[float]:
     first = math.ceil(lo / step) * step
     ticks = []
     value = first
-    while value <= hi + 1e-9 * span:
+    while value - hi <= 1e-9 * span:  # hi + 1e-9 span may overflow
         ticks.append(0.0 if abs(value) < 1e-12 * span else value)
         value += step
     return ticks
@@ -125,7 +140,9 @@ def _render(plot: LinePlot) -> str:
         return _MARGIN_L + (xv - x_lo) / (x_hi - x_lo) * plot_w
 
     def sy(yv: float) -> float:
-        raw = math.log10(yv) if plot.logy else yv
+        return raw_sy(math.log10(yv) if plot.logy else yv)
+
+    def raw_sy(raw: float) -> float:  # raw: y, or log10(y) on a log axis
         return _MARGIN_T + (y_hi - raw) / (y_hi - y_lo) * plot_h
 
     out = []
@@ -149,7 +166,7 @@ def _render(plot: LinePlot) -> str:
                    f'text-anchor="middle" font-family="sans-serif" font-size="11">'
                    f'{_fmt(tick)}</text>')
     for tick in _ticks(y_lo, y_hi):
-        py = sy(10.0 ** tick if plot.logy else tick)
+        py = raw_sy(tick)
         label = f"1e{tick:.0f}" if plot.logy else _fmt(tick)
         out.append(f'<line x1="{_coord(_MARGIN_L - 5)}" y1="{_coord(py)}" '
                    f'x2="{_coord(_MARGIN_L)}" y2="{_coord(py)}" stroke="black"/>')

@@ -21,6 +21,7 @@ from functools import partial
 
 import numpy as np
 
+from .contract import SweepError, format_table, parse_csv
 from .exact import DIM_CAP, AmbiguousLabeling, DimensionOverflow, exact_shifts
 from .model import (JC, RABI, LadderOverflow, NonPositiveSplitting, SystemConfig,
                     ladder_collapses)
@@ -42,10 +43,6 @@ FIT_WINDOW_FACTOR = 1.5
 
 _ROW_ERRORS = (ResonantDivergence, NonPositiveSplitting, AmbiguousLabeling,
                DimensionOverflow, LadderOverflow, RateOverflow)
-
-
-class SweepError(ValueError):
-    """A sweep request could not be interpreted."""
 
 
 @dataclass(frozen=True)
@@ -321,43 +318,6 @@ def all_rows_failed(rows) -> bool:
     return bool(rows) and all(row.error for row in rows)
 
 
-def format_table(names: list[str], rows) -> str:
-    """Serialize mappings deterministically: 17 significant digits, one header.
-
-    Each row maps every name to a string (written as is) or a number.
-    """
-    lines = [",".join(names)]
-    for row in rows:
-        cells = (row[name] for name in names)
-        lines.append(",".join(v if isinstance(v, str) else format(float(v), ".17g")
-                              for v in cells))
-    return "\n".join(lines) + "\n"
-
-
 def format_csv(rows, row_type) -> str:
     """Serialize sweep rows of one row type with format_table."""
     return format_table(columns(row_type), [vars(row) for row in rows])
-
-
-def parse_csv(text: str) -> tuple[list[str], list[dict[str, float | str]]]:
-    """Read a CSV produced by format_table back into dict rows."""
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
-        raise ValueError("empty CSV")
-    names = lines[0].split(",")
-    rows = []
-    for line in lines[1:]:
-        cells = line.split(",")
-        if len(cells) != len(names):
-            raise ValueError(f"row has {len(cells)} cells, header has {len(names)}")
-        row: dict[str, float | str] = {}
-        for name, cell in zip(names, cells):
-            if name == "error":
-                row[name] = cell
-            else:
-                try:
-                    row[name] = float(cell)
-                except ValueError:
-                    row[name] = cell
-        rows.append(row)
-    return names, rows

@@ -1,9 +1,14 @@
 """Shared builders for the test suite."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rabiqed
 from rabiqed import (
     RABI,
     ResonatorSpec,
@@ -22,6 +27,15 @@ README_CONFIG = {
     "bath_Z": {"model": "one_over_f", "amplitude": 1e-6, "ir_floor_ghz": 0.01},
     "bath_R": {"model": "flat", "level": 0.001},
 }
+
+
+def _run_python(code: str) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter that imports this rabiqed."""
+    src = str(Path(rabiqed.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
 
 
 def no_pool(*args, **kwargs):

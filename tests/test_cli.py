@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
 import hashlib
+import importlib
 import json
 import math
 import xml.etree.ElementTree as ET
@@ -10,11 +11,11 @@ import pytest
 
 from rabiqed import (ExactRow, ProductSpace, RateRow, ShiftRow, columns, evolve,
                      load_config, parse_csv, steady_state)
-from rabiqed import cli
+from rabiqed import cli, contract
 from rabiqed.cli import main
 from rabiqed.sweeps import format_table
 
-from conftest import README_CONFIG
+from conftest import README_CONFIG, _run_python
 
 
 @pytest.fixture
@@ -598,3 +599,80 @@ def test_readme_plots_keep_their_bytes(tmp_path, command):
     assert main(["plot", str(table), "--y", y_columns, "--abs", "--logy",
                  "--out", str(svg)]) == 0
     assert hashlib.sha256(svg.read_bytes()).hexdigest() == digest
+
+
+# The import contract: import rabiqed and plot load no NumPy; every other
+# command imports its own layers.
+NUMPY_LOADED = ("loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'numpy')\n"
+                "assert not loaded, loaded\n")
+
+
+def test_import_loads_no_numpy():
+    """import rabiqed and rabiqed.cli load no NumPy and no numeric submodule."""
+    code = ("import sys, rabiqed, rabiqed.cli\n"
+            "assert sorted(m for m in sys.modules if m.startswith('rabiqed')) == "
+            "['rabiqed', 'rabiqed.cli', 'rabiqed.contract']\n" + NUMPY_LOADED)
+    result = _run_python(code)
+    assert result.returncode == 0, result.stderr
+
+
+def test_readme_plot_loads_no_numpy(tmp_path):
+    """plot on the README's shifts.csv loads no NumPy and writes the pinned bytes."""
+    config = tmp_path / "system.json"
+    config.write_text(json.dumps(README_CONFIG))
+    table, svg = tmp_path / "shifts.csv", tmp_path / "shifts.svg"
+    assert main(["shifts", "--config", str(config), "--sweep", "detuning:-3:3:161",
+                 "--out", str(table)]) == 0
+    y_columns, digest = README_PLOTS["shifts"]
+    code = ("import sys\n"
+            "from rabiqed.cli import main\n"
+            f"assert main(['plot', {str(table)!r}, '--y', {y_columns!r}, '--abs',\n"
+            f"             '--logy', '--out', {str(svg)!r}]) == 0\n" + NUMPY_LOADED)
+    result = _run_python(code)
+    assert result.returncode == 0, result.stderr
+    assert hashlib.sha256(svg.read_bytes()).hexdigest() == digest
+
+
+def test_every_export_resolves_lazily():
+    """In a fresh interpreter every name in __all__ resolves, dir() lists
+    it, star-import binds it, and a submodule resolves as an attribute."""
+    code = ("import rabiqed\n"
+            "assert set(rabiqed.__all__) <= set(dir(rabiqed))\n"
+            "assert rabiqed.lindblad.evolve is rabiqed.evolve\n"
+            "missing = [n for n in rabiqed.__all__ if not hasattr(rabiqed, n)]\n"
+            "assert not missing, missing\n"
+            "namespace = {}\n"
+            "exec('from rabiqed import *', namespace)\n"
+            "unbound = [n for n in rabiqed.__all__\n"
+            "           if namespace.get(n) is not getattr(rabiqed, n)]\n"
+            "assert not unbound, unbound\n"
+            "from rabiqed import cli\n"
+            "assert cli.main\n")
+    result = _run_python(code)
+    assert result.returncode == 0, result.stderr
+
+
+# Each name defined in contract, by the module that defined it before.
+MOVED_NAMES = {
+    "model": ["RABI", "JC", "MODELS", "ConfigError", "InvalidSpec", "LadderOverflow",
+              "NonPositiveSplitting"],
+    "exact": ["RESONATOR_PULL", "QUBIT_SHIFT", "OBSERVABLES", "AmbiguousLabeling",
+              "ConvergenceFailure", "DimensionOverflow", "NoPhysicalCoupling"],
+    "shifts": ["ResonantDivergence"],
+    "rates": ["NegativePhotonNumber", "RateOverflow"],
+    "lindblad": ["DegenerateNullSpace", "MemoryBudgetExceeded", "PropagationFailure",
+                 "TruncationTooSmall"],
+    "sweeps": ["SweepError", "format_table", "parse_csv"],
+}
+
+
+def test_moved_names_keep_their_old_paths():
+    """Each name defined in contract is the same object under its old path,
+    and every exception cli.main maps to an exit code is defined there."""
+    for module, names in MOVED_NAMES.items():
+        old = importlib.import_module(f"rabiqed.{module}")
+        for name in names:
+            assert getattr(old, name) is getattr(contract, name), (module, name)
+    for error in (*cli._MATH_ERRORS, contract.ConfigError, contract.InvalidSpec,
+                  contract.SweepError, contract.MemoryBudgetExceeded):
+        assert error.__module__ == "rabiqed.contract"

@@ -8,6 +8,11 @@ Ladder and Fock sizes are drawn only from small values and from values
 above DIM_CAP, and evolve/steady run at --nq 3 --nr 5: both build dense
 d x d jump matrices, so a large d would need gigabytes.  No run may start a
 process pool.
+
+plot is run on small tables of extreme cells (signed zeros, ones, the
+largest and the smallest floats, NaN, infinities, text): it must exit 0
+with an SVG that parses and holds no nan or inf, or exit 2 with one
+error line.
 """
 
 import concurrent.futures
@@ -16,6 +21,8 @@ import copy
 import io
 import json
 import math
+import re
+import xml.etree.ElementTree as ET
 from unittest import mock
 
 from hypothesis import event, given, settings
@@ -98,3 +105,33 @@ def test_mutated_readme_config_keeps_the_exit_contract(tmp_path_factory, command
     assert "Traceback" not in err.getvalue()
     if code != 0:
         assert err.getvalue().startswith("error: ")
+
+
+CELLS = st.sampled_from(["0", "-0", "1", "-1", "1e308", "-1e308", "5e-324", "-5e-324",
+                         "nan", "inf", "-inf", "text"])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(rows=st.lists(st.tuples(CELLS, CELLS), max_size=4), logy=st.booleans(),
+       absolute=st.booleans())
+def test_plot_of_extreme_cells_keeps_the_exit_contract(tmp_path_factory, rows, logy,
+                                                       absolute):
+    """plot exits 0 with finite coordinates, or 2 with one error line."""
+    data = tmp_path_factory.getbasetemp() / "extreme.csv"
+    data.write_text("x,y\n" + "".join(f"{x},{y}\n" for x, y in rows))
+    svg = tmp_path_factory.getbasetemp() / "extreme.svg"
+    svg.unlink(missing_ok=True)
+    argv = ["plot", str(data), "--y", "y", "--out", str(svg)]
+    argv += ["--logy"] * logy + ["--abs"] * absolute
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    event(f"plot exit {code}")
+    assert code in (0, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        return
+    text = svg.read_text()
+    ET.fromstring(text)
+    assert not {"nan", "inf"} & set(re.findall(r"[a-z]+", text.lower()))

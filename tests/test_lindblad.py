@@ -2,11 +2,7 @@
 
 import json
 import math
-import os
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -55,7 +51,7 @@ from rabiqed import (
 from rabiqed.cli import _MATH_ERRORS
 from rabiqed.lindblad import _dissipator
 
-from conftest import README_CONFIG, build_system
+from conftest import README_CONFIG, _run_python, build_system
 
 TWO_PI = 2.0 * math.pi
 RATE = TWO_PI * 1e-3  # MHz -> angular rate in 1/ns
@@ -537,15 +533,6 @@ def test_lazy_states_match_dense_reconstruction():
                                [np.trace(op @ rho) for rho in dense], rtol=0, atol=1e-15)
 
 
-def _run_python(code: str) -> subprocess.CompletedProcess:
-    """Run code in a fresh interpreter that imports this rabiqed."""
-    src = str(Path(rabiqed.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    return subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True)
-
-
 def test_import_loads_no_scipy():
     """Importing the package and its CLI loads no SciPy, multiprocessing or
     concurrent.futures module, and every exported name still resolves."""
@@ -591,6 +578,38 @@ def test_steady_loads_no_scipy(tmp_path):
     result = _run_python(code)
     assert result.returncode == 0, result.stderr
     assert out.read_text().startswith("pop_q0,")
+
+
+def test_initial_state_positivity_check(monkeypatch):
+    """A diagonal rho0 is checked on its diagonal alone, which refuses an
+    entry of -1e-9; a non-diagonal rho0 keeps the eigenvalue test, which
+    accepts the coherent state (|0> + e^{0.3i}|1>)/sqrt(2) (x) |0 photons>
+    and refuses a matrix with a negative eigenvalue."""
+    gen = assemble(noisy_system())
+    space = ProductSpace(3, 5)
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(a):
+        calls.append(a.shape)
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    diagonal = np.zeros((15, 15), dtype=complex)
+    diagonal[0, 0], diagonal[1, 1] = 1.0 + 1e-9, -1e-9
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        evolve(gen, diagonal, 1.0, sample_times=[0.0, 1.0])
+    diagonal[0, 0], diagonal[1, 1] = 0.75, 0.25
+    evolve(gen, diagonal, 1.0, sample_times=[0.0, 1.0])
+    assert calls == []
+    coherent = pure_state({(0, 0): 1.0, (1, 0): np.exp(0.3j)}, space)
+    traj = evolve(gen, coherent, 1.0, sample_times=[0.0, 1.0])
+    np.testing.assert_allclose(traj.states[0], coherent, rtol=0, atol=1e-15)
+    assert calls == [(15, 15)]
+    coherent[space.index(0, 0), space.index(1, 0)] *= 1.5
+    coherent[space.index(1, 0), space.index(0, 0)] *= 1.5
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        evolve(gen, coherent, 1.0, sample_times=[0.0, 1.0])
 
 
 def test_diagonal_state_stays_diagonal():

@@ -14,8 +14,8 @@ Every name in __all__, and every submodule, is imported on first access
 
 import importlib
 
-# Each exported name, by the submodule that defines it.  The names in
-# contract need no NumPy.
+# Each exported name, by the submodule that defines it; __all__ lists them
+# all.  The names in contract need no NumPy.
 _EXPORTS = {
     "baths": ("FLAT", "OHMIC", "ONE_OVER_F", "NegativeFrequency", "SpectralFunction",
               "bath_from_config"),
@@ -56,47 +56,7 @@ _SUBMODULES = frozenset(_EXPORTS) | {"cli", "svgplot"}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AmbiguousLabeling", "BARE_PLUS_INTERACTION", "COUPLING", "ConfigError",
-    "ConvergenceFailure", "DETUNING", "DRESSED_ANALYTIC",
-    "DegenerateNullSpace", "DimensionMismatch", "DimensionOverflow",
-    "DRESSED_DEPHASING", "DRIVEN_EFFECTIVE",
-    "DissipatorTerm", "ExactRow", "ExactShifts", "FIT_WINDOW_FACTOR", "FLAT",
-    "FitResult", "InvalidSpec", "JC", "LadderOverflow",
-    "JumpDescriptor", "Labeling", "LindbladGenerator", "MEMORY_BUDGET_BYTES",
-    "MemoryBudgetExceeded", "NegativeFrequency",
-    "NegativePhotonNumber", "NegativeRate", "NoPhysicalCoupling", "NoPopulationSector",
-    "NonPositiveSplitting",
-    "OHMIC", "ONE_OVER_F", "PHOTON_ASSISTED", "PURCELL",
-    "ProductSpace", "PropagationFailure", "QUBIT_SHIFT",
-    "QubitSpec", "RABI", "RESONANCE_WINDOW_FACTOR", "RESONATOR_PULL",
-    "SECOND_ORDER",
-    "RateOverflow", "RateRow", "RateTable", "ResonantDivergence",
-    "ResonatorSpec", "ShiftReport", "ShiftRow",
-    "SpectralFunction", "Spectrum",
-    "SweepError",
-    "SweepRequest", "SystemConfig",
-    "SystemSpec", "TEMPERATURE", "Trajectory", "TransmonSpec",
-    "TruncationTooSmall",
-    "ValidationReport", "all_rows_failed", "analytic_shift", "annihilator",
-    "apply_resonance_exclusion", "assemble",
-    "bath_from_config", "build_hamiltonian", "build_rate_table", "chi",
-    "chi_tilde", "columns", "default_detuning_grid", "diagonalize",
-    "dressed_dephasing_prefactors",
-    "dressed_dephasing_terms", "dressed_hamiltonian", "driven_effective_rates",
-    "embed", "evolve", "exact_rows", "exact_shifts", "expand_transmon",
-    "fit_g0", "fit_residual_curve", "format_csv",
-    "h2_coefficients", "jump_matrix", "label_dressed_states", "load_config",
-    "number_operator", "parse_config", "parse_csv", "partial_trace_qubit",
-    "partial_trace_resonator",
-    "photon_assisted_prefactor", "photon_assisted_terms", "purcell_prefactor",
-    "purcell_rates", "qubit_lower", "qubit_projector", "rate_rows",
-    "realize_terms",
-    "require_valid", "second_order_rates", "shift_report", "shift_rows",
-    "sigma_diag", "sigma_lower", "sigma_raise", "silent_baths",
-    "steady_state", "thermal_resonator_state", "validate",
-    "verify_displacement_identity", "xi",
-]
+__all__ = sorted(_HOME)
 
 
 def __getattr__(name: str):

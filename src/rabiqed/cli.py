@@ -27,7 +27,7 @@ import math
 import sys
 from typing import TYPE_CHECKING
 
-from .contract import (JC, MODELS, OBSERVABLES, QUBIT_SHIFT, RABI, RESONATOR_PULL,
+from .contract import (MODELS, OBSERVABLES, QUBIT_SHIFT, RABI, RESONATOR_PULL,
                        AmbiguousLabeling, ConfigError, ConvergenceFailure,
                        DegenerateNullSpace, DimensionOverflow, InvalidSpec,
                        LadderOverflow, MemoryBudgetExceeded, NegativePhotonNumber,
@@ -158,13 +158,12 @@ def _cmd_fit(args) -> int:
     import numpy as np
 
     from .exact import FitResult, fit_g0, fit_residual_curve
-    from .sweeps import (DETUNING, FIT_WINDOW_FACTOR, SweepRequest, all_rows_failed,
-                         apply_resonance_exclusion, exact_rows)
+    from .sweeps import (_FIT_SWEEP, DETUNING, FIT_WINDOW_FACTOR, SweepRequest,
+                         all_rows_failed, apply_resonance_exclusion, exact_rows)
 
     config = _load_config(args)
-    observables = (args.observable,) if args.observable else (RESONATOR_PULL,
-                                                              QUBIT_SHIFT)
-    models = (args.model,) if args.model else (RABI, JC)
+    observables = (args.observable,) if args.observable else OBSERVABLES
+    models = (args.model,) if args.model else MODELS
     if args.data:
         if args.sweep or args.window is not None:
             raise ConfigError("--sweep and --window select points to compute; "
@@ -179,8 +178,7 @@ def _cmd_fit(args) -> int:
         window = args.window
         if window is None:
             window = FIT_WINDOW_FACTOR * config.transmon.g0
-        request = (SweepRequest.parse(args.sweep) if args.sweep
-                   else SweepRequest(DETUNING, -3.0, 3.0, 161))
+        request = SweepRequest.parse(args.sweep) if args.sweep else _FIT_SWEEP
         if request.variable != DETUNING:
             raise SweepError("fit requires a detuning sweep")
         values = apply_resonance_exclusion(request, config, window=window)
@@ -189,19 +187,16 @@ def _cmd_fit(args) -> int:
             _fail("no exact data points survived")
             return EXIT_MATH
         raw_rows = [vars(row) for row in exact]
-    datasets = {obs: _fit_data_from_dicts(raw_rows, _OBSERVABLE_COLUMNS[obs])
-                for obs in observables}
-    transmon = config.transmon
-    out_rows = []
-    failures = 0
+    ladder = {"omega_r": config.resonator.omega_r,
+              "anharmonicity": config.transmon.anharmonicity,
+              "num_levels": config.transmon.num_levels}
+    grid = np.geomspace(1e-4, 2.0, 61)
+    out_rows, curves, failures = [], {"g0_ghz": grid}, 0
     for observable in observables:
-        data = datasets[observable]
+        data = _fit_data_from_dicts(raw_rows, _OBSERVABLE_COLUMNS[observable])
         for model in models:
             try:
-                result = fit_g0(data, model, observable,
-                                omega_r=config.resonator.omega_r,
-                                anharmonicity=transmon.anharmonicity,
-                                num_levels=transmon.num_levels)
+                result = fit_g0(data, model, observable, **ladder)
             except (*_MATH_ERRORS, ValueError) as exc:
                 failures += 1
                 _fail(f"fit {model}/{observable}: {type(exc).__name__}: {exc}")
@@ -212,32 +207,19 @@ def _cmd_fit(args) -> int:
                              "stderr_ghz": result.stderr,
                              "residual_sum": result.residual_sum,
                              "n_points": result.n_points})
+            if args.residuals:
+                try:
+                    curves[f"residual_{model}_{observable}"] = fit_residual_curve(
+                        data, model, observable, grid=grid, **ladder)
+                except (*_MATH_ERRORS, ValueError):
+                    pass  # no usable point: the fit above reported why
     _write_text(args.out, format_table(list(out_rows[0]), out_rows))
     if args.json:
         _write_text(args.json, json.dumps(out_rows, indent=2, sort_keys=True) + "\n")
     if args.residuals:
-        grid = np.geomspace(1e-4, 2.0, 61)
-        curve_names = ["g0_ghz"]
-        curves = {}
-        for observable in observables:
-            for model in models:
-                name = f"residual_{model}_{observable}"
-                try:
-                    curves[name] = fit_residual_curve(
-                        datasets[observable], model, observable,
-                        omega_r=config.resonator.omega_r,
-                        anharmonicity=transmon.anharmonicity,
-                        num_levels=transmon.num_levels, grid=grid)
-                except (*_MATH_ERRORS, ValueError):
-                    continue  # no usable point: the fit above reported why
-                curve_names.append(name)
-        curve_rows = []
-        for i, g in enumerate(grid):
-            row = {"g0_ghz": float(g)}
-            for name, values in curves.items():
-                row[name] = float(values[i])
-            curve_rows.append(row)
-        _write_text(args.residuals, format_table(curve_names, curve_rows))
+        curve_rows = [{name: float(values[i]) for name, values in curves.items()}
+                      for i in range(len(grid))]
+        _write_text(args.residuals, format_table(list(curves), curve_rows))
     return EXIT_MATH if failures == len(out_rows) else EXIT_OK
 
 
@@ -274,9 +256,7 @@ def _initial_state(text: str, system, space: ProductSpace) -> np.ndarray:
     parts = text.split(":")
     kind = parts[0]
     if kind == "ground" and len(parts) == 1:
-        rho = np.zeros((space.dimension, space.dimension), dtype=complex)
-        rho[space.index(0, 0), space.index(0, 0)] = 1.0
-        return rho
+        return _initial_state("fock:0:0", system, space)
     if kind == "fock" and len(parts) == 3:
         try:
             k, n = int(parts[1]), int(parts[2])
@@ -297,7 +277,7 @@ def _initial_state(text: str, system, space: ProductSpace) -> np.ndarray:
             raise ConfigError(f"--init thermal temperature must be finite and >= 0, "
                               f"got {temperature}")
         if temperature == 0.0:
-            return _initial_state("ground", system, space)
+            return _initial_state("fock:0:0", system, space)
         energies = np.array(system.qubit.level_energies)
         weights = np.exp(-(energies - energies[0]) / temperature)
         qubit = np.diag(weights / weights.sum()).astype(complex)
@@ -322,8 +302,6 @@ def _cmd_evolve(args) -> int:
     require_memory(16 * args.samples * space.dimension, "the recorded states")
     times = np.linspace(0.0, args.tmax, args.samples)
     trajectory = evolve(gen, rho0, args.tmax, sample_times=times)
-    names = ["t_ns"] + [f"pop_q{k}" for k in range(space.qubit_dim)] + ["nbar",
-                                                                        "trace"]
     rows = []
     # the diagonals stay complex, so that the trace sums them as np.trace does
     for t, diagonal in zip(trajectory.times, trajectory.diagonals):
@@ -331,7 +309,7 @@ def _cmd_evolve(args) -> int:
         row.update(_state_summary(diagonal.real, space))
         row["trace"] = float(diagonal.sum().real)
         rows.append(row)
-    _write_text(args.out, format_table(names, rows))
+    _write_text(args.out, format_table(list(rows[0]), rows))
     return EXIT_OK
 
 
@@ -350,9 +328,7 @@ def _cmd_steady(args) -> int:
     row = _state_summary(p, space)
     row["purity"] = float(p @ p)
     row["nbar_resonator"] = row["nbar"]
-    names = ([f"pop_q{k}" for k in range(space.qubit_dim)]
-             + ["nbar", "purity", "nbar_resonator"])
-    _write_text(args.out, format_table(names, [row]))
+    _write_text(args.out, format_table(list(row), [row]))
     return EXIT_OK
 
 

@@ -120,6 +120,24 @@ def _fmt(value: float) -> str:
     return text
 
 
+def _log_labels(ticks: list[float]) -> list[str]:
+    """Labels of log-axis ticks (each tick is the log10 of its value): the
+    value as mantissa and decade, 1e{k} on a whole decade, with the fewest
+    significant digits, three or more, that tell every tick apart.  The
+    mantissa is 10 ** (tick - decade), so no label overflows or underflows."""
+    for digits in range(3, 18):
+        labels = []
+        for tick in ticks:
+            decade = math.floor(tick)
+            mantissa = f"{10.0 ** (tick - decade):.{digits}g}"
+            if mantissa == "10":  # a tick just below a whole decade
+                mantissa, decade = "1", decade + 1
+            labels.append(f"{mantissa}e{decade}")
+        if len(set(labels)) == len(labels):
+            break
+    return labels
+
+
 def _escape(text: str) -> str:
     """Caller text (title, axis and series labels) as SVG character data:
     &, < and > become entity references.  Tick labels are formatted numbers
@@ -165,9 +183,10 @@ def _render(plot: LinePlot) -> str:
         out.append(f'<text x="{_coord(px)}" y="{_coord(_HEIGHT - _MARGIN_B + 18)}" '
                    f'text-anchor="middle" font-family="sans-serif" font-size="11">'
                    f'{_fmt(tick)}</text>')
-    for tick in _ticks(y_lo, y_hi):
+    y_ticks = _ticks(y_lo, y_hi)
+    y_labels = _log_labels(y_ticks) if plot.logy else [_fmt(t) for t in y_ticks]
+    for tick, label in zip(y_ticks, y_labels):
         py = raw_sy(tick)
-        label = f"1e{tick:.0f}" if plot.logy else _fmt(tick)
         out.append(f'<line x1="{_coord(_MARGIN_L - 5)}" y1="{_coord(py)}" '
                    f'x2="{_coord(_MARGIN_L)}" y2="{_coord(py)}" stroke="black"/>')
         out.append(f'<text x="{_coord(_MARGIN_L - 8)}" y="{_coord(py + 4)}" '

@@ -78,15 +78,18 @@ class SweepRequest:
             raise SweepError(f"bad sweep {text!r}: {exc}") from exc
 
 
+# The standard fit grid: 161 uniform points over -3..3 GHz.
+_FIT_SWEEP = SweepRequest(DETUNING, -3.0, 3.0, 161)
+
+
 def default_detuning_grid(g0: float, window: float | None = None) -> np.ndarray:
-    """The standard fit grid: 161 uniform points over -3..3 GHz minus the
-    resonance window.
+    """The standard fit grid minus the resonance window.
 
     window is the excluded half-width in GHz; None means 3 * g0.
     """
     if window is None:
         window = RESONANCE_WINDOW_FACTOR * g0
-    grid = np.linspace(-3.0, 3.0, 161)
+    grid = _FIT_SWEEP.grid()
     return grid[np.abs(grid) >= window]
 
 

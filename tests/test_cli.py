@@ -4,7 +4,10 @@ import hashlib
 import importlib
 import json
 import math
+import re
+import shlex
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -383,6 +386,102 @@ def test_fit_rejects_data_without_columns(config_path, tmp_path, capsys):
     capsys.readouterr()
 
 
+def _readme_config(tmp_path):
+    config = tmp_path / "system.json"
+    config.write_text(json.dumps(README_CONFIG))
+    return str(config)
+
+
+def test_evolve_thermal_zero_is_the_ground_state(tmp_path):
+    """--init thermal:0 writes the bytes of --init ground."""
+    config = _readme_config(tmp_path)
+    tables = []
+    for init in ("thermal:0", "ground"):
+        out = tmp_path / f"{init.replace(':', '')}.csv"
+        assert main(["evolve", "--config", config, "--init", init, "--tmax", "50",
+                     "--samples", "11", "--out", str(out)]) == 0
+        tables.append(out.read_bytes())
+    assert tables[0] == tables[1]
+
+
+@pytest.mark.parametrize("args, message", [
+    (["evolve", "--init", "fock:a:0"],
+     "bad --init 'fock:a:0': invalid literal for int() with base 10: 'a'"),
+    (["evolve", "--init", "thermal:x"],
+     "bad --init 'thermal:x': could not convert string to float: 'x'"),
+    (["evolve", "--nr", "1"], "--nr must be at least 2"),
+    (["evolve", "--samples", "1"], "--samples must be at least 2"),
+    (["fit", "--sweep", "coupling:0:1:3"], "fit requires a detuning sweep"),
+], ids=["fock-text", "thermal-text", "nr-1", "samples-1", "fit-coupling"])
+def test_bad_cli_arguments_exit_2_with_one_line(config_path, capsys, args, message):
+    """Each refused argument exits 2 with its one error line and no output."""
+    capsys.readouterr()
+    assert main([args[0], "--config", config_path, *args[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+def test_config_that_is_not_an_object_exits_2(tmp_path, capsys):
+    """A config whose JSON is a list, not an object, exits 2."""
+    config = tmp_path / "list.json"
+    config.write_text("[1, 2]\n")
+    capsys.readouterr()
+    assert main(["steady", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == "error: config must be a JSON object, got list\n"
+
+
+# sha256 of fit's outputs on the two-point table of exact over detuning:-3:-2:2.
+TWO_POINT_FIT = {
+    "fit.csv": "685c4358a196b65be4a90e29b00149e3f18d1f9b3658c433fdc394dd81976913",
+    "fit.json": "ea3cf141fe1b2e569e9fa95f60e11502ce6d023cf2d8106c9a33da7f1b3b6d83",
+    "residuals.csv": "02de5e877f5a0b25370358a9554628a2471cae7e3a90d2da15cd8bc75e48154e",
+}
+
+
+def test_fit_on_two_points_fails_every_fit_but_writes_every_curve(tmp_path, capsys):
+    """Two data points are too few for any fit: exit 3, one error line per
+    fit in walk order and a NaN row each, yet every residual curve is
+    written, since a curve needs only one usable point."""
+    config = _readme_config(tmp_path)
+    data = tmp_path / "exact.csv"
+    assert main(["exact", "--config", config, "--sweep", "detuning:-3:-2:2",
+                 "--out", str(data)]) == 0
+    capsys.readouterr()
+    assert main(["fit", "--config", config, "--data", str(data),
+                 "--json", str(tmp_path / "fit.json"),
+                 "--residuals", str(tmp_path / "residuals.csv"),
+                 "--out", str(tmp_path / "fit.csv")]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: fit {model}/{observable}: ValueError: need at least 3 usable data "
+        f"points, got 2"
+        for observable in ("resonator_pull", "qubit_shift") for model in ("rabi", "jc")]
+    _, rows = read_table(tmp_path / "fit.csv")
+    assert all(math.isnan(row["g0_hat_ghz"]) and row["n_points"] == 2 for row in rows)
+    names, curves = read_table(tmp_path / "residuals.csv")
+    assert names == ["g0_ghz", "residual_rabi_resonator_pull",
+                     "residual_jc_resonator_pull", "residual_rabi_qubit_shift",
+                     "residual_jc_qubit_shift"]
+    assert len(curves) == 61
+    for name, digest in TWO_POINT_FIT.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+def test_readme_commands_parse():
+    """Every rabiqed command in the README's sh blocks, continuations
+    joined, parses with the CLI's parser."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    commands = [line.strip()
+                for block in re.findall(r"```sh\n(.*?)```", readme, re.DOTALL)
+                for line in block.replace("\\\n", " ").splitlines()
+                if line.strip().startswith("rabiqed ")]
+    assert len(commands) == 9
+    parser = cli.build_parser()
+    for command in commands:
+        args = parser.parse_args(shlex.split(command)[1:])
+        assert args.fn.__module__ == "rabiqed.cli", command
+
+
 def test_plot_renders_svg(config_path, tmp_path):
     """The plot command turns a sweep CSV into a standalone SVG."""
     csv_path = tmp_path / "shifts.csv"
@@ -576,6 +675,31 @@ def test_svg_text_is_escaped(tmp_path):
              if node.tag.endswith("text")]
     assert texts[0] == title
     assert "x&<>" in texts and "y & <z>" in texts
+
+
+def _y_tick_labels(svg_path):
+    return [node.text for node in ET.parse(svg_path).getroot().iter()
+            if node.tag.endswith("text") and node.get("text-anchor") == "end"]
+
+
+@pytest.mark.parametrize("values, decades", [
+    ((2.0, 3.0, 4.0), []),
+    ((1e-7, 4e-7, 1.1e-6), ["1e-7", "1e-6"]),
+], ids=["2-to-4", "one-decade"])
+def test_log_ticks_name_their_own_values(tmp_path, values, decades):
+    """On a log axis narrower than a decade or two, the ticks step by a
+    fraction of a decade: each label names its own value, so the labels
+    differ and step by one ratio, and whole decades still read 1e{k}."""
+    data = tmp_path / "narrow.csv"
+    data.write_text("x,y\n" + "".join(f"{i},{v!r}\n" for i, v in enumerate(values)))
+    svg = tmp_path / "narrow.svg"
+    assert main(["plot", str(data), "--logy", "--out", str(svg)]) == 0
+    labels = _y_tick_labels(svg)
+    assert len(labels) >= 3 and len(set(labels)) == len(labels), labels
+    # three significant digits put each label within 0.003 of its tick's log10
+    steps = np.diff(np.log10([float(label) for label in labels]))
+    np.testing.assert_allclose(steps, steps[0], atol=0.02)
+    assert [label for label in labels if re.fullmatch(r"1e-?\d+", label)] == decades
 
 
 # sha256 of the README's two plots of the README's 161-point sweeps.

@@ -14,6 +14,7 @@ from rabiqed import (
     RABI,
     RESONATOR_PULL,
     AmbiguousLabeling,
+    ConvergenceFailure,
     DimensionOverflow,
     NoPhysicalCoupling,
     analytic_shift,
@@ -100,6 +101,19 @@ def test_dimension_cap(monkeypatch):
         build_hamiltonian(system)
     monkeypatch.setattr(exact, "DIM_CAP", 5000)
     assert build_hamiltonian(system).shape == (5000, 5000)
+
+
+def test_eigensolver_failure_is_a_convergence_failure(monkeypatch):
+    """A LAPACK failure in eigh reaches the caller as ConvergenceFailure,
+    through exact_shifts too, with LAPACK's message."""
+    def fail(h):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(ConvergenceFailure, match="Eigenvalues did not converge"):
+        diagonalize(np.eye(2))
+    with pytest.raises(ConvergenceFailure):
+        exact_shifts(build_system(), RABI)
 
 
 def test_single_excitation_block_closed_form():

@@ -912,6 +912,45 @@ def test_propagator_overflow_is_a_propagation_failure(monkeypatch):
         evolve(gen, rho0, 4.0, sample_times=np.linspace(0.0, 4.0, 9))
 
 
+def test_state_overflow_is_a_propagation_failure(monkeypatch):
+    """A finite propagator that carries the state past the float range fails
+    the per-sample check, which names the first sample that is not finite.
+    The overflow itself warns, as NumPy does, and that warning is silenced
+    here so that the check is reached."""
+    monkeypatch.setattr(lindblad, "_expm", lambda a: np.full_like(a, 1e300))
+    gen = assemble(noisy_system())
+    rho0 = np.zeros((15, 15), dtype=complex)
+    rho0[5, 5] = 1.0
+    with np.errstate(over="ignore"), \
+            pytest.raises(PropagationFailure, match=r"not finite at t = 1\.0 ns"):
+        evolve(gen, rho0, 4.0, sample_times=np.linspace(0.0, 4.0, 9))
+
+
+@pytest.mark.parametrize("error", [np.linalg.LinAlgError, ValueError])
+def test_failed_propagation_is_a_propagation_failure(monkeypatch, error):
+    """A linear-algebra or value error inside propagation becomes
+    PropagationFailure over the requested span."""
+    def fail(a):
+        raise error("no exponential")
+
+    monkeypatch.setattr(lindblad, "_expm", fail)
+    gen = assemble(noisy_system())
+    rho0 = np.zeros((15, 15), dtype=complex)
+    rho0[5, 5] = 1.0
+    with pytest.raises(PropagationFailure,
+                       match=r"propagation over \[0, 4\.0\] ns failed: no exponential"):
+        evolve(gen, rho0, 4.0, sample_times=np.linspace(0.0, 4.0, 9))
+
+
+def test_steady_state_refuses_a_large_residual(monkeypatch):
+    """Populations that leave W p = 0 short by more than 1e-10 of the
+    largest rate are refused, not returned."""
+    monkeypatch.setattr(lindblad, "_stationary",
+                        lambda flows, root: np.full(len(flows), 1.0 / len(flows)))
+    with pytest.raises(DegenerateNullSpace, match="steady-state residual"):
+        steady_state(assemble(noisy_system()))
+
+
 def test_dressed_evolve_loads_no_scipy(tmp_path):
     """README evolve, and a library evolve of a dressed superposition, load
     no SciPy module."""

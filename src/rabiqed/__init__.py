@@ -34,8 +34,8 @@ _EXPORTS = {
                  "partial_trace_resonator", "realize_terms", "steady_state",
                  "thermal_resonator_state", "verify_displacement_identity"),
     "model": ("QubitSpec", "ResonatorSpec", "SystemConfig", "SystemSpec", "TransmonSpec",
-              "ValidationReport", "expand_transmon", "load_config", "parse_config",
-              "require_valid", "silent_baths", "validate"),
+              "expand_transmon", "load_config", "parse_config", "silent_baths",
+              "validate"),
     "operators": ("DimensionMismatch", "ProductSpace", "annihilator", "embed",
                   "jump_matrix", "number_operator", "qubit_lower", "qubit_projector"),
     "rates": ("DRESSED_DEPHASING", "DRIVEN_EFFECTIVE", "PHOTON_ASSISTED", "PURCELL",

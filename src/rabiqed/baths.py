@@ -22,6 +22,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .contract import InvalidSpec
+
 OHMIC = "ohmic"
 ONE_OVER_F = "one_over_f"
 FLAT = "flat"
@@ -60,26 +62,26 @@ class SpectralFunction:
 
     def __post_init__(self) -> None:
         if self.model not in _MODELS:
-            raise ValueError(f"unknown bath model {self.model!r}; expected one of {_MODELS}")
+            raise InvalidSpec(f"unknown bath model {self.model!r}; expected one of {_MODELS}")
         for name in ("temperature", "eta", "cutoff", "amplitude", "ir_floor", "level"):
             value = getattr(self, name)
             # an infinite cutoff is the documented "no cutoff"
             if math.isnan(value) or (math.isinf(value) and name != "cutoff"):
-                raise ValueError(f"{name} must be finite, got {value}")
+                raise InvalidSpec(f"{name} must be finite, got {value}")
         if not self.temperature >= 0.0:
-            raise ValueError(f"temperature must be >= 0, got {self.temperature}")
+            raise InvalidSpec(f"temperature must be >= 0, got {self.temperature}")
         if self.model == OHMIC:
             if self.eta < 0.0:
-                raise ValueError(f"eta must be >= 0, got {self.eta}")
+                raise InvalidSpec(f"eta must be >= 0, got {self.eta}")
             if not self.cutoff > 0.0:
-                raise ValueError(f"cutoff must be > 0, got {self.cutoff}")
+                raise InvalidSpec(f"cutoff must be > 0, got {self.cutoff}")
         elif self.model == ONE_OVER_F:
             if self.amplitude < 0.0:
-                raise ValueError(f"amplitude must be >= 0, got {self.amplitude}")
+                raise InvalidSpec(f"amplitude must be >= 0, got {self.amplitude}")
             if not self.ir_floor > 0.0:
-                raise ValueError(f"ir_floor must be > 0, got {self.ir_floor}")
+                raise InvalidSpec(f"ir_floor must be > 0, got {self.ir_floor}")
         elif self.level < 0.0:
-            raise ValueError(f"level must be >= 0, got {self.level}")
+            raise InvalidSpec(f"level must be >= 0, got {self.level}")
 
     @classmethod
     def ohmic(cls, eta: float, cutoff_ghz: float = math.inf,

@@ -65,7 +65,7 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def _load_config(args) -> SystemConfig:
-    from .model import load_config, require_valid_config
+    from .model import load_config
 
     try:
         config = load_config(args.config)
@@ -80,10 +80,17 @@ def _load_config(args) -> SystemConfig:
         config = dataclasses.replace(
             config, resonator=dataclasses.replace(config.resonator,
                                                   fock_truncation=args.nr))
+    # The overrides above re-ran the field checks.  Building the base system
+    # once refuses a ladder that overflows float64; a collapsed base ladder
+    # passes, because each sweep row reports its own collapse and evolve and
+    # steady fail on rebuild.
     try:
-        return require_valid_config(config)
+        config.build()
+    except NonPositiveSplitting:
+        pass
     except LadderOverflow as exc:
         raise ConfigError(str(exc)) from exc
+    return config
 
 
 class _IOFailure(OSError):

@@ -28,7 +28,8 @@ class NonPositiveSplitting(ValueError):
 
 
 class LadderOverflow(ValueError):
-    """Finite ladder parameters gave a level energy or coupling beyond float64."""
+    """Finite ladder parameters gave a level energy, coupling or Hamiltonian
+    entry beyond float64."""
 
 
 class ConfigError(ValueError):
@@ -36,11 +37,11 @@ class ConfigError(ValueError):
 
 
 class InvalidSpec(ValueError):
-    """Validation found hard errors; carries the full list."""
+    """A spec constructor found hard errors in its fields; carries them all."""
 
-    def __init__(self, errors: tuple[str, ...]):
-        self.errors = tuple(errors)
-        super().__init__("; ".join(errors))
+    def __init__(self, errors: str | tuple[str, ...]):
+        self.errors = (errors,) if isinstance(errors, str) else tuple(errors)
+        super().__init__("; ".join(self.errors))
 
     def __reduce__(self):
         return type(self), (self.errors,)
@@ -97,7 +98,8 @@ class AmbiguousLabeling(RuntimeError):
 
 
 class NoPhysicalCoupling(RuntimeError):
-    """The least-squares g0^2 is not positive and finite: no physical coupling fits."""
+    """The least-squares g0^2 is not positive and finite, or its residual sum
+    or standard error is not finite: no physical coupling fits."""
 
 
 # lindblad

@@ -27,7 +27,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .contract import (OBSERVABLES, QUBIT_SHIFT, RESONATOR_PULL, AmbiguousLabeling,
-                       ConvergenceFailure, DimensionOverflow, NoPhysicalCoupling)
+                       ConvergenceFailure, DimensionOverflow, LadderOverflow,
+                       NoPhysicalCoupling)
 from .model import RABI, SystemSpec, check_model, transmon_ladder
 from .shifts import ShiftArrays, pull_and_qubit_shift, resonant
 
@@ -43,7 +44,8 @@ def build_hamiltonian(system: SystemSpec, model: str | None = None) -> np.ndarra
     only.  Each entry is the one product and sum that the Kronecker form
     E (x) 1 + 1 (x) omega_r N + H_int gives it, so the matrix is the same to
     the bit.  A product dimension above DIM_CAP, read at each call, raises
-    DimensionOverflow before anything is allocated.
+    DimensionOverflow, and an entry beyond float64 LadderOverflow, before
+    anything is allocated.
     """
     if model is None:
         model = system.interaction_model
@@ -54,6 +56,13 @@ def build_hamiltonian(system: SystemSpec, model: str | None = None) -> np.ndarra
     d = n_levels * m
     if d > DIM_CAP:
         raise DimensionOverflow(f"product dimension {d} exceeds cap {DIM_CAP}")
+    # The spec constructors make the energies rise from 0, omega_r positive
+    # and the couplings nonnegative, so no entry exceeds these two.
+    largest = (q.level_energies[-1] + system.omega_r * (m - 1),
+               max(q.coupling_ladder) * math.sqrt(m - 1))
+    if not all(map(math.isfinite, largest)):
+        raise LadderOverflow(f"an entry of the {n_levels} x {m} Hamiltonian "
+                             f"overflows float64")
     h = np.zeros((d, d))
     np.fill_diagonal(h, _bare_energies(system))
     flat = np.arange(d)
@@ -240,7 +249,8 @@ def fit_residual_curve(data: Sequence[tuple[float, float]], model: str,
     if not len(s):
         raise ValueError("no usable data points")
     g2 = np.asarray(grid, dtype=float) ** 2
-    return ((g2[:, None] * s - y) ** 2).sum(axis=1)
+    with np.errstate(over="ignore"):  # a sum beyond float64 is inf
+        return ((g2[:, None] * s - y) ** 2).sum(axis=1)
 
 
 def fit_g0(data: Sequence[tuple[float, float]], model: str, observable: str, *,
@@ -252,7 +262,8 @@ def fit_g0(data: Sequence[tuple[float, float]], model: str, observable: str, *,
     u = g0^2 = sum s_i y_i / sum s_i^2.  The quoted standard error is
     sqrt(2 var / S''), with var = S_min / (n - 1) and the exact curvature
     S'' = 8 u sum s_i^2 at the minimum.  Raises NoPhysicalCoupling when u
-    is not positive and finite.
+    is not positive and finite, or when S_min or the standard error is not
+    finite (observed shifts so large that the squared residuals overflow).
     """
     s, y = _shift_basis(data, model, observable, omega_r=omega_r,
                         anharmonicity=anharmonicity, num_levels=num_levels)
@@ -263,8 +274,12 @@ def fit_g0(data: Sequence[tuple[float, float]], model: str, observable: str, *,
     if not (math.isfinite(u) and u > 0.0):
         raise NoPhysicalCoupling(f"least-squares g0^2 = {u:.6g} GHz^2 is not "
                                  f"positive and finite")
-    s_min = float(np.sum((u * s - y) ** 2))
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        s_min = float(np.sum((u * s - y) ** 2))
     curvature = 8.0 * u * norm
     stderr = math.sqrt(2.0 * s_min / (len(s) - 1) / curvature)
+    if not (math.isfinite(s_min) and math.isfinite(stderr)):
+        raise NoPhysicalCoupling(f"residual sum {s_min:.6g} GHz^2 or standard error "
+                                 f"{stderr:.6g} GHz is not finite")
     return FitResult(g0_hat=math.sqrt(u), stderr=stderr, residual_sum=s_min,
                      n_points=len(s), model=model, observable=observable)

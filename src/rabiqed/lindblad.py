@@ -38,7 +38,7 @@ import numpy as np
 from .contract import (DegenerateNullSpace, MemoryBudgetExceeded, PropagationFailure,
                        TruncationTooSmall)
 from .exact import _bare_energies, build_hamiltonian
-from .model import SystemSpec, check_model
+from .model import SystemSpec
 from .operators import DimensionMismatch, ProductSpace, jump_matrix
 from .rates import DissipatorTerm, JumpDescriptor, RateTable, build_rate_table
 from .shifts import shift_report
@@ -321,7 +321,7 @@ def assemble(system: SystemSpec, mode: str = DRESSED_ANALYTIC,
     model, in one of the two modes."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    model = check_model(system.interaction_model)
+    model = system.interaction_model
     q = system.qubit
     space = ProductSpace(q.num_levels, system.resonator.fock_truncation)
     if table is None:

@@ -44,7 +44,7 @@ MAX_LADDER_ENTRIES = LADDER_BUDGET_BYTES // 1600
 def _require_finite(owner: str, name: str, values) -> None:
     for value in values:
         if not math.isfinite(value):
-            raise ValueError(f"{owner}.{name} must be finite, got {value}")
+            raise InvalidSpec(f"{owner}.{name} must be finite, got {value}")
 
 
 def check_model(model: str) -> str:
@@ -84,12 +84,24 @@ class QubitSpec:
             _require_finite("QubitSpec", name, getattr(self, name))
         n = len(self.level_energies)
         if n < 2:
-            raise ValueError(f"qubit needs at least 2 levels, got {n}")
+            raise InvalidSpec(f"qubit needs at least 2 levels, got {n}")
         # per field, the length it must have: N - 1 per transition, N per level
         for name, length in zip(names[1:], (n - 1, n - 1, n)):
             if len(getattr(self, name)) != length:
-                raise ValueError(f"{name} must have length {length}, "
-                                 f"got {len(getattr(self, name))}")
+                raise InvalidSpec(f"{name} must have length {length}, "
+                                  f"got {len(getattr(self, name))}")
+        # the hard errors of a ladder: all of them, in one InvalidSpec
+        energies = self.level_energies
+        errors = ([f"qubit.level_energies[0]: ground level must sit at 0, got {energies[0]}"]
+                  if energies[0] != 0.0 else [])
+        errors += [f"qubit.level_energies[{k}]: energies must increase strictly "
+                   f"({high} <= {low})"
+                   for k, (low, high) in enumerate(zip(energies, energies[1:]), 1)
+                   if not high > low]
+        errors += [f"qubit.coupling_ladder[{k}]: coupling must be >= 0, got {g}"
+                   for k, g in enumerate(self.coupling_ladder) if g < 0.0]
+        if errors:
+            raise InvalidSpec(tuple(errors))
 
     @property
     def num_levels(self) -> int:
@@ -136,7 +148,9 @@ class TransmonSpec:
         for name in ("omega_10", "anharmonicity", "g0"):
             _require_finite("TransmonSpec", name, (getattr(self, name),))
         if self.num_levels < 2:
-            raise ValueError(f"num_levels must be >= 2, got {self.num_levels}")
+            raise InvalidSpec(f"num_levels must be >= 2, got {self.num_levels}")
+        if self.g0 < 0.0:
+            raise InvalidSpec(f"g0: coupling must be >= 0, got {self.g0}")
 
 
 def _last_transition(num_levels: int) -> int:
@@ -226,11 +240,13 @@ class ResonatorSpec:
 
     def __post_init__(self) -> None:
         _require_finite("ResonatorSpec", "omega_r", (self.omega_r,))
+        if not self.omega_r > 0.0:
+            raise InvalidSpec(f"resonator.omega_r: must be > 0, got {self.omega_r}")
         if int(self.fock_truncation) != self.fock_truncation:
-            raise ValueError(f"fock_truncation must be an integer, got {self.fock_truncation}")
+            raise InvalidSpec(f"fock_truncation must be an integer, got {self.fock_truncation}")
         object.__setattr__(self, "fock_truncation", int(self.fock_truncation))
         if self.fock_truncation < 2:
-            raise ValueError(f"fock_truncation must be >= 2, got {self.fock_truncation}")
+            raise InvalidSpec(f"fock_truncation must be >= 2, got {self.fock_truncation}")
 
 
 @dataclass(frozen=True)
@@ -248,6 +264,16 @@ class SystemSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "baths", dict(self.baths))
+        errors = ([] if self.interaction_model in MODELS else
+                  [f"interaction_model: must be one of {MODELS}, "
+                   f"got {self.interaction_model!r}"])
+        for label in BATH_LABELS:
+            if label not in self.baths:
+                errors.append(f"baths[{label!r}]: missing")
+            elif not isinstance(self.baths[label], SpectralFunction):
+                errors.append(f"baths[{label!r}]: not a SpectralFunction")
+        if errors:
+            raise InvalidSpec(tuple(errors))
 
     @property
     def omega_r(self) -> float:
@@ -257,86 +283,36 @@ class SystemSpec:
         return self.baths[label]
 
     def with_model(self, model: str) -> "SystemSpec":
-        return replace(self, interaction_model=check_model(model))
+        return replace(self, interaction_model=model)
 
 
 def silent_baths(temperature_ghz: float = 0.0) -> dict[str, SpectralFunction]:
     return {label: SpectralFunction.silent(temperature_ghz) for label in BATH_LABELS}
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    errors: tuple[str, ...]
-    warnings: tuple[str, ...]
+def validate(system: SystemSpec) -> tuple[str, ...]:
+    """Dispersive-regime warnings for a SystemSpec, which its constructors
+    have already checked for hard errors.
 
-    @property
-    def ok(self) -> bool:
-        return not self.errors
-
-
-def _field_errors(couplings, omega_r: float, model: str,
-                  baths: Mapping[str, SpectralFunction]) -> list[str]:
-    """validate's errors outside the level energies: couplings, resonator,
-    interaction model and baths."""
-    errors = [f"qubit.coupling_ladder[{k}]: coupling must be >= 0, got {g}"
-              for k, g in enumerate(couplings) if g < 0.0]
-    if not omega_r > 0.0:
-        errors.append(f"resonator.omega_r: must be > 0, got {omega_r}")
-    if model not in MODELS:
-        errors.append(f"interaction_model: must be one of {MODELS}, got {model!r}")
-    for label in BATH_LABELS:
-        if label not in baths:
-            errors.append(f"baths[{label!r}]: missing")
-        elif not isinstance(baths[label], SpectralFunction):
-            errors.append(f"baths[{label!r}]: not a SpectralFunction")
-    return errors
-
-
-def validate(system: SystemSpec) -> ValidationReport:
-    """Check a SystemSpec for hard errors and dispersive-regime warnings.
-
-    Errors make the system unusable (non-monotonic ladder, negative
-    couplings, missing baths).  Warnings flag parameter regimes where the
-    dispersive expansion is unreliable: any transition within 10 g_k of
-    the resonator, or g_0 / |omega_10 - omega_r| > 0.1.
+    A warning flags a parameter regime where the dispersive expansion is
+    unreliable: any transition within 10 g_k of the resonator, or
+    g_0 / |omega_10 - omega_r| > 0.1.
     """
-    errors: list[str] = []
-    warnings: list[str] = []
     q = system.qubit
-    n = q.num_levels
-
-    if q.level_energies[0] != 0.0:
-        errors.append(f"qubit.level_energies[0]: ground level must sit at 0, "
-                      f"got {q.level_energies[0]}")
-    for k in range(n - 1):
-        if not q.level_energies[k + 1] > q.level_energies[k]:
-            errors.append(f"qubit.level_energies[{k + 1}]: energies must increase "
-                          f"strictly ({q.level_energies[k + 1]} <= {q.level_energies[k]})")
-    errors += _field_errors(q.coupling_ladder, system.resonator.omega_r,
-                            system.interaction_model, system.baths)
-
-    if not errors:
-        omega_r = system.resonator.omega_r
-        for k in range(n - 1):
-            w = q.splitting(k)
-            g = q.coupling_ladder[k]
-            if g > 0.0 and abs(w - omega_r) < 10.0 * g:
-                warnings.append(f"transition {k + 1},{k} within 10 g_{k} of the resonator "
-                                f"(|{w} - {omega_r}| < {10.0 * g})")
-        detuning = q.splitting(0) - omega_r
-        g0 = q.coupling_ladder[0]
-        if detuning == 0.0 or (g0 > 0.0 and g0 / abs(detuning) > 0.1):
-            warnings.append("dispersive parameter g_0/|Delta_0| exceeds 0.1; "
-                            "second-order results are unreliable here")
-
-    return ValidationReport(errors=tuple(errors), warnings=tuple(warnings))
-
-
-def require_valid(system: SystemSpec) -> SystemSpec:
-    report = validate(system)
-    if not report.ok:
-        raise InvalidSpec(report.errors)
-    return system
+    omega_r = system.resonator.omega_r
+    warnings = []
+    for k in range(q.num_levels - 1):
+        w = q.splitting(k)
+        g = q.coupling_ladder[k]
+        if g > 0.0 and abs(w - omega_r) < 10.0 * g:
+            warnings.append(f"transition {k + 1},{k} within 10 g_{k} of the resonator "
+                            f"(|{w} - {omega_r}| < {10.0 * g})")
+    detuning = q.splitting(0) - omega_r
+    g0 = q.coupling_ladder[0]
+    if detuning == 0.0 or (g0 > 0.0 and g0 / abs(detuning) > 0.1):
+        warnings.append("dispersive parameter g_0/|Delta_0| exceeds 0.1; "
+                        "second-order results are unreliable here")
+    return tuple(warnings)
 
 
 @dataclass(frozen=True)
@@ -383,25 +359,6 @@ class SystemConfig:
             baths = {label: sf.with_temperature(temperature) for label, sf in baths.items()}
         return SystemSpec(qubit=expand_transmon(t), resonator=self.resonator,
                           interaction_model=self.interaction_model, baths=dict(baths))
-
-
-def require_valid_config(config: SystemConfig) -> SystemConfig:
-    """require_valid on the system a config builds.
-
-    A base ladder that collapses (NonPositiveSplitting) passes, because
-    sweep points may not collapse: each sweep row reports its own collapse,
-    and evolve/steady fail on rebuild.  Every field outside the ladder is
-    checked either way; a config with g_0 = g0 < 0, omega_r <= 0, an unknown
-    model or a missing bath raises InvalidSpec.
-    """
-    try:
-        require_valid(config.build())
-    except NonPositiveSplitting:
-        errors = _field_errors((config.transmon.g0,), config.resonator.omega_r,
-                               config.interaction_model, config.baths)
-        if errors:
-            raise InvalidSpec(tuple(errors)) from None
-    return config
 
 
 _CONFIG_KEYS = {"omega_r_ghz", "omega_10_ghz", "anharmonicity_ghz", "g0_ghz",

@@ -115,24 +115,27 @@ def _ticks(lo: float, hi: float) -> list[float]:
     return ticks
 
 
-def _fmt(value: float) -> str:
-    text = f"{value:.6g}"
-    return text
+def _linear_label(tick: float, digits: int) -> str:
+    return f"{tick:.{digits}g}"
 
 
-def _log_labels(ticks: list[float]) -> list[str]:
-    """Labels of log-axis ticks (each tick is the log10 of its value): the
-    value as mantissa and decade, 1e{k} on a whole decade, with the fewest
-    significant digits, three or more, that tell every tick apart.  The
-    mantissa is 10 ** (tick - decade), so no label overflows or underflows."""
-    for digits in range(3, 18):
-        labels = []
-        for tick in ticks:
-            decade = math.floor(tick)
-            mantissa = f"{10.0 ** (tick - decade):.{digits}g}"
-            if mantissa == "10":  # a tick just below a whole decade
-                mantissa, decade = "1", decade + 1
-            labels.append(f"{mantissa}e{decade}")
+def _log_label(tick: float, digits: int) -> str:
+    """A log-axis tick (the log10 of its value) as mantissa and decade,
+    1e{k} on a whole decade.  The mantissa is 10 ** (tick - decade), so no
+    label overflows or underflows."""
+    decade = math.floor(tick)
+    mantissa = f"{10.0 ** (tick - decade):.{digits}g}"
+    if mantissa == "10":  # a tick just below a whole decade
+        mantissa, decade = "1", decade + 1
+    return f"{mantissa}e{decade}"
+
+
+def _labels(ticks: list[float], label, digits: int) -> list[str]:
+    """label(tick, n) of every tick, with the fewest significant digits n,
+    from digits up, that tell every tick apart: 6 or more on a linear axis,
+    3 or more on a log axis."""
+    for n in range(digits, 18):
+        labels = [label(tick, n) for tick in ticks]
         if len(set(labels)) == len(labels):
             break
     return labels
@@ -175,16 +178,18 @@ def _render(plot: LinePlot) -> str:
              f'H {_coord(_MARGIN_L)} Z')
     out.append(f'<path d="{frame}" fill="none" stroke="black" stroke-width="1"/>')
 
-    for tick in _ticks(x_lo, x_hi):
+    x_ticks = _ticks(x_lo, x_hi)
+    for tick, label in zip(x_ticks, _labels(x_ticks, _linear_label, 6)):
         px = sx(tick)
         out.append(f'<line x1="{_coord(px)}" y1="{_coord(_HEIGHT - _MARGIN_B)}" '
                    f'x2="{_coord(px)}" y2="{_coord(_HEIGHT - _MARGIN_B + 5)}" '
                    f'stroke="black"/>')
         out.append(f'<text x="{_coord(px)}" y="{_coord(_HEIGHT - _MARGIN_B + 18)}" '
                    f'text-anchor="middle" font-family="sans-serif" font-size="11">'
-                   f'{_fmt(tick)}</text>')
+                   f'{label}</text>')
     y_ticks = _ticks(y_lo, y_hi)
-    y_labels = _log_labels(y_ticks) if plot.logy else [_fmt(t) for t in y_ticks]
+    y_labels = (_labels(y_ticks, _log_label, 3) if plot.logy
+                else _labels(y_ticks, _linear_label, 6))
     for tick, label in zip(y_ticks, y_labels):
         py = raw_sy(tick)
         out.append(f'<line x1="{_coord(_MARGIN_L - 5)}" y1="{_coord(py)}" '

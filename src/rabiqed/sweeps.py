@@ -58,8 +58,10 @@ class SweepRequest:
                              f"got {self.variable!r}")
         if self.count < 2:
             raise SweepError(f"sweep count must be >= 2, got {self.count}")
-        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
-            raise SweepError(f"sweep bounds must be finite, got {self.start}, {self.stop}")
+        # a span beyond float64 (-1e308 to 1e308) would put NaN in the grid
+        if not math.isfinite(self.stop - self.start):
+            raise SweepError(f"sweep bounds and their span must be finite, "
+                             f"got {self.start}, {self.stop}")
 
     def grid(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.count)

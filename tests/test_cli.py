@@ -147,9 +147,9 @@ def test_config_errors_exit_2(config_path, tmp_path, capsys):
     assert main(["steady", "--config", config_path, "--photons", "nan"]) == 2
     assert main(["shifts", "--config", config_path, "--sweep", "coupling:inf:1:3"]) == 2
     assert main(["shifts", "--config", config_path, "--sweep", "temperature:nan:1:3"]) == 2
-    # Parsed configs that validate() rejects: a negative resonator frequency,
-    # a negative coupling, and a negative resonator frequency in a config
-    # whose base ladder collapses (omega_21 = 6 - 10 GHz).
+    # Configs whose fields a spec constructor refuses: a negative resonator
+    # frequency, a negative coupling, and a negative resonator frequency in a
+    # config whose base ladder collapses (omega_21 = 6 - 10 GHz).
     with open(config_path) as handle:
         base = json.load(handle)
     for name, command, patch in (
@@ -384,6 +384,89 @@ def test_fit_rejects_data_without_columns(config_path, tmp_path, capsys):
     assert main(["fit", "--config", config_path, "--data", str(bad),
                  "--observable", "resonator_pull"]) == 2
     capsys.readouterr()
+
+
+# Four exact rows whose shifts (1e300-1e308 GHz) fit a finite g0^2 under
+# qubit_shift, but whose squared residuals overflow float64.
+HUGE_SHIFTS = ("delta0_ghz,exact_pull,exact_qshift,error\n"
+               "-3,1e300,1e300,\n-2,1e303,1e303,\n2,1e306,1e306,\n3,1e308,1e308,\n")
+
+
+def test_fit_refuses_residuals_that_overflow(config_path, tmp_path, capsys):
+    """A fit whose residual sum or standard error is not finite fails with
+    NoPhysicalCoupling, like one whose g0^2 is not, and NumPy warns of no
+    overflow on the way: every fit fails, exit 3, one error line each."""
+    data = tmp_path / "huge.csv"
+    data.write_text(HUGE_SHIFTS)
+    out = tmp_path / "fit.csv"
+    capsys.readouterr()
+    assert main(["fit", "--config", config_path, "--data", str(data),
+                 "--residuals", str(tmp_path / "residuals.csv"), "--out", str(out)]) == 3
+    lines = capsys.readouterr().err.splitlines()
+    walk = [f"{model}/{observable}" for observable in ("resonator_pull", "qubit_shift")
+            for model in ("rabi", "jc")]
+    assert len(lines) == len(walk)
+    for line, pair in zip(lines, walk):
+        assert line.startswith(f"error: fit {pair}: NoPhysicalCoupling: "), line
+    assert all(line.endswith("is not finite") for line in lines[2:])
+    _, rows = read_table(out)
+    assert all(math.isnan(row["g0_hat_ghz"]) and math.isnan(row["residual_sum"])
+               for row in rows)
+
+
+# The README config's rates at four bath temperatures.
+TEMPERATURE_SWEEP = "temperature:0.05:0.5:4"
+
+
+def test_temperature_sweep_rows_are_the_built_systems(tmp_path, capsys):
+    """Each row of a temperature sweep is the row of the system the config
+    builds at that temperature, and the qubit's thermal excitation stands to
+    its decay as exp(-omega_10 / T): detailed balance in the transverse bath."""
+    from rabiqed.sweeps import SweepRequest, _rate_fields
+
+    config = _readme_config(tmp_path)
+    capsys.readouterr()
+    assert main(["rates", "--config", config, "--sweep", TEMPERATURE_SWEEP]) == 0
+    _, rows = parse_csv(capsys.readouterr().out)
+    base = load_config(config)
+    temperatures = SweepRequest.parse(TEMPERATURE_SWEEP).grid()
+    assert len(rows) == len(temperatures) == 4
+    for row, temperature in zip(rows, temperatures):
+        expected = _rate_fields(base.build(temperature=float(temperature)))
+        assert row["delta0_ghz"] == 1.0 and row["error"] == ""
+        assert {name: row[name] for name in expected} == expected
+        np.testing.assert_allclose(row["gamma_up0_mhz"] / row["gamma_down0_mhz"],
+                                   math.exp(-6.0 / temperature), rtol=1e-12)
+
+
+@pytest.mark.parametrize("sweep", ["temperature:-1:1:3", "coupling:-0.1:0.1:3",
+                                   "detuning:-1e308:1e308:2"],
+                         ids=["negative-temperature", "negative-coupling", "span-overflow"])
+@pytest.mark.parametrize("command", ["rates", "shifts", "exact"])
+def test_sweep_to_an_invalid_spec_exits_2(tmp_path, capsys, command, sweep):
+    """A sweep point whose system would be invalid (a negative bath
+    temperature or coupling) refuses the command as a bad config does:
+    exit 2, one error line, nothing written.  So does a grid whose span
+    overflows float64, which would hold NaN points."""
+    config = _readme_config(tmp_path)
+    capsys.readouterr()
+    assert main([command, "--config", config, "--sweep", sweep]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_overflowing_hamiltonian_entries_are_error_rows(config_path, capsys):
+    """A coupling whose ladder fits float64 but whose Hamiltonian entries
+    g_k sqrt(n) do not ends each exact point in a LadderOverflow row, exit 3,
+    before any matrix is built."""
+    capsys.readouterr()
+    assert main(["exact", "--config", config_path,
+                 "--sweep", "coupling:7e307:8e307:2"]) == 3
+    captured = capsys.readouterr()
+    assert [row["error"] for row in parse_csv(captured.out)[1]] == ["LadderOverflow"] * 2
+    assert captured.err.startswith("error: every sweep point failed")
+    assert captured.err.count("\n") == 1
 
 
 def _readme_config(tmp_path):
@@ -700,6 +783,32 @@ def test_log_ticks_name_their_own_values(tmp_path, values, decades):
     steps = np.diff(np.log10([float(label) for label in labels]))
     np.testing.assert_allclose(steps, steps[0], atol=0.02)
     assert [label for label in labels if re.fullmatch(r"1e-?\d+", label)] == decades
+
+
+def _x_tick_labels(svg_path):
+    return [node.text for node in ET.parse(svg_path).getroot().iter()
+            if node.tag.endswith("text") and node.get("text-anchor") == "middle"
+            and node.get("font-size") == "11"]
+
+
+@pytest.mark.parametrize("xs, ys, x_labels, y_labels", [
+    ((1e6, 1e6 + 0.5), (1e6, 1e6 + 1.0), None, None),
+    ((0.0, 1.0, 2.0), (0.0, 0.5, 1.0), ["0", "0.5", "1", "1.5", "2"],
+     ["0", "0.2", "0.4", "0.6", "0.8", "1"]),
+], ids=["narrower-than-6-digits", "plain"])
+def test_linear_ticks_name_their_own_values(tmp_path, xs, ys, x_labels, y_labels):
+    """Linear-axis labels keep six significant digits, and take more where
+    six would not tell two ticks apart (an axis from 1e6 to 1e6 + 1)."""
+    data = tmp_path / "linear.csv"
+    data.write_text("x,y\n" + "".join(f"{x!r},{y!r}\n" for x, y in zip(xs, ys)))
+    svg = tmp_path / "linear.svg"
+    assert main(["plot", str(data), "--out", str(svg)]) == 0
+    for labels, expected in ((_x_tick_labels(svg), x_labels),
+                             (_y_tick_labels(svg), y_labels)):
+        assert len(labels) >= 3 and len(set(labels)) == len(labels), labels
+        assert sorted(labels, key=float) == labels
+        if expected is not None:
+            assert labels == expected
 
 
 # sha256 of the README's two plots of the README's 161-point sweeps.

@@ -135,3 +135,28 @@ def test_plot_of_extreme_cells_keeps_the_exit_contract(tmp_path_factory, rows, l
     text = svg.read_text()
     ET.fromstring(text)
     assert not {"nan", "inf"} & set(re.findall(r"[a-z]+", text.lower()))
+
+
+BOUNDS = st.sampled_from([-1.0, -5.0, -1e308, 0.0, -0.0, 1e-300, 1e308, math.inf, -math.inf])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(command=st.sampled_from(["shifts", "rates", "exact"]),
+       variable=st.sampled_from(["detuning", "coupling", "temperature"]),
+       start=BOUNDS, stop=BOUNDS, count=st.sampled_from([2, 3]))
+def test_extreme_sweeps_keep_the_exit_contract(tmp_path_factory, command, variable,
+                                               start, stop, count):
+    """A --sweep over negative, signed-zero, tiny, huge or infinite bounds of
+    the README config ends in exit 0, 2, 3 or 4, without a traceback."""
+    path = tmp_path_factory.getbasetemp() / "readme.json"
+    path.write_text(json.dumps(README_CONFIG))
+    sweep = f"{variable}:{start!r}:{stop!r}:{count}"
+    out, err = io.StringIO(), io.StringIO()
+    pools = mock.patch.object(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    with pools, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, "--config", str(path), "--sweep", sweep])
+    event(f"{command} {variable} exit {code}")
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()
+    if code != 0:
+        assert err.getvalue().startswith("error: ")

@@ -2,6 +2,8 @@
 
 import json
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,7 +24,6 @@ from rabiqed import (
     expand_transmon,
     load_config,
     parse_config,
-    require_valid,
     silent_baths,
     validate,
 )
@@ -134,34 +135,101 @@ def test_qubit_spec_length_validation():
 
 
 def test_validate_flags_structural_errors():
-    """Ground energy, level ordering, and resonator parameters are checked."""
-    bad_qubit = QubitSpec(
-        level_energies=(0.0, 6.0, 5.0),
-        coupling_ladder=(0.1, 0.1),
-        transverse_bath_couplings=(1.0, 1.0),
-        dephasing_sensitivities=(0.0, 1.0, 2.0),
-    )
-    system = SystemSpec(
-        qubit=bad_qubit,
-        resonator=ResonatorSpec(omega_r=5.0, fock_truncation=5),
-        interaction_model=RABI,
-        baths=silent_baths(),
-    )
-    report = validate(system)
-    assert not report.ok
-    assert any("increase" in message for message in report.errors)
-    with pytest.raises(InvalidSpec):
-        require_valid(system)
+    """A ladder with every structural fault is refused when it is built, and
+    the refusal names each fault: the (0, 6, 5) ladder with g_0 = -0.1 GHz,
+    beside a resonator at -5 GHz, never reaches a shift formula."""
+    with pytest.raises(InvalidSpec) as refused:
+        QubitSpec(
+            level_energies=(0.0, 6.0, 5.0),
+            coupling_ladder=(-0.1, 0.14),
+            transverse_bath_couplings=(1.0, 1.0),
+            dephasing_sensitivities=(0.0, 1.0, 2.0),
+        )
+    assert refused.value.errors == (
+        "qubit.level_energies[2]: energies must increase strictly (5.0 <= 6.0)",
+        "qubit.coupling_ladder[0]: coupling must be >= 0, got -0.1")
+    with pytest.raises(InvalidSpec, match="omega_r: must be > 0, got -5.0"):
+        ResonatorSpec(omega_r=-5.0, fock_truncation=5)
 
 
 def test_validate_warns_near_resonance():
     """Small detuning compared to the coupling triggers a warning, not an error."""
-    close = build_system(detuning=0.05, g0=0.1)
-    report = validate(close)
-    assert report.ok
-    assert report.warnings
-    far = build_system(detuning=2.0, g0=0.05)
-    assert not validate(far).warnings
+    warnings = validate(build_system(detuning=0.05, g0=0.1))
+    assert warnings and all("resonator" in w or "g_0/|Delta_0|" in w for w in warnings)
+    assert validate(build_system(detuning=2.0, g0=0.05)) == ()
+
+
+def _qubit(**changes):
+    """A valid three-level ladder, with some fields changed."""
+    return QubitSpec(**{"level_energies": (0.0, 6.0, 11.75), "coupling_ladder": (0.1, 0.14),
+                        "transverse_bath_couplings": (1.0, 1.4),
+                        "dephasing_sensitivities": (0.0, 1.0, 2.0), **changes})
+
+
+def _config():
+    return SystemConfig(
+        transmon=TransmonSpec(omega_10=6.0, anharmonicity=0.25, g0=0.1, num_levels=3),
+        resonator=ResonatorSpec(omega_r=5.0, fock_truncation=5),
+        interaction_model=RABI, baths=silent_baths())
+
+
+def _without(label):
+    return {k: v for k, v in silent_baths().items() if k != label}
+
+
+# Per rule: the message it raises, the invalid spec built directly, and the
+# same spec made from the valid build_system() by replace, with_model or a
+# config override (the path a sweep point takes).
+INVALID_SPECS = {
+    "ground-not-0": ("ground level must sit at 0",
+                     lambda: _qubit(level_energies=(0.5, 6.0, 11.75)),
+                     lambda s: replace(s.qubit, level_energies=(0.5, 6.0, 11.75))),
+    "non-increasing": ("energies must increase strictly",
+                       lambda: _qubit(level_energies=(0.0, 6.0, 5.0)),
+                       lambda s: replace(s.qubit, level_energies=(0.0, 6.0, 5.0))),
+    "negative-g_k": ("coupling_ladder[1]: coupling must be >= 0",
+                     lambda: _qubit(coupling_ladder=(0.1, -0.14)),
+                     lambda s: replace(s.qubit, coupling_ladder=(0.1, -0.14))),
+    "negative-g0": ("g0: coupling must be >= 0",
+                    lambda: TransmonSpec(omega_10=6.0, anharmonicity=0.25, g0=-0.1,
+                                         num_levels=3),
+                    lambda s: _config().build(coupling=-0.1)),
+    "zero-omega_r": ("omega_r: must be > 0",
+                     lambda: ResonatorSpec(omega_r=0.0, fock_truncation=5),
+                     lambda s: replace(s.resonator, omega_r=0.0)),
+    "negative-omega_r": ("omega_r: must be > 0",
+                         lambda: ResonatorSpec(omega_r=-5.0, fock_truncation=5),
+                         lambda s: replace(s.resonator, omega_r=-5.0)),
+    "unknown-model": ("interaction_model: must be one of",
+                      lambda: SystemSpec(qubit=_qubit(), resonator=_config().resonator,
+                                         interaction_model="dispersive",
+                                         baths=silent_baths()),
+                      lambda s: s.with_model("dispersive")),
+    "missing-bath": ("baths['Z']: missing",
+                     lambda: SystemSpec(qubit=_qubit(), resonator=_config().resonator,
+                                        interaction_model=RABI, baths=_without("Z")),
+                     lambda s: replace(s, baths=_without("Z"))),
+    "bath-not-spectral": ("baths['X']: not a SpectralFunction",
+                          lambda: SystemSpec(qubit=_qubit(), resonator=_config().resonator,
+                                             interaction_model=RABI,
+                                             baths={**silent_baths(), "X": 0.1}),
+                          lambda s: replace(s, baths={**s.baths, "X": 0.1})),
+    "negative-temperature": ("temperature must be >= 0",
+                             lambda: SpectralFunction.flat(0.1, temperature_ghz=-0.1),
+                             lambda s: _config().build(temperature=-0.1)),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(INVALID_SPECS))
+def test_spec_constructors_refuse_invalid_systems(rule):
+    """Each hard rule is enforced by the constructor of the type that holds
+    the field, so an invalid spec cannot be built directly or derived from a
+    valid one."""
+    message, build, derive = INVALID_SPECS[rule]
+    with pytest.raises(InvalidSpec, match=re.escape(message)):
+        build()
+    with pytest.raises(InvalidSpec, match=re.escape(message)):
+        derive(build_system())
 
 
 def test_system_spec_helpers():
@@ -181,7 +249,7 @@ def test_config_build_applies_overrides():
         transmon=TransmonSpec(omega_10=6.0, anharmonicity=0.25, g0=0.1, num_levels=3),
         resonator=ResonatorSpec(omega_r=5.0, fock_truncation=5),
         interaction_model=RABI,
-        baths={"X": SpectralFunction.flat(0.01)},
+        baths={**silent_baths(), "X": SpectralFunction.flat(0.01)},
     )
     system = config.build(detuning=2.0, coupling=0.05, temperature=0.3)
     assert system.qubit.level_energies[1] == 7.0

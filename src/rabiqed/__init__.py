@@ -23,8 +23,9 @@ _EXPORTS = {
                  "ConfigError", "ConvergenceFailure", "DegenerateNullSpace",
                  "DimensionOverflow", "InvalidSpec", "LadderOverflow",
                  "MemoryBudgetExceeded", "NegativePhotonNumber", "NoPhysicalCoupling",
-                 "NonPositiveSplitting", "PropagationFailure", "RateOverflow",
-                 "ResonantDivergence", "SweepError", "TruncationTooSmall", "parse_csv"),
+                 "NonPositiveSplitting", "PrecisionLoss", "PropagationFailure",
+                 "RateOverflow", "ResonantDivergence", "SweepError", "TruncationTooSmall",
+                 "parse_csv"),
     "exact": ("ExactShifts", "FitResult", "Labeling", "Spectrum", "analytic_shift",
               "build_hamiltonian", "diagonalize", "exact_shifts", "fit_g0",
               "fit_residual_curve", "label_dressed_states"),

@@ -13,16 +13,15 @@ Exit codes: 0 success, 2 bad configuration or arguments (a dynamics run
 above lindblad.MEMORY_BUDGET_BYTES included), 3 every requested point
 failed mathematically, 4 I/O failure.
 
-At module level this imports only the standard library and contract,
+At module level this imports only argparse, math, sys and contract,
 which holds every exception main maps to an exit code.  Each command
-imports the layers it runs when it starts, so plot runs without NumPy.
+imports the layers it runs when it starts, so plot runs without NumPy,
+dataclasses or json.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import json
 import math
 import sys
 from typing import TYPE_CHECKING
@@ -31,9 +30,9 @@ from .contract import (MODELS, OBSERVABLES, QUBIT_SHIFT, RABI, RESONATOR_PULL,
                        AmbiguousLabeling, ConfigError, ConvergenceFailure,
                        DegenerateNullSpace, DimensionOverflow, InvalidSpec,
                        LadderOverflow, MemoryBudgetExceeded, NegativePhotonNumber,
-                       NoPhysicalCoupling, NonPositiveSplitting, PropagationFailure,
-                       RateOverflow, ResonantDivergence, SweepError, TruncationTooSmall,
-                       format_table, parse_csv)
+                       NoPhysicalCoupling, NonPositiveSplitting, PrecisionLoss,
+                       PropagationFailure, RateOverflow, ResonantDivergence, SweepError,
+                       TruncationTooSmall, format_table, parse_csv)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -44,7 +43,7 @@ if TYPE_CHECKING:
 _MATH_ERRORS = (ResonantDivergence, NonPositiveSplitting, AmbiguousLabeling,
                 DimensionOverflow, ConvergenceFailure, NoPhysicalCoupling,
                 PropagationFailure, DegenerateNullSpace, TruncationTooSmall,
-                NegativePhotonNumber, LadderOverflow, RateOverflow)
+                NegativePhotonNumber, LadderOverflow, RateOverflow, PrecisionLoss)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -65,6 +64,8 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def _load_config(args) -> SystemConfig:
+    import dataclasses
+
     from .model import load_config
 
     try:
@@ -95,6 +96,13 @@ def _load_config(args) -> SystemConfig:
 
 class _IOFailure(OSError):
     pass
+
+
+def _json_decode_error() -> type:
+    """json.JSONDecodeError, imported only when main is handling an error."""
+    import json
+
+    return json.JSONDecodeError
 
 
 def _read_csv(path: str) -> tuple[list[str], list[dict]]:
@@ -165,8 +173,6 @@ def _cmd_fit(args) -> int:
     import numpy as np
 
     from .exact import FitResult, fit_g0, fit_residual_curve
-    from .sweeps import (_FIT_SWEEP, DETUNING, FIT_WINDOW_FACTOR, SweepRequest,
-                         all_rows_failed, apply_resonance_exclusion, exact_rows)
 
     config = _load_config(args)
     observables = (args.observable,) if args.observable else OBSERVABLES
@@ -182,6 +188,9 @@ def _cmd_fit(args) -> int:
         if missing:
             raise ConfigError(f"data file lacks columns {missing}")
     else:
+        from .sweeps import (_FIT_SWEEP, DETUNING, FIT_WINDOW_FACTOR, SweepRequest,
+                             all_rows_failed, apply_resonance_exclusion, exact_rows)
+
         window = args.window
         if window is None:
             window = FIT_WINDOW_FACTOR * config.transmon.g0
@@ -222,6 +231,8 @@ def _cmd_fit(args) -> int:
                     pass  # no usable point: the fit above reported why
     _write_text(args.out, format_table(list(out_rows[0]), out_rows))
     if args.json:
+        import json
+
         _write_text(args.json, json.dumps(out_rows, indent=2, sort_keys=True) + "\n")
     if args.residuals:
         curve_rows = [{name: float(values[i]) for name, values in curves.items()}
@@ -478,7 +489,7 @@ def main(argv=None) -> int:
         _fail(str(exc))
         return EXIT_IO
     except (ConfigError, InvalidSpec, SweepError, MemoryBudgetExceeded,
-            json.JSONDecodeError) as exc:
+            _json_decode_error()) as exc:
         _fail(str(exc))
         return EXIT_CONFIG
     except _MATH_ERRORS as exc:

@@ -97,6 +97,21 @@ class AmbiguousLabeling(RuntimeError):
         return type(self), (self.pair, self.overlap)
 
 
+class PrecisionLoss(ArithmeticError):
+    """An exact shift is nonzero but smaller than the eigensolver's error
+    bound on it, so it is rounding noise rather than a shift."""
+
+    def __init__(self, observable: str, value: float, bound: float):
+        self.observable = observable
+        self.value = value
+        self.bound = bound
+        super().__init__(f"exact {observable} {value:.3e} GHz is within the eigensolver's "
+                         f"error bound {bound:.3e} GHz")
+
+    def __reduce__(self):
+        return type(self), (self.observable, self.value, self.bound)
+
+
 class NoPhysicalCoupling(RuntimeError):
     """The least-squares g0^2 is not positive and finite, or its residual sum
     or standard error is not finite: no physical coupling fits."""

@@ -28,7 +28,7 @@ import numpy as np
 
 from .contract import (OBSERVABLES, QUBIT_SHIFT, RESONATOR_PULL, AmbiguousLabeling,
                        ConvergenceFailure, DimensionOverflow, LadderOverflow,
-                       NoPhysicalCoupling)
+                       NoPhysicalCoupling, PrecisionLoss)
 from .model import RABI, SystemSpec, check_model, transmon_ladder
 from .shifts import ShiftArrays, pull_and_qubit_shift, resonant
 
@@ -176,7 +176,14 @@ _REQUIRED_PAIRS = ((0, 0), (0, 1), (1, 0))
 
 
 def exact_shifts(system: SystemSpec, model: str | None = None) -> ExactShifts:
-    """Dispersive observables from labeled exact eigenenergies."""
+    """Dispersive observables from labeled exact eigenenergies.
+
+    eigh is backward stable: each eigenvalue it returns is off by at most
+    about d eps ||H||, with ||H|| the largest absolute row sum.  A shift is
+    the difference of two eigenvalues, so it is trusted to within
+    2 d eps ||H||; a nonzero shift smaller than that is rounding noise and
+    raises PrecisionLoss.  A shift of exactly 0 (g0 = 0) is kept.
+    """
     h = build_hamiltonian(system, model)
     spectrum = diagonalize(h)
     labeling = label_dressed_states(spectrum, system, required=_REQUIRED_PAIRS)
@@ -184,9 +191,15 @@ def exact_shifts(system: SystemSpec, model: str | None = None) -> ExactShifts:
     e00 = e[labeling.labels[(0, 0)]]
     e01 = e[labeling.labels[(0, 1)]]
     e10 = e[labeling.labels[(1, 0)]]
-    return ExactShifts(
+    shifts = ExactShifts(
         resonator_pull=float(e01 - e00 - system.omega_r),
         qubit_shift=float(e10 - e00 - system.qubit.splitting(0)))
+    # every entry of H is >= 0 (see build_hamiltonian), so a row sum is its norm
+    bound = 2.0 * len(h) * np.finfo(float).eps * float(h.sum(axis=1).max())
+    for observable, value in zip(OBSERVABLES, (shifts.resonator_pull, shifts.qubit_shift)):
+        if value != 0.0 and abs(value) < bound:
+            raise PrecisionLoss(observable, value, bound)
+    return shifts
 
 
 def _transmon_shifts(detunings, g0: float, model: str, observable: str, *,

@@ -198,10 +198,7 @@ def transmon_ladder(omega_10, anharmonicity: float, g0: float,
         raise LadderOverflow(
             f"{omega_10.shape[0]} x {num_levels} ladder levels exceed the cap of "
             f"{MAX_LADDER_ENTRIES} ({LADDER_BUDGET_BYTES >> 20} MB memory budget)")
-    k = np.arange(num_levels)
-    with np.errstate(all="ignore"):
-        energies = k * omega_10 - anharmonicity * k * (k - 1) / 2.0
-        couplings = np.sqrt(k[:-1] + 1) * g0
+    energies, couplings = ladder_arrays(omega_10, anharmonicity, g0, num_levels)
     finite = np.isfinite(energies).all(axis=1) & np.isfinite(couplings).all()
     if not finite.all():
         raise LadderOverflow(f"the {num_levels}-level ladder overflows float64 "
@@ -210,21 +207,42 @@ def transmon_ladder(omega_10, anharmonicity: float, g0: float,
     return energies, couplings
 
 
+def ladder_arrays(omega_10, anharmonicity: float, g0,
+                  num_levels: int) -> tuple[np.ndarray, np.ndarray]:
+    """transmon_ladder's energies and couplings, unchecked: a collapsed or
+    overflowing ladder leaves its values in its own rows.  omega_10 and g0
+    broadcast against the ladder index as columns, shape (points, 1), or as
+    scalars."""
+    k = np.arange(num_levels)
+    with np.errstate(all="ignore"):
+        energies = k * omega_10 - anharmonicity * k * (k - 1) / 2.0
+        couplings = np.sqrt(k[:-1] + 1) * g0
+    return energies, couplings
+
+
+def transmon_sensitivities(num_levels: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The default bath sensitivities of a transmon ladder: beta_k = sqrt(k+1)
+    (matrix-element scaling of charge-like transverse noise) and
+    delta-omega_k = k (level k rides k times the 0-1 frequency fluctuation)."""
+    return (tuple(math.sqrt(k + 1) for k in range(num_levels - 1)),
+            tuple(float(k) for k in range(num_levels)))
+
+
 def expand_transmon(spec: TransmonSpec,
                     bath_couplings: tuple[float, ...] | None = None,
                     dephasing_sensitivities: tuple[float, ...] | None = None) -> QubitSpec:
     """Expand a transmon ladder (see transmon_ladder) into an explicit QubitSpec.
 
-    Defaults: beta_k = sqrt(k+1) (matrix-element scaling of charge-like
-    transverse noise) and delta-omega_k = k (level k rides k times the 0-1
-    frequency fluctuation).  Both can be overridden.
+    The bath sensitivities default to transmon_sensitivities; either can be
+    overridden.
     """
     n = spec.num_levels
     energies, couplings = transmon_ladder(spec.omega_10, spec.anharmonicity, spec.g0, n)
+    beta, dw = transmon_sensitivities(n)
     if bath_couplings is None:
-        bath_couplings = tuple(math.sqrt(k + 1) for k in range(n - 1))
+        bath_couplings = beta
     if dephasing_sensitivities is None:
-        dephasing_sensitivities = tuple(float(k) for k in range(n))
+        dephasing_sensitivities = dw
     return QubitSpec(level_energies=tuple(energies[0].tolist()),
                      coupling_ladder=tuple(couplings.tolist()),
                      transverse_bath_couplings=bath_couplings,

@@ -124,27 +124,31 @@ class DissipatorTerm:
 def second_order_rates(system: SystemSpec) -> list[DissipatorTerm]:
     """Leading-order dissipator list for a system (both bath directions)."""
     q = system.qubit
-    cx = system.bath("X")
-    cz = system.bath("Z")
-    cr = system.bath("R")
-    terms = []
-    for k in range(q.num_levels - 1):
-        w = q.splitting(k)
-        b2 = q.beta(k) ** 2
-        terms.append(DissipatorTerm(sigma_lower(k), _GHZ_TO_MHZ * b2 * cx.evaluate(w),
-                                    SECOND_ORDER))
-        terms.append(DissipatorTerm(sigma_raise(k), _GHZ_TO_MHZ * b2 * cx.evaluate(-w),
-                                    SECOND_ORDER))
+    n = q.num_levels
+    jumps = [jump for k in range(n - 1) for jump in (sigma_lower(k), sigma_raise(k))]
+    jumps += [sigma_diag(k) for k in range(n)]
+    jumps += [JumpDescriptor(photon="annihilate"), JumpDescriptor(photon="create")]
+    rates = second_order_values(np.diff(q.level_energies).tolist(),
+                                q.transverse_bath_couplings, q.dephasing_sensitivities,
+                                system.omega_r, system.baths)
+    return [DissipatorTerm(jump, rate, SECOND_ORDER) for jump, rate in zip(jumps, rates)]
+
+
+def second_order_values(w, beta, dw, omega_r: float, baths) -> list[float]:
+    """The second-order rates in MHz, in the order of second_order_rates:
+    decay and excitation per transition k, dephasing per level, then
+    kappa_minus and kappa_plus.  w and beta hold omega_{k+1,k} and beta_k
+    per transition, dw delta-omega_k per level, as Python floats; every
+    noise power is one scalar SpectralFunction.evaluate call."""
+    cx, cz, cr = baths["X"], baths["Z"], baths["R"]
+    rates = []
+    for wk, bk in zip(w, beta):
+        b2 = bk ** 2
+        rates += (_GHZ_TO_MHZ * b2 * cx.evaluate(wk), _GHZ_TO_MHZ * b2 * cx.evaluate(-wk))
     cz0 = cz.evaluate(0.0)
-    for k in range(q.num_levels):
-        terms.append(DissipatorTerm(sigma_diag(k), _GHZ_TO_MHZ * q.dw(k) ** 2 * cz0,
-                                    SECOND_ORDER))
-    omega_r = system.omega_r
-    terms.append(DissipatorTerm(JumpDescriptor(photon="annihilate"),
-                                _GHZ_TO_MHZ * cr.evaluate(omega_r), SECOND_ORDER))
-    terms.append(DissipatorTerm(JumpDescriptor(photon="create"),
-                                _GHZ_TO_MHZ * cr.evaluate(-omega_r), SECOND_ORDER))
-    return terms
+    rates += [_GHZ_TO_MHZ * dk ** 2 * cz0 for dk in dw]
+    rates += (_GHZ_TO_MHZ * cr.evaluate(omega_r), _GHZ_TO_MHZ * cr.evaluate(-omega_r))
+    return rates
 
 
 def _square(x):
@@ -157,42 +161,50 @@ def _level_prefactor(path, cross, g, den):
     """a_k: the path through each adjacent transition with nonzero coupling,
     minus the cross term of the levels 1..N-2 that have two such paths."""
     paths = padded(np.where(g != 0.0, path, 0.0))
-    both = (g[1:] != 0.0) & (g[:-1] != 0.0)
-    return paths[1:] + paths[:-1] - padded(np.where(both, cross / (den[:-1] * den[1:]), 0.0))
+    both = (g[..., 1:] != 0.0) & (g[..., :-1] != 0.0)
+    return (paths[..., 1:] + paths[..., :-1]
+            - padded(np.where(both, cross / (den[..., :-1] * den[..., 1:]), 0.0)))
 
 
-@lru_cache(maxsize=64)
-def _prefactors(q: QubitSpec, wr: float) -> tuple[np.ndarray, dict[str, dict[str, np.ndarray]]]:
+def prefactor_arrays(g, beta, w, dw, wr: float) -> tuple[np.ndarray, dict]:
     """The detunings omega_r - omega_{k+1,k} that the resonance guard reads,
-    and per model the fourth-order prefactors as read-only arrays over the
-    ladder index: "p", "d" and "c" per transition k = 0..N-2, "a" per level.
+    and per model the fourth-order prefactors as arrays over the ladder
+    index (the last axis; leading axes, such as sweep points, broadcast):
+    "p", "d" and "c" per transition k = 0..N-2, "a" per level.
 
-    No entry is checked: a resonant or overflowing denominator leaves inf
-    or NaN in its own entries only.  Cached, so that the per-index lookups
-    below evaluate the arrays of a ladder once.
+    g, beta and w hold g_k, beta_k and omega_{k+1,k} per transition, dw
+    delta-omega_k per level.  No entry is checked: a resonant or overflowing
+    denominator leaves inf or NaN in its own entries only.
     """
-    g = np.array(q.coupling_ladder)
-    beta = np.array(q.transverse_bath_couplings)
-    w = np.diff(q.level_energies)
-    dw = np.array(q.dephasing_sensitivities)
     with np.errstate(all="ignore"):
         detuning = wr - w
         den = wr * wr - w * w
         # each square is taken once and shared by the prefactors it appears in
         det2, den2, g2, beta2 = _square(detuning), _square(den), _square(g), _square(beta)
-        spread = _square(dw[:-1] - dw[1:])
+        spread = _square(dw[..., :-1] - dw[..., 1:])
         d = 2.0 * g * g * spread / det2
         rabi = {"p": 8.0 * g * g * wr * wr / den2, "d": d,
                 "c": 2.0 * g * g * spread / _square(wr + w),
                 "a": _level_prefactor(8.0 * g2 * beta2 * _square(w) / den2,
-                                      16.0 * g[1:] * g[:-1] * beta[1:] * beta[:-1]
-                                      * w[1:] * w[:-1], g, den)}
-        jc = {"p": 2.0 * g * g / det2, "d": d, "c": np.zeros(len(d)),
+                                      16.0 * g[..., 1:] * g[..., :-1] * beta[..., 1:]
+                                      * beta[..., :-1] * w[..., 1:] * w[..., :-1], g, den)}
+        jc = {"p": 2.0 * g * g / det2, "d": d, "c": np.zeros(d.shape),
               "a": _level_prefactor(2.0 * g2 * beta2 / det2,
-                                    4.0 * g[1:] * g[:-1] * beta[1:] * beta[:-1], g, detuning)}
-    for array in (detuning, *rabi.values(), *jc.values()):
-        array.flags.writeable = False
+                                    4.0 * g[..., 1:] * g[..., :-1] * beta[..., 1:]
+                                    * beta[..., :-1], g, detuning)}
     return detuning, {RABI: rabi, JC: jc}
+
+
+@lru_cache(maxsize=64)
+def _prefactors(q: QubitSpec, wr: float) -> tuple[np.ndarray, dict[str, dict[str, np.ndarray]]]:
+    """prefactor_arrays of one ladder, as read-only arrays.  Cached, so that
+    the per-index lookups below evaluate the arrays of a ladder once."""
+    detuning, prefactors = prefactor_arrays(
+        np.array(q.coupling_ladder), np.array(q.transverse_bath_couplings),
+        np.diff(q.level_energies), np.array(q.dephasing_sensitivities), wr)
+    for array in (detuning, *prefactors[RABI].values(), *prefactors[JC].values()):
+        array.flags.writeable = False
+    return detuning, prefactors
 
 
 def _lookup(k: int, system: SystemSpec, model: str, names: tuple[str, ...],

@@ -108,7 +108,8 @@ class ShiftArrays(NamedTuple):
 def pull_and_qubit_shift(n_coeff: np.ndarray, static: np.ndarray) -> tuple[np.ndarray, ...]:
     """Level differences of the diagonal corrections: the pull is the photon
     coefficient at k = 0, the qubit shift the static difference 1 - 0."""
-    return n_coeff[..., 0], static[..., 1] - static[..., 0]
+    with np.errstate(all="ignore"):
+        return n_coeff[..., 0], static[..., 1] - static[..., 0]
 
 
 def _transition(k: int, system: SystemSpec, **guards) -> ShiftArrays:

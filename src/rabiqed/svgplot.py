@@ -4,13 +4,14 @@ Writes self-contained SVG with fixed geometry and %.17g-free rounded
 coordinates so identical inputs yield byte-identical files.  Supports
 several named series, optional log-scale y, and NaN gaps (a NaN splits
 a series into separate polylines).  Any finite values plot, from 5e-324
-to 1e308, unless an axis would span more than a float can hold.
+to 1e308, unless an axis would span more than a float can hold.  Only
+the math module is imported, so plotting loads neither NumPy nor the
+dataclasses machinery.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 _WIDTH = 640.0
 _HEIGHT = 420.0
@@ -22,20 +23,25 @@ _MARGIN_B = 50.0
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
-@dataclass
 class Series:
-    label: str
-    x: list[float]
-    y: list[float]
+    """One named line: its x and y values."""
+
+    def __init__(self, label: str, x: list[float], y: list[float]):
+        self.label = label
+        self.x = x
+        self.y = y
 
 
-@dataclass
 class LinePlot:
-    title: str
-    xlabel: str
-    ylabel: str
-    logy: bool = False
-    series: list[Series] = field(default_factory=list)
+    """A titled plot of named series, rendered with render()."""
+
+    def __init__(self, title: str, xlabel: str, ylabel: str, logy: bool = False,
+                 series: list[Series] | None = None):
+        self.title = title
+        self.xlabel = xlabel
+        self.ylabel = ylabel
+        self.logy = logy
+        self.series = [] if series is None else series
 
     def add(self, label: str, x, y) -> None:
         self.series.append(Series(label=label,

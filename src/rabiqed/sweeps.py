@@ -7,6 +7,20 @@ diagonalization at every point.  Points where the math breaks down
 rows flagged with the error name rather than being dropped, so output
 files always have one row per surviving grid point.
 
+The analytic columns (every rate_rows column, and the shift_rows columns
+other than the exact ones) come from one NumPy pass over points x ladder
+index: one ladder_arrays expansion of every point's transmon, then the
+ShiftArrays and prefactor_arrays expressions that shift_report and the
+rate lookups evaluate for a single system.  No SystemSpec is built per
+point.  Elementwise IEEE arithmetic rounds alike at any array shape, so
+each row holds the bits its own system gives.  Bath noise powers stay
+scalar SpectralFunction.evaluate calls (math.expm1), one per rate the
+point's system lists.  Each row names the error its own system raises
+first, found with masks in the same order.  The exact columns diagonalize
+one Hamiltonian per point, serially or over forked workers (_map_points),
+and only the modules a sweep uses are imported: rates for rate rows, exact
+where a row diagonalizes.
+
 Detuning grids exclude the resonance window |detuning| < 3 g0 by default;
 exact-only sweeps keep the full grid.
 """
@@ -21,14 +35,12 @@ from functools import partial
 
 import numpy as np
 
-from .contract import SweepError, format_table, parse_csv
-from .exact import DIM_CAP, AmbiguousLabeling, DimensionOverflow, exact_shifts
-from .model import (JC, RABI, LadderOverflow, NonPositiveSplitting, SystemConfig,
-                    ladder_collapses)
-from .rates import (RateOverflow, dressed_dephasing_prefactors,
-                    photon_assisted_prefactor, purcell_prefactor, purcell_rates,
-                    second_order_rates)
-from .shifts import ResonantDivergence, shift_report
+from .contract import (AmbiguousLabeling, DimensionOverflow, LadderOverflow,
+                       NonPositiveSplitting, PrecisionLoss, RateOverflow,
+                       ResonantDivergence, SweepError, format_table, parse_csv)
+from .model import (JC, MAX_LADDER_ENTRIES, RABI, SystemConfig, ladder_arrays,
+                    ladder_collapses, transmon_sensitivities)
+from .shifts import ShiftArrays, pull_and_qubit_shift, resonant
 
 DETUNING = "detuning"
 COUPLING = "coupling"
@@ -42,7 +54,7 @@ RESONANCE_WINDOW_FACTOR = 3.0
 FIT_WINDOW_FACTOR = 1.5
 
 _ROW_ERRORS = (ResonantDivergence, NonPositiveSplitting, AmbiguousLabeling,
-               DimensionOverflow, LadderOverflow, RateOverflow)
+               DimensionOverflow, LadderOverflow, RateOverflow, PrecisionLoss)
 
 
 @dataclass(frozen=True)
@@ -179,58 +191,144 @@ def _frac_err(analytic: float, exact: float) -> float:
     return 0.0 if analytic == 0.0 else math.inf
 
 
-def _shift_fields(include_exact: bool, system) -> dict:
-    report = shift_report(system)
-    row = dict(chi0=report.chi[0], xi0=report.xi[0], chi_tilde0=report.chi_tilde[0],
-               pull_rabi=report.resonator_pull_rabi, pull_jc=report.resonator_pull_jc,
-               qshift_rabi=report.qubit_shift_rabi, qshift_jc=report.qubit_shift_jc)
-    if include_exact:
-        exact = exact_shifts(system, RABI)
-        row["exact_pull"] = exact.resonator_pull
-        row["exact_qshift"] = exact.qubit_shift
-        row["err_frac_rabi"] = _frac_err(report.resonator_pull_rabi, exact.resonator_pull)
-        row["err_frac_jc"] = _frac_err(report.resonator_pull_jc, exact.resonator_pull)
-    return row
+def _analytic(config: SystemConfig, variable: str, values: list[float],
+              columns_of) -> tuple[list, int]:
+    """Per point, a dict of its analytic columns or the name of the row
+    error that ends it, and the number of points evaluated.
+
+    The points' ladders come from one array pass per chunk of at most
+    MAX_LADDER_ENTRIES levels, with config.build's row errors in its order:
+    an omega_10 beyond float64, a collapse, a ladder above the cap or beyond
+    float64.  columns_of(config, variable, values, w, g) takes the points
+    whose ladders hold, with their splittings omega_{k+1,k} and couplings
+    g_k as points x transitions.  A point whose build would raise InvalidSpec
+    (a negative coupling or temperature, level energies that round equal)
+    ends the pass short of itself; _refuse then raises its error.
+    """
+    t = config.transmon
+    n = t.num_levels
+    grid = np.asarray(values)
+    with np.errstate(over="ignore"):  # omega_r + detuning beyond float64 is a fault
+        omega_10 = config.omega_10_at(grid) if variable == DETUNING else \
+            np.full(grid.shape, t.omega_10)
+    g0 = grid if variable == COUPLING else np.full(grid.shape, t.g0)
+    invalid = grid < 0.0 if variable in (COUPLING, TEMPERATURE) else \
+        np.zeros(grid.shape, bool)
+    results = np.where(~np.isfinite(omega_10), LadderOverflow.__name__,
+                       np.where(ladder_collapses(omega_10, t.anharmonicity, n),
+                                NonPositiveSplitting.__name__,
+                                LadderOverflow.__name__ if n > MAX_LADDER_ENTRIES else ""))
+    results = results.tolist()
+    chunk = max(1, MAX_LADDER_ENTRIES // n)
+    for start in range(0, len(grid), chunk):
+        points = np.arange(start, min(start + chunk, len(grid)))
+        ok = np.array([not results[i] for i in points])
+        bad = invalid[points]
+        if ok.any():
+            energies, g = ladder_arrays(omega_10[points, None], t.anharmonicity,
+                                        g0[points, None], n)
+            with np.errstate(invalid="ignore"):
+                w = np.diff(energies, axis=-1)
+            finite = np.isfinite(energies).all(axis=-1) & np.isfinite(g).all(axis=-1)
+            for i in points[ok & ~finite]:
+                results[i] = LadderOverflow.__name__
+            ok &= finite
+            bad = bad | (ok & ~(w > 0.0).all(axis=-1))
+            ok &= np.cumsum(bad) == 0  # the points before the first invalid one
+            for i, row in zip(points[ok], columns_of(
+                    config, variable, grid[points[ok]].tolist(), w[ok], g[ok])):
+                results[i] = row
+        if bad.any():
+            done = start + int(np.argmax(bad))
+            return results[:done], done
+    return results, len(grid)
 
 
-def _rate_fields(system) -> dict:
-    by_label = {t.jump.label: t.rate_mhz for t in second_order_rates(system)}
-    d0, c0_rabi = dressed_dephasing_prefactors(0, system, RABI)
-    purcell_rabi = purcell_rates(0, system, RABI)
-    purcell_jc = purcell_rates(0, system, JC)
-    return dict(
-        p0_rabi=purcell_prefactor(0, system, RABI),
-        p0_jc=purcell_prefactor(0, system, JC),
-        d0=d0,
-        c0_rabi=c0_rabi,
-        a0_rabi=photon_assisted_prefactor(0, system, RABI),
-        a0_jc=photon_assisted_prefactor(0, system, JC),
-        gamma_down0_mhz=by_label["sigma(0,1)"],
-        gamma_up0_mhz=by_label["sigma(1,0)"],
-        gamma_phi0_mhz=by_label["sigma(0,0)"],
-        kappa_minus_mhz=by_label["a"],
-        kappa_plus_mhz=by_label["adag"],
-        purcell_down0_rabi_mhz=purcell_rabi[0],
-        purcell_down0_jc_mhz=purcell_jc[0])
+def _refuse(config: SystemConfig, variable: str, value: float) -> None:
+    """Raise the error that building the point raises, where the array pass
+    found its spec invalid: its constructor says why."""
+    config.build(**{variable: value})
+    raise AssertionError(f"{variable} = {value} builds a valid system")
 
 
-def _exact_fields(model: str, system) -> dict:
-    exact = exact_shifts(system, model)
+def _records(**columns: np.ndarray) -> list[dict]:
+    """One dict per point of equal-length columns, as Python floats."""
+    return [dict(zip(columns, row)) for row in zip(*(c.tolist() for c in columns.values()))]
+
+
+def _shift_columns(config: SystemConfig, variable: str, values, w, g) -> list:
+    """shift_report's columns at every point: every transition is read, so a
+    resonance at any transition ends the point."""
+    arrays = ShiftArrays.of(g, w, config.omega_r)
+    diverges = (resonant(arrays.co) | resonant(arrays.counter)).any(axis=-1)
+    (pull_r, shift_r), (pull_j, shift_j) = (pull_and_qubit_shift(*arrays.h2(model))
+                                            for model in (RABI, JC))
+    rows = _records(chi0=arrays.chi[:, 0], xi0=arrays.xi[:, 0],
+                    chi_tilde0=arrays.chi_tilde[:, 0], pull_rabi=pull_r, pull_jc=pull_j,
+                    qshift_rabi=shift_r, qshift_jc=shift_j)
+    return [ResonantDivergence.__name__ if resonant_point else row
+            for resonant_point, row in zip(diverges.tolist(), rows)]
+
+
+def _rate_columns(config: SystemConfig, variable: str, values, w, g) -> list:
+    """The rate columns at every point, with the error its rate lookups
+    raise first: a second-order rate that is not finite (every transition
+    and level is listed), then the resonance guard of transition 0, which
+    every prefactor read here divides by, then a prefactor that is not
+    finite."""
+    from .rates import _GHZ_TO_MHZ, prefactor_arrays, second_order_values
+
+    n = config.transmon.num_levels
+    omega_r = config.omega_r
+    beta, dw = transmon_sensitivities(n)
+    detuning, prefactors = prefactor_arrays(g, np.array(beta), w, np.array(dw), omega_r)
+    rabi, jc = prefactors[RABI], prefactors[JC]
+    columns = dict(p0_rabi=rabi["p"][:, 0], p0_jc=jc["p"][:, 0], d0=rabi["d"][:, 0],
+                   c0_rabi=rabi["c"][:, 0], a0_rabi=rabi["a"][:, 0], a0_jc=jc["a"][:, 0])
+    overflows = ~np.isfinite(np.array(list(columns.values()))).all(axis=0)
+    out = []
+    for value, wk, resonant_point, overflow, row in zip(
+            values, w.tolist(), resonant(detuning[:, 0]).tolist(), overflows.tolist(),
+            _records(**columns)):
+        baths = config.baths
+        if variable == TEMPERATURE:
+            baths = {label: sf.with_temperature(value) for label, sf in baths.items()}
+        rates = second_order_values(wk, beta, dw, omega_r, baths)
+        if not all(map(math.isfinite, rates)):
+            out.append(RateOverflow.__name__)
+        elif resonant_point:
+            out.append(ResonantDivergence.__name__)
+        elif overflow:
+            out.append(RateOverflow.__name__)
+        else:
+            purcell = baths["R"].evaluate(wk[0])
+            out.append(dict(
+                row, gamma_down0_mhz=rates[0], gamma_up0_mhz=rates[1],
+                gamma_phi0_mhz=rates[2 * (n - 1)], kappa_minus_mhz=rates[-2],
+                kappa_plus_mhz=rates[-1],
+                purcell_down0_rabi_mhz=_GHZ_TO_MHZ * row["p0_rabi"] * purcell,
+                purcell_down0_jc_mhz=_GHZ_TO_MHZ * row["p0_jc"] * purcell))
+    return out
+
+
+def _exact_fields(model: str, config: SystemConfig, variable: str, value: float):
+    """The exact shifts of one point, or the name of the row error that
+    ended it.  Module-level, so that functools.partial binds it to a sweep
+    and a worker process can unpickle it."""
+    from .exact import exact_shifts
+
+    try:
+        exact = exact_shifts(config.build(**{variable: value}), model)
+    except _ROW_ERRORS as exc:
+        return type(exc).__name__
     return dict(exact_pull=exact.resonator_pull, exact_qshift=exact.qubit_shift)
 
 
-def _row(row_type, fields_of, config: SystemConfig, variable: str, value: float):
-    """The row of one sweep point, or a row naming the error that ended it.
-
-    Module-level, so that functools.partial binds it to a sweep and a worker
-    process can unpickle it.
-    """
-    value = float(value)
-    delta0 = _detuning_of(config, variable, value)
-    try:
-        return row_type(delta0_ghz=delta0, **fields_of(config.build(**{variable: value})))
-    except _ROW_ERRORS as exc:
-        return row_type(delta0_ghz=delta0, error=type(exc).__name__)
+def _rows(row_type, config: SystemConfig, variable: str, values, fields) -> list:
+    """One row per point: its fields, or a row naming its error."""
+    return [row_type(delta0_ghz=_detuning_of(config, variable, value),
+                     **({"error": f} if isinstance(f, str) else f))
+            for value, f in zip(values, fields)]
 
 
 # A sweep that diagonalizes goes to a process pool when its estimated work,
@@ -255,6 +353,8 @@ def _workers(points: int, dim: int) -> int:
     (such points only raise DimensionOverflow); otherwise the CPUs in this
     process's affinity mask, at most one per point.
     """
+    from .exact import DIM_CAP
+
     if dim > DIM_CAP or points * dim ** 3 < _PARALLEL_BREAK_EVEN:
         return 1
     if not hasattr(os, "sched_getaffinity"):  # not on macOS or Windows: serial
@@ -301,22 +401,40 @@ def _exact_work(config: SystemConfig, variable: str, values) -> tuple[int, int]:
 
 def shift_rows(config: SystemConfig, variable: str, values,
                include_exact: bool = True) -> list[ShiftRow]:
-    point = partial(_row, ShiftRow, partial(_shift_fields, include_exact), config, variable)
-    return _map_points(point, values,
-                       _exact_work(config, variable, values) if include_exact else (0, 0))
+    values = [float(value) for value in values]
+    fields, done = _analytic(config, variable, values, _shift_columns)
+    if include_exact:
+        # only the points whose analytic columns hold are diagonalized
+        points = [i for i, f in enumerate(fields) if not isinstance(f, str)]
+        dim = config.transmon.num_levels * config.resonator.fock_truncation
+        exact = _map_points(partial(_exact_fields, RABI, config, variable),
+                            [values[i] for i in points], (len(points), dim))
+        for i, e in zip(points, exact):
+            fields[i] = e if isinstance(e, str) else dict(
+                fields[i], **e,
+                err_frac_rabi=_frac_err(fields[i]["pull_rabi"], e["exact_pull"]),
+                err_frac_jc=_frac_err(fields[i]["pull_jc"], e["exact_pull"]))
+    if done < len(values):
+        _refuse(config, variable, values[done])
+    return _rows(ShiftRow, config, variable, values, fields)
 
 
 def rate_rows(config: SystemConfig, variable: str, values) -> list[RateRow]:
-    point = partial(_row, RateRow, _rate_fields, config, variable)
-    return [point(value) for value in values]
+    values = [float(value) for value in values]
+    fields, done = _analytic(config, variable, values, _rate_columns)
+    if done < len(values):
+        _refuse(config, variable, values[done])
+    return _rows(RateRow, config, variable, values, fields)
 
 
 def exact_rows(config: SystemConfig, variable: str, values,
                model: str | None = None) -> list[ExactRow]:
     if model is None:
         model = config.interaction_model
-    point = partial(_row, ExactRow, partial(_exact_fields, model), config, variable)
-    return _map_points(point, values, _exact_work(config, variable, values))
+    values = [float(value) for value in values]
+    fields = _map_points(partial(_exact_fields, model, config, variable), values,
+                         _exact_work(config, variable, values))
+    return _rows(ExactRow, config, variable, values, fields)
 
 
 def all_rows_failed(rows) -> bool:

@@ -10,12 +10,30 @@ import pytest
 
 import rabiqed
 from rabiqed import (
+    DETUNING,
+    JC,
     RABI,
+    AmbiguousLabeling,
+    DimensionOverflow,
+    LadderOverflow,
+    NonPositiveSplitting,
+    PrecisionLoss,
+    RateOverflow,
+    RateRow,
+    ResonantDivergence,
     ResonatorSpec,
+    ShiftRow,
     SpectralFunction,
     SystemSpec,
     TransmonSpec,
+    dressed_dephasing_prefactors,
+    exact_shifts,
     expand_transmon,
+    photon_assisted_prefactor,
+    purcell_prefactor,
+    purcell_rates,
+    second_order_rates,
+    shift_report,
     silent_baths,
 )
 
@@ -97,3 +115,67 @@ def noisy_baths():
 
 def two_pi():
     return 2.0 * math.pi
+
+
+# The sweep rows of one point, built point by point from the public
+# per-system API: one SystemSpec per point, as the sweeps did before they
+# evaluated their analytic columns over the whole grid at once.
+ROW_ERRORS = (ResonantDivergence, NonPositiveSplitting, AmbiguousLabeling,
+              DimensionOverflow, LadderOverflow, RateOverflow, PrecisionLoss)
+
+
+def rate_fields(system):
+    """The rate-row columns of one system."""
+    by_label = {t.jump.label: t.rate_mhz for t in second_order_rates(system)}
+    d0, c0_rabi = dressed_dephasing_prefactors(0, system, RABI)
+    return dict(
+        p0_rabi=purcell_prefactor(0, system, RABI),
+        p0_jc=purcell_prefactor(0, system, JC),
+        d0=d0,
+        c0_rabi=c0_rabi,
+        a0_rabi=photon_assisted_prefactor(0, system, RABI),
+        a0_jc=photon_assisted_prefactor(0, system, JC),
+        gamma_down0_mhz=by_label["sigma(0,1)"],
+        gamma_up0_mhz=by_label["sigma(1,0)"],
+        gamma_phi0_mhz=by_label["sigma(0,0)"],
+        kappa_minus_mhz=by_label["a"],
+        kappa_plus_mhz=by_label["adag"],
+        purcell_down0_rabi_mhz=purcell_rates(0, system, RABI)[0],
+        purcell_down0_jc_mhz=purcell_rates(0, system, JC)[0])
+
+
+def shift_fields(system, include_exact=True):
+    """The shift-row columns of one system."""
+    report = shift_report(system)
+    row = dict(chi0=report.chi[0], xi0=report.xi[0], chi_tilde0=report.chi_tilde[0],
+               pull_rabi=report.resonator_pull_rabi, pull_jc=report.resonator_pull_jc,
+               qshift_rabi=report.qubit_shift_rabi, qshift_jc=report.qubit_shift_jc)
+    if include_exact:
+        exact = exact_shifts(system, RABI)
+        row["exact_pull"] = exact.resonator_pull
+        row["exact_qshift"] = exact.qubit_shift
+        for model in ("rabi", "jc"):
+            analytic = row[f"pull_{model}"]
+            row[f"err_frac_{model}"] = (
+                (analytic - exact.resonator_pull) / exact.resonator_pull
+                if exact.resonator_pull != 0.0 else 0.0 if analytic == 0.0 else math.inf)
+    return row
+
+
+def point_row(row_type, fields_of, config, variable, value):
+    """The row of one sweep point, or a row naming the row error that ended it."""
+    value = float(value)
+    delta0 = value if variable == DETUNING else (config.transmon.omega_10
+                                                 - config.resonator.omega_r)
+    try:
+        return row_type(delta0_ghz=delta0, **fields_of(config.build(**{variable: value})))
+    except ROW_ERRORS as exc:
+        return row_type(delta0_ghz=delta0, error=type(exc).__name__)
+
+
+def point_rows(config, variable, values, include_exact=True):
+    """(shift rows, rate rows) of a sweep, one SystemSpec per point."""
+    shifts = [point_row(ShiftRow, lambda s: shift_fields(s, include_exact), config,
+                        variable, value) for value in values]
+    return shifts, [point_row(RateRow, rate_fields, config, variable, value)
+                    for value in values]

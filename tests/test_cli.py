@@ -18,7 +18,7 @@ from rabiqed import cli, contract
 from rabiqed.cli import main
 from rabiqed.sweeps import format_table
 
-from conftest import README_CONFIG, _run_python
+from conftest import README_CONFIG, _run_python, rate_fields
 
 
 @pytest.fixture
@@ -422,7 +422,7 @@ def test_temperature_sweep_rows_are_the_built_systems(tmp_path, capsys):
     """Each row of a temperature sweep is the row of the system the config
     builds at that temperature, and the qubit's thermal excitation stands to
     its decay as exp(-omega_10 / T): detailed balance in the transverse bath."""
-    from rabiqed.sweeps import SweepRequest, _rate_fields
+    from rabiqed.sweeps import SweepRequest
 
     config = _readme_config(tmp_path)
     capsys.readouterr()
@@ -432,7 +432,7 @@ def test_temperature_sweep_rows_are_the_built_systems(tmp_path, capsys):
     temperatures = SweepRequest.parse(TEMPERATURE_SWEEP).grid()
     assert len(rows) == len(temperatures) == 4
     for row, temperature in zip(rows, temperatures):
-        expected = _rate_fields(base.build(temperature=float(temperature)))
+        expected = rate_fields(base.build(temperature=float(temperature)))
         assert row["delta0_ghz"] == 1.0 and row["error"] == ""
         assert {name: row[name] for name in expected} == expected
         np.testing.assert_allclose(row["gamma_up0_mhz"] / row["gamma_down0_mhz"],
@@ -467,6 +467,20 @@ def test_overflowing_hamiltonian_entries_are_error_rows(config_path, capsys):
     assert [row["error"] for row in parse_csv(captured.out)[1]] == ["LadderOverflow"] * 2
     assert captured.err.startswith("error: every sweep point failed")
     assert captured.err.count("\n") == 1
+
+
+def test_rounding_noise_is_a_precision_loss_row(tmp_path, capsys):
+    """At omega_r = omega_10 = 1e155 GHz, eigh's error bound on a shift
+    (2 d eps max row sum |H|, 2.0e142 GHz here) dwarfs what a 0.1 GHz
+    coupling can shift: the point is a PrecisionLoss row and exit 3, not an
+    exact_pull of -4.76e139 GHz."""
+    config = tmp_path / "huge.json"
+    config.write_text(json.dumps(dict(README_CONFIG, omega_r_ghz=1e155, omega_10_ghz=1e155)))
+    capsys.readouterr()
+    assert main(["exact", "--config", str(config)]) == 3
+    captured = capsys.readouterr()
+    assert [row["error"] for row in parse_csv(captured.out)[1]] == ["PrecisionLoss"]
+    assert captured.err == "error: every sweep point failed; see the error column\n"
 
 
 def _readme_config(tmp_path):
@@ -838,19 +852,25 @@ def test_readme_plots_keep_their_bytes(tmp_path, command):
 # command imports its own layers.
 NUMPY_LOADED = ("loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'numpy')\n"
                 "assert not loaded, loaded\n")
+# ... nor dataclasses (with inspect under it) nor json, which neither uses.
+STDLIB_UNLOADED = ("loaded = [m for m in ('dataclasses', 'inspect', 'json') if m in sys.modules]\n"
+                   "assert not loaded, loaded\n")
 
 
 def test_import_loads_no_numpy():
-    """import rabiqed and rabiqed.cli load no NumPy and no numeric submodule."""
+    """import rabiqed and rabiqed.cli load no NumPy, no numeric submodule,
+    and neither dataclasses nor json."""
     code = ("import sys, rabiqed, rabiqed.cli\n"
             "assert sorted(m for m in sys.modules if m.startswith('rabiqed')) == "
-            "['rabiqed', 'rabiqed.cli', 'rabiqed.contract']\n" + NUMPY_LOADED)
+            "['rabiqed', 'rabiqed.cli', 'rabiqed.contract']\n" + NUMPY_LOADED
+            + STDLIB_UNLOADED)
     result = _run_python(code)
     assert result.returncode == 0, result.stderr
 
 
 def test_readme_plot_loads_no_numpy(tmp_path):
-    """plot on the README's shifts.csv loads no NumPy and writes the pinned bytes."""
+    """plot on the README's shifts.csv loads no NumPy, dataclasses, inspect or
+    json, and writes the pinned bytes."""
     config = tmp_path / "system.json"
     config.write_text(json.dumps(README_CONFIG))
     table, svg = tmp_path / "shifts.csv", tmp_path / "shifts.svg"
@@ -860,10 +880,37 @@ def test_readme_plot_loads_no_numpy(tmp_path):
     code = ("import sys\n"
             "from rabiqed.cli import main\n"
             f"assert main(['plot', {str(table)!r}, '--y', {y_columns!r}, '--abs',\n"
-            f"             '--logy', '--out', {str(svg)!r}]) == 0\n" + NUMPY_LOADED)
+            f"             '--logy', '--out', {str(svg)!r}]) == 0\n" + NUMPY_LOADED
+            + STDLIB_UNLOADED)
     result = _run_python(code)
     assert result.returncode == 0, result.stderr
     assert hashlib.sha256(svg.read_bytes()).hexdigest() == digest
+
+
+# Per command, the layers it must not import: rates rows need no
+# diagonalization, shift and exact rows no rate table, and a fit of given
+# data neither a sweep nor a rate table.
+COMMAND_SCOPES = [("rates", ("rabiqed.exact",)), ("shifts", ("rabiqed.rates",)),
+                  ("exact", ("rabiqed.rates",)), ("fit", ("rabiqed.rates", "rabiqed.sweeps"))]
+
+
+@pytest.mark.parametrize("command, layers", COMMAND_SCOPES, ids=[c for c, _ in COMMAND_SCOPES])
+def test_commands_import_only_their_layers(tmp_path, command, layers):
+    """A README-sized sweep, or a fit of its exact table, imports only the
+    layers its rows use."""
+    config = _readme_config(tmp_path)
+    data = tmp_path / "exact.csv"
+    assert main(["exact", "--config", config, "--sweep", "detuning:-3:3:41",
+                 "--out", str(data)]) == 0
+    args = ["--data", str(data)] if command == "fit" else ["--sweep", "detuning:-3:3:41"]
+    code = ("import sys\n"
+            "from rabiqed.cli import main\n"
+            f"assert main({[command, '--config', config, *args]!r}\n"
+            f"            + ['--out', {str(tmp_path / 'out.csv')!r}]) == 0\n"
+            f"loaded = [m for m in {layers!r} if m in sys.modules]\n"
+            "assert not loaded, loaded\n")
+    result = _run_python(code)
+    assert result.returncode == 0, result.stderr
 
 
 def test_every_export_resolves_lazily():

@@ -17,6 +17,7 @@ from rabiqed import (
     ConvergenceFailure,
     DimensionOverflow,
     NoPhysicalCoupling,
+    PrecisionLoss,
     analytic_shift,
     annihilator,
     build_hamiltonian,
@@ -136,6 +137,24 @@ def test_exact_pull_matches_doublet_formula():
     np.testing.assert_allclose(shifts.qubit_shift, mean + split - 6.0, rtol=1e-12)
     # Second order in g: pull ~ -g^2/detuning.
     np.testing.assert_allclose(shifts.resonator_pull, -0.01, rtol=5e-2)
+
+
+def test_shifts_below_the_eigensolver_bound_are_precision_loss():
+    """A nonzero exact shift smaller than eigh's error bound on it,
+    2 d eps max row sum |H|, is rounding noise and raises PrecisionLoss;
+    the exact zeros of g0 = 0 stay, and so does a 1e-10 GHz shift well
+    above its 1e-13 GHz bound."""
+    huge = build_system(detuning=0.0, g0=0.1, num_levels=5, fock=8, omega_r=1e155)
+    with pytest.raises(PrecisionLoss) as info:
+        exact_shifts(huge)
+    h = build_hamiltonian(huge)
+    assert info.value.bound == 2 * 40 * np.finfo(float).eps * np.abs(h).sum(axis=1).max()
+    assert info.value.observable == RESONATOR_PULL
+    assert 0.0 < abs(info.value.value) < info.value.bound
+    zero = exact_shifts(build_system(g0=0.0, num_levels=3, fock=4))
+    assert zero.resonator_pull == zero.qubit_shift == 0.0
+    small = exact_shifts(build_system(detuning=1.0, g0=1e-5, num_levels=3, fock=4))
+    assert 1e-11 < abs(small.resonator_pull) < 1e-9
 
 
 def test_labeling_is_exact_without_coupling():

@@ -164,6 +164,70 @@ def test_steady_state_thermal_occupation():
     np.testing.assert_allclose(np.trace(rho).real, 1.0, rtol=0, atol=1e-12)
 
 
+def _bare_gibbs(system, temperature):
+    """Gibbs weights of the bare energies E_k + n omega_r, in flat (k, n) order."""
+    m = system.resonator.fock_truncation
+    energies = (np.asarray(system.qubit.level_energies)[:, None]
+                + system.omega_r * np.arange(m)).ravel()
+    weights = np.exp(-(energies - energies.min()) / temperature)
+    return weights / weights.sum()
+
+
+def _assert_bare_gibbs(populations, weights):
+    """populations equal the weights within 1e-12 relative where a weight is a
+    normal float, within 1e-12 of the smallest normal float where it is
+    subnormal (no relative precision is left there), and exactly 0 where it
+    underflows."""
+    tiny = np.finfo(float).tiny
+    normal, zero = weights >= tiny, weights == 0.0
+    assert np.all(np.abs(populations - weights)[normal] <= 1e-12 * weights[normal])
+    assert np.all(np.abs(populations - weights)[~normal] <= 1e-12 * tiny)
+    assert np.all(populations[zero] == 0.0)
+
+
+# (qubit levels, photons, omega_r, temperatures): d = 15 and 40 at three
+# temperatures, and d = 600 (no resonant transition at omega_r = 5.1 GHz),
+# where some Gibbs weights underflow, at one temperature per model.
+GIBBS_CASES = [(3, 5, 5.0, (0.1, 0.5, 2.0), RABI), (3, 5, 5.0, (0.1, 0.5, 2.0), JC),
+               (5, 8, 5.0, (0.1, 0.5, 2.0), RABI), (5, 8, 5.0, (0.1, 0.5, 2.0), JC),
+               (5, 120, 5.1, (0.1,), RABI), (5, 120, 5.1, (0.5,), JC)]
+
+
+@pytest.mark.parametrize("levels, photons, omega_r, temperatures, model", GIBBS_CASES,
+                         ids=[f"{q}x{n}-{model}" for q, n, _, _, model in GIBBS_CASES])
+def test_common_bath_temperature_relaxes_to_bare_gibbs(levels, photons, omega_r,
+                                                       temperatures, model):
+    """With every bath at one temperature T and no drive, the dressed
+    generator's steady populations are the Gibbs weights of the bare
+    energies: each rate pair is evaluated at +- the bare frequency of its
+    jump, so detailed balance holds at those frequencies."""
+    for temperature in temperatures:
+        config = rabiqed.parse_config(dict(
+            README_CONFIG, num_qubit_levels=levels, fock_truncation=photons,
+            omega_r_ghz=omega_r, temperature_ghz=temperature, model=model))
+        system = config.build()
+        gen = assemble(system, mode=DRESSED_ANALYTIC, table=rabiqed.build_rate_table(system))
+        populations = np.diagonal(steady_state(gen)).real
+        weights = _bare_gibbs(system, temperature)
+        _assert_bare_gibbs(populations, weights)
+        if levels * photons == 600:
+            assert np.count_nonzero(weights == 0.0) > 200
+
+
+def test_thermal_state_at_the_bath_temperature_stays_put(tmp_path):
+    """evolve --init thermal:T, with every bath at T, keeps every column
+    within 1e-12 relative of its initial value over 500 ns."""
+    config = tmp_path / "system.json"
+    config.write_text(json.dumps(dict(README_CONFIG, temperature_ghz=0.5)))
+    out = tmp_path / "thermal.csv"
+    assert rabiqed.cli.main(["evolve", "--config", str(config), "--init", "thermal:0.5",
+                             "--tmax", "500", "--samples", "51", "--out", str(out)]) == 0
+    names, rows = rabiqed.parse_csv(out.read_text())
+    for name in names[1:]:
+        column = np.array([row[name] for row in rows])
+        assert np.all(np.abs(column - column[0]) <= 1e-12 * abs(column[0])), name
+
+
 def test_steady_state_rejects_degenerate_generators():
     """Pure Hamiltonian evolution has no unique stationary state."""
     gen = LindbladGenerator(np.diag([0.0, 1.0, 2.5]), ())

@@ -11,6 +11,8 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rabiqed import (
     COUPLING,
@@ -23,6 +25,7 @@ from rabiqed import (
     ConvergenceFailure,
     ExactRow,
     InvalidSpec,
+    PrecisionLoss,
     RateRow,
     ResonantDivergence,
     ResonatorSpec,
@@ -31,6 +34,8 @@ from rabiqed import (
     SweepError,
     SweepRequest,
     SystemConfig,
+    SystemSpec,
+    TEMPERATURE,
     TransmonSpec,
     all_rows_failed,
     analytic_shift,
@@ -50,7 +55,7 @@ import rabiqed.exact
 from rabiqed.cli import main
 from rabiqed.exact import DIM_CAP
 
-from conftest import build_system, no_pool
+from conftest import build_system, no_pool, point_rows
 
 
 def make_config(g0=0.1, num_levels=3, fock=5, model=RABI, temperature=0.0):
@@ -429,10 +434,124 @@ def test_collapsing_ladders_start_no_pool(monkeypatch, tmp_path, capsys):
     (AmbiguousLabeling((0, 1), 0.4), {"pair": (0, 1), "overlap": 0.4}),
     (ResonantDivergence(0, "co", 1e-9), {"k": 0, "which": "co", "value": 1e-9}),
     (InvalidSpec(("a", "b")), {"errors": ("a", "b")}),
-], ids=["AmbiguousLabeling", "ResonantDivergence", "InvalidSpec"])
+    (PrecisionLoss("resonator_pull", -4.76e139, 1.95e142),
+     {"observable": "resonator_pull", "value": -4.76e139, "bound": 1.95e142}),
+], ids=["AmbiguousLabeling", "ResonantDivergence", "InvalidSpec", "PrecisionLoss"])
 def test_errors_survive_pickling(error, fields):
     """Errors with their own constructors cross a process boundary intact."""
     copy = pickle.loads(pickle.dumps(error))
     assert type(copy) is type(error)
     assert {name: getattr(copy, name) for name in fields} == fields
     assert str(copy) == str(error)
+
+
+def _bits(rows):
+    """Each row's values as exact bit patterns (float.hex), error names as is."""
+    return [{name: value if isinstance(value, str) else float(value).hex()
+             for name, value in vars(row).items()} for row in rows]
+
+
+def _outcome(build):
+    """The rows build() returns, or the type and message of what it raises."""
+    try:
+        return build()
+    except InvalidSpec as exc:
+        return type(exc), str(exc)
+
+
+# Grids that land on what ends a point: with anharmonicity 0.25 a detuning
+# grid of step 0.25 puts transition k on the resonator at k * 0.25; with
+# omega_r 4e-7 both denominators of transition 0 fall inside the 1e-6
+# resonance tolerance; detunings at or below -omega_r, or a large
+# anharmonicity, collapse the ladder; omega_10 = 1 (detuning -4 from
+# omega_r = 5) with anharmonicity 0.25 - 2^-54 and 6 levels rounds two level
+# energies equal although no splitting formula reaches 0, an invalid spec;
+# a coupling grid from 0 holds g0 = 0, one through 0 a negative coupling,
+# and a temperature grid through 0 a negative temperature.
+ROUNDED_EQUAL = 0.24999999999999994
+GRIDS = {DETUNING: [(-1.0, 1.0, 9), (-5.5, 1.0, 27), (-6.0, -4.0, 5), (0.4, 3.0, 3),
+                    (-1e-6, 1e-6, 5), (1e300, 1e308, 3), (-4.0, 0.0, 5)],
+         COUPLING: [(0.0, 0.3, 4), (-0.1, 0.2, 4), (0.2, -0.1, 4), (1e150, 1e200, 3)],
+         TEMPERATURE: [(0.0, 2.0, 5), (0.5, -0.5, 3), (1e-3, 1e3, 4)]}
+
+
+@st.composite
+def sweep_cases(draw):
+    variable = draw(st.sampled_from(sorted(GRIDS)))
+    start, stop, count = draw(st.sampled_from(GRIDS[variable]))
+    baths = {label: SpectralFunction.flat(level, temperature_ghz=draw(
+        st.sampled_from([0.0, 0.1, 2.0]))) for label, level in
+        (("X", 0.002), ("Z", 0.01), ("R", 0.001))}
+    if draw(st.booleans()):  # an ohmic X bath, whose huge coupling overflows a rate
+        baths["X"] = SpectralFunction.ohmic(draw(st.sampled_from([0.002, 1e306])),
+                                            cutoff_ghz=50.0, temperature_ghz=0.1)
+    config = SystemConfig(
+        transmon=TransmonSpec(omega_10=draw(st.sampled_from([6.0, 5.0, 4e-7])),
+                              anharmonicity=draw(st.sampled_from(
+                                  [0.25, -0.3, 2.0, 0.0, ROUNDED_EQUAL])),
+                              g0=draw(st.sampled_from([0.0, 0.1, 0.37, 1e155])),
+                              num_levels=draw(st.integers(2, 6))),
+        resonator=ResonatorSpec(omega_r=draw(st.sampled_from([5.0, 4e-7])),
+                                fock_truncation=draw(st.integers(2, 4))),
+        interaction_model=RABI, baths=baths)
+    return config, variable, np.linspace(start, stop, count), draw(st.sampled_from(
+        [None, 6, 8, 12]))
+
+
+def _case(variable, grid, cap=None, **transmon):
+    """A sweep case of the README-like config make_config builds."""
+    config = make_config(temperature=0.1)
+    config = dataclasses.replace(config, transmon=dataclasses.replace(config.transmon,
+                                                                      **transmon))
+    return config, variable, np.linspace(*grid), cap
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=sweep_cases())
+@example(case=_case(DETUNING, (-4.0, 0.0, 5), 8, anharmonicity=ROUNDED_EQUAL,
+                    num_levels=6))
+@example(case=_case(DETUNING, (0.0, -4.0, 5), 6, anharmonicity=ROUNDED_EQUAL,
+                    num_levels=6))
+@example(case=_case(COUPLING, (0.3, -0.3, 7), 6))
+def test_vectorized_rows_equal_point_by_point_rows(case):
+    """Rows from the one-pass sweeps equal rows built point by point from
+    the public per-system API (config.build, shift_report, the rate
+    lookups, exact_shifts), value bits and error names alike; a sweep that
+    reaches an invalid spec raises the same error.  Each case runs under
+    both models.  A drawn cap on ladder entries splits the grid into chunks
+    of 1 to 6 points."""
+    base, variable, grid, cap = case
+    for model in (RABI, JC):
+        config = dataclasses.replace(base, interaction_model=model)
+        with pytest.MonkeyPatch.context() as patch:
+            if cap is not None:
+                patch.setattr(sweeps, "MAX_LADDER_ENTRIES", cap)
+            fast = (_outcome(lambda: shift_rows(config, variable, grid)),
+                    _outcome(lambda: rate_rows(config, variable, grid)))
+        slow = (_outcome(lambda: point_rows(config, variable, grid)[0]),
+                _outcome(lambda: point_rows(config, variable, grid)[1]))
+        for got, expected in zip(fast, slow):
+            if isinstance(expected, tuple):
+                assert got == expected
+            else:
+                assert _bits(got) == _bits(expected)
+
+
+def test_analytic_sweeps_build_no_system_per_point(monkeypatch):
+    """rate_rows and the analytic columns of shift_rows build no SystemSpec;
+    with the exact columns, one per point that diagonalizes."""
+    built = []
+    post_init = SystemSpec.__post_init__
+    monkeypatch.setattr(SystemSpec, "__post_init__",
+                        lambda self: (built.append(self), post_init(self)))
+    config = parse_config(README_CONFIG)
+    grid = np.linspace(-3.0, 3.0, 161)
+    for variable, values in ((DETUNING, grid), (COUPLING, np.linspace(0, 0.3, 31)),
+                             (TEMPERATURE, np.linspace(0, 2, 21))):
+        rate_rows(config, variable, values)
+        shift_rows(config, variable, values, include_exact=False)
+        assert built == []
+    rows = shift_rows(config, DETUNING, grid)
+    # every point but the resonant ones at 0 and 0.75 GHz diagonalizes
+    assert [row.error for row in rows].count("ResonantDivergence") == 2
+    assert len(built) == 159

@@ -144,21 +144,20 @@ def rate_fields(system):
         purcell_down0_jc_mhz=purcell_rates(0, system, JC)[0])
 
 
-def shift_fields(system, include_exact=True):
-    """The shift-row columns of one system."""
+def shift_fields(system):
+    """The shift-row columns of one system, exact ones included."""
     report = shift_report(system)
     row = dict(chi0=report.chi[0], xi0=report.xi[0], chi_tilde0=report.chi_tilde[0],
                pull_rabi=report.resonator_pull_rabi, pull_jc=report.resonator_pull_jc,
                qshift_rabi=report.qubit_shift_rabi, qshift_jc=report.qubit_shift_jc)
-    if include_exact:
-        exact = exact_shifts(system, RABI)
-        row["exact_pull"] = exact.resonator_pull
-        row["exact_qshift"] = exact.qubit_shift
-        for model in ("rabi", "jc"):
-            analytic = row[f"pull_{model}"]
-            row[f"err_frac_{model}"] = (
-                (analytic - exact.resonator_pull) / exact.resonator_pull
-                if exact.resonator_pull != 0.0 else 0.0 if analytic == 0.0 else math.inf)
+    exact = exact_shifts(system, RABI)
+    row["exact_pull"] = exact.resonator_pull
+    row["exact_qshift"] = exact.qubit_shift
+    for model in ("rabi", "jc"):
+        analytic = row[f"pull_{model}"]
+        row[f"err_frac_{model}"] = (
+            (analytic - exact.resonator_pull) / exact.resonator_pull
+            if exact.resonator_pull != 0.0 else 0.0 if analytic == 0.0 else math.inf)
     return row
 
 
@@ -173,9 +172,11 @@ def point_row(row_type, fields_of, config, variable, value):
         return row_type(delta0_ghz=delta0, error=type(exc).__name__)
 
 
-def point_rows(config, variable, values, include_exact=True):
-    """(shift rows, rate rows) of a sweep, one SystemSpec per point."""
-    shifts = [point_row(ShiftRow, lambda s: shift_fields(s, include_exact), config,
-                        variable, value) for value in values]
-    return shifts, [point_row(RateRow, rate_fields, config, variable, value)
-                    for value in values]
+def shift_point_rows(config, variable, values):
+    """The shift rows of a sweep, one SystemSpec per point."""
+    return [point_row(ShiftRow, shift_fields, config, variable, value) for value in values]
+
+
+def rate_point_rows(config, variable, values):
+    """The rate rows of a sweep, one SystemSpec per point."""
+    return [point_row(RateRow, rate_fields, config, variable, value) for value in values]

@@ -55,7 +55,7 @@ import rabiqed.exact
 from rabiqed.cli import main
 from rabiqed.exact import DIM_CAP
 
-from conftest import build_system, no_pool, point_rows
+from conftest import build_system, no_pool, rate_point_rows, shift_point_rows
 
 
 def make_config(g0=0.1, num_levels=3, fock=5, model=RABI, temperature=0.0):
@@ -528,8 +528,8 @@ def test_vectorized_rows_equal_point_by_point_rows(case):
                 patch.setattr(sweeps, "MAX_LADDER_ENTRIES", cap)
             fast = (_outcome(lambda: shift_rows(config, variable, grid)),
                     _outcome(lambda: rate_rows(config, variable, grid)))
-        slow = (_outcome(lambda: point_rows(config, variable, grid)[0]),
-                _outcome(lambda: point_rows(config, variable, grid)[1]))
+        slow = (_outcome(lambda: shift_point_rows(config, variable, grid)),
+                _outcome(lambda: rate_point_rows(config, variable, grid)))
         for got, expected in zip(fast, slow):
             if isinstance(expected, tuple):
                 assert got == expected

@@ -148,6 +148,8 @@ class SpectralFunction:
         if self.temperature == 0.0:
             return j if omega > 0.0 else 0.0
         x = abs(omega) / self.temperature
+        if x == 0.0:  # |omega| / T underflows: the high-temperature limit
+            return j * self.temperature / abs(omega)
         if omega > 0.0:
             return j / -math.expm1(-x)
         if x > _EXP_MAX:

@@ -7,12 +7,13 @@ _build_liouvillian multiplies the Hamiltonian by 2 pi and each rate by
 
 Two assembly modes are supported:
 
-- ``dressed_analytic``: diagonal Hamiltonian (bare energies plus the
-  second-order diagonal corrections) with the second- and fourth-order
-  dissipator lists realized on the product space.
+- ``dressed_analytic``: diagonal Hamiltonian (bare energies plus second-order
+  diagonal corrections) and the second- and fourth-order dissipators.
 - ``bare_plus_interaction``: the full interaction Hamiltonian with the
   second-order dissipators only; used to cross-check the dressed picture
   against real-time dynamics.
+Either way each jump is realized once, as its closed-form nonzero entries
+(operators.jump_entries), never as a d x d matrix.
 
 A generator with a population sector (every dressed_analytic one; see
 _jump_maps) is evolved and solved for its steady state with NumPy alone,
@@ -39,7 +40,7 @@ from .contract import (DegenerateNullSpace, MemoryBudgetExceeded, PropagationFai
                        TruncationTooSmall)
 from .exact import _bare_energies, build_hamiltonian
 from .model import SystemSpec
-from .operators import DimensionMismatch, ProductSpace, jump_matrix
+from .operators import DimensionMismatch, ProductSpace, _Entries, jump_entries, jump_matrix
 from .rates import DissipatorTerm, JumpDescriptor, RateTable, build_rate_table
 from .shifts import shift_report
 
@@ -61,9 +62,9 @@ class NoPopulationSector(ValueError):
     """steady_state was handed a generator without a population sector."""
 
 
-# The most bytes that the dense Hamiltonian and jumps of an assembled
-# generator, or the recorded entries of one evolution, may take.  The d = 600
-# README generator (61 jumps) takes 178 MB of it.
+# The most bytes that the dense Hamiltonian and jumps of an assembled generator,
+# or the recorded entries of one evolution, may take.  The jumps are held as
+# entries, so the dense estimate stands in for the solvers' d^2 work.
 MEMORY_BUDGET_BYTES = 2 ** 31
 
 
@@ -92,10 +93,8 @@ def _build_liouvillian(h: np.ndarray, dissipators) -> sp.csr_matrix:
     d = h.shape[0]
     rows, cols, values = [], [], []
     stacked_rows, stacked_cols, stacked, weighted = [], [], [], []
-    for op, rate in dissipators:
+    for (_, r, c, v), rate in dissipators:
         gamma = _RATE_TO_INV_NS * rate
-        r, c = np.nonzero(op)
-        v = op[r, c]
         rows.append(np.add.outer(r * d, r).ravel())
         cols.append(np.add.outer(c * d, c).ravel())
         values.append(gamma * np.multiply.outer(v, v.conj()).ravel())
@@ -142,7 +141,7 @@ def _jump_maps(h: np.ndarray, dissipators) -> _JumpMaps | None:
 
     It has one when H is diagonal and real, and every jump (each has a
     nonzero rate; see LindbladGenerator) has real nonnegative entries with
-    at most one nonzero per row and per column: every jump_matrix does, so
+    at most one nonzero per row and per column: every jump_entries does, so
     every dressed_analytic generator has one.  Such a jump maps |i><j| to a
     multiple of |t(i)><t(j)| with t one-to-one, so populations stay
     populations and coherences stay coherences.
@@ -157,13 +156,10 @@ def _jump_maps(h: np.ndarray, dissipators) -> _JumpMaps | None:
         energies = energies.real
     targets = np.full((len(dissipators), d), -1)
     magnitudes = np.zeros((len(dissipators), d))
-    for m, (op, _) in enumerate(dissipators):
-        if np.iscomplexobj(op):
-            if op.imag.any():
-                return None
-            op = op.real
-        r, c = np.nonzero(op)
-        v = op[r, c]
+    for m, ((_, r, c, v), _) in enumerate(dissipators):
+        if np.iscomplexobj(v) and v.imag.any():
+            return None
+        v = v.real
         if (np.any(v < 0.0) or np.bincount(r, minlength=d).max() > 1
                 or np.bincount(c, minlength=d).max() > 1):
             return None
@@ -217,17 +213,18 @@ def _entry_bound(h: np.ndarray, dissipators) -> float:
     of size d^2 x d^2; NaN or infinite when an input is.
     """
     kappa, peak = np.zeros(h.shape[0]), 0.0
-    for op, rate in dissipators:
-        squares = np.abs(op) ** 2
-        kappa = kappa + _RATE_TO_INV_NS * rate * squares.sum(axis=0)
-        peak += _RATE_TO_INV_NS * rate * squares.max()
+    for (_, _, cols, values), rate in dissipators:
+        squares = np.abs(values) ** 2
+        kappa = kappa + _RATE_TO_INV_NS * rate * np.bincount(cols, squares, len(h))
+        peak += _RATE_TO_INV_NS * rate * squares.max(initial=0.0)
     return float(2.0 * TWO_PI * np.max(np.abs(h)) + np.max(kappa) + peak)
 
 
 @dataclass(frozen=True)
 class LindbladGenerator:
-    """Hamiltonian (GHz) plus a list of (jump matrix, rate in MHz).
+    """Hamiltonian (GHz) plus a list of (jump, rate in MHz).
 
+    A jump is a d x d matrix, scanned here once, or realize_terms' entries.
     Pairs with a zero rate contribute nothing and are dropped when the
     generator is made, so every pair in dissipators has a positive rate.
     The sparse Liouvillian is built on first use, by superoperator() or
@@ -239,7 +236,7 @@ class LindbladGenerator:
     """
 
     hamiltonian: np.ndarray
-    dissipators: tuple[tuple[np.ndarray, float], ...]
+    dissipators: tuple[tuple[_Entries, float], ...]
     _maps: _JumpMaps | None = field(init=False, default=None, repr=False, compare=False)
     _liouvillian: sp.csr_matrix | None = field(init=False, default=None, repr=False,
                                                compare=False)
@@ -253,7 +250,10 @@ class LindbladGenerator:
             raise ValueError("hamiltonian is not Hermitian")
         pairs = []
         for op, rate in self.dissipators:
-            op = np.asarray(op)
+            if not isinstance(op, _Entries):
+                op = np.asarray(op)
+                if op.ndim == 2:  # a dense jump: its one scan into entries
+                    op = _Entries(op.shape, *np.nonzero(op), op[op != 0])
             if op.shape != h.shape:
                 raise DimensionMismatch(f"jump operator shape {op.shape} does not "
                                         f"match hamiltonian {h.shape}")
@@ -290,17 +290,11 @@ class LindbladGenerator:
 
 
 def realize_terms(terms: Iterable[DissipatorTerm],
-                  space: ProductSpace) -> list[tuple[np.ndarray, float]]:
-    """Turn symbolic dissipator terms into (matrix, rate) pairs.
-
-    Zero-rate terms are dropped; they contribute nothing to the generator.
-    """
-    out = []
-    for term in terms:
-        if term.rate_mhz == 0.0:
-            continue
-        out.append((jump_matrix(term.jump, space), term.rate_mhz))
-    return out
+                  space: ProductSpace) -> list[tuple[_Entries, float]]:
+    """Turn symbolic dissipator terms into (jump entries, rate) pairs; zero-rate
+    terms contribute nothing to the generator and are dropped."""
+    return [(jump_entries(term.jump, space), term.rate_mhz)
+            for term in terms if term.rate_mhz != 0.0]
 
 
 def dressed_hamiltonian(system: SystemSpec, model: str) -> np.ndarray:
@@ -859,28 +853,24 @@ def steady_state(gen: LindbladGenerator) -> np.ndarray:
         return _population_steady_state(gen._maps)
 
 
-def partial_trace_resonator(rho: np.ndarray, space: ProductSpace) -> np.ndarray:
-    """Reduce a product-space density matrix to the qubit factor."""
+def _factor_axes(rho: np.ndarray, space: ProductSpace) -> np.ndarray:
+    """rho with axes (k, n, k', n'), after a check of its shape."""
     d = space.dimension
     rho = np.asarray(rho)
     if rho.shape != (d, d):
         raise DimensionMismatch(f"state shape {rho.shape} does not match space "
                                 f"dimension {d}")
-    reshaped = rho.reshape(space.qubit_dim, space.fock_dim,
-                           space.qubit_dim, space.fock_dim)
-    return np.einsum("injn->ij", reshaped)
+    return rho.reshape(space.qubit_dim, space.fock_dim, space.qubit_dim, space.fock_dim)
+
+
+def partial_trace_resonator(rho: np.ndarray, space: ProductSpace) -> np.ndarray:
+    """Reduce a product-space density matrix to the qubit factor."""
+    return np.einsum("injn->ij", _factor_axes(rho, space))
 
 
 def partial_trace_qubit(rho: np.ndarray, space: ProductSpace) -> np.ndarray:
     """Reduce a product-space density matrix to the resonator factor."""
-    d = space.dimension
-    rho = np.asarray(rho)
-    if rho.shape != (d, d):
-        raise DimensionMismatch(f"state shape {rho.shape} does not match space "
-                                f"dimension {d}")
-    reshaped = rho.reshape(space.qubit_dim, space.fock_dim,
-                           space.qubit_dim, space.fock_dim)
-    return np.einsum("inim->nm", reshaped)
+    return np.einsum("inim->nm", _factor_axes(rho, space))
 
 
 def thermal_resonator_state(m: int, nbar: float) -> np.ndarray:

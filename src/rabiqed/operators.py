@@ -1,15 +1,16 @@
 """Matrix representations on the qubit (x) resonator product space.
 
 Basis ordering: the product state |k, n> (qubit level k, n photons) sits
-at flat index k * M + n, i.e. the qubit is the slow index.  All matrices
-are dense numpy arrays: at the truncations this package targets (a few
-hundred states) dense operators are cheap to build and multiply.  The
-Liouvillian, of dimension d^2, is sparse (see lindblad).
+at flat index k * M + n, i.e. the qubit is the slow index.  Operators are
+dense numpy arrays, except a jump, which moves each product state to at most
+one other: jump_entries gives its nonzero entries in closed form, and
+jump_matrix scatters them.  The Liouvillian, of dimension d^2, is sparse.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -76,24 +77,40 @@ def embed(qubit_op: np.ndarray | None, photon_op: np.ndarray | None,
     return np.kron(q, p)
 
 
-def jump_matrix(descriptor: JumpDescriptor, space: ProductSpace) -> np.ndarray:
-    """Realize a symbolic jump descriptor as a dense matrix."""
-    q = None
+class _Entries(NamedTuple):
+    """A jump's nonzero entries L[rows[i], cols[i]] = values[i], row-major."""
+    shape: tuple[int, int]
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+
+
+def jump_entries(descriptor: JumpDescriptor, space: ProductSpace) -> _Entries:
+    """The nonzero entries of jump_matrix, row-major: the qubit factor is
+    |k><k|, |k><k+1|, |k+1><k| or the identity, and the photon factor sends n
+    to n - 1 with weight sqrt(n), to n + 1 with sqrt(n + 1), or to n with 1."""
+    n_q, m = space.qubit_dim, space.fock_dim
+    q_rows = q_cols = np.arange(n_q)
     if descriptor.qubit is not None:
         kind, k = descriptor.qubit
-        if kind == "diag":
-            if k >= space.qubit_dim:
-                raise DimensionMismatch(f"level {k} outside {space.qubit_dim}-level qubit")
-            q = qubit_projector(k, space.qubit_dim)
-        else:
-            if k >= space.qubit_dim - 1:
-                raise DimensionMismatch(f"transition {k} outside {space.qubit_dim}-level qubit")
-            q = qubit_lower(k, space.qubit_dim)
-            if kind == "raise":
-                q = q.T
-    p = None
+        if k >= n_q - (kind != "diag"):
+            what = "level" if kind == "diag" else "transition"
+            raise DimensionMismatch(f"{what} {k} outside {n_q}-level qubit")
+        q_rows, q_cols = np.array([k + (kind == "raise")]), np.array([k + (kind == "lower")])
+    p_rows = p_cols = np.arange(m)
+    values = np.ones(m)
     if descriptor.photon is not None:
-        p = annihilator(space.fock_dim)
-        if descriptor.photon == "create":
-            p = p.T
-    return embed(q, p, space)
+        lower, upper = np.arange(m - 1), np.arange(1, m)
+        p_rows, p_cols = (upper, lower) if descriptor.photon == "create" else (lower, upper)
+        values = np.sqrt(np.arange(1.0, m))
+    return _Entries((space.dimension, space.dimension), np.add.outer(q_rows * m, p_rows).ravel(),
+                    np.add.outer(q_cols * m, p_cols).ravel(), np.tile(values, len(q_rows)))
+
+
+def jump_matrix(descriptor: JumpDescriptor, space: ProductSpace) -> np.ndarray:
+    """Realize a symbolic jump descriptor as a dense matrix: its entries
+    scattered into a zeroed array."""
+    entries = jump_entries(descriptor, space)
+    out = np.zeros(entries.shape)
+    out[entries.rows, entries.cols] = entries.values
+    return out

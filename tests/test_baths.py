@@ -84,6 +84,16 @@ def test_absorption_overflow_guard():
     assert value < 1e-300
 
 
+def test_underflowing_bose_argument_takes_the_high_temperature_limit():
+    """Where |omega| / T underflows to 0, C(+-omega) is J(|omega|) T / |omega|
+    for both signs, not a division by expm1(0)."""
+    ohmic = SpectralFunction.ohmic(2.0, temperature_ghz=10.0)
+    assert ohmic.evaluate(5e-324) == ohmic.evaluate(-5e-324) == 20.0 == ohmic.dc_limit()
+    flat = SpectralFunction.flat(0.001, temperature_ghz=10.0)
+    assert flat.evaluate(5e-324) == flat.evaluate(-5e-324) == math.inf
+    assert SpectralFunction.silent(10.0).evaluate(-5e-324) == 0.0
+
+
 def test_ohmic_dc_limit_is_eta_times_temperature():
     """The w -> 0 noise power of an Ohmic bath is eta * T."""
     bath = SpectralFunction.ohmic(2.0, cutoff_ghz=50.0, temperature_ghz=0.25)

@@ -956,3 +956,37 @@ def test_moved_names_keep_their_old_paths():
     for error in (*cli._MATH_ERRORS, contract.ConfigError, contract.InvalidSpec,
                   contract.SweepError, contract.MemoryBudgetExceeded):
         assert error.__module__ == "rabiqed.contract"
+
+
+# sha256 of the dynamics CSVs of the README config.
+DYNAMICS_BYTES = {
+    ("steady", "--photons", "4"):
+        "058b6e671e3829d4c819dc1d4e2bb736adea5d4038436fc67ea6e7ad84ffc07a",
+    ("evolve", "--init", "fock:1:0", "--tmax", "500", "--samples", "251"):
+        "70f986c5ee8c64b89817f7979ae7cb5541883a7d0d134faa07078cb0e87f35af",
+    ("steady", "--nq", "5", "--nr", "20", "--photons", "4"):
+        "058b6e671e3829d4c819dc1d4e2bb736adea5d4038436fc67ea6e7ad84ffc07a",
+}
+
+
+@pytest.mark.parametrize("args", list(DYNAMICS_BYTES), ids=["steady", "evolve", "steady-d100"])
+def test_dynamics_bytes_are_pinned(tmp_path, args):
+    """The README's steady and evolve CSVs, and steady at d = 100, keep their bytes."""
+    out = tmp_path / "out.csv"
+    assert main([*args, "--config", _readme_config(tmp_path), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == DYNAMICS_BYTES[args]
+
+
+@pytest.mark.parametrize("args", [["rates"], ["steady"],
+                                  ["evolve", "--tmax", "1", "--samples", "3"]])
+def test_underflowing_bose_argument_exits_cleanly(tmp_path, capsys, args):
+    """With omega_r / T underflowing to 0 the noise power takes its
+    high-temperature limit instead of dividing by expm1(0): the command
+    ends in exit 0 or 3, with at most one error line."""
+    config = tmp_path / "system.json"
+    config.write_text(json.dumps(dict(README_CONFIG, omega_r_ghz=5e-324,
+                                      temperature_ghz=10.0)))
+    capsys.readouterr()
+    assert main([*args, "--config", str(config)]) in (0, 3)
+    err = capsys.readouterr().err
+    assert err.count("error:") <= 1 and err.count("\n") <= 1

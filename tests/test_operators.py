@@ -16,6 +16,7 @@ from rabiqed import (
     qubit_lower,
     qubit_projector,
 )
+from rabiqed.operators import jump_entries
 
 
 def test_product_space_indexing():
@@ -75,19 +76,37 @@ def test_embed_tensors_factors():
 
 
 def test_jump_matrix_realizations():
-    """Symbolic descriptors map onto the correct sparse patterns."""
-    space = ProductSpace(3, 4)
-    lower = jump_matrix(JumpDescriptor(qubit=("lower", 1)), space)
-    np.testing.assert_allclose(lower, embed(qubit_lower(1, 3), None, space), rtol=0)
-    raise_create = jump_matrix(
-        JumpDescriptor(qubit=("raise", 0), photon="create"), space
-    )
-    expected = embed(qubit_lower(0, 3).T, annihilator(4).conj().T, space)
-    np.testing.assert_allclose(raise_create, expected, rtol=0)
-    diag = jump_matrix(JumpDescriptor(qubit=("diag", 2)), space)
-    np.testing.assert_allclose(diag, embed(qubit_projector(2, 3), None, space), rtol=0)
-    photon = jump_matrix(JumpDescriptor(photon="annihilate"), space)
-    np.testing.assert_allclose(photon, embed(None, annihilator(4), space), rtol=0)
+    """Every descriptor's closed-form entries are the nonzeros of its
+    Kronecker form, bit for bit and in row-major order, and jump_matrix
+    scatters them into that form: each qubit factor (none, lower, raise or
+    diag at every level) with each photon factor (none, a or a+), on the
+    spaces (2, 2), (3, 4) and (5, 8)."""
+    for n_q, m in ((2, 2), (3, 4), (5, 8)):
+        space = ProductSpace(n_q, m)
+        qubits = {None: None}
+        for k in range(n_q):
+            qubits[("diag", k)] = qubit_projector(k, n_q)
+        for k in range(n_q - 1):
+            qubits[("lower", k)] = qubit_lower(k, n_q)
+            qubits[("raise", k)] = qubit_lower(k, n_q).T
+        photons = {None: None, "annihilate": annihilator(m),
+                   "create": annihilator(m).conj().T}
+        for qubit, q in qubits.items():
+            for photon, p in photons.items():
+                if qubit is None and photon is None:
+                    continue
+                descriptor = JumpDescriptor(qubit=qubit, photon=photon)
+                expected = embed(q, p, space)
+                entries = jump_entries(descriptor, space)
+                rows, cols = np.nonzero(expected)
+                assert entries.shape == expected.shape
+                np.testing.assert_array_equal(entries.rows, rows)
+                np.testing.assert_array_equal(entries.cols, cols)
+                assert entries.values.dtype == expected.dtype
+                assert entries.values.tobytes() == expected[rows, cols].tobytes()
+                dense = jump_matrix(descriptor, space)
+                assert dense.dtype == expected.dtype
+                assert dense.tobytes() == expected.tobytes()
 
 
 def test_jump_matrix_bounds():
@@ -97,3 +116,5 @@ def test_jump_matrix_bounds():
         jump_matrix(JumpDescriptor(qubit=("lower", 1)), space)
     with pytest.raises(DimensionMismatch):
         jump_matrix(JumpDescriptor(qubit=("diag", 2)), space)
+    with pytest.raises(DimensionMismatch):
+        jump_entries(JumpDescriptor(qubit=("raise", 1), photon="create"), space)

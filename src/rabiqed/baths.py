@@ -18,6 +18,7 @@ conversion to MHz happens only where rates are reported.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -32,6 +33,8 @@ _MODELS = (OHMIC, ONE_OVER_F, FLAT)
 
 # exp(x) is representable in float64 up to x ~ 709.78
 _EXP_MAX = 709.0
+# the least positive normal float64; below it a product loses bits
+_NORMAL_MIN = sys.float_info.min
 
 
 class NegativeFrequency(ValueError):
@@ -148,6 +151,13 @@ class SpectralFunction:
         if self.temperature == 0.0:
             return j if omega > 0.0 else 0.0
         x = abs(omega) / self.temperature
+        if self.model == OHMIC and abs(omega) < _NORMAL_MIN:
+            # eta |omega| loses its bits below the normal range, so C is
+            # written without it: J(|omega|) / |omega| times T x / (1 - e^-x),
+            # where T x / (1 - e^-x) = |omega| (nbar + 1) tends to T as x -> 0
+            ratio = 1.0 if x == 0.0 else x / -math.expm1(-x)
+            emission = self.eta * math.exp(-abs(omega) / self.cutoff) * self.temperature * ratio
+            return emission if omega > 0.0 else emission * math.exp(-x)
         if x == 0.0:  # |omega| / T underflows: the high-temperature limit
             return j * self.temperature / abs(omega)
         if omega > 0.0:

@@ -308,8 +308,7 @@ def dressed_hamiltonian(system: SystemSpec, model: str) -> np.ndarray:
     return np.diag(energies.ravel())
 
 
-def assemble(system: SystemSpec, mode: str = DRESSED_ANALYTIC,
-             table: RateTable | None = None, include_fourth_order: bool = True,
+def assemble(system: SystemSpec, mode: str = DRESSED_ANALYTIC, table: RateTable | None = None,
              extra_terms: Sequence[DissipatorTerm] = ()) -> LindbladGenerator:
     """Build a LindbladGenerator for a system, under its own interaction
     model, in one of the two modes."""
@@ -321,7 +320,7 @@ def assemble(system: SystemSpec, mode: str = DRESSED_ANALYTIC,
     if table is None:
         table = build_rate_table(system)
     terms = list(table.second_order)
-    if mode == DRESSED_ANALYTIC and include_fourth_order:
+    if mode == DRESSED_ANALYTIC:
         terms.extend(table.fourth(model))
     terms.extend(extra_terms)
     live = sum(term.rate_mhz != 0.0 for term in terms)

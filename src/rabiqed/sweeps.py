@@ -1,25 +1,23 @@
 """Parameter sweeps producing flat result rows.
 
 A sweep varies one of {detuning, coupling, temperature} over a uniform
-grid and evaluates analytic shifts, rate prefactors, and exact
-diagonalization at every point.  Points where the math breaks down
-(resonant denominators, collapsed ladders, ambiguous labeling) produce
-rows flagged with the error name rather than being dropped, so output
-files always have one row per surviving grid point.
+grid.  Points where the math breaks down (resonant denominators, collapsed
+ladders, ambiguous labeling) produce rows flagged with the error name
+rather than being dropped, so output files always have one row per
+surviving grid point.
 
-The analytic columns (every rate_rows column, and the shift_rows columns
-other than the exact ones) come from one NumPy pass over points x ladder
-index: one ladder_arrays expansion of every point's transmon, then the
-ShiftArrays and prefactor_arrays expressions that shift_report and the
-rate lookups evaluate for a single system.  No SystemSpec is built per
-point.  Elementwise IEEE arithmetic rounds alike at any array shape, so
-each row holds the bits its own system gives.  Bath noise powers stay
-scalar SpectralFunction.evaluate calls (math.expm1), one per rate the
-point's system lists.  Each row names the error its own system raises
-first, found with masks in the same order.  The exact columns diagonalize
-one Hamiltonian per point, serially or over forked workers (_map_points),
-and only the modules a sweep uses are imported: rates for rate rows, exact
-where a row diagonalizes.
+Every sweep runs through one driver, _sweep.  Its array pass (_analytic)
+settles every point's ladder, and the row error that ends the point, in
+NumPy over points x ladder index: one ladder_arrays expansion, then the
+ShiftArrays and prefactor_arrays expressions that shift_report and the rate
+lookups evaluate for a single system.  Elementwise IEEE arithmetic rounds
+alike at any array shape, so each row holds the bits its own system gives.
+Bath noise powers stay scalar SpectralFunction.evaluate calls, one per rate
+the point's system lists.  One exact pass then builds a SystemSpec and
+diagonalizes its Hamiltonian at each point left standing (in shift_rows,
+those whose analytic columns hold; in exact_rows, those whose ladder
+holds), serially or over forked workers (_map_points).  Only the modules a
+sweep uses are imported: rates for rate rows, exact where a row diagonalizes.
 
 Detuning grids exclude the resonance window |detuning| < 3 g0 by default;
 exact-only sweeps keep the full grid.
@@ -324,11 +322,11 @@ def _exact_fields(model: str, config: SystemConfig, variable: str, value: float)
     return dict(exact_pull=exact.resonator_pull, exact_qshift=exact.qubit_shift)
 
 
-def _rows(row_type, config: SystemConfig, variable: str, values, fields) -> list:
-    """One row per point: its fields, or a row naming its error."""
-    return [row_type(delta0_ghz=_detuning_of(config, variable, value),
-                     **({"error": f} if isinstance(f, str) else f))
-            for value, f in zip(values, fields)]
+def _joined(analytic: dict, exact: dict) -> dict:
+    """A point's analytic and exact columns, and the error fraction of each analytic pull."""
+    fracs = {f"err_frac_{model}": _frac_err(analytic[f"pull_{model}"], exact["exact_pull"])
+             for model in (RABI, JC) if f"pull_{model}" in analytic}
+    return dict(analytic, **exact, **fracs)
 
 
 # A sweep that diagonalizes goes to a process pool when its estimated work,
@@ -366,7 +364,6 @@ def _map_points(point, values, work: tuple[int, int]) -> list:
     """[point(v) for v in values], in order, over worker processes when the
     cost test on work, (points, dim) as _workers takes it, and the platform
     allow it (fork start method, several CPUs)."""
-    values = list(values)
     workers = _workers(*work)
     if workers > 1:
         import multiprocessing
@@ -384,57 +381,43 @@ def _map_points(point, values, work: tuple[int, int]) -> list:
     return [point(value) for value in values]
 
 
-def _exact_work(config: SystemConfig, variable: str, values) -> tuple[int, int]:
-    """The points of a sweep that diagonalize, and their dimension.
-
-    A point whose ladder collapses raises NonPositiveSplitting before any
-    Hamiltonian is built, so only the others count; ladder_collapses finds
-    them in closed form, whatever num_levels is.  Only the detuning moves
-    omega_10.
-    """
-    t = config.transmon
-    detuning = np.asarray(values, dtype=float) if variable == DETUNING else None
-    collapsed = ladder_collapses(config.omega_10_at(detuning), t.anharmonicity, t.num_levels)
-    kept = np.count_nonzero(~np.broadcast_to(collapsed, (len(values),)))
-    return int(kept), t.num_levels * config.resonator.fock_truncation
-
-
-def shift_rows(config: SystemConfig, variable: str, values,
-               include_exact: bool = True) -> list[ShiftRow]:
+def _sweep(row_type, config: SystemConfig, variable: str, values, columns_of,
+           model: str | None = None) -> list:
+    """One row per point: the array pass of _analytic with columns_of, then,
+    when model is given, one exact pass in it over the points that pass left
+    standing.  A point whose spec is invalid ends the sweep with its error,
+    after the exact columns of the points before it."""
     values = [float(value) for value in values]
-    fields, done = _analytic(config, variable, values, _shift_columns)
-    if include_exact:
-        # only the points whose analytic columns hold are diagonalized
+    fields, done = _analytic(config, variable, values, columns_of)
+    if model is not None:
         points = [i for i, f in enumerate(fields) if not isinstance(f, str)]
         dim = config.transmon.num_levels * config.resonator.fock_truncation
-        exact = _map_points(partial(_exact_fields, RABI, config, variable),
+        exact = _map_points(partial(_exact_fields, model, config, variable),
                             [values[i] for i in points], (len(points), dim))
         for i, e in zip(points, exact):
-            fields[i] = e if isinstance(e, str) else dict(
-                fields[i], **e,
-                err_frac_rabi=_frac_err(fields[i]["pull_rabi"], e["exact_pull"]),
-                err_frac_jc=_frac_err(fields[i]["pull_jc"], e["exact_pull"]))
+            fields[i] = e if isinstance(e, str) else _joined(fields[i], e)
     if done < len(values):
         _refuse(config, variable, values[done])
-    return _rows(ShiftRow, config, variable, values, fields)
+    return [row_type(delta0_ghz=_detuning_of(config, variable, value),
+                     **({"error": f} if isinstance(f, str) else f))
+            for value, f in zip(values, fields)]
+
+
+def shift_rows(config: SystemConfig, variable: str, values) -> list[ShiftRow]:
+    """Analytic shifts, and exact (Rabi) ones where the analytic columns hold."""
+    return _sweep(ShiftRow, config, variable, values, _shift_columns, RABI)
 
 
 def rate_rows(config: SystemConfig, variable: str, values) -> list[RateRow]:
-    values = [float(value) for value in values]
-    fields, done = _analytic(config, variable, values, _rate_columns)
-    if done < len(values):
-        _refuse(config, variable, values[done])
-    return _rows(RateRow, config, variable, values, fields)
+    return _sweep(RateRow, config, variable, values, _rate_columns)
 
 
 def exact_rows(config: SystemConfig, variable: str, values,
                model: str | None = None) -> list[ExactRow]:
-    if model is None:
-        model = config.interaction_model
-    values = [float(value) for value in values]
-    fields = _map_points(partial(_exact_fields, model, config, variable), values,
-                         _exact_work(config, variable, values))
-    return _rows(ExactRow, config, variable, values, fields)
+    """Exact shifts in model (the config's by default) where the ladder holds."""
+    return _sweep(ExactRow, config, variable, values,
+                  lambda config, variable, values, w, g: [{} for _ in values],
+                  config.interaction_model if model is None else model)
 
 
 def all_rows_failed(rows) -> bool:

@@ -15,6 +15,7 @@ from rabiqed import (
     RABI,
     AmbiguousLabeling,
     DimensionOverflow,
+    ExactRow,
     LadderOverflow,
     NonPositiveSplitting,
     PrecisionLoss,
@@ -180,3 +181,12 @@ def shift_point_rows(config, variable, values):
 def rate_point_rows(config, variable, values):
     """The rate rows of a sweep, one SystemSpec per point."""
     return [point_row(RateRow, rate_fields, config, variable, value) for value in values]
+
+
+def exact_point_rows(config, variable, values):
+    """The exact rows of a sweep in the config's model, one SystemSpec per point."""
+    def exact_fields(system):
+        exact = exact_shifts(system, config.interaction_model)
+        return dict(exact_pull=exact.resonator_pull, exact_qshift=exact.qubit_shift)
+
+    return [point_row(ExactRow, exact_fields, config, variable, value) for value in values]

@@ -94,6 +94,14 @@ def test_underflowing_bose_argument_takes_the_high_temperature_limit():
     assert SpectralFunction.silent(10.0).evaluate(-5e-324) == 0.0
 
 
+def test_ohmic_noise_power_at_subnormal_frequencies():
+    """Where eta |omega| falls below the normal range, C(+-omega) still
+    reaches the dc limit eta T instead of losing the bits of J(|omega|)."""
+    bath = SpectralFunction.ohmic(0.002, temperature_ghz=10)
+    for omega in (5e-324, -5e-324, 1e-320, -1e-320):
+        assert bath.evaluate(omega) == pytest.approx(bath.dc_limit(), rel=1e-15, abs=0)
+
+
 def test_ohmic_dc_limit_is_eta_times_temperature():
     """The w -> 0 noise power of an Ohmic bath is eta * T."""
     bath = SpectralFunction.ohmic(2.0, cutoff_ghz=50.0, temperature_ghz=0.25)

@@ -990,3 +990,16 @@ def test_underflowing_bose_argument_exits_cleanly(tmp_path, capsys, args):
     assert main([*args, "--config", str(config)]) in (0, 3)
     err = capsys.readouterr().err
     assert err.count("error:") <= 1 and err.count("\n") <= 1
+
+
+def test_subnormal_resonator_keeps_the_ohmic_kappas(tmp_path, capsys):
+    """An ohmic resonator bath at omega_r = 5e-324 and T = 10 GHz gives both
+    kappa columns its dc limit, eta T = 20 MHz, not the underflowed 0."""
+    config = tmp_path / "system.json"
+    config.write_text(json.dumps(dict(README_CONFIG, omega_r_ghz=5e-324, temperature_ghz=10.0,
+                                      bath_R={"model": "ohmic", "eta": 0.002})))
+    capsys.readouterr()
+    assert main(["rates", "--config", str(config)]) == 0
+    _, rows = parse_csv(capsys.readouterr().out)
+    for column in ("kappa_minus_mhz", "kappa_plus_mhz"):
+        assert rows[0][column] == pytest.approx(20.0, rel=1e-12, abs=0)

@@ -797,7 +797,8 @@ def test_dressed_hamiltonian_diagonal_entries():
 
 
 def test_assemble_modes_and_terms():
-    """The two modes differ in Hamiltonian; term lists respect the flags."""
+    """The two modes differ in Hamiltonian and in terms: the dressed mode adds
+    the fourth-order terms, and extra terms are appended in either."""
     system = build_system(
         detuning=1.0, num_levels=3, fock=4,
         baths={
@@ -814,8 +815,6 @@ def test_assemble_modes_and_terms():
     # the full-dipole fourth order adds 2(N-1) Purcell + 4(N-1) dressed + 2N.
     assert len(bare.dissipators) == 8
     assert len(dressed.dissipators) == 8 + 2 * 6 + 3 * 2
-    second_only = assemble(system, mode=DRESSED_ANALYTIC, include_fourth_order=False)
-    assert len(second_only.dissipators) == 8
     extra = DissipatorTerm(sigma_lower(0), 3.0, DRIVEN_EFFECTIVE)
     widened = assemble(system, mode=DRESSED_ANALYTIC, extra_terms=[extra])
     assert len(widened.dissipators) == len(dressed.dissipators) + 1

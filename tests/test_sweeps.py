@@ -55,7 +55,7 @@ import rabiqed.exact
 from rabiqed.cli import main
 from rabiqed.exact import DIM_CAP
 
-from conftest import build_system, no_pool, rate_point_rows, shift_point_rows
+from conftest import build_system, exact_point_rows, no_pool, rate_point_rows, shift_point_rows
 
 
 def make_config(g0=0.1, num_levels=3, fock=5, model=RABI, temperature=0.0):
@@ -162,14 +162,6 @@ def test_shift_rows_zero_coupling_error_fraction():
     assert rows[0].exact_pull == 0.0
     assert rows[0].err_frac_rabi == 0.0
     assert rows[0].err_frac_jc == 0.0
-
-
-def test_shift_rows_without_exact():
-    """Skipping the diagonalization leaves the exact columns NaN."""
-    config = make_config()
-    row = shift_rows(config, DETUNING, [1.0], include_exact=False)[0]
-    assert np.isfinite(row.pull_rabi)
-    assert np.isnan(row.exact_pull) and np.isnan(row.err_frac_rabi)
 
 
 def test_rate_rows_values():
@@ -411,23 +403,26 @@ def test_cost_test_picks_serial_or_parallel(monkeypatch):
 
 def test_collapsing_ladders_start_no_pool(monkeypatch, tmp_path, capsys):
     """A sweep whose every ladder collapses is no work, however large nq x nr:
-    at --nq 500 --nr 8 each point raises NonPositiveSplitting in-process."""
+    at --nq 500 --nr 8 neither shifts nor exact starts a pool or builds a
+    system, and every row is NonPositiveSplitting."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     config = parse_config(dict(README_CONFIG, num_qubit_levels=500, fock_truncation=8))
     grid = np.linspace(-3.0, 3.0, 81)
-    assert sweeps._exact_work(config, DETUNING, grid) == (0, 4000)
-    assert sweeps._exact_work(config, COUPLING, grid) == (0, 4000)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(SystemConfig, "build", no_pool)
+        for variable in (DETUNING, COUPLING):
+            for sweep in (shift_rows, exact_rows):
+                rows = sweep(config, variable, grid if variable == DETUNING else grid + 3.0)
+                assert {row.error for row in rows} == {"NonPositiveSplitting"}
     path = tmp_path / "readme.json"
     path.write_text(json.dumps(README_CONFIG))
-    capsys.readouterr()
-    assert main(["shifts", "--config", str(path), "--nq", "500", "--nr", "8",
-                 "--sweep", "detuning:-3:3:81"]) == 3
-    _, rows = parse_csv(capsys.readouterr().out)
-    assert {row["error"] for row in rows} == {"NonPositiveSplitting"}
-    # the same sweep at --nq 5 keeps every ladder (some points are resonant)
-    five = parse_config(README_CONFIG)
-    assert sweeps._exact_work(five, DETUNING, grid) == (81, 40)
+    for command in ("shifts", "exact"):
+        capsys.readouterr()
+        assert main([command, "--config", str(path), "--nq", "500", "--nr", "8",
+                     "--sweep", "detuning:-3:3:81"]) == 3
+        _, rows = parse_csv(capsys.readouterr().out)
+        assert {row["error"] for row in rows} == {"NonPositiveSplitting"}
 
 
 @pytest.mark.parametrize("error, fields", [
@@ -518,7 +513,7 @@ def test_vectorized_rows_equal_point_by_point_rows(case):
     the public per-system API (config.build, shift_report, the rate
     lookups, exact_shifts), value bits and error names alike; a sweep that
     reaches an invalid spec raises the same error.  Each case runs under
-    both models.  A drawn cap on ladder entries splits the grid into chunks
+    both models, and exact_rows in the config's model.  A drawn cap on ladder entries splits the grid into chunks
     of 1 to 6 points."""
     base, variable, grid, cap = case
     for model in (RABI, JC):
@@ -527,9 +522,11 @@ def test_vectorized_rows_equal_point_by_point_rows(case):
             if cap is not None:
                 patch.setattr(sweeps, "MAX_LADDER_ENTRIES", cap)
             fast = (_outcome(lambda: shift_rows(config, variable, grid)),
-                    _outcome(lambda: rate_rows(config, variable, grid)))
+                    _outcome(lambda: rate_rows(config, variable, grid)),
+                    _outcome(lambda: exact_rows(config, variable, grid)))
         slow = (_outcome(lambda: shift_point_rows(config, variable, grid)),
-                _outcome(lambda: rate_point_rows(config, variable, grid)))
+                _outcome(lambda: rate_point_rows(config, variable, grid)),
+                _outcome(lambda: exact_point_rows(config, variable, grid)))
         for got, expected in zip(fast, slow):
             if isinstance(expected, tuple):
                 assert got == expected
@@ -538,20 +535,27 @@ def test_vectorized_rows_equal_point_by_point_rows(case):
 
 
 def test_analytic_sweeps_build_no_system_per_point(monkeypatch):
-    """rate_rows and the analytic columns of shift_rows build no SystemSpec;
-    with the exact columns, one per point that diagonalizes."""
-    built = []
+    """rate_rows builds no SystemSpec; shift_rows and exact_rows build one per
+    point that they diagonalize, and no other: shift_rows skips the points
+    whose analytic columns failed, both skip those whose ladder collapsed."""
+    built, solved = [], []
     post_init = SystemSpec.__post_init__
     monkeypatch.setattr(SystemSpec, "__post_init__",
                         lambda self: (built.append(self), post_init(self)))
+    diagonalize = rabiqed.exact.diagonalize
+    monkeypatch.setattr(rabiqed.exact, "diagonalize",
+                        lambda h: (solved.append(h), diagonalize(h))[1])
     config = parse_config(README_CONFIG)
-    grid = np.linspace(-3.0, 3.0, 161)
-    for variable, values in ((DETUNING, grid), (COUPLING, np.linspace(0, 0.3, 31)),
+    for variable, values in ((DETUNING, np.linspace(-3.0, 3.0, 161)),
+                             (COUPLING, np.linspace(0, 0.3, 31)),
                              (TEMPERATURE, np.linspace(0, 2, 21))):
         rate_rows(config, variable, values)
-        shift_rows(config, variable, values, include_exact=False)
-        assert built == []
-    rows = shift_rows(config, DETUNING, grid)
-    # every point but the resonant ones at 0 and 0.75 GHz diagonalizes
-    assert [row.error for row in rows].count("ResonantDivergence") == 2
-    assert len(built) == 159
+        assert built == [] and solved == []
+    # 161 points: resonant at 0 and 0.75 GHz; 27 points: 6 collapsed ladders,
+    # then 4 resonant points
+    for values, shifts, exact in ((np.linspace(-3.0, 3.0, 161), 159, 161),
+                                  (np.linspace(-5.5, 1.0, 27), 17, 21)):
+        for sweep, count in ((shift_rows, shifts), (exact_rows, exact)):
+            del built[:], solved[:]
+            sweep(config, DETUNING, values)
+            assert len(built) == len(solved) == count

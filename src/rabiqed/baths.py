@@ -151,12 +151,12 @@ class SpectralFunction:
         if self.temperature == 0.0:
             return j if omega > 0.0 else 0.0
         x = abs(omega) / self.temperature
-        if self.model == OHMIC and abs(omega) < _NORMAL_MIN:
-            # eta |omega| loses its bits below the normal range, so C is
-            # written without it: J(|omega|) / |omega| times T x / (1 - e^-x),
-            # where T x / (1 - e^-x) = |omega| (nbar + 1) tends to T as x -> 0
+        if self.model == OHMIC and min(j, abs(omega)) < _NORMAL_MIN:
+            # J(|omega|) has lost bits once it or |omega| is subnormal, so C
+            # is written without it: J / |omega| times T x / (1 - e^-x), where
+            # T x / (1 - e^-x) = |omega| (nbar + 1) tends to T as x -> 0
             ratio = 1.0 if x == 0.0 else x / -math.expm1(-x)
-            emission = self.eta * math.exp(-abs(omega) / self.cutoff) * self.temperature * ratio
+            emission = self.eta * math.exp(-abs(omega) / self.cutoff) * (self.temperature * ratio)
             return emission if omega > 0.0 else emission * math.exp(-x)
         if x == 0.0:  # |omega| / T underflows: the high-temperature limit
             return j * self.temperature / abs(omega)

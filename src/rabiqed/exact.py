@@ -6,7 +6,8 @@ The Hamiltonian (GHz, ordinary frequencies) is
 
 with H_int = sum_k g_k (sigma_{k,k+1} + sigma_{k+1,k})(a+ + a) for the
 full-dipole model and sum_k g_k (sigma_{k,k+1} a+ + sigma_{k+1,k} a) for
-the rotating-wave model.  It is written by index into one d x d array.
+the rotating-wave model.  It is written by index into one d x d array
+from the ladder alone (omega_k, g_k, omega_r, Fock truncation M): no SystemSpec.
 Dressed eigenstates are labeled by maximum overlap with the bare product
 basis, greedily in order of increasing bare energy.  A claim depends only
 on the bare states before it, so a labeling that needs only some pairs
@@ -29,14 +30,15 @@ import numpy as np
 from .contract import (OBSERVABLES, QUBIT_SHIFT, RESONATOR_PULL, AmbiguousLabeling,
                        ConvergenceFailure, DimensionOverflow, LadderOverflow,
                        NoPhysicalCoupling, PrecisionLoss)
-from .model import RABI, SystemSpec, check_model, transmon_ladder
+from .model import RABI, check_model, transmon_ladder
 from .shifts import ShiftArrays, pull_and_qubit_shift, resonant
 
 DIM_CAP = 4096
 
 
-def build_hamiltonian(system: SystemSpec, model: str | None = None) -> np.ndarray:
-    """Dense, exactly symmetric Hamiltonian on the product space.
+def build_hamiltonian(energies, couplings, omega_r: float, fock_truncation: int,
+                      model: str) -> np.ndarray:
+    """Dense, exactly symmetric Hamiltonian of a ladder and a resonator mode.
 
     One zeroed d x d array, written by index: the bare energy of (k, n) on
     the diagonal, g_k sqrt(n) between (k, n) and (k+1, n-1) in both models,
@@ -47,27 +49,24 @@ def build_hamiltonian(system: SystemSpec, model: str | None = None) -> np.ndarra
     DimensionOverflow, and an entry beyond float64 LadderOverflow, before
     anything is allocated.
     """
-    if model is None:
-        model = system.interaction_model
     check_model(model)
-    q = system.qubit
-    n_levels = q.num_levels
-    m = system.resonator.fock_truncation
+    n_levels = len(energies)
+    m = fock_truncation
     d = n_levels * m
     if d > DIM_CAP:
         raise DimensionOverflow(f"product dimension {d} exceeds cap {DIM_CAP}")
-    # The spec constructors make the energies rise from 0, omega_r positive
-    # and the couplings nonnegative, so no entry exceeds these two.
-    largest = (q.level_energies[-1] + system.omega_r * (m - 1),
-               max(q.coupling_ladder) * math.sqrt(m - 1))
+    # A valid ladder rises from 0 with couplings >= 0 and omega_r > 0, so no
+    # entry exceeds these two; Python floats overflow to inf without a warning.
+    largest = (float(energies[-1]) + omega_r * (m - 1),
+               float(max(couplings)) * math.sqrt(m - 1))
     if not all(map(math.isfinite, largest)):
         raise LadderOverflow(f"an entry of the {n_levels} x {m} Hamiltonian "
                              f"overflows float64")
     h = np.zeros((d, d))
-    np.fill_diagonal(h, _bare_energies(system))
+    np.fill_diagonal(h, _bare_energies(energies, omega_r, m))
     flat = np.arange(d)
     k, n = np.divmod(flat, m)
-    g = np.asarray(q.coupling_ladder)
+    g = np.asarray(couplings)
     # flat index k * m + n: (k+1, n-1) sits m - 1 further on, (k+1, n+1) m + 1
     co = flat[(k < n_levels - 1) & (n > 0)]
     h[co, co + m - 1] = h[co + m - 1, co] = g[k[co]] * np.sqrt(n[co])
@@ -78,11 +77,9 @@ def build_hamiltonian(system: SystemSpec, model: str | None = None) -> np.ndarra
     return h
 
 
-def _bare_energies(system: SystemSpec) -> np.ndarray:
+def _bare_energies(energies, omega_r: float, fock_truncation: int) -> np.ndarray:
     """E_k + omega_r n of every product state, in flat (k, n) order."""
-    m = system.resonator.fock_truncation
-    return (np.asarray(system.qubit.level_energies)[:, None]
-            + system.omega_r * np.arange(m)).ravel()
+    return (np.asarray(energies)[:, None] + omega_r * np.arange(fock_truncation)).ravel()
 
 
 @dataclass(frozen=True)
@@ -116,7 +113,7 @@ class Labeling:
     overlaps: dict[tuple[int, int], float]
 
 
-def label_dressed_states(spectrum: Spectrum, system: SystemSpec,
+def label_dressed_states(spectrum: Spectrum, energies, omega_r: float, fock_truncation: int,
                          required: Iterable[tuple[int, int]] | None = None) -> Labeling:
     """Greedy maximum-overlap assignment of bare product labels.
 
@@ -130,8 +127,8 @@ def label_dressed_states(spectrum: Spectrum, system: SystemSpec,
     raises ValueError before labeling starts; one that ends up unlabeled
     raises AmbiguousLabeling.
     """
-    n_levels = system.qubit.num_levels
-    m = system.resonator.fock_truncation
+    n_levels = len(energies)
+    m = fock_truncation
     pending = None
     if required is not None:
         required = tuple(required)
@@ -144,7 +141,7 @@ def label_dressed_states(spectrum: Spectrum, system: SystemSpec,
     unclaimed = np.ones(n_levels * m, dtype=bool)
     labels: dict[tuple[int, int], int] = {}
     overlaps: dict[tuple[int, int], float] = {}
-    for index in np.argsort(_bare_energies(system), kind="stable"):
+    for index in np.argsort(_bare_energies(energies, omega_r, m), kind="stable"):
         if pending is not None and not pending:
             break
         pair = divmod(int(index), m)
@@ -175,8 +172,9 @@ class ExactShifts:
 _REQUIRED_PAIRS = ((0, 0), (0, 1), (1, 0))
 
 
-def exact_shifts(system: SystemSpec, model: str | None = None) -> ExactShifts:
-    """Dispersive observables from labeled exact eigenenergies.
+def exact_shifts(energies, couplings, omega_r: float, fock_truncation: int,
+                 model: str) -> ExactShifts:
+    """Dispersive observables of a ladder from labeled exact eigenenergies.
 
     eigh is backward stable: each eigenvalue it returns is off by at most
     about d eps ||H||, with ||H|| the largest absolute row sum.  A shift is
@@ -184,16 +182,17 @@ def exact_shifts(system: SystemSpec, model: str | None = None) -> ExactShifts:
     2 d eps ||H||; a nonzero shift smaller than that is rounding noise and
     raises PrecisionLoss.  A shift of exactly 0 (g0 = 0) is kept.
     """
-    h = build_hamiltonian(system, model)
+    h = build_hamiltonian(energies, couplings, omega_r, fock_truncation, model)
     spectrum = diagonalize(h)
-    labeling = label_dressed_states(spectrum, system, required=_REQUIRED_PAIRS)
+    labeling = label_dressed_states(spectrum, energies, omega_r, fock_truncation,
+                                    required=_REQUIRED_PAIRS)
     e = spectrum.eigenvalues
     e00 = e[labeling.labels[(0, 0)]]
     e01 = e[labeling.labels[(0, 1)]]
     e10 = e[labeling.labels[(1, 0)]]
     shifts = ExactShifts(
-        resonator_pull=float(e01 - e00 - system.omega_r),
-        qubit_shift=float(e10 - e00 - system.qubit.splitting(0)))
+        resonator_pull=float(e01 - e00 - omega_r),
+        qubit_shift=float(e10 - e00 - (energies[1] - energies[0])))
     # every entry of H is >= 0 (see build_hamiltonian), so a row sum is its norm
     bound = 2.0 * len(h) * np.finfo(float).eps * float(h.sum(axis=1).max())
     for observable, value in zip(OBSERVABLES, (shifts.resonator_pull, shifts.qubit_shift)):

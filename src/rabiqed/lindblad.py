@@ -303,8 +303,8 @@ def dressed_hamiltonian(system: SystemSpec, model: str) -> np.ndarray:
     that order over the (N, M) grid of ladder and photon index."""
     n_coeff, static = np.array(shift_report(system).h2(model)).T
     m = system.resonator.fock_truncation
-    energies = (_bare_energies(system).reshape(-1, m) + np.arange(m) * n_coeff[:, None]
-                + static[:, None])
+    energies = (_bare_energies(system.qubit.level_energies, system.omega_r, m).reshape(-1, m)
+                + np.arange(m) * n_coeff[:, None] + static[:, None])
     return np.diag(energies.ravel())
 
 
@@ -328,7 +328,8 @@ def assemble(system: SystemSpec, mode: str = DRESSED_ANALYTIC, table: RateTable 
     if mode == DRESSED_ANALYTIC:
         h = dressed_hamiltonian(system, model)
     else:
-        h = build_hamiltonian(system)
+        h = build_hamiltonian(q.level_energies, q.coupling_ladder, system.omega_r,
+                              space.fock_dim, model)
     return LindbladGenerator(hamiltonian=h, dissipators=tuple(realize_terms(terms, space)))
 
 
@@ -491,6 +492,15 @@ def _expm(a: np.ndarray) -> np.ndarray:
     return x
 
 
+def _distinct(indices: np.ndarray) -> np.ndarray:
+    """The sorted distinct entries of an index array, as np.unique returns
+    them, without the numpy.ma import that np.unique makes."""
+    ordered = np.sort(indices)
+    keep = np.ones(ordered.size, dtype=bool)
+    keep[1:] = ordered[1:] != ordered[:-1]
+    return ordered[keep]
+
+
 def _closure(reached: np.ndarray, successors) -> np.ndarray:
     """The indices reached from the True entries of reached (which it marks)
     by following successors, a map from an index array to the indices one
@@ -499,7 +509,7 @@ def _closure(reached: np.ndarray, successors) -> np.ndarray:
     frontier = np.flatnonzero(reached)
     while frontier.size:
         found = successors(frontier)
-        frontier = np.unique(found[~reached[found]])
+        frontier = _distinct(found[~reached[found]])
         reached[frontier] = True
     return np.flatnonzero(reached)
 
@@ -611,7 +621,7 @@ def evolve(gen: LindbladGenerator, rho0: np.ndarray, t_max: float,
                                  f"to propagate over {t_max} ns")
     require_memory(16 * len(targets) * n, "the recorded states")
     trace = values[rows == cols].sum()
-    nnz = np.unique((rows * n + cols)[values != 0.0]).size
+    nnz = _distinct((rows * n + cols)[values != 0.0]).size
     sparse = None
 
     def advance(x: np.ndarray, dt: float) -> np.ndarray:
@@ -757,7 +767,7 @@ def _closed_coherences(maps: _JumpMaps) -> int:
     sources[m, maps.targets[m, j]] = j
     while dead.size:
         found = np.concatenate([images(mapping, dead)[0] for mapping in sources])
-        dead = np.unique(found[alive[found]])
+        dead = _distinct(found[alive[found]])
         alive[dead] = False
     return int(np.count_nonzero(alive))
 

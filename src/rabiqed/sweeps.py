@@ -13,10 +13,11 @@ ShiftArrays and prefactor_arrays expressions that shift_report and the rate
 lookups evaluate for a single system.  Elementwise IEEE arithmetic rounds
 alike at any array shape, so each row holds the bits its own system gives.
 Bath noise powers stay scalar SpectralFunction.evaluate calls, one per rate
-the point's system lists.  One exact pass then builds a SystemSpec and
-diagonalizes its Hamiltonian at each point left standing (in shift_rows,
-those whose analytic columns hold; in exact_rows, those whose ladder
-holds), serially or over forked workers (_map_points).  Only the modules a
+the point's system lists.  One exact pass then expands the ladder row of
+each point left standing from its omega_10 and g0, with the same bits, and
+diagonalizes it (in shift_rows, the points whose analytic columns hold; in
+exact_rows, those whose ladder holds), serially or over forked workers
+(_map_points).  No sweep builds a SystemSpec but _refuse.  Only the modules a
 sweep uses are imported: rates for rate rows, exact where a row diagonalizes.
 
 Detuning grids exclude the resonance window |detuning| < 3 g0 by default;
@@ -190,9 +191,9 @@ def _frac_err(analytic: float, exact: float) -> float:
 
 
 def _analytic(config: SystemConfig, variable: str, values: list[float],
-              columns_of) -> tuple[list, int]:
-    """Per point, a dict of its analytic columns or the name of the row
-    error that ends it, and the number of points evaluated.
+              columns_of) -> tuple[list, int, np.ndarray, np.ndarray]:
+    """Per point, a dict of its analytic columns or the name of the row error
+    that ends it; the number of points evaluated; the omega_10 and g0 arrays.
 
     The points' ladders come from one array pass per chunk of at most
     MAX_LADDER_ENTRIES levels, with config.build's row errors in its order:
@@ -238,8 +239,8 @@ def _analytic(config: SystemConfig, variable: str, values: list[float],
                 results[i] = row
         if bad.any():
             done = start + int(np.argmax(bad))
-            return results[:done], done
-    return results, len(grid)
+            return results[:done], done, omega_10, g0
+    return results, len(grid), omega_10, g0
 
 
 def _refuse(config: SystemConfig, variable: str, value: float) -> None:
@@ -309,14 +310,16 @@ def _rate_columns(config: SystemConfig, variable: str, values, w, g) -> list:
     return out
 
 
-def _exact_fields(model: str, config: SystemConfig, variable: str, value: float):
-    """The exact shifts of one point, or the name of the row error that
-    ended it.  Module-level, so that functools.partial binds it to a sweep
-    and a worker process can unpickle it."""
+def _exact_fields(model: str, config: SystemConfig, point: tuple[float, float]):
+    """The exact shifts of one point, given its (omega_10, g0), or the name
+    of the row error that ended it.  Module-level, so that functools.partial
+    binds it to a sweep and a worker process can unpickle it."""
     from .exact import exact_shifts
 
+    t = config.transmon
     try:
-        exact = exact_shifts(config.build(**{variable: value}), model)
+        exact = exact_shifts(*ladder_arrays(point[0], t.anharmonicity, point[1], t.num_levels),
+                             config.omega_r, config.resonator.fock_truncation, model)
     except _ROW_ERRORS as exc:
         return type(exc).__name__
     return dict(exact_pull=exact.resonator_pull, exact_qshift=exact.qubit_shift)
@@ -388,12 +391,12 @@ def _sweep(row_type, config: SystemConfig, variable: str, values, columns_of,
     standing.  A point whose spec is invalid ends the sweep with its error,
     after the exact columns of the points before it."""
     values = [float(value) for value in values]
-    fields, done = _analytic(config, variable, values, columns_of)
+    fields, done, omega_10, g0 = _analytic(config, variable, values, columns_of)
     if model is not None:
         points = [i for i, f in enumerate(fields) if not isinstance(f, str)]
         dim = config.transmon.num_levels * config.resonator.fock_truncation
-        exact = _map_points(partial(_exact_fields, model, config, variable),
-                            [values[i] for i in points], (len(points), dim))
+        exact = _map_points(partial(_exact_fields, model, config),
+                            list(zip(omega_10[points], g0[points])), (len(points), dim))
         for i, e in zip(points, exact):
             fields[i] = e if isinstance(e, str) else _joined(fields[i], e)
     if done < len(values):

@@ -95,11 +95,16 @@ def test_underflowing_bose_argument_takes_the_high_temperature_limit():
 
 
 def test_ohmic_noise_power_at_subnormal_frequencies():
-    """Where eta |omega| falls below the normal range, C(+-omega) still
-    reaches the dc limit eta T instead of losing the bits of J(|omega|)."""
+    """Where eta |omega| falls below the normal range, at a subnormal |omega|
+    or a normal one, C(+-omega) still reaches the dc limit eta T instead of
+    losing the bits of J(|omega|)."""
     bath = SpectralFunction.ohmic(0.002, temperature_ghz=10)
-    for omega in (5e-324, -5e-324, 1e-320, -1e-320):
+    for omega in (5e-324, -5e-324, 1e-320, -1e-320, 2.3e-308, -2.3e-308, 1e-307, -1e-307):
         assert bath.evaluate(omega) == pytest.approx(bath.dc_limit(), rel=1e-15, abs=0)
+    # a subnormal J far above T keeps C(omega) = J (nbar + 1) = J, with no
+    # underflow of eta T before the ratio |omega| / T scales it back
+    cold = SpectralFunction.ohmic(1e-310, temperature_ghz=1e-300)
+    assert cold.evaluate(1.0) == pytest.approx(cold.spectral_density(1.0), rel=1e-9, abs=0)
 
 
 def test_ohmic_dc_limit_is_eta_times_temperature():

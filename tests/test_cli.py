@@ -913,6 +913,38 @@ def test_commands_import_only_their_layers(tmp_path, command, layers):
     assert result.returncode == 0, result.stderr
 
 
+# The README's compute commands, with the arguments it gives them.
+README_COMMANDS = {"shifts": ["--sweep", "detuning:-3:3:161"],
+                   "rates": ["--sweep", "detuning:-3:3:161"],
+                   "exact": ["--sweep", "detuning:-3:3:41"],
+                   "fit": [],
+                   "evolve": ["--init", "fock:1:0", "--tmax", "500", "--samples", "251"],
+                   "steady": ["--photons", "4"]}
+
+
+@pytest.mark.parametrize("command", sorted(README_COMMANDS))
+def test_readme_commands_start_lean(tmp_path, command):
+    """Each README compute command, on the README config in a fresh
+    interpreter, ends with neither SciPy nor numpy.ma imported: start-up is
+    most of such a run."""
+    config = _readme_config(tmp_path)
+    args = README_COMMANDS[command]
+    if command == "fit":
+        data = tmp_path / "exact.csv"
+        assert main(["exact", "--config", config, *README_COMMANDS["exact"],
+                     "--out", str(data)]) == 0
+        args = ["--data", str(data), "--json", str(tmp_path / "fit.json"),
+                "--residuals", str(tmp_path / "residuals.csv")]
+    code = ("import sys\n"
+            "from rabiqed.cli import main\n"
+            f"assert main({[command, '--config', config, *args]!r}\n"
+            f"            + ['--out', {str(tmp_path / 'out.csv')!r}]) == 0\n"
+            "loaded = [m for m in ('scipy', 'numpy.ma') if m in sys.modules]\n"
+            "assert not loaded, loaded\n")
+    result = _run_python(code)
+    assert result.returncode == 0, result.stderr
+
+
 def test_every_export_resolves_lazily():
     """In a fresh interpreter every name in __all__ resolves, dir() lists
     it, star-import binds it, and a submodule resolves as an attribute."""

@@ -52,7 +52,7 @@ from rabiqed import (
 from rabiqed.cli import _MATH_ERRORS
 from rabiqed.lindblad import _dissipator
 
-from conftest import README_CONFIG, _run_python, build_system
+from conftest import README_CONFIG, _run_python, build_system, ladder
 
 TWO_PI = 2.0 * math.pi
 RATE = TWO_PI * 1e-3  # MHz -> angular rate in 1/ns
@@ -778,6 +778,17 @@ def test_thermal_resonator_state_geometry():
         thermal_resonator_state(4, -0.1)
 
 
+def test_distinct_is_np_unique():
+    """The sorted distinct indices that replace np.unique are its values and
+    dtype, empty and repeated inputs included."""
+    rng = np.random.default_rng(7)
+    for indices in (np.array([], dtype=np.int64), np.array([3]), np.array([5, 5, 5]),
+                    rng.integers(0, 50, 200), rng.integers(0, 10**12, 1000)):
+        distinct = lindblad._distinct(indices)
+        assert distinct.dtype == indices.dtype
+        assert np.array_equal(distinct, np.unique(indices))
+
+
 def test_dressed_hamiltonian_diagonal_entries():
     """Each (k, n) entry is E_k + n w_r + n * pull_k + static_k, summed in
     that order, to the bit."""
@@ -810,7 +821,7 @@ def test_assemble_modes_and_terms():
     dressed = assemble(system, mode=DRESSED_ANALYTIC)
     bare = assemble(system, mode=BARE_PLUS_INTERACTION)
     assert np.count_nonzero(dressed.hamiltonian - np.diag(np.diag(dressed.hamiltonian))) == 0
-    np.testing.assert_allclose(bare.hamiltonian, build_hamiltonian(system), rtol=0)
+    np.testing.assert_allclose(bare.hamiltonian, build_hamiltonian(*ladder(system), RABI), rtol=0)
     # 2(N-1)+N+2 = 9 second-order terms, minus the zero-rate level-0 dephasor;
     # the full-dipole fourth order adds 2(N-1) Purcell + 4(N-1) dressed + 2N.
     assert len(bare.dissipators) == 8

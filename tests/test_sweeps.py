@@ -535,9 +535,10 @@ def test_vectorized_rows_equal_point_by_point_rows(case):
 
 
 def test_analytic_sweeps_build_no_system_per_point(monkeypatch):
-    """rate_rows builds no SystemSpec; shift_rows and exact_rows build one per
-    point that they diagonalize, and no other: shift_rows skips the points
-    whose analytic columns failed, both skip those whose ladder collapsed."""
+    """No sweep builds a SystemSpec; shift_rows and exact_rows diagonalize
+    each point that the array pass left standing, and no other: shift_rows
+    skips the points whose analytic columns failed, both skip those whose
+    ladder collapsed."""
     built, solved = [], []
     post_init = SystemSpec.__post_init__
     monkeypatch.setattr(SystemSpec, "__post_init__",
@@ -558,4 +559,4 @@ def test_analytic_sweeps_build_no_system_per_point(monkeypatch):
         for sweep, count in ((shift_rows, shifts), (exact_rows, exact)):
             del built[:], solved[:]
             sweep(config, DETUNING, values)
-            assert len(built) == len(solved) == count
+            assert built == [] and len(solved) == count

@@ -18,6 +18,7 @@ conversion to MHz happens only where rates are reported.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass, replace
 
@@ -37,6 +38,27 @@ _EXP_MAX = 709.0
 _NORMAL_MIN = sys.float_info.min
 
 
+def _spec_number(owner: str, name: str, value, count: bool = False,
+                 infinite: bool = False) -> float | int:
+    """value as a float (an int for a count), or InvalidSpec naming owner.name if it is
+    not a real number, is a bool, NaN or infinite (unless allowed), or is a count not whole."""
+    if type(value) is float and math.isfinite(value) and not count:
+        return value  # the common case, in one test: a QubitSpec holds 4N values
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidSpec(f"{owner}.{name} must be a number, got {value!r}")
+    if count and isinstance(value, numbers.Integral):
+        return int(value)  # any size: a count makes no float round trip
+    try:
+        number = float(value)
+    except OverflowError:  # an int beyond float64
+        number = math.inf if value > 0 else -math.inf
+    if math.isnan(number) or (math.isinf(number) and not infinite):
+        raise InvalidSpec(f"{owner}.{name} must be finite, got {value}")
+    if count and not number.is_integer():
+        raise InvalidSpec(f"{owner}.{name} must be a whole number, got {value}")
+    return int(number) if count else number
+
+
 class NegativeFrequency(ValueError):
     """Spectral density requested at omega < 0."""
 
@@ -52,7 +74,8 @@ class SpectralFunction:
     - ``flat``:        J(w) = level
 
     ``temperature`` is the bath temperature in GHz; 0 means a zero-point
-    bath that can only absorb energy.
+    bath that can only absorb energy.  Each parameter is a finite number
+    (no bool or string), stored as a float; a +inf cutoff is "no cutoff".
     """
 
     model: str
@@ -67,24 +90,16 @@ class SpectralFunction:
         if self.model not in _MODELS:
             raise InvalidSpec(f"unknown bath model {self.model!r}; expected one of {_MODELS}")
         for name in ("temperature", "eta", "cutoff", "amplitude", "ir_floor", "level"):
-            value = getattr(self, name)
-            # an infinite cutoff is the documented "no cutoff"
-            if math.isnan(value) or (math.isinf(value) and name != "cutoff"):
-                raise InvalidSpec(f"{name} must be finite, got {value}")
-        if not self.temperature >= 0.0:
-            raise InvalidSpec(f"temperature must be >= 0, got {self.temperature}")
-        if self.model == OHMIC:
-            if self.eta < 0.0:
-                raise InvalidSpec(f"eta must be >= 0, got {self.eta}")
-            if not self.cutoff > 0.0:
-                raise InvalidSpec(f"cutoff must be > 0, got {self.cutoff}")
-        elif self.model == ONE_OVER_F:
-            if self.amplitude < 0.0:
-                raise InvalidSpec(f"amplitude must be >= 0, got {self.amplitude}")
-            if not self.ir_floor > 0.0:
-                raise InvalidSpec(f"ir_floor must be > 0, got {self.ir_floor}")
-        elif self.level < 0.0:
-            raise InvalidSpec(f"level must be >= 0, got {self.level}")
+            value = _spec_number("SpectralFunction", name, getattr(self, name),
+                                 infinite=name == "cutoff")
+            object.__setattr__(self, name, value)
+        for name in ("temperature", "eta", "amplitude", "level"):
+            if getattr(self, name) < 0.0:
+                raise InvalidSpec(f"{name} must be >= 0, got {getattr(self, name)}")
+        if not self.cutoff > 0.0:
+            raise InvalidSpec(f"cutoff must be > 0, got {self.cutoff}")
+        if self.model == ONE_OVER_F and not self.ir_floor > 0.0:  # the others never read it
+            raise InvalidSpec(f"ir_floor must be > 0, got {self.ir_floor}")
 
     @classmethod
     def ohmic(cls, eta: float, cutoff_ghz: float = math.inf,
@@ -168,36 +183,31 @@ class SpectralFunction:
         return j / math.expm1(x)
 
 
+# Per bath model, each config key it takes and the SpectralFunction field it sets.
+_CONFIG_FIELDS = {
+    OHMIC: {"eta": "eta", "cutoff_ghz": "cutoff"},
+    ONE_OVER_F: {"amplitude": "amplitude", "ir_floor_ghz": "ir_floor"},
+    FLAT: {"level": "level"},
+}
+
+
 def bath_from_config(entry: dict, default_temperature: float = 0.0) -> SpectralFunction:
     """Build a SpectralFunction from a flat config mapping.
 
-    Expected keys: "model" plus the model's parameters ("eta" and
+    Expected keys: "model" plus that model's own parameters ("eta" and
     "cutoff_ghz" for ohmic, "amplitude" and "ir_floor_ghz" for one_over_f,
-    "level" for flat).  "temperature_ghz" overrides the global default.
+    "level" for flat), each read from _CONFIG_FIELDS; another model's key
+    is refused.  "temperature_ghz" overrides the global default.  The values
+    go as given to the SpectralFunction constructor, which checks them.
     """
     if not isinstance(entry, dict):
         raise ValueError(f"bath entry must be an object, got {type(entry).__name__}")
-    known = {"model", "eta", "cutoff_ghz", "amplitude", "ir_floor_ghz", "level",
-             "temperature_ghz"}
-    unknown = set(entry) - known
-    if unknown:
-        raise ValueError(f"unknown bath keys: {sorted(unknown)}")
     model = entry.get("model")
-    temperature = float(entry.get("temperature_ghz", default_temperature))
-    if model == OHMIC:
-        return SpectralFunction.ohmic(
-            eta=float(entry.get("eta", 0.0)),
-            cutoff_ghz=float(entry.get("cutoff_ghz", math.inf)),
-            temperature_ghz=temperature)
-    if model == ONE_OVER_F:
-        if "ir_floor_ghz" not in entry:
-            raise ValueError("one_over_f bath requires ir_floor_ghz")
-        return SpectralFunction.one_over_f(
-            amplitude=float(entry.get("amplitude", 0.0)),
-            ir_floor_ghz=float(entry["ir_floor_ghz"]),
-            temperature_ghz=temperature)
-    if model == FLAT:
-        return SpectralFunction.flat(
-            level=float(entry.get("level", 0.0)),
-            temperature_ghz=temperature)
-    raise ValueError(f"unknown bath model {model!r}; expected one of {_MODELS}")
+    if model not in _MODELS:
+        raise ValueError(f"unknown bath model {model!r}; expected one of {_MODELS}")
+    keys = _CONFIG_FIELDS[model]
+    unknown = set(entry) - {"model", "temperature_ghz", *keys}
+    if unknown:
+        raise ValueError(f"unknown {model} bath keys: {sorted(unknown)}")
+    fields = {keys[key]: entry[key] for key in keys if key in entry}
+    return SpectralFunction(model, entry.get("temperature_ghz", default_temperature), **fields)

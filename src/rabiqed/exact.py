@@ -55,10 +55,11 @@ def build_hamiltonian(energies, couplings, omega_r: float, fock_truncation: int,
     d = n_levels * m
     if d > DIM_CAP:
         raise DimensionOverflow(f"product dimension {d} exceeds cap {DIM_CAP}")
-    # A valid ladder rises from 0 with couplings >= 0 and omega_r > 0, so no
-    # entry exceeds these two; Python floats overflow to inf without a warning.
-    largest = (float(energies[-1]) + omega_r * (m - 1),
-               float(max(couplings)) * math.sqrt(m - 1))
+    # No entry's magnitude exceeds these two bounds, whatever the signs (for a
+    # valid ladder they are E_{N-1} + omega_r (m-1) and max g_k sqrt(m-1));
+    # Python floats overflow to inf without a warning.
+    largest = (float(np.max(np.abs(energies))) + abs(omega_r) * (m - 1),
+               float(np.max(np.abs(couplings))) * math.sqrt(m - 1))
     if not all(map(math.isfinite, largest)):
         raise LadderOverflow(f"an entry of the {n_levels} x {m} Hamiltonian "
                              f"overflows float64")

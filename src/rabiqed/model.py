@@ -26,7 +26,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .baths import SpectralFunction, bath_from_config
+from .baths import SpectralFunction, _spec_number, bath_from_config
 from .contract import (JC, MODELS, RABI, ConfigError, InvalidSpec, LadderOverflow,
                        NonPositiveSplitting)
 
@@ -41,12 +41,6 @@ LADDER_BUDGET_BYTES = 256 * 2**20
 MAX_LADDER_ENTRIES = LADDER_BUDGET_BYTES // 1600
 
 
-def _require_finite(owner: str, name: str, values) -> None:
-    for value in values:
-        if not math.isfinite(value):
-            raise InvalidSpec(f"{owner}.{name} must be finite, got {value}")
-
-
 def check_model(model: str) -> str:
     if model not in MODELS:
         raise ValueError(f"interaction model must be one of {MODELS}, got {model!r}")
@@ -56,6 +50,8 @@ def check_model(model: str) -> str:
 @dataclass(frozen=True)
 class QubitSpec:
     """An N-level qubit ladder.
+
+    Every entry is a finite number (no bool or string), stored as a float.
 
     Attributes
     ----------
@@ -79,9 +75,8 @@ class QubitSpec:
     def __post_init__(self) -> None:
         names = [f.name for f in fields(self)]
         for name in names:
-            object.__setattr__(self, name, tuple(float(x) for x in getattr(self, name)))
-        for name in names:
-            _require_finite("QubitSpec", name, getattr(self, name))
+            object.__setattr__(self, name, tuple(_spec_number("QubitSpec", name, x)
+                                                 for x in getattr(self, name)))
         n = len(self.level_energies)
         if n < 2:
             raise InvalidSpec(f"qubit needs at least 2 levels, got {n}")
@@ -102,6 +97,12 @@ class QubitSpec:
                    for k, g in enumerate(self.coupling_ladder) if g < 0.0]
         if errors:
             raise InvalidSpec(tuple(errors))
+        # Hashed once: the generated __hash__ rehashes all four N-long tuples
+        # at every lookup of a cache keyed by the spec.
+        object.__setattr__(self, "_hash", hash(tuple(getattr(self, name) for name in names)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def num_levels(self) -> int:
@@ -137,6 +138,7 @@ class TransmonSpec:
     """Ladder parameters for a weakly anharmonic (transmon-like) qubit.
 
     omega_{k+1,k} = omega_10 - k * anharmonicity, g_k = sqrt(k+1) * g0.
+    Frequencies are finite numbers stored as floats; num_levels is whole.
     """
 
     omega_10: float
@@ -145,8 +147,10 @@ class TransmonSpec:
     num_levels: int
 
     def __post_init__(self) -> None:
-        for name in ("omega_10", "anharmonicity", "g0"):
-            _require_finite("TransmonSpec", name, (getattr(self, name),))
+        for name in ("omega_10", "anharmonicity", "g0", "num_levels"):
+            value = _spec_number("TransmonSpec", name, getattr(self, name),
+                                 count=name == "num_levels")
+            object.__setattr__(self, name, value)
         if self.num_levels < 2:
             raise InvalidSpec(f"num_levels must be >= 2, got {self.num_levels}")
         if self.g0 < 0.0:
@@ -251,18 +255,19 @@ def expand_transmon(spec: TransmonSpec,
 
 @dataclass(frozen=True)
 class ResonatorSpec:
-    """A single harmonic mode: frequency omega_r (GHz) and Fock cutoff M."""
+    """A single harmonic mode: frequency omega_r (GHz), a finite number
+    stored as a float, and Fock cutoff M, whole (8.0 is stored as 8)."""
 
     omega_r: float
     fock_truncation: int
 
     def __post_init__(self) -> None:
-        _require_finite("ResonatorSpec", "omega_r", (self.omega_r,))
+        for name in ("omega_r", "fock_truncation"):
+            value = _spec_number("ResonatorSpec", name, getattr(self, name),
+                                 count=name == "fock_truncation")
+            object.__setattr__(self, name, value)
         if not self.omega_r > 0.0:
             raise InvalidSpec(f"resonator.omega_r: must be > 0, got {self.omega_r}")
-        if int(self.fock_truncation) != self.fock_truncation:
-            raise InvalidSpec(f"fock_truncation must be an integer, got {self.fock_truncation}")
-        object.__setattr__(self, "fock_truncation", int(self.fock_truncation))
         if self.fock_truncation < 2:
             raise InvalidSpec(f"fock_truncation must be >= 2, got {self.fock_truncation}")
 
@@ -386,16 +391,10 @@ _REQUIRED_KEYS = ("omega_r_ghz", "omega_10_ghz", "g0_ghz",
                   "num_qubit_levels", "fock_truncation")
 
 
-def _finite(data: Mapping, key: str, default: float | None = None) -> float:
-    """data[key], or default when given and the key is absent, as a finite float."""
-    value = float(data[key] if default is None else data.get(key, default))
-    if not math.isfinite(value):
-        raise ConfigError(f"{key} must be finite, got {value}")
-    return value
-
-
 def parse_config(data: Mapping) -> SystemConfig:
-    """Build a SystemConfig from a decoded JSON object."""
+    """Build a SystemConfig from a decoded JSON object.  The values go as
+    decoded to the spec constructors, check_model and bath_from_config,
+    which check each one once; a refusal is raised as ConfigError."""
     if not isinstance(data, Mapping):
         raise ConfigError(f"config must be a JSON object, got {type(data).__name__}")
     unknown = {k for k in data if not k.startswith("_")} - _CONFIG_KEYS
@@ -405,24 +404,19 @@ def parse_config(data: Mapping) -> SystemConfig:
     if missing:
         raise ConfigError(f"missing config keys: {missing}")
     try:
-        temperature = _finite(data, "temperature_ghz", 0.0)
-        transmon = TransmonSpec(
-            omega_10=_finite(data, "omega_10_ghz"),
-            anharmonicity=_finite(data, "anharmonicity_ghz", 0.0),
-            g0=_finite(data, "g0_ghz"),
-            num_levels=int(data["num_qubit_levels"]))
-        resonator = ResonatorSpec(
-            omega_r=_finite(data, "omega_r_ghz"),
-            fock_truncation=int(data["fock_truncation"]))
-        model = check_model(str(data.get("model", RABI)))
+        temperature = data.get("temperature_ghz", 0.0)
         baths = silent_baths(temperature)
+        transmon = TransmonSpec(
+            omega_10=data["omega_10_ghz"], anharmonicity=data.get("anharmonicity_ghz", 0.0),
+            g0=data["g0_ghz"], num_levels=data["num_qubit_levels"])
+        resonator = ResonatorSpec(omega_r=data["omega_r_ghz"],
+                                  fock_truncation=data["fock_truncation"])
+        model = check_model(data.get("model", RABI))
         for label in BATH_LABELS:
             key = f"bath_{label}"
             if key in data:
                 baths[label] = bath_from_config(data[key], default_temperature=temperature)
-    except ConfigError:
-        raise
-    except (ValueError, TypeError, KeyError, OverflowError) as exc:
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return SystemConfig(transmon=transmon, resonator=resonator,
                         interaction_model=model, baths=baths)

@@ -1,11 +1,12 @@
 """Tests for the bath spectral functions."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
-from rabiqed import NegativeFrequency, SpectralFunction, bath_from_config
+from rabiqed import InvalidSpec, NegativeFrequency, SpectralFunction, bath_from_config
 
 
 def test_ohmic_spectral_density_closed_form():
@@ -201,6 +202,33 @@ def test_constructor_rejects_non_finite():
     assert SpectralFunction.ohmic(1.0, cutoff_ghz=inf).spectral_density(2.0) == 2.0
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: SpectralFunction.flat(True), "SpectralFunction.level must be a number, got True"),
+    (lambda: SpectralFunction.flat("0.1"), "SpectralFunction.level must be a number, got '0.1'"),
+    (lambda: SpectralFunction.ohmic(0.002, temperature_ghz=False),
+     "SpectralFunction.temperature must be a number, got False"),
+    (lambda: SpectralFunction.ohmic(0.002, cutoff_ghz=None),
+     "SpectralFunction.cutoff must be a number, got None"),
+    (lambda: SpectralFunction.one_over_f([1e-6], ir_floor_ghz=0.01),
+     "SpectralFunction.amplitude must be a number, got [1e-06]"),
+], ids=["level-true", "level-string", "temperature-false", "cutoff-none", "amplitude-list"])
+def test_constructor_refuses_what_is_not_a_number(make, message):
+    """Bools, strings and other non-numbers are refused with InvalidSpec
+    naming the field; none is read as a number."""
+    with pytest.raises(InvalidSpec, match="^" + re.escape(message) + "$"):
+        make()
+
+
+def test_constructor_stores_floats():
+    """Ints and NumPy scalars are accepted and stored as floats; an infinite
+    cutoff stays "no cutoff"."""
+    ohmic = SpectralFunction.ohmic(np.float64(0.5), cutoff_ghz=50, temperature_ghz=1)
+    assert ohmic == SpectralFunction.ohmic(0.5, cutoff_ghz=50.0, temperature_ghz=1.0)
+    assert {type(getattr(ohmic, name)) for name in ("eta", "cutoff", "temperature")} == {float}
+    assert SpectralFunction.flat(1).level == 1.0 and type(SpectralFunction.flat(1).level) is float
+    assert SpectralFunction.ohmic(1, cutoff_ghz=math.inf).cutoff == math.inf
+
+
 def test_bath_from_config_round_trip():
     """Config dictionaries rebuild each bath family with its parameters."""
     ohmic = bath_from_config({"model": "ohmic", "eta": 2.0, "cutoff_ghz": 50.0, "temperature_ghz": 0.1})
@@ -219,3 +247,8 @@ def test_bath_from_config_rejects_unknown_keys():
         bath_from_config({"model": "one_over_f", "amplitude": 1e-6})
     with pytest.raises(ValueError):
         bath_from_config({"model": "lorentzian"})
+    # a key of another model is refused, not ignored
+    with pytest.raises(ValueError, match=re.escape("unknown flat bath keys: ['eta']")):
+        bath_from_config({"model": "flat", "eta": 0.5})
+    with pytest.raises(ValueError, match=re.escape("unknown ohmic bath keys: ['level']")):
+        bath_from_config({"model": "ohmic", "eta": 0.002, "level": 1.0})

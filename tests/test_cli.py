@@ -613,6 +613,31 @@ def test_non_finite_config_exits_2(config_path, tmp_path, capsys, command, patch
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command, patch, field", [
+    ("steady", {"num_qubit_levels": 5.7}, "TransmonSpec.num_levels must be a whole number"),
+    ("steady", {"fock_truncation": 8.9}, "ResonatorSpec.fock_truncation must be a whole"),
+    ("rates", {"temperature_ghz": True}, "SpectralFunction.temperature must be a number"),
+    ("steady", {"g0_ghz": "0.1"}, "TransmonSpec.g0 must be a number"),
+    ("rates", {"bath_R": {"model": "flat", "level": True}},
+     "SpectralFunction.level must be a number"),
+    ("rates", {"bath_X": {"model": "ohmic", "eta": 0.002, "level": 1.0}},
+     "unknown ohmic bath keys: ['level']"),
+    ("rates", {"bath_R": {"model": "flat", "eta": 0.5}}, "unknown flat bath keys: ['eta']"),
+], ids=["levels-5.7", "fock-8.9", "temperature-true", "g0-string", "level-true",
+        "ohmic-level", "flat-eta"])
+def test_config_values_that_are_not_numbers_exit_2(tmp_path, capsys, command, patch, field):
+    """A README config with a bool or a string where a number belongs, a
+    non-whole count, or a bath key of another model is not read as some
+    other value: the command exits 2 with one error line naming the field."""
+    path = tmp_path / "patched.json"
+    path.write_text(json.dumps({**README_CONFIG, **patch}))
+    capsys.readouterr()
+    assert main([command, "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {field}") and captured.err.count("\n") == 1
+
+
 def _patched_config(config_path, tmp_path, patch):
     path = tmp_path / "patched.json"
     with open(config_path) as handle:

@@ -4,6 +4,8 @@ The README config is mutated with non-finite, negative, huge and wrong-type
 values, and every subcommand that reads a config is run in-process.  Each
 run must end in one of the documented exit codes (0, 2, 3, 4), never in an
 uncaught exception (which would fail the test) or a traceback on stderr.
+A config that holds a wrong-type value (a bool, a string, null, a list or
+an object) where a number belongs, or a size that is not whole, must exit 2.
 Ladder and Fock sizes are drawn only from small values and from values
 above DIM_CAP, and evolve/steady run at --nq 3 --nr 5: both build dense
 d x d jump matrices, so a large d would need gigabytes.  No run may start a
@@ -54,6 +56,17 @@ BATH_PARAMETERS = {"bath_X": ("eta", "cutoff_ghz", "temperature_ghz"),
                    "bath_R": ("level", "temperature_ghz")}
 
 
+def _holds_a_non_number(config) -> bool:
+    """Whether a number slot of config holds a WRONG_TYPES value, or a size
+    slot a float that is not whole (2.5, NaN or an infinity)."""
+    slots = [config.get(key, 0.0) for key in FREQUENCY_KEYS]
+    slots += [bath.get(p, 0.0) for name, params in BATH_PARAMETERS.items()
+              if isinstance(bath := config.get(name), dict) for p in params]
+    sizes = [config[key] for key in ("num_qubit_levels", "fock_truncation")]
+    return (any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in slots + sizes)
+            or any(isinstance(v, float) and not v.is_integer() for v in sizes))
+
+
 @st.composite
 def mutations(draw):
     """A few (path, value) replacements in the README config."""
@@ -86,7 +99,8 @@ COMMANDS = st.sampled_from([
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(command=COMMANDS, changes=mutations())
 def test_mutated_readme_config_keeps_the_exit_contract(tmp_path_factory, command, changes):
-    """Every mutated config ends in exit 0, 2, 3 or 4, without a traceback."""
+    """Every mutated config ends in exit 0, 2, 3 or 4, without a traceback,
+    and in exit 2 if it holds a non-number where a number belongs."""
     config = json.loads(json.dumps(README_CONFIG))
     for path, value in changes:
         target = config
@@ -105,6 +119,9 @@ def test_mutated_readme_config_keeps_the_exit_contract(tmp_path_factory, command
     assert "Traceback" not in err.getvalue()
     if code != 0:
         assert err.getvalue().startswith("error: ")
+    if _holds_a_non_number(config):
+        event("non-number")
+        assert code == 2, f"{config} exited {code}"
 
 
 CELLS = st.sampled_from(["0", "-0", "1", "-1", "1e308", "-1e308", "5e-324", "-5e-324",

@@ -16,6 +16,7 @@ from rabiqed import (
     AmbiguousLabeling,
     ConvergenceFailure,
     DimensionOverflow,
+    LadderOverflow,
     NoPhysicalCoupling,
     NonPositiveSplitting,
     PrecisionLoss,
@@ -109,6 +110,20 @@ def test_dimension_cap(monkeypatch):
         build_hamiltonian(*ladder(system), RABI)
     monkeypatch.setattr(exact, "DIM_CAP", 5000)
     assert build_hamiltonian(*ladder(system), RABI).shape == (5000, 5000)
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflow_check_bounds_entries_of_any_sign():
+    """The overflow pre-check bounds every entry by magnitude, so a raw ladder
+    that is not valid (a coupling of -1e308, whose entries -2e308 overflow)
+    raises LadderOverflow before any entry is written, with no NumPy
+    RuntimeWarning, in build_hamiltonian and in exact_shifts.  So does a
+    middle level of 1.5e308 GHz, whose (1, 4) entry 1.9e308 overflows."""
+    for raw in (([0.0, 1.0, 2.0], [1.0, -1e308], 1.0, 5),
+                    ([0.0, 1.5e308, 2.0], [1.0, 1.0], 1e307, 5)):
+        for build in (build_hamiltonian, exact_shifts):
+            with pytest.raises(LadderOverflow, match="Hamiltonian overflows float64"):
+                build(*raw, RABI)
 
 
 def test_eigensolver_failure_is_a_convergence_failure(monkeypatch):

@@ -66,6 +66,65 @@ def test_spec_constructors_reject_non_finite_values():
                   transverse_bath_couplings=(1.0,), dephasing_sensitivities=(0.0, 1.0))
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: TransmonSpec(omega_10=6.0, anharmonicity=0.25, g0="0.1", num_levels=3),
+     "TransmonSpec.g0 must be a number, got '0.1'"),
+    (lambda: TransmonSpec(omega_10=True, anharmonicity=0.25, g0=0.1, num_levels=3),
+     "TransmonSpec.omega_10 must be a number, got True"),
+    (lambda: TransmonSpec(omega_10=6.0, anharmonicity=0.25, g0=0.1, num_levels=5.7),
+     "TransmonSpec.num_levels must be a whole number, got 5.7"),
+    (lambda: TransmonSpec(omega_10=6.0, anharmonicity=0.25, g0=0.1, num_levels=True),
+     "TransmonSpec.num_levels must be a number, got True"),
+    (lambda: TransmonSpec(omega_10=6.0, anharmonicity=0.25, g0=0.1, num_levels="3"),
+     "TransmonSpec.num_levels must be a number, got '3'"),
+    (lambda: ResonatorSpec(omega_r=True, fock_truncation=5),
+     "ResonatorSpec.omega_r must be a number, got True"),
+    (lambda: ResonatorSpec(omega_r=5.0, fock_truncation=8.9),
+     "ResonatorSpec.fock_truncation must be a whole number, got 8.9"),
+    (lambda: ResonatorSpec(omega_r=5.0, fock_truncation=None),
+     "ResonatorSpec.fock_truncation must be a number, got None"),
+    (lambda: ResonatorSpec(omega_r=5.0, fock_truncation=math.inf),
+     "ResonatorSpec.fock_truncation must be finite, got inf"),
+    (lambda: ResonatorSpec(omega_r=10**400, fock_truncation=5),
+     "ResonatorSpec.omega_r must be finite, got 1000"),
+    (lambda: QubitSpec(("0", True), ("0.1",), (1,), (0, 1)),
+     "QubitSpec.level_energies must be a number, got '0'"),
+    (lambda: QubitSpec((0.0, True), (0.1,), (1,), (0, 1)),
+     "QubitSpec.level_energies must be a number, got True"),
+    (lambda: QubitSpec((0.0, 6.0), (0.1,), (1,), (0, np.bool_(True))),
+     "QubitSpec.dephasing_sensitivities must be a number, got "),
+], ids=["g0-string", "omega_10-true", "levels-5.7", "levels-true", "levels-string",
+        "omega_r-true", "fock-8.9", "fock-none", "fock-inf", "omega_r-huge-int",
+        "energies-strings", "energies-true", "sensitivity-numpy-bool"])
+def test_spec_constructors_refuse_what_is_not_a_number(build, message):
+    """Bools, strings, None and non-whole counts are refused by the
+    constructor that holds the field, with InvalidSpec naming it."""
+    with pytest.raises(InvalidSpec, match="^" + re.escape(message)):
+        build()
+
+
+def test_spec_constructors_store_floats_and_int_counts():
+    """Ints, NumPy scalars and whole floats are accepted: each frequency is
+    stored as a float and each count as an int, an int count of any size as
+    it is."""
+    transmon = TransmonSpec(omega_10=6, anharmonicity=np.float64(0.25), g0=0, num_levels=3.0)
+    assert transmon == TransmonSpec(omega_10=6.0, anharmonicity=0.25, g0=0.0, num_levels=3)
+    assert [type(getattr(transmon, f)) for f in ("omega_10", "anharmonicity", "g0",
+                                                 "num_levels")] == [float, float, float, int]
+    assert expand_transmon(transmon).level_energies == (0.0, 6.0, 11.75)
+    assert TransmonSpec(omega_10=6.0, anharmonicity=0.25, g0=0.1,
+                        num_levels=10**400).num_levels == 10**400
+    resonator = ResonatorSpec(omega_r=5, fock_truncation=np.int64(8))
+    assert (resonator.omega_r, resonator.fock_truncation) == (5.0, 8)
+    assert (type(resonator.omega_r), type(resonator.fock_truncation)) == (float, int)
+    qubit = QubitSpec((0, 6), (1,), (np.float64(1.0),), (0, 1))
+    assert qubit == QubitSpec((0.0, 6.0), (1.0,), (1.0,), (0.0, 1.0))
+    assert hash(qubit) == hash(QubitSpec((0.0, 6.0), (1.0,), (1.0,), (0.0, 1.0)))
+    assert {type(x) for name in ("level_energies", "coupling_ladder",
+                                 "transverse_bath_couplings", "dephasing_sensitivities")
+            for x in getattr(qubit, name)} == {float}
+
+
 def test_expand_transmon_rejects_collapsed_ladder():
     """Too much anharmonicity makes a splitting non-positive."""
     spec = TransmonSpec(omega_10=0.4, anharmonicity=0.25, g0=0.01, num_levels=4)

@@ -1,6 +1,7 @@
 """Tests for the second- and fourth-order dissipator rates."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -289,6 +290,25 @@ def test_rate_table_prefactors_are_isolated():
     again = build_system(detuning=1.0, num_levels=3)
     assert purcell_prefactor(0, again, RABI) == p0
     assert build_rate_table(again).prefactors[RABI]["p"][0] == p0
+
+
+def test_build_rate_table_is_linear_in_the_levels():
+    """build_rate_table reads each of its 6N prefactor entries through a cache
+    keyed by the QubitSpec, so it is linear in N only if a lookup hashes the
+    spec in O(1): the best of three tables on a harmonic ladder of 4000 levels
+    takes at most 8 times one of 1000 (linear work gives about 4)."""
+    def best_time(num_levels):
+        system = build_system(detuning=1.0, alpha=0.0, num_levels=num_levels,
+                              baths={"R": SpectralFunction.flat(0.001, temperature_ghz=0.1)})
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            build_rate_table(system)
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    ratio = best_time(4000) / best_time(1000)
+    assert ratio < 8.0, f"N = 4000 took {ratio:.1f} x N = 1000"
 
 
 def test_driven_effective_rates_scaling():

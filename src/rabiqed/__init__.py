@@ -26,9 +26,9 @@ _EXPORTS = {
                  "NonPositiveSplitting", "PrecisionLoss", "PropagationFailure",
                  "RateOverflow", "ResonantDivergence", "SweepError", "TruncationTooSmall",
                  "parse_csv"),
-    "exact": ("ExactShifts", "FitResult", "Labeling", "Spectrum", "analytic_shift",
-              "build_hamiltonian", "diagonalize", "exact_shifts", "fit_g0",
-              "fit_residual_curve", "label_dressed_states"),
+    "exact": ("ExactShifts", "FitResult", "Labeling", "analytic_shift", "build_hamiltonian",
+              "diagonalize", "exact_shifts", "fit_g0", "fit_residual_curve",
+              "label_dressed_states"),
     "lindblad": ("BARE_PLUS_INTERACTION", "DRESSED_ANALYTIC", "MEMORY_BUDGET_BYTES",
                  "LindbladGenerator", "NegativeRate", "NoPopulationSector", "Trajectory",
                  "assemble", "dressed_hamiltonian", "evolve", "partial_trace_qubit",

@@ -98,13 +98,6 @@ class _IOFailure(OSError):
     pass
 
 
-def _json_decode_error() -> type:
-    """json.JSONDecodeError, imported only when main is handling an error."""
-    import json
-
-    return json.JSONDecodeError
-
-
 def _read_csv(path: str) -> tuple[list[str], list[dict]]:
     """The header and rows of a CSV file written by format_table."""
     try:
@@ -488,8 +481,7 @@ def main(argv=None) -> int:
     except _IOFailure as exc:
         _fail(str(exc))
         return EXIT_IO
-    except (ConfigError, InvalidSpec, SweepError, MemoryBudgetExceeded,
-            _json_decode_error()) as exc:
+    except (ConfigError, InvalidSpec, SweepError, MemoryBudgetExceeded) as exc:
         _fail(str(exc))
         return EXIT_CONFIG
     except _MATH_ERRORS as exc:

@@ -83,21 +83,14 @@ def _bare_energies(energies, omega_r: float, fock_truncation: int) -> np.ndarray
     return (np.asarray(energies)[:, None] + omega_r * np.arange(fock_truncation)).ravel()
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigenvalues (ascending) and eigenvectors (columns) of a Hamiltonian."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def diagonalize(h: np.ndarray) -> Spectrum:
-    """Dense symmetric eigensolve; raises ConvergenceFailure on LAPACK failure."""
+def diagonalize(h: np.ndarray):
+    """Dense symmetric eigensolve: np.linalg.eigh's result, eigenvalues
+    ascending and eigenvectors as columns; raises ConvergenceFailure on
+    LAPACK failure."""
     try:
-        vals, vecs = np.linalg.eigh(h)
+        return np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(str(exc)) from exc
-    return Spectrum(eigenvalues=vals, eigenvectors=vecs)
 
 
 @dataclass(frozen=True)
@@ -114,9 +107,10 @@ class Labeling:
     overlaps: dict[tuple[int, int], float]
 
 
-def label_dressed_states(spectrum: Spectrum, energies, omega_r: float, fock_truncation: int,
+def label_dressed_states(spectrum, energies, omega_r: float, fock_truncation: int,
                          required: Iterable[tuple[int, int]] | None = None) -> Labeling:
-    """Greedy maximum-overlap assignment of bare product labels.
+    """Greedy maximum-overlap assignment of bare product labels, from the
+    eigenvectors of a diagonalize result.
 
     Bare states are processed in order of increasing bare energy (ties by
     lexicographic (k, n)), each claiming its best-overlap eigenvector among

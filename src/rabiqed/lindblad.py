@@ -38,11 +38,10 @@ import numpy as np
 
 from .contract import (DegenerateNullSpace, MemoryBudgetExceeded, PropagationFailure,
                        TruncationTooSmall)
-from .exact import _bare_energies, build_hamiltonian
-from .model import SystemSpec
+from .model import SystemSpec, check_model
 from .operators import DimensionMismatch, ProductSpace, _Entries, jump_entries, jump_matrix
 from .rates import DissipatorTerm, JumpDescriptor, RateTable, build_rate_table
-from .shifts import shift_report
+from .shifts import ShiftArrays
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -301,10 +300,10 @@ def dressed_hamiltonian(system: SystemSpec, model: str) -> np.ndarray:
     """Diagonal bare-plus-second-order Hamiltonian on the product space: the
     entry of (k, n) is E_k + n omega_r + n n_coeff_k + static_k, added in
     that order over the (N, M) grid of ladder and photon index."""
-    n_coeff, static = np.array(shift_report(system).h2(model)).T
+    n_coeff, static = ShiftArrays.of_system(system).guard().h2(check_model(model))
     m = system.resonator.fock_truncation
-    energies = (_bare_energies(system.qubit.level_energies, system.omega_r, m).reshape(-1, m)
-                + np.arange(m) * n_coeff[:, None] + static[:, None])
+    bare = np.asarray(system.qubit.level_energies)[:, None] + system.omega_r * np.arange(m)
+    energies = bare + np.arange(m) * n_coeff[:, None] + static[:, None]
     return np.diag(energies.ravel())
 
 
@@ -328,6 +327,8 @@ def assemble(system: SystemSpec, mode: str = DRESSED_ANALYTIC, table: RateTable 
     if mode == DRESSED_ANALYTIC:
         h = dressed_hamiltonian(system, model)
     else:
+        from .exact import build_hamiltonian  # only this mode needs the exact layer
+
         h = build_hamiltonian(q.level_energies, q.coupling_ladder, system.omega_r,
                               space.fock_dim, model)
     return LindbladGenerator(hamiltonian=h, dissipators=tuple(realize_terms(terms, space)))
@@ -501,12 +502,15 @@ def _distinct(indices: np.ndarray) -> np.ndarray:
     return ordered[keep]
 
 
-def _closure(reached: np.ndarray, successors) -> np.ndarray:
-    """The indices reached from the True entries of reached (which it marks)
-    by following successors, a map from an index array to the indices one
-    step on.  A breadth-first search: each pass follows only the entries
-    reached in the pass before."""
-    frontier = np.flatnonzero(reached)
+def _closure(reached: np.ndarray, successors,
+             frontier: np.ndarray | None = None) -> np.ndarray:
+    """The indices reached from frontier (by default every True entry of
+    reached) by following successors, a map from an index array to the
+    indices one step on, through entries not yet reached; it marks them in
+    reached and returns every True entry.  A breadth-first search: each
+    pass follows only the entries reached in the pass before."""
+    if frontier is None:
+        frontier = np.flatnonzero(reached)
     while frontier.size:
         found = successors(frontier)
         frontier = _distinct(found[~reached[found]])
@@ -659,23 +663,10 @@ def evolve(gen: LindbladGenerator, rho0: np.ndarray, t_max: float,
     return Trajectory(times=targets, reach=reach, entries=entries, dim=gen.dim)
 
 
-def _mark_sources(edges: np.ndarray, state: int, seen: np.ndarray) -> np.ndarray:
-    """Mark in seen every state that leads to state through unseen states.
-
-    edges[a, j] is True when population flows from |j> to |a>.
-    """
-    seen[state] = True
-    frontier = np.array([state])
-    while frontier.size:
-        found = edges[frontier].any(axis=0) & ~seen
-        seen |= found
-        frontier = np.flatnonzero(found)
-    return seen
-
-
 def _closed_class_root(edges: np.ndarray) -> int | None:
-    """A state that every state of the rate graph edges (see _mark_sources)
-    leads to, or None when there is none.
+    """A state that every state of the rate graph edges leads to, or None
+    when there is none; edges[a, j] is True when population flows from |j>
+    to |a>.
 
     Such a state exists exactly when the graph has one closed class, a
     communicating class that no flow leaves (Norris, Markov Chains, CUP
@@ -688,12 +679,17 @@ def _closed_class_root(edges: np.ndarray) -> int | None:
     to r after all.
     """
     d = len(edges)
+
+    def sources(states: np.ndarray) -> np.ndarray:
+        return np.flatnonzero(edges[states].any(axis=0))
+
     seen = np.zeros(d, dtype=bool)
     root = 0
     while not seen.all():
         root = int(np.argmin(seen))
-        _mark_sources(edges, root, seen)
-    return root if _mark_sources(edges, root, np.zeros(d, dtype=bool)).all() else None
+        seen[root] = True
+        _closure(seen, sources, np.array([root]))
+    return root if _closure(np.arange(d) == root, sources).size == d else None
 
 
 def _stationary(flows: np.ndarray, root: int) -> np.ndarray:
@@ -765,11 +761,11 @@ def _closed_coherences(maps: _JumpMaps) -> int:
     sources = np.full_like(maps.targets, -1)
     m, j = np.nonzero(maps.targets >= 0)
     sources[m, maps.targets[m, j]] = j
-    while dead.size:
-        found = np.concatenate([images(mapping, dead)[0] for mapping in sources])
-        dead = _distinct(found[alive[found]])
-        alive[dead] = False
-    return int(np.count_nonzero(alive))
+
+    def origins(flat: np.ndarray) -> np.ndarray:
+        return np.concatenate([images(mapping, flat)[0] for mapping in sources])
+
+    return d * d - _closure(~alive, origins, dead).size
 
 
 def _population_steady_state(maps: _JumpMaps) -> np.ndarray:

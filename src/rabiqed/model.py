@@ -427,8 +427,8 @@ def load_config(path: str) -> SystemConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text ({exc})") from exc
+    except ValueError as exc:  # malformed JSON, or an integer past the digit limit
+        raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     return parse_config(data)

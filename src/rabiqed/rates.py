@@ -159,11 +159,15 @@ def _square(x):
 
 def _level_prefactor(path, cross, g, den):
     """a_k: the path through each adjacent transition with nonzero coupling,
-    minus the cross term of the levels 1..N-2 that have two such paths."""
+    minus the cross term of the levels 1..N-2 that have two such paths.
+
+    a_k is a square written out, so an entry below 0 is rounding and is set
+    to 0; every other entry, -0.0 and NaN included, keeps its bits."""
     paths = padded(np.where(g != 0.0, path, 0.0))
     both = (g[..., 1:] != 0.0) & (g[..., :-1] != 0.0)
-    return (paths[..., 1:] + paths[..., :-1]
-            - padded(np.where(both, cross / (den[..., :-1] * den[..., 1:]), 0.0)))
+    a = (paths[..., 1:] + paths[..., :-1]
+         - padded(np.where(both, cross / (den[..., :-1] * den[..., 1:]), 0.0)))
+    return np.where(a < 0.0, 0.0, a)
 
 
 def prefactor_arrays(g, beta, w, dw, wr: float) -> tuple[np.ndarray, dict]:

@@ -54,9 +54,9 @@ def resonant(denominators):
 
 def guard_resonance(which: str, denominators: np.ndarray, ks=None) -> None:
     """Raise ResonantDivergence at the first k in ks (by default every k)
-    whose denominator is resonant."""
-    mask = resonant(denominators)
-    hits = np.flatnonzero(mask) if ks is None else [k for k in ks if mask[k]]
+    whose denominator is resonant; only the entries ks are tested."""
+    hits = (np.flatnonzero(resonant(denominators)) if ks is None
+            else [k for k in ks if resonant(denominators[k])])
     if len(hits):
         raise ResonantDivergence(int(hits[0]), which, float(denominators[hits[0]]))
 

@@ -8,6 +8,13 @@ from pathlib import Path
 
 import pytest
 
+# One BLAS thread: threaded OpenBLAS on a small loaded host makes the
+# suite's small dense products many times slower and the time-bounded
+# acceptance criteria flaky.  Set before rabiqed (and so NumPy) is first
+# imported; subprocess tests inherit it through os.environ.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
 import rabiqed
 from rabiqed import (
     DETUNING,

@@ -164,6 +164,14 @@ def test_config_errors_exit_2(config_path, tmp_path, capsys):
         assert main([command[0], "--config", str(invalid), *command[1:]]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+    # An integer too long for int() (Python's 4300-digit limit) fails in
+    # json.load; the error line names the file.
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps(base).replace('"g0_ghz": 0.1', '"g0_ghz": ' + "9" * 5000))
+    capsys.readouterr()
+    assert main(["rates", "--config", str(huge)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {huge}: ") and err.count("\n") == 1
     # A window wider than the sweep leaves nothing to compute.
     assert main(["shifts", "--config", config_path,
                  "--sweep", "detuning:-0.1:0.1:3"]) == 2
@@ -950,8 +958,8 @@ README_COMMANDS = {"shifts": ["--sweep", "detuning:-3:3:161"],
 @pytest.mark.parametrize("command", sorted(README_COMMANDS))
 def test_readme_commands_start_lean(tmp_path, command):
     """Each README compute command, on the README config in a fresh
-    interpreter, ends with neither SciPy nor numpy.ma imported: start-up is
-    most of such a run."""
+    interpreter, ends with neither SciPy nor numpy.ma imported, and evolve
+    and steady without the exact layer: start-up is most of such a run."""
     config = _readme_config(tmp_path)
     args = README_COMMANDS[command]
     if command == "fit":
@@ -960,11 +968,13 @@ def test_readme_commands_start_lean(tmp_path, command):
                      "--out", str(data)]) == 0
         args = ["--data", str(data), "--json", str(tmp_path / "fit.json"),
                 "--residuals", str(tmp_path / "residuals.csv")]
+    lean = ["scipy", "numpy.ma"] + (["rabiqed.exact"] if command in ("evolve", "steady")
+                                    else [])
     code = ("import sys\n"
             "from rabiqed.cli import main\n"
             f"assert main({[command, '--config', config, *args]!r}\n"
             f"            + ['--out', {str(tmp_path / 'out.csv')!r}]) == 0\n"
-            "loaded = [m for m in ('scipy', 'numpy.ma') if m in sys.modules]\n"
+            f"loaded = [m for m in {lean!r} if m in sys.modules]\n"
             "assert not loaded, loaded\n")
     result = _run_python(code)
     assert result.returncode == 0, result.stderr

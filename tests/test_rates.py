@@ -23,6 +23,7 @@ from rabiqed import (
     dressed_dephasing_prefactors,
     dressed_dephasing_terms,
     driven_effective_rates,
+    parse_config,
     photon_assisted_prefactor,
     photon_assisted_terms,
     purcell_prefactor,
@@ -30,9 +31,10 @@ from rabiqed import (
     second_order_rates,
     sigma_diag,
     sigma_lower,
+    shifts,
 )
 
-from conftest import build_system
+from conftest import README_CONFIG, build_system
 
 
 def test_jump_descriptor_labels():
@@ -209,6 +211,16 @@ def test_photon_assisted_prefactor_is_perfect_square():
             )
 
 
+def test_photon_assisted_prefactor_never_rounds_negative():
+    """a_k is a square evaluated expanded, so it can round below zero: on the
+    README ladder with a negative anharmonicity at N = 12000 the expanded jc
+    a_11961 is -1.1e-16.  It reads >= 0, so its dissipators build."""
+    system = parse_config(dict(README_CONFIG, anharmonicity_ghz=-0.25,
+                               num_qubit_levels=12000, fock_truncation=2)).build()
+    assert photon_assisted_prefactor(11961, system, JC) >= 0.0
+    assert len(photon_assisted_terms(11961, system, JC)) == 2
+
+
 def test_photon_assisted_terms_structure():
     """Two dissipators per level, pairing a_k with C_X(+-omega_r)."""
     system = build_system(
@@ -309,6 +321,18 @@ def test_build_rate_table_is_linear_in_the_levels():
 
     ratio = best_time(4000) / best_time(1000)
     assert ratio < 8.0, f"N = 4000 took {ratio:.1f} x N = 1000"
+
+
+def test_rate_lookups_test_only_their_own_denominators(monkeypatch):
+    """Each per-index lookup of build_rate_table tests for resonance only the
+    one or two denominators it divides by, not all N - 1, so the table's
+    guards are linear in N."""
+    sizes = []
+    resonant = shifts.resonant
+    monkeypatch.setattr(shifts, "resonant",
+                        lambda den: (sizes.append(np.size(den)), resonant(den))[1])
+    build_rate_table(build_system(detuning=1.0, alpha=0.0, num_levels=1000))
+    assert sizes and max(sizes) == 1
 
 
 def test_driven_effective_rates_scaling():

@@ -41,9 +41,8 @@ _EXPORTS = {
                   "jump_matrix", "number_operator", "qubit_lower", "qubit_projector"),
     "rates": ("DRESSED_DEPHASING", "DRIVEN_EFFECTIVE", "PHOTON_ASSISTED", "PURCELL",
               "SECOND_ORDER", "DissipatorTerm", "JumpDescriptor", "RateTable",
-              "build_rate_table", "dressed_dephasing_prefactors", "dressed_dephasing_terms",
-              "driven_effective_rates", "photon_assisted_prefactor",
-              "photon_assisted_terms", "purcell_prefactor", "purcell_rates",
+              "build_rate_table", "dressed_dephasing_prefactors", "driven_effective_rates",
+              "photon_assisted_prefactor", "purcell_prefactor", "purcell_rates",
               "second_order_rates", "sigma_diag", "sigma_lower", "sigma_raise"),
     "shifts": ("ShiftReport", "chi", "chi_tilde", "h2_coefficients", "shift_report", "xi"),
     "sweeps": ("COUPLING", "DETUNING", "FIT_WINDOW_FACTOR", "RESONANCE_WINDOW_FACTOR",

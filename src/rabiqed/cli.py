@@ -235,10 +235,12 @@ def _cmd_fit(args) -> int:
 
 
 def _generator(config, photons: float):
-    from .lindblad import DRESSED_ANALYTIC, assemble
+    from .lindblad import DRESSED_ANALYTIC, assemble, require_memory
     from .rates import build_rate_table, driven_effective_rates
 
     system = config.build()
+    dimension = system.qubit.num_levels * system.resonator.fock_truncation
+    require_memory(8 * dimension ** 2, "the dense Hamiltonian")
     table = build_rate_table(system)
     extra = ()
     if photons > 0:
@@ -290,7 +292,8 @@ def _initial_state(text: str, system, space: ProductSpace) -> np.ndarray:
         if temperature == 0.0:
             return _initial_state("fock:0:0", system, space)
         energies = np.array(system.qubit.level_energies)
-        weights = np.exp(-(energies - energies[0]) / temperature)
+        with np.errstate(over="ignore"):  # E / T beyond float64 is inf: a weight of 0
+            weights = np.exp(-(energies - energies[0]) / temperature)
         qubit = np.diag(weights / weights.sum()).astype(complex)
         x = system.resonator.omega_r / temperature
         nbar = 0.0 if x > 700.0 else 1.0 / math.expm1(x)

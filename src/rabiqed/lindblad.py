@@ -40,7 +40,8 @@ from .contract import (DegenerateNullSpace, MemoryBudgetExceeded, PropagationFai
                        TruncationTooSmall)
 from .model import SystemSpec, check_model
 from .operators import DimensionMismatch, ProductSpace, _Entries, jump_entries, jump_matrix
-from .rates import DissipatorTerm, JumpDescriptor, RateTable, build_rate_table
+from .rates import (DissipatorTerm, JumpDescriptor, RateTable, build_rate_table,
+                    second_order_rates)
 from .shifts import ShiftArrays
 
 if TYPE_CHECKING:
@@ -310,17 +311,20 @@ def dressed_hamiltonian(system: SystemSpec, model: str) -> np.ndarray:
 def assemble(system: SystemSpec, mode: str = DRESSED_ANALYTIC, table: RateTable | None = None,
              extra_terms: Sequence[DissipatorTerm] = ()) -> LindbladGenerator:
     """Build a LindbladGenerator for a system, under its own interaction
-    model, in one of the two modes."""
+    model, in one of the two modes.  The dressed mode takes the second- and
+    fourth-order terms of table, built here if None; the bare mode takes
+    only the second-order ones, so no fourth-order resonance guard runs."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     model = system.interaction_model
     q = system.qubit
     space = ProductSpace(q.num_levels, system.resonator.fock_truncation)
-    if table is None:
-        table = build_rate_table(system)
-    terms = list(table.second_order)
+    require_memory(8 * space.dimension ** 2, "the dense Hamiltonian")
     if mode == DRESSED_ANALYTIC:
-        terms.extend(table.fourth(model))
+        table = build_rate_table(system) if table is None else table
+        terms = [*table.second_order, *table.fourth(model)]
+    else:
+        terms = list(second_order_rates(system) if table is None else table.second_order)
     terms.extend(extra_terms)
     live = sum(term.rate_mhz != 0.0 for term in terms)
     require_memory(8 * space.dimension ** 2 * (1 + live), "the dense Hamiltonian and jumps")

@@ -97,12 +97,6 @@ class QubitSpec:
                    for k, g in enumerate(self.coupling_ladder) if g < 0.0]
         if errors:
             raise InvalidSpec(tuple(errors))
-        # Hashed once: the generated __hash__ rehashes all four N-long tuples
-        # at every lookup of a cache keyed by the spec.
-        object.__setattr__(self, "_hash", hash(tuple(getattr(self, name) for name in names)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @property
     def num_levels(self) -> int:

@@ -26,6 +26,14 @@ vanishes for the rotating-wave model.  a_k is built from the two
 transitions adjacent to level k; out-of-range neighbours contribute zero,
 and the cross term is negative (the two paths interfere destructively).
 
+build_rate_table lists its terms in one order, which the generator's sums
+follow, so their bits depend on it.  Second order: decay then excitation
+for each k, dephasing per level, then kappa_minus and kappa_plus.  Fourth
+order, per model and for each k ascending: the Purcell pair (decay, then
+excitation) and the four dressed-dephasing terms in the order above, for
+k <= N-2, then the photon-assisted pair, D[sigma_{k,k} a] before
+D[sigma_{k,k} a+].
+
 Rates are reported in MHz (spectral weights come out in GHz and are scaled
 by 1e3 here); prefactors are dimensionless.
 """
@@ -199,37 +207,40 @@ def prefactor_arrays(g, beta, w, dw, wr: float) -> tuple[np.ndarray, dict]:
     return detuning, {RABI: rabi, JC: jc}
 
 
-@lru_cache(maxsize=64)
-def _prefactors(q: QubitSpec, wr: float) -> tuple[np.ndarray, dict[str, dict[str, np.ndarray]]]:
-    """prefactor_arrays of one ladder, as read-only arrays.  Cached, so that
-    the per-index lookups below evaluate the arrays of a ladder once."""
-    detuning, prefactors = prefactor_arrays(
-        np.array(q.coupling_ladder), np.array(q.transverse_bath_couplings),
-        np.diff(q.level_energies), np.array(q.dephasing_sensitivities), wr)
-    for array in (detuning, *prefactors[RABI].values(), *prefactors[JC].values()):
-        array.flags.writeable = False
-    return detuning, prefactors
+def _ladder_prefactors(q: QubitSpec,
+                       wr: float) -> tuple[np.ndarray, dict[str, dict[str, np.ndarray]]]:
+    """prefactor_arrays of one ladder."""
+    return prefactor_arrays(np.array(q.coupling_ladder), np.array(q.transverse_bath_couplings),
+                            np.diff(q.level_energies), np.array(q.dephasing_sensitivities), wr)
+
+
+# Cached, so that the per-index lookups below evaluate the arrays of a ladder once.
+_prefactors = lru_cache(maxsize=64)(_ladder_prefactors)
+
+
+def _entry(q: QubitSpec, detuning, values, name: str, k: int, level: bool = False) -> float:
+    """Entry k of one prefactor array, once the transitions it divides by
+    pass the resonance guard: transition k, or for a level the adjacent
+    transitions with nonzero coupling.  Raises RateOverflow if the entry
+    is not finite."""
+    guard_resonance("omega_r - omega_{k+1,k}", detuning,
+                    [j for j in (k, k - 1) if q.g(j) != 0.0] if level else (k,))
+    value = float(values[k])
+    if not math.isfinite(value):
+        raise RateOverflow(f"{name}_{k} = {value} is not finite")
+    return value
 
 
 def _lookup(k: int, system: SystemSpec, model: str, names: tuple[str, ...],
             level: bool = False) -> tuple[float, ...]:
-    """Entries k of one model's named prefactor arrays, once the transitions
-    they divide by pass the resonance guard: transition k, or for a level
-    the adjacent transitions with nonzero coupling.  Raises RateOverflow if
-    an entry read is not finite."""
+    """Entries k of one model's named prefactor arrays, each read by _entry."""
     check_model(model)
     q = system.qubit
     if not 0 <= k <= q.num_levels - (1 if level else 2):
         raise IndexError(f"{'level' if level else 'transition'} index {k} out of range "
                          f"for {q.num_levels} levels")
     detuning, prefactors = _prefactors(q, system.omega_r)
-    guard_resonance("omega_r - omega_{k+1,k}", detuning,
-                    [j for j in (k, k - 1) if q.g(j) != 0.0] if level else (k,))
-    values = tuple(float(prefactors[model][name][k]) for name in names)
-    for name, value in zip(names, values):
-        if not math.isfinite(value):
-            raise RateOverflow(f"{name}_{k} = {value} is not finite")
-    return values
+    return tuple(_entry(q, detuning, prefactors[model][name], name, k, level) for name in names)
 
 
 def purcell_prefactor(k: int, system: SystemSpec, model: str) -> float:
@@ -251,57 +262,15 @@ def dressed_dephasing_prefactors(k: int, system: SystemSpec,
     return _lookup(k, system, model, ("d", "c"))
 
 
-def dressed_dephasing_terms(k: int, system: SystemSpec, model: str) -> list[DissipatorTerm]:
-    """The four photon-exchange dephasing dissipators for transition k.
-
-    Rates pair d_k with C_Z evaluated at the difference frequency and c_k
-    with C_Z at the sum frequency:
-
-        d_k C_Z(omega_{k+1,k} - omega_r)   D[sigma_{k,k+1} a+]
-        d_k C_Z(omega_r - omega_{k+1,k})   D[sigma_{k+1,k} a]
-        c_k C_Z(omega_r + omega_{k+1,k})   D[sigma_{k,k+1} a]
-        c_k C_Z(-omega_r - omega_{k+1,k})  D[sigma_{k+1,k} a+]
-    """
-    d, c = dressed_dephasing_prefactors(k, system, model)
-    w = system.qubit.splitting(k)
-    omega_r = system.omega_r
-    cz = system.bath("Z")
-    down_plus = JumpDescriptor(qubit=("lower", k), photon="create")
-    up_minus = JumpDescriptor(qubit=("raise", k), photon="annihilate")
-    down_minus = JumpDescriptor(qubit=("lower", k), photon="annihilate")
-    up_plus = JumpDescriptor(qubit=("raise", k), photon="create")
-    return [
-        DissipatorTerm(down_plus, _GHZ_TO_MHZ * d * cz.evaluate(w - omega_r),
-                       DRESSED_DEPHASING),
-        DissipatorTerm(up_minus, _GHZ_TO_MHZ * d * cz.evaluate(omega_r - w),
-                       DRESSED_DEPHASING),
-        DissipatorTerm(down_minus, _GHZ_TO_MHZ * c * cz.evaluate(omega_r + w),
-                       DRESSED_DEPHASING),
-        DissipatorTerm(up_plus, _GHZ_TO_MHZ * c * cz.evaluate(-omega_r - w),
-                       DRESSED_DEPHASING),
-    ]
-
-
 def photon_assisted_prefactor(k: int, system: SystemSpec, model: str) -> float:
     """Dimensionless a_k multiplying C_X(+-omega_r), for qubit level k = 0..N-1."""
     return _lookup(k, system, model, ("a",), level=True)[0]
 
 
-def photon_assisted_terms(k: int, system: SystemSpec, model: str) -> list[DissipatorTerm]:
-    """Photon-assisted dephasing dissipators for level k:
-
-        a_k C_X(+omega_r)  D[sigma_{k,k} a]
-        a_k C_X(-omega_r)  D[sigma_{k,k} a+]
-    """
-    a = photon_assisted_prefactor(k, system, model)
-    cx = system.bath("X")
-    omega_r = system.omega_r
-    minus = JumpDescriptor(qubit=("diag", k), photon="annihilate")
-    plus = JumpDescriptor(qubit=("diag", k), photon="create")
-    return [
-        DissipatorTerm(minus, _GHZ_TO_MHZ * a * cx.evaluate(omega_r), PHOTON_ASSISTED),
-        DissipatorTerm(plus, _GHZ_TO_MHZ * a * cx.evaluate(-omega_r), PHOTON_ASSISTED),
-    ]
+def _term(kind: str, k: int, photon: str | None, prefactor: float, noise: float,
+          origin: str) -> DissipatorTerm:
+    return DissipatorTerm(JumpDescriptor(qubit=(kind, k), photon=photon),
+                          _GHZ_TO_MHZ * prefactor * noise, origin)
 
 
 @dataclass(frozen=True)
@@ -325,24 +294,38 @@ def build_rate_table(system: SystemSpec) -> RateTable:
     """Evaluate every rate for all ladder indices and both models.
 
     The prefactor arrays are evaluated once; every entry is read once, by
-    the term that carries it.
+    the terms that carry it.
     """
+    q = system.qubit
+    wr = system.omega_r
+    detuning, prefactors = _ladder_prefactors(q, wr)
+    for array in (*prefactors[RABI].values(), *prefactors[JC].values()):
+        array.flags.writeable = False
+    cx, cz, cr = system.bath("X"), system.bath("Z"), system.bath("R")
+    cx_minus, cx_plus = cx.evaluate(wr), cx.evaluate(-wr)
     second = tuple(second_order_rates(system))
     fourth: dict[str, tuple[DissipatorTerm, ...]] = {}
-    n = system.qubit.num_levels
+    n = q.num_levels
     for model in (RABI, JC):
+        p, d, c, a = (prefactors[model][name] for name in "pdca")
         terms: list[DissipatorTerm] = []
         for k in range(n):
             if k <= n - 2:
-                down, up = purcell_rates(k, system, model)
-                terms.append(DissipatorTerm(sigma_lower(k), down, PURCELL))
-                terms.append(DissipatorTerm(sigma_raise(k), up, PURCELL))
-                terms.extend(dressed_dephasing_terms(k, system, model))
-            terms.extend(photon_assisted_terms(k, system, model))
+                w = q.splitting(k)
+                pk = _entry(q, detuning, p, "p", k)
+                terms += (_term("lower", k, None, pk, cr.evaluate(w), PURCELL),
+                          _term("raise", k, None, pk, cr.evaluate(-w), PURCELL))
+                dk, ck = _entry(q, detuning, d, "d", k), _entry(q, detuning, c, "c", k)
+                terms += (
+                    _term("lower", k, "create", dk, cz.evaluate(w - wr), DRESSED_DEPHASING),
+                    _term("raise", k, "annihilate", dk, cz.evaluate(wr - w), DRESSED_DEPHASING),
+                    _term("lower", k, "annihilate", ck, cz.evaluate(wr + w), DRESSED_DEPHASING),
+                    _term("raise", k, "create", ck, cz.evaluate(-wr - w), DRESSED_DEPHASING))
+            ak = _entry(q, detuning, a, "a", k, level=True)
+            terms += (_term("diag", k, "annihilate", ak, cx_minus, PHOTON_ASSISTED),
+                      _term("diag", k, "create", ak, cx_plus, PHOTON_ASSISTED))
         fourth[model] = tuple(terms)
-    _, prefactors = _prefactors(system.qubit, system.omega_r)
-    return RateTable(second_order=second, fourth_order=fourth,
-                     prefactors={model: dict(prefactors[model]) for model in (RABI, JC)})
+    return RateTable(second_order=second, fourth_order=fourth, prefactors=prefactors)
 
 
 def driven_effective_rates(table: RateTable, n_photons: float,

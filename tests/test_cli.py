@@ -497,16 +497,18 @@ def _readme_config(tmp_path):
     return str(config)
 
 
-def test_evolve_thermal_zero_is_the_ground_state(tmp_path):
-    """--init thermal:0 writes the bytes of --init ground."""
+def test_evolve_thermal_zero_is_the_ground_state(tmp_path, capsys):
+    """--init thermal:0, and a temperature so low that E / T overflows, write
+    the bytes of --init ground and nothing on stderr."""
     config = _readme_config(tmp_path)
     tables = []
-    for init in ("thermal:0", "ground"):
+    for init in ("thermal:0", "thermal:1e-320", "ground"):
         out = tmp_path / f"{init.replace(':', '')}.csv"
         assert main(["evolve", "--config", config, "--init", init, "--tmax", "50",
                      "--samples", "11", "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
         tables.append(out.read_bytes())
-    assert tables[0] == tables[1]
+    assert tables[0] == tables[1] == tables[2]
 
 
 @pytest.mark.parametrize("args, message", [
@@ -764,6 +766,25 @@ def test_dynamics_beyond_the_memory_budget_exit_2(config_path, capsys, args):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "MB budget" in captured.err
+
+
+def test_steady_refuses_the_dense_hamiltonian_before_the_rate_table(tmp_path, capsys,
+                                                                   monkeypatch):
+    """A dense Hamiltonian beyond MEMORY_BUDGET_BYTES exits 2 with its one
+    error line before any rate is evaluated."""
+    def build_rate_table(system):
+        raise AssertionError("the rate table was built")
+
+    monkeypatch.setattr(importlib.import_module("rabiqed.rates"), "build_rate_table",
+                        build_rate_table)
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(dict(README_CONFIG, anharmonicity_ghz=-0.25)))
+    capsys.readouterr()
+    assert main(["steady", "--config", str(path), "--nq", "100000", "--nr", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: the dense Hamiltonian would take 305176 MB, "
+                            "above the 2048 MB budget\n")
 
 
 EXACT_CSV = "delta0_ghz,exact_pull,exact_qshift,error\n0.5,0.01,0.02,\n"

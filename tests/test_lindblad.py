@@ -451,6 +451,20 @@ def test_evolve_lands_on_sample_times():
     assert len(traj.states) == len(ts)
 
 
+def test_bare_mode_assembles_a_resonant_system():
+    """The bare mode takes only the second-order rates, so a resonant system,
+    the regime it is the cross-check for, assembles although its Purcell
+    prefactor diverges.  From |0,1> the vacuum Rabi oscillation has moved
+    the photon into the qubit by t = 1/(4 g0)."""
+    system = build_system(detuning=0.0, g0=0.1)
+    gen = assemble(system, mode=BARE_PLUS_INTERACTION)
+    space = ProductSpace(3, 5)
+    rho0 = np.zeros((space.dimension, space.dimension), dtype=complex)
+    rho0[space.index(0, 1), space.index(0, 1)] = 1.0
+    trajectory = evolve(gen, rho0, 2.5, sample_times=[0.0, 2.5])
+    assert trajectory.diagonals[-1][space.index(1, 0)].real > 0.99
+
+
 @pytest.mark.parametrize("mode, amplitudes", [
     (DRESSED_ANALYTIC, {(1, 2): 1.0}),
     (DRESSED_ANALYTIC, {(0, 0): 1.0, (1, 0): 1.0}),
@@ -1110,7 +1124,8 @@ def test_dressed_evolve_loads_no_scipy(tmp_path):
 
 def test_evolve_keeps_to_the_memory_budget(monkeypatch):
     """Recorded entries beyond MEMORY_BUDGET_BYTES raise MemoryBudgetExceeded
-    before they are allocated; so do the dense jumps in assemble."""
+    before they are allocated; so do the dense jumps in assemble, and the
+    dense Hamiltonian before any rate is evaluated."""
     gen = assemble(noisy_system())
     rho0 = np.zeros((15, 15), dtype=complex)
     rho0[5, 5] = 1.0
@@ -1120,4 +1135,8 @@ def test_evolve_keeps_to_the_memory_budget(monkeypatch):
     with pytest.raises(rabiqed.MemoryBudgetExceeded, match="recorded states"):
         evolve(gen, rho0, 4.0, sample_times=np.linspace(0.0, 4.0, 102))
     with pytest.raises(rabiqed.MemoryBudgetExceeded, match="jumps"):
+        assemble(noisy_system())
+    monkeypatch.setattr(lindblad, "MEMORY_BUDGET_BYTES", 8 * 15 ** 2 - 1)
+    monkeypatch.setattr(lindblad, "build_rate_table", None)  # a table built is a TypeError
+    with pytest.raises(rabiqed.MemoryBudgetExceeded, match="the dense Hamiltonian would"):
         assemble(noisy_system())

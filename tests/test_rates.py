@@ -21,13 +21,12 @@ from rabiqed import (
     SpectralFunction,
     build_rate_table,
     dressed_dephasing_prefactors,
-    dressed_dephasing_terms,
     driven_effective_rates,
     parse_config,
     photon_assisted_prefactor,
-    photon_assisted_terms,
     purcell_prefactor,
     purcell_rates,
+    rates,
     second_order_rates,
     sigma_diag,
     sigma_lower,
@@ -35,6 +34,12 @@ from rabiqed import (
 )
 
 from conftest import README_CONFIG, build_system
+
+
+def table_terms(table, model, origin, k):
+    """The table's terms of one origin whose qubit factor has index k."""
+    return [term for term in table.fourth(model)
+            if term.origin == origin and term.jump.qubit[1] == k]
 
 
 def test_jump_descriptor_labels():
@@ -148,11 +153,10 @@ def test_dressed_dephasing_terms_structure():
         detuning=1.0, g0=0.1,
         baths={"Z": SpectralFunction.flat(0.01, temperature_ghz=0.25)},
     )
-    terms = dressed_dephasing_terms(0, system, RABI)
+    terms = table_terms(build_rate_table(system), RABI, DRESSED_DEPHASING, 0)
     assert [term.jump.label for term in terms] == [
         "sigma(0,1)*adag", "sigma(1,0)*a", "sigma(0,1)*a", "sigma(1,0)*adag",
     ]
-    assert all(term.origin == DRESSED_DEPHASING for term in terms)
     cz = system.bath("Z")
     d, c = dressed_dephasing_prefactors(0, system, RABI)
     np.testing.assert_allclose(terms[0].rate_mhz, 1e3 * d * cz.evaluate(1.0), rtol=1e-13)
@@ -214,11 +218,11 @@ def test_photon_assisted_prefactor_is_perfect_square():
 def test_photon_assisted_prefactor_never_rounds_negative():
     """a_k is a square evaluated expanded, so it can round below zero: on the
     README ladder with a negative anharmonicity at N = 12000 the expanded jc
-    a_11961 is -1.1e-16.  It reads >= 0, so its dissipators build."""
+    a_11961 is -1.1e-16.  It reads >= 0, so the rate table builds its dissipators."""
     system = parse_config(dict(README_CONFIG, anharmonicity_ghz=-0.25,
                                num_qubit_levels=12000, fock_truncation=2)).build()
     assert photon_assisted_prefactor(11961, system, JC) >= 0.0
-    assert len(photon_assisted_terms(11961, system, JC)) == 2
+    assert len(table_terms(build_rate_table(system), JC, PHOTON_ASSISTED, 11961)) == 2
 
 
 def test_photon_assisted_terms_structure():
@@ -227,9 +231,8 @@ def test_photon_assisted_terms_structure():
         detuning=1.0, g0=0.1, num_levels=2,
         baths={"X": SpectralFunction.flat(0.004, temperature_ghz=0.5)},
     )
-    terms = photon_assisted_terms(1, system, JC)
+    terms = table_terms(build_rate_table(system), JC, PHOTON_ASSISTED, 1)
     assert [term.jump.label for term in terms] == ["sigma(1,1)*a", "sigma(1,1)*adag"]
-    assert all(term.origin == PHOTON_ASSISTED for term in terms)
     a = photon_assisted_prefactor(1, system, JC)
     cx = system.bath("X")
     np.testing.assert_allclose(terms[0].rate_mhz, 1e3 * a * cx.evaluate(5.0), rtol=1e-13)
@@ -292,7 +295,8 @@ def test_build_rate_table_layout():
 
 def test_rate_table_prefactors_are_isolated():
     """Each table owns its prefactor dicts and the arrays are read-only, so
-    a caller cannot change what later lookups on an equal system return."""
+    a caller cannot change what the lookups or a later table on an equal
+    system return."""
     system = build_system(detuning=1.0, num_levels=3)
     p0 = purcell_prefactor(0, system, RABI)
     table = build_rate_table(system)
@@ -305,18 +309,19 @@ def test_rate_table_prefactors_are_isolated():
 
 
 def test_build_rate_table_is_linear_in_the_levels():
-    """build_rate_table reads each of its 6N prefactor entries through a cache
-    keyed by the QubitSpec, so it is linear in N only if a lookup hashes the
-    spec in O(1): the best of three tables on a harmonic ladder of 4000 levels
-    takes at most 8 times one of 1000 (linear work gives about 4)."""
+    """build_rate_table evaluates its prefactor arrays once and then does a
+    fixed amount of work per ladder index, so the best of three tables on a
+    harmonic ladder of 4000 levels takes at most 8 times one of 1000 (linear
+    work gives about 4).  Each table is timed in this process's CPU time,
+    which other processes on the host do not add to."""
     def best_time(num_levels):
         system = build_system(detuning=1.0, alpha=0.0, num_levels=num_levels,
                               baths={"R": SpectralFunction.flat(0.001, temperature_ghz=0.1)})
         times = []
         for _ in range(3):
-            start = time.perf_counter()
+            start = time.process_time()
             build_rate_table(system)
-            times.append(time.perf_counter() - start)
+            times.append(time.process_time() - start)
         return min(times)
 
     ratio = best_time(4000) / best_time(1000)
@@ -324,15 +329,28 @@ def test_build_rate_table_is_linear_in_the_levels():
 
 
 def test_rate_lookups_test_only_their_own_denominators(monkeypatch):
-    """Each per-index lookup of build_rate_table tests for resonance only the
-    one or two denominators it divides by, not all N - 1, so the table's
-    guards are linear in N."""
+    """Each prefactor entry build_rate_table reads is tested for resonance
+    only at the one or two denominators it divides by, not all N - 1, so the
+    table's guards are linear in N."""
     sizes = []
     resonant = shifts.resonant
     monkeypatch.setattr(shifts, "resonant",
                         lambda den: (sizes.append(np.size(den)), resonant(den))[1])
     build_rate_table(build_system(detuning=1.0, alpha=0.0, num_levels=1000))
     assert sizes and max(sizes) == 1
+
+
+def test_build_rate_table_evaluates_the_prefactors_once(monkeypatch):
+    """build_rate_table evaluates prefactor_arrays once, for its own system,
+    and reads no entry through the cache of the per-index lookups."""
+    calls = []
+    prefactor_arrays = rates.prefactor_arrays
+    monkeypatch.setattr(rates, "prefactor_arrays",
+                        lambda *args: (calls.append(args), prefactor_arrays(*args))[1])
+    before = rates._prefactors.cache_info()
+    build_rate_table(build_system(detuning=1.0, num_levels=4))
+    assert len(calls) == 1
+    assert rates._prefactors.cache_info() == before
 
 
 def test_driven_effective_rates_scaling():
@@ -358,10 +376,10 @@ def test_driven_effective_rates_scaling():
         np.testing.assert_allclose(strong.rate_mhz, 4.0 * weak.rate_mhz, rtol=1e-13)
     # The dephasing channel collects both photon-assisted directions.
     by_label = {term.jump.label: term.rate_mhz for term in one}
-    expected = sum(term.rate_mhz for term in photon_assisted_terms(1, system, RABI))
+    expected = sum(term.rate_mhz for term in table_terms(table, RABI, PHOTON_ASSISTED, 1))
     np.testing.assert_allclose(by_label["sigma(1,1)"], expected, rtol=1e-13)
     # The decay channel collects both dressed-dephasing photon directions.
-    dressed = dressed_dephasing_terms(0, system, RABI)
+    dressed = table_terms(table, RABI, DRESSED_DEPHASING, 0)
     expected_down = sum(
         term.rate_mhz for term in dressed if term.jump.qubit == ("lower", 0)
     )

@@ -37,7 +37,7 @@ from .contract import (MODELS, OBSERVABLES, QUBIT_SHIFT, RABI, RESONATOR_PULL,
 if TYPE_CHECKING:
     import numpy as np
 
-    from .model import SystemConfig
+    from .model import SystemConfig, SystemSpec
     from .operators import ProductSpace
 
 _MATH_ERRORS = (ResonantDivergence, NonPositiveSplitting, AmbiguousLabeling,
@@ -63,7 +63,8 @@ def _write_text(path: str | None, text: str) -> None:
         handle.write(text)
 
 
-def _load_config(args) -> SystemConfig:
+def _load_config(args) -> tuple[SystemConfig, SystemSpec | None]:
+    """The configured SystemConfig and its base system, built once, here."""
     import dataclasses
 
     from .model import load_config
@@ -81,17 +82,18 @@ def _load_config(args) -> SystemConfig:
         config = dataclasses.replace(
             config, resonator=dataclasses.replace(config.resonator,
                                                   fock_truncation=args.nr))
-    # The overrides above re-ran the field checks.  Building the base system
-    # once refuses a ladder that overflows float64; a collapsed base ladder
-    # passes, because each sweep row reports its own collapse and evolve and
-    # steady fail on rebuild.
+    # The overrides above re-ran the field checks.  The build refuses a
+    # ladder that overflows float64.  A collapsed base ladder ends evolve
+    # and steady, which need its system; it passes the sweeps and fit with
+    # no system, because each sweep row and each fit reports its own.
     try:
-        config.build()
+        return config, config.build()
     except NonPositiveSplitting:
-        pass
+        if args.command in ("evolve", "steady"):
+            raise
+        return config, None
     except LadderOverflow as exc:
         raise ConfigError(str(exc)) from exc
-    return config
 
 
 class _IOFailure(OSError):
@@ -129,7 +131,7 @@ def _cmd_sweep(args) -> int:
         "shifts": (ShiftRow, shift_rows, True),
         "rates": (RateRow, rate_rows, False),
         "exact": (ExactRow, exact_rows, False)}[args.command]
-    config = _load_config(args)
+    config, _ = _load_config(args)
     if not args.sweep:
         variable = DETUNING
         values = np.array([config.transmon.omega_10 - config.resonator.omega_r])
@@ -167,7 +169,7 @@ def _cmd_fit(args) -> int:
 
     from .exact import FitResult, fit_g0, fit_residual_curve
 
-    config = _load_config(args)
+    config, _ = _load_config(args)
     observables = (args.observable,) if args.observable else OBSERVABLES
     models = (args.model,) if args.model else MODELS
     if args.data:
@@ -234,19 +236,15 @@ def _cmd_fit(args) -> int:
     return EXIT_MATH if failures == len(out_rows) else EXIT_OK
 
 
-def _generator(config, photons: float):
+def _generator(system: SystemSpec, photons: float):
     from .lindblad import DRESSED_ANALYTIC, assemble, require_memory
     from .rates import build_rate_table, driven_effective_rates
 
-    system = config.build()
     dimension = system.qubit.num_levels * system.resonator.fock_truncation
     require_memory(8 * dimension ** 2, "the dense Hamiltonian")
     table = build_rate_table(system)
-    extra = ()
-    if photons > 0:
-        extra = driven_effective_rates(table, photons, system.interaction_model)
-    return system, assemble(system, mode=DRESSED_ANALYTIC, table=table,
-                            extra_terms=extra)
+    extra = driven_effective_rates(table, photons, system.interaction_model)
+    return assemble(system, mode=DRESSED_ANALYTIC, table=table, extra_terms=extra)
 
 
 def _state_summary(diagonal: np.ndarray, space: ProductSpace) -> dict:
@@ -308,8 +306,8 @@ def _cmd_evolve(args) -> int:
     from .lindblad import evolve, require_memory
     from .operators import ProductSpace
 
-    config = _load_config(args)
-    system, gen = _generator(config, args.photons)
+    _, system = _load_config(args)
+    gen = _generator(system, args.photons)
     space = ProductSpace(system.qubit.num_levels, system.resonator.fock_truncation)
     rho0 = _initial_state(args.init, system, space)
     # every --init state is diagonal, so it reaches at most the d populations
@@ -333,8 +331,8 @@ def _cmd_steady(args) -> int:
     from .lindblad import steady_state
     from .operators import ProductSpace
 
-    config = _load_config(args)
-    system, gen = _generator(config, args.photons)
+    _, system = _load_config(args)
+    gen = _generator(system, args.photons)
     space = ProductSpace(system.qubit.num_levels, system.resonator.fock_truncation)
     # the steady state is diagonal: its purity is sum p^2, and the photon
     # number of its resonator factor, Tr[(1 (x) n) rho], is nbar

@@ -220,7 +220,7 @@ def _entry_bound(h: np.ndarray, dissipators) -> float:
     return float(2.0 * TWO_PI * np.max(np.abs(h)) + np.max(kappa) + peak)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LindbladGenerator:
     """Hamiltonian (GHz) plus a list of (jump, rate in MHz).
 
@@ -232,14 +232,13 @@ class LindbladGenerator:
     product.  evolve and steady_state never build it when the generator has
     a population sector (see _jump_maps).  A generator whose Liouvillian
     would have an infinite or NaN entry raises PropagationFailure when it
-    is made.
+    is made.  Generators compare and hash by identity.
     """
 
     hamiltonian: np.ndarray
     dissipators: tuple[tuple[_Entries, float], ...]
-    _maps: _JumpMaps | None = field(init=False, default=None, repr=False, compare=False)
-    _liouvillian: sp.csr_matrix | None = field(init=False, default=None, repr=False,
-                                               compare=False)
+    _maps: _JumpMaps | None = field(init=False, default=None, repr=False)
+    _liouvillian: sp.csr_matrix | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self) -> None:
         h = np.asarray(self.hamiltonian)
@@ -381,7 +380,7 @@ class _States(Sequence):
         return rho
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Times (ns) and the states recorded along an evolution.
 
@@ -389,6 +388,7 @@ class Trajectory:
     entries[i] holds the values at the indices reach at times[i], and every
     other entry of the state is exactly zero.  states gives them back as
     dim x dim density matrices, and diagonals gives their diagonals alone.
+    Trajectories compare and hash by identity.
     """
 
     times: np.ndarray

@@ -34,6 +34,10 @@ excitation) and the four dressed-dephasing terms in the order above, for
 k <= N-2, then the photon-assisted pair, D[sigma_{k,k} a] before
 D[sigma_{k,k} a+].
 
+A RateTable holds these terms and nothing else; the prefactors are read
+through prefactor_arrays or the per-index lookups (purcell_prefactor,
+dressed_dephasing_prefactors, photon_assisted_prefactor).
+
 Rates are reported in MHz (spectral weights come out in GHz and are scaled
 by 1e3 here); prefactors are dimensionless.
 """
@@ -277,14 +281,12 @@ def _term(kind: str, k: int, photon: str | None, prefactor: float, noise: float,
 class RateTable:
     """Eagerly evaluated dissipator lists for one system, both models.
 
-    second_order does not depend on the interaction model; fourth_order
-    and prefactors (the read-only arrays p, d, c and a over the ladder
-    index) are keyed by "rabi" / "jc".
+    second_order does not depend on the interaction model; fourth_order is
+    keyed by "rabi" / "jc".  Tables of equal systems compare equal.
     """
 
     second_order: tuple[DissipatorTerm, ...]
     fourth_order: dict[str, tuple[DissipatorTerm, ...]]
-    prefactors: dict[str, dict[str, np.ndarray]]
 
     def fourth(self, model: str) -> tuple[DissipatorTerm, ...]:
         return self.fourth_order[check_model(model)]
@@ -299,8 +301,6 @@ def build_rate_table(system: SystemSpec) -> RateTable:
     q = system.qubit
     wr = system.omega_r
     detuning, prefactors = _ladder_prefactors(q, wr)
-    for array in (*prefactors[RABI].values(), *prefactors[JC].values()):
-        array.flags.writeable = False
     cx, cz, cr = system.bath("X"), system.bath("Z"), system.bath("R")
     cx_minus, cx_plus = cx.evaluate(wr), cx.evaluate(-wr)
     second = tuple(second_order_rates(system))
@@ -325,7 +325,7 @@ def build_rate_table(system: SystemSpec) -> RateTable:
             terms += (_term("diag", k, "annihilate", ak, cx_minus, PHOTON_ASSISTED),
                       _term("diag", k, "create", ak, cx_plus, PHOTON_ASSISTED))
         fourth[model] = tuple(terms)
-    return RateTable(second_order=second, fourth_order=fourth, prefactors=prefactors)
+    return RateTable(second_order=second, fourth_order=fourth)
 
 
 def driven_effective_rates(table: RateTable, n_photons: float,

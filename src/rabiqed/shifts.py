@@ -138,9 +138,10 @@ def chi_tilde(k: int, system: SystemSpec) -> float:
 
 def h2_coefficients(system: SystemSpec, model: str) -> tuple[tuple[float, float], ...]:
     """Per-level (photon-number coefficient, static offset) of the diagonal
-    second-order Hamiltonian, for qubit levels k = 0..N-1."""
-    check_model(model)
-    return shift_report(system).h2(model)
+    second-order Hamiltonian, for qubit levels k = 0..N-1.  Every transition
+    is guarded, as in shift_report."""
+    n_coeff, static = ShiftArrays.of_system(system).guard().h2(check_model(model))
+    return tuple(zip(n_coeff.tolist(), static.tolist()))
 
 
 @dataclass(frozen=True)

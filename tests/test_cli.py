@@ -12,8 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rabiqed import (ExactRow, ProductSpace, RateRow, ShiftRow, columns, evolve,
-                     load_config, parse_csv, steady_state)
+from rabiqed import (ExactRow, ProductSpace, RateRow, ShiftRow, SystemConfig, columns,
+                     evolve, load_config, parse_csv, steady_state)
 from rabiqed import cli, contract
 from rabiqed.cli import main
 from rabiqed.sweeps import format_table
@@ -266,8 +266,8 @@ def test_evolve_with_drive_photons(config_path, tmp_path):
 def _summary_from_states(config_path, init, tmax, samples, photons):
     """The evolve table computed from every rebuilt d x d state: the diagonal
     of Trajectory.states, and the trace of each state."""
-    config = load_config(config_path)
-    system, gen = cli._generator(config, photons)
+    system = load_config(config_path).build()
+    gen = cli._generator(system, photons)
     space = ProductSpace(system.qubit.num_levels, system.resonator.fock_truncation)
     rho0 = cli._initial_state(init, system, space)
     trajectory = evolve(gen, rho0, tmax, sample_times=np.linspace(0.0, tmax, samples))
@@ -315,7 +315,7 @@ def test_steady_state_summary(config_path, tmp_path):
     total = row["pop_q0"] + row["pop_q1"] + row["pop_q2"]
     np.testing.assert_allclose(total, 1.0, atol=1e-9)
     assert 0.0 < row["purity"] <= 1.0 + 1e-9
-    _, gen = cli._generator(load_config(config_path), 0.0)
+    gen = cli._generator(load_config(config_path).build(), 0.0)
     p = np.diagonal(steady_state(gen)).real
     assert row["purity"] == float(p @ p)
     assert row["nbar_resonator"] == row["nbar"]
@@ -785,6 +785,25 @@ def test_steady_refuses_the_dense_hamiltonian_before_the_rate_table(tmp_path, ca
     assert captured.out == ""
     assert captured.err == ("error: the dense Hamiltonian would take 305176 MB, "
                             "above the 2048 MB budget\n")
+
+
+@pytest.mark.parametrize("args", [["evolve", "--tmax", "1", "--samples", "3"], ["steady"]],
+                         ids=["evolve", "steady"])
+def test_dynamics_build_the_system_once(config_path, tmp_path, capsys, monkeypatch, args):
+    """evolve and steady expand the configured system once and hand that
+    system to the generator.  A collapsed base ladder still ends them with
+    its NonPositiveSplitting."""
+    built = []
+    build = SystemConfig.build
+    monkeypatch.setattr(SystemConfig, "build",
+                        lambda self, *a, **kw: (built.append(self), build(self, *a, **kw))[1])
+    assert main([*args, "--config", config_path, "--out", str(tmp_path / "out.csv")]) == 0
+    assert len(built) == 1
+    capsys.readouterr()
+    assert main([*args, "--config", config_path, "--nq", "26"]) == 3
+    assert capsys.readouterr().err == (
+        "error: NonPositiveSplitting: transition 25,24 has frequency 0.0 GHz <= 0 "
+        "(omega_10=6.0, anharmonicity=0.25)\n")
 
 
 EXACT_CSV = "delta0_ghz,exact_pull,exact_qshift,error\n0.5,0.01,0.02,\n"

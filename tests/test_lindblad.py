@@ -1,5 +1,6 @@
 """Tests for the master-equation generator, integrator, and steady state."""
 
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -463,6 +464,22 @@ def test_bare_mode_assembles_a_resonant_system():
     rho0[space.index(0, 1), space.index(0, 1)] = 1.0
     trajectory = evolve(gen, rho0, 2.5, sample_times=[0.0, 2.5])
     assert trajectory.diagonals[-1][space.index(1, 0)].real > 0.99
+
+
+def test_generators_and_trajectories_compare_by_identity():
+    """A generator and a trajectory hold arrays, so each equals and hashes
+    as itself only, as an equal one built again does not; both stay frozen."""
+    gen, again = assemble(noisy_system()), assemble(noisy_system())
+    assert gen == gen and gen != again and gen not in [again] and gen in [again, gen]
+    assert len({gen, again, gen}) == 2
+    rho0 = np.zeros((gen.dim, gen.dim), dtype=complex)
+    rho0[0, 0] = 1.0
+    traj, retraced = (evolve(g, rho0, 1.0, sample_times=[0.0, 1.0]) for g in (gen, again))
+    assert traj == traj and traj != retraced and len({traj, retraced, traj}) == 2
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        gen.hamiltonian = np.zeros((gen.dim, gen.dim))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        traj.dim = 1
 
 
 @pytest.mark.parametrize("mode, amplitudes", [

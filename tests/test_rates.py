@@ -1,5 +1,6 @@
 """Tests for the second- and fourth-order dissipator rates."""
 
+import dataclasses
 import math
 import time
 
@@ -265,7 +266,8 @@ def test_resonance_guard():
 
 
 def test_build_rate_table_layout():
-    """The table carries both models' terms and their prefactor arrays."""
+    """The table carries both models' terms, whose rates are the prefactor
+    lookups times the noise powers."""
     system = build_system(
         detuning=1.0, num_levels=3,
         baths={
@@ -279,33 +281,52 @@ def test_build_rate_table_layout():
     # Per transition: 2 Purcell + 4 dressed dephasing; per level: 2 photon assisted.
     assert len(table.fourth(RABI)) == 2 * (2 + 4) + 3 * 2
     assert len(table.fourth(JC)) == len(table.fourth(RABI))
+    cx_minus = system.bath("X").evaluate(system.omega_r)
     for model in (RABI, JC):
-        prefactors = table.prefactors[model]
-        # p, d, c per transition; a per level
-        assert [len(prefactors[name]) for name in "pdca"] == [2, 2, 2, 3]
-        np.testing.assert_allclose(
-            prefactors["p"][0], purcell_prefactor(0, system, model), rtol=0
-        )
-        np.testing.assert_allclose(
-            prefactors["a"][1], photon_assisted_prefactor(1, system, model), rtol=0
-        )
+        purcell = table_terms(table, model, PURCELL, 0)
+        assert tuple(term.rate_mhz for term in purcell) == purcell_rates(0, system, model)
+        assisted = table_terms(table, model, PHOTON_ASSISTED, 1)
+        a1 = photon_assisted_prefactor(1, system, model)
+        assert assisted[0].rate_mhz == 1e3 * a1 * cx_minus
     jc_origins = {term.origin for term in table.fourth(JC)}
     assert jc_origins == {PURCELL, DRESSED_DEPHASING, PHOTON_ASSISTED}
 
 
 def test_rate_table_prefactors_are_isolated():
-    """Each table owns its prefactor dicts and the arrays are read-only, so
-    a caller cannot change what the lookups or a later table on an equal
-    system return."""
-    system = build_system(detuning=1.0, num_levels=3)
-    p0 = purcell_prefactor(0, system, RABI)
-    table = build_rate_table(system)
-    table.prefactors[RABI]["p"] = np.zeros(2)
-    with pytest.raises(ValueError):
-        table.prefactors[JC]["a"][0] = 1.0
-    again = build_system(detuning=1.0, num_levels=3)
+    """The prefactor arrays a caller evaluates are its own: changing them
+    does not change what the lookups or a later table on an equal system
+    return."""
+    def system():
+        return build_system(detuning=1.0, num_levels=3,
+                            baths={"R": SpectralFunction.flat(0.001, temperature_ghz=0.1)})
+
+    first = system()
+    p0 = purcell_prefactor(0, first, RABI)
+    decay = table_terms(build_rate_table(first), RABI, PURCELL, 0)[0].rate_mhz
+    assert decay > 0.0
+    q = first.qubit
+    _, prefactors = rates.prefactor_arrays(
+        np.array(q.coupling_ladder), np.array(q.transverse_bath_couplings),
+        np.diff(q.level_energies), np.array(q.dephasing_sensitivities), first.omega_r)
+    assert prefactors[RABI]["p"][0] == p0
+    prefactors[RABI]["p"][0] = 0.0
+    again = system()
     assert purcell_prefactor(0, again, RABI) == p0
-    assert build_rate_table(again).prefactors[RABI]["p"][0] == p0
+    assert table_terms(build_rate_table(again), RABI, PURCELL, 0)[0].rate_mhz == decay
+
+
+def test_rate_tables_of_equal_systems_compare_equal():
+    """A RateTable holds its terms and nothing else, so the tables of two
+    equal but distinct systems compare equal."""
+    def table(detuning):
+        return build_rate_table(build_system(
+            detuning=detuning, num_levels=4,
+            baths={"R": SpectralFunction.flat(0.001, temperature_ghz=0.1)}))
+
+    assert [field.name for field in dataclasses.fields(table(1.0))] == ["second_order",
+                                                                        "fourth_order"]
+    assert table(1.0) == table(1.0)
+    assert table(1.0) != table(1.5)
 
 
 def test_build_rate_table_is_linear_in_the_levels():
@@ -387,13 +408,17 @@ def test_driven_effective_rates_scaling():
 
 
 def test_fourth_order_rates_need_finite_photon_coupling():
-    """With g = 0 every fourth-order prefactor vanishes."""
+    """With g = 0 every fourth-order prefactor, and so every fourth-order
+    rate, vanishes."""
     system = build_system(g0=0.0, num_levels=3)
     table = build_rate_table(system)
     for model in (RABI, JC):
-        prefactors = table.prefactors[model]
-        for name in "pdca":
-            assert np.all(prefactors[name] == 0.0)
+        for k in range(2):
+            assert purcell_prefactor(k, system, model) == 0.0
+            assert dressed_dephasing_prefactors(k, system, model) == (0.0, 0.0)
+        for k in range(3):
+            assert photon_assisted_prefactor(k, system, model) == 0.0
+        assert all(term.rate_mhz == 0.0 for term in table.fourth(model))
 
 
 @pytest.mark.parametrize("model", [RABI, JC])

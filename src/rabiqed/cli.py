@@ -289,9 +289,8 @@ def _initial_state(text: str, system, space: ProductSpace) -> np.ndarray:
                               f"got {temperature}")
         if temperature == 0.0:
             return _initial_state("fock:0:0", system, space)
-        energies = np.array(system.qubit.level_energies)
         with np.errstate(over="ignore"):  # E / T beyond float64 is inf: a weight of 0
-            weights = np.exp(-(energies - energies[0]) / temperature)
+            weights = np.exp(-system.qubit.ladder.energies / temperature)  # E_0 = 0
         qubit = np.diag(weights / weights.sum()).astype(complex)
         x = system.resonator.omega_r / temperature
         nbar = 0.0 if x > 700.0 else 1.0 / math.expm1(x)

@@ -7,7 +7,7 @@ The Hamiltonian (GHz, ordinary frequencies) is
 with H_int = sum_k g_k (sigma_{k,k+1} + sigma_{k+1,k})(a+ + a) for the
 full-dipole model and sum_k g_k (sigma_{k,k+1} a+ + sigma_{k+1,k} a) for
 the rotating-wave model.  It is written by index into one d x d array
-from the ladder alone (omega_k, g_k, omega_r, Fock truncation M): no SystemSpec.
+from a ladder record's omega_k and g_k, omega_r and Fock truncation M: no SystemSpec.
 Dressed eigenstates are labeled by maximum overlap with the bare product
 basis, greedily in order of increasing bare energy.  A claim depends only
 on the bare states before it, so a labeling that needs only some pairs
@@ -30,13 +30,13 @@ import numpy as np
 from .contract import (OBSERVABLES, QUBIT_SHIFT, RESONATOR_PULL, AmbiguousLabeling,
                        ConvergenceFailure, DimensionOverflow, LadderOverflow,
                        NoPhysicalCoupling, PrecisionLoss)
-from .model import RABI, check_model, transmon_ladder
+from .model import RABI, Ladder, check_model, transmon_ladder
 from .shifts import ShiftArrays, pull_and_qubit_shift, resonant
 
 DIM_CAP = 4096
 
 
-def build_hamiltonian(energies, couplings, omega_r: float, fock_truncation: int,
+def build_hamiltonian(ladder: Ladder, omega_r: float, fock_truncation: int,
                       model: str) -> np.ndarray:
     """Dense, exactly symmetric Hamiltonian of a ladder and a resonator mode.
 
@@ -50,6 +50,7 @@ def build_hamiltonian(energies, couplings, omega_r: float, fock_truncation: int,
     anything is allocated.
     """
     check_model(model)
+    energies, g = ladder.energies, ladder.g
     n_levels = len(energies)
     m = fock_truncation
     d = n_levels * m
@@ -59,7 +60,7 @@ def build_hamiltonian(energies, couplings, omega_r: float, fock_truncation: int,
     # valid ladder they are E_{N-1} + omega_r (m-1) and max g_k sqrt(m-1));
     # Python floats overflow to inf without a warning.
     largest = (float(np.max(np.abs(energies))) + abs(omega_r) * (m - 1),
-               float(np.max(np.abs(couplings))) * math.sqrt(m - 1))
+               float(np.max(np.abs(g))) * math.sqrt(m - 1))
     if not all(map(math.isfinite, largest)):
         raise LadderOverflow(f"an entry of the {n_levels} x {m} Hamiltonian "
                              f"overflows float64")
@@ -67,7 +68,6 @@ def build_hamiltonian(energies, couplings, omega_r: float, fock_truncation: int,
     np.fill_diagonal(h, _bare_energies(energies, omega_r, m))
     flat = np.arange(d)
     k, n = np.divmod(flat, m)
-    g = np.asarray(couplings)
     # flat index k * m + n: (k+1, n-1) sits m - 1 further on, (k+1, n+1) m + 1
     co = flat[(k < n_levels - 1) & (n > 0)]
     h[co, co + m - 1] = h[co + m - 1, co] = g[k[co]] * np.sqrt(n[co])
@@ -80,7 +80,7 @@ def build_hamiltonian(energies, couplings, omega_r: float, fock_truncation: int,
 
 def _bare_energies(energies, omega_r: float, fock_truncation: int) -> np.ndarray:
     """E_k + omega_r n of every product state, in flat (k, n) order."""
-    return (np.asarray(energies)[:, None] + omega_r * np.arange(fock_truncation)).ravel()
+    return (energies[:, None] + omega_r * np.arange(fock_truncation)).ravel()
 
 
 def diagonalize(h: np.ndarray):
@@ -107,7 +107,7 @@ class Labeling:
     overlaps: dict[tuple[int, int], float]
 
 
-def label_dressed_states(spectrum, energies, omega_r: float, fock_truncation: int,
+def label_dressed_states(spectrum, ladder: Ladder, omega_r: float, fock_truncation: int,
                          required: Iterable[tuple[int, int]] | None = None) -> Labeling:
     """Greedy maximum-overlap assignment of bare product labels, from the
     eigenvectors of a diagonalize result.
@@ -122,7 +122,7 @@ def label_dressed_states(spectrum, energies, omega_r: float, fock_truncation: in
     raises ValueError before labeling starts; one that ends up unlabeled
     raises AmbiguousLabeling.
     """
-    n_levels = len(energies)
+    n_levels = len(ladder.energies)
     m = fock_truncation
     pending = None
     if required is not None:
@@ -136,7 +136,7 @@ def label_dressed_states(spectrum, energies, omega_r: float, fock_truncation: in
     unclaimed = np.ones(n_levels * m, dtype=bool)
     labels: dict[tuple[int, int], int] = {}
     overlaps: dict[tuple[int, int], float] = {}
-    for index in np.argsort(_bare_energies(energies, omega_r, m), kind="stable"):
+    for index in np.argsort(_bare_energies(ladder.energies, omega_r, m), kind="stable"):
         if pending is not None and not pending:
             break
         pair = divmod(int(index), m)
@@ -167,7 +167,7 @@ class ExactShifts:
 _REQUIRED_PAIRS = ((0, 0), (0, 1), (1, 0))
 
 
-def exact_shifts(energies, couplings, omega_r: float, fock_truncation: int,
+def exact_shifts(ladder: Ladder, omega_r: float, fock_truncation: int,
                  model: str) -> ExactShifts:
     """Dispersive observables of a ladder from labeled exact eigenenergies.
 
@@ -177,9 +177,9 @@ def exact_shifts(energies, couplings, omega_r: float, fock_truncation: int,
     2 d eps ||H||; a nonzero shift smaller than that is rounding noise and
     raises PrecisionLoss.  A shift of exactly 0 (g0 = 0) is kept.
     """
-    h = build_hamiltonian(energies, couplings, omega_r, fock_truncation, model)
+    h = build_hamiltonian(ladder, omega_r, fock_truncation, model)
     spectrum = diagonalize(h)
-    labeling = label_dressed_states(spectrum, energies, omega_r, fock_truncation,
+    labeling = label_dressed_states(spectrum, ladder, omega_r, fock_truncation,
                                     required=_REQUIRED_PAIRS)
     e = spectrum.eigenvalues
     e00 = e[labeling.labels[(0, 0)]]
@@ -187,7 +187,7 @@ def exact_shifts(energies, couplings, omega_r: float, fock_truncation: int,
     e10 = e[labeling.labels[(1, 0)]]
     shifts = ExactShifts(
         resonator_pull=float(e01 - e00 - omega_r),
-        qubit_shift=float(e10 - e00 - (energies[1] - energies[0])))
+        qubit_shift=float(e10 - e00 - ladder.w[0]))
     # every entry of H is >= 0 (see build_hamiltonian), so a row sum is its norm
     bound = 2.0 * len(h) * np.finfo(float).eps * float(h.sum(axis=1).max())
     for observable, value in zip(OBSERVABLES, (shifts.resonator_pull, shifts.qubit_shift)):
@@ -205,9 +205,9 @@ def _transmon_shifts(detunings, g0: float, model: str, observable: str, *,
     if observable not in OBSERVABLES:
         raise ValueError(f"observable must be one of {OBSERVABLES}, got {observable!r}")
     check_model(model)
-    energies, couplings = transmon_ladder(omega_r + np.asarray(detunings, dtype=float),
-                                          anharmonicity, g0, num_levels)
-    arrays = ShiftArrays.of(couplings, np.diff(energies, axis=-1), omega_r)
+    ladder = transmon_ladder(omega_r + np.asarray(detunings, dtype=float),
+                             anharmonicity, g0, num_levels)
+    arrays = ShiftArrays.of(ladder.g, ladder.w, omega_r)
     pull, qubit_shift = pull_and_qubit_shift(*arrays.h2(model))
     return (pull if observable == RESONATOR_PULL else qubit_shift), arrays
 

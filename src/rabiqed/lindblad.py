@@ -42,7 +42,6 @@ from .model import SystemSpec, check_model
 from .operators import DimensionMismatch, ProductSpace, _Entries, jump_entries, jump_matrix
 from .rates import (DissipatorTerm, JumpDescriptor, RateTable, build_rate_table,
                     second_order_rates)
-from .shifts import ShiftArrays
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -300,9 +299,9 @@ def dressed_hamiltonian(system: SystemSpec, model: str) -> np.ndarray:
     """Diagonal bare-plus-second-order Hamiltonian on the product space: the
     entry of (k, n) is E_k + n omega_r + n n_coeff_k + static_k, added in
     that order over the (N, M) grid of ladder and photon index."""
-    n_coeff, static = ShiftArrays.of_system(system).guard().h2(check_model(model))
+    n_coeff, static = system.shift_arrays.guard().h2(check_model(model))
     m = system.resonator.fock_truncation
-    bare = np.asarray(system.qubit.level_energies)[:, None] + system.omega_r * np.arange(m)
+    bare = system.qubit.ladder.energies[:, None] + system.omega_r * np.arange(m)
     energies = bare + np.arange(m) * n_coeff[:, None] + static[:, None]
     return np.diag(energies.ravel())
 
@@ -332,8 +331,7 @@ def assemble(system: SystemSpec, mode: str = DRESSED_ANALYTIC, table: RateTable 
     else:
         from .exact import build_hamiltonian  # only this mode needs the exact layer
 
-        h = build_hamiltonian(q.level_energies, q.coupling_ladder, system.omega_r,
-                              space.fock_dim, model)
+        h = build_hamiltonian(q.ladder, system.omega_r, space.fock_dim, model)
     return LindbladGenerator(hamiltonian=h, dissipators=tuple(realize_terms(terms, space)))
 
 

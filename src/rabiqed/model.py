@@ -13,6 +13,8 @@ Conventions used throughout the package:
 - Out-of-range ladder quantities (g_k, beta_k for k < 0 or k > N-2) are
   identically zero; accessors below implement that convention so that
   boundary terms never need special-casing.
+- A ladder's one array form is the Ladder record, which a QubitSpec builds
+  when it is made and transmon_grid makes for a grid of transmon ladders.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ import json
 import math
 import sys
 from dataclasses import dataclass, fields, replace
-from typing import Mapping
+from functools import cached_property
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -32,11 +35,11 @@ from .contract import (JC, MODELS, RABI, ConfigError, InvalidSpec, LadderOverflo
 
 BATH_LABELS = ("X", "Z", "R")
 
-# Memory budget for arrays over the ladder index.  A `rates` command peaks
-# about 1.6 kB per level above its import footprint (190 MB at 1e5 levels,
-# 1.66 GB at 1e6), the largest per-level cost measured; the fit's arrays of
-# detunings x levels take about 0.1 kB per entry.  So one ladder, or a batch
-# of ladders, holds at most budget / 1.6 kB entries.
+# Memory budget for arrays over the ladder index, at 1.6 kB per level, the most
+# a command has been measured to take.  `rates --nq 100000` (harmonic ladder)
+# peaks 63 MB, 0.63 kB per level, above its import footprint, its system's
+# ladder record included; the fit's arrays of detunings x levels take 0.1 kB
+# per entry.  So one ladder, or a batch of them, holds budget / 1.6 kB entries.
 LADDER_BUDGET_BYTES = 256 * 2**20
 MAX_LADDER_ENTRIES = LADDER_BUDGET_BYTES // 1600
 
@@ -45,6 +48,29 @@ def check_model(model: str) -> str:
     if model not in MODELS:
         raise ValueError(f"interaction model must be one of {MODELS}, got {model!r}")
     return model
+
+
+class Ladder(NamedTuple):
+    """A qubit ladder, or a batch of them, as read-only float64 arrays over
+    the level or transition index (the last axis; leading axes, such as a
+    sweep's points, broadcast): omega_k and delta-omega_k per level, and per
+    transition w = omega_{k+1,k} (from the energies), g_k and beta_k."""
+
+    energies: np.ndarray
+    w: np.ndarray
+    g: np.ndarray
+    beta: np.ndarray
+    dw: np.ndarray
+
+    @classmethod
+    def of(cls, energies, g, beta, dw) -> "Ladder":
+        """The record of read-only float64 copies, with w = diff(energies)."""
+        with np.errstate(all="ignore"):  # an unchecked ladder may hold inf
+            w = np.diff(energies, axis=-1)
+        ladder = cls._make(np.array(a, dtype=float) for a in (energies, w, g, beta, dw))
+        for array in ladder:
+            array.flags.writeable = False
+        return ladder
 
 
 @dataclass(frozen=True)
@@ -65,6 +91,8 @@ class QubitSpec:
     dephasing_sensitivities : tuple of float, length N
         Dimensionless sensitivities delta-omega_k of level k to the
         longitudinal (dephasing) bath.
+    ladder : Ladder
+        The fields as arrays, built once; not part of equality or hashing.
     """
 
     level_energies: tuple[float, ...]
@@ -97,6 +125,7 @@ class QubitSpec:
                    for k, g in enumerate(self.coupling_ladder) if g < 0.0]
         if errors:
             raise InvalidSpec(tuple(errors))
+        object.__setattr__(self, "ladder", Ladder.of(*(getattr(self, name) for name in names)))
 
     @property
     def num_levels(self) -> int:
@@ -119,11 +148,6 @@ class QubitSpec:
     def beta(self, k: int) -> float:
         if 0 <= k <= self.num_levels - 2:
             return self.transverse_bath_couplings[k]
-        return 0.0
-
-    def dw(self, k: int) -> float:
-        if 0 <= k <= self.num_levels - 1:
-            return self.dephasing_sensitivities[k]
         return 0.0
 
 
@@ -168,11 +192,9 @@ def ladder_collapses(omega_10, anharmonicity: float, num_levels: int) -> np.ndar
     return (omega_10 <= 0.0) | (omega_10 - top * anharmonicity <= 0.0)
 
 
-def transmon_ladder(omega_10, anharmonicity: float, g0: float,
-                    num_levels: int) -> tuple[np.ndarray, np.ndarray]:
-    """Level energies (one row of N per omega_10 value) and couplings (N-1)
-    of transmon ladders: omega_k = k * omega_10 - anharmonicity * k (k - 1) / 2
-    and g_k = sqrt(k+1) * g0.
+def transmon_ladder(omega_10, anharmonicity: float, g0: float, num_levels: int) -> Ladder:
+    """transmon_grid's ladders, one row of N level energies per omega_10
+    value, once they are checked.
 
     Raises NonPositiveSplitting at the first omega_{k+1,k} = omega_10 -
     k * anharmonicity that is <= 0, before any array of length N is made,
@@ -196,34 +218,29 @@ def transmon_ladder(omega_10, anharmonicity: float, g0: float,
         raise LadderOverflow(
             f"{omega_10.shape[0]} x {num_levels} ladder levels exceed the cap of "
             f"{MAX_LADDER_ENTRIES} ({LADDER_BUDGET_BYTES >> 20} MB memory budget)")
-    energies, couplings = ladder_arrays(omega_10, anharmonicity, g0, num_levels)
-    finite = np.isfinite(energies).all(axis=1) & np.isfinite(couplings).all()
+    ladder = transmon_grid(omega_10, anharmonicity, g0, num_levels)
+    finite = np.isfinite(ladder.energies).all(axis=1) & np.isfinite(ladder.g).all()
     if not finite.all():
         raise LadderOverflow(f"the {num_levels}-level ladder overflows float64 "
                              f"(omega_10={omega_10[np.argmin(finite), 0]}, "
                              f"anharmonicity={anharmonicity}, g0={g0})")
-    return energies, couplings
+    return ladder
 
 
-def ladder_arrays(omega_10, anharmonicity: float, g0,
-                  num_levels: int) -> tuple[np.ndarray, np.ndarray]:
-    """transmon_ladder's energies and couplings, unchecked: a collapsed or
-    overflowing ladder leaves its values in its own rows.  omega_10 and g0
-    broadcast against the ladder index as columns, shape (points, 1), or as
-    scalars."""
+def transmon_grid(omega_10, anharmonicity: float, g0, num_levels: int) -> Ladder:
+    """Transmon ladders, unchecked: omega_k = k * omega_10 - anharmonicity *
+    k (k - 1) / 2, g_k = sqrt(k+1) * g0, and the default bath sensitivities
+    of every point, beta_k = sqrt(k+1) (matrix-element scaling of charge-like
+    transverse noise) and delta-omega_k = k (level k rides k times the 0-1
+    frequency fluctuation).  omega_10 and g0 broadcast against the ladder
+    index as columns, shape (points, 1), or as scalars; a collapsed or
+    overflowing ladder leaves its values in its own rows."""
     k = np.arange(num_levels)
+    root = np.sqrt(k[:-1] + 1.0)
     with np.errstate(all="ignore"):
         energies = k * omega_10 - anharmonicity * k * (k - 1) / 2.0
-        couplings = np.sqrt(k[:-1] + 1) * g0
-    return energies, couplings
-
-
-def transmon_sensitivities(num_levels: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """The default bath sensitivities of a transmon ladder: beta_k = sqrt(k+1)
-    (matrix-element scaling of charge-like transverse noise) and
-    delta-omega_k = k (level k rides k times the 0-1 frequency fluctuation)."""
-    return (tuple(math.sqrt(k + 1) for k in range(num_levels - 1)),
-            tuple(float(k) for k in range(num_levels)))
+        couplings = root * g0
+    return Ladder.of(energies, couplings, root, k.astype(float))
 
 
 def expand_transmon(spec: TransmonSpec,
@@ -231,20 +248,16 @@ def expand_transmon(spec: TransmonSpec,
                     dephasing_sensitivities: tuple[float, ...] | None = None) -> QubitSpec:
     """Expand a transmon ladder (see transmon_ladder) into an explicit QubitSpec.
 
-    The bath sensitivities default to transmon_sensitivities; either can be
+    The bath sensitivities default to those of transmon_grid; either can be
     overridden.
     """
-    n = spec.num_levels
-    energies, couplings = transmon_ladder(spec.omega_10, spec.anharmonicity, spec.g0, n)
-    beta, dw = transmon_sensitivities(n)
-    if bath_couplings is None:
-        bath_couplings = beta
-    if dephasing_sensitivities is None:
-        dephasing_sensitivities = dw
-    return QubitSpec(level_energies=tuple(energies[0].tolist()),
-                     coupling_ladder=tuple(couplings.tolist()),
-                     transverse_bath_couplings=bath_couplings,
-                     dephasing_sensitivities=dephasing_sensitivities)
+    ladder = transmon_ladder(spec.omega_10, spec.anharmonicity, spec.g0, spec.num_levels)
+    return QubitSpec(
+        level_energies=ladder.energies[0].tolist(), coupling_ladder=ladder.g.tolist(),
+        transverse_bath_couplings=(ladder.beta.tolist() if bath_couplings is None
+                                   else bath_couplings),
+        dephasing_sensitivities=(ladder.dw.tolist() if dephasing_sensitivities is None
+                                 else dephasing_sensitivities))
 
 
 @dataclass(frozen=True)
@@ -296,6 +309,23 @@ class SystemSpec:
     def omega_r(self) -> float:
         return self.resonator.omega_r
 
+    @cached_property
+    def shift_arrays(self):
+        """shifts.ShiftArrays of the ladder at omega_r, which the per-index
+        lookups read: built on first use, shared after, so not to be modified."""
+        from .shifts import ShiftArrays
+
+        return ShiftArrays.of(self.qubit.ladder.g, self.qubit.ladder.w, self.omega_r)
+
+    @cached_property
+    def prefactors(self) -> tuple[np.ndarray, dict[str, dict[str, np.ndarray]]]:
+        """rates.prefactor_arrays of the ladder at omega_r, which the per-index
+        lookups read: built on first use, shared after, so not to be modified."""
+        from .rates import prefactor_arrays
+
+        q = self.qubit.ladder
+        return prefactor_arrays(q.g, q.beta, q.w, q.dw, self.omega_r)
+
     def bath(self, label: str) -> SpectralFunction:
         return self.baths[label]
 
@@ -315,17 +345,14 @@ def validate(system: SystemSpec) -> tuple[str, ...]:
     unreliable: any transition within 10 g_k of the resonator, or
     g_0 / |omega_10 - omega_r| > 0.1.
     """
-    q = system.qubit
     omega_r = system.resonator.omega_r
-    warnings = []
-    for k in range(q.num_levels - 1):
-        w = q.splitting(k)
-        g = q.coupling_ladder[k]
-        if g > 0.0 and abs(w - omega_r) < 10.0 * g:
-            warnings.append(f"transition {k + 1},{k} within 10 g_{k} of the resonator "
-                            f"(|{w} - {omega_r}| < {10.0 * g})")
-    detuning = q.splitting(0) - omega_r
-    g0 = q.coupling_ladder[0]
+    w, g = system.qubit.ladder.w.tolist(), system.qubit.ladder.g.tolist()
+    warnings = [f"transition {k + 1},{k} within 10 g_{k} of the resonator "
+                f"(|{wk} - {omega_r}| < {10.0 * gk})"
+                for k, (wk, gk) in enumerate(zip(w, g))
+                if gk > 0.0 and abs(wk - omega_r) < 10.0 * gk]
+    detuning = w[0] - omega_r
+    g0 = g[0]
     if detuning == 0.0 or (g0 > 0.0 and g0 / abs(detuning) > 0.1):
         warnings.append("dispersive parameter g_0/|Delta_0| exceeds 0.1; "
                         "second-order results are unreliable here")

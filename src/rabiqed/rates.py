@@ -34,9 +34,10 @@ excitation) and the four dressed-dephasing terms in the order above, for
 k <= N-2, then the photon-assisted pair, D[sigma_{k,k} a] before
 D[sigma_{k,k} a+].
 
-A RateTable holds these terms and nothing else; the prefactors are read
-through prefactor_arrays or the per-index lookups (purcell_prefactor,
-dressed_dephasing_prefactors, photon_assisted_prefactor).
+A RateTable holds these terms and nothing else.  build_rate_table reads its
+prefactors through the per-index lookups (purcell_prefactor,
+dressed_dephasing_prefactors, photon_assisted_prefactor), which index the
+arrays a system builds once (SystemSpec.prefactors).
 
 Rates are reported in MHz (spectral weights come out in GHz and are scaled
 by 1e3 here); prefactors are dimensionless.
@@ -46,12 +47,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .contract import NegativePhotonNumber, RateOverflow
-from .model import JC, RABI, QubitSpec, SystemSpec, check_model
+from .model import JC, RABI, SystemSpec, check_model
 from .shifts import guard_resonance, padded
 
 SECOND_ORDER = "second_order"
@@ -140,7 +140,7 @@ def second_order_rates(system: SystemSpec) -> list[DissipatorTerm]:
     jumps = [jump for k in range(n - 1) for jump in (sigma_lower(k), sigma_raise(k))]
     jumps += [sigma_diag(k) for k in range(n)]
     jumps += [JumpDescriptor(photon="annihilate"), JumpDescriptor(photon="create")]
-    rates = second_order_values(np.diff(q.level_energies).tolist(),
+    rates = second_order_values(q.ladder.w.tolist(),
                                 q.transverse_bath_couplings, q.dephasing_sensitivities,
                                 system.omega_r, system.baths)
     return [DissipatorTerm(jump, rate, SECOND_ORDER) for jump, rate in zip(jumps, rates)]
@@ -211,40 +211,25 @@ def prefactor_arrays(g, beta, w, dw, wr: float) -> tuple[np.ndarray, dict]:
     return detuning, {RABI: rabi, JC: jc}
 
 
-def _ladder_prefactors(q: QubitSpec,
-                       wr: float) -> tuple[np.ndarray, dict[str, dict[str, np.ndarray]]]:
-    """prefactor_arrays of one ladder."""
-    return prefactor_arrays(np.array(q.coupling_ladder), np.array(q.transverse_bath_couplings),
-                            np.diff(q.level_energies), np.array(q.dephasing_sensitivities), wr)
-
-
-# Cached, so that the per-index lookups below evaluate the arrays of a ladder once.
-_prefactors = lru_cache(maxsize=64)(_ladder_prefactors)
-
-
-def _entry(q: QubitSpec, detuning, values, name: str, k: int, level: bool = False) -> float:
-    """Entry k of one prefactor array, once the transitions it divides by
-    pass the resonance guard: transition k, or for a level the adjacent
-    transitions with nonzero coupling.  Raises RateOverflow if the entry
-    is not finite."""
-    guard_resonance("omega_r - omega_{k+1,k}", detuning,
-                    [j for j in (k, k - 1) if q.g(j) != 0.0] if level else (k,))
-    value = float(values[k])
-    if not math.isfinite(value):
-        raise RateOverflow(f"{name}_{k} = {value} is not finite")
-    return value
-
-
 def _lookup(k: int, system: SystemSpec, model: str, names: tuple[str, ...],
             level: bool = False) -> tuple[float, ...]:
-    """Entries k of one model's named prefactor arrays, each read by _entry."""
+    """Entries k of one model's named prefactor arrays, once the transitions
+    they divide by pass the resonance guard: transition k, or for a level the
+    adjacent ones with nonzero coupling.  Raises RateOverflow at the first
+    entry that is not finite."""
     check_model(model)
     q = system.qubit
     if not 0 <= k <= q.num_levels - (1 if level else 2):
         raise IndexError(f"{'level' if level else 'transition'} index {k} out of range "
                          f"for {q.num_levels} levels")
-    detuning, prefactors = _prefactors(q, system.omega_r)
-    return tuple(_entry(q, detuning, prefactors[model][name], name, k, level) for name in names)
+    detuning, prefactors = system.prefactors
+    guard_resonance("omega_r - omega_{k+1,k}", detuning,
+                    [j for j in (k, k - 1) if q.g(j) != 0.0] if level else (k,))
+    values = tuple(float(prefactors[model][name][k]) for name in names)
+    for name, value in zip(names, values):
+        if not math.isfinite(value):
+            raise RateOverflow(f"{name}_{k} = {value} is not finite")
+    return values
 
 
 def purcell_prefactor(k: int, system: SystemSpec, model: str) -> float:
@@ -293,35 +278,30 @@ class RateTable:
 
 
 def build_rate_table(system: SystemSpec) -> RateTable:
-    """Evaluate every rate for all ladder indices and both models.
-
-    The prefactor arrays are evaluated once; every entry is read once, by
-    the terms that carry it.
-    """
+    """Evaluate every rate for all ladder indices and both models; each
+    prefactor is read once, by a per-index lookup."""
     q = system.qubit
     wr = system.omega_r
-    detuning, prefactors = _ladder_prefactors(q, wr)
     cx, cz, cr = system.bath("X"), system.bath("Z"), system.bath("R")
     cx_minus, cx_plus = cx.evaluate(wr), cx.evaluate(-wr)
     second = tuple(second_order_rates(system))
     fourth: dict[str, tuple[DissipatorTerm, ...]] = {}
     n = q.num_levels
     for model in (RABI, JC):
-        p, d, c, a = (prefactors[model][name] for name in "pdca")
         terms: list[DissipatorTerm] = []
         for k in range(n):
             if k <= n - 2:
                 w = q.splitting(k)
-                pk = _entry(q, detuning, p, "p", k)
+                pk = purcell_prefactor(k, system, model)
                 terms += (_term("lower", k, None, pk, cr.evaluate(w), PURCELL),
                           _term("raise", k, None, pk, cr.evaluate(-w), PURCELL))
-                dk, ck = _entry(q, detuning, d, "d", k), _entry(q, detuning, c, "c", k)
+                dk, ck = dressed_dephasing_prefactors(k, system, model)
                 terms += (
                     _term("lower", k, "create", dk, cz.evaluate(w - wr), DRESSED_DEPHASING),
                     _term("raise", k, "annihilate", dk, cz.evaluate(wr - w), DRESSED_DEPHASING),
                     _term("lower", k, "annihilate", ck, cz.evaluate(wr + w), DRESSED_DEPHASING),
                     _term("raise", k, "create", ck, cz.evaluate(-wr - w), DRESSED_DEPHASING))
-            ak = _entry(q, detuning, a, "a", k, level=True)
+            ak = photon_assisted_prefactor(k, system, model)
             terms += (_term("diag", k, "annihilate", ak, cx_minus, PHOTON_ASSISTED),
                       _term("diag", k, "create", ak, cx_plus, PHOTON_ASSISTED))
         fourth[model] = tuple(terms)

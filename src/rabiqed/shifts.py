@@ -18,6 +18,8 @@ All inputs and outputs are in GHz.
 Every formula is evaluated as a NumPy array over k (the last axis), with
 no check and no warning; a resonant denominator gives inf or NaN in its
 own entry only.  Whoever reads an entry guards its denominators first.
+A system builds its arrays once (SystemSpec.shift_arrays); chi, xi and
+chi_tilde index them and guard only their own transition.
 """
 
 from __future__ import annotations
@@ -80,11 +82,6 @@ class ShiftArrays(NamedTuple):
             return cls(g * g / co, g * g / counter, 2.0 * g * g * w / (co * counter),
                        co, counter)
 
-    @classmethod
-    def of_system(cls, system: SystemSpec) -> "ShiftArrays":
-        q = system.qubit
-        return cls.of(np.array(q.coupling_ladder), np.diff(q.level_energies), system.omega_r)
-
     def guard(self, ks=None, co: bool = True, counter: bool = True) -> "ShiftArrays":
         """self, once the co-rotating and then the counter-rotating
         denominators of the transitions ks (every one by default) pass
@@ -117,7 +114,7 @@ def _transition(k: int, system: SystemSpec, **guards) -> ShiftArrays:
     resonance guard (see ShiftArrays.guard); zero outside the ladder."""
     if not 0 <= k <= system.qubit.num_levels - 2:
         return ShiftArrays(0.0, 0.0, 0.0, 0.0, 0.0)
-    arrays = ShiftArrays.of_system(system).guard((k,), **guards)
+    arrays = system.shift_arrays.guard((k,), **guards)
     return ShiftArrays._make(float(values[k]) for values in arrays)
 
 
@@ -140,7 +137,7 @@ def h2_coefficients(system: SystemSpec, model: str) -> tuple[tuple[float, float]
     """Per-level (photon-number coefficient, static offset) of the diagonal
     second-order Hamiltonian, for qubit levels k = 0..N-1.  Every transition
     is guarded, as in shift_report."""
-    n_coeff, static = ShiftArrays.of_system(system).guard().h2(check_model(model))
+    n_coeff, static = system.shift_arrays.guard().h2(check_model(model))
     return tuple(zip(n_coeff.tolist(), static.tolist()))
 
 
@@ -180,7 +177,7 @@ def shift_report(system: SystemSpec) -> ShiftReport:
     Every transition is read, so every transition is guarded: the first
     co-rotating resonance raises, then the first counter-rotating one.
     """
-    arrays = ShiftArrays.of_system(system).guard()
+    arrays = system.shift_arrays.guard()
     h2r, h2j = arrays.h2(RABI), arrays.h2(JC)
     pull_r, shift_r = pull_and_qubit_shift(*h2r)
     pull_j, shift_j = pull_and_qubit_shift(*h2j)

@@ -8,17 +8,17 @@ surviving grid point.
 
 Every sweep runs through one driver, _sweep.  Its array pass (_analytic)
 settles every point's ladder, and the row error that ends the point, in
-NumPy over points x ladder index: one ladder_arrays expansion, then the
-ShiftArrays and prefactor_arrays expressions that shift_report and the rate
-lookups evaluate for a single system.  Elementwise IEEE arithmetic rounds
-alike at any array shape, so each row holds the bits its own system gives.
-Bath noise powers stay scalar SpectralFunction.evaluate calls, one per rate
-the point's system lists.  One exact pass then expands the ladder row of
-each point left standing from its omega_10 and g0, with the same bits, and
-diagonalizes it (in shift_rows, the points whose analytic columns hold; in
-exact_rows, those whose ladder holds), serially or over forked workers
-(_map_points).  No sweep builds a SystemSpec but _refuse.  Only the modules a
-sweep uses are imported: rates for rate rows, exact where a row diagonalizes.
+NumPy over points x ladder index: one transmon_grid ladder record, then the
+ShiftArrays and prefactor_arrays expressions that a system evaluates from
+its own record.  Elementwise IEEE arithmetic rounds alike at any array
+shape, so each row holds the bits its own system gives.  Bath noise powers
+stay scalar SpectralFunction.evaluate calls, one per rate the point's system
+lists.  One exact pass then expands the ladder record of each point left
+standing from its omega_10 and g0, with the same bits, and diagonalizes it
+(in shift_rows, the points whose analytic columns hold; in exact_rows, those
+whose ladder holds), serially or over forked workers (_map_points).  No
+sweep builds a SystemSpec but _refuse.  Only the modules a sweep uses are
+imported: rates for rate rows, exact where a row diagonalizes.
 
 Detuning grids exclude the resonance window |detuning| < 3 g0 by default;
 exact-only sweeps keep the full grid.
@@ -37,8 +37,8 @@ import numpy as np
 from .contract import (AmbiguousLabeling, DimensionOverflow, LadderOverflow,
                        NonPositiveSplitting, PrecisionLoss, RateOverflow,
                        ResonantDivergence, SweepError, format_table, parse_csv)
-from .model import (JC, MAX_LADDER_ENTRIES, RABI, SystemConfig, ladder_arrays,
-                    ladder_collapses, transmon_sensitivities)
+from .model import (JC, MAX_LADDER_ENTRIES, RABI, Ladder, SystemConfig, ladder_collapses,
+                    transmon_grid)
 from .shifts import ShiftArrays, pull_and_qubit_shift, resonant
 
 DETUNING = "detuning"
@@ -67,8 +67,9 @@ class SweepRequest:
         if self.variable not in SWEEP_VARIABLES:
             raise SweepError(f"sweep variable must be one of {SWEEP_VARIABLES}, "
                              f"got {self.variable!r}")
-        if self.count < 2:
-            raise SweepError(f"sweep count must be >= 2, got {self.count}")
+        # a point holds a ladder of at least one level, so the cap bounds the grid
+        if not 2 <= self.count <= MAX_LADDER_ENTRIES:
+            raise SweepError(f"sweep count must be 2 to {MAX_LADDER_ENTRIES}, got {self.count}")
         # a span beyond float64 (-1e308 to 1e308) would put NaN in the grid
         if not math.isfinite(self.stop - self.start):
             raise SweepError(f"sweep bounds and their span must be finite, "
@@ -198,11 +199,10 @@ def _analytic(config: SystemConfig, variable: str, values: list[float],
     The points' ladders come from one array pass per chunk of at most
     MAX_LADDER_ENTRIES levels, with config.build's row errors in its order:
     an omega_10 beyond float64, a collapse, a ladder above the cap or beyond
-    float64.  columns_of(config, variable, values, w, g) takes the points
-    whose ladders hold, with their splittings omega_{k+1,k} and couplings
-    g_k as points x transitions.  A point whose build would raise InvalidSpec
-    (a negative coupling or temperature, level energies that round equal)
-    ends the pass short of itself; _refuse then raises its error.
+    float64.  columns_of(config, variable, values, ladder) takes the points
+    whose ladders hold, with their ladder record.  A point whose build would
+    raise InvalidSpec (a negative coupling or temperature, level energies
+    that round equal) ends the pass short of itself; _refuse then raises it.
     """
     t = config.transmon
     n = t.num_levels
@@ -224,18 +224,17 @@ def _analytic(config: SystemConfig, variable: str, values: list[float],
         ok = np.array([not results[i] for i in points])
         bad = invalid[points]
         if ok.any():
-            energies, g = ladder_arrays(omega_10[points, None], t.anharmonicity,
-                                        g0[points, None], n)
-            with np.errstate(invalid="ignore"):
-                w = np.diff(energies, axis=-1)
-            finite = np.isfinite(energies).all(axis=-1) & np.isfinite(g).all(axis=-1)
+            ladder = transmon_grid(omega_10[points, None], t.anharmonicity,
+                                   g0[points, None], n)
+            finite = np.isfinite(ladder.energies).all(axis=-1) & np.isfinite(ladder.g).all(axis=-1)
             for i in points[ok & ~finite]:
                 results[i] = LadderOverflow.__name__
             ok &= finite
-            bad = bad | (ok & ~(w > 0.0).all(axis=-1))
+            bad = bad | (ok & ~(ladder.w > 0.0).all(axis=-1))
             ok &= np.cumsum(bad) == 0  # the points before the first invalid one
+            held = ladder._replace(energies=ladder.energies[ok], w=ladder.w[ok], g=ladder.g[ok])
             for i, row in zip(points[ok], columns_of(
-                    config, variable, grid[points[ok]].tolist(), w[ok], g[ok])):
+                    config, variable, grid[points[ok]].tolist(), held)):
                 results[i] = row
         if bad.any():
             done = start + int(np.argmax(bad))
@@ -255,10 +254,10 @@ def _records(**columns: np.ndarray) -> list[dict]:
     return [dict(zip(columns, row)) for row in zip(*(c.tolist() for c in columns.values()))]
 
 
-def _shift_columns(config: SystemConfig, variable: str, values, w, g) -> list:
+def _shift_columns(config: SystemConfig, variable: str, values, ladder: Ladder) -> list:
     """shift_report's columns at every point: every transition is read, so a
     resonance at any transition ends the point."""
-    arrays = ShiftArrays.of(g, w, config.omega_r)
+    arrays = ShiftArrays.of(ladder.g, ladder.w, config.omega_r)
     diverges = (resonant(arrays.co) | resonant(arrays.counter)).any(axis=-1)
     (pull_r, shift_r), (pull_j, shift_j) = (pull_and_qubit_shift(*arrays.h2(model))
                                             for model in (RABI, JC))
@@ -269,7 +268,7 @@ def _shift_columns(config: SystemConfig, variable: str, values, w, g) -> list:
             for resonant_point, row in zip(diverges.tolist(), rows)]
 
 
-def _rate_columns(config: SystemConfig, variable: str, values, w, g) -> list:
+def _rate_columns(config: SystemConfig, variable: str, values, ladder: Ladder) -> list:
     """The rate columns at every point, with the error its rate lookups
     raise first: a second-order rate that is not finite (every transition
     and level is listed), then the resonance guard of transition 0, which
@@ -277,17 +276,16 @@ def _rate_columns(config: SystemConfig, variable: str, values, w, g) -> list:
     finite."""
     from .rates import _GHZ_TO_MHZ, prefactor_arrays, second_order_values
 
-    n = config.transmon.num_levels
     omega_r = config.omega_r
-    beta, dw = transmon_sensitivities(n)
-    detuning, prefactors = prefactor_arrays(g, np.array(beta), w, np.array(dw), omega_r)
+    detuning, prefactors = prefactor_arrays(ladder.g, ladder.beta, ladder.w, ladder.dw, omega_r)
+    beta, dw = ladder.beta.tolist(), ladder.dw.tolist()
     rabi, jc = prefactors[RABI], prefactors[JC]
     columns = dict(p0_rabi=rabi["p"][:, 0], p0_jc=jc["p"][:, 0], d0=rabi["d"][:, 0],
                    c0_rabi=rabi["c"][:, 0], a0_rabi=rabi["a"][:, 0], a0_jc=jc["a"][:, 0])
     overflows = ~np.isfinite(np.array(list(columns.values()))).all(axis=0)
     out = []
     for value, wk, resonant_point, overflow, row in zip(
-            values, w.tolist(), resonant(detuning[:, 0]).tolist(), overflows.tolist(),
+            values, ladder.w.tolist(), resonant(detuning[:, 0]).tolist(), overflows.tolist(),
             _records(**columns)):
         baths = config.baths
         if variable == TEMPERATURE:
@@ -303,7 +301,7 @@ def _rate_columns(config: SystemConfig, variable: str, values, w, g) -> list:
             purcell = baths["R"].evaluate(wk[0])
             out.append(dict(
                 row, gamma_down0_mhz=rates[0], gamma_up0_mhz=rates[1],
-                gamma_phi0_mhz=rates[2 * (n - 1)], kappa_minus_mhz=rates[-2],
+                gamma_phi0_mhz=rates[2 * len(beta)], kappa_minus_mhz=rates[-2],
                 kappa_plus_mhz=rates[-1],
                 purcell_down0_rabi_mhz=_GHZ_TO_MHZ * row["p0_rabi"] * purcell,
                 purcell_down0_jc_mhz=_GHZ_TO_MHZ * row["p0_jc"] * purcell))
@@ -318,7 +316,7 @@ def _exact_fields(model: str, config: SystemConfig, point: tuple[float, float]):
 
     t = config.transmon
     try:
-        exact = exact_shifts(*ladder_arrays(point[0], t.anharmonicity, point[1], t.num_levels),
+        exact = exact_shifts(transmon_grid(point[0], t.anharmonicity, point[1], t.num_levels),
                              config.omega_r, config.resonator.fock_truncation, model)
     except _ROW_ERRORS as exc:
         return type(exc).__name__
@@ -419,7 +417,7 @@ def exact_rows(config: SystemConfig, variable: str, values,
                model: str | None = None) -> list[ExactRow]:
     """Exact shifts in model (the config's by default) where the ladder holds."""
     return _sweep(ExactRow, config, variable, values,
-                  lambda config, variable, values, w, g: [{} for _ in values],
+                  lambda config, variable, values, ladder: [{} for _ in values],
                   config.interaction_model if model is None else model)
 
 

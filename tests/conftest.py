@@ -64,13 +64,6 @@ def _run_python(code: str) -> subprocess.CompletedProcess:
                           capture_output=True, text=True)
 
 
-def ladder(system):
-    """A system's ladder as build_hamiltonian and exact_shifts take it:
-    level energies, couplings, omega_r and Fock truncation."""
-    q = system.qubit
-    return q.level_energies, q.coupling_ladder, system.omega_r, system.resonator.fock_truncation
-
-
 def no_pool(*args, **kwargs):
     """A ProcessPoolExecutor stand-in that fails: patched in where a sweep
     is too little work for a process pool."""
@@ -165,7 +158,8 @@ def shift_fields(system):
     row = dict(chi0=report.chi[0], xi0=report.xi[0], chi_tilde0=report.chi_tilde[0],
                pull_rabi=report.resonator_pull_rabi, pull_jc=report.resonator_pull_jc,
                qshift_rabi=report.qubit_shift_rabi, qshift_jc=report.qubit_shift_jc)
-    exact = exact_shifts(*ladder(system), RABI)
+    exact = exact_shifts(system.qubit.ladder, system.omega_r,
+                         system.resonator.fock_truncation, RABI)
     row["exact_pull"] = exact.resonator_pull
     row["exact_qshift"] = exact.qubit_shift
     for model in ("rabi", "jc"):
@@ -200,7 +194,8 @@ def rate_point_rows(config, variable, values):
 def exact_point_rows(config, variable, values):
     """The exact rows of a sweep in the config's model, one SystemSpec per point."""
     def exact_fields(system):
-        exact = exact_shifts(*ladder(system), config.interaction_model)
+        exact = exact_shifts(system.qubit.ladder, system.omega_r,
+                             system.resonator.fock_truncation, config.interaction_model)
         return dict(exact_pull=exact.resonator_pull, exact_qshift=exact.qubit_shift)
 
     return [point_row(ExactRow, exact_fields, config, variable, value) for value in values]

@@ -448,14 +448,18 @@ def test_temperature_sweep_rows_are_the_built_systems(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("sweep", ["temperature:-1:1:3", "coupling:-0.1:0.1:3",
-                                   "detuning:-1e308:1e308:2"],
-                         ids=["negative-temperature", "negative-coupling", "span-overflow"])
-@pytest.mark.parametrize("command", ["rates", "shifts", "exact"])
+                                   "detuning:-1e308:1e308:2",
+                                   "detuning:-3:3:100000000000000000000"],
+                         ids=["negative-temperature", "negative-coupling", "span-overflow",
+                              "count-overflow"])
+@pytest.mark.parametrize("command", ["rates", "shifts", "exact", "fit"])
 def test_sweep_to_an_invalid_spec_exits_2(tmp_path, capsys, command, sweep):
     """A sweep point whose system would be invalid (a negative bath
     temperature or coupling) refuses the command as a bad config does:
-    exit 2, one error line, nothing written.  So does a grid whose span
-    overflows float64, which would hold NaN points."""
+    exit 2, one error line, nothing written (fit takes only detuning
+    sweeps).  So does a grid whose span overflows float64, which would hold
+    NaN points, or whose count is above MAX_LADDER_ENTRIES, before the grid
+    is made."""
     config = _readme_config(tmp_path)
     capsys.readouterr()
     assert main([command, "--config", config, "--sweep", sweep]) == 2

@@ -34,21 +34,23 @@ from rabiqed import (
 )
 from rabiqed import exact
 from rabiqed.exact import _REQUIRED_PAIRS
+from rabiqed.model import Ladder
 
-from conftest import build_system, ladder
+from conftest import build_system
 
 
-def bare(system):
-    """The arguments label_dressed_states takes after the spectrum."""
-    energies, _, omega_r, fock_truncation = ladder(system)
-    return energies, omega_r, fock_truncation
+def exact_args(system):
+    """The arguments the exact layer takes for a system before the model
+    (label_dressed_states, after the spectrum): its ladder record, omega_r
+    and Fock truncation."""
+    return system.qubit.ladder, system.omega_r, system.resonator.fock_truncation
 
 
 def test_hamiltonian_is_exactly_symmetric():
     """Both interaction models produce a real symmetric matrix, bit for bit."""
     for model in (RABI, JC):
         system = build_system(detuning=1.3, g0=0.12, num_levels=4, fock=7, model=model)
-        h = build_hamiltonian(*ladder(system), model)
+        h = build_hamiltonian(*exact_args(system), model)
         assert np.array_equal(h, h.T)
         assert h.dtype == np.float64
 
@@ -56,7 +58,7 @@ def test_hamiltonian_is_exactly_symmetric():
 def test_hamiltonian_diagonal_and_coupling_blocks():
     """Diagonal entries are bare energies; the rotating-wave model conserves excitations."""
     system = build_system(detuning=1.0, g0=0.1, alpha=0.25, num_levels=3, fock=4)
-    h = build_hamiltonian(*ladder(system), JC)
+    h = build_hamiltonian(*exact_args(system), JC)
     for k, energy in enumerate(system.qubit.level_energies):
         for n in range(4):
             idx = k * 4 + n
@@ -65,7 +67,7 @@ def test_hamiltonian_diagonal_and_coupling_blocks():
     np.testing.assert_allclose(h[0 * 4 + 1, 1 * 4 + 0], 0.1, rtol=0)
     # The counter-rotating element |0,0> <-> |1,1> vanishes for JC, not for Rabi.
     assert h[0 * 4 + 0, 1 * 4 + 1] == 0.0
-    h_full = build_hamiltonian(*ladder(system), RABI)
+    h_full = build_hamiltonian(*exact_args(system), RABI)
     np.testing.assert_allclose(h_full[0 * 4 + 0, 1 * 4 + 1], 0.1, rtol=0)
 
 
@@ -98,7 +100,7 @@ def test_hamiltonian_matches_kronecker_oracle_bit_for_bit(model, num_levels, foc
         for detuning in (-2.0, -0.6, 0.9, 2.5):
             system = build_system(detuning=detuning, g0=g0, num_levels=num_levels,
                                   fock=fock, model=model)
-            h = build_hamiltonian(*ladder(system), model)
+            h = build_hamiltonian(*exact_args(system), model)
             assert h.tobytes() == _kron_hamiltonian(system, model).tobytes()
 
 
@@ -107,9 +109,9 @@ def test_dimension_cap(monkeypatch):
     is read when the Hamiltonian is built."""
     system = build_system(num_levels=10, fock=500)
     with pytest.raises(DimensionOverflow):
-        build_hamiltonian(*ladder(system), RABI)
+        build_hamiltonian(*exact_args(system), RABI)
     monkeypatch.setattr(exact, "DIM_CAP", 5000)
-    assert build_hamiltonian(*ladder(system), RABI).shape == (5000, 5000)
+    assert build_hamiltonian(*exact_args(system), RABI).shape == (5000, 5000)
 
 
 @pytest.mark.filterwarnings("error")
@@ -119,11 +121,12 @@ def test_overflow_check_bounds_entries_of_any_sign():
     raises LadderOverflow before any entry is written, with no NumPy
     RuntimeWarning, in build_hamiltonian and in exact_shifts.  So does a
     middle level of 1.5e308 GHz, whose (1, 4) entry 1.9e308 overflows."""
-    for raw in (([0.0, 1.0, 2.0], [1.0, -1e308], 1.0, 5),
-                    ([0.0, 1.5e308, 2.0], [1.0, 1.0], 1e307, 5)):
+    for energies, couplings, omega_r in (([0.0, 1.0, 2.0], [1.0, -1e308], 1.0),
+                                         ([0.0, 1.5e308, 2.0], [1.0, 1.0], 1e307)):
+        raw = Ladder.of(energies, couplings, [0.0, 0.0], [0.0, 0.0, 0.0])
         for build in (build_hamiltonian, exact_shifts):
             with pytest.raises(LadderOverflow, match="Hamiltonian overflows float64"):
-                build(*raw, RABI)
+                build(raw, omega_r, 5, RABI)
 
 
 def test_eigensolver_failure_is_a_convergence_failure(monkeypatch):
@@ -136,13 +139,13 @@ def test_eigensolver_failure_is_a_convergence_failure(monkeypatch):
     with pytest.raises(ConvergenceFailure, match="Eigenvalues did not converge"):
         diagonalize(np.eye(2))
     with pytest.raises(ConvergenceFailure):
-        exact_shifts(*ladder(build_system()), RABI)
+        exact_shifts(*exact_args(build_system()), RABI)
 
 
 def test_single_excitation_block_closed_form():
     """The rotating-wave single-excitation doublet matches the 2x2 eigenvalues."""
     system = build_system(detuning=1.0, g0=0.1, num_levels=2, fock=2, model=JC)
-    spectrum = diagonalize(build_hamiltonian(*ladder(system), JC))
+    spectrum = diagonalize(build_hamiltonian(*exact_args(system), JC))
     mean = (5.0 + 6.0) / 2.0
     split = math.hypot(0.5, 0.1)
     expected = np.sort([0.0, mean - split, mean + split, 11.0])
@@ -152,7 +155,7 @@ def test_single_excitation_block_closed_form():
 def test_exact_pull_matches_doublet_formula():
     """The labeled pull equals the exact two-level dressed-state expression."""
     system = build_system(detuning=1.0, g0=0.1, num_levels=2, fock=2, model=JC)
-    shifts = exact_shifts(*ladder(system), JC)
+    shifts = exact_shifts(*exact_args(system), JC)
     mean = (5.0 + 6.0) / 2.0
     split = math.hypot(0.5, 0.1)
     np.testing.assert_allclose(shifts.resonator_pull, mean - split - 5.0, rtol=1e-12)
@@ -168,14 +171,14 @@ def test_shifts_below_the_eigensolver_bound_are_precision_loss():
     above its 1e-13 GHz bound."""
     huge = build_system(detuning=0.0, g0=0.1, num_levels=5, fock=8, omega_r=1e155)
     with pytest.raises(PrecisionLoss) as info:
-        exact_shifts(*ladder(huge), RABI)
-    h = build_hamiltonian(*ladder(huge), RABI)
+        exact_shifts(*exact_args(huge), RABI)
+    h = build_hamiltonian(*exact_args(huge), RABI)
     assert info.value.bound == 2 * 40 * np.finfo(float).eps * np.abs(h).sum(axis=1).max()
     assert info.value.observable == RESONATOR_PULL
     assert 0.0 < abs(info.value.value) < info.value.bound
-    zero = exact_shifts(*ladder(build_system(g0=0.0, num_levels=3, fock=4)), RABI)
+    zero = exact_shifts(*exact_args(build_system(g0=0.0, num_levels=3, fock=4)), RABI)
     assert zero.resonator_pull == zero.qubit_shift == 0.0
-    small = exact_shifts(*ladder(build_system(detuning=1.0, g0=1e-5, num_levels=3, fock=4)),
+    small = exact_shifts(*exact_args(build_system(detuning=1.0, g0=1e-5, num_levels=3, fock=4)),
                          RABI)
     assert 1e-11 < abs(small.resonator_pull) < 1e-9
 
@@ -183,8 +186,8 @@ def test_shifts_below_the_eigensolver_bound_are_precision_loss():
 def test_labeling_is_exact_without_coupling():
     """At g = 0 every dressed state is a bare state with unit overlap."""
     system = build_system(g0=0.0, num_levels=3, fock=4)
-    spectrum = diagonalize(build_hamiltonian(*ladder(system), RABI))
-    labeling = label_dressed_states(spectrum, *bare(system))
+    spectrum = diagonalize(build_hamiltonian(*exact_args(system), RABI))
+    labeling = label_dressed_states(spectrum, *exact_args(system))
     assert len(labeling.labels) == 12
     for pair, overlap in labeling.overlaps.items():
         np.testing.assert_allclose(overlap, 1.0, rtol=0, atol=1e-12)
@@ -195,8 +198,8 @@ def test_labeling_is_exact_without_coupling():
 def test_labeling_dispersive_overlaps_are_large():
     """Well detuned, every dressed state stays close to its bare ancestor."""
     system = build_system(detuning=1.0, g0=0.1, num_levels=3, fock=5)
-    spectrum = diagonalize(build_hamiltonian(*ladder(system), RABI))
-    labeling = label_dressed_states(spectrum, *bare(system))
+    spectrum = diagonalize(build_hamiltonian(*exact_args(system), RABI))
+    labeling = label_dressed_states(spectrum, *exact_args(system))
     for pair in ((0, 0), (0, 1), (1, 0), (1, 1)):
         assert labeling.overlaps[pair] > 0.9
 
@@ -204,9 +207,9 @@ def test_labeling_dispersive_overlaps_are_large():
 def test_labeling_ambiguous_on_resonance():
     """At zero detuning the rotating-wave doublet splits 50/50 and cannot be claimed."""
     system = build_system(detuning=0.0, g0=0.1, num_levels=2, fock=3, model=JC)
-    spectrum = diagonalize(build_hamiltonian(*ladder(system), JC))
+    spectrum = diagonalize(build_hamiltonian(*exact_args(system), JC))
     with pytest.raises(AmbiguousLabeling):
-        label_dressed_states(spectrum, *bare(system), required=((0, 0), (0, 1), (1, 0)))
+        label_dressed_states(spectrum, *exact_args(system), required=((0, 0), (0, 1), (1, 0)))
 
 
 @pytest.mark.parametrize("pair", [(5, 0), (3, 0), (0, 4), (0, -1), (-1, 2)])
@@ -214,19 +217,19 @@ def test_required_pair_outside_the_space_is_refused(pair):
     """A required pair that is not a state of the nq x nr space is a caller's
     error, named as such before labeling starts, not an AmbiguousLabeling."""
     system = build_system(num_levels=3, fock=4)
-    spectrum = diagonalize(build_hamiltonian(*ladder(system), RABI))
+    spectrum = diagonalize(build_hamiltonian(*exact_args(system), RABI))
     with pytest.raises(ValueError, match=re.escape(str(pair)) + " .*3 x 4"):
-        label_dressed_states(spectrum, *bare(system), required=((0, 0), pair))
+        label_dressed_states(spectrum, *exact_args(system), required=((0, 0), pair))
 
 
 def test_required_labeling_stops_after_the_last_required_pair():
     """With omega_r = 5 and omega_10 = 6, (0,0), (0,1) and (1,0) are the three
     lowest bare states, so a labeling for them processes no other."""
     system = build_system(detuning=1.0, g0=0.1, num_levels=5, fock=8)
-    spectrum = diagonalize(build_hamiltonian(*ladder(system), RABI))
-    stopped = label_dressed_states(spectrum, *bare(system), required=_REQUIRED_PAIRS)
+    spectrum = diagonalize(build_hamiltonian(*exact_args(system), RABI))
+    stopped = label_dressed_states(spectrum, *exact_args(system), required=_REQUIRED_PAIRS)
     assert set(stopped.overlaps) == set(_REQUIRED_PAIRS)
-    full = label_dressed_states(spectrum, *bare(system))
+    full = label_dressed_states(spectrum, *exact_args(system))
     assert len(full.overlaps) == 40
     assert stopped.labels.items() <= full.labels.items()
 
@@ -247,11 +250,11 @@ def test_stopped_labeling_agrees_with_the_full_pass(num_levels, fock, detuning, 
                               omega_r=omega_r, model=model)
     except NonPositiveSplitting:
         reject()
-    spectrum = diagonalize(build_hamiltonian(*ladder(system), model))
-    full = label_dressed_states(spectrum, *bare(system))
+    spectrum = diagonalize(build_hamiltonian(*exact_args(system), model))
+    full = label_dressed_states(spectrum, *exact_args(system))
     missing = [pair for pair in _REQUIRED_PAIRS if pair not in full.labels]
     try:
-        stopped = label_dressed_states(spectrum, *bare(system), required=_REQUIRED_PAIRS)
+        stopped = label_dressed_states(spectrum, *exact_args(system), required=_REQUIRED_PAIRS)
     except AmbiguousLabeling as exc:
         assert missing and exc.pair == missing[0]
         assert exc.overlap == full.overlaps[exc.pair]
@@ -268,7 +271,7 @@ def test_exact_agrees_with_analytic_when_dispersive():
         for detuning in ((-2.0), 2.0):
             system = build_system(detuning=detuning, g0=0.05, num_levels=3, fock=8,
                                   model=model)
-            exact = exact_shifts(*ladder(system), model)
+            exact = exact_shifts(*exact_args(system), model)
             report = shift_report(system)
             rel = abs(report.resonator_pull(model) - exact.resonator_pull) / abs(
                 exact.resonator_pull
@@ -280,8 +283,8 @@ def test_fock_truncation_converged():
     """Growing the photon cutoff from 10 to 14 moves the pull by < 1e-6 GHz."""
     lo = build_system(detuning=1.0, g0=0.1, num_levels=3, fock=10)
     hi = build_system(detuning=1.0, g0=0.1, num_levels=3, fock=14)
-    assert abs(exact_shifts(*ladder(lo), RABI).resonator_pull
-               - exact_shifts(*ladder(hi), RABI).resonator_pull) < 1e-6
+    assert abs(exact_shifts(*exact_args(lo), RABI).resonator_pull
+               - exact_shifts(*exact_args(hi), RABI).resonator_pull) < 1e-6
 
 
 def test_analytic_shift_matches_report():

@@ -53,7 +53,7 @@ from rabiqed import (
 from rabiqed.cli import _MATH_ERRORS
 from rabiqed.lindblad import _dissipator
 
-from conftest import README_CONFIG, _run_python, build_system, ladder
+from conftest import README_CONFIG, _run_python, build_system
 
 TWO_PI = 2.0 * math.pi
 RATE = TWO_PI * 1e-3  # MHz -> angular rate in 1/ns
@@ -852,7 +852,8 @@ def test_assemble_modes_and_terms():
     dressed = assemble(system, mode=DRESSED_ANALYTIC)
     bare = assemble(system, mode=BARE_PLUS_INTERACTION)
     assert np.count_nonzero(dressed.hamiltonian - np.diag(np.diag(dressed.hamiltonian))) == 0
-    np.testing.assert_allclose(bare.hamiltonian, build_hamiltonian(*ladder(system), RABI), rtol=0)
+    np.testing.assert_allclose(bare.hamiltonian, build_hamiltonian(
+        system.qubit.ladder, system.omega_r, system.resonator.fock_truncation, RABI), rtol=0)
     # 2(N-1)+N+2 = 9 second-order terms, minus the zero-rate level-0 dephasor;
     # the full-dipole fourth order adds 2(N-1) Purcell + 4(N-1) dressed + 2N.
     assert len(bare.dissipators) == 8

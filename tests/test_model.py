@@ -153,8 +153,8 @@ def test_transmon_ladder_caps_the_levels_it_holds():
     """Ladders that never collapse hold at most MAX_LADDER_ENTRIES levels in
     all, counted over every omega_10, and a longer one is refused before any
     array of its length is made (N = 1e18 would not fit)."""
-    energies, _ = transmon_ladder(6.0, -0.25, 0.1, MAX_LADDER_ENTRIES)
-    assert energies.shape == (1, MAX_LADDER_ENTRIES)
+    ladder = transmon_ladder(6.0, -0.25, 0.1, MAX_LADDER_ENTRIES)
+    assert ladder.energies.shape == (1, MAX_LADDER_ENTRIES)
     for omega_10, num_levels in ((6.0, MAX_LADDER_ENTRIES + 1), (6.0, 10**18),
                                  ([6.0, 7.0], MAX_LADDER_ENTRIES // 2 + 1)):
         with pytest.raises(LadderOverflow, match="ladder levels exceed the cap"):
@@ -162,17 +162,36 @@ def test_transmon_ladder_caps_the_levels_it_holds():
 
 
 def test_qubit_spec_accessors():
-    """splitting, g, beta, and dw index the ladder arrays consistently."""
+    """splitting, g, beta and the ladder record index the ladder consistently."""
     qubit = expand_transmon(TransmonSpec(omega_10=6.0, anharmonicity=0.25, g0=0.1, num_levels=4))
     np.testing.assert_allclose(qubit.splitting(0), 6.0, rtol=0)
     np.testing.assert_allclose(qubit.splitting(2), 5.5, rtol=1e-15)
     np.testing.assert_allclose(qubit.g(1), 0.1 * math.sqrt(2.0), rtol=1e-15)
     np.testing.assert_allclose(qubit.beta(2), math.sqrt(3.0), rtol=1e-15)
-    assert qubit.dw(1) == 1.0
+    assert qubit.ladder.dw[1] == 1.0
     with pytest.raises(IndexError):
         qubit.splitting(3)
     with pytest.raises(IndexError):
         qubit.splitting(-1)
+
+
+def test_qubit_spec_ladder_record():
+    """A QubitSpec's ladder record holds its fields as read-only float64
+    arrays, with the splittings, and takes no part in equality or hashing."""
+    qubit = expand_transmon(TransmonSpec(omega_10=6.0, anharmonicity=0.25, g0=0.1, num_levels=4))
+    ladder = qubit.ladder
+    assert ladder.energies.tolist() == list(qubit.level_energies)
+    assert ladder.w.tolist() == [qubit.splitting(k) for k in range(3)]
+    assert ladder.g.tolist() == list(qubit.coupling_ladder)
+    assert ladder.beta.tolist() == list(qubit.transverse_bath_couplings)
+    assert ladder.dw.tolist() == list(qubit.dephasing_sensitivities)
+    for array in ladder:
+        assert array.dtype == np.float64 and not array.flags.writeable
+    with pytest.raises(ValueError):
+        ladder.g[0] = 1.0
+    same = replace(qubit)
+    assert same.ladder is not ladder
+    assert same == qubit and hash(same) == hash(qubit)
 
 
 def test_qubit_spec_length_validation():

@@ -2,10 +2,12 @@
 
 import dataclasses
 import math
-import time
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rabiqed import (
     DRESSED_DEPHASING,
@@ -18,9 +20,15 @@ from rabiqed import (
     DissipatorTerm,
     JumpDescriptor,
     NegativePhotonNumber,
+    QubitSpec,
+    RateOverflow,
     ResonantDivergence,
+    ResonatorSpec,
     SpectralFunction,
+    SystemSpec,
     build_rate_table,
+    chi,
+    chi_tilde,
     dressed_dephasing_prefactors,
     driven_effective_rates,
     parse_config,
@@ -32,6 +40,8 @@ from rabiqed import (
     sigma_diag,
     sigma_lower,
     shifts,
+    silent_baths,
+    xi,
 )
 
 from conftest import README_CONFIG, build_system
@@ -329,24 +339,30 @@ def test_rate_tables_of_equal_systems_compare_equal():
     assert table(1.0) != table(1.5)
 
 
-def test_build_rate_table_is_linear_in_the_levels():
-    """build_rate_table evaluates its prefactor arrays once and then does a
-    fixed amount of work per ladder index, so the best of three tables on a
-    harmonic ladder of 4000 levels takes at most 8 times one of 1000 (linear
-    work gives about 4).  Each table is timed in this process's CPU time,
-    which other processes on the host do not add to."""
-    def best_time(num_levels):
-        system = build_system(detuning=1.0, alpha=0.0, num_levels=num_levels,
-                              baths={"R": SpectralFunction.flat(0.001, temperature_ghz=0.1)})
-        times = []
-        for _ in range(3):
-            start = time.process_time()
-            build_rate_table(system)
-            times.append(time.process_time() - start)
-        return min(times)
+def test_build_rate_table_is_linear_in_the_levels(monkeypatch):
+    """build_rate_table evaluates its prefactor arrays once and then tests a
+    fixed number of denominators per ladder index, so the entries it passes
+    to prefactor_arrays and to the resonance test on a harmonic ladder of
+    4000 levels are at most 8 times those of 1000 (linear work gives about
+    4, quadratic work 16).  Entries are counted, not timed, so the bound
+    holds on a loaded host."""
+    entries = []
+    prefactor_arrays, resonant = rates.prefactor_arrays, shifts.resonant
+    monkeypatch.setattr(rates, "prefactor_arrays", lambda *args: (
+        entries.extend(np.size(a) for a in args), prefactor_arrays(*args))[1])
+    monkeypatch.setattr(shifts, "resonant",
+                        lambda den: (entries.append(np.size(den)), resonant(den))[1])
 
-    ratio = best_time(4000) / best_time(1000)
-    assert ratio < 8.0, f"N = 4000 took {ratio:.1f} x N = 1000"
+    def work(num_levels):
+        entries.clear()
+        build_rate_table(build_system(
+            detuning=1.0, alpha=0.0, num_levels=num_levels,
+            baths={"R": SpectralFunction.flat(0.001, temperature_ghz=0.1)}))
+        return sum(entries)
+
+    small, large = work(1000), work(4000)
+    assert small >= 1000
+    assert large <= 8 * small, f"N = 4000 did {large / small:.1f} x the work of N = 1000"
 
 
 def test_rate_lookups_test_only_their_own_denominators(monkeypatch):
@@ -361,17 +377,163 @@ def test_rate_lookups_test_only_their_own_denominators(monkeypatch):
     assert sizes and max(sizes) == 1
 
 
-def test_build_rate_table_evaluates_the_prefactors_once(monkeypatch):
-    """build_rate_table evaluates prefactor_arrays once, for its own system,
-    and reads no entry through the cache of the per-index lookups."""
+def _count_array_builds(monkeypatch) -> list[str]:
+    """Patch ShiftArrays.of and prefactor_arrays to record each evaluation
+    by name in the list returned."""
     calls = []
-    prefactor_arrays = rates.prefactor_arrays
-    monkeypatch.setattr(rates, "prefactor_arrays",
-                        lambda *args: (calls.append(args), prefactor_arrays(*args))[1])
-    before = rates._prefactors.cache_info()
-    build_rate_table(build_system(detuning=1.0, num_levels=4))
-    assert len(calls) == 1
-    assert rates._prefactors.cache_info() == before
+    of, prefactor_arrays = shifts.ShiftArrays.of, rates.prefactor_arrays
+    monkeypatch.setattr(shifts.ShiftArrays, "of", staticmethod(
+        lambda *args: (calls.append("ShiftArrays.of"), of(*args))[1]))
+    monkeypatch.setattr(rates, "prefactor_arrays", lambda *args: (
+        calls.append("prefactor_arrays"), prefactor_arrays(*args))[1])
+    return calls
+
+
+def test_build_rate_table_evaluates_the_prefactors_once(monkeypatch):
+    """A rate table and every prefactor lookup on the same system share one
+    prefactor_arrays evaluation."""
+    calls = _count_array_builds(monkeypatch)
+    system = build_system(detuning=1.0, num_levels=4)
+    build_rate_table(system)
+    for model in (RABI, JC):
+        for k in range(3):
+            purcell_prefactor(k, system, model)
+            dressed_dephasing_prefactors(k, system, model)
+        for k in range(4):
+            photon_assisted_prefactor(k, system, model)
+    assert calls == ["prefactor_arrays"]
+
+
+@pytest.mark.parametrize("num_levels", [1000, 4000])
+def test_lookup_loops_build_the_arrays_once_per_system(monkeypatch, num_levels):
+    """A loop of each per-index lookup over every index of one system
+    evaluates ShiftArrays.of once and prefactor_arrays once, so the loop's
+    work is linear in the number of levels."""
+    calls = _count_array_builds(monkeypatch)
+    system = build_system(detuning=1.0, alpha=0.0, num_levels=num_levels,
+                          baths={"R": SpectralFunction.flat(0.001, temperature_ghz=0.1)})
+    for lookup in (chi, xi, chi_tilde):
+        for k in range(num_levels - 1):
+            lookup(k, system)
+    for model in (RABI, JC):
+        for lookup in (purcell_prefactor, purcell_rates, dressed_dephasing_prefactors):
+            for k in range(num_levels - 1):
+                lookup(k, system, model)
+        for k in range(num_levels):
+            photon_assisted_prefactor(k, system, model)
+    assert sorted(calls) == ["ShiftArrays.of", "prefactor_arrays"]
+
+
+# The per-index lookups as they were first written: each call rebuilds every
+# array of the ladder from the spec's tuples, guards the denominators its
+# entry divides by, and reads the entry.  The lookups must agree with them.
+
+def _reference_shift(name, k, system):
+    q = system.qubit
+    if not 0 <= k <= q.num_levels - 2:
+        return 0.0
+    arrays = shifts.ShiftArrays.of(np.array(q.coupling_ladder), np.diff(q.level_energies),
+                                   system.omega_r)
+    guards = {"chi": ("co",), "xi": ("counter",), "chi_tilde": ("co", "counter")}[name]
+    for which in guards:
+        den = getattr(arrays, which)[k]
+        if shifts.resonant(den):
+            raise ResonantDivergence(k, {"co": shifts.CO_ROTATING,
+                                         "counter": shifts.COUNTER_ROTATING}[which], float(den))
+    return float(getattr(arrays, name)[k])
+
+
+def _reference_prefactors(names, k, system, model, level=False):
+    q = system.qubit
+    n = q.num_levels
+    if not 0 <= k <= n - (1 if level else 2):
+        raise IndexError(k)
+    detuning, prefactors = rates.prefactor_arrays(
+        np.array(q.coupling_ladder), np.array(q.transverse_bath_couplings),
+        np.diff(q.level_energies), np.array(q.dephasing_sensitivities), system.omega_r)
+    guarded = ([j for j in (k, k - 1) if 0 <= j <= n - 2 and q.coupling_ladder[j] != 0.0]
+               if level else [k])
+    values = []
+    for name in names:
+        for j in guarded:
+            if shifts.resonant(detuning[j]):
+                raise ResonantDivergence(j, "omega_r - omega_{k+1,k}", float(detuning[j]))
+        value = float(prefactors[model][name][k])
+        if not math.isfinite(value):
+            raise RateOverflow(value)
+        values.append(value)
+    return tuple(values)
+
+
+def _reference_purcell_rates(k, system, model):
+    (p,) = _reference_prefactors("p", k, system, model)
+    energies = system.qubit.level_energies
+    w = energies[k + 1] - energies[k]
+    cr = system.bath("R")
+    return (1e3 * p * cr.evaluate(w), 1e3 * p * cr.evaluate(-w))
+
+
+def _outcome(fn, *args):
+    """What a call returns, as the bytes of each float, or what it raises:
+    the type, and for a resonance its index, denominator name and value."""
+    try:
+        result = fn(*args)
+    except ResonantDivergence as exc:
+        return ResonantDivergence, exc.k, exc.which, struct.pack("<d", exc.value)
+    except (RateOverflow, IndexError) as exc:
+        return type(exc)
+    values = result if isinstance(result, tuple) else (result,)
+    return tuple(struct.pack("<d", value) for value in values)
+
+
+@st.composite
+def lookup_systems(draw):
+    """Systems of 2-5 levels whose splittings are often exactly or nearly
+    resonant with the resonator, couplings often zero or overflowing when
+    squared, and a resonator often slow enough for the counter-rotating
+    denominator to fall inside the tolerance too."""
+    omega_r = draw(st.sampled_from([5.0, 5.0, 3.3, 4e-7]))
+    n = draw(st.integers(2, 5))
+    splitting = st.one_of(st.just(omega_r), st.just(omega_r + 4e-7),
+                          st.floats(1e-3, 20.0), st.floats(1e-3, 20.0))
+    steps = draw(st.lists(splitting, min_size=n - 1, max_size=n - 1))
+    energies = [0.0]
+    for step in steps:
+        energies.append(energies[-1] + step)
+    coupling = st.one_of(st.just(0.0), st.just(1e160), st.floats(0.0, 1.0))
+    number = st.floats(-3.0, 3.0)
+    qubit = QubitSpec(level_energies=tuple(energies),
+                      coupling_ladder=tuple(draw(st.lists(coupling, min_size=n - 1,
+                                                          max_size=n - 1))),
+                      transverse_bath_couplings=tuple(draw(st.lists(
+                          st.one_of(st.just(0.0), number), min_size=n - 1, max_size=n - 1))),
+                      dephasing_sensitivities=tuple(draw(st.lists(number, min_size=n,
+                                                                  max_size=n))))
+    baths = silent_baths()
+    baths["R"] = SpectralFunction.flat(0.001, temperature_ghz=0.1)
+    return SystemSpec(qubit=qubit, resonator=ResonatorSpec(omega_r=omega_r, fock_truncation=3),
+                      interaction_model=RABI, baths=baths)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(system=lookup_systems())
+def test_lookups_equal_the_per_call_arrays(system):
+    """Every per-index lookup returns the bits, or raises the error, that
+    arrays rebuilt from the spec at each call give, at every index in and
+    just outside the ladder."""
+    n = system.qubit.num_levels
+    for k in range(-2, n + 1):
+        for name, fn in (("chi", chi), ("xi", xi), ("chi_tilde", chi_tilde)):
+            assert _outcome(fn, k, system) == _outcome(_reference_shift, name, k, system)
+        for model in (RABI, JC):
+            for fn, reference in (
+                    (purcell_prefactor, lambda k, s, m: _reference_prefactors("p", k, s, m)),
+                    (dressed_dephasing_prefactors,
+                     lambda k, s, m: _reference_prefactors("dc", k, s, m)),
+                    (photon_assisted_prefactor,
+                     lambda k, s, m: _reference_prefactors("a", k, s, m, level=True)),
+                    (purcell_rates, _reference_purcell_rates)):
+                assert _outcome(fn, k, system, model) == _outcome(reference, k, system, model)
 
 
 def test_driven_effective_rates_scaling():

@@ -17,13 +17,24 @@ dispersive observables are read off the labeled energies:
 
     resonator pull = [E(0,1) - E(0,0)] - omega_r
     qubit shift    = [E(1,0) - E(0,0)] - omega_10
+
+The eigensolve runs the steps of LAPACK's dsyevd, the routine behind
+np.linalg.eigh, one by one in the LAPACK that NumPy links: scaling,
+tridiagonal reduction and the tridiagonal divide and conquer give
+eigenvalues equal to eigh's bit for bit.  dsyevd's last step turns all d^2
+eigenvector entries back into the product basis; a labeling reads only
+the rows of the bare states it processes, so diagonalize back-transforms
+only the rows asked for, and exact_shifts asks for the few the labeling
+reads.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -83,14 +94,135 @@ def _bare_energies(energies, omega_r: float, fock_truncation: int) -> np.ndarray
     return (energies[:, None] + omega_r * np.arange(fock_truncation)).ravel()
 
 
-def diagonalize(h: np.ndarray):
-    """Dense symmetric eigensolve: np.linalg.eigh's result, eigenvalues
-    ascending and eigenvectors as columns; raises ConvergenceFailure on
-    LAPACK failure."""
+class Spectrum(NamedTuple):
+    """A diagonalize result: the eigenvalues, ascending, and the rows asked
+    for of the matrix whose columns are the eigenvectors: eigenvectors[i]
+    is its row rows[i]."""
+
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
+    rows: np.ndarray
+
+
+# The machine constants of dsyevd's scaling test: DLAMCH('S') and
+# DLAMCH('P') are float64's smallest normal number and eps.
+_SMLNUM = float(np.finfo(float).tiny / np.finfo(float).eps)
+_RMIN, _RMAX = math.sqrt(_SMLNUM), math.sqrt(1.0 / _SMLNUM)
+
+# dsyevd's steps and their Fortran arguments before INFO, each passed by
+# reference: c a character, i an integer (64-bit in an ILP64 LAPACK), f a
+# double, F a float64 array, I an int64 array.
+_SIGNATURES = {"dlascl": "ciiffiiFi", "dsytrd": "ciFiFFFFi",
+               "dstedc": "ciFFFiFiIi", "dormtr": "ccciiFiFFiFi"}
+_ARGTYPES = {"c": ctypes.c_char_p, "i": ctypes.POINTER(ctypes.c_int64),
+             "f": ctypes.POINTER(ctypes.c_double), "F": ctypes.POINTER(ctypes.c_double),
+             "I": ctypes.POINTER(ctypes.c_int64)}
+
+
+def _array_reference(ctype, dtype):
+    def reference(array: np.ndarray):
+        if array.dtype != dtype:
+            raise TypeError(f"LAPACK needs a {np.dtype(dtype)} array, got {array.dtype}")
+        # from_buffer refuses a buffer that is not C-contiguous and writable
+        return ctypes.byref(ctype.from_buffer(array))
+    return reference
+
+
+_REFERENCES = {"c": lambda char: char,
+               "i": lambda value: ctypes.byref(ctypes.c_int64(value)),
+               "f": lambda value: ctypes.byref(ctypes.c_double(value)),
+               "F": _array_reference(ctypes.c_double, np.float64),
+               "I": _array_reference(ctypes.c_int64, np.int64)}
+
+
+@functools.cache
+def _lapack() -> dict | None:
+    """dsyevd's steps in the LAPACK NumPy's linalg extension links, its
+    bundled ILP64 OpenBLAS (symbols scipy_<name>_64_), or None where NumPy
+    links another LAPACK."""
     try:
-        return np.linalg.eigh(h)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(str(exc)) from exc
+        library = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+        routines = {name: getattr(library, f"scipy_{name}_64_") for name in _SIGNATURES}
+    except (AttributeError, OSError):
+        return None
+    for name, routine in routines.items():
+        signature = _SIGNATURES[name]
+        # INFO, then one hidden length per character argument
+        routine.argtypes = ([_ARGTYPES[kind] for kind in signature + "i"]
+                            + [ctypes.c_size_t] * signature.count("c"))
+        routine.restype = None
+    return routines
+
+
+def _call(name: str, *args) -> None:
+    """Call one LAPACK step with the arguments its signature lists, each by
+    reference (a C-contiguous array by its data, which Fortran reads as the
+    array's transpose), then INFO and the hidden character lengths.  INFO <
+    0 (an argument refused) is a fault here and raises RuntimeError; INFO >
+    0 (dstedc's only failure) ConvergenceFailure."""
+    signature = _SIGNATURES[name]
+    info = ctypes.c_int64()
+    refs = [_REFERENCES[kind](arg) for kind, arg in zip(signature, args, strict=True)]
+    _lapack()[name](*refs, ctypes.byref(info), *[1] * signature.count("c"))
+    if info.value < 0:
+        raise RuntimeError(f"LAPACK {name} refused its argument {-info.value}")
+    if info.value > 0:
+        raise ConvergenceFailure("Eigenvalues did not converge")
+
+
+def diagonalize(h: np.ndarray, rows: Sequence[int] | None = None, *,
+                overwrite: bool = False) -> Spectrum:
+    """Dense symmetric eigensolve: the eigenvalues of np.linalg.eigh(h), bit
+    for bit, and the rows ``rows`` (default all) of its eigenvector matrix.
+
+    h is real symmetric; like eigh, only its lower triangle is read.  The
+    eigenvalues come from dsyevd's own steps: its max-norm scaling test
+    (dlascl, undone on the eigenvalues), dsytrd('L') with a workspace that
+    selects dsyevd's blocked reduction, and dstedc('I'), which also yields
+    the eigenvectors Z of the tridiagonal matrix.  dsyevd then forms all of
+    Q Z with dormtr; here dormtr forms only Q^T E for the unit columns E of
+    the rows asked for, and V[rows] = (Q^T E)^T Z.  Those rows equal eigh's
+    to rounding (up to each column's sign), not bit for bit.  With
+    ``overwrite`` a C-contiguous h, which must then be exactly symmetric,
+    is reduced in place (its buffer is its own Fortran transpose) and left
+    holding the reflectors.  Where NumPy links another LAPACK, and for
+    input eigh handles another way (d < 2, not float64, not one square
+    matrix), the result is eigh's, sliced.  A LAPACK failure raises
+    ConvergenceFailure.
+    """
+    h = np.asarray(h)
+    n = h.shape[-1] if h.ndim else 0
+    rows = np.arange(n) if rows is None else np.asarray(rows, dtype=np.intp)
+    if _lapack() is None or h.dtype != np.float64 or h.shape != (n, n) or n < 2:
+        try:
+            eigenvalues, eigenvectors = np.linalg.eigh(h)
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceFailure(str(exc)) from exc
+        return Spectrum(eigenvalues, eigenvectors[..., rows, :], rows)
+    # Every 2-D array below is C-ordered, so LAPACK sees its transpose: a
+    # holds h (its lower triangle is read), row j of z is column j of Z, and
+    # row j of unit is the j-th unit column.
+    a = h if overwrite and h.flags.c_contiguous else h.T.copy()
+    norm = max(a.max(), -a.min())
+    sigma = (_RMIN / norm if 0.0 < norm < _RMIN else
+             _RMAX / norm if norm > _RMAX else None)
+    if sigma is not None:
+        _call("dlascl", b"L", 0, 0, 1.0, float(sigma), n, n, a, n)
+    d, e, tau = np.empty(n), np.empty(n), np.empty(n)
+    # dsyevd hands dsytrd at least n x NB (NB = 32 in OpenBLAS's LAPACK),
+    # which selects the blocked reduction; any smaller lwork selects other
+    # blocking and other bits.  dstedc('I') needs 1 + 4n + n^2.
+    work = np.empty(max(64 * n, 1 + 4 * n + n * n))
+    _call("dsytrd", b"L", n, a, n, d, e, tau, work, 64 * n)
+    z = np.empty((n, n))
+    _call("dstedc", b"I", n, d, e, z, n, work, len(work),
+          np.empty(3 + 5 * n, dtype=np.int64), 3 + 5 * n)
+    unit = np.zeros((len(rows), n))
+    unit[np.arange(len(rows)), rows] = 1.0
+    _call("dormtr", b"L", b"L", b"T", n, len(rows), a, n, tau, unit, n, work, len(work))
+    if sigma is not None:
+        d *= 1.0 / sigma
+    return Spectrum(d, unit @ z.T, rows)
 
 
 @dataclass(frozen=True)
@@ -107,10 +239,31 @@ class Labeling:
     overlaps: dict[tuple[int, int], float]
 
 
-def label_dressed_states(spectrum, ladder: Ladder, omega_r: float, fock_truncation: int,
+def _labeling_order(ladder: Ladder, omega_r: float, fock_truncation: int,
+                    required: tuple[tuple[int, int], ...] | None) -> np.ndarray:
+    """Flat indices k M + n of the bare states a labeling processes, in
+    order of increasing bare energy (ties by lexicographic (k, n)): all of
+    them, or with ``required`` those up to the last required pair.  A
+    required pair outside the product space raises ValueError."""
+    n_levels = len(ladder.energies)
+    m = fock_truncation
+    order = np.argsort(_bare_energies(ladder.energies, omega_r, m), kind="stable")
+    if required is None:
+        return order
+    for k, n in required:
+        if not (0 <= k < n_levels and 0 <= n < m):
+            raise ValueError(f"required pair {(k, n)} lies outside the "
+                             f"{n_levels} x {m} product space")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return order[:max((rank[k * m + n] for k, n in required), default=-1) + 1]
+
+
+def label_dressed_states(spectrum: Spectrum, ladder: Ladder, omega_r: float,
+                         fock_truncation: int,
                          required: Iterable[tuple[int, int]] | None = None) -> Labeling:
     """Greedy maximum-overlap assignment of bare product labels, from the
-    eigenvectors of a diagonalize result.
+    eigenvector rows of a diagonalize result.
 
     Bare states are processed in order of increasing bare energy (ties by
     lexicographic (k, n)), each claiming its best-overlap eigenvector among
@@ -119,29 +272,26 @@ def label_dressed_states(spectrum, ladder: Ladder, omega_r: float, fock_truncati
     the states processed before it, so when ``required`` is given the pass
     stops once every required pair has been processed: their labels are
     those of the full pass.  A required pair outside the product space
-    raises ValueError before labeling starts; one that ends up unlabeled
-    raises AmbiguousLabeling.
+    raises ValueError before labeling starts, and so does a processed state
+    whose row the spectrum does not hold; a required pair that ends up
+    unlabeled raises AmbiguousLabeling.
     """
-    n_levels = len(ladder.energies)
     m = fock_truncation
-    pending = None
-    if required is not None:
-        required = tuple(required)
-        for k, n in required:
-            if not (0 <= k < n_levels and 0 <= n < m):
-                raise ValueError(f"required pair {(k, n)} lies outside the "
-                                 f"{n_levels} x {m} product space")
-        pending = set(required)
-    vectors = spectrum.eigenvectors
-    unclaimed = np.ones(n_levels * m, dtype=bool)
+    required = None if required is None else tuple(required)
+    order = _labeling_order(ladder, omega_r, m, required)
+    held = np.full(len(ladder.energies) * m, -1)
+    held[spectrum.rows] = np.arange(len(spectrum.rows))
+    missing = order[held[order] < 0]
+    if len(missing):
+        raise ValueError(f"the spectrum holds no eigenvector row of bare state "
+                         f"{divmod(int(missing[0]), m)}")
+    unclaimed = np.ones(len(held), dtype=bool)
     labels: dict[tuple[int, int], int] = {}
     overlaps: dict[tuple[int, int], float] = {}
-    for index in np.argsort(_bare_energies(ladder.energies, omega_r, m), kind="stable"):
-        if pending is not None and not pending:
-            break
+    for index in order:
         pair = divmod(int(index), m)
         candidates = np.flatnonzero(unclaimed)
-        weights = np.abs(vectors[index, candidates]) ** 2
+        weights = np.abs(spectrum.eigenvectors[held[index], candidates]) ** 2
         best = int(np.argmax(weights))
         overlap = float(weights[best])
         overlaps[pair] = overlap
@@ -150,8 +300,6 @@ def label_dressed_states(spectrum, ladder: Ladder, omega_r: float, fock_truncati
         if overlap > 0.5 + 1e-12:
             labels[pair] = int(candidates[best])
             unclaimed[candidates[best]] = False
-        if pending is not None:
-            pending.discard(pair)
     for pair in required or ():
         if pair not in labels:
             raise AmbiguousLabeling(pair, overlaps[pair])
@@ -171,14 +319,20 @@ def exact_shifts(ladder: Ladder, omega_r: float, fock_truncation: int,
                  model: str) -> ExactShifts:
     """Dispersive observables of a ladder from labeled exact eigenenergies.
 
-    eigh is backward stable: each eigenvalue it returns is off by at most
-    about d eps ||H||, with ||H|| the largest absolute row sum.  A shift is
-    the difference of two eigenvalues, so it is trusted to within
-    2 d eps ||H||; a nonzero shift smaller than that is rounding noise and
-    raises PrecisionLoss.  A shift of exactly 0 (g0 = 0) is kept.
+    The solve forms only the eigenvector rows the labeling reads, and its
+    eigenvalues are eigh's.  eigh is backward stable: each eigenvalue it
+    returns is off by at most about d eps ||H||, with ||H|| the largest
+    absolute row sum.  A shift is the difference of two eigenvalues, so it
+    is trusted to within 2 d eps ||H||; a nonzero shift smaller than that
+    is rounding noise and raises PrecisionLoss.  A shift of exactly 0
+    (g0 = 0) is kept.
     """
     h = build_hamiltonian(ladder, omega_r, fock_truncation, model)
-    spectrum = diagonalize(h)
+    # every entry of H is >= 0 (see build_hamiltonian), so a row sum is its
+    # norm; taken before the solve reduces H in place
+    bound = 2.0 * len(h) * np.finfo(float).eps * float(h.sum(axis=1).max())
+    rows = _labeling_order(ladder, omega_r, fock_truncation, _REQUIRED_PAIRS)
+    spectrum = diagonalize(h, rows, overwrite=True)
     labeling = label_dressed_states(spectrum, ladder, omega_r, fock_truncation,
                                     required=_REQUIRED_PAIRS)
     e = spectrum.eigenvalues
@@ -188,8 +342,6 @@ def exact_shifts(ladder: Ladder, omega_r: float, fock_truncation: int,
     shifts = ExactShifts(
         resonator_pull=float(e01 - e00 - omega_r),
         qubit_shift=float(e10 - e00 - ladder.w[0]))
-    # every entry of H is >= 0 (see build_hamiltonian), so a row sum is its norm
-    bound = 2.0 * len(h) * np.finfo(float).eps * float(h.sum(axis=1).max())
     for observable, value in zip(OBSERVABLES, (shifts.resonator_pull, shifts.qubit_shift)):
         if value != 0.0 and abs(value) < bound:
             raise PrecisionLoss(observable, value, bound)

@@ -73,6 +73,17 @@ class Ladder(NamedTuple):
         return ladder
 
 
+def _spec_floats(name: str, values) -> np.ndarray:
+    """The entries of a QubitSpec field as a float64 array, each checked as
+    _spec_number checks it, or InvalidSpec naming the first it refuses.  A
+    one-dimensional float64 array of finite entries, which _spec_number
+    passes unchanged one by one, is checked in one pass."""
+    if (isinstance(values, np.ndarray) and values.dtype == np.float64 and values.ndim == 1
+            and np.isfinite(values).all()):
+        return values
+    return np.array([_spec_number("QubitSpec", name, x) for x in values], dtype=float)
+
+
 @dataclass(frozen=True)
 class QubitSpec:
     """An N-level qubit ladder.
@@ -102,9 +113,9 @@ class QubitSpec:
 
     def __post_init__(self) -> None:
         names = [f.name for f in fields(self)]
-        for name in names:
-            object.__setattr__(self, name, tuple(_spec_number("QubitSpec", name, x)
-                                                 for x in getattr(self, name)))
+        arrays = [_spec_floats(name, getattr(self, name)) for name in names]
+        for name, array in zip(names, arrays):
+            object.__setattr__(self, name, tuple(array.tolist()))
         n = len(self.level_energies)
         if n < 2:
             raise InvalidSpec(f"qubit needs at least 2 levels, got {n}")
@@ -114,18 +125,17 @@ class QubitSpec:
                 raise InvalidSpec(f"{name} must have length {length}, "
                                   f"got {len(getattr(self, name))}")
         # the hard errors of a ladder: all of them, in one InvalidSpec
-        energies = self.level_energies
+        energies, couplings = self.level_energies, self.coupling_ladder
         errors = ([f"qubit.level_energies[0]: ground level must sit at 0, got {energies[0]}"]
                   if energies[0] != 0.0 else [])
         errors += [f"qubit.level_energies[{k}]: energies must increase strictly "
-                   f"({high} <= {low})"
-                   for k, (low, high) in enumerate(zip(energies, energies[1:]), 1)
-                   if not high > low]
-        errors += [f"qubit.coupling_ladder[{k}]: coupling must be >= 0, got {g}"
-                   for k, g in enumerate(self.coupling_ladder) if g < 0.0]
+                   f"({energies[k]} <= {energies[k - 1]})"
+                   for k in (np.flatnonzero(~(arrays[0][1:] > arrays[0][:-1])) + 1).tolist()]
+        errors += [f"qubit.coupling_ladder[{k}]: coupling must be >= 0, got {couplings[k]}"
+                   for k in np.flatnonzero(arrays[1] < 0.0).tolist()]
         if errors:
             raise InvalidSpec(tuple(errors))
-        object.__setattr__(self, "ladder", Ladder.of(*(getattr(self, name) for name in names)))
+        object.__setattr__(self, "ladder", Ladder.of(*arrays))
 
     @property
     def num_levels(self) -> int:
@@ -253,10 +263,9 @@ def expand_transmon(spec: TransmonSpec,
     """
     ladder = transmon_ladder(spec.omega_10, spec.anharmonicity, spec.g0, spec.num_levels)
     return QubitSpec(
-        level_energies=ladder.energies[0].tolist(), coupling_ladder=ladder.g.tolist(),
-        transverse_bath_couplings=(ladder.beta.tolist() if bath_couplings is None
-                                   else bath_couplings),
-        dephasing_sensitivities=(ladder.dw.tolist() if dephasing_sensitivities is None
+        level_energies=ladder.energies[0], coupling_ladder=ladder.g,
+        transverse_bath_couplings=ladder.beta if bath_couplings is None else bath_couplings,
+        dephasing_sensitivities=(ladder.dw if dephasing_sensitivities is None
                                  else dephasing_sensitivities))
 
 

@@ -332,16 +332,17 @@ def _joined(analytic: dict, exact: dict) -> dict:
 
 # A sweep that diagonalizes goes to a process pool when its estimated work,
 # points x d^3, reaches this.  Measured with one BLAS thread on a 2-vCPU
-# 2.1 GHz Xeon: one exact point (build + eigh + labeling) costs 0.40-0.41 ms
-# at d = 40, 0.75-0.95 ms at d = 80 and 58 ms at d = 600, where all but
-# 0.3 ms is eigh; that is 2.7e-10 s per d^3 at d = 600 and more at smaller d.
-# A fork pool of two workers costs 31-52 ms to import, start, run and reap
-# on first use (10-19 ms later).  Two workers halve the serial time, so the
-# pool pays from 2 x (31-52) ms of work, 2.3e8-3.9e8 d^3 at the d = 600
-# rate, a range that holds 3.4e8.  As smaller d costs more per d^3, no sweep goes to a pool at a loss:
-# the README's d = 40 sweeps (161 x 6.4e4) and the d = 80 fit sweep
-# (161 x 5.1e5, 0.12-0.15 s serial) stay serial, and 81 points at d = 600
-# (81 x 2.2e8) go parallel.
+# 2.1 GHz Xeon: one exact point (build + eigensolve + labeling) costs
+# 0.25-0.30 ms at d = 40, 0.60-0.64 ms at d = 80 and 32-36 ms at d = 600,
+# where all but 1.1-1.2 ms is the eigensolve; that is 1.5e-10 s per d^3 at
+# d = 600 and more at smaller d.  A fork pool of two workers costs 25-29 ms
+# to import, start, run and reap on first use (9 ms later).  Two workers
+# halve the serial time, so the pool pays from 2 x (25-29) ms of work,
+# 3.3e8-3.9e8 d^3 at the d = 600 rate, a range that holds 3.4e8.  As
+# smaller d costs more per d^3, no sweep goes to a pool at a loss: the
+# README's d = 40 sweeps (161 x 6.4e4) and the d = 80 fit sweep (161 x
+# 5.1e5, 0.10 s serial) stay serial, and 81 points at d = 600 (81 x 2.2e8)
+# go parallel.
 _PARALLEL_BREAK_EVEN = 3.4e8
 
 

@@ -929,14 +929,16 @@ def test_readme_plots_keep_their_bytes(tmp_path, command):
 # command imports its own layers.
 NUMPY_LOADED = ("loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'numpy')\n"
                 "assert not loaded, loaded\n")
-# ... nor dataclasses (with inspect under it) nor json, which neither uses.
-STDLIB_UNLOADED = ("loaded = [m for m in ('dataclasses', 'inspect', 'json') if m in sys.modules]\n"
+# ... nor dataclasses (with inspect under it) nor json, which neither uses,
+# nor ctypes, which only the exact layer's LAPACK binding needs.
+STDLIB_UNLOADED = ("loaded = [m for m in ('dataclasses', 'inspect', 'json', 'ctypes')\n"
+                   "          if m in sys.modules]\n"
                    "assert not loaded, loaded\n")
 
 
 def test_import_loads_no_numpy():
     """import rabiqed and rabiqed.cli load no NumPy, no numeric submodule,
-    and neither dataclasses nor json."""
+    and neither dataclasses, json nor ctypes."""
     code = ("import sys, rabiqed, rabiqed.cli\n"
             "assert sorted(m for m in sys.modules if m.startswith('rabiqed')) == "
             "['rabiqed', 'rabiqed.cli', 'rabiqed.contract']\n" + NUMPY_LOADED
@@ -946,8 +948,8 @@ def test_import_loads_no_numpy():
 
 
 def test_readme_plot_loads_no_numpy(tmp_path):
-    """plot on the README's shifts.csv loads no NumPy, dataclasses, inspect or
-    json, and writes the pinned bytes."""
+    """plot on the README's shifts.csv loads no NumPy, dataclasses, inspect,
+    json or ctypes, and writes the pinned bytes."""
     config = tmp_path / "system.json"
     config.write_text(json.dumps(README_CONFIG))
     table, svg = tmp_path / "shifts.csv", tmp_path / "shifts.svg"

@@ -34,9 +34,10 @@ from rabiqed import (
 )
 from rabiqed import exact
 from rabiqed.exact import _REQUIRED_PAIRS
-from rabiqed.model import Ladder
+from rabiqed.model import Ladder, parse_config, transmon_grid
+from rabiqed.sweeps import DETUNING, ExactRow, exact_rows, format_csv
 
-from conftest import build_system
+from conftest import README_CONFIG, build_system
 
 
 def exact_args(system):
@@ -129,17 +130,171 @@ def test_overflow_check_bounds_entries_of_any_sign():
                 build(raw, omega_r, 5, RABI)
 
 
-def test_eigensolver_failure_is_a_convergence_failure(monkeypatch):
-    """A LAPACK failure in eigh reaches the caller as ConvergenceFailure,
-    through exact_shifts too, with LAPACK's message."""
-    def fail(h):
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+needs_binding = pytest.mark.skipif(exact._lapack() is None,
+                                   reason="NumPy links no LAPACK that diagonalize binds")
 
-    monkeypatch.setattr(np.linalg, "eigh", fail)
+
+def _wrap_routine(monkeypatch, name, after):
+    """Bind the LAPACK routine `name` to a stand-in that runs it and then
+    calls after(args), args being the Fortran-style arguments it got."""
+    routines = dict(exact._lapack())
+    real = routines[name]
+
+    def routine(*args):
+        real(*args)
+        after(args)
+
+    routines[name] = routine
+    monkeypatch.setattr(exact, "_lapack", lambda: routines)
+
+
+@needs_binding
+def test_eigensolver_failure_is_a_convergence_failure(monkeypatch):
+    """A positive INFO from dstedc (its convergence failure) reaches the
+    caller as ConvergenceFailure with LAPACK's message, through exact_shifts
+    too; so does eigh's LinAlgError where the binding is absent."""
+    # INFO, by reference, is dstedc's 11th argument
+    _wrap_routine(monkeypatch, "dstedc", lambda args: setattr(args[10]._obj, "value", 3))
     with pytest.raises(ConvergenceFailure, match="Eigenvalues did not converge"):
         diagonalize(np.eye(2))
     with pytest.raises(ConvergenceFailure):
         exact_shifts(*exact_args(build_system()), RABI)
+
+    def fail(h):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(exact, "_lapack", lambda: None)
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(ConvergenceFailure, match="Eigenvalues did not converge"):
+        diagonalize(np.eye(2))
+
+
+@needs_binding
+def test_refused_lapack_argument_raises(monkeypatch):
+    """A negative INFO (LAPACK refused an argument) raises, naming the
+    routine, and returns no spectrum."""
+    _wrap_routine(monkeypatch, "dstedc", lambda args: setattr(args[10]._obj, "value", -4))
+    with pytest.raises(RuntimeError, match="dstedc refused its argument 4"):
+        diagonalize(np.eye(3))
+
+
+@needs_binding
+def test_binding_refuses_arrays_it_cannot_pass():
+    """A LAPACK step is handed only writable, C-contiguous arrays of the
+    dtype its signature lists, and exactly the arguments it lists."""
+    vectors = np.empty(2), np.empty(2), np.empty(2), np.empty(64)
+    with pytest.raises(TypeError, match="float64 array, got float32"):
+        exact._call("dsytrd", b"L", 2, np.eye(2, dtype=np.float32), 2, *vectors, 64)
+    with pytest.raises((TypeError, ValueError)):
+        exact._call("dsytrd", b"L", 2, np.eye(4)[::2, ::2], 2, *vectors, 64)
+    with pytest.raises(ValueError):
+        exact._call("dsytrd", b"L", 2, np.eye(2), 2, *vectors)
+
+
+def _signed(rows):
+    """Eigenvector rows with each column's sign set by its largest-magnitude
+    entry among them."""
+    return rows * np.sign(rows[np.argmax(np.abs(rows), axis=0), np.arange(rows.shape[1])])
+
+
+@needs_binding
+@pytest.mark.parametrize("d", [1, 2, 3, 15, 25, 26, 40, 80])
+@pytest.mark.parametrize("scale", [1.0, 1e155, 1e-160])
+def test_eigenvalues_equal_eigh_bit_for_bit(monkeypatch, d, scale):
+    """On random symmetric matrices the eigenvalues are eigh's to the bit,
+    on both sides of dstedc's small-matrix cut (25 | 26) and in both of
+    dsyevd's scaling branches (max |entry| near 1e155 and 1e-160, where
+    dlascl runs once); the rows asked for are eigh's to rounding, and h
+    is left as it was."""
+    scalings = []
+    _wrap_routine(monkeypatch, "dlascl", scalings.append)
+    rng = np.random.default_rng(d)
+    x = rng.standard_normal((d, d)) * scale
+    h = x + x.T
+    before = h.copy()
+    rows = rng.permutation(d)[:3]
+    spectrum = diagonalize(h, rows)
+    eigenvalues, vectors = np.linalg.eigh(h)
+    assert spectrum.eigenvalues.tobytes() == eigenvalues.tobytes()
+    assert np.array_equal(spectrum.rows, rows)
+    assert np.abs(_signed(spectrum.eigenvectors) - _signed(vectors[rows])).max() < 1e-13
+    assert h.tobytes() == before.tobytes()
+    assert len(scalings) == (scale != 1.0 and d > 1)
+
+
+def _readme_ladders(num_levels, detunings):
+    """Transmon ladder records of the README config at the given detunings."""
+    return [transmon_grid(5.0 + detuning, 0.25, 0.1, num_levels) for detuning in detunings]
+
+
+README_GRID = np.linspace(-3.0, 3.0, 161)
+
+
+@needs_binding
+@pytest.mark.parametrize("model", [RABI, JC])
+@pytest.mark.parametrize("num_levels, fock, detunings",
+                         [(5, 8, README_GRID), (10, 60, (-2.2, 0.35, 1.7))],
+                         ids=["readme-d40", "ladder-d600"])
+def test_hamiltonian_eigenvalues_equal_eigh_bit_for_bit(model, num_levels, fock, detunings):
+    """The README Hamiltonians at every point of its 161-point grid, and
+    d = 600 ladder Hamiltonians, in both models: the eigenvalues of the
+    row-only solve are eigh's, bit for bit, also when H is reduced in place."""
+    for ladder in _readme_ladders(num_levels, detunings):
+        h = build_hamiltonian(ladder, 5.0, fock, model)
+        eigenvalues = np.linalg.eigh(h).eigenvalues
+        assert diagonalize(h, [0]).eigenvalues.tobytes() == eigenvalues.tobytes()
+        rows = exact._labeling_order(ladder, 5.0, fock, _REQUIRED_PAIRS)
+        solved = diagonalize(h, rows, overwrite=True)
+        assert solved.eigenvalues.tobytes() == eigenvalues.tobytes()
+
+
+def _labels_or_error(spectrum, ladder, fock):
+    try:
+        return label_dressed_states(spectrum, ladder, 5.0, fock, required=_REQUIRED_PAIRS)
+    except AmbiguousLabeling as exc:
+        return exc.pair
+
+
+@pytest.mark.parametrize("model", [RABI, JC])
+def test_labels_from_rows_equal_labels_from_eigh(model):
+    """Over the README's 161-point grid, the labels exact_shifts takes from
+    the rows it asks for are those of eigh's full eigenvector matrix, and
+    so is the pair an ambiguous point fails on."""
+    for ladder in _readme_ladders(5, README_GRID):
+        h = build_hamiltonian(ladder, 5.0, 8, model)
+        full = exact.Spectrum(*np.linalg.eigh(h), np.arange(len(h)))
+        rows = exact._labeling_order(ladder, 5.0, 8, _REQUIRED_PAIRS)
+        from_rows = _labels_or_error(diagonalize(h, rows), ladder, 8)
+        from_eigh = _labels_or_error(full, ladder, 8)
+        if isinstance(from_eigh, tuple):
+            assert from_rows == from_eigh
+        else:
+            assert from_rows.labels == from_eigh.labels
+            for pair, overlap in from_eigh.overlaps.items():
+                assert from_rows.overlaps[pair] == pytest.approx(overlap, abs=1e-14)
+
+
+def test_labeling_refuses_a_spectrum_without_its_rows():
+    """A labeling that would read a row the spectrum does not hold names the
+    first such bare state instead of reading another row."""
+    system = build_system(detuning=1.0, g0=0.1, num_levels=3, fock=4)
+    h = build_hamiltonian(*exact_args(system), RABI)
+    with pytest.raises(ValueError, match=re.escape("bare state (0, 2)")):
+        label_dressed_states(diagonalize(h, [0, 1, 4]), *exact_args(system))
+
+
+@pytest.mark.parametrize("model", [RABI, JC])
+def test_fallback_gives_the_same_sweep_bytes(monkeypatch, model):
+    """With the LAPACK binding unavailable diagonalize slices eigh's result,
+    and the README exact sweep's CSV is the same, byte for byte."""
+    config = parse_config(dict(README_CONFIG, model=model))
+    bound = format_csv(exact_rows(config, DETUNING, README_GRID), ExactRow)
+    solves = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda h: (solves.append(h), eigh(h))[1])
+    monkeypatch.setattr(exact, "_lapack", lambda: None)
+    assert format_csv(exact_rows(config, DETUNING, README_GRID), ExactRow) == bound
+    assert len(solves) == 161
 
 
 def test_single_excitation_block_closed_form():

@@ -194,6 +194,48 @@ def test_qubit_spec_ladder_record():
     assert same == qubit and hash(same) == hash(qubit)
 
 
+def test_qubit_spec_from_float_arrays_equals_from_tuples():
+    """Float64 arrays make the QubitSpec their entries make as tuples: the
+    same float tuples, equality, hash and ladder record; a non-finite entry
+    in one is refused with the message the tuple gets."""
+    fields = ((0.0, 6.0, 11.75), (0.1, 0.1 * math.sqrt(2)), (1.0, -0.5), (0.0, 1.0, 2.0))
+    from_tuples = QubitSpec(*fields)
+    from_arrays = QubitSpec(*(np.array(field) for field in fields))
+    assert from_arrays == from_tuples and hash(from_arrays) == hash(from_tuples)
+    assert {type(x) for name in ("level_energies", "coupling_ladder",
+                                 "transverse_bath_couplings", "dephasing_sensitivities")
+            for x in getattr(from_arrays, name)} == {float}
+    for got, expected in zip(from_arrays.ladder, from_tuples.ladder):
+        assert got.tobytes() == expected.tobytes()
+    for bad in (math.nan, math.inf):
+        refused = []
+        for make in (tuple, np.array):
+            with pytest.raises(InvalidSpec) as info:
+                QubitSpec(fields[0], fields[1], make((1.0, bad)), fields[3])
+            refused.append(str(info.value))
+        assert refused[0] == refused[1] == (
+            f"QubitSpec.transverse_bath_couplings must be finite, got {bad}")
+
+
+@pytest.mark.parametrize("levels", [1000, 4000])
+def test_system_build_checks_the_ladder_in_one_pass(monkeypatch, levels):
+    """A system build at many levels checks the expanded ladder's arrays
+    whole: no number of the 4N in the QubitSpec goes through _spec_number,
+    so the calls made are those of the TransmonSpec, whatever N."""
+    import rabiqed.model
+
+    config = parse_config({"omega_r_ghz": 5.0, "omega_10_ghz": 6.0, "anharmonicity_ghz": 0.0,
+                           "g0_ghz": 0.1, "num_qubit_levels": levels, "fock_truncation": 8})
+    checked = []
+    spec_number = rabiqed.model._spec_number
+    monkeypatch.setattr(rabiqed.model, "_spec_number",
+                        lambda owner, *args, **kwargs: (checked.append(owner),
+                                                        spec_number(owner, *args, **kwargs))[1])
+    system = config.build(detuning=0.5)
+    assert system.qubit.num_levels == levels
+    assert checked == ["TransmonSpec"] * 4
+
+
 def test_qubit_spec_length_validation():
     """Array lengths must match the declared number of levels."""
     with pytest.raises(ValueError):

@@ -368,7 +368,7 @@ def test_parallel_sweep_keeps_error_rows_in_order(pools, monkeypatch):
 def test_worker_failure_exits_3(pools, monkeypatch, tmp_path, capsys):
     """An eigensolver failure inside a worker ends the command as it would
     in-process: exit 3 and one error line."""
-    def fail(h):
+    def fail(h, *args, **kwargs):
         raise ConvergenceFailure("eigh did not converge")
 
     monkeypatch.setattr(rabiqed.exact, "diagonalize", fail)
@@ -545,7 +545,8 @@ def test_analytic_sweeps_build_no_system_per_point(monkeypatch):
                         lambda self: (built.append(self), post_init(self)))
     diagonalize = rabiqed.exact.diagonalize
     monkeypatch.setattr(rabiqed.exact, "diagonalize",
-                        lambda h: (solved.append(h), diagonalize(h))[1])
+                        lambda h, *args, **kwargs: (solved.append(h),
+                                                    diagonalize(h, *args, **kwargs))[1])
     config = parse_config(README_CONFIG)
     for variable, values in ((DETUNING, np.linspace(-3.0, 3.0, 161)),
                              (COUPLING, np.linspace(0, 0.3, 31)),

@@ -90,7 +90,7 @@ class AmbiguousLabeling(RuntimeError):
     def __init__(self, pair: tuple[int, int], overlap: float):
         self.pair = pair
         self.overlap = overlap
-        super().__init__(f"bare state {pair} has best available overlap "
+        super().__init__(f"bare state {pair} has best overlap "
                          f"{overlap:.4f} <= 0.5; dressed labeling breaks down here")
 
     def __reduce__(self):

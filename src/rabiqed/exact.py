@@ -9,11 +9,10 @@ full-dipole model and sum_k g_k (sigma_{k,k+1} a+ + sigma_{k+1,k} a) for
 the rotating-wave model.  It is written by index into one d x d array
 from a ladder record's omega_k and g_k, omega_r and Fock truncation M: no SystemSpec.
 Dressed eigenstates are labeled by maximum overlap with the bare product
-basis, greedily in order of increasing bare energy.  A claim depends only
-on the bare states before it, so a labeling that needs only some pairs
-stops once it has processed them: exact_shifts needs (0,0), (0,1) and
-(1,0), so it stops at whichever of (0,1) and (1,0) lies higher.  The
-dispersive observables are read off the labeled energies:
+basis: each bare state takes the eigenvector of its largest squared
+overlap when that exceeds 1/2, so a labeling reads only the rows of the
+states it labels.  The dispersive observables are read off the labeled
+energies:
 
     resonator pull = [E(0,1) - E(0,0)] - omega_r
     qubit shift    = [E(1,0) - E(0,0)] - omega_10
@@ -22,10 +21,9 @@ The eigensolve runs the steps of LAPACK's dsyevd, the routine behind
 np.linalg.eigh, one by one in the LAPACK that NumPy links: scaling,
 tridiagonal reduction and the tridiagonal divide and conquer give
 eigenvalues equal to eigh's bit for bit.  dsyevd's last step turns all d^2
-eigenvector entries back into the product basis; a labeling reads only
-the rows of the bare states it processes, so diagonalize back-transforms
-only the rows asked for, and exact_shifts asks for the few the labeling
-reads.
+eigenvector entries back into the product basis; diagonalize
+back-transforms only the rows asked for, and exact_shifts asks for the
+three rows of (0,0), (0,1) and (1,0).
 """
 
 from __future__ import annotations
@@ -76,7 +74,7 @@ def build_hamiltonian(ladder: Ladder, omega_r: float, fock_truncation: int,
         raise LadderOverflow(f"an entry of the {n_levels} x {m} Hamiltonian "
                              f"overflows float64")
     h = np.zeros((d, d))
-    np.fill_diagonal(h, _bare_energies(energies, omega_r, m))
+    np.fill_diagonal(h, (energies[:, None] + omega_r * np.arange(m)).ravel())
     flat = np.arange(d)
     k, n = np.divmod(flat, m)
     # flat index k * m + n: (k+1, n-1) sits m - 1 further on, (k+1, n+1) m + 1
@@ -87,11 +85,6 @@ def build_hamiltonian(ladder: Ladder, omega_r: float, fock_truncation: int,
         h[counter, counter + m + 1] = h[counter + m + 1, counter] = (
             g[k[counter]] * np.sqrt(n[counter] + 1))
     return h
-
-
-def _bare_energies(energies, omega_r: float, fock_truncation: int) -> np.ndarray:
-    """E_k + omega_r n of every product state, in flat (k, n) order."""
-    return (energies[:, None] + omega_r * np.arange(fock_truncation)).ravel()
 
 
 class Spectrum(NamedTuple):
@@ -110,13 +103,11 @@ _SMLNUM = float(np.finfo(float).tiny / np.finfo(float).eps)
 _RMIN, _RMAX = math.sqrt(_SMLNUM), math.sqrt(1.0 / _SMLNUM)
 
 # dsyevd's steps and their Fortran arguments before INFO, each passed by
-# reference: c a character, i an integer (64-bit in an ILP64 LAPACK), f a
-# double, F a float64 array, I an int64 array.
-_SIGNATURES = {"dlascl": "ciiffiiFi", "dsytrd": "ciFiFFFFi",
-               "dstedc": "ciFFFiFiIi", "dormtr": "ccciiFiFFiFi"}
+# reference: c a character, i an integer (64-bit in an ILP64 LAPACK), F a
+# float64 array, I an int64 array.
+_SIGNATURES = {"dsytrd": "ciFiFFFFi", "dstedc": "ciFFFiFiIi", "dormtr": "ccciiFiFFiFi"}
 _ARGTYPES = {"c": ctypes.c_char_p, "i": ctypes.POINTER(ctypes.c_int64),
-             "f": ctypes.POINTER(ctypes.c_double), "F": ctypes.POINTER(ctypes.c_double),
-             "I": ctypes.POINTER(ctypes.c_int64)}
+             "F": ctypes.POINTER(ctypes.c_double), "I": ctypes.POINTER(ctypes.c_int64)}
 
 
 def _array_reference(ctype, dtype):
@@ -130,7 +121,6 @@ def _array_reference(ctype, dtype):
 
 _REFERENCES = {"c": lambda char: char,
                "i": lambda value: ctypes.byref(ctypes.c_int64(value)),
-               "f": lambda value: ctypes.byref(ctypes.c_double(value)),
                "F": _array_reference(ctypes.c_double, np.float64),
                "I": _array_reference(ctypes.c_int64, np.int64)}
 
@@ -177,9 +167,10 @@ def diagonalize(h: np.ndarray, rows: Sequence[int] | None = None, *,
 
     h is real symmetric; like eigh, only its lower triangle is read.  The
     eigenvalues come from dsyevd's own steps: its max-norm scaling test
-    (dlascl, undone on the eigenvalues), dsytrd('L') with a workspace that
-    selects dsyevd's blocked reduction, and dstedc('I'), which also yields
-    the eigenvectors Z of the tridiagonal matrix.  dsyevd then forms all of
+    (dlascl, which for a factor sigma from 1 is the one multiply a *= sigma,
+    undone on the eigenvalues), dsytrd('L') with a workspace that selects
+    dsyevd's blocked reduction, and dstedc('I'), which also yields the
+    eigenvectors Z of the tridiagonal matrix.  dsyevd then forms all of
     Q Z with dormtr; here dormtr forms only Q^T E for the unit columns E of
     the rows asked for, and V[rows] = (Q^T E)^T Z.  Those rows equal eigh's
     to rounding (up to each column's sign), not bit for bit.  With
@@ -207,7 +198,7 @@ def diagonalize(h: np.ndarray, rows: Sequence[int] | None = None, *,
     sigma = (_RMIN / norm if 0.0 < norm < _RMIN else
              _RMAX / norm if norm > _RMAX else None)
     if sigma is not None:
-        _call("dlascl", b"L", 0, 0, 1.0, float(sigma), n, n, a, n)
+        a *= sigma
     d, e, tau = np.empty(n), np.empty(n), np.empty(n)
     # dsyevd hands dsytrd at least n x NB (NB = 32 in OpenBLAS's LAPACK),
     # which selects the blocked reduction; any smaller lwork selects other
@@ -229,80 +220,64 @@ def diagonalize(h: np.ndarray, rows: Sequence[int] | None = None, *,
 class Labeling:
     """Partial map from bare (k, n) pairs to eigenvector indices.
 
-    Pairs whose best available overlap is <= 1/2 stay unassigned; their
-    best weight is still recorded in overlaps for diagnostics.  A labeling
-    made for a ``required`` set covers the bare states up to the last
-    required one in bare-energy order, and no others.
+    Each labeled pair maps to the eigenvector of its largest squared
+    overlap, which exceeds 1/2 + 1e-12; rows and columns of the orthogonal
+    eigenvector matrix are unit vectors, so no two pairs share one.
+    overlaps holds each pair's largest overlap, labeled or not.
     """
 
     labels: dict[tuple[int, int], int]
     overlaps: dict[tuple[int, int], float]
 
 
-def _labeling_order(ladder: Ladder, omega_r: float, fock_truncation: int,
-                    required: tuple[tuple[int, int], ...] | None) -> np.ndarray:
-    """Flat indices k M + n of the bare states a labeling processes, in
-    order of increasing bare energy (ties by lexicographic (k, n)): all of
-    them, or with ``required`` those up to the last required pair.  A
-    required pair outside the product space raises ValueError."""
-    n_levels = len(ladder.energies)
-    m = fock_truncation
-    order = np.argsort(_bare_energies(ladder.energies, omega_r, m), kind="stable")
-    if required is None:
-        return order
-    for k, n in required:
-        if not (0 <= k < n_levels and 0 <= n < m):
-            raise ValueError(f"required pair {(k, n)} lies outside the "
-                             f"{n_levels} x {m} product space")
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    return order[:max((rank[k * m + n] for k, n in required), default=-1) + 1]
-
-
-def label_dressed_states(spectrum: Spectrum, ladder: Ladder, omega_r: float,
-                         fock_truncation: int,
+def label_dressed_states(spectrum: Spectrum, fock_truncation: int,
                          required: Iterable[tuple[int, int]] | None = None) -> Labeling:
-    """Greedy maximum-overlap assignment of bare product labels, from the
+    """Maximum-overlap assignment of bare product labels, from the
     eigenvector rows of a diagonalize result.
 
-    Bare states are processed in order of increasing bare energy (ties by
-    lexicographic (k, n)), each claiming its best-overlap eigenvector among
-    those still unclaimed.  A claim needs squared overlap strictly above
-    1/2; anything at or below stays unlabeled.  A claim depends only on
-    the states processed before it, so when ``required`` is given the pass
-    stops once every required pair has been processed: their labels are
-    those of the full pass.  A required pair outside the product space
-    raises ValueError before labeling starts, and so does a processed state
-    whose row the spectrum does not hold; a required pair that ends up
-    unlabeled raises AmbiguousLabeling.
+    The product space is N x M with M = fock_truncation and N = d // M; a
+    dimension d that M does not divide raises ValueError.  Each pair of
+    ``required`` (default every pair) is labeled by the argmax of its row:
+    the eigenvector of its largest squared overlap, when that overlap
+    exceeds 1/2 + 1e-12.  The margin leaves an exact 50/50 hybridization,
+    which floating point puts at 0.5 +- a few ulp, unlabeled.  Rows and
+    columns of the orthogonal eigenvector matrix are unit vectors, so no
+    bare state overlaps two eigenvectors, and no eigenvector two bare
+    states, by more than 1/2: each label depends only on its own row, and
+    no two coincide.  A required pair outside the product space, or one
+    whose row the spectrum does not hold, raises ValueError; the first
+    required pair left unlabeled raises AmbiguousLabeling.
     """
     m = fock_truncation
-    required = None if required is None else tuple(required)
-    order = _labeling_order(ladder, omega_r, m, required)
-    held = np.full(len(ladder.energies) * m, -1)
+    d = len(spectrum.eigenvalues)
+    n_levels, rest = divmod(d, m)
+    if rest:
+        raise ValueError(f"dimension {d} is not a multiple of the Fock truncation {m}")
+    if required is None:
+        pairs = [divmod(index, m) for index in range(d)]
+    else:
+        pairs = list(required)
+        for k, n in pairs:
+            if not (0 <= k < n_levels and 0 <= n < m):
+                raise ValueError(f"required pair {(k, n)} lies outside the "
+                                 f"{n_levels} x {m} product space")
+    flat = np.array([k * m + n for k, n in pairs], dtype=np.intp)
+    held = np.full(d, -1)
     held[spectrum.rows] = np.arange(len(spectrum.rows))
-    missing = order[held[order] < 0]
+    missing = flat[held[flat] < 0]
     if len(missing):
         raise ValueError(f"the spectrum holds no eigenvector row of bare state "
                          f"{divmod(int(missing[0]), m)}")
-    unclaimed = np.ones(len(held), dtype=bool)
-    labels: dict[tuple[int, int], int] = {}
-    overlaps: dict[tuple[int, int], float] = {}
-    for index in order:
-        pair = divmod(int(index), m)
-        candidates = np.flatnonzero(unclaimed)
-        weights = np.abs(spectrum.eigenvectors[held[index], candidates]) ** 2
-        best = int(np.argmax(weights))
-        overlap = float(weights[best])
-        overlaps[pair] = overlap
-        # a strictly-greater-than-half claim; exact 50/50 hybridization is
-        # ambiguous, and floating point puts it at 0.5 +- a few ulp
-        if overlap > 0.5 + 1e-12:
-            labels[pair] = int(candidates[best])
-            unclaimed[candidates[best]] = False
-    for pair in required or ():
-        if pair not in labels:
-            raise AmbiguousLabeling(pair, overlaps[pair])
+    weights = spectrum.eigenvectors[held[flat]] ** 2
+    best = np.argmax(weights, axis=1)
+    largest = weights[np.arange(len(flat)), best]
+    overlaps = dict(zip(pairs, largest.tolist()))
+    labels = {pair: int(column) for pair, column, overlap
+              in zip(pairs, best, largest) if overlap > 0.5 + 1e-12}
+    if required is not None:
+        for pair in pairs:
+            if pair not in labels:
+                raise AmbiguousLabeling(pair, overlaps[pair])
     return Labeling(labels=labels, overlaps=overlaps)
 
 
@@ -319,8 +294,8 @@ def exact_shifts(ladder: Ladder, omega_r: float, fock_truncation: int,
                  model: str) -> ExactShifts:
     """Dispersive observables of a ladder from labeled exact eigenenergies.
 
-    The solve forms only the eigenvector rows the labeling reads, and its
-    eigenvalues are eigh's.  eigh is backward stable: each eigenvalue it
+    The solve forms only the three eigenvector rows the labeling reads, and
+    its eigenvalues are eigh's.  eigh is backward stable: each eigenvalue it
     returns is off by at most about d eps ||H||, with ||H|| the largest
     absolute row sum.  A shift is the difference of two eigenvalues, so it
     is trusted to within 2 d eps ||H||; a nonzero shift smaller than that
@@ -331,10 +306,9 @@ def exact_shifts(ladder: Ladder, omega_r: float, fock_truncation: int,
     # every entry of H is >= 0 (see build_hamiltonian), so a row sum is its
     # norm; taken before the solve reduces H in place
     bound = 2.0 * len(h) * np.finfo(float).eps * float(h.sum(axis=1).max())
-    rows = _labeling_order(ladder, omega_r, fock_truncation, _REQUIRED_PAIRS)
+    rows = [k * fock_truncation + n for k, n in _REQUIRED_PAIRS]
     spectrum = diagonalize(h, rows, overwrite=True)
-    labeling = label_dressed_states(spectrum, ladder, omega_r, fock_truncation,
-                                    required=_REQUIRED_PAIRS)
+    labeling = label_dressed_states(spectrum, fock_truncation, required=_REQUIRED_PAIRS)
     e = spectrum.eigenvalues
     e00 = e[labeling.labels[(0, 0)]]
     e01 = e[labeling.labels[(0, 1)]]

@@ -385,11 +385,9 @@ class SystemConfig:
     def omega_r(self) -> float:
         return self.resonator.omega_r
 
-    def omega_10_at(self, detuning=None):
+    def omega_10_at(self, detuning):
         """The omega_10 that build(detuning=...) expands, per detuning value:
-        omega_r + detuning, or the configured omega_10 when detuning is None."""
-        if detuning is None:
-            return self.transmon.omega_10
+        omega_r + detuning."""
         return self.resonator.omega_r + detuning
 
     def build(self, detuning: float | None = None, coupling: float | None = None,

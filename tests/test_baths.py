@@ -174,7 +174,8 @@ def test_silent_bath_is_dark():
 
 
 def test_constructor_validation():
-    """Non-positive cutoffs and floors, and negative strengths, are rejected."""
+    """Non-positive cutoffs and floors, negative strengths and an unknown
+    model are rejected."""
     with pytest.raises(ValueError):
         SpectralFunction.ohmic(1.0, cutoff_ghz=0.0)
     with pytest.raises(ValueError):
@@ -185,6 +186,8 @@ def test_constructor_validation():
         SpectralFunction.flat(-0.1)
     with pytest.raises(ValueError):
         SpectralFunction.flat(1.0, temperature_ghz=-0.1)
+    with pytest.raises(ValueError, match="unknown bath model 'nope'"):
+        SpectralFunction(model="nope")
 
 
 def test_constructor_rejects_non_finite():

@@ -41,10 +41,54 @@ from conftest import README_CONFIG, build_system
 
 
 def exact_args(system):
-    """The arguments the exact layer takes for a system before the model
-    (label_dressed_states, after the spectrum): its ladder record, omega_r
-    and Fock truncation."""
+    """The arguments the exact layer takes for a system before the model:
+    its ladder record, omega_r and Fock truncation."""
     return system.qubit.ladder, system.omega_r, system.resonator.fock_truncation
+
+
+def _required_rows(fock):
+    """Flat indices k M + n of the pairs exact_shifts labels."""
+    return [k * fock + n for k, n in _REQUIRED_PAIRS]
+
+
+def _greedy_labeling(spectrum, ladder, omega_r, fock, required=None):
+    """The greedy pass that label_dressed_states replaced, kept as its
+    oracle: bare states in order of increasing bare energy (ties by flat
+    index), each claiming its best-overlap eigenvector among those still
+    unclaimed when that overlap exceeds 1/2 + 1e-12; with ``required`` it
+    stops after the last required pair and raises AmbiguousLabeling for the
+    first unlabeled one.  Reads the full eigenvector matrix."""
+    energies = (ladder.energies[:, None] + omega_r * np.arange(fock)).ravel()
+    order = np.argsort(energies, kind="stable")
+    if required is not None:
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        order = order[:max(rank[k * fock + n] for k, n in required) + 1]
+    unclaimed = np.ones(len(energies), dtype=bool)
+    labels, overlaps = {}, {}
+    for index in order:
+        pair = divmod(int(index), fock)
+        candidates = np.flatnonzero(unclaimed)
+        weights = np.abs(spectrum.eigenvectors[index, candidates]) ** 2
+        best = int(np.argmax(weights))
+        overlaps[pair] = float(weights[best])
+        if overlaps[pair] > 0.5 + 1e-12:
+            labels[pair] = int(candidates[best])
+            unclaimed[candidates[best]] = False
+    for pair in required or ():
+        if pair not in labels:
+            raise AmbiguousLabeling(pair, overlaps[pair])
+    return exact.Labeling(labels=labels, overlaps=overlaps)
+
+
+def _assert_labels_match_greedy(spectrum, ladder, omega_r, fock):
+    """Equal labels, and equal overlaps for every labeled pair, to the bit."""
+    labeling = label_dressed_states(spectrum, fock)
+    greedy = _greedy_labeling(spectrum, ladder, omega_r, fock)
+    assert labeling.labels == greedy.labels
+    for pair in greedy.labels:
+        assert labeling.overlaps[pair] == greedy.overlaps[pair]
+    assert set(labeling.overlaps) == set(greedy.overlaps)
 
 
 def test_hamiltonian_is_exactly_symmetric():
@@ -200,14 +244,12 @@ def _signed(rows):
 @needs_binding
 @pytest.mark.parametrize("d", [1, 2, 3, 15, 25, 26, 40, 80])
 @pytest.mark.parametrize("scale", [1.0, 1e155, 1e-160])
-def test_eigenvalues_equal_eigh_bit_for_bit(monkeypatch, d, scale):
+def test_eigenvalues_equal_eigh_bit_for_bit(d, scale):
     """On random symmetric matrices the eigenvalues are eigh's to the bit,
     on both sides of dstedc's small-matrix cut (25 | 26) and in both of
     dsyevd's scaling branches (max |entry| near 1e155 and 1e-160, where
-    dlascl runs once); the rows asked for are eigh's to rounding, and h
-    is left as it was."""
-    scalings = []
-    _wrap_routine(monkeypatch, "dlascl", scalings.append)
+    the matrix is scaled once); the rows asked for are eigh's to rounding,
+    and h is left as it was."""
     rng = np.random.default_rng(d)
     x = rng.standard_normal((d, d)) * scale
     h = x + x.T
@@ -219,7 +261,6 @@ def test_eigenvalues_equal_eigh_bit_for_bit(monkeypatch, d, scale):
     assert np.array_equal(spectrum.rows, rows)
     assert np.abs(_signed(spectrum.eigenvectors) - _signed(vectors[rows])).max() < 1e-13
     assert h.tobytes() == before.tobytes()
-    assert len(scalings) == (scale != 1.0 and d > 1)
 
 
 def _readme_ladders(num_levels, detunings):
@@ -243,14 +284,13 @@ def test_hamiltonian_eigenvalues_equal_eigh_bit_for_bit(model, num_levels, fock,
         h = build_hamiltonian(ladder, 5.0, fock, model)
         eigenvalues = np.linalg.eigh(h).eigenvalues
         assert diagonalize(h, [0]).eigenvalues.tobytes() == eigenvalues.tobytes()
-        rows = exact._labeling_order(ladder, 5.0, fock, _REQUIRED_PAIRS)
-        solved = diagonalize(h, rows, overwrite=True)
+        solved = diagonalize(h, _required_rows(fock), overwrite=True)
         assert solved.eigenvalues.tobytes() == eigenvalues.tobytes()
 
 
-def _labels_or_error(spectrum, ladder, fock):
+def _labels_or_error(spectrum, fock):
     try:
-        return label_dressed_states(spectrum, ladder, 5.0, fock, required=_REQUIRED_PAIRS)
+        return label_dressed_states(spectrum, fock, required=_REQUIRED_PAIRS)
     except AmbiguousLabeling as exc:
         return exc.pair
 
@@ -263,9 +303,8 @@ def test_labels_from_rows_equal_labels_from_eigh(model):
     for ladder in _readme_ladders(5, README_GRID):
         h = build_hamiltonian(ladder, 5.0, 8, model)
         full = exact.Spectrum(*np.linalg.eigh(h), np.arange(len(h)))
-        rows = exact._labeling_order(ladder, 5.0, 8, _REQUIRED_PAIRS)
-        from_rows = _labels_or_error(diagonalize(h, rows), ladder, 8)
-        from_eigh = _labels_or_error(full, ladder, 8)
+        from_rows = _labels_or_error(diagonalize(h, _required_rows(8)), 8)
+        from_eigh = _labels_or_error(full, 8)
         if isinstance(from_eigh, tuple):
             assert from_rows == from_eigh
         else:
@@ -274,13 +313,78 @@ def test_labels_from_rows_equal_labels_from_eigh(model):
                 assert from_rows.overlaps[pair] == pytest.approx(overlap, abs=1e-14)
 
 
+@pytest.mark.parametrize("model", [RABI, JC])
+@pytest.mark.parametrize("num_levels, fock, detunings",
+                         [(5, 8, README_GRID), (10, 60, np.linspace(-2.4, 3.0, 13))],
+                         ids=["readme-d40", "ladder-d600"])
+def test_labels_equal_the_greedy_oracle(model, num_levels, fock, detunings):
+    """At every point of the README's 161-point grid and at 13 d = 600
+    ladder points, in both models, labeling each bare state by its largest
+    overlap gives every label of the greedy pass in bare-energy order, with
+    the same overlaps."""
+    for ladder in _readme_ladders(num_levels, detunings):
+        spectrum = diagonalize(build_hamiltonian(ladder, 5.0, fock, model))
+        _assert_labels_match_greedy(spectrum, ladder, 5.0, fock)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(num_levels=st.integers(2, 6), fock=st.integers(2, 12),
+       detuning=st.floats(-3.0, 3.0), g0=st.floats(0.0, 0.8),
+       omega_r=st.floats(3.0, 8.0), model=st.sampled_from([RABI, JC]), data=st.data())
+def test_labels_equal_the_greedy_oracle_on_random_systems(num_levels, fock, detuning, g0,
+                                                          omega_r, model, data):
+    """On random systems up to g0 = 0.8 the full labeling is the greedy
+    one, and a labeling of random required pairs gives the greedy labels or
+    raises for the same pair.  A draw whose ladder collapses is rejected."""
+    try:
+        system = build_system(detuning=detuning, g0=g0, num_levels=num_levels, fock=fock,
+                              omega_r=omega_r, model=model)
+    except NonPositiveSplitting:
+        reject()
+    ladder = system.qubit.ladder
+    spectrum = diagonalize(build_hamiltonian(ladder, omega_r, fock, model))
+    _assert_labels_match_greedy(spectrum, ladder, omega_r, fock)
+    required = data.draw(st.lists(st.tuples(st.integers(0, num_levels - 1),
+                                            st.integers(0, fock - 1)), min_size=1, max_size=4))
+    try:
+        greedy = _greedy_labeling(spectrum, ladder, omega_r, fock, required)
+    except AmbiguousLabeling as exc:
+        with pytest.raises(AmbiguousLabeling) as info:
+            label_dressed_states(spectrum, fock, required)
+        assert info.value.pair == exc.pair
+        return
+    labels = label_dressed_states(spectrum, fock, required).labels
+    assert labels == {pair: greedy.labels[pair] for pair in required}
+
+
+def test_exact_shifts_solves_for_the_three_required_rows(monkeypatch):
+    """exact_shifts asks diagonalize for the rows of (0,0), (0,1) and (1,0)
+    and no other, whatever the size."""
+    asked = []
+    solve = exact.diagonalize
+    monkeypatch.setattr(exact, "diagonalize",
+                        lambda h, rows, **kwargs: (asked.append(list(rows)),
+                                                   solve(h, rows, **kwargs))[1])
+    for num_levels, fock in ((2, 2), (5, 8), (10, 60)):
+        exact_shifts(*exact_args(build_system(num_levels=num_levels, fock=fock)), RABI)
+    assert asked == [[0, 1, 2], [0, 1, 8], [0, 1, 60]]
+
+
+def test_labeling_refuses_a_fock_truncation_that_does_not_divide_d():
+    """The product space is d // M x M, so a dimension M does not divide is
+    refused instead of labeled as some other space."""
+    with pytest.raises(ValueError, match="dimension 12 is not a multiple of the Fock "
+                                         "truncation 5"):
+        label_dressed_states(diagonalize(np.eye(12)), 5)
+
+
 def test_labeling_refuses_a_spectrum_without_its_rows():
     """A labeling that would read a row the spectrum does not hold names the
     first such bare state instead of reading another row."""
     system = build_system(detuning=1.0, g0=0.1, num_levels=3, fock=4)
     h = build_hamiltonian(*exact_args(system), RABI)
     with pytest.raises(ValueError, match=re.escape("bare state (0, 2)")):
-        label_dressed_states(diagonalize(h, [0, 1, 4]), *exact_args(system))
+        label_dressed_states(diagonalize(h, [0, 1, 4]), 4)
 
 
 @pytest.mark.parametrize("model", [RABI, JC])
@@ -342,7 +446,7 @@ def test_labeling_is_exact_without_coupling():
     """At g = 0 every dressed state is a bare state with unit overlap."""
     system = build_system(g0=0.0, num_levels=3, fock=4)
     spectrum = diagonalize(build_hamiltonian(*exact_args(system), RABI))
-    labeling = label_dressed_states(spectrum, *exact_args(system))
+    labeling = label_dressed_states(spectrum, 4)
     assert len(labeling.labels) == 12
     for pair, overlap in labeling.overlaps.items():
         np.testing.assert_allclose(overlap, 1.0, rtol=0, atol=1e-12)
@@ -354,7 +458,7 @@ def test_labeling_dispersive_overlaps_are_large():
     """Well detuned, every dressed state stays close to its bare ancestor."""
     system = build_system(detuning=1.0, g0=0.1, num_levels=3, fock=5)
     spectrum = diagonalize(build_hamiltonian(*exact_args(system), RABI))
-    labeling = label_dressed_states(spectrum, *exact_args(system))
+    labeling = label_dressed_states(spectrum, 5)
     for pair in ((0, 0), (0, 1), (1, 0), (1, 1)):
         assert labeling.overlaps[pair] > 0.9
 
@@ -364,7 +468,7 @@ def test_labeling_ambiguous_on_resonance():
     system = build_system(detuning=0.0, g0=0.1, num_levels=2, fock=3, model=JC)
     spectrum = diagonalize(build_hamiltonian(*exact_args(system), JC))
     with pytest.raises(AmbiguousLabeling):
-        label_dressed_states(spectrum, *exact_args(system), required=((0, 0), (0, 1), (1, 0)))
+        label_dressed_states(spectrum, 3, required=((0, 0), (0, 1), (1, 0)))
 
 
 @pytest.mark.parametrize("pair", [(5, 0), (3, 0), (0, 4), (0, -1), (-1, 2)])
@@ -374,30 +478,30 @@ def test_required_pair_outside_the_space_is_refused(pair):
     system = build_system(num_levels=3, fock=4)
     spectrum = diagonalize(build_hamiltonian(*exact_args(system), RABI))
     with pytest.raises(ValueError, match=re.escape(str(pair)) + " .*3 x 4"):
-        label_dressed_states(spectrum, *exact_args(system), required=((0, 0), pair))
+        label_dressed_states(spectrum, 4, required=((0, 0), pair))
 
 
-def test_required_labeling_stops_after_the_last_required_pair():
-    """With omega_r = 5 and omega_10 = 6, (0,0), (0,1) and (1,0) are the three
-    lowest bare states, so a labeling for them processes no other."""
+def test_required_labeling_labels_only_the_required_pairs():
+    """A labeling for (0,0), (0,1) and (1,0) reads and records those three
+    pairs and no other, with the labels of the full labeling."""
     system = build_system(detuning=1.0, g0=0.1, num_levels=5, fock=8)
     spectrum = diagonalize(build_hamiltonian(*exact_args(system), RABI))
-    stopped = label_dressed_states(spectrum, *exact_args(system), required=_REQUIRED_PAIRS)
-    assert set(stopped.overlaps) == set(_REQUIRED_PAIRS)
-    full = label_dressed_states(spectrum, *exact_args(system))
+    partial = label_dressed_states(spectrum, 8, required=_REQUIRED_PAIRS)
+    assert set(partial.overlaps) == set(_REQUIRED_PAIRS)
+    full = label_dressed_states(spectrum, 8)
     assert len(full.overlaps) == 40
-    assert stopped.labels.items() <= full.labels.items()
+    assert partial.labels.items() <= full.labels.items()
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(num_levels=st.integers(2, 6), fock=st.integers(2, 12),
        detuning=st.floats(-3.0, 3.0), g0=st.floats(0.0, 0.8),
        omega_r=st.floats(3.0, 8.0), model=st.sampled_from([RABI, JC]))
-def test_stopped_labeling_agrees_with_the_full_pass(num_levels, fock, detuning, g0,
-                                                     omega_r, model):
-    """A labeling stopped at the required pairs is the full labeling restricted
-    to the pairs it processed (labels and overlaps), and it raises for the
-    same pair, with the same overlap, when one of them cannot be claimed.
+def test_required_labeling_agrees_with_the_full_labeling(num_levels, fock, detuning, g0,
+                                                         omega_r, model):
+    """A labeling of the required pairs is the full labeling restricted to
+    them (labels and overlaps), since each label reads only its own row, and
+    it raises for the first unlabeled one, with the same overlap.
     A draw whose ladder collapses (omega_r + detuning near 0) builds no
     system and is rejected."""
     try:
@@ -406,18 +510,18 @@ def test_stopped_labeling_agrees_with_the_full_pass(num_levels, fock, detuning, 
     except NonPositiveSplitting:
         reject()
     spectrum = diagonalize(build_hamiltonian(*exact_args(system), model))
-    full = label_dressed_states(spectrum, *exact_args(system))
+    full = label_dressed_states(spectrum, fock)
     missing = [pair for pair in _REQUIRED_PAIRS if pair not in full.labels]
     try:
-        stopped = label_dressed_states(spectrum, *exact_args(system), required=_REQUIRED_PAIRS)
+        partial = label_dressed_states(spectrum, fock, required=_REQUIRED_PAIRS)
     except AmbiguousLabeling as exc:
         assert missing and exc.pair == missing[0]
         assert exc.overlap == full.overlaps[exc.pair]
         return
     assert not missing
-    assert set(_REQUIRED_PAIRS) <= set(stopped.overlaps)
-    assert stopped.labels.items() <= full.labels.items()
-    assert stopped.overlaps.items() <= full.overlaps.items()
+    assert set(_REQUIRED_PAIRS) <= set(partial.overlaps)
+    assert partial.labels.items() <= full.labels.items()
+    assert partial.overlaps.items() <= full.overlaps.items()
 
 
 def test_exact_agrees_with_analytic_when_dispersive():

@@ -54,7 +54,8 @@ def test_expand_transmon_custom_noise_weights():
 
 
 def test_spec_constructors_reject_non_finite_values():
-    """NaN or infinite frequencies and couplings fail at construction."""
+    """NaN or infinite frequencies and couplings fail at construction, and
+    so does a detuning whose omega_10 = omega_r + detuning overflows."""
     with pytest.raises(ValueError):
         TransmonSpec(omega_10=math.nan, anharmonicity=0.25, g0=0.1, num_levels=3)
     with pytest.raises(ValueError):
@@ -64,6 +65,10 @@ def test_spec_constructors_reject_non_finite_values():
     with pytest.raises(ValueError):
         QubitSpec(level_energies=(0.0, math.nan), coupling_ladder=(0.1,),
                   transverse_bath_couplings=(1.0,), dephasing_sensitivities=(0.0, 1.0))
+    # omega_r + detuning, both finite, overflows to inf
+    huge = replace(_config(), resonator=ResonatorSpec(omega_r=1e308, fock_truncation=5))
+    with pytest.raises(LadderOverflow, match=r"omega_r \+ detuning = inf GHz is not finite"):
+        huge.build(detuning=1.7e308)
 
 
 @pytest.mark.parametrize("build, message", [
@@ -152,13 +157,16 @@ def test_transmon_ladder_reports_the_first_collapse(omega_10, anharmonicity):
 def test_transmon_ladder_caps_the_levels_it_holds():
     """Ladders that never collapse hold at most MAX_LADDER_ENTRIES levels in
     all, counted over every omega_10, and a longer one is refused before any
-    array of its length is made (N = 1e18 would not fit)."""
+    array of its length is made (N = 1e18 would not fit); a ladder needs at
+    least 2 levels."""
     ladder = transmon_ladder(6.0, -0.25, 0.1, MAX_LADDER_ENTRIES)
     assert ladder.energies.shape == (1, MAX_LADDER_ENTRIES)
     for omega_10, num_levels in ((6.0, MAX_LADDER_ENTRIES + 1), (6.0, 10**18),
                                  ([6.0, 7.0], MAX_LADDER_ENTRIES // 2 + 1)):
         with pytest.raises(LadderOverflow, match="ladder levels exceed the cap"):
             transmon_ladder(omega_10, -0.25, 0.1, num_levels)
+    with pytest.raises(ValueError, match="num_levels must be >= 2, got 1"):
+        transmon_ladder(6.0, -0.25, 0.1, 1)
 
 
 def test_qubit_spec_accessors():
@@ -310,6 +318,11 @@ INVALID_SPECS = {
     "negative-g_k": ("coupling_ladder[1]: coupling must be >= 0",
                      lambda: _qubit(coupling_ladder=(0.1, -0.14)),
                      lambda s: replace(s.qubit, coupling_ladder=(0.1, -0.14))),
+    "one-level": ("qubit needs at least 2 levels, got 1",
+                  lambda: QubitSpec((0.0,), (), (), (0.0,)),
+                  lambda s: replace(s.qubit, level_energies=(0.0,), coupling_ladder=(),
+                                    transverse_bath_couplings=(),
+                                    dephasing_sensitivities=(0.0,))),
     "negative-g0": ("g0: coupling must be >= 0",
                     lambda: TransmonSpec(omega_10=6.0, anharmonicity=0.25, g0=-0.1,
                                          num_levels=3),

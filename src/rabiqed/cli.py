@@ -236,17 +236,6 @@ def _cmd_fit(args) -> int:
     return EXIT_MATH if failures == len(out_rows) else EXIT_OK
 
 
-def _generator(system: SystemSpec, photons: float):
-    from .lindblad import DRESSED_ANALYTIC, assemble, require_memory
-    from .rates import build_rate_table, driven_effective_rates
-
-    dimension = system.qubit.num_levels * system.resonator.fock_truncation
-    require_memory(8 * dimension ** 2, "the dense Hamiltonian")
-    table = build_rate_table(system)
-    extra = driven_effective_rates(table, photons, system.interaction_model)
-    return assemble(system, mode=DRESSED_ANALYTIC, table=table, extra_terms=extra)
-
-
 def _state_summary(diagonal: np.ndarray, space: ProductSpace) -> dict:
     """Qubit-level populations and photon number, read off the real diagonal
     of a density matrix."""
@@ -302,11 +291,11 @@ def _initial_state(text: str, system, space: ProductSpace) -> np.ndarray:
 def _cmd_evolve(args) -> int:
     import numpy as np
 
-    from .lindblad import evolve, require_memory
+    from .lindblad import assemble, evolve, require_memory
     from .operators import ProductSpace
 
     _, system = _load_config(args)
-    gen = _generator(system, args.photons)
+    gen = assemble(system, photons=args.photons)
     space = ProductSpace(system.qubit.num_levels, system.resonator.fock_truncation)
     rho0 = _initial_state(args.init, system, space)
     # every --init state is diagonal, so it reaches at most the d populations
@@ -327,11 +316,11 @@ def _cmd_evolve(args) -> int:
 def _cmd_steady(args) -> int:
     import numpy as np
 
-    from .lindblad import steady_state
+    from .lindblad import assemble, steady_state
     from .operators import ProductSpace
 
     _, system = _load_config(args)
-    gen = _generator(system, args.photons)
+    gen = assemble(system, photons=args.photons)
     space = ProductSpace(system.qubit.num_levels, system.resonator.fock_truncation)
     # the steady state is diagonal: its purity is sum p^2, and the photon
     # number of its resonator factor, Tr[(1 (x) n) rho], is nbar

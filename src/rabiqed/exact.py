@@ -197,8 +197,10 @@ def diagonalize(h: np.ndarray, rows: Sequence[int] | None = None, *,
     norm = max(a.max(), -a.min())
     sigma = (_RMIN / norm if 0.0 < norm < _RMIN else
              _RMAX / norm if norm > _RMAX else None)
+    # an infinite entry gives sigma = 0 and NaNs, which eigh returns silently
     if sigma is not None:
-        a *= sigma
+        with np.errstate(all="ignore"):
+            a *= sigma
     d, e, tau = np.empty(n), np.empty(n), np.empty(n)
     # dsyevd hands dsytrd at least n x NB (NB = 32 in OpenBLAS's LAPACK),
     # which selects the blocked reduction; any smaller lwork selects other
@@ -212,7 +214,8 @@ def diagonalize(h: np.ndarray, rows: Sequence[int] | None = None, *,
     unit[np.arange(len(rows)), rows] = 1.0
     _call("dormtr", b"L", b"L", b"T", n, len(rows), a, n, tau, unit, n, work, len(work))
     if sigma is not None:
-        d *= 1.0 / sigma
+        with np.errstate(all="ignore"):
+            d *= 1.0 / sigma
     return Spectrum(d, unit @ z.T, rows)
 
 

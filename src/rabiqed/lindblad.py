@@ -12,8 +12,10 @@ Two assembly modes are supported:
 - ``bare_plus_interaction``: the full interaction Hamiltonian with the
   second-order dissipators only; used to cross-check the dressed picture
   against real-time dynamics.
-Either way each jump is realized once, as its closed-form nonzero entries
-(operators.jump_entries), never as a d x d matrix.
+A coherent drive of n photons (assemble's photons) adds the drive-induced
+qubit dissipators in either mode.  Either way each jump is realized once,
+as its closed-form nonzero entries (operators.jump_entries), never as a
+d x d matrix.
 
 A generator with a population sector (every dressed_analytic one; see
 _jump_maps) is evolved and solved for its steady state with NumPy alone,
@@ -40,7 +42,7 @@ from .contract import (DegenerateNullSpace, MemoryBudgetExceeded, PropagationFai
                        TruncationTooSmall)
 from .model import SystemSpec, check_model
 from .operators import DimensionMismatch, ProductSpace, _Entries, jump_entries, jump_matrix
-from .rates import (DissipatorTerm, JumpDescriptor, RateTable, build_rate_table,
+from .rates import (DissipatorTerm, JumpDescriptor, build_rate_table, driven_effective_rates,
                     second_order_rates)
 
 if TYPE_CHECKING:
@@ -306,24 +308,34 @@ def dressed_hamiltonian(system: SystemSpec, model: str) -> np.ndarray:
     return np.diag(energies.ravel())
 
 
-def assemble(system: SystemSpec, mode: str = DRESSED_ANALYTIC, table: RateTable | None = None,
-             extra_terms: Sequence[DissipatorTerm] = ()) -> LindbladGenerator:
+def assemble(system: SystemSpec, mode: str = DRESSED_ANALYTIC, *,
+             photons: float = 0.0) -> LindbladGenerator:
     """Build a LindbladGenerator for a system, under its own interaction
-    model, in one of the two modes.  The dressed mode takes the second- and
-    fourth-order terms of table, built here if None; the bare mode takes
-    only the second-order ones, so no fourth-order resonance guard runs."""
+    model, in one of the two modes, driven at ``photons`` mean photons.
+
+    The terms come in one order: the second-order ones, then in the dressed
+    mode the fourth-order ones of the system's model, then the drive-induced
+    qubit terms (rates.driven_effective_rates, none at photons = 0), which
+    are read from the fourth-order ones.  So the bare mode builds no
+    fourth-order term, and runs no fourth-order resonance guard, only
+    without a drive; any other generator builds the whole rate table, whose
+    prefactors raise ResonantDivergence on a resonance.  The dense
+    Hamiltonian is checked against the memory budget before any rate is
+    built, and the Hamiltonian with its jumps once the terms are known.
+    """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     model = system.interaction_model
     q = system.qubit
     space = ProductSpace(q.num_levels, system.resonator.fock_truncation)
     require_memory(8 * space.dimension ** 2, "the dense Hamiltonian")
-    if mode == DRESSED_ANALYTIC:
-        table = build_rate_table(system) if table is None else table
-        terms = [*table.second_order, *table.fourth(model)]
+    if mode == BARE_PLUS_INTERACTION and photons == 0.0:
+        terms = second_order_rates(system)
     else:
-        terms = list(second_order_rates(system) if table is None else table.second_order)
-    terms.extend(extra_terms)
+        table = build_rate_table(system)
+        fourth = table.fourth(model) if mode == DRESSED_ANALYTIC else ()
+        terms = [*table.second_order, *fourth,
+                 *driven_effective_rates(table, photons, model)]
     live = sum(term.rate_mhz != 0.0 for term in terms)
     require_memory(8 * space.dimension ** 2 * (1 + live), "the dense Hamiltonian and jumps")
     if mode == DRESSED_ANALYTIC:

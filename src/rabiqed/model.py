@@ -253,20 +253,14 @@ def transmon_grid(omega_10, anharmonicity: float, g0, num_levels: int) -> Ladder
     return Ladder.of(energies, couplings, root, k.astype(float))
 
 
-def expand_transmon(spec: TransmonSpec,
-                    bath_couplings: tuple[float, ...] | None = None,
-                    dephasing_sensitivities: tuple[float, ...] | None = None) -> QubitSpec:
-    """Expand a transmon ladder (see transmon_ladder) into an explicit QubitSpec.
-
-    The bath sensitivities default to those of transmon_grid; either can be
-    overridden.
-    """
+def expand_transmon(spec: TransmonSpec) -> QubitSpec:
+    """Expand a transmon ladder (see transmon_ladder) into an explicit QubitSpec,
+    with the bath sensitivities of transmon_grid.  Other sensitivities go
+    into a QubitSpec directly, or through dataclasses.replace."""
     ladder = transmon_ladder(spec.omega_10, spec.anharmonicity, spec.g0, spec.num_levels)
-    return QubitSpec(
-        level_energies=ladder.energies[0], coupling_ladder=ladder.g,
-        transverse_bath_couplings=ladder.beta if bath_couplings is None else bath_couplings,
-        dephasing_sensitivities=(ladder.dw if dephasing_sensitivities is None
-                                 else dephasing_sensitivities))
+    return QubitSpec(level_energies=ladder.energies[0], coupling_ladder=ladder.g,
+                     transverse_bath_couplings=ladder.beta,
+                     dephasing_sensitivities=ladder.dw)
 
 
 @dataclass(frozen=True)

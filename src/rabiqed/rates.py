@@ -326,7 +326,7 @@ def driven_effective_rates(table: RateTable, n_photons: float,
     n = 0 returns an empty list.
     """
     check_model(model)
-    if n_photons < 0.0:
+    if not n_photons >= 0.0:  # NaN included
         raise NegativePhotonNumber(f"photon number must be >= 0, got {n_photons}")
     if n_photons == 0.0:
         return []

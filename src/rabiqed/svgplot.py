@@ -35,13 +35,12 @@ class Series:
 class LinePlot:
     """A titled plot of named series, rendered with render()."""
 
-    def __init__(self, title: str, xlabel: str, ylabel: str, logy: bool = False,
-                 series: list[Series] | None = None):
+    def __init__(self, title: str, xlabel: str, ylabel: str, logy: bool = False):
         self.title = title
         self.xlabel = xlabel
         self.ylabel = ylabel
         self.logy = logy
-        self.series = [] if series is None else series
+        self.series: list[Series] = []
 
     def add(self, label: str, x, y) -> None:
         self.series.append(Series(label=label,

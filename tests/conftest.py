@@ -1,5 +1,6 @@
 """Shared builders for the test suite."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -55,12 +56,13 @@ README_CONFIG = {
 }
 
 
-def _run_python(code: str) -> subprocess.CompletedProcess:
-    """Run code in a fresh interpreter that imports this rabiqed."""
+def _run_python(code: str, *options: str) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter that imports this rabiqed, with the
+    given interpreter options."""
     src = str(Path(rabiqed.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    return subprocess.run([sys.executable, "-c", code], env=env,
+    return subprocess.run([sys.executable, *options, "-c", code], env=env,
                           capture_output=True, text=True)
 
 
@@ -79,7 +81,6 @@ def build_system(
     omega_r=5.0,
     model=RABI,
     baths=None,
-    bath_couplings=None,
     dephasing_sensitivities=None,
 ):
     """Assemble a transmon-resonator system with the given detuning in GHz."""
@@ -89,11 +90,9 @@ def build_system(
         g0=g0,
         num_levels=num_levels,
     )
-    qubit = expand_transmon(
-        transmon,
-        bath_couplings=bath_couplings,
-        dephasing_sensitivities=dephasing_sensitivities,
-    )
+    qubit = expand_transmon(transmon)
+    if dephasing_sensitivities is not None:
+        qubit = dataclasses.replace(qubit, dephasing_sensitivities=dephasing_sensitivities)
     table = silent_baths()
     if baths:
         table.update(baths)

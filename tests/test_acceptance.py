@@ -7,6 +7,7 @@ Each test prints a single line
 before asserting, so a full run leaves a per-criterion record in the log.
 """
 
+import dataclasses
 import math
 import time
 
@@ -220,8 +221,9 @@ def test_criterion_5_two_level_reduction():
         transmon = TransmonSpec(omega_10=omega_10, anharmonicity=0.0, g0=g0,
                                 num_levels=2)
         system = SystemSpec(
-            qubit=expand_transmon(transmon, bath_couplings=(1.0,),
-                                  dephasing_sensitivities=(1.0, -1.0)),
+            qubit=dataclasses.replace(expand_transmon(transmon),
+                                      transverse_bath_couplings=(1.0,),
+                                      dephasing_sensitivities=(1.0, -1.0)),
             resonator=ResonatorSpec(omega_r=omega_r, fock_truncation=3),
             interaction_model=RABI,
             baths=silent_baths(),

@@ -12,8 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rabiqed import (ExactRow, ProductSpace, RateRow, ShiftRow, SystemConfig, columns,
-                     evolve, load_config, parse_csv, steady_state)
+from rabiqed import (ExactRow, ProductSpace, RateRow, ShiftRow, SystemConfig, assemble,
+                     columns, evolve, load_config, parse_csv, steady_state)
 from rabiqed import cli, contract
 from rabiqed.cli import main
 from rabiqed.sweeps import format_table
@@ -267,7 +267,7 @@ def _summary_from_states(config_path, init, tmax, samples, photons):
     """The evolve table computed from every rebuilt d x d state: the diagonal
     of Trajectory.states, and the trace of each state."""
     system = load_config(config_path).build()
-    gen = cli._generator(system, photons)
+    gen = assemble(system, photons=photons)
     space = ProductSpace(system.qubit.num_levels, system.resonator.fock_truncation)
     rho0 = cli._initial_state(init, system, space)
     trajectory = evolve(gen, rho0, tmax, sample_times=np.linspace(0.0, tmax, samples))
@@ -315,7 +315,7 @@ def test_steady_state_summary(config_path, tmp_path):
     total = row["pop_q0"] + row["pop_q1"] + row["pop_q2"]
     np.testing.assert_allclose(total, 1.0, atol=1e-9)
     assert 0.0 < row["purity"] <= 1.0 + 1e-9
-    gen = cli._generator(load_config(config_path).build(), 0.0)
+    gen = assemble(load_config(config_path).build())
     p = np.diagonal(steady_state(gen)).real
     assert row["purity"] == float(p @ p)
     assert row["nbar_resonator"] == row["nbar"]
@@ -578,10 +578,13 @@ def test_fit_on_two_points_fails_every_fit_but_writes_every_curve(tmp_path, caps
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
 def test_readme_commands_parse():
     """Every rabiqed command in the README's sh blocks, continuations
     joined, parses with the CLI's parser."""
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    readme = README.read_text()
     commands = [line.strip()
                 for block in re.findall(r"```sh\n(.*?)```", readme, re.DOTALL)
                 for line in block.replace("\\\n", " ").splitlines()
@@ -591,6 +594,14 @@ def test_readme_commands_parse():
     for command in commands:
         args = parser.parse_args(shlex.split(command)[1:])
         assert args.fn.__module__ == "rabiqed.cli", command
+
+
+def test_readme_python_quick_start_runs():
+    """The README's one python block, its library quick start, runs to the
+    end in a fresh interpreter in which every warning is an error."""
+    (block,) = re.findall(r"```python\n(.*?)```", README.read_text(), re.DOTALL)
+    result = _run_python(block, "-W", "error")
+    assert result.returncode == 0, result.stderr
 
 
 def test_plot_renders_svg(config_path, tmp_path):
@@ -775,20 +786,22 @@ def test_dynamics_beyond_the_memory_budget_exit_2(config_path, capsys, args):
 def test_steady_refuses_the_dense_hamiltonian_before_the_rate_table(tmp_path, capsys,
                                                                    monkeypatch):
     """A dense Hamiltonian beyond MEMORY_BUDGET_BYTES exits 2 with its one
-    error line before any rate is evaluated."""
+    error line before any rate is evaluated, driven or not."""
     def build_rate_table(system):
         raise AssertionError("the rate table was built")
 
-    monkeypatch.setattr(importlib.import_module("rabiqed.rates"), "build_rate_table",
+    monkeypatch.setattr(importlib.import_module("rabiqed.lindblad"), "build_rate_table",
                         build_rate_table)
     path = tmp_path / "system.json"
     path.write_text(json.dumps(dict(README_CONFIG, anharmonicity_ghz=-0.25)))
-    capsys.readouterr()
-    assert main(["steady", "--config", str(path), "--nq", "100000", "--nr", "2"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == ("error: the dense Hamiltonian would take 305176 MB, "
-                            "above the 2048 MB budget\n")
+    for photons in ("0", "4"):
+        capsys.readouterr()
+        assert main(["steady", "--config", str(path), "--nq", "100000", "--nr", "2",
+                     "--photons", photons]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: the dense Hamiltonian would take 305176 MB, "
+                                "above the 2048 MB budget\n")
 
 
 @pytest.mark.parametrize("args", [["evolve", "--tmax", "1", "--samples", "3"], ["steady"]],

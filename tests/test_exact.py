@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -261,6 +262,30 @@ def test_eigenvalues_equal_eigh_bit_for_bit(d, scale):
     assert np.array_equal(spectrum.rows, rows)
     assert np.abs(_signed(spectrum.eigenvectors) - _signed(vectors[rows])).max() < 1e-13
     assert h.tobytes() == before.tobytes()
+
+
+@needs_binding
+@pytest.mark.parametrize("d", [2, 3, 26])
+@pytest.mark.parametrize("value", [math.inf, -math.inf])
+@pytest.mark.parametrize("entry", ["diagonal", "off-diagonal"])
+def test_infinite_entry_ends_as_in_eigh(d, value, entry):
+    """A matrix with an infinite entry (max-norm scaling factor 0) ends as
+    it does in eigh, and as silently: the same all-NaN eigenvalues, bit for
+    bit, or ConvergenceFailure where eigh does not converge."""
+    rng = np.random.default_rng(d)
+    x = rng.standard_normal((d, d))
+    h = x + x.T
+    i, j = (1, 1) if entry == "diagonal" else (d - 1, 0)
+    h[i, j] = h[j, i] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            eigenvalues = np.linalg.eigh(h).eigenvalues
+        except np.linalg.LinAlgError:
+            with pytest.raises(ConvergenceFailure):
+                diagonalize(h, [0])
+            return
+        assert diagonalize(h, [0]).eigenvalues.tobytes() == eigenvalues.tobytes()
 
 
 def _readme_ladders(num_levels, detunings):

@@ -19,7 +19,6 @@ from rabiqed import lindblad
 from rabiqed import (
     BARE_PLUS_INTERACTION,
     DRESSED_ANALYTIC,
-    DRIVEN_EFFECTIVE,
     RABI,
     DegenerateNullSpace,
     DimensionMismatch,
@@ -31,6 +30,7 @@ from rabiqed import (
     NoPopulationSector,
     ProductSpace,
     PropagationFailure,
+    ResonantDivergence,
     SpectralFunction,
     TruncationTooSmall,
     annihilator,
@@ -210,7 +210,7 @@ def test_common_bath_temperature_relaxes_to_bare_gibbs(levels, photons, omega_r,
             README_CONFIG, num_qubit_levels=levels, fock_truncation=photons,
             omega_r_ghz=omega_r, temperature_ghz=temperature, model=model))
         system = config.build()
-        gen = assemble(system, mode=DRESSED_ANALYTIC, table=rabiqed.build_rate_table(system))
+        gen = assemble(system, mode=DRESSED_ANALYTIC)
         populations = np.diagonal(steady_state(gen)).real
         weights = _bare_gibbs(system, temperature)
         _assert_bare_gibbs(populations, weights)
@@ -393,10 +393,7 @@ def test_population_path_matches_sparse_lu(levels, photons):
     sparse LU on the Liouvillian to 1e-12, and builds no Liouvillian."""
     config = rabiqed.parse_config(dict(README_CONFIG, num_qubit_levels=levels,
                                        fock_truncation=photons))
-    system = config.build()
-    table = rabiqed.build_rate_table(system)
-    gen = assemble(system, table=table, extra_terms=rabiqed.driven_effective_rates(
-        table, 4.0, system.interaction_model))
+    gen = assemble(config.build(), photons=4.0)
     fast = steady_state(gen)
     assert gen._maps is not None and gen._liouvillian is None
     slow = _sparse_lu_steady_state(gen)
@@ -456,8 +453,12 @@ def test_bare_mode_assembles_a_resonant_system():
     """The bare mode takes only the second-order rates, so a resonant system,
     the regime it is the cross-check for, assembles although its Purcell
     prefactor diverges.  From |0,1> the vacuum Rabi oscillation has moved
-    the photon into the qubit by t = 1/(4 g0)."""
+    the photon into the qubit by t = 1/(4 g0).  A drive's terms are read
+    from the fourth-order ones, so a driven bare generator refuses the
+    resonance."""
     system = build_system(detuning=0.0, g0=0.1)
+    with pytest.raises(ResonantDivergence):
+        assemble(system, mode=BARE_PLUS_INTERACTION, photons=4.0)
     gen = assemble(system, mode=BARE_PLUS_INTERACTION)
     space = ProductSpace(3, 5)
     rho0 = np.zeros((space.dimension, space.dimension), dtype=complex)
@@ -840,7 +841,7 @@ def test_dressed_hamiltonian_diagonal_entries():
 
 def test_assemble_modes_and_terms():
     """The two modes differ in Hamiltonian and in terms: the dressed mode adds
-    the fourth-order terms, and extra terms are appended in either."""
+    the fourth-order terms, and a drive appends its qubit terms in either."""
     system = build_system(
         detuning=1.0, num_levels=3, fock=4,
         baths={
@@ -858,9 +859,13 @@ def test_assemble_modes_and_terms():
     # the full-dipole fourth order adds 2(N-1) Purcell + 4(N-1) dressed + 2N.
     assert len(bare.dissipators) == 8
     assert len(dressed.dissipators) == 8 + 2 * 6 + 3 * 2
-    extra = DissipatorTerm(sigma_lower(0), 3.0, DRIVEN_EFFECTIVE)
-    widened = assemble(system, mode=DRESSED_ANALYTIC, extra_terms=[extra])
-    assert len(widened.dissipators) == len(dressed.dissipators) + 1
+    # the drive adds 2(N-1) decay and excitation terms and N dephasing terms
+    for mode, undriven in ((DRESSED_ANALYTIC, dressed), (BARE_PLUS_INTERACTION, bare)):
+        driven = assemble(system, mode=mode, photons=4.0)
+        assert driven.hamiltonian.tobytes() == undriven.hamiltonian.tobytes()
+        assert len(driven.dissipators) == len(undriven.dissipators) + 2 * 2 + 3
+        assert ([rate for _, rate in driven.dissipators[:len(undriven.dissipators)]]
+                == [rate for _, rate in undriven.dissipators])
     with pytest.raises(ValueError):
         assemble(system, mode="rotating_frame")
 
@@ -893,9 +898,10 @@ def test_closed_form_jumps_give_the_dense_generator(levels, photons, model):
     system = config.build()
     space = ProductSpace(levels, photons)
     table = rabiqed.build_rate_table(system)
-    for extra in ((), rabiqed.driven_effective_rates(table, 4.0, model)):
+    for photons in (0.0, 4.0):
+        extra = rabiqed.driven_effective_rates(table, photons, model)
         for mode in (DRESSED_ANALYTIC, BARE_PLUS_INTERACTION):
-            gen = assemble(system, mode=mode, table=table, extra_terms=extra)
+            gen = assemble(system, mode=mode, photons=photons)
             fourth = table.fourth(model) if mode == DRESSED_ANALYTIC else ()
             terms = [*table.second_order, *fourth, *extra]
             dense = LindbladGenerator(gen.hamiltonian, tuple(
@@ -920,11 +926,9 @@ def test_assemble_builds_no_dense_jump():
     config = rabiqed.parse_config(dict(README_CONFIG, omega_r_ghz=5.1, num_qubit_levels=5,
                                        fock_truncation=120))
     system = config.build()
-    table = rabiqed.build_rate_table(system)
-    extra = rabiqed.driven_effective_rates(table, 4.0, system.interaction_model)
     tracemalloc.start()
     try:
-        gen = assemble(system, table=table, extra_terms=extra)
+        gen = assemble(system, photons=4.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -977,10 +981,7 @@ def readme_generator(levels, photons, drive=0.0):
     """The README system at levels x photons, driven at drive mean photons."""
     config = rabiqed.parse_config(dict(README_CONFIG, num_qubit_levels=levels,
                                        fock_truncation=photons))
-    system = config.build()
-    table = rabiqed.build_rate_table(system)
-    extra = rabiqed.driven_effective_rates(table, drive, system.interaction_model) if drive else ()
-    return assemble(system, table=table, extra_terms=extra)
+    return assemble(config.build(), photons=drive)
 
 
 def readme_state(kind, levels, photons):

@@ -42,17 +42,6 @@ def test_expand_transmon_energies_and_couplings():
     np.testing.assert_allclose(qubit.dephasing_sensitivities, (0.0, 1.0, 2.0), rtol=0, atol=0)
 
 
-def test_expand_transmon_custom_noise_weights():
-    """Explicit bath couplings and sensitivities override the defaults."""
-    qubit = expand_transmon(
-        TransmonSpec(omega_10=6.0, anharmonicity=0.25, g0=0.1, num_levels=3),
-        bath_couplings=(0.5, 0.7),
-        dephasing_sensitivities=(0.0, 1.0, 3.0),
-    )
-    assert qubit.transverse_bath_couplings == (0.5, 0.7)
-    assert qubit.dephasing_sensitivities == (0.0, 1.0, 3.0)
-
-
 def test_spec_constructors_reject_non_finite_values():
     """NaN or infinite frequencies and couplings fail at construction, and
     so does a detuning whose omega_10 = omega_r + detuning overflows."""

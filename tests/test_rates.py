@@ -548,8 +548,9 @@ def test_driven_effective_rates_scaling():
     )
     table = build_rate_table(system)
     assert driven_effective_rates(table, 0.0, RABI) == []
-    with pytest.raises(NegativePhotonNumber):
-        driven_effective_rates(table, -0.5, RABI)
+    for photons in (-0.5, math.nan):
+        with pytest.raises(NegativePhotonNumber):
+            driven_effective_rates(table, photons, RABI)
     one = driven_effective_rates(table, 1.0, RABI)
     four = driven_effective_rates(table, 4.0, RABI)
     assert [term.jump.label for term in one] == [term.jump.label for term in four]

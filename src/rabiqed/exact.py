@@ -172,14 +172,14 @@ def diagonalize(h: np.ndarray, rows: Sequence[int] | None = None, *,
     dsyevd's blocked reduction, and dstedc('I'), which also yields the
     eigenvectors Z of the tridiagonal matrix.  dsyevd then forms all of
     Q Z with dormtr; here dormtr forms only Q^T E for the unit columns E of
-    the rows asked for, and V[rows] = (Q^T E)^T Z.  Those rows equal eigh's
-    to rounding (up to each column's sign), not bit for bit.  With
-    ``overwrite`` a C-contiguous h, which must then be exactly symmetric,
-    is reduced in place (its buffer is its own Fortran transpose) and left
-    holding the reflectors.  Where NumPy links another LAPACK, and for
-    input eigh handles another way (d < 2, not float64, not one square
-    matrix), the result is eigh's, sliced.  A LAPACK failure raises
-    ConvergenceFailure.
+    the rows asked for, before dstedc writes Z over the reduced matrix, and
+    V[rows] = (Q^T E)^T Z.  Those rows equal eigh's to rounding (up to each
+    column's sign), not bit for bit.  With ``overwrite`` a C-contiguous h,
+    which must then be exactly symmetric, is reduced in place (its buffer
+    is its own Fortran transpose) and left holding Z: row j of h is column
+    j of Z.  Where NumPy links another LAPACK, and for input eigh handles
+    another way (d < 2, not float64, not one square matrix), the result is
+    eigh's, sliced.  A LAPACK failure raises ConvergenceFailure.
     """
     h = np.asarray(h)
     n = h.shape[-1] if h.ndim else 0
@@ -191,9 +191,10 @@ def diagonalize(h: np.ndarray, rows: Sequence[int] | None = None, *,
             raise ConvergenceFailure(str(exc)) from exc
         return Spectrum(eigenvalues, eigenvectors[..., rows, :], rows)
     # Every 2-D array below is C-ordered, so LAPACK sees its transpose: a
-    # holds h (its lower triangle is read), row j of z is column j of Z, and
-    # row j of unit is the j-th unit column.
-    a = h if overwrite and h.flags.c_contiguous else h.T.copy()
+    # holds h's lower triangle (a copy zeroes the other, so a's max norm is
+    # dsyevd's), then the reflectors, last read by dormtr, then Z: column j
+    # of Z is row j of a, and row j of unit is the j-th unit column.
+    a = h if overwrite and h.flags.c_contiguous else np.triu(h.T)
     norm = max(a.max(), -a.min())
     sigma = (_RMIN / norm if 0.0 < norm < _RMIN else
              _RMAX / norm if norm > _RMAX else None)
@@ -207,16 +208,15 @@ def diagonalize(h: np.ndarray, rows: Sequence[int] | None = None, *,
     # blocking and other bits.  dstedc('I') needs 1 + 4n + n^2.
     work = np.empty(max(64 * n, 1 + 4 * n + n * n))
     _call("dsytrd", b"L", n, a, n, d, e, tau, work, 64 * n)
-    z = np.empty((n, n))
-    _call("dstedc", b"I", n, d, e, z, n, work, len(work),
-          np.empty(3 + 5 * n, dtype=np.int64), 3 + 5 * n)
     unit = np.zeros((len(rows), n))
     unit[np.arange(len(rows)), rows] = 1.0
     _call("dormtr", b"L", b"L", b"T", n, len(rows), a, n, tau, unit, n, work, len(work))
+    _call("dstedc", b"I", n, d, e, a, n, work, len(work),
+          np.empty(3 + 5 * n, dtype=np.int64), 3 + 5 * n)
     if sigma is not None:
         with np.errstate(all="ignore"):
             d *= 1.0 / sigma
-    return Spectrum(d, unit @ z.T, rows)
+    return Spectrum(d, unit @ a.T, rows)
 
 
 @dataclass(frozen=True)

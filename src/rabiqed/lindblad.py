@@ -802,9 +802,12 @@ def _population_steady_state(maps: _JumpMaps) -> np.ndarray:
     p = _stationary(flows, root)
     # The largest Liouvillian entry: the coherence block's off-diagonal
     # entries never exceed its diagonal (see steady_state), so it is the
-    # largest of the flows and the diagonal of every |p><q|.
-    diagonal = _sector_diagonal(maps, states[:, None], states)
-    scale = max(float(np.max(np.abs(diagonal))), float(np.max(flows)))
+    # largest of the flows and the diagonal of every |p><q|, taken over
+    # blocks of about 2^16 entries; np.max keeps a NaN.
+    rows = max(1, 2 ** 16 // d)
+    diagonal = np.max([np.max(np.abs(_sector_diagonal(maps, states[i:i + rows, None], states)))
+                       for i in range(0, d, rows)])
+    scale = max(float(diagonal), float(np.max(flows)))
     residual = float(np.max(np.abs(flows @ p - flows.sum(axis=0) * p)))
     if not residual <= 1e-10 * max(1.0, scale):
         raise DegenerateNullSpace(f"steady-state residual {residual:.3e} exceeds "

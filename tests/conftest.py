@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -64,6 +65,25 @@ def _run_python(code: str, *options: str) -> subprocess.CompletedProcess:
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
     return subprocess.run([sys.executable, *options, "-c", code], env=env,
                           capture_output=True, text=True)
+
+
+def traced_peak(call) -> int:
+    """The tracemalloc peak of one call(), in bytes above what was traced
+    before it.  One call runs first, untraced, so that imports and first-use
+    caches (the LAPACK binding) are not counted.  Tracing that is already
+    running is left running."""
+    call()
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
 
 
 def no_pool(*args, **kwargs):

@@ -38,7 +38,7 @@ from rabiqed.exact import _REQUIRED_PAIRS
 from rabiqed.model import Ladder, parse_config, transmon_grid
 from rabiqed.sweeps import DETUNING, ExactRow, exact_rows, format_csv
 
-from conftest import README_CONFIG, build_system
+from conftest import README_CONFIG, build_system, traced_peak
 
 
 def exact_args(system):
@@ -250,7 +250,10 @@ def test_eigenvalues_equal_eigh_bit_for_bit(d, scale):
     on both sides of dstedc's small-matrix cut (25 | 26) and in both of
     dsyevd's scaling branches (max |entry| near 1e155 and 1e-160, where
     the matrix is scaled once); the rows asked for are eigh's to rounding,
-    and h is left as it was."""
+    and h is left as it was.  Only the lower triangle is read, as by eigh:
+    with 1e3 times larger, unrelated values in its strict upper triangle h
+    still gives eigh's eigenvalues for it, bit for bit, and is left as it
+    was."""
     rng = np.random.default_rng(d)
     x = rng.standard_normal((d, d)) * scale
     h = x + x.T
@@ -261,6 +264,11 @@ def test_eigenvalues_equal_eigh_bit_for_bit(d, scale):
     assert spectrum.eigenvalues.tobytes() == eigenvalues.tobytes()
     assert np.array_equal(spectrum.rows, rows)
     assert np.abs(_signed(spectrum.eigenvectors) - _signed(vectors[rows])).max() < 1e-13
+    assert h.tobytes() == before.tobytes()
+    h = np.tril(h) + np.triu(rng.standard_normal((d, d)) * 1e3 * scale, 1)
+    before = h.copy()
+    eigenvalues = np.linalg.eigh(h).eigenvalues
+    assert diagonalize(h, rows).eigenvalues.tobytes() == eigenvalues.tobytes()
     assert h.tobytes() == before.tobytes()
 
 
@@ -311,6 +319,17 @@ def test_hamiltonian_eigenvalues_equal_eigh_bit_for_bit(model, num_levels, fock,
         assert diagonalize(h, [0]).eigenvalues.tobytes() == eigenvalues.tobytes()
         solved = diagonalize(h, _required_rows(fock), overwrite=True)
         assert solved.eigenvalues.tobytes() == eigenvalues.tobytes()
+
+
+@needs_binding
+def test_exact_point_holds_two_square_arrays():
+    """A d = 600 exact point (the README ladder at omega_10 = 5.7 GHz, full
+    dipole) holds the Hamiltonian, which the solve reduces in place and
+    then fills with the tridiagonal eigenvectors, and dstedc's workspace:
+    its traced peak stays at or below 2.5 d x d float64 arrays."""
+    ladder, = _readme_ladders(10, [0.7])
+    d = 600
+    assert traced_peak(lambda: exact_shifts(ladder, 5.0, 60, RABI)) <= 2.5 * 8 * d * d
 
 
 def _labels_or_error(spectrum, fock):

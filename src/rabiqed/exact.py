@@ -24,6 +24,18 @@ eigenvalues equal to eigh's bit for bit.  dsyevd's last step turns all d^2
 eigenvector entries back into the product basis; diagonalize
 back-transforms only the rows asked for, and exact_shifts asks for the
 three rows of (0,0), (0,1) and (1,0).
+
+exact_shifts has two solves for those rows.  Below _LAST_MERGE_DIM it
+calls diagonalize and label_dressed_states.  From it on, it runs dstedc's
+own steps up to the last divide-and-conquer merge of the block that holds
+each row, where dstedc would solve every secular root and form every
+eigenvector entry with two dgemm calls.  Each eigenvalue at that merge is
+one dlaed4 root (Gu & Eisenstat, SIAM J. Matrix Anal. Appl. 16, 172
+(1995)), so it solves only the roots the labels read.  The eigenvalue it
+takes is the root dlaed3 takes from the same arguments, scaled back as
+dstedc and dsyevd do, so the pull and the qubit shift keep eigh's bits.
+A point that solve cannot label goes through diagonalize, so every
+AmbiguousLabeling comes from label_dressed_states.
 """
 
 from __future__ import annotations
@@ -102,10 +114,14 @@ class Spectrum(NamedTuple):
 _SMLNUM = float(np.finfo(float).tiny / np.finfo(float).eps)
 _RMIN, _RMAX = math.sqrt(_SMLNUM), math.sqrt(1.0 / _SMLNUM)
 
-# dsyevd's steps and their Fortran arguments before INFO, each passed by
-# reference: c a character, i an integer (64-bit in an ILP64 LAPACK), F a
-# float64 array, I an int64 array.
-_SIGNATURES = {"dsytrd": "ciFiFFFFi", "dstedc": "ciFFFiFiIi", "dormtr": "ccciiFiFFiFi"}
+# dsyevd's steps, and the pieces of dstedc's divide and conquer that
+# exact_shifts runs itself, with their Fortran arguments before INFO, each
+# passed by reference: c a character, i an integer (64-bit in an ILP64
+# LAPACK), F a float64 array (a one-entry array for a scalar that the
+# routine writes or that is a double), I an int64 array.
+_SIGNATURES = {"dsytrd": "ciFiFFFFi", "dstedc": "ciFFFiFiIi", "dormtr": "ccciiFiFFiFi",
+               "dsteqr": "ciFFFiF", "dlaed0": "iiiFFFiFiFI",
+               "dlaed2": "IiiFFiIFFFFFIIII", "dlaed4": "iiFFFFF"}
 _ARGTYPES = {"c": ctypes.c_char_p, "i": ctypes.POINTER(ctypes.c_int64),
              "F": ctypes.POINTER(ctypes.c_double), "I": ctypes.POINTER(ctypes.c_int64)}
 
@@ -127,9 +143,9 @@ _REFERENCES = {"c": lambda char: char,
 
 @functools.cache
 def _lapack() -> dict | None:
-    """dsyevd's steps in the LAPACK NumPy's linalg extension links, its
-    bundled ILP64 OpenBLAS (symbols scipy_<name>_64_), or None where NumPy
-    links another LAPACK."""
+    """The routines of _SIGNATURES in the LAPACK NumPy's linalg extension
+    links, its bundled ILP64 OpenBLAS (symbols scipy_<name>_64_), or None
+    where NumPy links another LAPACK."""
     try:
         library = ctypes.CDLL(np.linalg._umath_linalg.__file__)
         routines = {name: getattr(library, f"scipy_{name}_64_") for name in _SIGNATURES}
@@ -149,7 +165,7 @@ def _call(name: str, *args) -> None:
     reference (a C-contiguous array by its data, which Fortran reads as the
     array's transpose), then INFO and the hidden character lengths.  INFO <
     0 (an argument refused) is a fault here and raises RuntimeError; INFO >
-    0 (dstedc's only failure) ConvergenceFailure."""
+    0 (an iteration that did not converge) ConvergenceFailure."""
     signature = _SIGNATURES[name]
     info = ctypes.c_int64()
     refs = [_REFERENCES[kind](arg) for kind, arg in zip(signature, args, strict=True)]
@@ -195,6 +211,23 @@ def diagonalize(h: np.ndarray, rows: Sequence[int] | None = None, *,
     # dsyevd's), then the reflectors, last read by dormtr, then Z: column j
     # of Z is row j of a, and row j of unit is the j-th unit column.
     a = h if overwrite and h.flags.c_contiguous else np.triu(h.T)
+    sigma, d, e, unit, work = _reduce(a, rows)
+    _call("dstedc", b"I", n, d, e, a, n, work, len(work),
+          np.empty(3 + 5 * n, dtype=np.int64), 3 + 5 * n)
+    if sigma is not None:
+        with np.errstate(all="ignore"):
+            d *= 1.0 / sigma
+    return Spectrum(d, unit @ a.T, rows)
+
+
+def _reduce(a: np.ndarray, rows: np.ndarray) -> tuple:
+    """dsyevd's steps before dstedc, on a (n x n, C-ordered, its lower
+    triangle as LAPACK reads it) in place: the scaling factor sigma (None
+    when dsyevd does not scale), the tridiagonal's diagonal d and
+    off-diagonal e (e[n-1] unused), the rows Q^T E of the unit columns E of
+    ``rows``, and a workspace of at least 1 + 4n + n^2 entries.  a is left
+    holding the reflectors, which nothing reads afterwards."""
+    n = len(a)
     norm = max(a.max(), -a.min())
     sigma = (_RMIN / norm if 0.0 < norm < _RMIN else
              _RMAX / norm if norm > _RMAX else None)
@@ -211,12 +244,7 @@ def diagonalize(h: np.ndarray, rows: Sequence[int] | None = None, *,
     unit = np.zeros((len(rows), n))
     unit[np.arange(len(rows)), rows] = 1.0
     _call("dormtr", b"L", b"L", b"T", n, len(rows), a, n, tau, unit, n, work, len(work))
-    _call("dstedc", b"I", n, d, e, a, n, work, len(work),
-          np.empty(3 + 5 * n, dtype=np.int64), 3 + 5 * n)
-    if sigma is not None:
-        with np.errstate(all="ignore"):
-            d *= 1.0 / sigma
-    return Spectrum(d, unit @ a.T, rows)
+    return sigma, d, e, unit, work
 
 
 @dataclass(frozen=True)
@@ -292,6 +320,207 @@ class ExactShifts:
 
 _REQUIRED_PAIRS = ((0, 0), (0, 1), (1, 0))
 
+# exact_shifts solves a point at or above this dimension at dstedc's last
+# merge (_last_merge_energies), below it with diagonalize.  Measured per
+# exact point with one BLAS thread on a 2-vCPU 2.1 GHz Xeon, pinned to one
+# CPU, the README ladder at omega_10 = 5.7 GHz, best of 15-40 calls: the
+# last-merge solve costs +90% at d = 40 and, under rabi, +31% at d = 80,
+# +4% at d = 120 and -2% at d = 140 with nq = 10, and -5% to -23% at
+# d = 160 (nq 10, 5, 4), -10% to -22% at d = 200 and -24% at d = 600
+# (35.0 -> 26.7 ms); under jc, whose tridiagonal splits into blocks, -24%
+# at d = 80 and -48% to -55% from d = 120 on (34.4 -> 17.4 ms at d = 600).
+_LAST_MERGE_DIM = 160
+# dstedc's and dlaed0's SMLSIZ (ILAENV(9)): dstedc hands a block of at most
+# this many entries to dsteqr, and dlaed0 halves a larger one until no
+# piece is longer.
+_SMLSIZ = 25
+# DLAMCH('E') and DLAMCH('S'): dstedc's split factor and dlascl's range.
+_EPS_HALF = float(np.finfo(float).eps) / 2.0
+_TINY = float(np.finfo(float).tiny)
+# A label at the last merge reads the eigenvector z_i / delta_i of the
+# secular equation; dlaed3 forms w_i / delta_i instead, with the w that
+# Gu & Eisenstat recompute from all the roots.  Over 400 random ladders
+# (nq 3-10, d = 200-800, omega_10 3-9 GHz, g0 up to 1 GHz, both models)
+# the overlaps read here and the ones label_dressed_states reads from
+# diagonalize's rows differed by at most 1.8e-15.  A label must clear 1/2
+# by this margin, far above that, so that it is also the argmax above
+# 1/2 + 1e-12 of diagonalize's row.
+_MERGE_MARGIN = 1e-6
+
+
+def _leaves(n: int) -> list[int]:
+    """The sizes of the pieces dlaed0 cuts an n-entry block into, in order:
+    it halves every piece (the smaller half first) while the last one is
+    longer than SMLSIZ."""
+    sizes = [n]
+    while sizes[-1] > _SMLSIZ:
+        sizes = [half for size in sizes for half in (size // 2, size - size // 2)]
+    return sizes
+
+
+def _small_block(d, e, vectors) -> list:
+    """dstedc's dsteqr('I') on a block of at most SMLSIZ entries, d and e
+    its diagonal and off-diagonal: the eigenvalue each row of ``vectors``
+    (the block's entries of Q^T E) overlaps by more than 1/2 + the margin,
+    None for a row that has none."""
+    m = len(d)
+    values, z = d.copy(), np.empty((m, m))
+    _call("dsteqr", b"I", m, values, e.copy(), z, m, np.empty(max(1, 2 * m - 2)))
+    overlaps = (vectors @ z.T) ** 2
+    best = np.argmax(overlaps, axis=1)
+    return [values[j] if overlaps[i, j] > 0.5 + _MERGE_MARGIN else None
+            for i, j in enumerate(best)]
+
+
+def _last_merge(a, d, e, start, vectors, targets, work, iwork) -> list:
+    """dstedc's solve of the block of d and e (more than SMLSIZ entries)
+    whose first entry is entry ``start`` of the tridiagonal, up to its last
+    merge, and the eigenvalue each row of ``vectors`` (the block's entries
+    of Q^T E) overlaps by more than 1/2 + the margin, None for a row that
+    has none, or for every row where the halves' own dlaed0 would cut them
+    otherwise than the block's.  The secular roots are searched from the
+    one nearest each row's ``targets`` entry (its bare energy) outward.
+    The halves' eigenvectors and the deflated ones are written into a's
+    square of the block, as dstedc writes Z; work and iwork are dstedc's
+    workspaces."""
+    n, m = len(a), len(d)
+    n1, n2 = m // 2, m - m // 2
+    if _leaves(m) != _leaves(n1) + _leaves(n2):
+        return [None] * len(vectors)
+    # dstedc scales the block by its max norm with dlascl, which within
+    # [DLAMCH('S'), 1 / DLAMCH('S')] is the one multiply by 1 / norm
+    norm = max(np.abs(d).max(), np.abs(e[:m - 1]).max())
+    if not _TINY <= norm <= 1.0 / _TINY:
+        return [None] * len(vectors)
+    values, off = d * (1.0 / norm), e * (1.0 / norm)
+    # dlaed0's cut between the halves; each half's dlaed0 makes its own cuts
+    values[n1 - 1] -= abs(off[n1 - 1])
+    values[n1] -= abs(off[n1 - 1])
+    # dstedc starts Z as the identity: off the halves' squares it stays 0
+    a[start:start + m, start:start + m] = 0.0
+    flat = a.reshape(-1)
+    corner = start * (n + 1)
+    for first, size in ((0, n1), (n1, n2)):
+        _call("dlaed0", 2, n, size, values[first:], off[first:],
+              flat[corner + first * (n + 1):], n, work, n, work, iwork)
+    # dlaed1's deflation step, with its workspace layout; each half's Q is
+    # sorted, so INDXQ is the identity on each
+    z, dlamda, w, q2 = work[:m], work[m:2 * m], work[2 * m:3 * m], work[3 * m:]
+    z[:n1] = a[start:start + n1, start + n1 - 1]
+    z[n1:] = a[start + n1:start + m, start + n1]
+    indxq, indx, indxc, indxp, coltyp = iwork[:5 * m].reshape(5, m)
+    indxq[:n1], indxq[n1:] = np.arange(1, n1 + 1), np.arange(1, n2 + 1)
+    count, rho = np.empty(1, dtype=np.int64), np.array([off[n1 - 1]])
+    _call("dlaed2", count, m, n1, values, flat[corner:], n, indxq, rho, z, dlamda, w,
+          q2, indx, indxc, indxp, coltyp)
+    k = int(count[0])
+    # a row's weight on each deflated eigenvector (columns k.. of the
+    # block's Z) and its entries p in the secular basis, which dlaed3 forms
+    # the other columns in: Q2's type 1-2 columns hold the first n1 rows,
+    # its type 2-3 columns the last n2, and INDXC maps the type order to
+    # dlamda's
+    deflated = (a[start + k:start + m, start:start + m] @ vectors.T) ** 2
+    p = np.zeros((k, len(vectors)))
+    if k:
+        c1, c2, c3 = coltyp[:3]
+        upper = q2[:(c1 + c2) * n1].reshape(c1 + c2, n1)
+        lower = q2[(c1 + c2) * n1:(c1 + c2) * n1 + (c2 + c3) * n2].reshape(c2 + c3, n2)
+        typed = np.zeros_like(p)
+        typed[:c1 + c2] = upper @ vectors[:, :n1].T
+        typed[c1:] += lower @ vectors[:, n1:].T
+        p[indxc[:k] - 1] = typed
+    found = []
+    for row, target in enumerate(targets):
+        found.append(_label_root(k, dlamda, w, rho, p[:, row], deflated[:, row],
+                                 values[k:], vectors[row] @ vectors[row], target / norm))
+    return [None if value is None else value * norm for value in found]
+
+
+def _label_root(k, dlamda, w, rho, p, deflated, deflated_values, total, target):
+    """The eigenvalue of the last-merge column that a row overlaps by more
+    than 1/2 + the margin, or None.  The row has weights ``deflated`` on the
+    deflated columns, entries p in the secular basis and weight ``total`` on
+    the block; the roots dlaed4 gives (each the value dlaed3 takes from the
+    same arguments) are tried from the one nearest ``target`` outward, and
+    the search stops once the columns not yet tried cannot hold enough."""
+    if len(deflated):
+        best = int(np.argmax(deflated))
+        if deflated[best] > 0.5 + _MERGE_MARGIN:
+            return deflated_values[best]
+    left = total - deflated.sum()
+    delta, root = np.empty(k), np.empty(1)
+    # root j lies between dlamda[j] and dlamda[j + 1]
+    j = min(max(int(np.searchsorted(dlamda[:k], target, side="right")) - 1, 0), k - 1)
+    below, above = j - 1, j + 1
+    while left > 0.5 + _MERGE_MARGIN and j >= 0:
+        _call("dlaed4", k, j + 1, dlamda, w, delta, rho, root)
+        # for k <= 2, dlaed4 returns the normalized eigenvector in delta
+        with np.errstate(divide="ignore", invalid="ignore"):
+            vector = delta if k <= 2 else w[:k] / delta
+            overlap = (p @ vector) ** 2 / (vector @ vector)
+        if overlap > 0.5 + _MERGE_MARGIN:
+            return root[0]
+        left -= overlap
+        if above < k and (below < 0 or dlamda[above] - target <= target - dlamda[below + 1]):
+            j, above = above, above + 1
+        else:
+            j, below = below, below - 1
+    return None
+
+
+def _last_merge_energies(h: np.ndarray, rows: list[int]) -> list | None:
+    """The eigenvalue each bare state of ``rows`` labels, eigh's bits, from
+    dstedc's own steps up to its last merge; None where that cannot settle
+    a label.  h, C-contiguous and exactly symmetric, is left reduced.
+
+    As diagonalize: dsyevd's scaling, dsytrd and dormtr on the unit
+    columns of ``rows``.  Then dstedc's steps: it splits the tridiagonal
+    where |e_i| <= DLAMCH('E') sqrt|d_i| sqrt|d_i+1|, and a row's label can
+    lie only in the block that holds more than half of its weight.  A block
+    of one entry is its own eigenpair, one of at most SMLSIZ entries goes
+    to dsteqr, and a larger one is solved by _last_merge.  Each eigenvalue
+    is scaled back as dstedc and dsyevd do.  A LAPACK failure gives None,
+    so that diagonalize meets it again."""
+    n = len(h)
+    targets = h[rows, rows]
+    sigma, d, e, unit, work = _reduce(h, np.asarray(rows))
+    e = e[:n - 1]
+    if not (np.isfinite(d).all() and np.isfinite(e).all()):
+        return None
+    tiny = _EPS_HALF * np.sqrt(np.abs(d[:-1])) * np.sqrt(np.abs(d[1:]))
+    cuts = np.flatnonzero(~(np.abs(e) > tiny)) + 1
+    starts, stops = np.insert(cuts, 0, 0), np.append(cuts, n)
+    weights = np.add.reduceat(unit ** 2, starts, axis=1)
+    blocks = np.argmax(weights, axis=1)
+    if not np.all(weights[np.arange(len(rows)), blocks] > 0.5 + _MERGE_MARGIN):
+        return None
+    if sigma is not None:
+        targets = targets * sigma
+    energies = [None] * len(rows)
+    iwork = np.empty(3 + 5 * n, dtype=np.int64)
+    try:
+        for block in set(blocks.tolist()):  # np.unique would import numpy.ma
+            members = np.flatnonzero(blocks == block)
+            start, stop = int(starts[block]), int(stops[block])
+            vectors = unit[members, start:stop]
+            if stop - start == 1:
+                found = [d[start]] * len(members)
+            elif stop - start <= _SMLSIZ:
+                found = _small_block(d[start:stop], e[start:stop - 1], vectors)
+            else:
+                found = _last_merge(h, d[start:stop], e[start:stop], start, vectors,
+                                    targets[members], work, iwork)
+            for member, value in zip(members, found):
+                energies[member] = value
+    except ConvergenceFailure:
+        return None
+    if any(value is None for value in energies):
+        return None
+    if sigma is not None:
+        with np.errstate(all="ignore"):
+            energies = [value * (1.0 / sigma) for value in energies]
+    return energies
+
 
 def exact_shifts(ladder: Ladder, omega_r: float, fock_truncation: int,
                  model: str) -> ExactShifts:
@@ -304,18 +533,33 @@ def exact_shifts(ladder: Ladder, omega_r: float, fock_truncation: int,
     is trusted to within 2 d eps ||H||; a nonzero shift smaller than that
     is rounding noise and raises PrecisionLoss.  A shift of exactly 0
     (g0 = 0) is kept.
+
+    Below _LAST_MERGE_DIM the solve is diagonalize, and the labels are
+    label_dressed_states'.  From it on, _last_merge_energies solves only
+    the secular roots the labels read at dstedc's last merge, and returns
+    the eigenvalues diagonalize would give those labels, bit for bit.  A
+    point it cannot label (a block whose halves dlaed0 would cut otherwise,
+    no column that clears 1/2 by _MERGE_MARGIN, a LAPACK failure) is built
+    again and goes through diagonalize and label_dressed_states, so its
+    error, if any, is theirs.  Either way the point holds two d x d arrays.
     """
     h = build_hamiltonian(ladder, omega_r, fock_truncation, model)
     # every entry of H is >= 0 (see build_hamiltonian), so a row sum is its
     # norm; taken before the solve reduces H in place
     bound = 2.0 * len(h) * np.finfo(float).eps * float(h.sum(axis=1).max())
     rows = [k * fock_truncation + n for k, n in _REQUIRED_PAIRS]
-    spectrum = diagonalize(h, rows, overwrite=True)
-    labeling = label_dressed_states(spectrum, fock_truncation, required=_REQUIRED_PAIRS)
-    e = spectrum.eigenvalues
-    e00 = e[labeling.labels[(0, 0)]]
-    e01 = e[labeling.labels[(0, 1)]]
-    e10 = e[labeling.labels[(1, 0)]]
+    energies = None
+    if len(h) >= _LAST_MERGE_DIM and _lapack() is not None:
+        energies = _last_merge_energies(h, rows)
+        if energies is None:
+            # the attempt reduced h: build it again, holding one copy
+            del h
+            h = build_hamiltonian(ladder, omega_r, fock_truncation, model)
+    if energies is None:
+        spectrum = diagonalize(h, rows, overwrite=True)
+        labeling = label_dressed_states(spectrum, fock_truncation, required=_REQUIRED_PAIRS)
+        energies = [spectrum.eigenvalues[labeling.labels[pair]] for pair in _REQUIRED_PAIRS]
+    e00, e01, e10 = energies
     shifts = ExactShifts(
         resonator_pull=float(e01 - e00 - omega_r),
         qubit_shift=float(e10 - e00 - ladder.w[0]))

@@ -332,18 +332,20 @@ def _joined(analytic: dict, exact: dict) -> dict:
 
 # A sweep that diagonalizes goes to a process pool when its estimated work,
 # points x d^3, reaches this.  Measured with one BLAS thread on a 2-vCPU
-# 2.1 GHz Xeon: one exact point (build + eigensolve + labeling) costs
-# 0.25-0.30 ms at d = 40, 0.60-0.64 ms at d = 80 and 32-36 ms at d = 600,
-# where all but 1.1-1.2 ms is the eigensolve; that is 1.5e-10 s per d^3 at
-# d = 600 and more at smaller d.  A fork pool of two workers costs 25-29 ms
-# to import, start, run and reap on first use (9 ms later).  Two workers
-# halve the serial time, so the pool pays from 2 x (25-29) ms of work,
-# 3.3e8-3.9e8 d^3 at the d = 600 rate, a range that holds 3.4e8.  As
-# smaller d costs more per d^3, no sweep goes to a pool at a loss: the
-# README's d = 40 sweeps (161 x 6.4e4) and the d = 80 fit sweep (161 x
-# 5.1e5, 0.10 s serial) stay serial, and 81 points at d = 600 (81 x 2.2e8)
-# go parallel.
-_PARALLEL_BREAK_EVEN = 3.4e8
+# 2.1 GHz Xeon, pinned to one CPU, best of 20-200 calls: one exact point
+# (build + solve + labels) costs 0.22-0.25 ms at d = 40, 0.57-0.58 ms at
+# d = 80, and at d = 600 26.4-27.5 ms under rabi and 16.5-17.7 ms under jc
+# (the last-merge solve; 0.2 ms of it is the build).  That is 1.2e-10 s per
+# d^3 under rabi at d = 600 and 8.0e-11 under jc, and more at smaller d
+# (4.9e-10 and 2.2e-10 at d = 160).  A fork pool of two workers costs
+# 25-29 ms to import, start, run and reap on first use (22-42 ms over the
+# host's two speeds).  Two workers halve the serial time, so the pool pays
+# from 2 x (25-29) ms of work, 3.9e8-4.8e8 d^3 at the rabi rate, a range
+# that holds 4.0e8.  The README's d = 40 sweeps (161 x 6.4e4) and the
+# d = 80 fit sweep (161 x 5.1e5, 0.10 s serial) stay serial, and 81 points
+# at d = 600 (81 x 2.2e8) go parallel.  A jc sweep just above 4.0e8, such
+# as two d = 600 points, takes 10-13 ms longer in the pool than serially.
+_PARALLEL_BREAK_EVEN = 4.0e8
 
 
 def _workers(points: int, dim: int) -> int:

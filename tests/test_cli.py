@@ -1039,6 +1039,25 @@ def test_readme_commands_start_lean(tmp_path, command):
     assert result.returncode == 0, result.stderr
 
 
+def test_large_exact_sweep_starts_lean(tmp_path):
+    """An exact sweep at a dimension that takes the last-merge solve (the
+    README config at 10 x 20 levels, d = 200) also ends with neither SciPy
+    nor numpy.ma imported, and its points do take that solve."""
+    config = _readme_config(tmp_path)
+    code = ("import sys\n"
+            "from rabiqed import exact\n"
+            "from rabiqed.cli import main\n"
+            "solve, solved = exact._last_merge_energies, []\n"
+            "exact._last_merge_energies = lambda h, rows: solved.append(solve(h, rows)) or solved[-1]\n"
+            f"assert main(['exact', '--config', {config!r}, '--nq', '10', '--nr', '20',\n"
+            f"             '--sweep', 'detuning:1:2:3', '--out', {str(tmp_path / 'out.csv')!r}]) == 0\n"
+            "assert len(solved) == 3 and None not in solved, solved\n"
+            "loaded = [m for m in ['scipy', 'numpy.ma'] if m in sys.modules]\n"
+            "assert not loaded, loaded\n")
+    result = _run_python(code)
+    assert result.returncode == 0, result.stderr
+
+
 def test_every_export_resolves_lazily():
     """In a fresh interpreter every name in __all__ resolves, dir() lists
     it, star-import binds it, and a submodule resolves as an attribute."""

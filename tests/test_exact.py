@@ -36,7 +36,8 @@ from rabiqed import (
 from rabiqed import exact
 from rabiqed.exact import _REQUIRED_PAIRS
 from rabiqed.model import Ladder, parse_config, transmon_grid
-from rabiqed.sweeps import DETUNING, ExactRow, exact_rows, format_csv
+from rabiqed.sweeps import (DETUNING, ExactRow, ShiftRow, exact_rows, format_csv,
+                            shift_rows)
 
 from conftest import README_CONFIG, build_system, traced_peak
 
@@ -402,16 +403,19 @@ def test_labels_equal_the_greedy_oracle_on_random_systems(num_levels, fock, detu
 
 
 def test_exact_shifts_solves_for_the_three_required_rows(monkeypatch):
-    """exact_shifts asks diagonalize for the rows of (0,0), (0,1) and (1,0)
-    and no other, whatever the size."""
+    """exact_shifts asks its solve (diagonalize below _LAST_MERGE_DIM, the
+    last-merge solve from it) for the rows of (0,0), (0,1) and (1,0) and no
+    other, whatever the size."""
     asked = []
-    solve = exact.diagonalize
-    monkeypatch.setattr(exact, "diagonalize",
-                        lambda h, rows, **kwargs: (asked.append(list(rows)),
-                                                   solve(h, rows, **kwargs))[1])
+    for name in ("diagonalize", "_last_merge_energies"):
+        def solve(h, rows, _name=name, _solve=getattr(exact, name), **kwargs):
+            asked.append((_name, list(rows)))
+            return _solve(h, rows, **kwargs)
+        monkeypatch.setattr(exact, name, solve)
     for num_levels, fock in ((2, 2), (5, 8), (10, 60)):
         exact_shifts(*exact_args(build_system(num_levels=num_levels, fock=fock)), RABI)
-    assert asked == [[0, 1, 2], [0, 1, 8], [0, 1, 60]]
+    assert asked == [("diagonalize", [0, 1, 2]), ("diagonalize", [0, 1, 8]),
+                     ("_last_merge_energies", [0, 1, 60])]
 
 
 def test_labeling_refuses_a_fock_truncation_that_does_not_divide_d():
@@ -443,6 +447,123 @@ def test_fallback_gives_the_same_sweep_bytes(monkeypatch, model):
     monkeypatch.setattr(exact, "_lapack", lambda: None)
     assert format_csv(exact_rows(config, DETUNING, README_GRID), ExactRow) == bound
     assert len(solves) == 161
+
+
+def _shifts_or_error(ladder, omega_r, fock, model):
+    """exact_shifts' result, or the type of what it raised with its
+    message, pair and overlap (AmbiguousLabeling) or value and bound
+    (PrecisionLoss)."""
+    try:
+        return exact_shifts(ladder, omega_r, fock, model)
+    except (AmbiguousLabeling, PrecisionLoss) as exc:
+        return type(exc), str(exc), vars(exc)
+
+
+def _last_merge_results(monkeypatch):
+    """Record what each call of the last-merge solve returns."""
+    results = []
+    solve = exact._last_merge_energies
+
+    def recorded(h, rows):
+        results.append(solve(h, rows))
+        return results[-1]
+
+    monkeypatch.setattr(exact, "_last_merge_energies", recorded)
+    return results
+
+
+def _assert_solves_agree(monkeypatch, ladder, omega_r, fock, model):
+    """The same ExactShifts bits, or the same error, at and above the
+    last-merge dimension as through diagonalize and label_dressed_states."""
+    merged = _shifts_or_error(ladder, omega_r, fock, model)
+    with monkeypatch.context() as patch:
+        patch.setattr(exact, "_LAST_MERGE_DIM", math.inf)
+        assert _shifts_or_error(ladder, omega_r, fock, model) == merged
+    return merged
+
+
+def _ladder_grid(count):
+    """perfbench's ladder detuning grid of variant 0: -3..3 GHz shifted by
+    1/20 of its step, so that no point sits on resonance."""
+    offset = 0.05 * 6.0 / (count - 1)
+    return np.linspace(-3.0 + offset, 3.0 + offset, count)
+
+
+LADDER_GRIDS = [(RABI, _ladder_grid(81)), (JC, _ladder_grid(41))]
+
+
+@needs_binding
+@pytest.mark.parametrize("model, detunings", LADDER_GRIDS, ids=[RABI, JC])
+def test_last_merge_gives_the_shifts_of_diagonalize_on_the_ladder_grids(monkeypatch, model,
+                                                                         detunings):
+    """On the d = 600 grids of the benchmark's ladder sweeps (81 rabi, 41
+    jc points) the last-merge solve labels every point itself, none falls
+    back, and the pull and qubit shift are those of diagonalize plus
+    label_dressed_states, bit for bit (ExactShifts compares floats with
+    ==, and neither is NaN)."""
+    results = _last_merge_results(monkeypatch)
+    for ladder in _readme_ladders(10, detunings):
+        assert isinstance(_assert_solves_agree(monkeypatch, ladder, 5.0, 60, model),
+                          exact.ExactShifts)
+    assert len(results) == len(detunings)
+    assert all(result is not None for result in results)
+
+
+@needs_binding
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(num_levels=st.integers(2, 10), extra=st.integers(0, 160), omega_10=st.floats(3.0, 9.0),
+       g0=st.floats(0.0, 1.0), model=st.sampled_from([RABI, JC]))
+def test_last_merge_gives_the_shifts_of_diagonalize_on_random_systems(num_levels, extra,
+                                                                      omega_10, g0, model):
+    """On random ladders with d from the last-merge dimension to 160 above
+    it and g0 up to 1 GHz, in both models, the last-merge solve gives the
+    same ExactShifts bits as diagonalize plus label_dressed_states, or the
+    same exception with the same message, pair and overlap (or value and
+    bound)."""
+    fock = -(-exact._LAST_MERGE_DIM // num_levels) + extra // num_levels
+    ladder = transmon_grid(omega_10, 0.25, g0, num_levels)
+    with pytest.MonkeyPatch.context() as patch:
+        _assert_solves_agree(patch, ladder, 5.0, fock, model)
+
+
+@needs_binding
+def test_every_fallback_ends_as_diagonalize(monkeypatch):
+    """The three ways back to diagonalize give its result: a 201-entry
+    block, whose halves dlaed0 would cut otherwise than the block (3 x 67
+    under rabi); an ambiguous point (jc on resonance at d = 200), whose
+    AmbiguousLabeling keeps its pair, overlap and message; and a dimension
+    below the last-merge one, where that solve is not called at all."""
+    assert exact._leaves(201) != exact._leaves(100) + exact._leaves(101)
+    results = _last_merge_results(monkeypatch)
+    ladder, = _readme_ladders(3, [0.7])
+    assert isinstance(_assert_solves_agree(monkeypatch, ladder, 5.0, 67, RABI),
+                      exact.ExactShifts)
+    assert results == [None]
+    ladder, = _readme_ladders(10, [0.0])
+    error, _, fields = _assert_solves_agree(monkeypatch, ladder, 5.0, 20, JC)
+    assert error is AmbiguousLabeling and fields["pair"] == (0, 1)
+    assert results == [None, None]
+    monkeypatch.setattr(exact, "_LAST_MERGE_DIM", 601)
+    ladder, = _readme_ladders(10, [0.7])
+    assert isinstance(_shifts_or_error(ladder, 5.0, 60, RABI), exact.ExactShifts)
+    assert results == [None, None]
+
+
+@needs_binding
+def test_last_merge_keeps_the_sweep_bytes(monkeypatch):
+    """Short d = 600 exact (jc) and shift (rabi) sweeps give the same CSV
+    bytes with the last-merge dimension patched to infinity, so that every
+    point goes through diagonalize."""
+    config = parse_config(dict(README_CONFIG, num_qubit_levels=10, fock_truncation=60))
+    grid = np.linspace(-2.4, 2.6, 4)
+
+    def tables():
+        return (format_csv(exact_rows(config, DETUNING, grid, JC), ExactRow),
+                format_csv(shift_rows(config, DETUNING, grid), ShiftRow))
+
+    merged = tables()
+    monkeypatch.setattr(exact, "_LAST_MERGE_DIM", math.inf)
+    assert tables() == merged
 
 
 def test_single_excitation_block_closed_form():

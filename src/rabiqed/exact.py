@@ -25,17 +25,15 @@ eigenvector entries back into the product basis; diagonalize
 back-transforms only the rows asked for, and exact_shifts asks for the
 three rows of (0,0), (0,1) and (1,0).
 
-exact_shifts has two solves for those rows.  Below _LAST_MERGE_DIM it
-calls diagonalize and label_dressed_states.  From it on, it runs dstedc's
-own steps up to the last divide-and-conquer merge of the block that holds
-each row, where dstedc would solve every secular root and form every
-eigenvector entry with two dgemm calls.  Each eigenvalue at that merge is
-one dlaed4 root (Gu & Eisenstat, SIAM J. Matrix Anal. Appl. 16, 172
-(1995)), so it solves only the roots the labels read.  The eigenvalue it
-takes is the root dlaed3 takes from the same arguments, scaled back as
-dstedc and dsyevd do, so the pull and the qubit shift keep eigh's bits.
-A point that solve cannot label goes through diagonalize, so every
-AmbiguousLabeling comes from label_dressed_states.
+exact_shifts reduces H once.  From _LAST_MERGE_DIM on it runs dstedc's
+own steps on the block that holds each row up to its last divide-and-
+conquer merge, where each eigenvalue is one dlaed4 root (Gu & Eisenstat,
+SIAM J. Matrix Anal. Appl. 16, 172 (1995)), and solves only the roots the
+labels read: the roots dlaed3 takes, so the shifts keep eigh's bits.  A
+block that merge does not fit is solved by dstedc itself.  Below that
+dimension, and where a label is in doubt, the reduction is finished as
+diagonalize finishes it, so every AmbiguousLabeling comes from
+label_dressed_states.
 """
 
 from __future__ import annotations
@@ -120,8 +118,7 @@ _RMIN, _RMAX = math.sqrt(_SMLNUM), math.sqrt(1.0 / _SMLNUM)
 # LAPACK), F a float64 array (a one-entry array for a scalar that the
 # routine writes or that is a double), I an int64 array.
 _SIGNATURES = {"dsytrd": "ciFiFFFFi", "dstedc": "ciFFFiFiIi", "dormtr": "ccciiFiFFiFi",
-               "dsteqr": "ciFFFiF", "dlaed0": "iiiFFFiFiFI",
-               "dlaed2": "IiiFFiIFFFFFIIII", "dlaed4": "iiFFFFF"}
+               "dlaed0": "iiiFFFiFiFI", "dlaed2": "IiiFFiIFFFFFIIII", "dlaed4": "iiFFFFF"}
 _ARGTYPES = {"c": ctypes.c_char_p, "i": ctypes.POINTER(ctypes.c_int64),
              "F": ctypes.POINTER(ctypes.c_double), "I": ctypes.POINTER(ctypes.c_int64)}
 
@@ -176,8 +173,7 @@ def _call(name: str, *args) -> None:
         raise ConvergenceFailure("Eigenvalues did not converge")
 
 
-def diagonalize(h: np.ndarray, rows: Sequence[int] | None = None, *,
-                overwrite: bool = False) -> Spectrum:
+def diagonalize(h: np.ndarray, rows: Sequence[int] | None = None) -> Spectrum:
     """Dense symmetric eigensolve: the eigenvalues of np.linalg.eigh(h), bit
     for bit, and the rows ``rows`` (default all) of its eigenvector matrix.
 
@@ -190,12 +186,10 @@ def diagonalize(h: np.ndarray, rows: Sequence[int] | None = None, *,
     Q Z with dormtr; here dormtr forms only Q^T E for the unit columns E of
     the rows asked for, before dstedc writes Z over the reduced matrix, and
     V[rows] = (Q^T E)^T Z.  Those rows equal eigh's to rounding (up to each
-    column's sign), not bit for bit.  With ``overwrite`` a C-contiguous h,
-    which must then be exactly symmetric, is reduced in place (its buffer
-    is its own Fortran transpose) and left holding Z: row j of h is column
-    j of Z.  Where NumPy links another LAPACK, and for input eigh handles
-    another way (d < 2, not float64, not one square matrix), the result is
-    eigh's, sliced.  A LAPACK failure raises ConvergenceFailure.
+    column's sign), not bit for bit.  Where NumPy links another LAPACK, and
+    for input eigh handles another way (d < 2, not float64, not one square
+    matrix), the result is eigh's, sliced.  A LAPACK failure raises
+    ConvergenceFailure.
     """
     h = np.asarray(h)
     n = h.shape[-1] if h.ndim else 0
@@ -206,27 +200,19 @@ def diagonalize(h: np.ndarray, rows: Sequence[int] | None = None, *,
         except np.linalg.LinAlgError as exc:
             raise ConvergenceFailure(str(exc)) from exc
         return Spectrum(eigenvalues, eigenvectors[..., rows, :], rows)
-    # Every 2-D array below is C-ordered, so LAPACK sees its transpose: a
-    # holds h's lower triangle (a copy zeroes the other, so a's max norm is
-    # dsyevd's), then the reflectors, last read by dormtr, then Z: column j
-    # of Z is row j of a, and row j of unit is the j-th unit column.
-    a = h if overwrite and h.flags.c_contiguous else np.triu(h.T)
-    sigma, d, e, unit, work = _reduce(a, rows)
-    _call("dstedc", b"I", n, d, e, a, n, work, len(work),
-          np.empty(3 + 5 * n, dtype=np.int64), 3 + 5 * n)
-    if sigma is not None:
-        with np.errstate(all="ignore"):
-            d *= 1.0 / sigma
-    return Spectrum(d, unit @ a.T, rows)
+    # a copy holds h's lower triangle and zeroes the other, so that a's max
+    # norm is dsyevd's
+    a = np.triu(h.T)
+    return _finish(a, _reduce(a, rows))
 
 
 def _reduce(a: np.ndarray, rows: np.ndarray) -> tuple:
-    """dsyevd's steps before dstedc, on a (n x n, C-ordered, its lower
-    triangle as LAPACK reads it) in place: the scaling factor sigma (None
-    when dsyevd does not scale), the tridiagonal's diagonal d and
-    off-diagonal e (e[n-1] unused), the rows Q^T E of the unit columns E of
-    ``rows``, and a workspace of at least 1 + 4n + n^2 entries.  a is left
-    holding the reflectors, which nothing reads afterwards."""
+    """dsyevd's steps before dstedc, in place on a (n x n, C-ordered, so
+    LAPACK reads its transpose: its lower triangle as LAPACK's), which is
+    left holding the reflectors.  The reduction: the scaling factor sigma
+    (None when dsyevd does not scale), the tridiagonal's diagonal d and
+    off-diagonal e (e[n-1] = 0), the rows Q^T E of the unit columns E of
+    ``rows``, ``rows`` and a workspace of at least 1 + 4n + n^2 entries."""
     n = len(a)
     norm = max(a.max(), -a.min())
     sigma = (_RMIN / norm if 0.0 < norm < _RMIN else
@@ -235,7 +221,7 @@ def _reduce(a: np.ndarray, rows: np.ndarray) -> tuple:
     if sigma is not None:
         with np.errstate(all="ignore"):
             a *= sigma
-    d, e, tau = np.empty(n), np.empty(n), np.empty(n)
+    d, e, tau = np.empty(n), np.zeros(n), np.empty(n)
     # dsyevd hands dsytrd at least n x NB (NB = 32 in OpenBLAS's LAPACK),
     # which selects the blocked reduction; any smaller lwork selects other
     # blocking and other bits.  dstedc('I') needs 1 + 4n + n^2.
@@ -244,7 +230,32 @@ def _reduce(a: np.ndarray, rows: np.ndarray) -> tuple:
     unit = np.zeros((len(rows), n))
     unit[np.arange(len(rows)), rows] = 1.0
     _call("dormtr", b"L", b"L", b"T", n, len(rows), a, n, tau, unit, n, work, len(work))
-    return sigma, d, e, unit, work
+    return sigma, d, e, unit, rows, work
+
+
+def _dstedc(a: np.ndarray, d, e, start: int, work) -> None:
+    """dstedc('I') on the tridiagonal of diagonal d and off-diagonal e: its
+    eigenvalues over d, its Z into a's square from entry ``start`` on (row
+    start + j holds column j of Z, as LAPACK sees a's transpose)."""
+    n, m = len(a), len(d)
+    _call("dstedc", b"I", m, d, e, a.reshape(-1)[start * (n + 1):], n, work, len(work),
+          np.empty(3 + 5 * m, dtype=np.int64), 3 + 5 * m)
+
+
+def _unscale(values, sigma):
+    """Eigenvalues of a scaled matrix scaled back as dsyevd does it."""
+    if sigma is None:
+        return values
+    with np.errstate(all="ignore"):
+        return values * (1.0 / sigma)
+
+
+def _finish(a: np.ndarray, reduction: tuple) -> Spectrum:
+    """dsyevd's dstedc('I') on a reduction of a, which then holds Z, and
+    the rows asked for: V[rows] = (Q^T E)^T Z."""
+    sigma, d, e, unit, rows, work = reduction
+    _dstedc(a, d, e, 0, work)
+    return Spectrum(_unscale(d, sigma), unit @ a.T, rows)
 
 
 @dataclass(frozen=True)
@@ -320,19 +331,19 @@ class ExactShifts:
 
 _REQUIRED_PAIRS = ((0, 0), (0, 1), (1, 0))
 
-# exact_shifts solves a point at or above this dimension at dstedc's last
-# merge (_last_merge_energies), below it with diagonalize.  Measured per
-# exact point with one BLAS thread on a 2-vCPU 2.1 GHz Xeon, pinned to one
-# CPU, the README ladder at omega_10 = 5.7 GHz, best of 15-40 calls: the
-# last-merge solve costs +90% at d = 40 and, under rabi, +31% at d = 80,
-# +4% at d = 120 and -2% at d = 140 with nq = 10, and -5% to -23% at
+# exact_shifts labels a point at or above this dimension at dstedc's last
+# merge (_last_merge_energies), below it from the finished reduction.
+# Measured per exact point with one BLAS thread on a 2-vCPU 2.1 GHz Xeon,
+# pinned to one CPU, the README ladder at omega_10 = 5.7 GHz, best of 15-40
+# calls: the last-merge solve costs +90% at d = 40 and, under rabi, +31% at
+# d = 80, +4% at d = 120 and -2% at d = 140 with nq = 10, and -5% to -23% at
 # d = 160 (nq 10, 5, 4), -10% to -22% at d = 200 and -24% at d = 600
 # (35.0 -> 26.7 ms); under jc, whose tridiagonal splits into blocks, -24%
 # at d = 80 and -48% to -55% from d = 120 on (34.4 -> 17.4 ms at d = 600).
 _LAST_MERGE_DIM = 160
-# dstedc's and dlaed0's SMLSIZ (ILAENV(9)): dstedc hands a block of at most
-# this many entries to dsteqr, and dlaed0 halves a larger one until no
-# piece is longer.
+# dstedc's and dlaed0's SMLSIZ (ILAENV(9)): dstedc solves a block of at
+# most this many entries by QL/QR iteration, and dlaed0 halves a larger one
+# until no piece is longer.
 _SMLSIZ = 25
 # DLAMCH('E') and DLAMCH('S'): dstedc's split factor and dlascl's range.
 _EPS_HALF = float(np.finfo(float).eps) / 2.0
@@ -342,9 +353,9 @@ _TINY = float(np.finfo(float).tiny)
 # Gu & Eisenstat recompute from all the roots.  Over 400 random ladders
 # (nq 3-10, d = 200-800, omega_10 3-9 GHz, g0 up to 1 GHz, both models)
 # the overlaps read here and the ones label_dressed_states reads from
-# diagonalize's rows differed by at most 1.8e-15.  A label must clear 1/2
-# by this margin, far above that, so that it is also the argmax above
-# 1/2 + 1e-12 of diagonalize's row.
+# diagonalize's rows differed by at most 1.8e-15.  A label, there or from a
+# block dstedc solves, must clear 1/2 by this margin, far above that, so
+# that it is also the argmax above 1/2 + 1e-12 of diagonalize's row.
 _MERGE_MARGIN = 1e-6
 
 
@@ -358,40 +369,38 @@ def _leaves(n: int) -> list[int]:
     return sizes
 
 
-def _small_block(d, e, vectors) -> list:
-    """dstedc's dsteqr('I') on a block of at most SMLSIZ entries, d and e
-    its diagonal and off-diagonal: the eigenvalue each row of ``vectors``
-    (the block's entries of Q^T E) overlaps by more than 1/2 + the margin,
-    None for a row that has none."""
+def _block_energies(a, d, e, start, vectors, targets, work) -> list:
+    """The eigenvalue each row of ``vectors`` (a block's entries of Q^T E)
+    overlaps by more than 1/2 + the margin, None for a row that has none.
+    The block, of diagonal d and off-diagonal e (read, not written), starts
+    at entry ``start`` of the tridiagonal.  If it is longer than SMLSIZ, its
+    halves' own dlaed0 would cut them as the block's does and its max norm
+    lies in dlascl's range, it is solved at its last merge; otherwise by
+    dstedc('I') itself, into a's square for it."""
     m = len(d)
-    values, z = d.copy(), np.empty((m, m))
-    _call("dsteqr", b"I", m, values, e.copy(), z, m, np.empty(max(1, 2 * m - 2)))
-    overlaps = (vectors @ z.T) ** 2
+    if m > _SMLSIZ and _leaves(m) == _leaves(m // 2) + _leaves(m - m // 2):
+        norm = max(np.abs(d).max(), np.abs(e[:m - 1]).max())
+        if _TINY <= norm <= 1.0 / _TINY:
+            return _last_merge(a, d, e, start, norm, vectors, targets, work)
+    values = d.copy()
+    _dstedc(a, values, e.copy(), start, work)
+    overlaps = (vectors @ a[start:start + m, start:start + m].T) ** 2
     best = np.argmax(overlaps, axis=1)
     return [values[j] if overlaps[i, j] > 0.5 + _MERGE_MARGIN else None
             for i, j in enumerate(best)]
 
 
-def _last_merge(a, d, e, start, vectors, targets, work, iwork) -> list:
-    """dstedc's solve of the block of d and e (more than SMLSIZ entries)
-    whose first entry is entry ``start`` of the tridiagonal, up to its last
-    merge, and the eigenvalue each row of ``vectors`` (the block's entries
-    of Q^T E) overlaps by more than 1/2 + the margin, None for a row that
-    has none, or for every row where the halves' own dlaed0 would cut them
-    otherwise than the block's.  The secular roots are searched from the
-    one nearest each row's ``targets`` entry (its bare energy) outward.
-    The halves' eigenvectors and the deflated ones are written into a's
-    square of the block, as dstedc writes Z; work and iwork are dstedc's
-    workspaces."""
+def _last_merge(a, d, e, start, norm, vectors, targets, work) -> list:
+    """_block_energies' solve of a block up to dstedc's last merge.  The
+    secular roots are searched from the one nearest each row's ``targets``
+    entry (its bare energy) outward.  The halves' eigenvectors and the
+    deflated ones are written into a's square of the block, as dstedc
+    writes Z."""
     n, m = len(a), len(d)
     n1, n2 = m // 2, m - m // 2
-    if _leaves(m) != _leaves(n1) + _leaves(n2):
-        return [None] * len(vectors)
+    iwork = np.empty(3 + 5 * m, dtype=np.int64)
     # dstedc scales the block by its max norm with dlascl, which within
     # [DLAMCH('S'), 1 / DLAMCH('S')] is the one multiply by 1 / norm
-    norm = max(np.abs(d).max(), np.abs(e[:m - 1]).max())
-    if not _TINY <= norm <= 1.0 / _TINY:
-        return [None] * len(vectors)
     values, off = d * (1.0 / norm), e * (1.0 / norm)
     # dlaed0's cut between the halves; each half's dlaed0 makes its own cuts
     values[n1 - 1] -= abs(off[n1 - 1])
@@ -468,58 +477,41 @@ def _label_root(k, dlamda, w, rho, p, deflated, deflated_values, total, target):
     return None
 
 
-def _last_merge_energies(h: np.ndarray, rows: list[int]) -> list | None:
-    """The eigenvalue each bare state of ``rows`` labels, eigh's bits, from
-    dstedc's own steps up to its last merge; None where that cannot settle
-    a label.  h, C-contiguous and exactly symmetric, is left reduced.
-
-    As diagonalize: dsyevd's scaling, dsytrd and dormtr on the unit
-    columns of ``rows``.  Then dstedc's steps: it splits the tridiagonal
-    where |e_i| <= DLAMCH('E') sqrt|d_i| sqrt|d_i+1|, and a row's label can
-    lie only in the block that holds more than half of its weight.  A block
-    of one entry is its own eigenpair, one of at most SMLSIZ entries goes
-    to dsteqr, and a larger one is solved by _last_merge.  Each eigenvalue
-    is scaled back as dstedc and dsyevd do.  A LAPACK failure gives None,
-    so that diagonalize meets it again."""
-    n = len(h)
-    targets = h[rows, rows]
-    sigma, d, e, unit, work = _reduce(h, np.asarray(rows))
-    e = e[:n - 1]
+def _last_merge_energies(a: np.ndarray, reduction: tuple, targets) -> np.ndarray | None:
+    """The eigenvalue each row of a reduction of a labels, eigh's bits;
+    None where a label misses 1/2 + the margin, the tridiagonal is not
+    finite or a LAPACK call fails.  d, e and unit are only read, so that
+    _finish can still take the reduction on.  dstedc splits the tridiagonal
+    where |e_i| <= DLAMCH('E') sqrt|d_i| sqrt|d_i+1|; a row's label lies in
+    the block that holds more than half of its weight, which
+    _block_energies solves, seeking roots near ``targets`` (the rows' bare
+    energies)."""
+    sigma, d, e, unit, _, work = reduction
+    n = len(a)
     if not (np.isfinite(d).all() and np.isfinite(e).all()):
         return None
     tiny = _EPS_HALF * np.sqrt(np.abs(d[:-1])) * np.sqrt(np.abs(d[1:]))
-    cuts = np.flatnonzero(~(np.abs(e) > tiny)) + 1
+    cuts = np.flatnonzero(~(np.abs(e[:-1]) > tiny)) + 1
     starts, stops = np.insert(cuts, 0, 0), np.append(cuts, n)
     weights = np.add.reduceat(unit ** 2, starts, axis=1)
     blocks = np.argmax(weights, axis=1)
-    if not np.all(weights[np.arange(len(rows)), blocks] > 0.5 + _MERGE_MARGIN):
+    if not np.all(weights[np.arange(len(unit)), blocks] > 0.5 + _MERGE_MARGIN):
         return None
     if sigma is not None:
         targets = targets * sigma
-    energies = [None] * len(rows)
-    iwork = np.empty(3 + 5 * n, dtype=np.int64)
+    energies = np.empty(len(unit))
     try:
-        for block in set(blocks.tolist()):  # np.unique would import numpy.ma
+        for block in sorted(set(blocks.tolist())):  # np.unique would import numpy.ma
             members = np.flatnonzero(blocks == block)
             start, stop = int(starts[block]), int(stops[block])
-            vectors = unit[members, start:stop]
-            if stop - start == 1:
-                found = [d[start]] * len(members)
-            elif stop - start <= _SMLSIZ:
-                found = _small_block(d[start:stop], e[start:stop - 1], vectors)
-            else:
-                found = _last_merge(h, d[start:stop], e[start:stop], start, vectors,
-                                    targets[members], work, iwork)
-            for member, value in zip(members, found):
-                energies[member] = value
+            found = _block_energies(a, d[start:stop], e[start:stop], start,
+                                    unit[members, start:stop], targets[members], work)
+            if None in found:
+                return None
+            energies[members] = found
     except ConvergenceFailure:
         return None
-    if any(value is None for value in energies):
-        return None
-    if sigma is not None:
-        with np.errstate(all="ignore"):
-            energies = [value * (1.0 / sigma) for value in energies]
-    return energies
+    return _unscale(energies, sigma)
 
 
 def exact_shifts(ladder: Ladder, omega_r: float, fock_truncation: int,
@@ -534,29 +526,31 @@ def exact_shifts(ladder: Ladder, omega_r: float, fock_truncation: int,
     is rounding noise and raises PrecisionLoss.  A shift of exactly 0
     (g0 = 0) is kept.
 
-    Below _LAST_MERGE_DIM the solve is diagonalize, and the labels are
-    label_dressed_states'.  From it on, _last_merge_energies solves only
-    the secular roots the labels read at dstedc's last merge, and returns
-    the eigenvalues diagonalize would give those labels, bit for bit.  A
-    point it cannot label (a block whose halves dlaed0 would cut otherwise,
-    no column that clears 1/2 by _MERGE_MARGIN, a LAPACK failure) is built
-    again and goes through diagonalize and label_dressed_states, so its
-    error, if any, is theirs.  Either way the point holds two d x d arrays.
+    H is built once and reduced once, in place.  From _LAST_MERGE_DIM on,
+    _last_merge_energies labels the point from that reduction with the
+    eigenvalues diagonalize would give those labels, bit for bit.  Below
+    it, and at a point that solve cannot label, the reduction is finished
+    as diagonalize finishes it and labeled by label_dressed_states, so
+    every error is theirs.  Either way the point holds two d x d arrays.
     """
     h = build_hamiltonian(ladder, omega_r, fock_truncation, model)
     # every entry of H is >= 0 (see build_hamiltonian), so a row sum is its
     # norm; taken before the solve reduces H in place
     bound = 2.0 * len(h) * np.finfo(float).eps * float(h.sum(axis=1).max())
-    rows = [k * fock_truncation + n for k, n in _REQUIRED_PAIRS]
-    energies = None
-    if len(h) >= _LAST_MERGE_DIM and _lapack() is not None:
-        energies = _last_merge_energies(h, rows)
+    rows = np.array([k * fock_truncation + n for k, n in _REQUIRED_PAIRS])
+    energies = spectrum = None
+    if _lapack() is None:
+        spectrum = diagonalize(h, rows)
+    else:
+        # H, exactly symmetric and C-ordered, is its own Fortran transpose;
+        # the last merge seeks each label near its bare energy, read first
+        targets = h[rows, rows]
+        reduction = _reduce(h, rows)
+        if len(h) >= _LAST_MERGE_DIM:
+            energies = _last_merge_energies(h, reduction, targets)
         if energies is None:
-            # the attempt reduced h: build it again, holding one copy
-            del h
-            h = build_hamiltonian(ladder, omega_r, fock_truncation, model)
+            spectrum = _finish(h, reduction)
     if energies is None:
-        spectrum = diagonalize(h, rows, overwrite=True)
         labeling = label_dressed_states(spectrum, fock_truncation, required=_REQUIRED_PAIRS)
         energies = [spectrum.eigenvalues[labeling.labels[pair]] for pair in _REQUIRED_PAIRS]
     e00, e01, e10 = energies

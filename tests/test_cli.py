@@ -1048,10 +1048,10 @@ def test_large_exact_sweep_starts_lean(tmp_path):
             "from rabiqed import exact\n"
             "from rabiqed.cli import main\n"
             "solve, solved = exact._last_merge_energies, []\n"
-            "exact._last_merge_energies = lambda h, rows: solved.append(solve(h, rows)) or solved[-1]\n"
+            "exact._last_merge_energies = lambda *args: solved.append(solve(*args)) or solved[-1]\n"
             f"assert main(['exact', '--config', {config!r}, '--nq', '10', '--nr', '20',\n"
             f"             '--sweep', 'detuning:1:2:3', '--out', {str(tmp_path / 'out.csv')!r}]) == 0\n"
-            "assert len(solved) == 3 and None not in solved, solved\n"
+            "assert len(solved) == 3 and all(s is not None for s in solved), solved\n"
             "loaded = [m for m in ['scipy', 'numpy.ma'] if m in sys.modules]\n"
             "assert not loaded, loaded\n")
     result = _run_python(code)

@@ -313,12 +313,13 @@ README_GRID = np.linspace(-3.0, 3.0, 161)
 def test_hamiltonian_eigenvalues_equal_eigh_bit_for_bit(model, num_levels, fock, detunings):
     """The README Hamiltonians at every point of its 161-point grid, and
     d = 600 ladder Hamiltonians, in both models: the eigenvalues of the
-    row-only solve are eigh's, bit for bit, also when H is reduced in place."""
+    row-only solve are eigh's, bit for bit, also when H is reduced in place
+    and finished as exact_shifts does it."""
     for ladder in _readme_ladders(num_levels, detunings):
         h = build_hamiltonian(ladder, 5.0, fock, model)
         eigenvalues = np.linalg.eigh(h).eigenvalues
         assert diagonalize(h, [0]).eigenvalues.tobytes() == eigenvalues.tobytes()
-        solved = diagonalize(h, _required_rows(fock), overwrite=True)
+        solved = exact._finish(h, exact._reduce(h, np.array(_required_rows(fock))))
         assert solved.eigenvalues.tobytes() == eigenvalues.tobytes()
 
 
@@ -402,20 +403,18 @@ def test_labels_equal_the_greedy_oracle_on_random_systems(num_levels, fock, detu
     assert labels == {pair: greedy.labels[pair] for pair in required}
 
 
+@needs_binding
 def test_exact_shifts_solves_for_the_three_required_rows(monkeypatch):
-    """exact_shifts asks its solve (diagonalize below _LAST_MERGE_DIM, the
-    last-merge solve from it) for the rows of (0,0), (0,1) and (1,0) and no
-    other, whatever the size."""
+    """exact_shifts asks its one reduction, below _LAST_MERGE_DIM and from
+    it on, for the rows of (0,0), (0,1) and (1,0) and no other, whatever
+    the size."""
     asked = []
-    for name in ("diagonalize", "_last_merge_energies"):
-        def solve(h, rows, _name=name, _solve=getattr(exact, name), **kwargs):
-            asked.append((_name, list(rows)))
-            return _solve(h, rows, **kwargs)
-        monkeypatch.setattr(exact, name, solve)
+    reduce = exact._reduce
+    monkeypatch.setattr(exact, "_reduce",
+                        lambda a, rows: (asked.append(rows.tolist()), reduce(a, rows))[1])
     for num_levels, fock in ((2, 2), (5, 8), (10, 60)):
         exact_shifts(*exact_args(build_system(num_levels=num_levels, fock=fock)), RABI)
-    assert asked == [("diagonalize", [0, 1, 2]), ("diagonalize", [0, 1, 8]),
-                     ("_last_merge_energies", [0, 1, 60])]
+    assert asked == [[0, 1, 2], [0, 1, 8], [0, 1, 60]]
 
 
 def test_labeling_refuses_a_fock_truncation_that_does_not_divide_d():
@@ -464,8 +463,8 @@ def _last_merge_results(monkeypatch):
     results = []
     solve = exact._last_merge_energies
 
-    def recorded(h, rows):
-        results.append(solve(h, rows))
+    def recorded(*args):
+        results.append(solve(*args))
         return results[-1]
 
     monkeypatch.setattr(exact, "_last_merge_energies", recorded)
@@ -474,11 +473,22 @@ def _last_merge_results(monkeypatch):
 
 def _assert_solves_agree(monkeypatch, ladder, omega_r, fock, model):
     """The same ExactShifts bits, or the same error, at and above the
-    last-merge dimension as through diagonalize and label_dressed_states."""
+    last-merge dimension as through diagonalize's finish and
+    label_dressed_states.  Against the route that shares no LAPACK step
+    with them (eigh and label_dressed_states, the binding patched away):
+    the same ExactShifts bits, or the same error, and for an
+    AmbiguousLabeling the same pair."""
     merged = _shifts_or_error(ladder, omega_r, fock, model)
     with monkeypatch.context() as patch:
         patch.setattr(exact, "_LAST_MERGE_DIM", math.inf)
         assert _shifts_or_error(ladder, omega_r, fock, model) == merged
+        patch.setattr(exact, "_lapack", lambda: None)
+        reference = _shifts_or_error(ladder, omega_r, fock, model)
+    if isinstance(merged, tuple) and merged[0] is AmbiguousLabeling:
+        assert reference[0] is AmbiguousLabeling
+        assert reference[2]["pair"] == merged[2]["pair"]
+    else:
+        assert reference == merged
     return merged
 
 
@@ -498,9 +508,10 @@ def test_last_merge_gives_the_shifts_of_diagonalize_on_the_ladder_grids(monkeypa
                                                                          detunings):
     """On the d = 600 grids of the benchmark's ladder sweeps (81 rabi, 41
     jc points) the last-merge solve labels every point itself, none falls
-    back, and the pull and qubit shift are those of diagonalize plus
-    label_dressed_states, bit for bit (ExactShifts compares floats with
-    ==, and neither is NaN)."""
+    back, and the pull and qubit shift are those of diagonalize's finish
+    plus label_dressed_states, and those of eigh plus label_dressed_states,
+    bit for bit (ExactShifts compares floats with ==, and neither is
+    NaN)."""
     results = _last_merge_results(monkeypatch)
     for ladder in _readme_ladders(10, detunings):
         assert isinstance(_assert_solves_agree(monkeypatch, ladder, 5.0, 60, model),
@@ -517,9 +528,11 @@ def test_last_merge_gives_the_shifts_of_diagonalize_on_random_systems(num_levels
                                                                       omega_10, g0, model):
     """On random ladders with d from the last-merge dimension to 160 above
     it and g0 up to 1 GHz, in both models, the last-merge solve gives the
-    same ExactShifts bits as diagonalize plus label_dressed_states, or the
-    same exception with the same message, pair and overlap (or value and
-    bound)."""
+    same ExactShifts bits as diagonalize's finish plus
+    label_dressed_states, or the same exception with the same message, pair
+    and overlap (or value and bound); and the ExactShifts bits, or the
+    error (for AmbiguousLabeling its pair), of eigh plus
+    label_dressed_states."""
     fock = -(-exact._LAST_MERGE_DIM // num_levels) + extra // num_levels
     ladder = transmon_grid(omega_10, 0.25, g0, num_levels)
     with pytest.MonkeyPatch.context() as patch:
@@ -527,26 +540,96 @@ def test_last_merge_gives_the_shifts_of_diagonalize_on_random_systems(num_levels
 
 
 @needs_binding
-def test_every_fallback_ends_as_diagonalize(monkeypatch):
-    """The three ways back to diagonalize give its result: a 201-entry
-    block, whose halves dlaed0 would cut otherwise than the block (3 x 67
-    under rabi); an ambiguous point (jc on resonance at d = 200), whose
-    AmbiguousLabeling keeps its pair, overlap and message; and a dimension
-    below the last-merge one, where that solve is not called at all."""
+def test_block_steps_and_fallbacks_end_as_diagonalize(monkeypatch):
+    """A 201-entry block, whose halves dlaed0 would cut otherwise than the
+    block (3 x 67 under rabi), is solved by dstedc itself and labeled
+    without a fallback, with diagonalize's result.  An ambiguous point (jc
+    on resonance at d = 200) falls back, and its AmbiguousLabeling keeps its
+    pair, overlap and message.  Below the last-merge dimension that solve
+    is not called at all."""
     assert exact._leaves(201) != exact._leaves(100) + exact._leaves(101)
     results = _last_merge_results(monkeypatch)
     ladder, = _readme_ladders(3, [0.7])
     assert isinstance(_assert_solves_agree(monkeypatch, ladder, 5.0, 67, RABI),
                       exact.ExactShifts)
-    assert results == [None]
+    assert [result is None for result in results] == [False]
     ladder, = _readme_ladders(10, [0.0])
     error, _, fields = _assert_solves_agree(monkeypatch, ladder, 5.0, 20, JC)
     assert error is AmbiguousLabeling and fields["pair"] == (0, 1)
-    assert results == [None, None]
+    assert [result is None for result in results] == [False, True]
     monkeypatch.setattr(exact, "_LAST_MERGE_DIM", 601)
     ladder, = _readme_ladders(10, [0.7])
     assert isinstance(_shifts_or_error(ladder, 5.0, 60, RABI), exact.ExactShifts)
-    assert results == [None, None]
+    assert len(results) == 2
+
+
+def _count_steps(monkeypatch):
+    """Count exact_shifts' Hamiltonian builds and dsytrd calls."""
+    counts = {"build_hamiltonian": 0, "dsytrd": 0}
+
+    def count(name):
+        counts[name] += 1
+
+    build = exact.build_hamiltonian
+    monkeypatch.setattr(exact, "build_hamiltonian",
+                        lambda *args: (count("build_hamiltonian"), build(*args))[1])
+    _wrap_routine(monkeypatch, "dsytrd", lambda args: count("dsytrd"))
+    return counts
+
+
+@needs_binding
+@pytest.mark.parametrize("num_levels, fock, omega_10, g0, model",
+                         [(3, 67, 5.7, 0.1, RABI), (10, 20, 5.0, 0.1, JC),
+                          (10, 20, 5.0, 0.3, RABI), (5, 8, 5.7, 0.1, RABI),
+                          (10, 60, 5.7, 0.1, JC)],
+                         ids=["rabi-3x67", "jc-d200-resonant", "rabi-d200-g0.3",
+                              "readme-d40", "ladder-d600"])
+def test_each_exact_point_builds_and_reduces_once(monkeypatch, num_levels, fock, omega_10,
+                                                  g0, model):
+    """Every exact point builds H once and runs dsytrd once: a block that
+    the last merge does not take (the 201-entry block of 3 x 67), points
+    whose labels miss the margin (on resonance at d = 200, which raise
+    AmbiguousLabeling), a README point and a d = 600 ladder point."""
+    counts = _count_steps(monkeypatch)
+    _shifts_or_error(transmon_grid(omega_10, 0.25, g0, num_levels), 5.0, fock, model)
+    assert counts == {"build_hamiltonian": 1, "dsytrd": 1}
+
+
+@needs_binding
+@pytest.mark.parametrize("model, g0", [(JC, 0.1), (RABI, 0.3)])
+def test_fallback_finishes_the_reduction_the_block_steps_read(monkeypatch, model, g0):
+    """On resonance at d = 200 (nq 10, nr 20) a held block is solved before
+    a row misses the margin: under jc dstedc solves the 1-entry block of
+    (0,0), then the 2-entry block of (0,1) and (1,0); under rabi at g0 =
+    0.3 GHz the last merge labels (0,0) first.  The fallback finishes the
+    very reduction, whose d and e the block steps left as dsytrd wrote
+    them, and raises eigh's AmbiguousLabeling."""
+    reductions, steps = [], []
+    reduce, block, finish = exact._reduce, exact._block_energies, exact._finish
+
+    def recorded_reduce(a, rows):
+        reduction = reduce(a, rows)
+        reductions.append((reduction, reduction[1].tobytes(), reduction[2].tobytes()))
+        return reduction
+
+    def checked_finish(a, reduction):
+        (reduced, d, e), = reductions
+        assert reduction is reduced
+        assert reduction[1].tobytes() == d and reduction[2].tobytes() == e
+        steps.append("finish")
+        return finish(a, reduction)
+
+    ladder = transmon_grid(5.0, 0.25, g0, 10)
+    with monkeypatch.context() as patch:
+        patch.setattr(exact, "_reduce", recorded_reduce)
+        patch.setattr(exact, "_block_energies",
+                      lambda *args: (steps.append(block(*args)), steps[-1])[1])
+        patch.setattr(exact, "_finish", checked_finish)
+        recorded = _shifts_or_error(ladder, 5.0, 20, model)
+    solved, fallback = steps[0], steps[-1]
+    assert solved[0] is not None and None in steps[-2] and fallback == "finish"
+    assert _assert_solves_agree(monkeypatch, ladder, 5.0, 20, model) == recorded
+    assert recorded[0] is AmbiguousLabeling and recorded[2]["pair"] == (0, 1)
 
 
 @needs_binding

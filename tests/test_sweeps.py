@@ -367,11 +367,12 @@ def test_parallel_sweep_keeps_error_rows_in_order(pools, monkeypatch):
 
 def test_worker_failure_exits_3(pools, monkeypatch, tmp_path, capsys):
     """An eigensolver failure inside a worker ends the command as it would
-    in-process: exit 3 and one error line."""
+    in-process: exit 3 and one error line.  The stand-in fails the
+    Hamiltonian's reduction, which every exact point runs."""
     def fail(h, *args, **kwargs):
         raise ConvergenceFailure("eigh did not converge")
 
-    monkeypatch.setattr(rabiqed.exact, "diagonalize", fail)
+    monkeypatch.setattr(rabiqed.exact, "_reduce", fail)
     path = tmp_path / "readme.json"
     path.write_text(json.dumps(README_CONFIG))
     capsys.readouterr()
@@ -535,18 +536,17 @@ def test_vectorized_rows_equal_point_by_point_rows(case):
 
 
 def test_analytic_sweeps_build_no_system_per_point(monkeypatch):
-    """No sweep builds a SystemSpec; shift_rows and exact_rows diagonalize
-    each point that the array pass left standing, and no other: shift_rows
-    skips the points whose analytic columns failed, both skip those whose
-    ladder collapsed."""
+    """No sweep builds a SystemSpec; shift_rows and exact_rows build (and
+    diagonalize) a Hamiltonian for each point that the array pass left
+    standing, and no other: shift_rows skips the points whose analytic
+    columns failed, both skip those whose ladder collapsed."""
     built, solved = [], []
     post_init = SystemSpec.__post_init__
     monkeypatch.setattr(SystemSpec, "__post_init__",
                         lambda self: (built.append(self), post_init(self)))
-    diagonalize = rabiqed.exact.diagonalize
-    monkeypatch.setattr(rabiqed.exact, "diagonalize",
-                        lambda h, *args, **kwargs: (solved.append(h),
-                                                    diagonalize(h, *args, **kwargs))[1])
+    build = rabiqed.exact.build_hamiltonian
+    monkeypatch.setattr(rabiqed.exact, "build_hamiltonian",
+                        lambda *args: (solved.append(args), build(*args))[1])
     config = parse_config(README_CONFIG)
     for variable, values in ((DETUNING, np.linspace(-3.0, 3.0, 161)),
                              (COUPLING, np.linspace(0, 0.3, 31)),
